@@ -49,7 +49,7 @@ impl BloomFilter {
     pub fn insert(&mut self, key: u64) {
         let (h1, h2) = hash_pair(key);
         for i in 0..self.num_hashes {
-            let idx = self.slot(h1, h2, i);
+            let idx = slot(self.bit_len, h1, h2, i);
             self.bits[idx / 64] |= 1 << (idx % 64);
         }
         self.inserted += 1;
@@ -59,9 +59,27 @@ impl BloomFilter {
     /// definitely has not.
     pub fn contains(&self, key: u64) -> bool {
         let (h1, h2) = hash_pair(key);
-        (0..self.num_hashes).all(|i| {
-            let idx = self.slot(h1, h2, i);
-            self.bits[idx / 64] & (1 << (idx % 64)) != 0
+        (0..self.num_hashes).all(|i| self.bit(slot(self.bit_len, h1, h2, i)))
+    }
+
+    /// Returns `true` if any key of `probes` *might* have been inserted:
+    /// exactly `keys.any(|k| self.contains(k))` over the keys the set was
+    /// built from, false positives included.
+    ///
+    /// Each key is screened with one bit test on its precomputed first
+    /// slot; the other `k − 1` probes run only for the keys that pass, so a
+    /// miss — the common case for a digest of an unrelated profile — costs
+    /// no hashing and no division.
+    ///
+    /// # Panics
+    /// Panics if `probes` was hashed for a different geometry.
+    pub fn contains_any(&self, probes: &ProbeSet) -> bool {
+        self.assert_geometry(probes.bit_len, probes.num_hashes);
+        probes.first_slots.iter().enumerate().any(|(key, &first)| {
+            self.bit(first as usize) && {
+                let (h1, h2) = probes.hashes[key];
+                (1..self.num_hashes).all(|i| self.bit(slot(self.bit_len, h1, h2, i)))
+            }
         })
     }
 
@@ -127,7 +145,7 @@ impl BloomFilter {
     /// # Panics
     /// Panics if the two filters have different geometries.
     pub fn intersects(&self, other: &Self) -> bool {
-        self.assert_same_geometry(other);
+        self.assert_geometry(other.bit_len, other.num_hashes);
         self.bits
             .iter()
             .zip(other.bits.iter())
@@ -139,7 +157,7 @@ impl BloomFilter {
     /// # Panics
     /// Panics if the two filters have different geometries.
     pub fn union_with(&mut self, other: &Self) {
-        self.assert_same_geometry(other);
+        self.assert_geometry(other.bit_len, other.num_hashes);
         for (a, b) in self.bits.iter_mut().zip(other.bits.iter()) {
             *a |= b;
         }
@@ -166,16 +184,64 @@ impl BloomFilter {
     }
 
     #[inline]
-    fn slot(&self, h1: u64, h2: u64, i: u32) -> usize {
-        (h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.bit_len as u64) as usize
+    fn bit(&self, idx: usize) -> bool {
+        self.bits[idx / 64] & (1 << (idx % 64)) != 0
     }
 
-    fn assert_same_geometry(&self, other: &Self) {
+    fn assert_geometry(&self, bit_len: u32, num_hashes: u32) {
         assert_eq!(
             (self.bit_len, self.num_hashes),
-            (other.bit_len, other.num_hashes),
+            (bit_len, num_hashes),
             "Bloom filters must share the same geometry"
         );
+    }
+}
+
+/// The `i`-th probe position of a key hashed to `(h1, h2)` in a filter of
+/// `bit_len` bits — the one place the double-hashing scheme is spelled out,
+/// shared by [`BloomFilter`] and [`ProbeSet`].
+#[inline]
+fn slot(bit_len: u32, h1: u64, h2: u64, i: u32) -> usize {
+    (h1.wrapping_add((i as u64).wrapping_mul(h2)) % bit_len as u64) as usize
+}
+
+/// A set of keys hashed once for one filter geometry, to be tested against
+/// many filters of that geometry with [`BloomFilter::contains_any`].
+///
+/// A P3Q node asks "does any of my items hit this digest?" of every digest
+/// in its random view and of every offer it receives; its items and the
+/// digest geometry are the same each time, so the hashing is done here,
+/// once, and each test is left with bit lookups.
+#[derive(Debug, Clone)]
+pub struct ProbeSet {
+    bit_len: u32,
+    num_hashes: u32,
+    /// Probe 0 of every key, the only column a miss reads.
+    first_slots: Vec<u32>,
+    /// `(h1, h2)` of every key, from which probes `1..k` are derived.
+    hashes: Vec<(u64, u64)>,
+}
+
+impl ProbeSet {
+    /// Hashes `keys` for filters of `bit_len` bits and `num_hashes` hash
+    /// functions.
+    ///
+    /// # Panics
+    /// Panics if `bit_len` is zero or does not fit a filter (`u32`).
+    pub fn new<I: IntoIterator<Item = u64>>(bit_len: usize, num_hashes: u32, keys: I) -> Self {
+        assert!(bit_len > 0, "a Bloom filter needs at least one bit");
+        let bit_len = u32::try_from(bit_len).expect("filters are at most 2^32 - 1 bits");
+        let hashes: Vec<(u64, u64)> = keys.into_iter().map(hash_pair).collect();
+        let first_slots = hashes
+            .iter()
+            .map(|&(h1, h2)| slot(bit_len, h1, h2, 0) as u32)
+            .collect();
+        Self {
+            bit_len,
+            num_hashes,
+            first_slots,
+            hashes,
+        }
     }
 }
 

@@ -25,7 +25,7 @@ mod filter;
 mod hashing;
 
 pub use builder::BloomBuilder;
-pub use filter::BloomFilter;
+pub use filter::{BloomFilter, ProbeSet};
 pub use hashing::{hash_pair, mix64};
 
 /// A reference-counted, immutably shared Bloom filter.

@@ -1,7 +1,75 @@
 //! Property-based tests for the Bloom filter digests.
 
-use p3q_bloom::{BloomBuilder, BloomFilter};
+use p3q_bloom::{BloomBuilder, BloomFilter, ProbeSet, PAPER_FILTER_BITS, PAPER_FILTER_HASHES};
 use proptest::prelude::*;
+
+/// The geometries `contains_any` is pinned on: a power-of-two and the
+/// paper's non-power-of-two bit length, each with several hashes and with
+/// `k = 1` (where the first-slot screen is the whole probe).
+const GEOMETRIES: [(usize, u32); 4] = [
+    (4096, 4),
+    (4096, 1),
+    (PAPER_FILTER_BITS, PAPER_FILTER_HASHES),
+    (PAPER_FILTER_BITS, 1),
+];
+
+/// `contains_any` must be `any(contains)`, bit for bit.
+fn check_contains_any(filter: &BloomFilter, keys: &[u64]) -> Result<(), TestCaseError> {
+    let probes = ProbeSet::new(filter.bit_len(), filter.num_hashes(), keys.iter().copied());
+    prop_assert_eq!(
+        filter.contains_any(&probes),
+        keys.iter().any(|&k| filter.contains(k)),
+        "{} bits, k = {}, {} inserted, {} probed",
+        filter.bit_len(),
+        filter.num_hashes(),
+        filter.inserted_keys(),
+        keys.len()
+    );
+    Ok(())
+}
+
+#[test]
+fn contains_any_on_present_absent_and_false_positive_keys() {
+    for (bits, hashes) in GEOMETRIES {
+        // ~40 % fill: first-slot hits that later probes reject are common,
+        // and so are genuine false positives.
+        let inserted = bits as u64 / (2 * u64::from(hashes));
+        let filter = BloomFilter::from_keys(bits, hashes, 0..inserted);
+        let outside = || 1_000_000..2_000_000u64;
+        let false_positive = outside().find(|&k| filter.contains(k)).unwrap();
+        let absent: Vec<u64> = outside()
+            .filter(|&k| !filter.contains(k))
+            .take(200)
+            .collect();
+        let any =
+            |keys: &[u64]| filter.contains_any(&ProbeSet::new(bits, hashes, keys.iter().copied()));
+
+        assert!(!any(&[]), "the empty set hits nothing");
+        assert!(!any(&absent));
+        assert!(any(&[3]), "an inserted key");
+        assert!(any(&[false_positive]), "false positives are kept");
+        for hit in [3, false_positive] {
+            let mut keys = absent.clone();
+            keys.push(hit);
+            assert!(any(&keys), "a hit after 200 misses");
+            keys.rotate_right(1);
+            assert!(any(&keys), "a hit before 200 misses");
+        }
+        assert!(!BloomFilter::new(bits, hashes).contains_any(&ProbeSet::new(bits, hashes, 0..100)));
+    }
+}
+
+#[test]
+#[should_panic(expected = "same geometry")]
+fn contains_any_rejects_a_different_bit_length() {
+    BloomFilter::new(4096, 4).contains_any(&ProbeSet::new(PAPER_FILTER_BITS, 4, [1, 2]));
+}
+
+#[test]
+#[should_panic(expected = "same geometry")]
+fn contains_any_rejects_a_different_hash_count() {
+    BloomFilter::new(4096, 4).contains_any(&ProbeSet::new(4096, 5, [1, 2]));
+}
 
 proptest! {
     /// Inserted keys are always reported as present (no false negatives).
@@ -71,6 +139,28 @@ proptest! {
         a.insert(shared);
         b.insert(shared);
         prop_assert!(a.intersects(&b));
+    }
+
+    /// `contains_any` equals `any(contains)` for random filters — from empty
+    /// to nearly full, so misses, first-slot hits that later probes reject,
+    /// false positives and true members all occur — and random key sets
+    /// that may or may not share a key with the filter.
+    #[test]
+    fn prop_contains_any_matches_any_contains(
+        inserted in prop::collection::vec(any::<u64>(), 0..3000),
+        keys in prop::collection::vec(any::<u64>(), 0..150),
+        shared in prop::collection::vec(any::<u64>(), 0..2),
+    ) {
+        for (bits, hashes) in GEOMETRIES {
+            let filter = BloomFilter::from_keys(
+                bits,
+                hashes,
+                inserted.iter().chain(&shared).copied(),
+            );
+            check_contains_any(&filter, &keys)?;
+            let with_shared: Vec<u64> = keys.iter().chain(&shared).copied().collect();
+            check_contains_any(&filter, &with_shared)?;
+        }
     }
 
     /// Builder-derived geometry always accommodates the requested capacity

@@ -523,15 +523,16 @@ fn destination_process(
     // Profiles the destination can resolve: its own (if requested) and the
     // fresh stored copies of requested users — a stale copy is not an
     // answer, the query keeps looking for the owner or a fresh replica.
-    let requested: HashSet<UserId> = remaining.iter().copied().collect();
+    // At most c + 1 lookups in a list of at most s users: a scan of the
+    // slice beats hashing it into a set first.
     let mut found: Vec<UserId> = Vec::new();
     let mut profiles: Vec<&Profile> = Vec::new();
-    if requested.contains(&dest.id) {
+    if remaining.contains(&dest.id) {
         found.push(dest.id);
         profiles.push(dest.profile());
     }
     for (peer, profile, _) in dest.fresh_stored_profiles() {
-        if requested.contains(&peer) {
+        if remaining.contains(&peer) {
             found.push(peer);
             profiles.push(profile);
         }

@@ -37,7 +37,6 @@ use p3q_trace::{SharedProfile, UserId};
 use crate::bandwidth::{category, digest_bytes, tagging_actions_bytes};
 use crate::config::P3qConfig;
 use crate::node::{DigestInfo, P3qNode};
-use crate::scoring::similarity;
 
 /// One profile proposed during a gossip exchange: the owner, her digest and
 /// the proposer's stored copy of her profile.
@@ -91,23 +90,17 @@ impl ExchangeStats {
 /// subset of at most `limit` stored profiles, plus the node's own profile.
 pub fn collect_offers(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Vec<ProfileOffer> {
     let mut stored: Vec<ProfileOffer> = node
-        .shared_stored_profiles()
-        .map(|(user, profile, version)| {
-            let entry = node
-                .personal_network
-                .get(&user)
-                .expect("stored profiles live in personal-network entries");
-            let (digest, digest_version) = (
-                entry.meta.digest.clone(),
-                u64::from(entry.meta.digest_version),
-            );
-            ProfileOffer {
-                user,
-                digest,
-                digest_version,
-                version,
+        .personal_network
+        .iter()
+        .filter_map(|entry| {
+            let profile = entry.meta.profile.as_ref()?;
+            Some(ProfileOffer {
+                user: entry.peer,
+                digest: entry.meta.digest.clone(),
+                digest_version: u64::from(entry.meta.digest_version),
+                version: u64::from(entry.meta.profile_version),
                 profile: profile.clone(),
-            }
+            })
         })
         .collect();
     stored.shuffle(rng);
@@ -126,6 +119,9 @@ pub fn collect_offers(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Vec<Pro
 /// 3-step protocol of Algorithm 1, and returns the byte counts incurred.
 pub fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> ExchangeStats {
     let mut stats = ExchangeStats::default();
+    // The node's items, hashed on the first offer that needs the digest
+    // check and reused for the rest of the batch.
+    let mut probes = None;
     for offer in offers {
         if offer.user == node.id {
             continue;
@@ -141,7 +137,8 @@ pub fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> ExchangeSt
         // *payload* under the same digest. So an offer also passes when it
         // advances the recorded digest version, or carries a newer profile
         // payload than a copy we store.
-        if let Some(entry) = node.personal_network.get(&offer.user) {
+        let known = node.personal_network.get(&offer.user);
+        if let Some(entry) = known {
             let same_digest =
                 Arc::ptr_eq(&entry.meta.digest, &offer.digest) || entry.meta.digest == offer.digest;
             let advances_digest = offer.digest_version > u64::from(entry.meta.digest_version);
@@ -154,27 +151,26 @@ pub fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> ExchangeSt
         // Lines 10–11: no common item → drop. The digest is the only
         // information available at this point, so the check uses it (false
         // positives are possible and simply cost a step-2 exchange).
-        let shares_item = node
-            .profile()
-            .items()
-            .any(|item| offer.digest.contains(item.as_key()));
-        if !shares_item && !node.personal_network.contains(&offer.user) {
+        if known.is_none()
+            && !offer
+                .digest
+                .contains_any(probes.get_or_insert_with(|| node.item_probes()))
+        {
             continue;
         }
 
         // Step 2 (lines 16–26): fetch the tagging actions for the common
         // items and compute the exact similarity score.
-        let common_actions = node.profile().common_action_list(&offer.profile);
-        stats.common_bytes += tagging_actions_bytes(common_actions.len());
+        let common = node.profile().common_actions(&offer.profile);
+        stats.common_bytes += tagging_actions_bytes(common);
         stats.candidates_scored += 1;
-        let score = similarity(node.profile(), &offer.profile);
-        if score == 0 {
+        if common == 0 {
             // The digest check was a false positive; nothing to add.
             continue;
         }
         let accepted = node.record_neighbour(
             offer.user,
-            score,
+            common as u64,
             offer.digest.clone(),
             offer.digest_version,
         );
@@ -201,7 +197,7 @@ pub fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> ExchangeSt
             let offer_improves =
                 !node.has_stored_profile(&offer.user) || cached_version < offer.version;
             if offer_improves {
-                let rest = offer.profile.len().saturating_sub(common_actions.len());
+                let rest = offer.profile.len().saturating_sub(common);
                 stats.profile_bytes += tagging_actions_bytes(rest);
                 if node.store_profile(offer.user, offer.profile.clone(), offer.version) {
                     stats.profiles_stored += 1;
@@ -381,15 +377,11 @@ impl GossipProtocol for LazyProtocol {
         // Probe: random-view members whose digest reveals a shared item.
         // All peer reads happen here, against the snapshot, so the commit
         // only touches the probing node.
+        let probes = node.item_probes();
         let candidates: Vec<ProbeCandidate> = node
             .random_view
             .iter()
-            .filter(|e| valid_partner(e.peer))
-            .filter(|e| {
-                node.profile()
-                    .items()
-                    .any(|item| e.meta.digest.contains(item.as_key()))
-            })
+            .filter(|e| valid_partner(e.peer) && e.meta.digest.contains_any(&probes))
             .map(|e| {
                 let peer_node = world.node(e.peer.index());
                 ProbeCandidate {
@@ -494,14 +486,13 @@ fn probe_candidate(
     candidate: &ProbeCandidate,
     outcome: &mut CommitOutcome<()>,
 ) {
-    let common = me.profile().common_action_list(&candidate.profile);
-    let score = common.len() as u64;
-    let mut common_bytes = tagging_actions_bytes(common.len());
+    let common = me.profile().common_actions(&candidate.profile);
+    let mut common_bytes = tagging_actions_bytes(common);
     let mut profile_bytes = 0usize;
-    if score > 0
+    if common > 0
         && me.record_neighbour(
             candidate.peer,
-            score,
+            common as u64,
             candidate.digest.clone(),
             candidate.version,
         )
@@ -521,8 +512,7 @@ fn probe_candidate(
         let improves =
             !me.has_stored_profile(&candidate.peer) || cached_version < candidate.version;
         if rank < me.storage_budget() && improves {
-            profile_bytes =
-                tagging_actions_bytes(candidate.profile.len().saturating_sub(common.len()));
+            profile_bytes = tagging_actions_bytes(candidate.profile.len().saturating_sub(common));
             me.store_profile(candidate.peer, candidate.profile.clone(), candidate.version);
         }
     } else {
@@ -751,6 +741,90 @@ mod tests {
         let second = process_offers(sim.node_mut(0), &[offer]);
         assert_eq!(second.candidates_scored, 0);
         assert_eq!(second.common_bytes, 0);
+    }
+
+    #[test]
+    fn digest_false_positives_are_probed_and_scored_like_real_hits() {
+        use p3q_trace::{ItemId, Profile, TagId, TaggingAction};
+        // Node 0 shares no item with anyone. A 64-bit digest makes some of
+        // the others false-positive against its items; the digest check
+        // must let through exactly those that the per-item test would.
+        let cfg = P3qConfig {
+            digest_bits: 64,
+            digest_hashes: 2,
+            ..P3qConfig::tiny()
+        };
+        let node_with_items = |id: u32, items: std::ops::Range<u32>| {
+            let profile =
+                Profile::from_actions(items.map(|i| TaggingAction::new(ItemId(i), TagId(1))));
+            P3qNode::new(
+                UserId(id),
+                profile,
+                10,
+                5,
+                3,
+                cfg.digest_bits,
+                cfg.digest_hashes,
+            )
+        };
+        let mut nodes = vec![node_with_items(0, 0..3)];
+        nodes.extend((1..=5).map(|id| node_with_items(id, id * 100..id * 100 + 16)));
+        let hits_per_item = |peer: &P3qNode| {
+            nodes[0]
+                .profile()
+                .items()
+                .any(|item| peer.digest().contains(item.as_key()))
+        };
+        let expected: Vec<UserId> = nodes[1..]
+            .iter()
+            .filter(|peer| hits_per_item(peer))
+            .map(|peer| peer.id)
+            .collect();
+        assert!(
+            !expected.is_empty() && expected.len() < 5,
+            "the fixture needs a false positive and a miss, got {expected:?}"
+        );
+
+        let offers: Vec<ProfileOffer> = nodes[1..]
+            .iter()
+            .map(|peer| ProfileOffer {
+                user: peer.id,
+                digest: peer.shared_digest().clone(),
+                digest_version: 1,
+                version: 1,
+                profile: peer.shared_profile().clone(),
+            })
+            .collect();
+
+        // The plan probes the false positives and nobody else.
+        for offer in &offers {
+            let info = DigestInfo {
+                digest: offer.digest.clone(),
+                version: 1,
+            };
+            nodes[0].random_view.insert(offer.user, info);
+        }
+        let mut sim = Simulator::new(nodes, 1);
+        let world = CycleContext::new(sim.nodes(), sim.membership(), 0);
+        let mut plans = Vec::new();
+        cfg.lazy()
+            .plan(&world, 0, &mut StdRng::seed_from_u64(2), &mut plans);
+        let probed: Vec<UserId> = plans
+            .iter()
+            .find_map(|plan| match &plan.payload {
+                LazyStep::Probe(candidates) => Some(candidates.iter().map(|c| c.peer).collect()),
+                _ => None,
+            })
+            .expect("a false positive is a probe candidate");
+        assert_eq!(probed, expected);
+
+        // So does an offer batch: every digest travels, the false positives
+        // pay for a step-2 exchange that finds nothing, nobody is recorded.
+        let stats = process_offers(sim.node_mut(0), &offers);
+        assert_eq!(stats.digest_bytes, offers.len() * digest_bytes(64));
+        assert_eq!(stats.candidates_scored, expected.len());
+        assert_eq!((stats.common_bytes, stats.profile_bytes), (0, 0));
+        assert!(sim.node(0).personal_network.is_empty());
     }
 
     #[test]

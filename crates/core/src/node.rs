@@ -9,10 +9,10 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use p3q_bloom::{BloomFilter, SharedFilter};
+use p3q_bloom::{BloomFilter, ProbeSet, SharedFilter};
 use p3q_gossip::{AgedView, ScoredView};
 use p3q_sim::{Fingerprint, Fnv};
-use p3q_trace::{Profile, SharedProfile, TaggingAction, UserId};
+use p3q_trace::{ItemId, Profile, SharedProfile, TaggingAction, UserId};
 
 use crate::query::{QuerierState, QueryId, RemainingTask};
 
@@ -308,6 +308,19 @@ impl P3qNode {
         })
     }
 
+    /// The node's distinct items hashed once for its digest geometry: the
+    /// probe side of "does any of my items hit this digest?" (Algorithm 1,
+    /// lines 10–11), to be tested against every digest of one plan or one
+    /// offer batch with [`BloomFilter::contains_any`]. Built per call and
+    /// dropped — a node does not keep it.
+    pub fn item_probes(&self) -> ProbeSet {
+        ProbeSet::new(
+            self.digest_bits as usize,
+            self.digest_hashes,
+            self.profile.items().map(ItemId::as_key),
+        )
+    }
+
     /// Forces the pending digest rebuild now (no-op if the digest is
     /// current). By default the cost lands lazily on the first gossip read
     /// after a batch of [`Self::add_tagging_actions`]; call this to pin it
@@ -341,7 +354,12 @@ impl P3qNode {
     ) -> usize {
         let added = Arc::make_mut(&mut self.profile).extend(actions);
         if added > 0 {
-            self.profile_version += 1;
+            // Checked like `compact_version`: a wrapped version would make
+            // this fresh profile look older than every cached copy.
+            self.profile_version = self
+                .profile_version
+                .checked_add(1)
+                .expect("profile versions are bounded by dynamics batches (u32)");
             self.digest.take();
         }
         added
@@ -458,17 +476,6 @@ impl P3qNode {
             e.meta
                 .profile
                 .as_deref()
-                .map(|p| (e.peer, p, u64::from(e.meta.profile_version)))
-        })
-    }
-
-    /// Like [`Self::stored_profiles`], but yielding shareable handles — the
-    /// zero-copy source of gossip offers and query resolution.
-    pub fn shared_stored_profiles(&self) -> impl Iterator<Item = (UserId, &SharedProfile, u64)> {
-        self.personal_network.iter().filter_map(|e| {
-            e.meta
-                .profile
-                .as_ref()
                 .map(|p| (e.peer, p, u64::from(e.meta.profile_version)))
         })
     }
@@ -721,7 +728,7 @@ impl Fingerprint for P3qNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p3q_trace::{ItemId, TagId};
+    use p3q_trace::TagId;
 
     fn profile(actions: &[(u32, u32)]) -> Profile {
         Profile::from_actions(
@@ -751,6 +758,14 @@ mod tests {
             0
         );
         assert_eq!(n.profile_version(), v0 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "profile versions are bounded")]
+    fn profile_version_overflow_fails_loudly() {
+        let mut n = node(2);
+        n.profile_version = u32::MAX;
+        n.add_tagging_actions(vec![TaggingAction::new(ItemId(9), TagId(1))]);
     }
 
     #[test]
@@ -821,9 +836,9 @@ mod tests {
         let p: SharedProfile = Arc::new(profile(&[(5, 5), (6, 6)]));
         n.record_neighbour(UserId(1), 3, Arc::new(p.digest(1024, 4)), 1);
         n.store_profile(UserId(1), p.clone(), 1);
-        let (_, stored, _) = n.shared_stored_profiles().next().unwrap();
+        let stored = n.personal_network.get(&UserId(1)).unwrap();
         assert!(
-            Arc::ptr_eq(stored, &p),
+            Arc::ptr_eq(stored.meta.profile.as_ref().unwrap(), &p),
             "storing a shared profile must not deep-copy it"
         );
     }

@@ -27,8 +27,11 @@ where
     M: Clone,
     R: Rng + ?Sized,
 {
-    let peers: Vec<P> = view.peers().collect();
-    peers.choose(rng).copied()
+    if view.is_empty() {
+        return None;
+    }
+    // The draw `SliceRandom::choose` makes, without collecting the peers.
+    view.peers().nth(rng.gen_range(0..view.len()))
 }
 
 /// Builds the payload one side ships in a shuffle: its current view entries
@@ -58,17 +61,21 @@ where
 /// current entries, strips self-references and duplicates (keeping the
 /// youngest copy) and keeps a uniformly random subset of at most `capacity`
 /// entries. The *commit* half of a plan/commit shuffle.
+///
+/// Both the view's entries and the payload are moved into the merge pool,
+/// never cloned: the only copies a shuffle makes are the two payloads.
 pub fn absorb_shuffle<P, M, R>(
     view: &mut AgedView<P, M>,
     self_id: P,
-    received: &[AgedEntry<P, M>],
+    received: Vec<AgedEntry<P, M>>,
     rng: &mut R,
 ) where
     P: Copy + Eq + Hash + Ord,
     M: Clone,
     R: Rng + ?Sized,
 {
-    let merged = select_random_subset(view.snapshot(), received, self_id, view.capacity(), rng);
+    let capacity = view.capacity();
+    let merged = select_random_subset(view.take_entries(), received, self_id, capacity, rng);
     view.replace_with(merged);
 }
 
@@ -96,16 +103,16 @@ pub fn shuffle<P, M, R>(
 {
     let a_payload = shuffle_payload(a_view, a_id, a_self);
     let b_payload = shuffle_payload(b_view, b_id, b_self);
-    absorb_shuffle(a_view, a_id, &b_payload, rng);
-    absorb_shuffle(b_view, b_id, &a_payload, rng);
+    absorb_shuffle(a_view, a_id, b_payload, rng);
+    absorb_shuffle(b_view, b_id, a_payload, rng);
 }
 
 /// Merges own entries with the received payload, removes self-references and
-/// duplicates (keeping the youngest copy), and keeps a uniformly random
-/// subset of at most `capacity` entries.
+/// duplicates (keeping the youngest copy, the own one on equal age), and
+/// keeps a uniformly random subset of at most `capacity` entries.
 fn select_random_subset<P, M, R>(
     own: Vec<AgedEntry<P, M>>,
-    received: &[AgedEntry<P, M>],
+    received: Vec<AgedEntry<P, M>>,
     self_id: P,
     capacity: usize,
     rng: &mut R,
@@ -116,9 +123,11 @@ where
     R: Rng + ?Sized,
 {
     let mut pool: Vec<AgedEntry<P, M>> = own;
-    pool.extend(received.iter().cloned());
+    pool.extend(received);
     pool.retain(|e| e.peer != self_id);
-    // Deduplicate, keeping the youngest descriptor of each peer.
+    // Deduplicate, keeping the youngest descriptor of each peer. The sort
+    // is stable and own entries come first in the pool, so on equal
+    // `(peer, age)` the own descriptor is the one kept.
     pool.sort_by(|a, b| a.peer.cmp(&b.peer).then(a.age.cmp(&b.age)));
     pool.dedup_by(|later, earlier| later.peer == earlier.peer);
     pool.shuffle(rng);
@@ -155,6 +164,40 @@ mod tests {
             let p = pick_partner(&v, &mut rng).unwrap();
             assert!(v.contains(&p));
         }
+    }
+
+    #[test]
+    fn pick_partner_draws_like_slice_choose() {
+        let v = view_with(8, &[4, 9, 2, 7, 5]);
+        let peers: Vec<u32> = v.peers().collect();
+        let (mut a, mut b) = (StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
+        for _ in 0..50 {
+            assert_eq!(pick_partner(&v, &mut a), peers.choose(&mut b).copied());
+        }
+    }
+
+    #[test]
+    fn absorb_keeps_the_own_descriptor_on_equal_age() {
+        let mut view: AgedView<u32, &str> = AgedView::new(4);
+        view.insert(5, "own");
+        view.insert(6, "own");
+        view.tick();
+        let received = vec![
+            AgedEntry {
+                peer: 5,
+                age: 1,
+                meta: "received",
+            },
+            AgedEntry {
+                peer: 6,
+                age: 0,
+                meta: "received",
+            },
+        ];
+        absorb_shuffle(&mut view, 1, received, &mut StdRng::seed_from_u64(3));
+        let meta_of = |peer| view.iter().find(|e| e.peer == peer).map(|e| e.meta);
+        assert_eq!(meta_of(5), Some("own"), "equal age keeps the own entry");
+        assert_eq!(meta_of(6), Some("received"), "a younger copy still wins");
     }
 
     #[test]

@@ -319,10 +319,20 @@ impl<P: Copy + Eq + Hash + Ord, M: Clone> AgedView<P, M> {
         }
     }
 
+    /// Moves the entries out, leaving the view empty (the shuffle merges
+    /// them with the received payload and hands the survivors back through
+    /// [`Self::replace_with`]).
+    pub fn take_entries(&mut self) -> Vec<AgedEntry<P, M>> {
+        std::mem::take(&mut self.entries)
+    }
+
     /// Replaces the whole content (used by the shuffle). Truncates to
-    /// capacity if needed.
+    /// capacity if needed, and gives back the buffer's slack: the shuffle
+    /// hands over its 2r + 1-slot merge pool, and a view that kept it would
+    /// hold twice its r entries' worth of memory on every node.
     pub fn replace_with(&mut self, mut entries: Vec<AgedEntry<P, M>>) {
         entries.truncate(self.capacity);
+        entries.shrink_to_fit();
         self.entries = entries;
     }
 

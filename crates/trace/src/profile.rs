@@ -176,25 +176,6 @@ impl Profile {
         merge_count(&self.actions, &other.actions)
     }
 
-    /// The common tagging actions themselves (used by step 2 of Algorithm 1,
-    /// where only the actions on shared items travel over the network).
-    pub fn common_action_list(&self, other: &Profile) -> Vec<TaggingAction> {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.actions.len() && j < other.actions.len() {
-            match self.actions[i].cmp(&other.actions[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(self.actions[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out
-    }
-
     /// Items present in both profiles.
     pub fn common_items(&self, other: &Profile) -> Vec<ItemId> {
         let mine: BTreeSet<ItemId> = self.items().collect();
@@ -448,7 +429,6 @@ mod tests {
         // Shared (item, tag) pairs: (1,2) and (2,5).
         assert_eq!(a.common_actions(&b), 2);
         assert_eq!(b.common_actions(&a), 2);
-        assert_eq!(a.common_action_list(&b), vec![act(1, 2), act(2, 5)]);
     }
 
     #[test]
