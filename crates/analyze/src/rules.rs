@@ -58,6 +58,10 @@ pub const RULES: &[(&str, &str)] = &[
 /// determinism suites, so any hash-ordered iteration or ambient-seeded RNG
 /// in them is a latent thread-count dependence.
 pub const PLAN_COMMIT_MODULES: &[&str] = &[
+    // The sequencer is the one copy of the phase order; its substrates
+    // (`engine.rs`'s workers, the sequential shard) execute the phases.
+    "crates/sim/src/cycle.rs",
+    "crates/sim/src/shard.rs",
     "crates/sim/src/engine.rs",
     "crates/sim/src/exchange.rs",
     "crates/sim/src/fault.rs",
@@ -69,10 +73,10 @@ pub const PLAN_COMMIT_MODULES: &[&str] = &[
     // every worker-thread count (pinned by `on_demand_props`), so it earns
     // the same hash-iter / ambient-RNG scrutiny as the commit path.
     "crates/core/src/resolver.rs",
-    // The transport runtime replays the exact same plan/commit cycle over
-    // shard actors and is pinned byte-identical to the simulator (by
-    // `transport_props`), so its sequencer, actor body and delivery
-    // schedule get the same scrutiny.
+    // The transport runtime executes the same sequencer over shard actors
+    // and is pinned byte-identical to the simulator (by `transport_props`),
+    // so its mailbox substrate, actor dispatch and delivery schedule get
+    // the same scrutiny.
     "crates/transport/src/runtime.rs",
     "crates/transport/src/actor.rs",
     "crates/transport/src/schedule.rs",

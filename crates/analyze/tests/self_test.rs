@@ -41,6 +41,16 @@ fn hash_iter_fixture_fires() {
 }
 
 #[test]
+fn sequencer_hash_iter_fixture_fires() {
+    // The cycle sequencer (`crates/sim/src/cycle.rs`) is on the plan/commit
+    // module list: a HashMap iteration there is reported.
+    let report = analyze(&fixture("sequencer_hash_iter")).unwrap();
+    assert_eq!(rules_fired(&report), ["hash-iter"]);
+    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
+    assert_eq!(report.findings[0].file, "crates/sim/src/cycle.rs");
+}
+
+#[test]
 fn wall_clock_fixture_fires() {
     let report = analyze(&fixture("wall_clock")).unwrap();
     assert_eq!(rules_fired(&report), ["wall-clock"]);
@@ -157,6 +167,7 @@ fn cli_exit_codes_match_report() {
 
     for case in [
         "hash_iter",
+        "sequencer_hash_iter",
         "wall_clock",
         "rng_source",
         "safety_comment",

@@ -117,11 +117,8 @@ struct ScaleResult {
     warmup_cycles: u64,
     timed_cycles: u64,
     /// Resident bytes of the node column (protocol state: views, digests,
-    /// query books) after warmup, in the compacted layout...
+    /// query books) after warmup.
     bytes_nodes: usize,
-    /// ...and what the pre-refactor layout (u64 versions in every
-    /// personal-network entry) would hold for the same state.
-    bytes_nodes_previous_layout: usize,
     modes: Vec<ModeResult>,
 }
 
@@ -157,16 +154,11 @@ fn bench_scale(users: usize, args: &Args) -> ScaleResult {
 
     // Node-storage accounting at the measurement point (deterministic for a
     // given seed): the shard-partitioned store sums each node's protocol
-    // state, next to the equivalent bytes of the pre-refactor entry layout.
+    // state.
     let bytes_nodes = sim.node_store().storage_bytes(P3qNode::storage_bytes);
-    let bytes_nodes_previous_layout = sim
-        .node_store()
-        .storage_bytes(P3qNode::previous_layout_bytes);
     eprintln!(
-        "   node storage: {:.1} MiB vs {:.1} MiB previous layout ({:.1}% less)",
-        bytes_nodes as f64 / (1 << 20) as f64,
-        bytes_nodes_previous_layout as f64 / (1 << 20) as f64,
-        100.0 * (1.0 - bytes_nodes as f64 / bytes_nodes_previous_layout as f64)
+        "   node storage: {:.1} MiB",
+        bytes_nodes as f64 / (1 << 20) as f64
     );
 
     let mut modes = vec![Mode {
@@ -229,7 +221,6 @@ fn bench_scale(users: usize, args: &Args) -> ScaleResult {
         warmup_cycles: args.warmup,
         timed_cycles: args.cycles,
         bytes_nodes,
-        bytes_nodes_previous_layout,
         modes: results,
     }
 }
@@ -261,11 +252,6 @@ fn main() {
         let _ = writeln!(json, "      \"warmup_cycles\": {},", r.warmup_cycles);
         let _ = writeln!(json, "      \"timed_cycles\": {},", r.timed_cycles);
         let _ = writeln!(json, "      \"bytes_nodes\": {},", r.bytes_nodes);
-        let _ = writeln!(
-            json,
-            "      \"bytes_nodes_previous_layout\": {},",
-            r.bytes_nodes_previous_layout
-        );
         json.push_str("      \"modes\": [\n");
         for (j, m) in r.modes.iter().enumerate() {
             json.push_str("        {\n");

@@ -35,10 +35,7 @@
 //! split from the full `accumulate` (id resolution + decode + counters)
 //! cost. The `index_memory` probe repeats the decode columns at the
 //! `--memory-users` scale, which is the acceptance measurement for the
-//! group-varint kernels. The `packed_serving` block answers the same top-k
-//! queries from decoded profiles and straight off the at-rest
-//! [`PackedProfile`] bytes (both the counting sweep and the streaming
-//! cursor path), asserting identical rankings.
+//! group-varint kernels.
 //!
 //! Each scale also benches the **demand-driven** path (`on_demand` block):
 //! under the `query-hotspot` querier schedule, per dynamics batch, exact
@@ -69,8 +66,8 @@ use p3q_trace::codec::{
     read_varint, GROUP_DECODE_SLACK,
 };
 use p3q_trace::{
-    action_key, DynamicsConfig, DynamicsGenerator, PackedProfile, Scenario, ScenarioConfig,
-    SyntheticTrace, TraceGenerator, UserId,
+    action_key, DynamicsConfig, DynamicsGenerator, Scenario, ScenarioConfig, SyntheticTrace,
+    TraceGenerator, UserId,
 };
 
 struct Args {
@@ -147,7 +144,6 @@ struct ScaleResult {
     index_shards: usize,
     memory: MemoryResult,
     decode: DecodeResult,
-    packed_serving: PackedServingResult,
     index_build_ms: f64,
     counting_single_ms: f64,
     counting_parallel_ms: f64,
@@ -434,138 +430,6 @@ fn checksum_ranking(ranking: &[(UserId, u64)]) -> u64 {
     h
 }
 
-/// The packed-serving columns: the same top-k queries answered once from
-/// decoded [`p3q_trace::Profile`]s and once straight off the at-rest
-/// [`PackedProfile`] bytes (decode-on-the-fly, nothing materialized), for
-/// both the counting sweep (`top_similar`) and the streaming top-k cursor
-/// path (`resolve_top_similar`). Rankings are asserted identical — the
-/// packed columns measure the cost of *not* unpacking, not a different
-/// answer.
-struct PackedServingResult {
-    serving_users: usize,
-    checksum: u64,
-    decoded_ms: f64,
-    packed_ms: f64,
-    resolve_users: usize,
-    resolve_decoded_ms: f64,
-    resolve_packed_ms: f64,
-}
-
-impl PackedServingResult {
-    fn measure(dataset: &p3q_trace::Dataset, index: &ActionIndex, network_size: usize) -> Self {
-        let step = (dataset.num_users() / 256).max(1);
-        let sample: Vec<UserId> = dataset.users().step_by(step).collect();
-        // Packing happens at ingest in the serving story; it is the at-rest
-        // representation, so it sits outside both timed regions.
-        let packed: Vec<PackedProfile> = sample
-            .iter()
-            .map(|&u| PackedProfile::pack(dataset.profile(u)))
-            .collect();
-        let mut scratch = SimilarityScratch::new(dataset.num_users());
-
-        let start = Instant::now();
-        let decoded_nets: Vec<Vec<(UserId, u64)>> = sample
-            .iter()
-            .map(|&u| index.top_similar(dataset, u, network_size, &mut scratch))
-            .collect();
-        let decoded_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        let start = Instant::now();
-        let packed_nets: Vec<Vec<(UserId, u64)>> = sample
-            .iter()
-            .zip(&packed)
-            .map(|(&u, p)| index.top_similar_packed(p, u, network_size, &mut scratch))
-            .collect();
-        let packed_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            decoded_nets, packed_nets,
-            "packed serving diverged from the decoded sweep"
-        );
-
-        // The cursor path on a smaller sample: streaming top-k resolution
-        // costs more per query, and the point here is path equality plus
-        // the packed-vs-decoded delta, not another population sweep.
-        let resolve_users = sample.len().min(64);
-        let start = Instant::now();
-        let resolved: Vec<Vec<(UserId, u64)>> = sample[..resolve_users]
-            .iter()
-            .map(|&u| index.resolve_top_similar(dataset, u, network_size).0)
-            .collect();
-        let resolve_decoded_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        let start = Instant::now();
-        let resolved_packed: Vec<Vec<(UserId, u64)>> = sample[..resolve_users]
-            .iter()
-            .zip(&packed)
-            .map(|(&u, p)| index.resolve_top_similar_packed(p, u, network_size).0)
-            .collect();
-        let resolve_packed_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            resolved, resolved_packed,
-            "packed cursor resolution diverged from the decoded path"
-        );
-
-        let mut checksum = 0u64;
-        for net in &decoded_nets {
-            checksum = checksum.wrapping_add(checksum_ranking(net));
-        }
-        eprintln!(
-            "   packed serving: {:.1} ms packed vs {:.1} ms decoded over {} users \
-             (cursor path: {:.1} ms vs {:.1} ms over {})",
-            packed_ms,
-            decoded_ms,
-            sample.len(),
-            resolve_packed_ms,
-            resolve_decoded_ms,
-            resolve_users
-        );
-        Self {
-            serving_users: sample.len(),
-            checksum,
-            decoded_ms,
-            packed_ms,
-            resolve_users,
-            resolve_decoded_ms,
-            resolve_packed_ms,
-        }
-    }
-
-    fn write_fields(&self, json: &mut String, indent: &str) {
-        let _ = writeln!(json, "{indent}\"serving_users\": {},", self.serving_users);
-        let _ = writeln!(
-            json,
-            "{indent}\"packed_serving_checksum\": \"0x{:016x}\",",
-            self.checksum
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"serving_decoded_ms\": {:.3},",
-            self.decoded_ms
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"serving_packed_ms\": {:.3},",
-            self.packed_ms
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"speedup_packed_vs_decoded\": {:.2},",
-            self.decoded_ms / self.packed_ms.max(f64::MIN_POSITIVE)
-        );
-        let _ = writeln!(json, "{indent}\"resolve_users\": {},", self.resolve_users);
-        let _ = writeln!(
-            json,
-            "{indent}\"resolve_decoded_ms\": {:.3},",
-            self.resolve_decoded_ms
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"resolve_packed_ms\": {:.3}",
-            self.resolve_packed_ms
-        );
-    }
-}
-
 struct DynamicsResult {
     batches: usize,
     mean_changed_users: f64,
@@ -826,7 +690,6 @@ fn bench_scale(users: usize, args: &Args) -> ScaleResult {
         memory.reduction_percent()
     );
     let decode = DecodeResult::measure(dataset, &index, s);
-    let packed_serving = PackedServingResult::measure(dataset, &index, s);
 
     let start = Instant::now();
     let single = IdealNetworks::compute_with_threads(dataset, s, 1);
@@ -894,7 +757,6 @@ fn bench_scale(users: usize, args: &Args) -> ScaleResult {
         index_shards,
         memory,
         decode,
-        packed_serving,
         index_build_ms,
         counting_single_ms,
         counting_parallel_ms,
@@ -1052,9 +914,6 @@ fn main() {
         }
         json.push_str("      \"decode\": {\n");
         r.decode.write_fields(&mut json, "        ");
-        json.push_str("      },\n");
-        json.push_str("      \"packed_serving\": {\n");
-        r.packed_serving.write_fields(&mut json, "        ");
         json.push_str("      },\n");
         let _ = writeln!(json, "      \"lazy_cycle_ms\": {:.3}", r.lazy_cycle_ms);
         json.push_str(if i + 1 == results.len() {

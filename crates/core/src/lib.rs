@@ -93,7 +93,7 @@
 //!   per-cycle similarity cost is proportional to *queries*, not *users* —
 //!   the query-skew path toward the 1M-user target, with
 //!   [`baseline::IdealNetworks`] kept as the global oracle.
-//! * **Group-varint decode kernels + packed serving** — the byte-level
+//! * **Group-varint decode kernels** — the byte-level
 //!   decode tax of the compression above is clawed back by
 //!   [`p3q_trace::codec`]'s group-varint kernels: one control byte
 //!   dispatches four delta lengths through a 256-entry table, posting
@@ -104,12 +104,9 @@
 //!   (measured 1.3–1.4× over LEB128 decode at the 20k/100k-user scales —
 //!   the `decode` columns of `BENCH_similarity.json`). The posting
 //!   directory stores group-relative `u16` offsets anchored every 64
-//!   slots (~1 MiB smaller at 100k users), and the serving paths score
-//!   straight from packed profiles
-//!   ([`similarity::ActionIndex::top_similar_packed`],
-//!   [`similarity::ActionIndex::resolve_top_similar_packed`]) —
-//!   decode-on-the-fly, nothing materialized. Output is byte-identical to
-//!   the LEB128 era; the `codec_props` suite pins every kernel to the
+//!   slots (~1 MiB smaller at 100k users). Profiles are held and served
+//!   decoded; [`p3q_trace::PackedProfile`] is an at-rest size format only.
+//!   Output is byte-identical to the LEB128 era; the `codec_props` suite pins every kernel to the
 //!   retained LEB128 oracle, including garbage-slack discard.
 //! * **Zero-copy gossip payloads** — profiles and digests travel as
 //!   [`p3q_trace::SharedProfile`] / [`p3q_bloom::SharedFilter`] handles

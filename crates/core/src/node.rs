@@ -609,31 +609,6 @@ impl P3qNode {
             + self.querier_states.storage_bytes()
             + self.tasks.storage_bytes()
     }
-
-    /// What [`Self::storage_bytes`] would report under the pre-refactor
-    /// layout — the baseline the benchmark memory accounting compares the
-    /// compacted layout against. The constants are the measured sizes of
-    /// the seed structs: a 216-byte node (u64 profile version, usize
-    /// geometry fields, two always-inline 48-byte `HashMap`s), a 48-byte
-    /// `BloomFilter` header (usize `bit_len`/`inserted`) and 48-byte
-    /// personal-network entries (u64 digest/profile versions).
-    pub fn previous_layout_bytes(&self) -> usize {
-        const SEED_NODE_STRUCT: usize = 216;
-        const SEED_BLOOM_STRUCT: usize = 48;
-        const SEED_NETWORK_ENTRY: usize = 48;
-        let digest = self
-            .digest
-            .get()
-            .map(|d| d.heap_bytes() + SEED_BLOOM_STRUCT)
-            .unwrap_or(0);
-        SEED_NODE_STRUCT
-            + digest
-            + self.personal_network.len() * SEED_NETWORK_ENTRY
-            + self.random_view.len()
-                * std::mem::size_of::<p3q_gossip::AgedEntry<UserId, DigestInfo>>()
-            + self.querier_states.len() * std::mem::size_of::<(QueryId, QuerierState)>()
-            + self.tasks.len() * std::mem::size_of::<(QueryId, RemainingTask)>()
-    }
 }
 
 /// Folds a profile's actions (in stored order) into a fingerprint.

@@ -140,31 +140,6 @@ impl OnDemandNetworks {
         self.cache[user.index()].as_deref().expect("just resolved")
     }
 
-    /// [`Self::resolve`] served straight from the at-rest bytes: `packed`
-    /// must be the packed form of the profile `index` currently holds for
-    /// `user`. The querying profile is never materialized — ids resolve
-    /// through the decode-on-the-fly iterator
-    /// ([`ActionIndex::resolve_top_similar_packed`]) — and the memoized
-    /// entry is byte-identical to the decoded path's.
-    pub fn resolve_packed(
-        &mut self,
-        packed: &p3q_trace::PackedProfile,
-        index: &ActionIndex,
-        user: UserId,
-    ) -> &[(UserId, u64)] {
-        if self.cache[user.index()].is_some() {
-            self.stats.cache_hits += 1;
-        } else {
-            let (network, probe) =
-                index.resolve_top_similar_packed(packed, user, self.network_size);
-            self.stats.resolutions += 1;
-            self.stats.positions_scanned += probe.positions_scanned;
-            self.stats.early_terminations += usize::from(probe.early_terminated);
-            self.cache[user.index()] = Some(network);
-        }
-        self.cache[user.index()].as_deref().expect("just resolved")
-    }
-
     /// Resolves every user in `users` (duplicates welcome), fanning the
     /// cache misses out over `threads` workers. Byte-identical cache state
     /// and stats for every thread count.
@@ -415,21 +390,6 @@ mod tests {
         assert_eq!(resolver.stats().resolutions, dataset.num_users());
         assert_eq!(resolver.stats().cache_hits, dataset.num_users());
         assert_eq!(resolver.cached_count(), dataset.num_users());
-    }
-
-    #[test]
-    fn resolve_packed_matches_decoded_resolution() {
-        let trace = TraceGenerator::new(TraceConfig::tiny(23)).generate();
-        let dataset = &trace.dataset;
-        let index = ActionIndex::build(dataset);
-        let mut decoded = OnDemandNetworks::new(dataset.num_users(), 10);
-        let mut served = OnDemandNetworks::new(dataset.num_users(), 10);
-        for user in dataset.users() {
-            let packed = p3q_trace::PackedProfile::pack(dataset.profile(user));
-            let expected = decoded.resolve(dataset, &index, user).to_vec();
-            assert_eq!(served.resolve_packed(&packed, &index, user), expected);
-        }
-        assert_eq!(served.stats(), decoded.stats());
     }
 
     #[test]

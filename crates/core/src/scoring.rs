@@ -1,7 +1,7 @@
 //! Similarity and relevance scoring (Sections 2.1 and 2.3 of the paper).
 
 use p3q_topk::PartialResultList;
-use p3q_trace::{ItemId, PackedProfile, Profile, Query, TaggingAction};
+use p3q_trace::{ItemId, Profile, Query};
 
 /// `Score_{u_i}(u_j) = |Profile(u_i) ∩ Profile(u_j)|`: the number of common
 /// tagging actions, i.e. the similarity used to build personal networks.
@@ -40,29 +40,7 @@ pub fn profile_contribution(profile: &Profile, query: &Query) -> Vec<(ItemId, u3
 /// vector. Eager query resolution calls this once per stored profile per
 /// cycle, so the allocation and the extra `O(log n)` factor both matter.
 pub fn profile_contribution_into(profile: &Profile, query: &Query, out: &mut Vec<(ItemId, u32)>) {
-    contribution_from_actions(profile.iter().copied(), query, out);
-}
-
-/// [`profile_contribution_into`] straight off the at-rest bytes: walks a
-/// [`PackedProfile`]'s decode-on-the-fly action iterator, so serving a query
-/// from packed storage never materializes an unpacked [`Profile`].
-pub fn packed_contribution_into(
-    packed: &PackedProfile,
-    query: &Query,
-    out: &mut Vec<(ItemId, u32)>,
-) {
-    contribution_from_actions(packed.actions(), query, out);
-}
-
-/// The shared single-pass core of the contribution functions: counts
-/// query-tag matches per item run of any sorted, item-major action stream.
-/// Decoded slices and packed decode-on-the-fly iterators produce identical
-/// output by construction — they walk the same action sequence.
-pub fn contribution_from_actions<I>(actions: I, query: &Query, out: &mut Vec<(ItemId, u32)>)
-where
-    I: IntoIterator<Item = TaggingAction>,
-{
-    let mut actions = actions.into_iter().peekable();
+    let mut actions = profile.iter().peekable();
     while let Some(first) = actions.next() {
         let item = first.item;
         let mut score = u32::from(query.contains_tag(first.tag));
@@ -202,23 +180,6 @@ mod tests {
         for &(item, score) in &full {
             assert_eq!(partial.score_of(&item), Some(score));
         }
-    }
-
-    #[test]
-    fn packed_contribution_matches_decoded() {
-        let p = Profile::from_actions(vec![act(1, 1), act(7, 1), act(7, 2), act(7, 9), act(8, 2)]);
-        let packed = PackedProfile::pack(&p);
-        for tags in [vec![], vec![1], vec![1, 2], vec![9, 2], vec![42]] {
-            let q = query(&tags);
-            let mut decoded = Vec::new();
-            profile_contribution_into(&p, &q, &mut decoded);
-            let mut served = Vec::new();
-            packed_contribution_into(&packed, &q, &mut served);
-            assert_eq!(served, decoded, "tags {tags:?}");
-        }
-        let mut out = Vec::new();
-        packed_contribution_into(&PackedProfile::default(), &query(&[1]), &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

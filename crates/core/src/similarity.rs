@@ -93,7 +93,7 @@ use p3q_trace::codec::{
     decode_group, encode_sorted_u32s_grouped, for_each_sorted_u32_grouped_padded, read_varint,
     write_varint, VarintReader, GROUP_DECODE_SLACK, GROUP_SIZE,
 };
-use p3q_trace::{ActionDictionary, Dataset, PackedProfile, Profile, TaggingAction, UserId};
+use p3q_trace::{ActionDictionary, Dataset, Profile, TaggingAction, UserId};
 
 /// Distinct action ids a shard aims to hold when the shard count is derived
 /// from the dataset size ([`ActionIndex::build`]).
@@ -650,28 +650,7 @@ impl ActionIndex {
         // lookup is positional: shard by id range, slot by offset — no
         // per-action key search.
         self.dict.ids_of_profile_into(profile, &mut scratch.ids);
-        self.sweep_resolved_ids(exclude, scratch);
-    }
 
-    /// [`Self::accumulate`] straight off the at-rest bytes: resolves the
-    /// packed profile's action ids through the decode-on-the-fly iterator,
-    /// never materializing an unpacked [`Profile`]. Counts are identical to
-    /// the decoded path by construction — both walk the same id set.
-    pub fn accumulate_packed(
-        &self,
-        packed: &PackedProfile,
-        exclude: UserId,
-        scratch: &mut SimilarityScratch,
-    ) {
-        self.dict
-            .ids_of_actions_into(packed.actions(), &mut scratch.ids);
-        self.sweep_resolved_ids(exclude, scratch);
-    }
-
-    /// The counting sweep over already-resolved profile ids in
-    /// `scratch.ids` — the shared core of [`Self::accumulate`] and
-    /// [`Self::accumulate_packed`].
-    fn sweep_resolved_ids(&self, exclude: UserId, scratch: &mut SimilarityScratch) {
         debug_assert_eq!(scratch.counts.len(), self.num_users);
         for &slot in &scratch.touched {
             scratch.counts[slot as usize] = 0;
@@ -743,33 +722,6 @@ impl ActionIndex {
         let mut ids = Vec::new();
         self.dict
             .ids_of_profile_into(dataset.profile(user), &mut ids);
-        self.resolve_from_ids(&ids, user, network_size)
-    }
-
-    /// [`Self::resolve_top_similar`] straight off the at-rest bytes: the
-    /// querying user's profile stays packed end to end — ids are resolved
-    /// through the decode-on-the-fly iterator and the posting cursors
-    /// stream compressed runs, so nothing is ever materialized. The ranking
-    /// and probe are byte-identical to the decoded path.
-    pub fn resolve_top_similar_packed(
-        &self,
-        packed: &PackedProfile,
-        user: UserId,
-        network_size: usize,
-    ) -> (Vec<(UserId, u64)>, ResolveProbe) {
-        let mut ids = Vec::new();
-        self.dict.ids_of_actions_into(packed.actions(), &mut ids);
-        self.resolve_from_ids(&ids, user, network_size)
-    }
-
-    /// The streaming top-k merge over already-resolved profile ids — the
-    /// shared core of the on-demand resolution entry points.
-    fn resolve_from_ids(
-        &self,
-        ids: &[u32],
-        user: UserId,
-        network_size: usize,
-    ) -> (Vec<(UserId, u64)>, ResolveProbe) {
         let sources: Vec<PostingCursor<'_>> = ids
             .iter()
             .filter_map(|&id| {
@@ -801,19 +753,6 @@ impl ActionIndex {
         scratch: &mut SimilarityScratch,
     ) -> Vec<(UserId, u64)> {
         self.accumulate(dataset.profile(user), user, scratch);
-        self.collect_top(network_size, scratch)
-    }
-
-    /// [`Self::top_similar`] with the querying profile served packed (see
-    /// [`Self::accumulate_packed`]).
-    pub fn top_similar_packed(
-        &self,
-        packed: &PackedProfile,
-        user: UserId,
-        network_size: usize,
-        scratch: &mut SimilarityScratch,
-    ) -> Vec<(UserId, u64)> {
-        self.accumulate_packed(packed, user, scratch);
         self.collect_top(network_size, scratch)
     }
 
@@ -914,9 +853,7 @@ impl Iterator for PostingCursor<'_> {
     }
 }
 
-/// Bumps one posting member's sweep counter, tracking first touches —
-/// shared by every counting-sweep entry point so the packed and decoded
-/// paths count identically.
+/// Bumps one posting member's sweep counter, tracking first touches.
 #[inline]
 fn bump_count(counts: &mut [u32], touched: &mut Vec<u32>, exclude: u32, user: u32) {
     if user == exclude {
@@ -1406,28 +1343,6 @@ mod tests {
                 "{user}"
             );
             assert!(!resolved.iter().any(|&(peer, _)| peer == UserId(2)));
-        }
-    }
-
-    #[test]
-    fn packed_serving_matches_decoded_serving() {
-        let d = dataset();
-        for shards in [1, 2, 4] {
-            let index = ActionIndex::build_with_shards(&d, shards);
-            let mut scratch = SimilarityScratch::new(d.num_users());
-            for user in d.users() {
-                let packed = PackedProfile::pack(d.profile(user));
-                for k in [0, 1, 3, 10] {
-                    let decoded = index.top_similar(&d, user, k, &mut scratch);
-                    let served = index.top_similar_packed(&packed, user, k, &mut scratch);
-                    assert_eq!(served, decoded, "user {user}, k {k}, {shards} shards");
-                    let (resolved, probe) = index.resolve_top_similar(&d, user, k);
-                    let (resolved_packed, probe_packed) =
-                        index.resolve_top_similar_packed(&packed, user, k);
-                    assert_eq!(resolved_packed, resolved, "user {user}, k {k}");
-                    assert_eq!(probe_packed, probe, "user {user}, k {k}");
-                }
-            }
         }
     }
 

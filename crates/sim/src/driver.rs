@@ -1,24 +1,18 @@
-//! The unified run-loop driver: one [`RunOptions`] builder, one `drive`
-//! entry per runtime.
-//!
-//! Earlier revisions exposed a combinatorial family of run functions —
-//! `run_cycle`, `run_cycle_with_threads`, `run_cycle_faulted`,
-//! `run_cycle_reference`, `run_cycles_with_events`, … — one free function
-//! per (thread choice × fault plan × oracle mode × loop shape) corner. Every
-//! runtime that executes [`GossipProtocol`](crate::GossipProtocol)s now
-//! exposes exactly one entry instead:
+//! The run-loop driver API: one [`RunOptions`] builder, one `drive` entry
+//! per runtime.
 //!
 //! ```text
 //! runtime.drive(&proto, RunOptions::…, |runtime, event| { … })
 //! ```
 //!
-//! where the [`RunOptions`] builder picks the execution configuration
-//! (worker threads, sequential oracle mode, fault schedule, event queue,
-//! fixed cycle count or run-until-idle) and the observer closure receives
+//! The [`RunOptions`] builder picks the execution configuration (worker
+//! threads, sequential oracle mode, fault schedule, event queue, fixed
+//! cycle count or run-until-idle) and the observer closure receives
 //! [`RunEvent`]s — scheduled events due before a cycle, and an end-of-cycle
 //! hook. `Simulator::drive` is the in-process implementation;
 //! `p3q_transport`'s runtime drives the same protocols over message-passing
-//! actors with the same options shape.
+//! actors with the same options. Both execute their cycles through the
+//! [`Sequencer`](crate::Sequencer), which also owns the stop rule below.
 //!
 //! # Run-until-idle semantics
 //!
@@ -33,12 +27,14 @@ use crate::engine::CycleReport;
 use crate::fault::FaultPlan;
 use crate::schedule::EventQueue;
 
-/// Execution configuration for one `drive` call — the builder that replaced
-/// the `run_*` free-function family.
+/// Execution configuration for one `drive` call.
 ///
 /// `Pl` is the protocol's plan payload (tied to `P::Payload` by `drive`);
 /// `E` is the scheduled-event type, pinned to `()` until
-/// [`events`](Self::events) attaches a queue.
+/// [`events`](Self::events) attaches a queue. The fields are what the
+/// builder methods set; a runtime's `drive` reads them, and one that cannot
+/// honour a choice (a transport has no worker threads to override) rejects
+/// it there.
 ///
 /// ```ignore
 /// // 3 cycles, default threads:
@@ -52,12 +48,18 @@ use crate::schedule::EventQueue;
 /// ```
 #[derive(Debug)]
 pub struct RunOptions<'a, Pl, E = ()> {
-    pub(crate) threads: Option<usize>,
-    pub(crate) oracle: bool,
-    pub(crate) faults: Option<&'a mut FaultPlan<Pl>>,
-    pub(crate) events: Option<&'a mut EventQueue<E>>,
-    pub(crate) cycles: u64,
-    pub(crate) until_idle: bool,
+    /// Requested worker-thread count, if overridden.
+    pub threads: Option<usize>,
+    /// Whether the sequential oracle substrate was requested.
+    pub oracle: bool,
+    /// The attached fault schedule, if any.
+    pub faults: Option<&'a mut FaultPlan<Pl>>,
+    /// The attached event queue, if any.
+    pub events: Option<&'a mut EventQueue<E>>,
+    /// Maximum number of cycles to run.
+    pub cycles: u64,
+    /// Whether the run stops at the first idle cycle.
+    pub until_idle: bool,
 }
 
 impl<'a, Pl> RunOptions<'a, Pl, ()> {
@@ -91,9 +93,9 @@ impl<'a, Pl, E> RunOptions<'a, Pl, E> {
         self
     }
 
-    /// Executes through the independently written sequential oracle path —
-    /// plain loops, no worker threads. The property suites pin the parallel
-    /// path byte-identical against this mode.
+    /// Executes on the sequential [`Shard`](crate::Shard) — plain loops, no
+    /// worker threads. The property suites pin the parallel substrate
+    /// byte-identical against this mode.
     pub fn oracle(mut self) -> Self {
         self.oracle = true;
         self
@@ -118,41 +120,6 @@ impl<'a, Pl, E> RunOptions<'a, Pl, E> {
             oracle: self.oracle,
             faults: self.faults,
             events: Some(events),
-            cycles: self.cycles,
-            until_idle: self.until_idle,
-        }
-    }
-}
-
-/// A [`RunOptions`] taken apart into its fields — what a run-loop driver
-/// consumes. [`Simulator::drive`](crate::Simulator::drive) destructures the
-/// options directly; drivers living outside this crate (the `p3q_transport`
-/// runtime) go through [`RunOptions::into_parts`] instead, so every runtime
-/// executes the one options shape without this crate leaking field access.
-#[derive(Debug)]
-pub struct RunParts<'a, Pl, E = ()> {
-    /// Requested worker-thread count, if overridden.
-    pub threads: Option<usize>,
-    /// Whether the sequential oracle path was requested.
-    pub oracle: bool,
-    /// The attached fault schedule, if any.
-    pub faults: Option<&'a mut FaultPlan<Pl>>,
-    /// The attached event queue, if any.
-    pub events: Option<&'a mut EventQueue<E>>,
-    /// Maximum number of cycles to run.
-    pub cycles: u64,
-    /// Whether the run stops at the first idle cycle.
-    pub until_idle: bool,
-}
-
-impl<'a, Pl, E> RunOptions<'a, Pl, E> {
-    /// Takes the options apart (see [`RunParts`]).
-    pub fn into_parts(self) -> RunParts<'a, Pl, E> {
-        RunParts {
-            threads: self.threads,
-            oracle: self.oracle,
-            faults: self.faults,
-            events: self.events,
             cycles: self.cycles,
             until_idle: self.until_idle,
         }

@@ -1,44 +1,34 @@
-//! The cycle-driven simulation engine, executing protocols in the
-//! plan/commit model.
+//! The cycle-driven simulation engine: the [`Simulator`] and the
+//! in-process parallel substrate its cycles execute on.
 //!
 //! The paper evaluates P3Q in PeerSim's *cycle-driven* mode: time advances
 //! in discrete gossip cycles; in every cycle each alive node executes its
 //! protocol step and pairwise gossip exchanges (initiator ↔ destination)
-//! complete within the cycle. Early versions of this engine reproduced that
-//! model literally — a callback received `&mut Simulator` and mutated
-//! whatever it liked — which made every cycle inherently sequential. The
-//! engine now executes [`GossipProtocol`]s in four phases per cycle:
+//! complete within the cycle. Here a cycle is the plan/commit sequence of
+//! [`Sequencer::run_cycle`] (the phase order, the fault interposition
+//! points and the stop rule live there, once, for every runtime); this
+//! module supplies what makes it parallel *and* deterministic in process:
 //!
-//! 1. **prepare** — every alive node's per-node bookkeeping (timer ticks)
-//!    runs first; each touches only its own node, so the engine fans it out
-//!    in whole shards of the [`crate::NodeStore`] (each worker mutates one
-//!    contiguous, shard-aligned cache region);
-//! 2. **plan** — every alive node observes the read-only [`CycleContext`]
-//!    (state as of the cycle start) and emits [`ExchangePlan`]s; planning is
-//!    a pure function of that snapshot and a per-node RNG, so it fans out
-//!    with [`parallel_map_chunks`] and the plan list is the same for every
-//!    thread count;
-//! 3. **commit** — plans are grouped into conflict-free batches by a
-//!    deterministic greedy matching on `(initiator, destination)` pairs
-//!    ([`conflict_free_batches`]); within a batch no node appears twice, so
-//!    the engine hands each exchange its disjoint `&mut` node pair
-//!    ([`disjoint_muts`]) and commits the batch in parallel
+//! 1. **prepare** — per-node bookkeeping touches only its own node, so it
+//!    fans out in whole shards of the [`NodeStore`] (each worker mutates
+//!    one contiguous, shard-aligned cache region);
+//! 2. **plan** — planning is a pure function of the post-prepare snapshot
+//!    ([`CycleContext`]) and a per-node RNG, so it fans out with
+//!    [`parallel_map_chunks_aligned`] and the plan list is the same for
+//!    every thread count;
+//! 3. **commit** — within a conflict-free batch no node appears twice, so
+//!    each exchange gets its disjoint `&mut` node pair
+//!    ([`NodeStore::disjoint_muts`]) and the batch commits in parallel
 //!    ([`parallel_map_owned`]);
-//! 4. **apply** — each commit returns deferred bandwidth [`Charge`]s and
-//!    third-party effects; after its batch commits they are applied
+//! 4. **apply** — commits return deferred bandwidth charges and
+//!    third-party effects as data; the sequencer applies them
 //!    sequentially, in plan order, before the next batch starts.
 //!
 //! Because commits only touch their own pair and everything cross-pair is
 //! deferred to phase 4, the run is **byte-identical for every thread
-//! count**. [`RunOptions::oracle`](crate::RunOptions::oracle) selects an
-//! independently written, plain-sequential execution of the same four
-//! phases; the property suites pin the parallel path (any `P3Q_THREADS`)
-//! against it.
-//!
-//! All runs go through the one driver entry [`Simulator::drive`], taking a
-//! [`RunOptions`](crate::RunOptions) builder (threads, fault schedule,
-//! event queue, until-idle mode, oracle mode) and an observer closure for
-//! [`RunEvent`](crate::RunEvent)s.
+//! count**. [`RunOptions::oracle`](crate::RunOptions::oracle) runs the same
+//! sequencer on the sequential [`Shard`] instead; the property suites pin
+//! the parallel substrate (any `P3Q_THREADS`) against it.
 //!
 //! All randomness flows from the construction seed: each cycle draws one
 //! seed from the master RNG, and per-node planning / per-plan commit RNGs
@@ -47,8 +37,8 @@
 //! # Fault model
 //!
 //! [`RunOptions::faulted`](crate::RunOptions::faulted) executes the same
-//! four phases under a seeded [`FaultPlan`], which interposes at two
-//! well-defined points:
+//! cycle under a seeded [`FaultPlan`](crate::FaultPlan), which interposes
+//! at two well-defined points:
 //!
 //! * **cycle start** (before prepare): due restarts rejoin the
 //!   [`Membership`] and fresh crashes depart it; the protocol's
@@ -60,8 +50,9 @@
 //!   node comes back with — rebuilding views is the protocol's job, done
 //!   through its ordinary plan phase once the node is alive again.
 //! * **between plan and commit**: the ordered plan list passes through
-//!   [`FaultPlan::filter_plans`], which may drop, delay (re-injecting in a
-//!   later cycle) or duplicate *pairwise* plans.
+//!   [`FaultPlan::filter_plans`](crate::FaultPlan::filter_plans), which may
+//!   drop, delay (re-injecting in a later cycle) or duplicate *pairwise*
+//!   plans.
 //!
 //! Delivery guarantees per phase: *prepare* and *solo* plans are local
 //! computation and always execute on alive nodes; *pairwise* commits are
@@ -79,14 +70,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::bandwidth::BandwidthRecorder;
+use crate::cycle::{RunState, Sequencer, Substrate};
 use crate::driver::{RunEvent, RunOptions, RunReport};
 use crate::exchange::{
-    commit_rng, conflict_free_batches, plan_rng, Charge, CommitOutcome, CycleContext,
-    EffectContext, ExchangePlan, GossipProtocol,
+    commit_rng, plan_rng, CommitOutcome, CycleContext, ExchangePlan, GossipProtocol,
 };
-use crate::fault::FaultPlan;
+use crate::fault::FaultTransitions;
 use crate::membership::Membership;
 use crate::parallel::{default_threads, parallel_map_chunks_aligned, parallel_map_owned};
+use crate::shard::Shard;
 use crate::store::NodeStore;
 
 /// What one executed cycle did, mostly for drivers that stop when gossip
@@ -122,9 +114,7 @@ impl CycleReport {
 #[derive(Debug, Clone)]
 pub struct Simulator<N> {
     nodes: NodeStore<N>,
-    membership: Membership,
-    cycle: u64,
-    rng: StdRng,
+    run: RunState,
     /// Bandwidth and message accounting for the whole run.
     pub bandwidth: BandwidthRecorder,
 }
@@ -132,14 +122,16 @@ pub struct Simulator<N> {
 impl<N> Simulator<N> {
     /// Creates a simulator over the given per-node protocol states.
     pub fn new(nodes: Vec<N>, seed: u64) -> Self {
-        let membership = Membership::all_alive(nodes.len());
-        Self {
-            nodes: NodeStore::new(nodes),
-            membership,
+        let run = RunState {
+            membership: Membership::all_alive(nodes.len()),
             cycle: 0,
             // p3q-allow: rng-source — this is the root of the stream: the
             // caller-supplied run seed every stream_seed derivation hangs off.
             rng: StdRng::seed_from_u64(seed),
+        };
+        Self {
+            nodes: NodeStore::new(nodes),
+            run,
             bandwidth: BandwidthRecorder::new(),
         }
     }
@@ -151,7 +143,7 @@ impl<N> Simulator<N> {
 
     /// Current cycle (number of completed cycles driven so far).
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.run.cycle
     }
 
     /// Immutable access to one node's state.
@@ -205,30 +197,30 @@ impl<N> Simulator<N> {
 
     /// The membership (who is alive).
     pub fn membership(&self) -> &Membership {
-        &self.membership
+        &self.run.membership
     }
 
     /// Mutable membership, e.g. to inject churn **between** cycles (the
     /// membership is frozen while a cycle executes).
     pub fn membership_mut(&mut self) -> &mut Membership {
-        &mut self.membership
+        &mut self.run.membership
     }
 
     /// Returns `true` if node `idx` is alive.
     pub fn is_alive(&self, idx: usize) -> bool {
-        self.membership.is_alive(idx)
+        self.run.membership.is_alive(idx)
     }
 
     /// The simulator's RNG (all protocol randomness should flow from here so
     /// runs stay reproducible).
     pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
+        &mut self.run.rng
     }
 
     /// Derives an independent, deterministic RNG for a labelled purpose,
     /// without disturbing the main RNG stream.
     pub fn derived_rng(&mut self, label: u64) -> StdRng {
-        let base: u64 = self.rng.gen();
+        let base: u64 = self.run.rng.gen();
         // p3q-allow: rng-source — deterministic label-keyed derivation off
         // the root RNG stream; same role as stream_seed.
         StdRng::seed_from_u64(base ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -237,7 +229,9 @@ impl<N> Simulator<N> {
     /// Makes a random `fraction` of the alive nodes depart simultaneously
     /// (the paper's churn model). Returns the departed node indices.
     pub fn mass_departure(&mut self, fraction: f64) -> Vec<usize> {
-        self.membership.mass_departure(fraction, &mut self.rng)
+        self.run
+            .membership
+            .mass_departure(fraction, &mut self.run.rng)
     }
 }
 
@@ -246,15 +240,11 @@ impl<N: Send + Sync> Simulator<N> {
     /// [`RunOptions`], invoking `observer` with [`RunEvent`]s — scheduled
     /// events due before a cycle, and an end-of-cycle hook after each.
     ///
-    /// Execution configuration (worker threads, sequential oracle mode,
-    /// fault schedule, event queue, fixed cycle count vs run-until-idle)
-    /// all lives in the options builder; output is byte-identical for
-    /// every thread choice and for the oracle mode. The protocol's
-    /// run-loop hooks fire here: [`GossipProtocol::begin_run`] once at
-    /// entry, [`GossipProtocol::finish_cycle`] over **all** nodes (alive
-    /// or departed) after every cycle, and — for until-idle runs under a
-    /// fault schedule — [`GossipProtocol::wants_more`] over the alive
-    /// nodes of a quiet cycle before the run may stop.
+    /// The options pick the substrate the cycle [`Sequencer`] executes on — worker threads, or the sequential
+    /// oracle shard — and carry the fault schedule, the event queue and the
+    /// loop shape (fixed cycle count vs run-until-idle); output is
+    /// byte-identical for every thread choice and for the oracle mode.
+    /// Every protocol hook fires from the sequencer.
     pub fn drive<P, E>(
         &mut self,
         proto: &P,
@@ -265,225 +255,106 @@ impl<N: Send + Sync> Simulator<N> {
         P: GossipProtocol<Node = N>,
         P::Payload: Clone,
     {
-        let RunOptions {
-            threads,
-            oracle,
-            mut faults,
-            mut events,
-            cycles,
-            until_idle,
-        } = opts;
-        proto.begin_run(until_idle);
-        let threads = threads.unwrap_or_else(default_threads);
-        let mut total = CycleReport::default();
-        let mut cycles_run = 0u64;
-        for _ in 0..cycles {
+        let threads = opts.threads.unwrap_or_else(default_threads);
+        let mut events = opts.events;
+        let mut sequencer = Sequencer::begin(proto, opts.faults, opts.until_idle);
+        for _ in 0..opts.cycles {
             if let Some(queue) = events.as_deref_mut() {
-                for event in queue.pop_due(self.cycle) {
+                for event in queue.pop_due(self.run.cycle) {
                     observer(self, RunEvent::Scheduled(event));
                 }
             }
-            let report = self.cycle_once(proto, threads, faults.as_deref_mut(), oracle);
-            let cycle = self.cycle;
-            // End-of-cycle bookkeeping runs over every node, departed ones
-            // included (e.g. completion tracking must not freeze when a
-            // querier crashes mid-run).
-            for node in self.nodes.as_mut_slice() {
-                proto.finish_cycle(node, cycle);
-            }
-            total.absorb(report);
-            cycles_run += 1;
-            observer(self, RunEvent::CycleEnd(cycle));
-            if until_idle
-                && report.pair_exchanges == 0
-                && self.is_idle(proto, faults.as_deref(), cycle)
-            {
+            let (state, bandwidth) = (&mut self.run, &mut self.bandwidth);
+            let mut shard = Shard::new(0, &mut self.nodes);
+            let done = if opts.oracle {
+                sequencer.run_cycle(&mut shard, state, bandwidth)
+            } else {
+                sequencer.run_cycle(&mut Workers { shard, threads }, state, bandwidth)
+            };
+            observer(self, RunEvent::CycleEnd(self.run.cycle));
+            if done {
                 break;
             }
         }
         if let Some(queue) = events {
-            for event in queue.pop_due(self.cycle) {
+            for event in queue.pop_due(self.run.cycle) {
                 observer(self, RunEvent::Scheduled(event));
             }
         }
-        RunReport {
-            cycles_run,
-            report: total,
-        }
+        sequencer.report
+    }
+}
+
+/// The in-process parallel substrate: the phases that fan out (prepare,
+/// plan, commit) run on `threads` workers over the shard's [`NodeStore`];
+/// the inherently sequential ones are the [`Shard`]'s own.
+struct Workers<'a, N> {
+    shard: Shard<'a, N>,
+    threads: usize,
+}
+
+impl<P: GossipProtocol> Substrate<P> for Workers<'_, P::Node> {
+    fn transitions(&mut self, proto: &P, cycle: u64, transitions: &FaultTransitions) {
+        self.shard.transitions(proto, cycle, transitions);
     }
 
-    /// The until-idle exit condition beyond "this cycle committed no
-    /// pairwise exchange": without a fault schedule a quiet cycle is the
-    /// end; under one the run must also have nothing in flight — no
-    /// delayed carrier still due, no crashed node still down, and no alive
-    /// node whose protocol state could re-ignite gossip
-    /// ([`GossipProtocol::wants_more`]).
-    fn is_idle<P>(&self, proto: &P, faults: Option<&FaultPlan<P::Payload>>, cycle: u64) -> bool
-    where
-        P: GossipProtocol<Node = N>,
-    {
-        let Some(faults) = faults else {
-            return true;
+    /// Fans out whole shards of the store, so each worker mutates one
+    /// shard-aligned region.
+    fn prepare(&mut self, proto: &P, cycle: u64, membership: &Membership) {
+        let prepare = |idx, node: &mut P::Node| {
+            if membership.is_alive(idx) {
+                proto.prepare(node, cycle);
+            }
         };
-        faults.pending_delayed() == 0
-            && faults.pending_restarts() == 0
-            && !(0..self.nodes.len()).any(|idx| {
-                self.membership.is_alive(idx) && proto.wants_more(self.nodes.get(idx), cycle)
-            })
+        self.shard.nodes.for_each_mut_sharded(self.threads, prepare);
     }
 
-    /// Executes one plan/commit cycle: fault transitions (when a schedule
-    /// is attached), prepare, plan, delivery-fault filtering, conflict-free
-    /// batched commits and in-order charges/effects. `oracle` selects the
-    /// independently written sequential path the property suites pin the
-    /// parallel one against.
-    fn cycle_once<P>(
+    fn plan(
         &mut self,
         proto: &P,
-        threads: usize,
-        mut faults: Option<&mut FaultPlan<P::Payload>>,
-        oracle: bool,
-    ) -> CycleReport
-    where
-        P: GossipProtocol<Node = N>,
-        P::Payload: Clone,
-    {
-        let cycle = self.cycle;
-        let cycle_seed: u64 = self.rng.gen();
-
-        // Fault transitions first: they only consume the fault schedule's
-        // own RNG streams, so with no (or a zero-fault) schedule nothing
-        // here runs and the cycle below is bit-for-bit the faultless one.
-        if let Some(faults) = faults.as_deref_mut() {
-            let transitions = faults.begin_cycle(cycle, &mut self.membership);
-            for &idx in &transitions.restarted {
-                proto.on_restart(self.nodes.get_mut(idx), cycle);
-            }
-            for &idx in &transitions.crashed {
-                proto.on_crash(self.nodes.get_mut(idx), cycle);
-            }
-        }
-
-        // Phase 1: per-node preparation (disjoint mutations). The parallel
-        // path fans out whole shards so each worker mutates one
-        // shard-aligned region; the oracle walks nodes in ascending order.
-        if oracle {
-            for idx in 0..self.nodes.len() {
-                if self.membership.is_alive(idx) {
-                    proto.prepare(self.nodes.get_mut(idx), cycle);
-                }
-            }
-        } else {
-            let membership = &self.membership;
-            self.nodes.for_each_mut_sharded(threads, |idx, node| {
-                if membership.is_alive(idx) {
-                    proto.prepare(node, cycle);
-                }
-            });
-        }
-
-        // Phase 2: read-only planning against the cycle-start snapshot, in
-        // ascending alive-node order under every execution mode.
-        let plans: Vec<ExchangePlan<P::Payload>> = {
-            let world = CycleContext::new(self.nodes.as_slice(), &self.membership, cycle);
-            if oracle {
-                let mut plans = Vec::new();
-                for idx in 0..world.num_nodes() {
-                    if world.is_alive(idx) {
-                        let mut rng = plan_rng(cycle_seed, idx);
-                        proto.plan(&world, idx, &mut rng, &mut plans);
-                    }
-                }
-                plans
-            } else {
-                let alive = self.membership.alive_nodes();
-                // Shard-aligned chunking: with no (or few) crashed nodes the
-                // alive list is (nearly) the identity, so aligning its chunk
-                // boundaries to the shard size hands each worker whole
-                // shards of cache-adjacent nodes to plan.
-                parallel_map_chunks_aligned(
-                    alive.len(),
-                    threads,
-                    self.nodes.shard_size(),
-                    || (),
-                    |i, ()| {
-                        let idx = alive[i];
-                        let mut rng = plan_rng(cycle_seed, idx);
-                        let mut out = Vec::new();
-                        proto.plan(&world, idx, &mut rng, &mut out);
-                        out
-                    },
-                )
-                .into_iter()
-                .flatten()
-                .collect()
-            }
-        };
-
-        // Delivery faults interpose between plan and commit.
-        let plans = match faults {
-            Some(faults) => faults.filter_plans(cycle, plans, &self.membership),
-            None => plans,
-        };
-
-        // Phase 3 + 4: conflict-free batches, with charges and effects
-        // applied sequentially in plan order after each batch.
-        let batches = conflict_free_batches(&plans, self.nodes.len());
-        let report = self.report_for(&plans, batches.len());
-        if oracle {
-            let mut scratch = proto.scratch();
-            for batch in &batches {
-                // Aliasing-sanitizer window (debug builds): the solo/pair
-                // borrows below are checked for same-batch overlap.
-                self.nodes.begin_commit_batch();
-                let mut outcomes = Vec::with_capacity(batch.len());
-                for &plan_idx in batch {
-                    let plan = &plans[plan_idx];
-                    let mut rng = commit_rng(cycle_seed, plan_idx);
-                    let outcome = match plan.destination {
-                        Some(dest) => {
-                            let (a, b) = self.pair_mut(plan.initiator, dest);
-                            proto.commit(cycle, plan, a, Some(b), &mut rng, &mut scratch)
-                        }
-                        None => proto.commit(
-                            cycle,
-                            plan,
-                            self.nodes.get_mut(plan.initiator),
-                            None,
-                            &mut rng,
-                            &mut scratch,
-                        ),
-                    };
-                    outcomes.push(outcome);
-                }
-                self.nodes.end_commit_batch();
-                self.apply_outcomes(proto, outcomes);
-            }
-        } else {
-            for batch in &batches {
-                let outcomes = self.commit_batch(proto, &plans, batch, cycle_seed, threads);
-                self.apply_outcomes(proto, outcomes);
-            }
-        }
-        self.cycle += 1;
-        report
+        cycle: u64,
+        cycle_seed: u64,
+        membership: &Membership,
+    ) -> Vec<ExchangePlan<P::Payload>> {
+        let nodes = &*self.shard.nodes;
+        let world = CycleContext::new(nodes.as_slice(), membership, cycle);
+        let alive = membership.alive_nodes();
+        // Shard-aligned chunking: with no (or few) crashed nodes the alive
+        // list is (nearly) the identity, so aligning its chunk boundaries
+        // to the shard size hands each worker whole shards of
+        // cache-adjacent nodes to plan.
+        parallel_map_chunks_aligned(
+            alive.len(),
+            self.threads,
+            nodes.shard_size(),
+            || (),
+            |i, ()| {
+                let idx = alive[i];
+                let mut rng = plan_rng(cycle_seed, idx);
+                let mut out = Vec::new();
+                proto.plan(&world, idx, &mut rng, &mut out);
+                out
+            },
+        )
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
-    /// Commits one conflict-free batch: hands every exchange its disjoint
-    /// `&mut` node pair and fans the commits out, returning the outcomes in
-    /// plan order.
-    fn commit_batch<P: GossipProtocol<Node = N>>(
+    /// Hands every exchange its disjoint `&mut` node pair and fans the
+    /// commits out, returning the outcomes in plan order.
+    fn commit_batch(
         &mut self,
         proto: &P,
+        cycle: u64,
+        cycle_seed: u64,
         plans: &[ExchangePlan<P::Payload>],
         batch: &[usize],
-        cycle_seed: u64,
-        threads: usize,
     ) -> Vec<CommitOutcome<P::Effect>> {
-        let cycle = self.cycle;
+        let nodes = &mut *self.shard.nodes;
         // Aliasing-sanitizer window (debug builds): every mutable borrow
         // until `end_commit_batch` is checked for same-batch overlap.
-        self.nodes.begin_commit_batch();
+        nodes.begin_commit_batch();
         // Every node appears at most once in the batch, so the involved
         // indices are unique and their `&mut`s disjoint.
         let mut involved: Vec<usize> = batch
@@ -494,13 +365,12 @@ impl<N: Send + Sync> Simulator<N> {
             })
             .collect();
         involved.sort_unstable();
-        let mut slots: Vec<Option<&mut N>> = self
-            .nodes
+        let mut slots: Vec<Option<&mut P::Node>> = nodes
             .disjoint_muts(&involved)
             .into_iter()
             .map(Some)
             .collect();
-        let mut take = |idx: usize| -> &mut N {
+        let mut take = |idx: usize| -> &mut P::Node {
             let pos = involved
                 .binary_search(&idx)
                 .expect("batched plan endpoints are in the involved set");
@@ -513,7 +383,7 @@ impl<N: Send + Sync> Simulator<N> {
             initiator: &'a mut N,
             destination: Option<&'a mut N>,
         }
-        let work: Vec<Work<'_, N, P::Payload>> = batch
+        let work: Vec<Work<'_, P::Node, P::Payload>> = batch
             .iter()
             .map(|&i| {
                 let plan = &plans[i];
@@ -528,51 +398,29 @@ impl<N: Send + Sync> Simulator<N> {
 
         let outcomes = parallel_map_owned(
             work,
-            threads,
+            self.threads,
             || proto.scratch(),
             |w, scratch| {
                 let mut rng = commit_rng(cycle_seed, w.plan_idx);
                 proto.commit(cycle, w.plan, w.initiator, w.destination, &mut rng, scratch)
             },
         );
-        self.nodes.end_commit_batch();
+        nodes.end_commit_batch();
         outcomes
     }
 
-    /// Applies a batch's charges and effects sequentially, in plan order.
-    fn apply_outcomes<P: GossipProtocol<Node = N>>(
+    fn effects(
         &mut self,
         proto: &P,
-        outcomes: Vec<CommitOutcome<P::Effect>>,
+        cycle: u64,
+        effects: impl IntoIterator<Item = P::Effect>,
+        bandwidth: &mut BandwidthRecorder,
     ) {
-        let cycle = self.cycle;
-        for outcome in outcomes {
-            for Charge {
-                node,
-                category,
-                bytes,
-            } in outcome.charges
-            {
-                self.bandwidth.record(node, cycle, category, bytes);
-            }
-            if !outcome.effects.is_empty() {
-                let mut world =
-                    EffectContext::new(self.nodes.as_mut_slice(), &mut self.bandwidth, cycle);
-                for effect in outcome.effects {
-                    proto.apply_effect(&mut world, effect);
-                }
-            }
-        }
+        self.shard.effects(proto, cycle, effects, bandwidth);
     }
 
-    fn report_for<P>(&self, plans: &[ExchangePlan<P>], batches: usize) -> CycleReport {
-        let pair_exchanges = plans.iter().filter(|p| p.destination.is_some()).count();
-        CycleReport {
-            plans: plans.len(),
-            pair_exchanges,
-            solo_steps: plans.len() - pair_exchanges,
-            batches,
-        }
+    fn finish(&mut self, proto: &P, cycle: u64, probe: Option<&Membership>) -> bool {
+        self.shard.finish(proto, cycle, probe)
     }
 }
 
@@ -580,6 +428,7 @@ impl<N: Send + Sync> Simulator<N> {
 mod tests {
     use super::*;
     use crate::driver::{RunEvent, RunOptions};
+    use crate::exchange::EffectContext;
     use crate::schedule::EventQueue;
 
     /// A toy protocol: every alive node gossips with the next alive node

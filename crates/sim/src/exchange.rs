@@ -23,8 +23,9 @@
 //! Because a batch's commits touch disjoint node pairs and everything that
 //! crosses a pair boundary is deferred to phase 4, committing a batch in
 //! parallel is byte-identical to committing it sequentially — the engine
-//! exploits exactly that (see `Simulator::run_cycle` vs.
-//! `Simulator::run_cycle_reference`).
+//! exploits exactly that (its worker substrate vs. the sequential
+//! [`Shard`](crate::Shard)). The phase order itself is written once, in
+//! [`Sequencer::run_cycle`](crate::Sequencer::run_cycle).
 //!
 //! Randomness is derived per node (planning) and per plan (committing) from
 //! a single per-cycle seed, so no RNG stream depends on execution order or
@@ -157,9 +158,9 @@ impl<'a, N> CycleContext<'a, N> {
     }
 }
 
-/// Mutable access handed to [`GossipProtocol::apply_effect`]: the full node
-/// array plus the bandwidth recorder. Effects run strictly sequentially, in
-/// plan order, so they may touch any node.
+/// Mutable access handed to [`GossipProtocol::apply_effect`]: the node array
+/// (or the window of it the applying shard holds) plus the bandwidth
+/// recorder. Effects run strictly sequentially, in plan order.
 #[derive(Debug)]
 pub struct EffectContext<'a, N> {
     nodes: &'a mut [N],
@@ -170,17 +171,12 @@ pub struct EffectContext<'a, N> {
 }
 
 impl<'a, N> EffectContext<'a, N> {
-    /// Creates a context over explicit parts (the engine's constructor).
-    pub fn new(nodes: &'a mut [N], bandwidth: &'a mut BandwidthRecorder, cycle: u64) -> Self {
-        Self::windowed(nodes, bandwidth, cycle, 0)
-    }
-
     /// Creates a context over a **window** of the global node array starting
-    /// at global index `base`: [`node`](Self::node) / [`node_mut`](Self::node_mut)
-    /// keep taking *global* indices and subtract the base. This is how a
-    /// transport shard — holding only its contiguous slice of the
-    /// population — applies effects routed to it without faking a full
-    /// world slice.
+    /// at global index `base` (0 for the whole population):
+    /// [`node`](Self::node) / [`node_mut`](Self::node_mut) keep taking
+    /// *global* indices. This is how a transport shard — holding only its
+    /// contiguous slice of the population — applies effects routed to it
+    /// without faking a full world slice.
     pub fn windowed(
         nodes: &'a mut [N],
         bandwidth: &'a mut BandwidthRecorder,
@@ -195,14 +191,39 @@ impl<'a, N> EffectContext<'a, N> {
         }
     }
 
+    /// The window-local position of global index `idx`.
+    ///
+    /// # Panics
+    /// Panics if `idx` lies outside the window — on a shard, an effect whose
+    /// [`GossipProtocol::effect_target`] named a node other than the one it
+    /// touches.
+    fn local(&self, idx: usize) -> usize {
+        let window = self.base..self.base + self.nodes.len();
+        assert!(
+            window.contains(&idx),
+            "effect touches node {idx} outside the window [{}, {}): an effect may only touch \
+             the node its `effect_target` names",
+            window.start,
+            window.end
+        );
+        idx - self.base
+    }
+
     /// One node's state, by global index.
+    ///
+    /// # Panics
+    /// Panics if `idx` lies outside the window.
     pub fn node(&self, idx: usize) -> &N {
-        &self.nodes[idx - self.base]
+        &self.nodes[self.local(idx)]
     }
 
     /// Mutable access to one node's state, by global index.
+    ///
+    /// # Panics
+    /// Panics if `idx` lies outside the window.
     pub fn node_mut(&mut self, idx: usize) -> &mut N {
-        &mut self.nodes[idx - self.base]
+        let local = self.local(idx);
+        &mut self.nodes[local]
     }
 
     /// Records bandwidth attributed to `node` in the committing cycle.
@@ -477,6 +498,20 @@ mod tests {
         let d: u64 = commit_rng(7, 3).gen();
         assert_ne!(a, c);
         assert_ne!(a, d);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 3 outside the window [4, 6)")]
+    fn effect_context_rejects_an_index_below_its_window() {
+        let (mut nodes, mut bandwidth) = ([0u8; 2], BandwidthRecorder::new());
+        EffectContext::windowed(&mut nodes, &mut bandwidth, 0, 4).node(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 6 outside the window [4, 6)")]
+    fn effect_context_rejects_an_index_above_its_window() {
+        let (mut nodes, mut bandwidth) = ([0u8; 2], BandwidthRecorder::new());
+        *EffectContext::windowed(&mut nodes, &mut bandwidth, 0, 4).node_mut(6) += 1;
     }
 
     #[test]

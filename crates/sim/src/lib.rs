@@ -8,8 +8,13 @@
 //! cycles execute in a **plan/commit** architecture that makes them parallel
 //! *and* deterministic:
 //!
+//! * [`Sequencer`] — the one copy of the plan/commit cycle (phase order,
+//!   fault interposition, conflict-free batching, apply order, stop rule),
+//!   executed through a [`Substrate`] by every runtime: the simulator's
+//!   worker threads, the sequential [`Shard`] (the oracle mode, and the
+//!   body of `p3q_transport`'s shard actors), the transport's mailboxes;
 //! * [`Simulator`] — the engine: per-node protocol state, seeded
-//!   determinism, and the four-phase plan/commit cycle executor. All runs go
+//!   determinism, and the in-process parallel substrate. All runs go
 //!   through the one driver entry [`Simulator::drive`], configured by a
 //!   [`RunOptions`] builder (worker threads, fault plan, event queue,
 //!   until-idle mode, sequential oracle mode) — byte-identical output for
@@ -44,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod bandwidth;
+mod cycle;
 mod driver;
 mod engine;
 pub mod exchange;
@@ -53,10 +59,12 @@ mod membership;
 mod metrics;
 pub mod parallel;
 mod schedule;
+mod shard;
 mod store;
 
 pub use bandwidth::{BandwidthRecorder, Category};
-pub use driver::{RunEvent, RunOptions, RunParts, RunReport};
+pub use cycle::{RunState, Sequencer, Substrate};
+pub use driver::{RunEvent, RunOptions, RunReport};
 pub use engine::{CycleReport, Simulator};
 pub use exchange::{
     conflict_free_batches, Charge, CommitOutcome, CycleContext, EffectContext, ExchangePlan,
@@ -70,4 +78,5 @@ pub use parallel::{
     default_threads, parallel_map_chunks, parallel_map_chunks_aligned, stream_seed,
 };
 pub use schedule::EventQueue;
+pub use shard::Shard;
 pub use store::NodeStore;

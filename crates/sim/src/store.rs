@@ -280,6 +280,12 @@ impl<N> From<Vec<N>> for NodeStore<N> {
     }
 }
 
+impl<N> From<NodeStore<N>> for Vec<N> {
+    fn from(store: NodeStore<N>) -> Self {
+        store.nodes
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -177,23 +177,11 @@ impl ActionDictionary {
     /// item-major profile walk already sorted (order isomorphism); the
     /// handful of tail ids are merged in by a final sort only when present.
     pub fn ids_of_profile_into(&self, profile: &Profile, out: &mut Vec<u32>) {
-        self.ids_of_actions_into(profile.iter().copied(), out);
-    }
-
-    /// [`Self::ids_of_profile_into`] over any sorted, item-major action
-    /// stream — in particular a [`crate::PackedProfile`]'s
-    /// decode-on-the-fly iterator, so the packed serving path resolves ids
-    /// straight off the at-rest bytes.
-    pub fn ids_of_actions_into<I>(&self, actions: I, out: &mut Vec<u32>)
-    where
-        I: IntoIterator<Item = TaggingAction>,
-    {
-        let actions = actions.into_iter();
         out.clear();
-        out.reserve(actions.size_hint().0);
+        out.reserve(profile.len());
         let mut tail_seen = false;
-        for action in actions {
-            if let Some(id) = self.id_of(&action) {
+        for action in profile.iter() {
+            if let Some(id) = self.id_of(action) {
                 tail_seen |= id.index() >= self.frozen.len();
                 out.push(id.0);
             }

@@ -293,10 +293,9 @@ impl PackedProfile {
         Profile { actions }
     }
 
-    /// Iterates the packed actions in sorted order, decoding on the fly —
-    /// the zero-materialization serving path: query scoring and index
-    /// interning can walk the at-rest bytes without ever allocating an
-    /// unpacked [`Profile`].
+    /// Iterates the packed actions in sorted order, decoding on the fly.
+    /// Profiles are held and served decoded; this is the decoder behind
+    /// [`Self::unpack`].
     pub fn actions(&self) -> PackedActions<'_> {
         PackedActions {
             bytes: &self.bytes,

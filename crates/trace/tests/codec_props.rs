@@ -158,7 +158,7 @@ proptest! {
     }
 
     /// The packed profile's decode-on-the-fly iterator yields exactly the
-    /// unpacked profile's actions — the zero-materialization serving oracle.
+    /// unpacked profile's actions.
     #[test]
     fn packed_actions_iterator_matches_unpack(
         raw in prop::collection::vec((0u32..5_000, 0u32..200), 0..60)

@@ -1,8 +1,10 @@
 //! The shard actor: one thread owning one contiguous slice of the node
 //! population, driven entirely by messages.
 //!
-//! An actor holds `nodes[base .. base + len]` of the global population and
-//! never touches anything else. All coordination flows through two FIFO
+//! An actor holds `nodes[base .. base + len]` of the global population —
+//! as a [`Shard`], the sequential substrate that is also the simulator's
+//! oracle mode, so every phase below is one call into it — and never
+//! touches anything else. All coordination flows through two FIFO
 //! mailboxes (see [`crate::mailbox`]): commands arrive from the sequencer as
 //! [`ToShard`] messages, replies go back as [`FromShard`]. The actor has a
 //! single sender (the sequencer), so the order it observes commands in *is*
@@ -22,10 +24,9 @@
 
 use std::sync::Arc;
 
-use p3q_sim::exchange::{commit_rng, plan_rng};
 use p3q_sim::{
-    BandwidthRecorder, CommitOutcome, CycleContext, EffectContext, ExchangePlan, GossipProtocol,
-    Membership,
+    BandwidthRecorder, CommitOutcome, CycleContext, ExchangePlan, FaultTransitions, GossipProtocol,
+    Membership, NodeStore, Shard, Substrate,
 };
 
 use crate::mailbox::{MailboxReceiver, MailboxSender};
@@ -154,59 +155,52 @@ pub enum FromShard<N, Pl, E> {
     WantsMore(bool),
 }
 
-/// Disjoint `&mut`s to two distinct local nodes — the same-shard pairwise
-/// commit shape.
-fn local_pair_mut<N>(nodes: &mut [N], a: usize, b: usize) -> (&mut N, &mut N) {
-    assert_ne!(a, b, "a gossip exchange needs two distinct nodes");
-    if a < b {
-        let (lo, hi) = nodes.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = nodes.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    }
-}
+/// [`ToShard`] as protocol `P`'s actors receive it.
+pub(crate) type Command<P> = ToShard<
+    <P as GossipProtocol>::Node,
+    <P as GossipProtocol>::Payload,
+    <P as GossipProtocol>::Effect,
+>;
 
-/// The shard actor body: processes commands until [`ToShard::Stop`] (or a
-/// hangup), then returns the shard's node states and its local bandwidth
-/// recorder for the sequencer to reassemble and merge.
-pub(crate) fn run_actor<P, R, S>(
+/// [`FromShard`] as protocol `P`'s actors send it.
+pub(crate) type Reply<P> = FromShard<
+    <P as GossipProtocol>::Node,
+    <P as GossipProtocol>::Payload,
+    <P as GossipProtocol>::Effect,
+>;
+
+/// The shard actor body: a [`Shard`] over the actor's nodes, driven by
+/// commands until [`ToShard::Stop`] (or a hangup); then returns the node
+/// states and the shard-local bandwidth recorder for the sequencer to
+/// reassemble and merge.
+pub(crate) fn run_actor<P>(
     proto: &P,
     base: usize,
-    mut nodes: Vec<P::Node>,
-    rx: R,
-    tx: S,
+    nodes: Vec<P::Node>,
+    rx: impl MailboxReceiver<Command<P>>,
+    tx: impl MailboxSender<Reply<P>>,
 ) -> (Vec<P::Node>, BandwidthRecorder)
 where
     P: GossipProtocol,
     P::Node: Clone,
-    R: MailboxReceiver<ToShard<P::Node, P::Payload, P::Effect>>,
-    S: MailboxSender<FromShard<P::Node, P::Payload, P::Effect>>,
 {
+    let mut store = NodeStore::new(nodes);
     let mut bandwidth = BandwidthRecorder::new();
     while let Ok(msg) = rx.recv() {
-        match msg {
+        let mut shard = Shard::new(base, &mut store);
+        let reply = match msg {
             ToShard::Transitions {
                 cycle,
                 restarted,
                 crashed,
             } => {
-                for idx in restarted {
-                    proto.on_restart(&mut nodes[idx - base], cycle);
-                }
-                for idx in crashed {
-                    proto.on_crash(&mut nodes[idx - base], cycle);
-                }
+                let transitions = FaultTransitions { crashed, restarted };
+                shard.transitions(proto, cycle, &transitions);
+                continue;
             }
             ToShard::Prepare { cycle, membership } => {
-                for (offset, node) in nodes.iter_mut().enumerate() {
-                    if membership.is_alive(base + offset) {
-                        proto.prepare(node, cycle);
-                    }
-                }
-                if tx.send(FromShard::Snapshot(nodes.clone())).is_err() {
-                    break;
-                }
+                shard.prepare(proto, cycle, &membership);
+                FromShard::Snapshot(store.as_slice().to_vec())
             }
             ToShard::Plan {
                 cycle,
@@ -214,126 +208,45 @@ where
                 world,
                 membership,
             } => {
-                let ctx = CycleContext::new(&world, &membership, cycle);
-                let mut plans = Vec::new();
-                for offset in 0..nodes.len() {
-                    let idx = base + offset;
-                    if membership.is_alive(idx) {
-                        let mut rng = plan_rng(cycle_seed, idx);
-                        proto.plan(&ctx, idx, &mut rng, &mut plans);
-                    }
-                }
-                if tx.send(FromShard::Plans(plans)).is_err() {
-                    break;
-                }
+                let world = CycleContext::new(&world, &membership, cycle);
+                FromShard::Plans(shard.plan_against(proto, &world, cycle_seed))
             }
-            ToShard::Extract { node } => {
-                let guest = nodes[node - base].clone();
-                if tx.send(FromShard::Guest(guest)).is_err() {
-                    break;
-                }
-            }
+            ToShard::Extract { node } => FromShard::Guest(store.get(node - base).clone()),
             ToShard::Commit {
                 cycle,
                 cycle_seed,
-                jobs,
+                mut jobs,
             } => {
-                let mut scratch = proto.scratch();
-                let mut results = Vec::with_capacity(jobs.len());
-                for job in jobs {
-                    let mut rng = commit_rng(cycle_seed, job.plan_idx);
-                    let plan = &job.plan;
-                    let (outcome, guest) = match (plan.destination, job.guest) {
-                        (None, _) => {
-                            let initiator = &mut nodes[plan.initiator - base];
-                            let outcome =
-                                proto.commit(cycle, plan, initiator, None, &mut rng, &mut scratch);
-                            (outcome, None)
-                        }
-                        (Some(dest), Some(mut guest)) => {
-                            let initiator = &mut nodes[plan.initiator - base];
-                            let outcome = proto.commit(
-                                cycle,
-                                plan,
-                                initiator,
-                                Some(&mut guest),
-                                &mut rng,
-                                &mut scratch,
-                            );
-                            (outcome, Some((dest, guest)))
-                        }
-                        (Some(dest), None) => {
-                            let (initiator, destination) =
-                                local_pair_mut(&mut nodes, plan.initiator - base, dest - base);
-                            let outcome = proto.commit(
-                                cycle,
-                                plan,
-                                initiator,
-                                Some(destination),
-                                &mut rng,
-                                &mut scratch,
-                            );
-                            (outcome, None)
-                        }
-                    };
-                    results.push(JobOutcome {
+                let work = jobs
+                    .iter_mut()
+                    .map(|job| (job.plan_idx, &job.plan, job.guest.as_mut()));
+                let outcomes = shard.commit(proto, cycle, cycle_seed, work);
+                let done = jobs
+                    .into_iter()
+                    .zip(outcomes)
+                    .map(|(job, outcome)| JobOutcome {
                         plan_idx: job.plan_idx,
                         outcome,
-                        guest,
+                        guest: job.plan.destination.zip(job.guest),
                     });
-                }
-                if tx.send(FromShard::Outcomes(results)).is_err() {
-                    break;
-                }
+                FromShard::Outcomes(done.collect())
             }
             ToShard::Restore { node, state } => {
-                nodes[node - base] = state;
+                *store.get_mut(node - base) = state;
+                continue;
             }
             ToShard::Effect { cycle, effect } => {
-                let mut world = EffectContext::windowed(&mut nodes, &mut bandwidth, cycle, base);
-                proto.apply_effect(&mut world, effect);
+                shard.effects(proto, cycle, [effect], &mut bandwidth);
+                continue;
             }
             ToShard::FinishCycle { cycle, membership } => {
-                for node in nodes.iter_mut() {
-                    proto.finish_cycle(node, cycle);
-                }
-                let wants_more = nodes.iter().enumerate().any(|(offset, node)| {
-                    membership.is_alive(base + offset) && proto.wants_more(node, cycle)
-                });
-                if tx.send(FromShard::WantsMore(wants_more)).is_err() {
-                    break;
-                }
+                FromShard::WantsMore(shard.finish(proto, cycle, Some(&membership)))
             }
             ToShard::Stop => break,
+        };
+        if tx.send(reply).is_err() {
+            break;
         }
     }
-    (nodes, bandwidth)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn local_pair_mut_is_disjoint_in_both_orders() {
-        let mut v = vec![0u32, 1, 2, 3];
-        {
-            let (a, b) = local_pair_mut(&mut v, 0, 3);
-            *a += 10;
-            *b += 10;
-        }
-        {
-            let (a, b) = local_pair_mut(&mut v, 2, 1);
-            *a += 100;
-            *b += 100;
-        }
-        assert_eq!(v, vec![10, 101, 102, 13]);
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct nodes")]
-    fn local_pair_mut_rejects_same_index() {
-        let mut v = vec![0u32; 2];
-        let _ = local_pair_mut(&mut v, 1, 1);
-    }
+    (store.into(), bandwidth)
 }

@@ -1,41 +1,42 @@
-//! The transport runtime: a sequencer driving shard actors through one
-//! plan/commit cycle protocol, byte-identical to [`Simulator`] under the
-//! canonical [`DeliverySchedule`].
+//! The transport runtime: the cycle sequencer driving shard actors over
+//! mailboxes, byte-identical to [`Simulator`] under the canonical
+//! [`DeliverySchedule`].
 //!
-//! # Why this is byte-identical to the simulator
+//! The cycle itself — phase order, fault filtering on the ordered plan
+//! list, conflict-free batching, charges and effects in plan order, the
+//! stop rule — is [`p3q_sim::Sequencer`], the same code the simulator
+//! executes, and every actor body is the simulator oracle's sequential
+//! [`Shard`](p3q_sim::Shard). What this module adds is the mailbox
+//! [`Substrate`]: each phase as the sends and receives that make the
+//! actors run it.
 //!
-//! The engine's cycle is already a message-shaped computation: planning is a
-//! pure function of the cycle-start snapshot, commits touch only their own
-//! conflict-free pair, and everything that crosses a pair boundary travels
-//! as data (bandwidth [`Charge`]s, routed effects). The runtime replays the
-//! exact same phases over mailboxes, preserving every ordering the engine
-//! fixes:
+//! # What is still an argument
 //!
-//! * **RNG streams** — the sequencer owns a clone of the simulator's master
-//!   RNG and draws one cycle seed per cycle, exactly like the engine; all
-//!   per-node plan RNGs and per-plan commit RNGs derive from that seed by
-//!   *index*, so where a computation runs (which actor, which thread) can
-//!   never touch a stream.
-//! * **Plan order** — shards own contiguous node ranges and plan their
-//!   alive locals in ascending order, so gathering announcements in
-//!   ascending shard order (the canonical schedule) concatenates into the
-//!   engine's ascending global plan list. The fault filter, the greedy
-//!   conflict-free batching and the per-plan commit RNGs all key off that
-//!   list, so they decide identically.
-//! * **Commit isolation** — within a batch no node appears twice, so a
-//!   commit's `&mut` pair is disjoint from every other commit's; a
-//!   cross-shard destination travels as a *guest* value (extract → commit →
-//!   restore) which nothing else can observe until it is restored.
-//! * **Apply order** — all of a batch's guests are restored before any of
-//!   its charges/effects apply, mirroring "all commits finish, then
-//!   outcomes apply in plan order". Per-shard mailboxes are FIFO with the
-//!   sequencer as single sender, so a shard always sees restore-before-
-//!   effect and effect-before-next-batch-extract.
-//! * **Bandwidth** — commit charges land in the sequencer's master
+//! Sharing the sequencer makes most of "byte-identical to the simulator"
+//! hold by construction. Four properties remain the mailbox substrate's
+//! own to keep:
+//!
+//! * **RNG streams by index** — the runtime owns a clone of the
+//!   simulator's master RNG, from which the sequencer draws the one seed
+//!   per cycle; per-node plan RNGs and per-plan commit RNGs derive from
+//!   that seed by *index*, so where a computation runs (which actor, which
+//!   thread) can never touch a stream. Shards own contiguous node ranges
+//!   and plan their alive locals in ascending order, so gathering
+//!   announcements in ascending shard order (the canonical schedule)
+//!   concatenates into the simulator's plan list.
+//! * **Guest isolation** — within a batch no node appears twice, so a
+//!   cross-shard destination can travel as a *guest* value (extract →
+//!   commit → restore) which nothing else observes until it is restored.
+//! * **FIFO restore-before-effect** — all of a batch's guests are sent
+//!   home before `commit_batch` returns, i.e. before the sequencer routes
+//!   any of the batch's effects. Per-shard mailboxes are FIFO with one
+//!   sender, so a shard always sees restore-before-effect and
+//!   effect-before-next-batch-extract.
+//! * **Commutative recorder merge** — commit charges land in the master
 //!   recorder at the committing cycle; effect-recorded bandwidth lands in
-//!   shard-local recorders merged in at the end. Recorder merge is
-//!   commutative addition over the same `(node, cycle, category, bytes)`
-//!   records the engine makes, so every aggregate matches.
+//!   shard-local recorders merged in when an actor stops. Recorder merge
+//!   is addition over the same `(node, cycle, category, bytes)` records
+//!   the simulator makes, so every aggregate matches.
 //!
 //! A seeded schedule replays a *different* (but fixed) arrival permutation
 //! per cycle: runs remain fully deterministic in `(seed, schedule)`, and
@@ -44,15 +45,12 @@
 use std::sync::Arc;
 use std::thread;
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
 use p3q_sim::{
-    conflict_free_batches, BandwidthRecorder, Charge, CycleReport, EventQueue, ExchangePlan,
-    GossipProtocol, Membership, RunOptions, RunParts, RunReport, Simulator,
+    BandwidthRecorder, CommitOutcome, EventQueue, ExchangePlan, FaultTransitions, GossipProtocol,
+    Membership, RunOptions, RunReport, RunState, Sequencer, Simulator, Substrate,
 };
 
-use crate::actor::{run_actor, CommitJob, FromShard, JobOutcome, ToShard};
+use crate::actor::{run_actor, Command, CommitJob, FromShard, JobOutcome, Reply, ToShard};
 use crate::mailbox::{InProcess, MailboxReceiver, MailboxSender, Transport};
 use crate::schedule::DeliverySchedule;
 
@@ -61,40 +59,227 @@ const ACTOR_GONE: &str = "shard actor hung up (it panicked or was stopped)";
 
 /// One live shard actor, sequencer side: its command mailbox, its reply
 /// mailbox and the handle that returns its state on shutdown.
-struct ActorHandle<'scope, N, Pl, E, T>
-where
-    N: Send + Sync,
-    Pl: Send + Sync,
-    E: Send,
-    T: Transport,
-{
-    tx: T::Sender<ToShard<N, Pl, E>>,
-    reply: T::Receiver<FromShard<N, Pl, E>>,
-    join: thread::ScopedJoinHandle<'scope, (Vec<N>, BandwidthRecorder)>,
+struct ActorHandle<'scope, P: GossipProtocol, T: Transport> {
+    tx: T::Sender<Command<P>>,
+    reply: T::Receiver<Reply<P>>,
+    join: thread::ScopedJoinHandle<'scope, (Vec<P::Node>, BandwidthRecorder)>,
 }
 
-/// Spawns one shard actor thread owning `nodes` (global indices starting at
-/// `base`), wired to the sequencer through two fresh mailboxes.
-fn spawn_actor<'scope, P, T>(
-    scope: &'scope thread::Scope<'scope, '_>,
-    proto: &'scope P,
-    transport: &mut T,
-    base: usize,
-    nodes: Vec<P::Node>,
-) -> ActorHandle<'scope, P::Node, P::Payload, P::Effect, T>
+impl<P: GossipProtocol, T: Transport> ActorHandle<'_, P, T> {
+    fn send(&self, msg: Command<P>) {
+        self.tx.send(msg).expect(ACTOR_GONE);
+    }
+
+    fn recv(&self) -> Reply<P> {
+        self.reply.recv().expect(ACTOR_GONE)
+    }
+
+    /// Stops the actor and takes back its nodes and shard-local recorder.
+    fn stop(self) -> (Vec<P::Node>, BandwidthRecorder) {
+        self.send(ToShard::Stop);
+        self.join.join().expect("shard actor panicked")
+    }
+}
+
+/// The mailbox substrate: every phase of the cycle as the messages that
+/// make the shard actors run it (the per-cycle message sequence is in
+/// [`crate::actor`]'s module docs).
+struct Mailboxes<'scope, P: GossipProtocol, T: Transport> {
+    /// Actor `s` owns the nodes with `idx / shard_size == s`.
+    actors: Vec<ActorHandle<'scope, P, T>>,
+    shard_size: usize,
+    schedule: DeliverySchedule,
+    /// The cycle's membership, frozen after its fault transitions.
+    alive: Arc<Membership>,
+    /// The post-prepare snapshot of the whole population, assembled by
+    /// `prepare` for `plan` to broadcast.
+    world: Arc<Vec<P::Node>>,
+}
+
+impl<P, T> Substrate<P> for Mailboxes<'_, P, T>
 where
     P: GossipProtocol,
-    P::Node: Clone + 'static,
-    P::Payload: 'static,
-    P::Effect: 'static,
+    P::Payload: Clone,
     T: Transport,
-    T::Sender<FromShard<P::Node, P::Payload, P::Effect>>: 'static,
-    T::Receiver<ToShard<P::Node, P::Payload, P::Effect>>: 'static,
 {
-    let (tx, cmd_rx) = transport.mailbox::<ToShard<P::Node, P::Payload, P::Effect>>();
-    let (reply_tx, reply) = transport.mailbox::<FromShard<P::Node, P::Payload, P::Effect>>();
-    let join = scope.spawn(move || run_actor::<P, _, _>(proto, base, nodes, cmd_rx, reply_tx));
-    ActorHandle { tx, reply, join }
+    /// Sends every shard the transitions of its own nodes; hooks run
+    /// in-shard, restarts before crashes.
+    fn transitions(&mut self, _proto: &P, cycle: u64, transitions: &FaultTransitions) {
+        for (s, actor) in self.actors.iter().enumerate() {
+            let local = |nodes: &[usize]| -> Vec<usize> {
+                let owned = nodes.iter().filter(|&&idx| idx / self.shard_size == s);
+                owned.copied().collect()
+            };
+            let restarted = local(&transitions.restarted);
+            let crashed = local(&transitions.crashed);
+            if !(restarted.is_empty() && crashed.is_empty()) {
+                actor.send(ToShard::Transitions {
+                    cycle,
+                    restarted,
+                    crashed,
+                });
+            }
+        }
+    }
+
+    /// Prepares everywhere, then assembles the post-prepare world from the
+    /// shard replies (ascending shard order = global node order). Lazy
+    /// planners read *remote* state from this snapshot (probe and
+    /// re-bootstrap inspect other nodes), which is why the full world
+    /// broadcasts every cycle.
+    fn prepare(&mut self, _proto: &P, cycle: u64, membership: &Membership) {
+        self.alive = Arc::new(membership.clone());
+        for actor in &self.actors {
+            actor.send(ToShard::Prepare {
+                cycle,
+                membership: self.alive.clone(),
+            });
+        }
+        let mut world = Vec::with_capacity(membership.len());
+        for actor in &self.actors {
+            let FromShard::Snapshot(snapshot) = actor.recv() else {
+                panic!("protocol violation: expected a prepare snapshot");
+            };
+            world.extend(snapshot);
+        }
+        self.world = Arc::new(world);
+    }
+
+    /// Plans everywhere; gathers announcements in the delivery schedule's
+    /// order. Canonical = ascending shards = the simulator's plan list.
+    fn plan(
+        &mut self,
+        _proto: &P,
+        cycle: u64,
+        cycle_seed: u64,
+        _membership: &Membership,
+    ) -> Vec<ExchangePlan<P::Payload>> {
+        let world = std::mem::take(&mut self.world);
+        for actor in &self.actors {
+            actor.send(ToShard::Plan {
+                cycle,
+                cycle_seed,
+                world: world.clone(),
+                membership: self.alive.clone(),
+            });
+        }
+        let mut plans = Vec::new();
+        for s in self.schedule.gather_order(self.actors.len(), cycle) {
+            let FromShard::Plans(announced) = self.actors[s].recv() else {
+                panic!("protocol violation: expected a plan announcement");
+            };
+            plans.extend(announced);
+        }
+        plans
+    }
+
+    fn commit_batch(
+        &mut self,
+        _proto: &P,
+        cycle: u64,
+        cycle_seed: u64,
+        plans: &[ExchangePlan<P::Payload>],
+        batch: &[usize],
+    ) -> Vec<CommitOutcome<P::Effect>> {
+        let shard_of = |idx: usize| idx / self.shard_size;
+        // Extract guests for cross-shard destinations and group the batch's
+        // jobs by the initiator's shard, preserving ascending plan order.
+        // Guests are safe to copy out: within a conflict-free batch the
+        // destination appears in no other plan, and per-shard FIFO ordering
+        // guarantees all prior restores/effects already landed.
+        let mut jobs_by: Vec<Vec<CommitJob<P::Node, P::Payload>>> =
+            self.actors.iter().map(|_| Vec::new()).collect();
+        for &plan_idx in batch {
+            let plan = &plans[plan_idx];
+            let home = shard_of(plan.initiator);
+            let remote = plan.destination.filter(|&dest| shard_of(dest) != home);
+            let guest = remote.map(|dest| {
+                let owner = &self.actors[shard_of(dest)];
+                owner.send(ToShard::Extract { node: dest });
+                let FromShard::Guest(guest) = owner.recv() else {
+                    panic!("protocol violation: expected a guest extraction");
+                };
+                guest
+            });
+            jobs_by[home].push(CommitJob {
+                plan: plan.clone(),
+                plan_idx,
+                guest,
+            });
+        }
+
+        // Fan the batch out to every shard with jobs, then gather; commits
+        // run concurrently across shards. The sort restores global plan
+        // order (commit RNGs never depended on it — they key off plan_idx).
+        let mut committing = Vec::new();
+        for (actor, jobs) in self.actors.iter().zip(jobs_by) {
+            if !jobs.is_empty() {
+                actor.send(ToShard::Commit {
+                    cycle,
+                    cycle_seed,
+                    jobs,
+                });
+                committing.push(actor);
+            }
+        }
+        let mut outcomes: Vec<JobOutcome<P::Node, P::Effect>> = Vec::new();
+        for actor in committing {
+            let FromShard::Outcomes(done) = actor.recv() else {
+                panic!("protocol violation: expected commit outcomes");
+            };
+            outcomes.extend(done);
+        }
+        outcomes.sort_by_key(|o| o.plan_idx);
+
+        // All guests go home before any effect applies: the sequencer
+        // applies outcomes only after the whole batch committed, so an
+        // early plan's effect must observe a later plan's post-commit
+        // destination. FIFO per shard turns this send order into that
+        // guarantee.
+        let restore = |o: JobOutcome<P::Node, P::Effect>| {
+            if let Some((node, state)) = o.guest {
+                self.actors[shard_of(node)].send(ToShard::Restore { node, state });
+            }
+            o.outcome
+        };
+        outcomes.into_iter().map(restore).collect()
+    }
+
+    /// Routes each effect to the shard owning its declared target, where
+    /// the bandwidth it records lands in the shard-local recorder.
+    fn effects(
+        &mut self,
+        proto: &P,
+        cycle: u64,
+        effects: impl IntoIterator<Item = P::Effect>,
+        _bandwidth: &mut BandwidthRecorder,
+    ) {
+        for effect in effects {
+            let target = proto
+                .effect_target(&effect)
+                .expect("a sharded transport needs GossipProtocol::effect_target to route effects");
+            self.actors[target / self.shard_size].send(ToShard::Effect { cycle, effect });
+        }
+    }
+
+    /// End-of-cycle bookkeeping plus the until-idle re-ignition probe, one
+    /// round-trip per shard (the shards always answer the probe).
+    fn finish(&mut self, _proto: &P, cycle: u64, _probe: Option<&Membership>) -> bool {
+        for actor in &self.actors {
+            actor.send(ToShard::FinishCycle {
+                cycle,
+                membership: self.alive.clone(),
+            });
+        }
+        let mut wants_more = false;
+        for actor in &self.actors {
+            let FromShard::WantsMore(wants) = actor.recv() else {
+                panic!("protocol violation: expected a wants-more probe");
+            };
+            wants_more |= wants;
+        }
+        wants_more
+    }
 }
 
 /// A message-passing runtime executing [`GossipProtocol`]s over shard
@@ -109,14 +294,11 @@ where
 /// observer closure: observe between drives instead.
 #[derive(Debug)]
 pub struct TransportRuntime<N, T: Transport = InProcess> {
-    /// Contiguous node shards; `shards[s][0]` has global index `bases[s]`.
+    /// Contiguous node shards of `shard_size` nodes (the last may be
+    /// shorter): `shards[s][0]` has global index `s * shard_size`.
     shards: Vec<Vec<N>>,
-    bases: Vec<usize>,
     shard_size: usize,
-    num_nodes: usize,
-    membership: Membership,
-    cycle: u64,
-    rng: StdRng,
+    run: RunState,
     schedule: DeliverySchedule,
     /// Scheduled infrastructure faults: actor ids to stop-and-respawn at
     /// the start of the given cycle.
@@ -166,22 +348,15 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
         if shards.is_empty() {
             shards.push(Vec::new());
         }
-        let bases: Vec<usize> = shards
-            .iter()
-            .scan(0usize, |next, shard| {
-                let base = *next;
-                *next += shard.len();
-                Some(base)
-            })
-            .collect();
-        Self {
-            shards,
-            bases,
-            shard_size,
-            num_nodes: n,
+        let run = RunState {
             membership: sim.membership().clone(),
             cycle: sim.cycle(),
             rng: sim.rng().clone(),
+        };
+        Self {
+            shards,
+            shard_size,
+            run,
             schedule,
             restarts: EventQueue::new(),
             transport,
@@ -191,7 +366,7 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
 
     /// Number of nodes (alive or departed).
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.run.membership.len()
     }
 
     /// Number of shard actors the population is partitioned over.
@@ -201,7 +376,7 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
 
     /// Current cycle (number of completed cycles driven so far).
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.run.cycle
     }
 
     /// The delivery schedule this runtime replays.
@@ -211,12 +386,12 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
 
     /// The membership (who is alive).
     pub fn membership(&self) -> &Membership {
-        &self.membership
+        &self.run.membership
     }
 
     /// Mutable membership, e.g. to inject churn **between** drives.
     pub fn membership_mut(&mut self) -> &mut Membership {
-        &mut self.membership
+        &mut self.run.membership
     }
 
     /// One node's state, by global index (between drives).
@@ -269,323 +444,65 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
         T::Sender<FromShard<N, P::Payload, P::Effect>>: 'static,
         T::Receiver<ToShard<N, P::Payload, P::Effect>>: 'static,
     {
-        let RunParts {
-            threads,
-            oracle,
-            mut faults,
-            events,
-            cycles,
-            until_idle,
-        } = opts.into_parts();
         assert!(
-            threads.is_none(),
+            opts.threads.is_none(),
             "a transport runtime's parallelism is its actor count, fixed at construction"
         );
         assert!(
-            !oracle,
+            !opts.oracle,
             "a transport runtime has no oracle mode — the oracle is the simulator itself"
         );
         assert!(
-            events.is_none(),
+            opts.events.is_none(),
             "transport runs have no scheduled-event axis — act between drives instead"
         );
-        proto.begin_run(until_idle);
-
-        let Self {
-            shards,
-            bases,
-            shard_size,
-            num_nodes,
-            membership,
-            cycle,
-            rng,
-            schedule,
-            restarts,
-            transport,
-            bandwidth,
-        } = self;
-        let shard_size = *shard_size;
-        let num_nodes = *num_nodes;
-        let num_shards = shards.len();
-        let shard_of = move |idx: usize| idx / shard_size;
-
-        let mut total = CycleReport::default();
-        let mut cycles_run = 0u64;
-
+        let mut sequencer = Sequencer::begin(proto, opts.faults, opts.until_idle);
         thread::scope(|scope| {
-            let mut actors: Vec<ActorHandle<'_, N, P::Payload, P::Effect, T>> = shards
-                .iter_mut()
-                .enumerate()
-                .map(|(s, shard)| {
-                    spawn_actor::<P, T>(scope, proto, transport, bases[s], std::mem::take(shard))
-                })
-                .collect();
+            // One shard actor thread owning `nodes` (global indices from
+            // `s * shard_size`), wired to the sequencer through two fresh
+            // mailboxes.
+            let (shard_size, transport) = (self.shard_size, &mut self.transport);
+            let mut spawn = |s: usize, nodes: Vec<N>| -> ActorHandle<'_, P, T> {
+                let (tx, commands) = transport.mailbox();
+                let (replies, reply) = transport.mailbox();
+                let actor = move || run_actor(proto, s * shard_size, nodes, commands, replies);
+                let join = scope.spawn(actor);
+                ActorHandle { tx, reply, join }
+            };
+            let shards = self.shards.iter_mut().map(std::mem::take).enumerate();
+            let mut mailboxes = Mailboxes {
+                actors: shards.map(|(s, nodes)| spawn(s, nodes)).collect(),
+                shard_size,
+                schedule: self.schedule,
+                alive: Arc::new(self.run.membership.clone()),
+                world: Arc::default(),
+            };
 
-            for _ in 0..cycles {
+            for _ in 0..opts.cycles {
                 // Infrastructure faults first: stop, join and respawn due
                 // actors on their recovered state. The dead actor's local
                 // bandwidth merges into the master immediately so nothing
                 // is lost across the hop.
-                for s in restarts.pop_due(*cycle) {
-                    let old = actors.remove(s);
-                    old.tx.send(ToShard::Stop).expect(ACTOR_GONE);
-                    let (nodes, recorder) = old.join.join().expect("shard actor panicked");
-                    bandwidth.merge(&recorder);
-                    actors.insert(
-                        s,
-                        spawn_actor::<P, T>(scope, proto, transport, bases[s], nodes),
-                    );
+                for s in self.restarts.pop_due(self.run.cycle) {
+                    let (nodes, recorder) = mailboxes.actors.remove(s).stop();
+                    self.bandwidth.merge(&recorder);
+                    mailboxes.actors.insert(s, spawn(s, nodes));
                 }
-
-                let this_cycle = *cycle;
-                // Engine order: the cycle seed is drawn before anything
-                // else consumes randomness.
-                let cycle_seed: u64 = rng.gen();
-
-                // Fault transitions, grouped by owning shard; hooks run
-                // in-shard, restarts before crashes (engine order).
-                if let Some(f) = faults.as_deref_mut() {
-                    let transitions = f.begin_cycle(this_cycle, membership);
-                    let mut restarted_by: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-                    let mut crashed_by: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-                    for &idx in &transitions.restarted {
-                        restarted_by[shard_of(idx)].push(idx);
-                    }
-                    for &idx in &transitions.crashed {
-                        crashed_by[shard_of(idx)].push(idx);
-                    }
-                    for s in 0..num_shards {
-                        if restarted_by[s].is_empty() && crashed_by[s].is_empty() {
-                            continue;
-                        }
-                        actors[s]
-                            .tx
-                            .send(ToShard::Transitions {
-                                cycle: this_cycle,
-                                restarted: std::mem::take(&mut restarted_by[s]),
-                                crashed: std::mem::take(&mut crashed_by[s]),
-                            })
-                            .expect(ACTOR_GONE);
-                    }
-                }
-
-                // The cycle's membership view, frozen post-transitions.
-                let alive = Arc::new(membership.clone());
-
-                // Prepare, then assemble the post-prepare world snapshot
-                // from the shard replies (ascending shard order = global
-                // node order). Lazy planners read *remote* state from this
-                // snapshot (probe/re-bootstrap inspect other nodes), which
-                // is why the full world broadcasts every cycle.
-                for a in &actors {
-                    a.tx.send(ToShard::Prepare {
-                        cycle: this_cycle,
-                        membership: alive.clone(),
-                    })
-                    .expect(ACTOR_GONE);
-                }
-                let mut world: Vec<N> = Vec::with_capacity(num_nodes);
-                for a in &actors {
-                    let FromShard::Snapshot(snapshot) = a.reply.recv().expect(ACTOR_GONE) else {
-                        panic!("protocol violation: expected a prepare snapshot");
-                    };
-                    world.extend(snapshot);
-                }
-                let world = Arc::new(world);
-
-                // Plan everywhere; gather announcements in the delivery
-                // schedule's order. Canonical = ascending shards = the
-                // engine's global plan list.
-                for a in &actors {
-                    a.tx.send(ToShard::Plan {
-                        cycle: this_cycle,
-                        cycle_seed,
-                        world: world.clone(),
-                        membership: alive.clone(),
-                    })
-                    .expect(ACTOR_GONE);
-                }
-                let mut plans: Vec<ExchangePlan<P::Payload>> = Vec::new();
-                for s in schedule.gather_order(num_shards, this_cycle) {
-                    let FromShard::Plans(announced) = actors[s].reply.recv().expect(ACTOR_GONE)
-                    else {
-                        panic!("protocol violation: expected a plan announcement");
-                    };
-                    plans.extend(announced);
-                }
-
-                // Delivery faults interpose between plan and commit, on the
-                // gathered (totally ordered) plan list — reinterpreted here
-                // as transport faults: a dropped plan is a lost message, a
-                // delayed one re-arrives in a later cycle's list.
-                let plans = match faults.as_deref_mut() {
-                    Some(f) => f.filter_plans(this_cycle, plans, membership),
-                    None => plans,
-                };
-
-                let batches = conflict_free_batches(&plans, num_nodes);
-                let pair_exchanges = plans.iter().filter(|p| p.destination.is_some()).count();
-                let report = CycleReport {
-                    plans: plans.len(),
-                    pair_exchanges,
-                    solo_steps: plans.len() - pair_exchanges,
-                    batches: batches.len(),
-                };
-
-                for batch in &batches {
-                    // Extract guests for cross-shard destinations and group
-                    // the batch's jobs by the initiator's shard, preserving
-                    // ascending plan order. Guests are safe to copy out:
-                    // within a conflict-free batch the destination appears
-                    // in no other plan, and per-shard FIFO ordering
-                    // guarantees all prior restores/effects already landed.
-                    let mut jobs_by: Vec<Vec<CommitJob<N, P::Payload>>> =
-                        (0..num_shards).map(|_| Vec::new()).collect();
-                    for &plan_idx in batch {
-                        let plan = &plans[plan_idx];
-                        let home = shard_of(plan.initiator);
-                        let guest = match plan.destination {
-                            Some(dest) if shard_of(dest) != home => {
-                                let owner = shard_of(dest);
-                                actors[owner]
-                                    .tx
-                                    .send(ToShard::Extract { node: dest })
-                                    .expect(ACTOR_GONE);
-                                let FromShard::Guest(guest) =
-                                    actors[owner].reply.recv().expect(ACTOR_GONE)
-                                else {
-                                    panic!("protocol violation: expected a guest extraction");
-                                };
-                                Some(guest)
-                            }
-                            _ => None,
-                        };
-                        jobs_by[home].push(CommitJob {
-                            plan: plan.clone(),
-                            plan_idx,
-                            guest,
-                        });
-                    }
-
-                    // Fan the batch out to every shard with jobs, then
-                    // gather; commits run concurrently across shards. The
-                    // sort restores global plan order (commit RNGs never
-                    // depended on it — they key off plan_idx).
-                    let committing: Vec<usize> = (0..num_shards)
-                        .filter(|&s| !jobs_by[s].is_empty())
-                        .collect();
-                    for &s in &committing {
-                        actors[s]
-                            .tx
-                            .send(ToShard::Commit {
-                                cycle: this_cycle,
-                                cycle_seed,
-                                jobs: std::mem::take(&mut jobs_by[s]),
-                            })
-                            .expect(ACTOR_GONE);
-                    }
-                    let mut outcomes: Vec<JobOutcome<N, P::Effect>> = Vec::new();
-                    for &s in &committing {
-                        let FromShard::Outcomes(done) = actors[s].reply.recv().expect(ACTOR_GONE)
-                        else {
-                            panic!("protocol violation: expected commit outcomes");
-                        };
-                        outcomes.extend(done);
-                    }
-                    outcomes.sort_by_key(|o| o.plan_idx);
-
-                    // All guests go home before any effect applies: the
-                    // engine applies outcomes only after the whole batch
-                    // committed, so an early plan's effect must observe a
-                    // later plan's post-commit destination. FIFO per shard
-                    // turns this send order into that guarantee.
-                    for outcome in &mut outcomes {
-                        if let Some((idx, state)) = outcome.guest.take() {
-                            actors[shard_of(idx)]
-                                .tx
-                                .send(ToShard::Restore { node: idx, state })
-                                .expect(ACTOR_GONE);
-                        }
-                    }
-
-                    // Charges and effects in plan order (engine order).
-                    // Charges land in the master recorder; effects route to
-                    // the shard owning their declared target.
-                    for outcome in outcomes {
-                        for Charge {
-                            node,
-                            category,
-                            bytes,
-                        } in outcome.outcome.charges
-                        {
-                            bandwidth.record(node, this_cycle, category, bytes);
-                        }
-                        for effect in outcome.outcome.effects {
-                            let target = proto.effect_target(&effect).expect(
-                                "a sharded transport needs GossipProtocol::effect_target \
-                                 to route effects",
-                            );
-                            actors[shard_of(target)]
-                                .tx
-                                .send(ToShard::Effect {
-                                    cycle: this_cycle,
-                                    effect,
-                                })
-                                .expect(ACTOR_GONE);
-                        }
-                    }
-                }
-
-                *cycle += 1;
-                let completed = *cycle;
-                // End-of-cycle bookkeeping over every node, plus the
-                // until-idle re-ignition probe, one round-trip per shard.
-                for a in &actors {
-                    a.tx.send(ToShard::FinishCycle {
-                        cycle: completed,
-                        membership: alive.clone(),
-                    })
-                    .expect(ACTOR_GONE);
-                }
-                let mut wants_more = false;
-                for a in &actors {
-                    let FromShard::WantsMore(wants) = a.reply.recv().expect(ACTOR_GONE) else {
-                        panic!("protocol violation: expected a wants-more probe");
-                    };
-                    wants_more |= wants;
-                }
-
-                total.absorb(report);
-                cycles_run += 1;
-
-                if until_idle && report.pair_exchanges == 0 {
-                    let idle = match faults.as_deref() {
-                        None => true,
-                        Some(f) => {
-                            f.pending_delayed() == 0 && f.pending_restarts() == 0 && !wants_more
-                        }
-                    };
-                    if idle {
-                        break;
-                    }
+                if sequencer.run_cycle(&mut mailboxes, &mut self.run, &mut self.bandwidth) {
+                    break;
                 }
             }
 
             // Stop every actor and reassemble: node states return to their
             // slots, shard-local (effect-recorded) bandwidth merges into
             // the master in ascending shard order.
-            for (s, handle) in actors.into_iter().enumerate() {
-                handle.tx.send(ToShard::Stop).expect(ACTOR_GONE);
-                let (nodes, recorder) = handle.join.join().expect("shard actor panicked");
-                bandwidth.merge(&recorder);
-                shards[s] = nodes;
+            for (shard, actor) in self.shards.iter_mut().zip(mailboxes.actors) {
+                let (nodes, recorder) = actor.stop();
+                self.bandwidth.merge(&recorder);
+                *shard = nodes;
             }
         });
-
-        RunReport {
-            cycles_run,
-            report: total,
-        }
+        sequencer.report
     }
 }
 
@@ -597,7 +514,8 @@ mod tests {
     /// The engine's toy ring protocol, with a routable effect: every alive
     /// node gossips with the next alive node (cyclically), both sides count
     /// the exchange, a charge is recorded and an effect increments a
-    /// counter on node 0.
+    /// counter on node 0. Every hook also appends `(hook, cycle)` to the
+    /// log of the node it runs on.
     struct RingProtocol;
 
     #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -609,6 +527,7 @@ mod tests {
         finished: u64,
         crashes: u64,
         restarts: u64,
+        log: Vec<(&'static str, u64)>,
     }
 
     impl GossipProtocol for RingProtocol {
@@ -619,8 +538,9 @@ mod tests {
 
         fn scratch(&self) {}
 
-        fn prepare(&self, node: &mut Counter, _cycle: u64) {
+        fn prepare(&self, node: &mut Counter, cycle: u64) {
             node.prepared += 1;
+            node.log.push(("prepare", cycle));
         }
 
         fn plan(
@@ -643,15 +563,18 @@ mod tests {
 
         fn commit(
             &self,
-            _cycle: u64,
+            cycle: u64,
             plan: &ExchangePlan<()>,
             initiator: &mut Counter,
             destination: Option<&mut Counter>,
             _rng: &mut rand::rngs::StdRng,
             _scratch: &mut (),
         ) -> CommitOutcome<usize> {
+            let destination = destination.expect("ring plans are pairwise");
             initiator.initiated += 1;
-            destination.expect("ring plans are pairwise").received += 1;
+            initiator.log.push(("commit as initiator", cycle));
+            destination.received += 1;
+            destination.log.push(("commit as destination", cycle));
             let mut outcome = CommitOutcome::empty();
             outcome.charge(plan.initiator, "ring", 10);
             outcome.effect(0);
@@ -659,7 +582,9 @@ mod tests {
         }
 
         fn apply_effect(&self, world: &mut EffectContext<'_, Counter>, target: usize) {
+            let cycle = world.cycle();
             world.node_mut(target).effects += 1;
+            world.node_mut(target).log.push(("apply_effect", cycle));
             world.record_bandwidth(target, "ring-effect", 1);
         }
 
@@ -667,18 +592,21 @@ mod tests {
             Some(*effect)
         }
 
-        fn finish_cycle(&self, node: &mut Counter, _cycle: u64) {
+        fn finish_cycle(&self, node: &mut Counter, cycle: u64) {
             node.finished += 1;
+            node.log.push(("finish_cycle", cycle));
         }
 
-        fn on_crash(&self, node: &mut Counter, _cycle: u64) {
+        fn on_crash(&self, node: &mut Counter, cycle: u64) {
             node.initiated = 0;
             node.received = 0;
             node.crashes += 1;
+            node.log.push(("on_crash", cycle));
         }
 
-        fn on_restart(&self, node: &mut Counter, _cycle: u64) {
+        fn on_restart(&self, node: &mut Counter, cycle: u64) {
             node.restarts += 1;
+            node.log.push(("on_restart", cycle));
         }
     }
 
@@ -720,17 +648,21 @@ mod tests {
         }
     }
 
+    /// Every fault kind at once: drops, delays, duplicates, crashes that
+    /// restart a cycle later.
+    const COMPOSITE: FaultConfig = FaultConfig {
+        drop_rate: 0.2,
+        delay_rate: 0.2,
+        duplicate_rate: 0.1,
+        max_delay_cycles: 2,
+        crash_rate: 0.05,
+        downtime_cycles: 1,
+        fault_seed: 99,
+    };
+
     #[test]
     fn faulted_runs_match_the_simulator() {
-        let cfg = FaultConfig {
-            drop_rate: 0.2,
-            delay_rate: 0.2,
-            duplicate_rate: 0.1,
-            max_delay_cycles: 2,
-            crash_rate: 0.05,
-            downtime_cycles: 1,
-            fault_seed: 99,
-        };
+        let cfg = COMPOSITE;
         for num_actors in [1, 3, 8] {
             let mut seeded = counters(23, 7);
             let mut reference = counters(23, 7);
@@ -834,6 +766,88 @@ mod tests {
         assert_eq!(transport.nodes().count(), 10);
         for idx in 0..10 {
             assert_eq!(transport.node(idx), sim.node(idx));
+        }
+    }
+
+    /// One node's `(hook, cycle)` log.
+    type HookLog = Vec<(&'static str, u64)>;
+
+    /// The per-node hook logs of the same run on every substrate: the
+    /// simulator at 1 and 3 worker threads, its sequential oracle, and the
+    /// transport on 1, 3 and 8 actors. 600 nodes span three store shards, so
+    /// the worker substrate really fans out.
+    fn hook_logs(faults: Option<FaultConfig>) -> Vec<(String, Vec<HookLog>)> {
+        type Drive<'d> = &'d dyn Fn(&mut Simulator<Counter>, RunOptions<'_, ()>) -> Vec<Counter>;
+        let mut runs = Vec::new();
+        let mut run = |label: String, drive: Drive<'_>| {
+            let mut sim = counters(600, 7);
+            let mut plan = faults.map(FaultPlan::new);
+            let opts = RunOptions::until_complete(6);
+            let nodes = match plan.as_mut() {
+                Some(plan) => drive(&mut sim, opts.faulted(plan)),
+                None => drive(&mut sim, opts),
+            };
+            runs.push((label, nodes.into_iter().map(|node| node.log).collect()));
+        };
+        for threads in [1, 3] {
+            run(format!("simulator, {threads} thread(s)"), &|sim, opts| {
+                sim.drive(&RingProtocol, opts.threads(threads), |_, _| {});
+                sim.nodes().to_vec()
+            });
+        }
+        run("oracle".to_string(), &|sim, opts| {
+            sim.drive(&RingProtocol, opts.oracle(), |_, _| {});
+            sim.nodes().to_vec()
+        });
+        for actors in [1, 3, 8] {
+            run(format!("{actors} actor(s)"), &|sim, opts| {
+                let mut transport =
+                    TransportRuntime::from_simulator(sim, actors, DeliverySchedule::canonical());
+                transport.drive(&RingProtocol, opts);
+                transport.nodes().cloned().collect()
+            });
+        }
+        runs
+    }
+
+    #[test]
+    fn hooks_fire_in_the_same_order_on_every_substrate() {
+        let count = |log: &[(&str, u64)], hook: &str| log.iter().filter(|e| e.0 == hook).count();
+        for faults in [None, Some(COMPOSITE)] {
+            let mut runs = hook_logs(faults).into_iter();
+            let (_, reference) = runs.next().expect("the 1-thread simulator run");
+            for (label, logs) in runs {
+                for (node, (log, expected)) in logs.iter().zip(&reference).enumerate() {
+                    assert_eq!(log, expected, "{label}, faults {faults:?}: node {node}");
+                }
+            }
+
+            // What the reference itself must show, or the equality above
+            // pins nothing about these orderings.
+            if faults.is_none() {
+                // A batch's restores land before its effects: node 0 is
+                // every effect's target and (for node 599) a cross-shard
+                // destination in the second batch; an effect applied before
+                // the restore would be overwritten by it.
+                assert_eq!(count(&reference[0], "apply_effect"), 600 * 6);
+                assert_eq!(count(&reference[0], "commit as destination"), 6);
+                continue;
+            }
+            // Restarts run before crashes: some node does both in one cycle.
+            let same_cycle = |log: &[(&str, u64)], first: &str, then: &str| {
+                log.windows(2)
+                    .any(|w| w[0].0 == first && w[1].0 == then && w[0].1 == w[1].1)
+            };
+            assert!(reference
+                .iter()
+                .any(|log| same_cycle(log, "on_restart", "on_crash")));
+            assert!(!reference
+                .iter()
+                .any(|log| same_cycle(log, "on_crash", "on_restart")));
+            // `finish_cycle` reaches departed nodes: everyone logs it every
+            // cycle, including the nodes that sat some cycles out.
+            assert!(reference.iter().all(|log| count(log, "finish_cycle") == 6));
+            assert!(reference.iter().any(|log| count(log, "prepare") < 6));
         }
     }
 }
