@@ -22,6 +22,10 @@
 //!   resident byte counts are deterministic for a given seed, so growth
 //!   beyond the committed baseline is a memory regression (shrinking is
 //!   always fine and simply means the baseline can be re-blessed);
+//! * **mailbox counters** (`commands_per_cycle`, `guests_per_cycle` of
+//!   `bench_transport`) — exact equality, like the checksums: the messages
+//!   a shard layout costs are a function of the run, not of the host (the
+//!   `_per_cycle` suffix must never be mistaken for a rate);
 //! * **everything else** — exact equality (counts, labels, structure), and
 //!   keys added or removed relative to the baseline are violations; a
 //!   changed `total_actions` or mode list means the benchmark itself
@@ -731,6 +735,22 @@ mod tests {
         let baseline = obj(&[("users", Json::Number(7.0))]);
         let fresh = obj(&[("users", Json::Number(7.0)), ("p99_ms", Json::Number(9.0))]);
         assert_eq!(check(&baseline, &fresh, 4.0).len(), 1);
+    }
+
+    #[test]
+    fn mailbox_counters_are_exact() {
+        for key in ["commands_per_cycle", "guests_per_cycle"] {
+            assert_eq!(classify(key), KeyClass::Exact, "{key}");
+            let baseline = obj(&[(key, Json::Number(40.125))]);
+            assert!(check(&baseline, &baseline.clone(), 4.0).is_empty());
+            // Fewer messages still means the run changed: re-bless on purpose.
+            for fresh in [40.0, 40.25] {
+                assert_eq!(
+                    check(&baseline, &obj(&[(key, Json::Number(fresh))]), 4.0).len(),
+                    1
+                );
+            }
+        }
     }
 
     #[test]

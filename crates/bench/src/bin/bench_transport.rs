@@ -10,7 +10,10 @@
 //! pinning the fault schedule (`FaultPlan` fingerprint) as well.
 //!
 //! Emits `BENCH_transport.json`; the state/traffic checksums in it are
-//! host-independent, so the CI baseline gate treats them as exact.
+//! host-independent, so the CI baseline gate treats them as exact — and so
+//! are the mailbox counters beside them (`commands_per_cycle`,
+//! `guests_per_cycle`): what a layout costs in messages is a function of
+//! the run, so a per-pair round trip coming back fails the gate on any host.
 //!
 //! ```text
 //! cargo run --release -p p3q-bench --bin bench_transport [-- OPTIONS]
@@ -25,7 +28,9 @@
 //!                      count from P3Q_THREADS, default 3), assert it is
 //!                      byte-identical to the simulator and print the
 //!                      checksum (CI runs this under a P3Q_THREADS matrix
-//!                      and diffs the printed lines across jobs)
+//!                      and diffs the printed TRANSPORT_CHECKSUM lines
+//!                      across jobs; the layout's own mailbox counters go
+//!                      on a TRANSPORT_TRAFFIC line)
 //! ```
 
 use std::fmt::Write as _;
@@ -34,7 +39,7 @@ use std::time::Instant;
 use p3q::prelude::*;
 use p3q_bench::{HarnessArgs, World};
 use p3q_trace::Scenario;
-use p3q_transport::{DeliverySchedule, TransportRuntime};
+use p3q_transport::{DeliverySchedule, MailboxTraffic, TransportRuntime};
 
 struct Args {
     users: usize,
@@ -138,6 +143,20 @@ struct ArmResult {
     report: RunReport,
     traffic_checksum: (u64, u64),
     state_checksum: u64,
+    /// Messages exchanged with the shard actors (zero for the simulator).
+    mailbox: MailboxTraffic,
+}
+
+impl ArmResult {
+    /// Commands sent to shard actors per executed cycle.
+    fn commands_per_cycle(&self) -> f64 {
+        self.mailbox.commands as f64 / self.report.cycles_run as f64
+    }
+
+    /// Nodes moved to another shard for a commit, per executed cycle.
+    fn guests_per_cycle(&self) -> f64 {
+        self.mailbox.guests_lent as f64 / self.report.cycles_run as f64
+    }
 }
 
 fn run_simulator(
@@ -156,6 +175,7 @@ fn run_simulator(
         report,
         traffic_checksum: sim.bandwidth.totals(),
         state_checksum: state_checksum(sim.cycle(), sim.nodes(), sim.bandwidth.totals()),
+        mailbox: MailboxTraffic::default(),
     }
 }
 
@@ -178,6 +198,7 @@ fn run_transport(
         report,
         traffic_checksum: totals,
         state_checksum: state_checksum(rt.cycle(), rt.nodes(), totals),
+        mailbox: rt.traffic(),
     }
 }
 
@@ -304,6 +325,11 @@ fn run_check(args: &Args) {
         faulted_state,
         fault_fp,
     );
+    println!(
+        "TRANSPORT_TRAFFIC actors={actors} commands_per_cycle={:.3} guests_per_cycle={:.3}",
+        transport.commands_per_cycle(),
+        transport.guests_per_cycle(),
+    );
     eprintln!(
         "check passed in {:.1} s ({actors}-actor transport == simulator, faultless and faulted)",
         start.elapsed().as_secs_f64()
@@ -404,6 +430,16 @@ fn main() {
             json,
             "      \"speedup_vs_simulator\": {:.3},",
             reference.elapsed_s / arm.elapsed_s.max(1e-9)
+        );
+        let _ = writeln!(
+            json,
+            "      \"commands_per_cycle\": {:.3},",
+            arm.commands_per_cycle()
+        );
+        let _ = writeln!(
+            json,
+            "      \"guests_per_cycle\": {:.3},",
+            arm.guests_per_cycle()
         );
         let _ = writeln!(
             json,

@@ -237,6 +237,29 @@ pub struct P3qNode {
     pub tasks: LazyMap<QueryId, RemainingTask>,
 }
 
+/// A placeholder, not a user: what [`std::mem::take`] leaves in a slot while
+/// its node is moved elsewhere (a transport shard lending a node to a commit
+/// on another shard). It owns no heap memory — the empty profile is one
+/// shared allocation — and nothing may read protocol state from it.
+impl Default for P3qNode {
+    fn default() -> Self {
+        static EMPTY: OnceLock<SharedProfile> = OnceLock::new();
+        Self {
+            id: UserId(0),
+            profile: EMPTY.get_or_init(SharedProfile::default).clone(),
+            profile_version: 0,
+            digest: OnceLock::new(),
+            digest_bits: 0,
+            digest_hashes: 0,
+            storage_budget: 1,
+            personal_network: ScoredView::new(1),
+            random_view: AgedView::new(1),
+            querier_states: LazyMap::new(),
+            tasks: LazyMap::new(),
+        }
+    }
+}
+
 impl P3qNode {
     /// Creates a node.
     ///

@@ -4,7 +4,10 @@
 //! networks, random views, stored profiles, querier states, task shares
 //! and every bandwidth counter — byte-identical to the oracle mode
 //! (`RunOptions::oracle`), including under profile dynamics, churned
-//! membership and mid-run departures.
+//! membership and mid-run departures. The lazy planner — the one that
+//! reads *remote* nodes — must also emit the same plans whether it observes
+//! the population as one slice or shard by shard (`CycleContext::sharded`,
+//! the transport actors' view).
 //!
 //! Same shape as `similarity_props.rs`: random scenarios via proptest, a
 //! deliberately thorough fingerprint instead of spot checks.
@@ -15,6 +18,8 @@ use std::hash::{Hash, Hasher};
 use proptest::prelude::*;
 
 use p3q::prelude::*;
+use p3q_sim::exchange::plan_range;
+use p3q_sim::{CycleContext, ExchangePlan};
 
 /// A stable digest of one node's complete protocol state. Everything that
 /// could diverge between two runs is folded in; iteration over hash-based
@@ -269,6 +274,78 @@ proptest! {
             prop_assert_eq!(a, b, "exchange counts diverged in round {}", round);
         }
         prop_assert_eq!(sim_fingerprint(&reference), sim_fingerprint(&parallel));
+    }
+}
+
+/// What a lazy plan says, down to *which* shared digest and profile handles
+/// its remote reads captured.
+fn lazy_plan_key(plan: &ExchangePlan<LazyStep>) -> (usize, Option<usize>, u8, Vec<[usize; 4]>) {
+    let ptr = |digest: &p3q_bloom::SharedFilter| std::sync::Arc::as_ptr(digest) as usize;
+    let (kind, reads) = match &plan.payload {
+        LazyStep::Shuffle => (0, Vec::new()),
+        LazyStep::NetworkGossip => (1, Vec::new()),
+        LazyStep::Probe(candidates) => {
+            let read = |c: &p3q::lazy::ProbeCandidate| {
+                let profile = std::sync::Arc::as_ptr(&c.profile) as usize;
+                [c.peer.index(), c.version as usize, ptr(&c.digest), profile]
+            };
+            (2, candidates.iter().map(read).collect())
+        }
+        LazyStep::Rebootstrap(picks) => {
+            let read = |(peer, info): &(UserId, p3q::node::DigestInfo)| {
+                [peer.index(), info.version as usize, ptr(&info.digest), 0]
+            };
+            (3, picks.iter().map(read).collect())
+        }
+    };
+    (plan.initiator, plan.destination, kind, reads)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `LazyProtocol::plan` reads other nodes in two places — the probe
+    /// (a random-view member's digest, profile and version) and the
+    /// re-bootstrap of a node that lost its views in a crash (the digests
+    /// of random alive peers). Both must capture the very same handles
+    /// from a sharded context, ragged last shard and departed nodes
+    /// included, as from the contiguous one.
+    #[test]
+    fn lazy_plans_are_identical_from_a_sharded_context(
+        seed in 0u64..1000,
+        shard_size in 1usize..40,
+        cycle_seed in 0u64..u64::MAX,
+    ) {
+        let w = world(seed);
+        let mut sim = lazy_sim(&w, seed);
+        sim.drive(&w.cfg.lazy(), RunOptions::cycles(2), |_, _| {});
+        let n = sim.num_nodes();
+        // Every seventh node departs; every fifth of the rest comes back
+        // from a crash with empty views.
+        for idx in 0..n {
+            if idx % 7 == 3 {
+                sim.membership_mut().depart(idx);
+            } else if idx % 5 == 1 {
+                sim.node_mut(idx).crash_volatile();
+            }
+        }
+
+        let proto = w.cfg.lazy();
+        let shards: Vec<&[P3qNode]> = sim.nodes().chunks(shard_size).collect();
+        let contiguous = CycleContext::new(sim.nodes(), sim.membership(), sim.cycle());
+        let sharded = CycleContext::sharded(&shards, shard_size, sim.membership(), sim.cycle());
+        let expected = plan_range(&proto, &contiguous, cycle_seed, 0..n);
+        let plans = plan_range(&proto, &sharded, cycle_seed, 0..n);
+        let keys = |plans: &[ExchangePlan<LazyStep>]| -> Vec<_> {
+            plans.iter().map(lazy_plan_key).collect()
+        };
+        prop_assert_eq!(keys(&plans), keys(&expected));
+        for kind in [2, 3] {
+            prop_assert!(
+                expected.iter().any(|plan| lazy_plan_key(plan).2 == kind),
+                "no plan of kind {} — the remote reads went unexercised", kind
+            );
+        }
     }
 }
 

@@ -15,6 +15,8 @@
 //! * **actor crash/restart mid-run is invisible**: stopping, joining and
 //!   respawning shard actors between cycles leaves the run byte-identical
 //!   to the simulator;
+//! * **mailbox traffic is bounded by shards × batches**, never by plans, and
+//!   repeats exactly for the same run;
 //! * the end-to-end **recall** of a query gossiped over the transport
 //!   equals the simulator's (and the centralized reference's, where the
 //!   ideal-network run achieves it).
@@ -329,6 +331,52 @@ proptest! {
             "actor restarts leaked into the run (seed {})",
             seed
         );
+    }
+}
+
+/// Mailbox traffic is bounded by shards × batches, never by plans — per
+/// cycle and actor at most `Transitions`, `Prepare`, `Plan`, `FinishCycle`
+/// plus `Lend`, `Commit`, `Restore`, `Effects` per batch, answered by at
+/// most `Prepared`, `Plans`, `WantsMore` plus `Guests`, `Outcomes` per batch
+/// — and is a pure function of the run, on lazy gossip as on the runtime's
+/// own ring fixture.
+#[test]
+fn mailbox_traffic_of_a_lazy_run_is_bounded_and_repeatable() {
+    let w = world(11);
+    let cfg = w.cfg.clone();
+    let run = |actors: usize| {
+        let mut rt = TransportRuntime::from_simulator(
+            &mut lazy_sim(&w, 11),
+            actors,
+            DeliverySchedule::canonical(),
+        );
+        let actors = rt.num_actors() as u64;
+        let mut per_cycle = Vec::new();
+        for _ in 0..4 {
+            let before = rt.traffic();
+            let report = rt.drive(&cfg.lazy(), RunOptions::cycles(1)).report;
+            let after = rt.traffic();
+            let batches = report.batches as u64;
+            // Every drive ends with one `Stop` per actor.
+            let commands = after.commands - before.commands - actors;
+            let replies = after.replies - before.replies;
+            assert!(
+                report.plans as u64 > 4 + 4 * batches,
+                "a cycle worth bounding"
+            );
+            assert!(
+                commands <= actors * (4 + 4 * batches),
+                "{commands} commands"
+            );
+            assert!(replies <= actors * (3 + 2 * batches), "{replies} replies");
+            per_cycle.push(after);
+        }
+        per_cycle
+    };
+    for actors in ACTOR_COUNTS {
+        let traffic = run(actors);
+        assert_eq!(traffic, run(actors), "actors {actors}");
+        assert_eq!(traffic[3].guests_lent > 0, actors > 1, "actors {actors}");
     }
 }
 

@@ -109,10 +109,24 @@ impl<E> CommitOutcome<E> {
     }
 }
 
+/// Where a [`CycleContext`]'s nodes sit.
+#[derive(Debug, Clone, Copy)]
+enum Nodes<'a, N> {
+    /// The whole population as one slice.
+    Contiguous(&'a [N]),
+    /// The population as consecutive runs of `shard_size` nodes (the last
+    /// may be shorter), `len` nodes in all.
+    Sharded {
+        shards: &'a [&'a [N]],
+        shard_size: usize,
+        len: usize,
+    },
+}
+
 /// The read-only world a node observes while planning its step.
 #[derive(Debug, Clone, Copy)]
 pub struct CycleContext<'a, N> {
-    nodes: &'a [N],
+    nodes: Nodes<'a, N>,
     membership: &'a Membership,
     cycle: u64,
 }
@@ -121,7 +135,45 @@ impl<'a, N> CycleContext<'a, N> {
     /// Creates a context over explicit parts (the engine's constructor).
     pub fn new(nodes: &'a [N], membership: &'a Membership, cycle: u64) -> Self {
         Self {
-            nodes,
+            nodes: Nodes::Contiguous(nodes),
+            membership,
+            cycle,
+        }
+    }
+
+    /// Creates a context over a population held as `shards`: consecutive
+    /// runs of `shard_size` nodes in ascending global order, the last
+    /// possibly shorter — how a transport shard actor observes the other
+    /// shards' nodes without anyone assembling them into one slice.
+    /// Observationally the same as [`new`](Self::new) over the
+    /// concatenation.
+    ///
+    /// # Panics
+    /// Panics if `shard_size` is zero or a shard other than the last does
+    /// not hold exactly `shard_size` nodes.
+    pub fn sharded(
+        shards: &'a [&'a [N]],
+        shard_size: usize,
+        membership: &'a Membership,
+        cycle: u64,
+    ) -> Self {
+        assert!(
+            shard_size > 0,
+            "a sharded context needs a positive shard size"
+        );
+        let (last, full) = shards
+            .split_last()
+            .map_or((0, shards), |(l, f)| (l.len(), f));
+        assert!(
+            full.iter().all(|shard| shard.len() == shard_size) && last <= shard_size,
+            "every shard but the last must hold exactly {shard_size} nodes"
+        );
+        Self {
+            nodes: Nodes::Sharded {
+                shards,
+                shard_size,
+                len: full.len() * shard_size + last,
+            },
             membership,
             cycle,
         }
@@ -129,17 +181,20 @@ impl<'a, N> CycleContext<'a, N> {
 
     /// One node's state.
     pub fn node(&self, idx: usize) -> &'a N {
-        &self.nodes[idx]
-    }
-
-    /// All node states.
-    pub fn nodes(&self) -> &'a [N] {
-        self.nodes
+        match self.nodes {
+            Nodes::Contiguous(nodes) => &nodes[idx],
+            Nodes::Sharded {
+                shards, shard_size, ..
+            } => &shards[idx / shard_size][idx % shard_size],
+        }
     }
 
     /// Number of nodes (alive or departed).
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        match self.nodes {
+            Nodes::Contiguous(nodes) => nodes.len(),
+            Nodes::Sharded { len, .. } => len,
+        }
     }
 
     /// Returns `true` if node `idx` is alive this cycle.
@@ -418,6 +473,26 @@ pub fn plan_rng(cycle_seed: u64, node: usize) -> StdRng {
     ))
 }
 
+/// Plans every alive node of `range`, in ascending order, each with its own
+/// [`plan_rng`], against `world` — which must describe the whole population
+/// after this cycle's prepare phase. Concatenating the results of
+/// consecutive ranges gives the plan list of their union.
+pub fn plan_range<P: GossipProtocol>(
+    proto: &P,
+    world: &CycleContext<'_, P::Node>,
+    cycle_seed: u64,
+    range: std::ops::Range<usize>,
+) -> Vec<ExchangePlan<P::Payload>> {
+    let mut plans = Vec::new();
+    for idx in range {
+        if world.is_alive(idx) {
+            let mut rng = plan_rng(cycle_seed, idx);
+            proto.plan(world, idx, &mut rng, &mut plans);
+        }
+    }
+    plans
+}
+
 /// The RNG a commit runs with: derived from the cycle seed and the plan's
 /// position in the global plan order only.
 pub fn commit_rng(cycle_seed: u64, plan_index: usize) -> StdRng {
@@ -512,6 +587,28 @@ mod tests {
     fn effect_context_rejects_an_index_above_its_window() {
         let (mut nodes, mut bandwidth) = ([0u8; 2], BandwidthRecorder::new());
         *EffectContext::windowed(&mut nodes, &mut bandwidth, 0, 4).node_mut(6) += 1;
+    }
+
+    #[test]
+    fn sharded_context_indexes_across_a_ragged_last_shard() {
+        let membership = Membership::all_alive(5);
+        let shards: [&[u8]; 3] = [&[10, 11], &[12, 13], &[14]];
+        let world = CycleContext::sharded(&shards, 2, &membership, 0);
+        assert_eq!(world.num_nodes(), 5);
+        assert_eq!(
+            (0..5).map(|i| *world.node(i)).collect::<Vec<_>>(),
+            [10, 11, 12, 13, 14]
+        );
+        let empty = CycleContext::<u8>::sharded(&[], 2, &membership, 0);
+        assert_eq!(empty.num_nodes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "every shard but the last must hold exactly 2 nodes")]
+    fn sharded_context_rejects_a_short_inner_shard() {
+        let membership = Membership::all_alive(3);
+        let shards: [&[u8]; 2] = [&[10], &[11, 12]];
+        let _ = CycleContext::sharded(&shards, 2, &membership, 0);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! population it is [`RunOptions::oracle`](crate::RunOptions::oracle), the
 //! reference the parallel engine is pinned against; with one actor's slice
 //! it is the body of every `p3q_transport` shard actor, which adds only
-//! what a partial population needs — planning against a world it was sent
-//! ([`Shard::plan_against`]) and committing against a *guest* copy of a
-//! destination that lives elsewhere ([`Shard::commit`]).
+//! what a partial population needs — planning its range against a world
+//! that spans every shard ([`plan_range`]) and committing against a *guest*:
+//! a destination that lives elsewhere, moved in for the commit
+//! ([`Shard::commit`]).
 //!
 //! The nodes sit in a [`NodeStore`], so in debug builds every commit batch
 //! — the oracle's and an actor's alike — runs inside the store's aliasing
@@ -17,7 +18,8 @@
 use crate::bandwidth::BandwidthRecorder;
 use crate::cycle::Substrate;
 use crate::exchange::{
-    commit_rng, plan_rng, CommitOutcome, CycleContext, EffectContext, ExchangePlan, GossipProtocol,
+    commit_rng, plan_range, CommitOutcome, CycleContext, EffectContext, ExchangePlan,
+    GossipProtocol,
 };
 use crate::fault::FaultTransitions;
 use crate::membership::Membership;
@@ -36,25 +38,6 @@ impl<'a, N> Shard<'a, N> {
     /// A shard over `nodes`, the first of which has global index `base`.
     pub fn new(base: usize, nodes: &'a mut NodeStore<N>) -> Self {
         Self { base, nodes }
-    }
-
-    /// Plans every alive local node, in ascending order, against `world` —
-    /// which must describe the whole population after this cycle's prepare
-    /// phase.
-    pub fn plan_against<P: GossipProtocol<Node = N>>(
-        &self,
-        proto: &P,
-        world: &CycleContext<'_, N>,
-        cycle_seed: u64,
-    ) -> Vec<ExchangePlan<P::Payload>> {
-        let mut plans = Vec::new();
-        for idx in self.base..self.base + self.nodes.len() {
-            if world.is_alive(idx) {
-                let mut rng = plan_rng(cycle_seed, idx);
-                proto.plan(world, idx, &mut rng, &mut plans);
-            }
-        }
-        plans
     }
 
     /// Commits `jobs` — `(plan index, plan, guest)` triples of one
@@ -127,7 +110,12 @@ impl<P: GossipProtocol> Substrate<P> for Shard<'_, P::Node> {
         membership: &Membership,
     ) -> Vec<ExchangePlan<P::Payload>> {
         let world = CycleContext::new(self.nodes.as_slice(), membership, cycle);
-        self.plan_against(proto, &world, cycle_seed)
+        plan_range(
+            proto,
+            &world,
+            cycle_seed,
+            self.base..self.base + self.nodes.len(),
+        )
     }
 
     fn commit_batch(

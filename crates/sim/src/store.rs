@@ -30,20 +30,33 @@ use crate::parallel::disjoint_muts;
 /// [`NodeStore::disjoint_muts`] calls inside one batch (the sequential
 /// oracles and bespoke drivers do exactly that). The ledger stamps every
 /// node index handed out while a batch is active and panics on a re-borrow
-/// — an in-process race detector for the invariant. The whole mechanism is
-/// compiled out in release builds.
+/// — an in-process race detector for the invariant.
+///
+/// It polices loans the same way: a slot whose node was moved out by
+/// [`NodeStore::lend`] holds a placeholder until [`NodeStore::restore`], and
+/// every access that could observe or overwrite the placeholder — a mutable
+/// borrow of the slot, a second `lend`, or a view of the whole store —
+/// panics, inside a batch window or not. The whole mechanism is compiled
+/// out in release builds.
 #[cfg(debug_assertions)]
 #[derive(Debug, Clone, Default)]
 struct AliasLedger {
     /// Per-node stamp: `stamps[i] == epoch` means node `i` was already
-    /// borrowed in the active batch. Epoch stamping avoids clearing the
-    /// vector between batches.
+    /// borrowed in the active batch, [`LENT`] that it is out on loan. Epoch
+    /// stamping avoids clearing the vector between batches.
     stamps: Vec<u64>,
     /// Epoch of the current batch; bumped by every `begin_commit_batch`.
     epoch: u64,
     /// Whether a commit batch is currently active.
     active: bool,
+    /// Number of slots currently out on loan.
+    on_loan: usize,
 }
+
+/// The [`AliasLedger`] stamp of a slot whose node is out on loan (no epoch
+/// ever reaches it).
+#[cfg(debug_assertions)]
+const LENT: u64 = u64::MAX;
 
 /// Smallest shard the derived layout will produce: below this, per-shard
 /// bookkeeping outweighs any locality benefit.
@@ -105,9 +118,7 @@ impl<N> NodeStore<N> {
             );
             self.ledger.active = true;
             self.ledger.epoch += 1;
-            if self.ledger.stamps.len() < self.nodes.len() {
-                self.ledger.stamps.resize(self.nodes.len(), 0);
-            }
+            self.ledger.stamps.resize(self.nodes.len(), 0);
         }
     }
 
@@ -128,10 +139,12 @@ impl<N> NodeStore<N> {
         }
     }
 
-    /// Records a mutable borrow of node `idx` against the active batch
-    /// window (if any), panicking on a same-batch re-borrow.
+    /// Records a mutable borrow of node `idx`: panics if the node is out on
+    /// loan, and — against the active batch window, if any — on a
+    /// same-batch re-borrow.
     #[cfg(debug_assertions)]
     fn record_batch_borrow(&mut self, idx: usize) {
+        self.assert_not_lent(idx);
         if !self.ledger.active {
             return;
         }
@@ -146,6 +159,71 @@ impl<N> NodeStore<N> {
     #[cfg(not(debug_assertions))]
     #[inline(always)]
     fn record_batch_borrow(&mut self, _idx: usize) {}
+
+    /// Panics (debug builds) if node `idx` is out on loan: its slot holds a
+    /// placeholder.
+    #[cfg(debug_assertions)]
+    fn assert_not_lent(&self, idx: usize) {
+        assert!(
+            self.ledger.stamps.get(idx) != Some(&LENT),
+            "p3q aliasing sanitizer: node {idx} touched while out on loan"
+        );
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    fn assert_not_lent(&self, _idx: usize) {}
+
+    /// Panics (debug builds) if any node is out on loan: a view of the
+    /// whole store would show — or let the caller overwrite — a placeholder.
+    #[inline]
+    fn assert_none_on_loan(&self) {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.ledger.on_loan == 0,
+            "p3q aliasing sanitizer: the whole store viewed while {} node(s) are out on loan",
+            self.ledger.on_loan
+        );
+    }
+
+    /// Moves node `idx` out of the store, leaving a placeholder in its slot
+    /// until [`Self::restore`] — how a transport shard hands a node to a
+    /// commit running on another shard without copying it. Until then the
+    /// slot must not be touched (debug builds: the sanitizer panics on a
+    /// mutable borrow of it, a second `lend`, or a whole-store view).
+    pub fn lend(&mut self, idx: usize) -> N
+    where
+        N: Default,
+    {
+        #[cfg(debug_assertions)]
+        {
+            self.ledger.stamps.resize(self.nodes.len(), 0);
+            assert!(
+                self.ledger.stamps[idx] != LENT,
+                "p3q aliasing sanitizer: node {idx} lent twice without a restore"
+            );
+            self.ledger.stamps[idx] = LENT;
+            self.ledger.on_loan += 1;
+        }
+        std::mem::take(&mut self.nodes[idx])
+    }
+
+    /// Moves a node lent by [`Self::lend`] back into its slot.
+    ///
+    /// # Panics
+    /// Panics (debug builds) if node `idx` is not out on loan.
+    pub fn restore(&mut self, idx: usize, node: N) {
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                self.ledger.stamps.get(idx) == Some(&LENT),
+                "p3q aliasing sanitizer: node {idx} restored without being on loan"
+            );
+            self.ledger.stamps[idx] = 0;
+            self.ledger.on_loan -= 1;
+        }
+        self.nodes[idx] = node;
+    }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
@@ -174,6 +252,7 @@ impl<N> NodeStore<N> {
 
     /// One node.
     pub fn get(&self, idx: usize) -> &N {
+        self.assert_not_lent(idx);
         &self.nodes[idx]
     }
 
@@ -186,11 +265,13 @@ impl<N> NodeStore<N> {
     /// All nodes as one contiguous slice (the read-only snapshot the plan
     /// phase observes).
     pub fn as_slice(&self) -> &[N] {
+        self.assert_none_on_loan();
         &self.nodes
     }
 
     /// All nodes as one contiguous mutable slice.
     pub fn as_mut_slice(&mut self) -> &mut [N] {
+        self.assert_none_on_loan();
         &mut self.nodes
     }
 
@@ -282,6 +363,7 @@ impl<N> From<Vec<N>> for NodeStore<N> {
 
 impl<N> From<NodeStore<N>> for Vec<N> {
     fn from(store: NodeStore<N>) -> Self {
+        store.assert_none_on_loan();
         store.nodes
     }
 }
@@ -359,6 +441,17 @@ mod tests {
     }
 
     #[test]
+    fn lend_moves_the_node_out_and_restore_moves_it_back() {
+        let mut store: NodeStore<String> = NodeStore::new(vec!["a".into(), "b".into()]);
+        let mut guest = store.lend(1);
+        assert_eq!(guest, "b");
+        guest.push('!');
+        *store.get_mut(0) = "c".into();
+        store.restore(1, guest);
+        assert_eq!(store.as_slice(), ["c", "b!"]);
+    }
+
+    #[test]
     fn empty_store_is_sane() {
         let mut store: NodeStore<u8> = NodeStore::new(Vec::new());
         assert!(store.is_empty());
@@ -423,6 +516,53 @@ mod tests {
             let _ = store.get_mut(1);
             store.end_commit_batch();
             let _ = store.get_mut(1);
+        }
+
+        #[test]
+        #[should_panic(expected = "node 2 lent twice")]
+        fn double_lend_panics() {
+            let mut store: NodeStore<u8> = NodeStore::new(vec![0; 4]);
+            let _ = store.lend(2);
+            let _ = store.lend(2);
+        }
+
+        #[test]
+        #[should_panic(expected = "node 2 touched while out on loan")]
+        fn mutable_borrow_of_a_lent_node_panics() {
+            let mut store: NodeStore<u8> = NodeStore::new(vec![0; 4]);
+            let _ = store.lend(2);
+            let _ = store.pair_mut(1, 2);
+        }
+
+        #[test]
+        #[should_panic(expected = "whole store viewed while 1 node(s) are out on loan")]
+        fn whole_store_view_with_a_node_on_loan_panics() {
+            // The shape of an effect applied before its batch's restores:
+            // `Shard::effects` windows the whole store.
+            let mut store: NodeStore<u8> = NodeStore::new(vec![0; 4]);
+            let _ = store.lend(2);
+            let _ = store.as_mut_slice();
+        }
+
+        #[test]
+        #[should_panic(expected = "node 2 restored without being on loan")]
+        fn restore_without_a_loan_panics() {
+            let mut store: NodeStore<u8> = NodeStore::new(vec![0; 4]);
+            store.restore(2, 7);
+        }
+
+        #[test]
+        fn a_restored_node_is_borrowable_again() {
+            let mut store: NodeStore<u8> = NodeStore::new(vec![0; 4]);
+            let guest = store.lend(2);
+            store.begin_commit_batch();
+            let _ = store.pair_mut(0, 1);
+            store.end_commit_batch();
+            store.restore(2, guest + 1);
+            store.begin_commit_batch();
+            assert_eq!(*store.get_mut(2), 1);
+            store.end_commit_batch();
+            let _ = store.lend(2);
         }
 
         #[test]

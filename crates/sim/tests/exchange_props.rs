@@ -3,15 +3,19 @@
 //! steps, third-party effects, order-sensitive node state) must behave
 //! byte-identically between the parallel drive (any thread count) and the
 //! sequential oracle mode, under churn, and the conflict-free batching must
-//! never place one node in two exchanges of the same batch.
+//! never place one node in two exchanges of the same batch. A population
+//! observed shard by shard (`CycleContext::sharded`, the transport actors'
+//! view) must be the population observed as one slice.
 
 use proptest::prelude::*;
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use p3q_sim::exchange::plan_range;
 use p3q_sim::{
-    conflict_free_batches, CommitOutcome, CycleContext, ExchangePlan, GossipProtocol, Simulator,
+    conflict_free_batches, CommitOutcome, CycleContext, ExchangePlan, GossipProtocol, Membership,
+    Simulator,
 };
 
 /// Node state whose value depends on the *order* mutations are applied in
@@ -160,6 +164,42 @@ proptest! {
                 parallel.bandwidth.node_messages(idx, "chaos-effect")
             );
         }
+    }
+
+    #[test]
+    fn the_sharded_context_is_the_contiguous_one(
+        n in 1usize..200,
+        shard_size in 1usize..64,
+        crashed in prop::collection::vec(0usize..200, 0..40),
+        seed in 0u64..10_000,
+    ) {
+        let nodes: Vec<Node> = (0..n as u64).map(|state| Node { state, log: Vec::new() }).collect();
+        let mut membership = Membership::all_alive(n);
+        for idx in crashed {
+            membership.depart(idx % n);
+        }
+        // `chunks` leaves a ragged last shard whenever `shard_size ∤ n`.
+        let shards: Vec<&[Node]> = nodes.chunks(shard_size).collect();
+        let contiguous = CycleContext::new(&nodes, &membership, 3);
+        let sharded = CycleContext::sharded(&shards, shard_size, &membership, 3);
+        prop_assert_eq!(sharded.num_nodes(), contiguous.num_nodes());
+        prop_assert_eq!(sharded.cycle(), contiguous.cycle());
+        for idx in 0..n {
+            prop_assert!(std::ptr::eq(sharded.node(idx), contiguous.node(idx)), "node {}", idx);
+            prop_assert_eq!(sharded.is_alive(idx), contiguous.is_alive(idx));
+        }
+
+        // Planning shard by shard against the sharded view concatenates
+        // into planning the whole population against the slice.
+        let key = |plan: ExchangePlan<u64>| (plan.initiator, plan.destination, plan.payload);
+        let whole = plan_range(&ChaosProtocol, &contiguous, seed, 0..n);
+        let by_shard = (0..n).step_by(shard_size).flat_map(|base| {
+            plan_range(&ChaosProtocol, &sharded, seed, base..(base + shard_size).min(n))
+        });
+        prop_assert_eq!(
+            by_shard.map(key).collect::<Vec<_>>(),
+            whole.into_iter().map(key).collect::<Vec<_>>()
+        );
     }
 
     #[test]

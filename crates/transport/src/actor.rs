@@ -3,27 +3,55 @@
 //!
 //! An actor holds `nodes[base .. base + len]` of the global population —
 //! as a [`Shard`], the sequential substrate that is also the simulator's
-//! oracle mode, so every phase below is one call into it — and never
-//! touches anything else. All coordination flows through two FIFO
+//! oracle mode, so every mutating phase below is one call into it — and
+//! never writes anything else. All coordination flows through two FIFO
 //! mailboxes (see [`crate::mailbox`]): commands arrive from the sequencer as
 //! [`ToShard`] messages, replies go back as [`FromShard`]. The actor has a
 //! single sender (the sequencer), so the order it observes commands in *is*
 //! the sequencer's send order — the runtime leans on that to guarantee, for
-//! example, that a guest node's [`ToShard::Restore`] lands before any
-//! [`ToShard::Effect`] of a later plan reads it.
+//! example, that a batch's [`ToShard::Restore`] lands before the
+//! [`ToShard::Effects`] that may touch the restored nodes.
 //!
-//! The protocol per cycle, in the order the sequencer sends it:
-//! `Transitions` (crash/restart hooks) → `Prepare` (per-node bookkeeping,
-//! replies with a state snapshot) → `Plan` (read-only planning against the
-//! assembled world, replies with the shard's plans) → per batch: `Extract`
-//! (lend a guest copy of a node to a remote initiator) / `Commit` (execute
-//! plans whose initiator is local) / `Restore` (write back a mutated guest)
-//! / `Effect` (apply a routed third-party effect) → `FinishCycle`
-//! (end-of-cycle hooks, replies whether any alive local wants more) →
-//! eventually `Stop`, returning the shard's state to the sequencer.
+//! Every command carries a whole phase's (or a whole batch's) work for this
+//! shard, so a cycle costs a number of messages proportional to the number
+//! of shards and batches, never to the number of plans. Per cycle, in the
+//! order the sequencer sends it:
+//!
+//! * `Transitions` — crash/restart hooks, only to shards that own a
+//!   transitioned node;
+//! * `Prepare` — per-node bookkeeping; replies with a [`Lease`] on the
+//!   shard's post-prepare nodes;
+//! * `Plan` — read-only planning of the shard's own range against every
+//!   shard's lease; replies with the shard's plans *after* dropping the
+//!   leases it was sent;
+//! * per conflict-free batch: `Lend` (move out the locals that are
+//!   destinations of commits on other shards; replies with them) →
+//!   `Commit` (execute the plans whose initiator is local, guests standing
+//!   in for remote destinations; replies with outcomes and the mutated
+//!   guests) → `Restore` (move the shard's own lent nodes back in) →
+//!   `Effects` (apply the batch's third-party effects routed here) — each
+//!   only to the shards that have such work, at most once per batch;
+//! * `FinishCycle` — end-of-cycle hooks; replies whether any alive local
+//!   wants more;
+//!
+//! and eventually `Stop`, returning the shard's state to the sequencer.
+//!
+//! # The plan-phase read lease
+//!
+//! Planning reads *remote* state (a lazy planner probes and re-bootstraps
+//! from other nodes), so every shard must see every other shard's
+//! post-prepare nodes. The actor keeps its [`NodeStore`] in an [`Arc`] and a
+//! [`Lease`] is a clone of that handle: the in-process form of a read-only
+//! snapshot, valid because nothing mutates between `Prepare` and the last
+//! `Plans` reply. (A socket backend would ship the bytes a plan reads
+//! instead; nothing else in this protocol shares memory.) Every mutating
+//! command re-takes exclusive access with [`Arc::get_mut`] and panics,
+//! naming the command, if a lease is still out — so "all leases are back
+//! before the first write" is checked on every write, not assumed.
 
 use std::sync::Arc;
 
+use p3q_sim::exchange::plan_range;
 use p3q_sim::{
     BandwidthRecorder, CommitOutcome, CycleContext, ExchangePlan, FaultTransitions, GossipProtocol,
     Membership, NodeStore, Shard, Substrate,
@@ -31,18 +59,22 @@ use p3q_sim::{
 
 use crate::mailbox::{MailboxReceiver, MailboxSender};
 
+/// Read access to one shard's nodes for the plan phase (see the module
+/// docs); must be dropped before the shard's next mutating command.
+pub type Lease<N> = Arc<NodeStore<N>>;
+
 /// One commit assigned to the initiator's shard: the plan, its index in the
 /// cycle's global plan order (fixing its RNG stream), and — when the
-/// destination lives on another shard — a guest copy of the destination
-/// node, extracted by the sequencer via [`ToShard::Extract`].
+/// destination lives on another shard — the destination node itself, lent
+/// by its owner via [`ToShard::Lend`].
 #[derive(Debug)]
 pub struct CommitJob<N, Pl> {
     /// The planned exchange to execute.
     pub plan: ExchangePlan<Pl>,
     /// Position in the cycle's global plan order.
     pub plan_idx: usize,
-    /// Guest copy of the remote destination, if the destination is not
-    /// local to the committing shard.
+    /// The remote destination, if the destination is not local to the
+    /// committing shard.
     pub guest: Option<N>,
 }
 
@@ -68,36 +100,35 @@ pub enum ToShard<N, Pl, E> {
     Transitions {
         /// The executing cycle.
         cycle: u64,
-        /// Local nodes that just rejoined.
-        restarted: Vec<usize>,
-        /// Local nodes that just crashed.
-        crashed: Vec<usize>,
+        /// The local nodes that just rejoined or crashed.
+        transitions: FaultTransitions,
     },
     /// Run per-node preparation on alive locals, then reply with a
-    /// [`FromShard::Snapshot`] of the shard's post-prepare state.
+    /// [`FromShard::Prepared`] lease on the shard's post-prepare state.
     Prepare {
         /// The executing cycle.
         cycle: u64,
         /// Who is alive this cycle.
         membership: Arc<Membership>,
     },
-    /// Plan all alive locals against the assembled world snapshot; reply
-    /// with [`FromShard::Plans`].
+    /// Plan all alive locals against the whole post-prepare population;
+    /// drop `world`, then reply with [`FromShard::Plans`].
     Plan {
         /// The executing cycle.
         cycle: u64,
         /// The cycle seed all per-node plan RNGs derive from.
         cycle_seed: u64,
-        /// Post-prepare snapshot of the entire population.
-        world: Arc<Vec<N>>,
+        /// Every shard's lease, in ascending shard order.
+        world: Vec<Lease<N>>,
         /// Who is alive this cycle.
         membership: Arc<Membership>,
     },
-    /// Reply with a [`FromShard::Guest`] copy of the local node at this
-    /// global index (it is about to be a remote commit's destination).
-    Extract {
-        /// Global index of the node to copy out.
-        node: usize,
+    /// Move the local nodes at these global indices out (each is about to
+    /// be the destination of a commit on another shard); reply with
+    /// [`FromShard::Guests`].
+    Lend {
+        /// Global indices of the nodes to lend, in batch order.
+        nodes: Vec<usize>,
     },
     /// Execute the given jobs (all initiators local, in ascending plan
     /// order); reply with [`FromShard::Outcomes`].
@@ -109,21 +140,17 @@ pub enum ToShard<N, Pl, E> {
         /// The jobs to run, ascending by `plan_idx`.
         jobs: Vec<CommitJob<N, Pl>>,
     },
-    /// Write back the post-commit state of a local node that served as a
-    /// remote commit's guest.
-    Restore {
-        /// Global index of the node to overwrite.
-        node: usize,
-        /// Its post-commit state.
-        state: N,
-    },
-    /// Apply one third-party effect routed to this shard (its target is
-    /// local); bandwidth it records lands in the shard's local recorder.
-    Effect {
+    /// Move back the local nodes lent for this batch, each in its
+    /// post-commit state, by global index.
+    Restore(Vec<(usize, N)>),
+    /// Apply one batch's third-party effects routed to this shard (their
+    /// targets are local), in the order given; bandwidth they record lands
+    /// in the shard's local recorder.
+    Effects {
         /// The committing (pre-increment) cycle.
         cycle: u64,
-        /// The effect to apply.
-        effect: E,
+        /// The effects to apply, in plan order.
+        effects: Vec<E>,
     },
     /// Run end-of-cycle bookkeeping on **all** locals (departed included);
     /// reply with [`FromShard::WantsMore`] over the alive ones.
@@ -140,13 +167,15 @@ pub enum ToShard<N, Pl, E> {
 /// Replies a shard actor sends the sequencer.
 #[derive(Debug)]
 pub enum FromShard<N, Pl, E> {
-    /// Reply to [`ToShard::Prepare`]: the shard's post-prepare node states.
-    Snapshot(Vec<N>),
+    /// Reply to [`ToShard::Prepare`]: a lease on the shard's post-prepare
+    /// nodes.
+    Prepared(Lease<N>),
     /// Reply to [`ToShard::Plan`]: plans of the shard's alive locals, in
-    /// ascending initiator order.
+    /// ascending initiator order. Sent after the actor dropped every lease
+    /// the command carried.
     Plans(Vec<ExchangePlan<Pl>>),
-    /// Reply to [`ToShard::Extract`]: a copy of the requested node.
-    Guest(N),
+    /// Reply to [`ToShard::Lend`]: the requested nodes, in request order.
+    Guests(Vec<N>),
     /// Reply to [`ToShard::Commit`]: one outcome per job, ascending by
     /// `plan_idx`.
     Outcomes(Vec<JobOutcome<N, E>>),
@@ -169,38 +198,46 @@ pub(crate) type Reply<P> = FromShard<
     <P as GossipProtocol>::Effect,
 >;
 
-/// The shard actor body: a [`Shard`] over the actor's nodes, driven by
-/// commands until [`ToShard::Stop`] (or a hangup); then returns the node
-/// states and the shard-local bandwidth recorder for the sequencer to
-/// reassemble and merge.
+/// Exclusive access to the actor's store for the mutating `command`.
+///
+/// # Panics
+/// Panics if a plan-phase [`Lease`] on the store is still out.
+fn exclusive<'a, N>(store: &'a mut Lease<N>, command: &str) -> &'a mut NodeStore<N> {
+    Arc::get_mut(store)
+        .unwrap_or_else(|| panic!("{command} reached a shard whose plan-phase lease is still out"))
+}
+
+/// The shard actor body: a [`Shard`] over the actor's nodes — shard `s` of
+/// a population split into runs of `shard_size` — driven by commands until
+/// [`ToShard::Stop`] (or a hangup); then returns the node states and the
+/// shard-local bandwidth recorder for the sequencer to reassemble and
+/// merge.
 pub(crate) fn run_actor<P>(
     proto: &P,
-    base: usize,
+    s: usize,
+    shard_size: usize,
     nodes: Vec<P::Node>,
     rx: impl MailboxReceiver<Command<P>>,
     tx: impl MailboxSender<Reply<P>>,
 ) -> (Vec<P::Node>, BandwidthRecorder)
 where
     P: GossipProtocol,
-    P::Node: Clone,
+    P::Node: Default,
 {
-    let mut store = NodeStore::new(nodes);
+    let base = s * shard_size;
+    let mut store: Lease<P::Node> = Arc::new(NodeStore::new(nodes));
     let mut bandwidth = BandwidthRecorder::new();
     while let Ok(msg) = rx.recv() {
-        let mut shard = Shard::new(base, &mut store);
         let reply = match msg {
-            ToShard::Transitions {
-                cycle,
-                restarted,
-                crashed,
-            } => {
-                let transitions = FaultTransitions { crashed, restarted };
+            ToShard::Transitions { cycle, transitions } => {
+                let mut shard = Shard::new(base, exclusive(&mut store, "Transitions"));
                 shard.transitions(proto, cycle, &transitions);
                 continue;
             }
             ToShard::Prepare { cycle, membership } => {
+                let mut shard = Shard::new(base, exclusive(&mut store, "Prepare"));
                 shard.prepare(proto, cycle, &membership);
-                FromShard::Snapshot(store.as_slice().to_vec())
+                FromShard::Prepared(store.clone())
             }
             ToShard::Plan {
                 cycle,
@@ -208,15 +245,25 @@ where
                 world,
                 membership,
             } => {
-                let world = CycleContext::new(&world, &membership, cycle);
-                FromShard::Plans(shard.plan_against(proto, &world, cycle_seed))
+                let shards: Vec<&[P::Node]> = world.iter().map(|lease| lease.as_slice()).collect();
+                let context = CycleContext::sharded(&shards, shard_size, &membership, cycle);
+                let range = base..base + store.len();
+                let plans = plan_range(proto, &context, cycle_seed, range);
+                // Back before the reply, so that once the sequencer holds
+                // every shard's `Plans` no actor holds a lease.
+                drop(world);
+                FromShard::Plans(plans)
             }
-            ToShard::Extract { node } => FromShard::Guest(store.get(node - base).clone()),
+            ToShard::Lend { nodes } => {
+                let store = exclusive(&mut store, "Lend");
+                FromShard::Guests(nodes.iter().map(|&idx| store.lend(idx - base)).collect())
+            }
             ToShard::Commit {
                 cycle,
                 cycle_seed,
                 mut jobs,
             } => {
+                let mut shard = Shard::new(base, exclusive(&mut store, "Commit"));
                 let work = jobs
                     .iter_mut()
                     .map(|job| (job.plan_idx, &job.plan, job.guest.as_mut()));
@@ -231,15 +278,20 @@ where
                     });
                 FromShard::Outcomes(done.collect())
             }
-            ToShard::Restore { node, state } => {
-                *store.get_mut(node - base) = state;
+            ToShard::Restore(guests) => {
+                let store = exclusive(&mut store, "Restore");
+                for (idx, node) in guests {
+                    store.restore(idx - base, node);
+                }
                 continue;
             }
-            ToShard::Effect { cycle, effect } => {
-                shard.effects(proto, cycle, [effect], &mut bandwidth);
+            ToShard::Effects { cycle, effects } => {
+                let mut shard = Shard::new(base, exclusive(&mut store, "Effects"));
+                shard.effects(proto, cycle, effects, &mut bandwidth);
                 continue;
             }
             ToShard::FinishCycle { cycle, membership } => {
+                let mut shard = Shard::new(base, exclusive(&mut store, "FinishCycle"));
                 FromShard::WantsMore(shard.finish(proto, cycle, Some(&membership)))
             }
             ToShard::Stop => break,
@@ -248,5 +300,7 @@ where
             break;
         }
     }
+    let store =
+        Arc::into_inner(store).expect("a shard stopped with its plan-phase lease still out");
     (store.into(), bandwidth)
 }

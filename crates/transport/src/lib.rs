@@ -30,11 +30,32 @@
 //! in through one mailbox, replies out through another. The sequencer is
 //! the single sender on every command mailbox, so each actor observes
 //! commands in exactly the order the sequencer issued them — the whole
-//! coordination story is "FIFO per mailbox, single writer", no locks, no
-//! shared state. Cross-shard exchanges move node state as *values*: the
-//! destination's shard lends a guest copy, the initiator's shard commits
-//! against it, and the sequencer routes the mutated guest home before
-//! anything else may observe it.
+//! coordination story is "FIFO per mailbox, single writer", no locks.
+//!
+//! Messages are per shard and phase, never per exchange — P3Q's own gossip
+//! is batched the same way, one message carrying `r` digests or a whole
+//! remaining list. A cycle is `Transitions` → `Prepare` → `Plan`, then per
+//! conflict-free batch `Lend` → `Commit` → `Restore` → `Effects`, then
+//! `FinishCycle`: at most one command of each kind per shard, so a cycle
+//! costs at most `actors × (4 + 4 × batches)` commands and
+//! `actors × (3 + 2 × batches)` replies however many plans it holds
+//! ([`TransportRuntime::traffic`] counts them, and the suites pin the
+//! bound). Cross-shard exchanges move node state as *values*, by move: the
+//! destination's shard lends the node itself, the initiator's shard commits
+//! against it, and the sequencer routes it home before anything else may
+//! observe it — nothing is copied and nothing is dropped on the commit
+//! path.
+//!
+//! The one thing actors share is read access during planning. A lazy
+//! planner reads other nodes (it probes, and re-bootstraps after a crash),
+//! so every shard plans against every shard's post-prepare state. Each
+//! actor answers `Prepare` with a *lease* — a shared handle on its node
+//! store — the sequencer hands all leases to all actors with `Plan`, and
+//! every handle is dropped before the first mutating command of the cycle
+//! is sent; an actor that finds a lease still out when it is asked to
+//! mutate panics. The lease is the in-process form of a read-only
+//! snapshot: a backend whose actors do not share an address space would
+//! ship the bytes a plan reads instead, behind the same two commands.
 //!
 //! # Determinism
 //!
@@ -43,10 +64,12 @@
 //! counts, fault stream consumption. Plan order, fault filtering, batching
 //! and apply order are the simulator's because the sequencer is; what the
 //! mailbox substrate itself must keep — RNG streams by index, guest
-//! isolation, FIFO restore-before-effect, commutative recorder merge — is
-//! spelled out at the runtime's module docs, and the property suites in
-//! `crates/core` pin the equality across protocols, shard layouts, fault
-//! mixes and `P3Q_THREADS` settings. Failure of an actor (a scheduled
+//! isolation (by move, and checked by the node store's debug sanitizer),
+//! FIFO restore-before-effect and effect-before-next-lend, leases returned
+//! before the first write, commutative recorder merge — is spelled out at
+//! the runtime's module docs, and the property suites in `crates/core` pin
+//! the equality across protocols, shard layouts, fault mixes and
+//! `P3Q_THREADS` settings. Failure of an actor (a scheduled
 //! stop-and-respawn, see [`TransportRuntime::schedule_actor_restart`]) is
 //! an infrastructure fault: shard state survives the hop, so protocol
 //! output is unaffected — protocol-level faults (lost messages, node
@@ -62,5 +85,5 @@ mod runtime;
 mod schedule;
 
 pub use mailbox::{InProcess, MailboxClosed, MailboxReceiver, MailboxSender, Transport};
-pub use runtime::TransportRuntime;
+pub use runtime::{MailboxTraffic, TransportRuntime};
 pub use schedule::DeliverySchedule;

@@ -8,12 +8,13 @@
 //! executes, and every actor body is the simulator oracle's sequential
 //! [`Shard`](p3q_sim::Shard). What this module adds is the mailbox
 //! [`Substrate`]: each phase as the sends and receives that make the
-//! actors run it.
+//! actors run it — one command per shard per phase (per batch, inside the
+//! commit phase), never one per plan; [`MailboxTraffic`] counts them.
 //!
 //! # What is still an argument
 //!
 //! Sharing the sequencer makes most of "byte-identical to the simulator"
-//! hold by construction. Four properties remain the mailbox substrate's
+//! hold by construction. Five properties remain the mailbox substrate's
 //! own to keep:
 //!
 //! * **RNG streams by index** — the runtime owns a clone of the
@@ -24,14 +25,31 @@
 //!   and plan their alive locals in ascending order, so gathering
 //!   announcements in ascending shard order (the canonical schedule)
 //!   concatenates into the simulator's plan list.
-//! * **Guest isolation** — within a batch no node appears twice, so a
-//!   cross-shard destination can travel as a *guest* value (extract →
-//!   commit → restore) which nothing else observes until it is restored.
-//! * **FIFO restore-before-effect** — all of a batch's guests are sent
-//!   home before `commit_batch` returns, i.e. before the sequencer routes
-//!   any of the batch's effects. Per-shard mailboxes are FIFO with one
-//!   sender, so a shard always sees restore-before-effect and
-//!   effect-before-next-batch-extract.
+//! * **Guest isolation, by move** — a cross-shard destination is not
+//!   copied: its owner moves it out of its slot
+//!   ([`NodeStore::lend`](p3q_sim::NodeStore::lend)), the initiator's shard
+//!   commits against it, and the owner moves it back in
+//!   ([`NodeStore::restore`](p3q_sim::NodeStore::restore)). There is only
+//!   ever one version of the node, and that nothing touches the vacated
+//!   slot in between is not argued but checked: in debug builds the store's
+//!   aliasing sanitizer panics on a borrow of a lent slot, a second lend, or
+//!   an effect applied while anything is still on loan. What stays an
+//!   argument is why the checks never fire: within a conflict-free batch no
+//!   node appears twice, and the per-mailbox order below.
+//! * **FIFO restore-before-effect, effect-before-next-lend** — every shard
+//!   sees, per batch, `Lend` → `Commit` → `Restore` → `Effects`, each at
+//!   most once. A batch's `Restore`s are all sent before `commit_batch`
+//!   returns, i.e. before the sequencer routes any of the batch's effects;
+//!   those are buffered per target shard and flushed before the next
+//!   batch's first `Lend` (and before `FinishCycle`). Per-shard mailboxes
+//!   are FIFO with one sender, so send order is the order a shard acts in.
+//! * **Leases are returned before the first mutating command is *sent*** —
+//!   planning reads every shard's nodes through a [`Lease`] (see
+//!   [`crate::actor`]): actors drop the handles they were sent before
+//!   replying `Plans`, and the sequencer drops its own after gathering
+//!   every shard's reply, so when the cycle's first `Lend`/`Commit` (or
+//!   `FinishCycle`) goes out no handle but each owner's exists. An actor
+//!   checks exactly that on every mutating command and panics otherwise.
 //! * **Commutative recorder merge** — commit charges land in the master
 //!   recorder at the committing cycle; effect-recorded bandwidth lands in
 //!   shard-local recorders merged in when an actor stops. Recorder merge
@@ -50,12 +68,27 @@ use p3q_sim::{
     Membership, RunOptions, RunReport, RunState, Sequencer, Simulator, Substrate,
 };
 
-use crate::actor::{run_actor, Command, CommitJob, FromShard, JobOutcome, Reply, ToShard};
+use crate::actor::{run_actor, Command, CommitJob, FromShard, JobOutcome, Lease, Reply, ToShard};
 use crate::mailbox::{InProcess, MailboxReceiver, MailboxSender, Transport};
 use crate::schedule::DeliverySchedule;
 
 /// Sequencer-side panic message when a shard actor's mailbox hangs up.
 const ACTOR_GONE: &str = "shard actor hung up (it panicked or was stopped)";
+
+/// How many messages a runtime has exchanged with its shard actors, counted
+/// where the sequencer sends and receives them. A pure function of the run
+/// — seed, population, actor count, schedule, options — and of nothing the
+/// host does, so a test can bound it: every phase costs a number of
+/// messages proportional to the number of shards, not of plans.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MailboxTraffic {
+    /// Commands sent to shard actors, each `Stop` included.
+    pub commands: u64,
+    /// Replies received from shard actors.
+    pub replies: u64,
+    /// Nodes moved to another shard for one commit and back.
+    pub guests_lent: u64,
+}
 
 /// One live shard actor, sequencer side: its command mailbox, its reply
 /// mailbox and the handle that returns its state on shutdown.
@@ -63,22 +96,6 @@ struct ActorHandle<'scope, P: GossipProtocol, T: Transport> {
     tx: T::Sender<Command<P>>,
     reply: T::Receiver<Reply<P>>,
     join: thread::ScopedJoinHandle<'scope, (Vec<P::Node>, BandwidthRecorder)>,
-}
-
-impl<P: GossipProtocol, T: Transport> ActorHandle<'_, P, T> {
-    fn send(&self, msg: Command<P>) {
-        self.tx.send(msg).expect(ACTOR_GONE);
-    }
-
-    fn recv(&self) -> Reply<P> {
-        self.reply.recv().expect(ACTOR_GONE)
-    }
-
-    /// Stops the actor and takes back its nodes and shard-local recorder.
-    fn stop(self) -> (Vec<P::Node>, BandwidthRecorder) {
-        self.send(ToShard::Stop);
-        self.join.join().expect("shard actor panicked")
-    }
 }
 
 /// The mailbox substrate: every phase of the cycle as the messages that
@@ -89,11 +106,65 @@ struct Mailboxes<'scope, P: GossipProtocol, T: Transport> {
     actors: Vec<ActorHandle<'scope, P, T>>,
     shard_size: usize,
     schedule: DeliverySchedule,
-    /// The cycle's membership, frozen after its fault transitions.
+    /// The membership as the actors share it: a copy of the run's, made
+    /// again only after fault transitions changed who is alive.
     alive: Arc<Membership>,
-    /// The post-prepare snapshot of the whole population, assembled by
-    /// `prepare` for `plan` to broadcast.
-    world: Arc<Vec<P::Node>>,
+    alive_is_stale: bool,
+    /// Every shard's post-prepare lease, gathered by `prepare` for `plan`
+    /// to hand round.
+    leases: Vec<Lease<P::Node>>,
+    /// The last committed batch's effects by target shard, in plan order,
+    /// until `flush_effects` sends them, and the cycle they belong to.
+    outbox: Vec<Vec<P::Effect>>,
+    outbox_cycle: u64,
+    traffic: MailboxTraffic,
+}
+
+impl<P: GossipProtocol, T: Transport> Mailboxes<'_, P, T> {
+    fn send(&mut self, s: usize, command: Command<P>) {
+        self.traffic.commands += 1;
+        self.actors[s].tx.send(command).expect(ACTOR_GONE);
+    }
+
+    fn recv(&mut self, s: usize) -> Reply<P> {
+        self.traffic.replies += 1;
+        self.actors[s].reply.recv().expect(ACTOR_GONE)
+    }
+
+    /// Sends each `(shard, command)` — all of them before waiting on any,
+    /// so the shards work concurrently — then gathers one reply per
+    /// command, in the order sent.
+    fn round_trip(
+        &mut self,
+        commands: impl IntoIterator<Item = (usize, Command<P>)>,
+    ) -> Vec<(usize, Reply<P>)> {
+        let mut asked = Vec::new();
+        for (s, command) in commands {
+            self.send(s, command);
+            asked.push(s);
+        }
+        asked.into_iter().map(|s| (s, self.recv(s))).collect()
+    }
+
+    /// Sends every shard the buffered effects that target it, as one
+    /// command each.
+    fn flush_effects(&mut self) {
+        for s in 0..self.outbox.len() {
+            if !self.outbox[s].is_empty() {
+                let effects = std::mem::take(&mut self.outbox[s]);
+                let cycle = self.outbox_cycle;
+                self.send(s, ToShard::Effects { cycle, effects });
+            }
+        }
+    }
+
+    /// Stops an actor (already taken out of `actors`) and takes back its
+    /// nodes and shard-local recorder.
+    fn stop(&mut self, actor: ActorHandle<'_, P, T>) -> (Vec<P::Node>, BandwidthRecorder) {
+        self.traffic.commands += 1;
+        actor.tx.send(ToShard::Stop).expect(ACTOR_GONE);
+        actor.join.join().expect("shard actor panicked")
+    }
 }
 
 impl<P, T> Substrate<P> for Mailboxes<'_, P, T>
@@ -105,44 +176,46 @@ where
     /// Sends every shard the transitions of its own nodes; hooks run
     /// in-shard, restarts before crashes.
     fn transitions(&mut self, _proto: &P, cycle: u64, transitions: &FaultTransitions) {
-        for (s, actor) in self.actors.iter().enumerate() {
-            let local = |nodes: &[usize]| -> Vec<usize> {
-                let owned = nodes.iter().filter(|&&idx| idx / self.shard_size == s);
-                owned.copied().collect()
-            };
-            let restarted = local(&transitions.restarted);
-            let crashed = local(&transitions.crashed);
-            if !(restarted.is_empty() && crashed.is_empty()) {
-                actor.send(ToShard::Transitions {
-                    cycle,
-                    restarted,
-                    crashed,
-                });
+        let mut local = vec![FaultTransitions::default(); self.actors.len()];
+        for &idx in &transitions.restarted {
+            local[idx / self.shard_size].restarted.push(idx);
+        }
+        for &idx in &transitions.crashed {
+            local[idx / self.shard_size].crashed.push(idx);
+        }
+        for (s, transitions) in local.into_iter().enumerate() {
+            if transitions != FaultTransitions::default() {
+                self.alive_is_stale = true;
+                self.send(s, ToShard::Transitions { cycle, transitions });
             }
         }
     }
 
-    /// Prepares everywhere, then assembles the post-prepare world from the
-    /// shard replies (ascending shard order = global node order). Lazy
-    /// planners read *remote* state from this snapshot (probe and
-    /// re-bootstrap inspect other nodes), which is why the full world
-    /// broadcasts every cycle.
+    /// Prepares everywhere and collects a lease on every shard's
+    /// post-prepare nodes (ascending shard order = global node order) for
+    /// `plan`: lazy planners read *remote* state (probe and re-bootstrap
+    /// inspect other nodes), so every shard plans against all of them.
     fn prepare(&mut self, _proto: &P, cycle: u64, membership: &Membership) {
-        self.alive = Arc::new(membership.clone());
-        for actor in &self.actors {
-            actor.send(ToShard::Prepare {
-                cycle,
-                membership: self.alive.clone(),
-            });
+        if std::mem::take(&mut self.alive_is_stale) {
+            self.alive = Arc::new(membership.clone());
         }
-        let mut world = Vec::with_capacity(membership.len());
-        for actor in &self.actors {
-            let FromShard::Snapshot(snapshot) = actor.recv() else {
-                panic!("protocol violation: expected a prepare snapshot");
+        debug_assert!(
+            *self.alive == *membership,
+            "membership moved outside a transition"
+        );
+        let alive = self.alive.clone();
+        let prepare = |s| {
+            let membership = alive.clone();
+            (s, ToShard::Prepare { cycle, membership })
+        };
+        let prepared = self.round_trip((0..self.actors.len()).map(prepare));
+        let lease = |(_, reply)| {
+            let FromShard::Prepared(lease) = reply else {
+                panic!("protocol violation: expected a prepare lease");
             };
-            world.extend(snapshot);
-        }
-        self.world = Arc::new(world);
+            lease
+        };
+        self.leases = prepared.into_iter().map(lease).collect();
     }
 
     /// Plans everywhere; gathers announcements in the delivery schedule's
@@ -154,22 +227,29 @@ where
         cycle_seed: u64,
         _membership: &Membership,
     ) -> Vec<ExchangePlan<P::Payload>> {
-        let world = std::mem::take(&mut self.world);
-        for actor in &self.actors {
-            actor.send(ToShard::Plan {
-                cycle,
-                cycle_seed,
-                world: world.clone(),
-                membership: self.alive.clone(),
-            });
+        let world = std::mem::take(&mut self.leases);
+        for s in 0..self.actors.len() {
+            let (world, membership) = (world.clone(), self.alive.clone());
+            self.send(
+                s,
+                ToShard::Plan {
+                    cycle,
+                    cycle_seed,
+                    world,
+                    membership,
+                },
+            );
         }
         let mut plans = Vec::new();
         for s in self.schedule.gather_order(self.actors.len(), cycle) {
-            let FromShard::Plans(announced) = self.actors[s].recv() else {
+            let FromShard::Plans(announced) = self.recv(s) else {
                 panic!("protocol violation: expected a plan announcement");
             };
             plans.extend(announced);
         }
+        // Every actor dropped its handles before replying; with these gone
+        // too, no lease is out when the next command is sent.
+        drop(world);
         plans
     }
 
@@ -181,27 +261,49 @@ where
         plans: &[ExchangePlan<P::Payload>],
         batch: &[usize],
     ) -> Vec<CommitOutcome<P::Effect>> {
-        let shard_of = |idx: usize| idx / self.shard_size;
-        // Extract guests for cross-shard destinations and group the batch's
-        // jobs by the initiator's shard, preserving ascending plan order.
-        // Guests are safe to copy out: within a conflict-free batch the
-        // destination appears in no other plan, and per-shard FIFO ordering
-        // guarantees all prior restores/effects already landed.
+        // The previous batch's effects first: per-shard FIFO then applies
+        // them before this batch's `Lend` can move a target away.
+        self.flush_effects();
+        let (shards, shard_size) = (self.actors.len(), self.shard_size);
+        let shard_of = |idx: usize| idx / shard_size;
+        let remote_destination = |plan: &ExchangePlan<P::Payload>| {
+            let home = shard_of(plan.initiator);
+            plan.destination.filter(|&dest| shard_of(dest) != home)
+        };
+
+        // Borrow every cross-shard destination of the batch, one request
+        // per owning shard. A guest can leave its slot: within a
+        // conflict-free batch it appears in no other plan, and per-shard
+        // FIFO has already landed every earlier restore and effect.
+        let mut wanted = vec![Vec::new(); shards];
+        for &plan_idx in batch {
+            if let Some(dest) = remote_destination(&plans[plan_idx]) {
+                wanted[shard_of(dest)].push(dest);
+            }
+        }
+        self.traffic.guests_lent += wanted.iter().map(|nodes| nodes.len() as u64).sum::<u64>();
+        let lends = wanted.into_iter().enumerate();
+        let lends = lends.filter(|(_, nodes)| !nodes.is_empty());
+        let lent = self.round_trip(lends.map(|(s, nodes)| (s, ToShard::Lend { nodes })));
+        let mut guests: Vec<_> = (0..shards).map(|_| Vec::new().into_iter()).collect();
+        for (s, reply) in lent {
+            let FromShard::Guests(nodes) = reply else {
+                panic!("protocol violation: expected the lent guests");
+            };
+            guests[s] = nodes.into_iter();
+        }
+
+        // Group the batch's jobs by the initiator's shard, preserving
+        // ascending plan order; each owner lent its nodes in that order.
         let mut jobs_by: Vec<Vec<CommitJob<P::Node, P::Payload>>> =
-            self.actors.iter().map(|_| Vec::new()).collect();
+            (0..shards).map(|_| Vec::new()).collect();
         for &plan_idx in batch {
             let plan = &plans[plan_idx];
-            let home = shard_of(plan.initiator);
-            let remote = plan.destination.filter(|&dest| shard_of(dest) != home);
-            let guest = remote.map(|dest| {
-                let owner = &self.actors[shard_of(dest)];
-                owner.send(ToShard::Extract { node: dest });
-                let FromShard::Guest(guest) = owner.recv() else {
-                    panic!("protocol violation: expected a guest extraction");
-                };
-                guest
+            let guest = remote_destination(plan).map(|dest| {
+                let lent = guests[shard_of(dest)].next();
+                lent.expect("the owner lent every node it was asked for")
             });
-            jobs_by[home].push(CommitJob {
+            jobs_by[shard_of(plan.initiator)].push(CommitJob {
                 plan: plan.clone(),
                 plan_idx,
                 guest,
@@ -211,20 +313,20 @@ where
         // Fan the batch out to every shard with jobs, then gather; commits
         // run concurrently across shards. The sort restores global plan
         // order (commit RNGs never depended on it — they key off plan_idx).
-        let mut committing = Vec::new();
-        for (actor, jobs) in self.actors.iter().zip(jobs_by) {
-            if !jobs.is_empty() {
-                actor.send(ToShard::Commit {
+        let commits = jobs_by.into_iter().enumerate();
+        let commits = commits
+            .filter(|(_, jobs)| !jobs.is_empty())
+            .map(|(s, jobs)| {
+                let commit = ToShard::Commit {
                     cycle,
                     cycle_seed,
                     jobs,
-                });
-                committing.push(actor);
-            }
-        }
+                };
+                (s, commit)
+            });
         let mut outcomes: Vec<JobOutcome<P::Node, P::Effect>> = Vec::new();
-        for actor in committing {
-            let FromShard::Outcomes(done) = actor.recv() else {
+        for (_, reply) in self.round_trip(commits) {
+            let FromShard::Outcomes(done) = reply else {
                 panic!("protocol violation: expected commit outcomes");
             };
             outcomes.extend(done);
@@ -236,16 +338,23 @@ where
         // early plan's effect must observe a later plan's post-commit
         // destination. FIFO per shard turns this send order into that
         // guarantee.
+        let mut homeward: Vec<Vec<(usize, P::Node)>> = (0..shards).map(|_| Vec::new()).collect();
         let restore = |o: JobOutcome<P::Node, P::Effect>| {
             if let Some((node, state)) = o.guest {
-                self.actors[shard_of(node)].send(ToShard::Restore { node, state });
+                homeward[shard_of(node)].push((node, state));
             }
             o.outcome
         };
-        outcomes.into_iter().map(restore).collect()
+        let outcomes = outcomes.into_iter().map(restore).collect();
+        for (s, guests) in homeward.into_iter().enumerate() {
+            if !guests.is_empty() {
+                self.send(s, ToShard::Restore(guests));
+            }
+        }
+        outcomes
     }
 
-    /// Routes each effect to the shard owning its declared target, where
+    /// Buffers each effect for the shard owning its declared target, where
     /// the bandwidth it records lands in the shard-local recorder.
     fn effects(
         &mut self,
@@ -254,26 +363,27 @@ where
         effects: impl IntoIterator<Item = P::Effect>,
         _bandwidth: &mut BandwidthRecorder,
     ) {
+        self.outbox_cycle = cycle;
         for effect in effects {
             let target = proto
                 .effect_target(&effect)
                 .expect("a sharded transport needs GossipProtocol::effect_target to route effects");
-            self.actors[target / self.shard_size].send(ToShard::Effect { cycle, effect });
+            self.outbox[target / self.shard_size].push(effect);
         }
     }
 
     /// End-of-cycle bookkeeping plus the until-idle re-ignition probe, one
     /// round-trip per shard (the shards always answer the probe).
     fn finish(&mut self, _proto: &P, cycle: u64, _probe: Option<&Membership>) -> bool {
-        for actor in &self.actors {
-            actor.send(ToShard::FinishCycle {
-                cycle,
-                membership: self.alive.clone(),
-            });
-        }
+        self.flush_effects();
+        let alive = self.alive.clone();
+        let finish = |s| {
+            let membership = alive.clone();
+            (s, ToShard::FinishCycle { cycle, membership })
+        };
         let mut wants_more = false;
-        for actor in &self.actors {
-            let FromShard::WantsMore(wants) = actor.recv() else {
+        for (_, reply) in self.round_trip((0..self.actors.len()).map(finish)) {
+            let FromShard::WantsMore(wants) = reply else {
                 panic!("protocol violation: expected a wants-more probe");
             };
             wants_more |= wants;
@@ -304,6 +414,7 @@ pub struct TransportRuntime<N, T: Transport = InProcess> {
     /// the start of the given cycle.
     restarts: EventQueue<usize>,
     transport: T,
+    traffic: MailboxTraffic,
     /// Bandwidth and message accounting for the whole run.
     pub bandwidth: BandwidthRecorder,
 }
@@ -360,6 +471,7 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
             schedule,
             restarts: EventQueue::new(),
             transport,
+            traffic: MailboxTraffic::default(),
             bandwidth: sim.bandwidth.clone(),
         }
     }
@@ -404,6 +516,13 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
         self.shards.iter().flatten()
     }
 
+    /// The messages exchanged with shard actors over every drive so far
+    /// (deliberately not part of [`RunReport`], which is what a transport
+    /// run has in common with the simulator's).
+    pub fn traffic(&self) -> MailboxTraffic {
+        self.traffic
+    }
+
     /// Schedules an *infrastructure* fault: at the start of `at_cycle` the
     /// given actor is stopped, joined and respawned on its recovered shard
     /// state. Protocol output is unaffected by construction (the shard's
@@ -440,7 +559,7 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
         P: GossipProtocol<Node = N>,
         P::Payload: Clone + 'static,
         P::Effect: 'static,
-        N: Clone + 'static,
+        N: Default + 'static,
         T::Sender<FromShard<N, P::Payload, P::Effect>>: 'static,
         T::Receiver<ToShard<N, P::Payload, P::Effect>>: 'static,
     {
@@ -465,7 +584,7 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
             let mut spawn = |s: usize, nodes: Vec<N>| -> ActorHandle<'_, P, T> {
                 let (tx, commands) = transport.mailbox();
                 let (replies, reply) = transport.mailbox();
-                let actor = move || run_actor(proto, s * shard_size, nodes, commands, replies);
+                let actor = move || run_actor(proto, s, shard_size, nodes, commands, replies);
                 let join = scope.spawn(actor);
                 ActorHandle { tx, reply, join }
             };
@@ -475,7 +594,11 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
                 shard_size,
                 schedule: self.schedule,
                 alive: Arc::new(self.run.membership.clone()),
-                world: Arc::default(),
+                alive_is_stale: false,
+                leases: Vec::new(),
+                outbox: self.shards.iter().map(|_| Vec::new()).collect(),
+                outbox_cycle: self.run.cycle,
+                traffic: self.traffic,
             };
 
             for _ in 0..opts.cycles {
@@ -484,7 +607,8 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
                 // bandwidth merges into the master immediately so nothing
                 // is lost across the hop.
                 for s in self.restarts.pop_due(self.run.cycle) {
-                    let (nodes, recorder) = mailboxes.actors.remove(s).stop();
+                    let actor = mailboxes.actors.remove(s);
+                    let (nodes, recorder) = mailboxes.stop(actor);
                     self.bandwidth.merge(&recorder);
                     mailboxes.actors.insert(s, spawn(s, nodes));
                 }
@@ -496,11 +620,13 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
             // Stop every actor and reassemble: node states return to their
             // slots, shard-local (effect-recorded) bandwidth merges into
             // the master in ascending shard order.
-            for (shard, actor) in self.shards.iter_mut().zip(mailboxes.actors) {
-                let (nodes, recorder) = actor.stop();
+            let actors = std::mem::take(&mut mailboxes.actors);
+            for (shard, actor) in self.shards.iter_mut().zip(actors) {
+                let (nodes, recorder) = mailboxes.stop(actor);
                 self.bandwidth.merge(&recorder);
                 *shard = nodes;
             }
+            self.traffic = mailboxes.traffic;
         });
         sequencer.report
     }
@@ -510,6 +636,7 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
 mod tests {
     use super::*;
     use p3q_sim::{CommitOutcome, CycleContext, EffectContext, FaultConfig, FaultPlan, RunOptions};
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     /// The engine's toy ring protocol, with a routable effect: every alive
     /// node gossips with the next alive node (cyclically), both sides count
@@ -528,7 +655,30 @@ mod tests {
         crashes: u64,
         restarts: u64,
         log: Vec<(&'static str, u64)>,
+        clones: CloneCount,
     }
+
+    /// How often a node of one population was cloned: every clone bumps the
+    /// count and shares it, so the nodes [`counters`] makes (clones of one
+    /// default) and every copy made of them since all report to one place.
+    /// Invisible to equality.
+    #[derive(Debug, Default)]
+    struct CloneCount(Arc<AtomicUsize>);
+
+    impl Clone for CloneCount {
+        fn clone(&self) -> Self {
+            self.0.fetch_add(1, Relaxed);
+            Self(self.0.clone())
+        }
+    }
+
+    impl PartialEq for CloneCount {
+        fn eq(&self, _: &Self) -> bool {
+            true
+        }
+    }
+
+    impl Eq for CloneCount {}
 
     impl GossipProtocol for RingProtocol {
         type Node = Counter;
@@ -767,6 +917,140 @@ mod tests {
         for idx in 0..10 {
             assert_eq!(transport.node(idx), sim.node(idx));
         }
+    }
+
+    #[test]
+    fn no_node_is_cloned_inside_a_drive() {
+        // Guests cross shards by move and the plan phase reads through a
+        // lease, so after `from_simulator` copied the population in, a
+        // drive — faulted or not, across actor restarts — copies nothing.
+        for num_actors in [1, 3, 8] {
+            for faults in [None, Some(COMPOSITE)] {
+                let mut sim = counters(23, 7);
+                let mut transport = TransportRuntime::from_simulator(
+                    &mut sim,
+                    num_actors,
+                    DeliverySchedule::canonical(),
+                );
+                transport.schedule_actor_restart(1, 0);
+                transport.schedule_actor_restart(3, num_actors - 1);
+                let clones = sim.node(0).clones.0.clone();
+                let before = clones.load(Relaxed);
+                let mut plan = faults.map(FaultPlan::new);
+                let opts = RunOptions::cycles(6);
+                let report = match plan.as_mut() {
+                    Some(plan) => transport.drive(&RingProtocol, opts.faulted(plan)),
+                    None => transport.drive(&RingProtocol, opts),
+                };
+                assert!(report.exchanges() > 0);
+                assert_eq!(transport.traffic().guests_lent > 0, num_actors > 1);
+                assert_eq!(
+                    clones.load(Relaxed),
+                    before,
+                    "actors = {num_actors}, faults {faults:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn messages_per_cycle_are_bounded_by_shards_and_batches() {
+        let run = |num_actors: usize, faults: Option<FaultConfig>| {
+            let mut sim = counters(600, 7);
+            let mut transport = TransportRuntime::from_simulator(
+                &mut sim,
+                num_actors,
+                DeliverySchedule::canonical(),
+            );
+            let actors = transport.num_actors() as u64;
+            let mut plan = faults.map(FaultPlan::new);
+            let mut per_cycle = Vec::new();
+            for cycle in 0..5 {
+                let before = transport.traffic();
+                let opts = RunOptions::cycles(1);
+                let report = match plan.as_mut() {
+                    Some(plan) => transport.drive(&RingProtocol, opts.faulted(plan)),
+                    None => transport.drive(&RingProtocol, opts),
+                };
+                let after = transport.traffic();
+                // Each one-cycle drive ends with one `Stop` per actor.
+                let spent = MailboxTraffic {
+                    commands: after.commands - before.commands - actors,
+                    replies: after.replies - before.replies,
+                    guests_lent: after.guests_lent - before.guests_lent,
+                };
+                let label = format!("actors = {num_actors}, faults {faults:?}, cycle {cycle}");
+                // Every phase costs each actor at most one command —
+                // `Transitions`, `Prepare`, `Plan`, `FinishCycle` per cycle;
+                // `Lend`, `Commit`, `Restore`, `Effects` per batch — and at
+                // most one reply (`Prepared`, `Plans`, `WantsMore`; `Guests`,
+                // `Outcomes`).
+                let batches = report.report.batches as u64;
+                assert!(
+                    spent.commands <= actors * (4 + 4 * batches),
+                    "{label}: {spent:?}"
+                );
+                assert!(
+                    spent.replies <= actors * (3 + 2 * batches),
+                    "{label}: {spent:?}"
+                );
+                if num_actors == 1 && faults.is_none() {
+                    // One shard, every batch committing and sending node 0
+                    // its effects: nothing but `Prepare`, `Plan`,
+                    // `FinishCycle`, a `Commit` and an `Effects` per batch —
+                    // which also pins the single `Stop` subtracted above.
+                    let expected = MailboxTraffic {
+                        commands: 3 + 2 * batches,
+                        replies: 3 + batches,
+                        guests_lent: 0,
+                    };
+                    assert_eq!(spent, expected, "{label}");
+                }
+                per_cycle.push(spent);
+            }
+            per_cycle
+        };
+        for num_actors in [1, 3, 8] {
+            for faults in [None, Some(COMPOSITE)] {
+                let first = run(num_actors, faults);
+                assert_eq!(first, run(num_actors, faults), "actors = {num_actors}");
+                // 600 ring exchanges: far more plans than messages.
+                let lent: u64 = first.iter().map(|spent| spent.guests_lent).sum();
+                assert_eq!(lent > 0, num_actors > 1, "actors = {num_actors}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_mutating_command_with_a_lease_out_panics_naming_itself() {
+        let mut transport = InProcess;
+        let (tx, commands) = transport.mailbox::<Command<RingProtocol>>();
+        let (replies, reply) = transport.mailbox::<Reply<RingProtocol>>();
+        let nodes = vec![Counter::default(); 4];
+        let actor = thread::spawn(move || run_actor(&RingProtocol, 0, 4, nodes, commands, replies));
+        let membership = Arc::new(Membership::all_alive(4));
+        let prepare = ToShard::Prepare {
+            cycle: 0,
+            membership: membership.clone(),
+        };
+        tx.send(prepare).unwrap();
+        let Ok(FromShard::Prepared(lease)) = reply.recv() else {
+            panic!("expected a prepare lease");
+        };
+        tx.send(ToShard::FinishCycle {
+            cycle: 1,
+            membership,
+        })
+        .unwrap();
+        let panic = actor
+            .join()
+            .expect_err("the sequencer still holds the lease");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(
+            message,
+            "FinishCycle reached a shard whose plan-phase lease is still out"
+        );
+        assert_eq!(lease.len(), 4);
     }
 
     /// One node's `(hook, cycle)` log.
