@@ -68,184 +68,8 @@
 //! deliberately, `--bless` rewrites `ci/baselines/` in one command, with
 //! no flag drift possible between CI and the committed files.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value. The benchmark files are small and machine-written,
-/// so a minimal recursive-descent parser keeps the gate dependency-free
-/// (the workspace's serde is an offline stub without JSON support).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(BTreeMap<String, Json>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, message: &str) -> String {
-        format!("JSON parse error at byte {}: {message}", self.pos)
-    }
-
-    fn skip_whitespace(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_whitespace();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or_else(|| self.error("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::String(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected {text}")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escaped = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.error("dangling escape"))?;
-                    out.push(match escaped {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => other as char,
-                    });
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_whitespace();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| self.error("invalid number"))
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut parser = Parser::new(text);
-    let value = parser.value()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing garbage"));
-    }
-    Ok(value)
-}
+use p3q_bench::flags::{exit_with_usage, Flags};
+use p3q_bench::json::Json;
 
 /// Absolute noise slack for time-like measurements, in seconds: scheduler
 /// blips on shared CI runners dominate sub-100 ms measurements, so the
@@ -313,15 +137,15 @@ fn compare(baseline: &Json, fresh: &Json, path: &str, class: KeyClass, tol: f64,
     match (baseline, fresh) {
         (Json::Object(b), Json::Object(f)) => {
             for (key, bv) in b {
-                match f.get(key) {
+                match fresh.get(key) {
                     Some(fv) => compare(bv, fv, &format!("{path}.{key}"), classify(key), tol, rep),
                     None => rep.fail(path, format!("missing key \"{key}\" in fresh output")),
                 }
             }
             // Keys only in the fresh output mean the benchmark's shape
             // changed without regenerating the baseline — flag them too.
-            for key in f.keys() {
-                if !b.contains_key(key) {
+            for (key, _) in f {
+                if baseline.get(key).is_none() {
                     rep.fail(path, format!("key \"{key}\" is not in the baseline"));
                 }
             }
@@ -338,7 +162,7 @@ fn compare(baseline: &Json, fresh: &Json, path: &str, class: KeyClass, tol: f64,
                 compare(bv, fv, &format!("{path}[{i}]"), class, tol, rep);
             }
         }
-        (Json::Number(b), Json::Number(f)) => {
+        (Json::Number(b, _), Json::Number(f, _)) => {
             rep.compared += 1;
             match class {
                 KeyClass::Time { to_seconds } => {
@@ -385,7 +209,7 @@ fn compare(baseline: &Json, fresh: &Json, path: &str, class: KeyClass, tol: f64,
 
 fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    parse_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    Json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 /// The canonical smoke configuration: one entry per benchmark, giving the
@@ -509,67 +333,76 @@ fn gate_pair(baseline_path: &str, fresh_path: &str, tolerance: f64, report: &mut
     );
 }
 
-fn main() {
-    let mut baseline_path = None;
-    let mut fresh_path = None;
-    let mut tolerance = 4.0f64;
-    let mut do_bless = false;
-    let mut gate_all = false;
-    let mut bless_dir = "ci/baselines".to_string();
-    let mut fresh_dir = ".".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--baseline" => baseline_path = Some(value("--baseline")),
-            "--fresh" => fresh_path = Some(value("--fresh")),
-            "--bless" => do_bless = true,
-            "--gate-all" => gate_all = true,
-            "--dir" => bless_dir = value("--dir"),
-            "--fresh-dir" => fresh_dir = value("--fresh-dir"),
-            "--tolerance" => {
-                tolerance = value("--tolerance")
-                    .parse()
-                    .expect("--tolerance wants a number");
-                assert!(tolerance >= 1.0, "--tolerance must be >= 1");
-            }
-            other => {
-                panic!(
-                    "unknown flag {other}; usage: --baseline PATH --fresh PATH [--tolerance F] \
-                     | --gate-all [--dir DIR] [--fresh-dir DIR] [--tolerance F] \
-                     | --bless [--dir DIR]"
-                )
-            }
-        }
-    }
-    if do_bless {
-        bless(&bless_dir);
-        return;
-    }
+const USAGE: &str = "\
+cargo run --release -p p3q-bench --bin bench_check -- MODE
+    --baseline PATH --fresh PATH [--tolerance F]              gate one pair
+    --gate-all [--dir DIR] [--fresh-dir DIR] [--tolerance F]  gate every smoke baseline
+    --bless [--dir DIR]                                       regenerate the baselines
+    defaults: --dir ci/baselines, --fresh-dir ., --tolerance 4";
 
+/// What one invocation does.
+enum Mode {
+    Bless,
+    GateAll,
+    Pair { baseline: String, fresh: String },
+}
+
+struct Args {
+    mode: Mode,
+    tolerance: f64,
+    dir: String,
+    fresh_dir: String,
+}
+
+fn parse_args() -> Result<Args, String> {
+    let mut flags = Flags::from_env();
+    let bless = flags.switch("--bless");
+    let gate_all = flags.switch("--gate-all");
+    let pair = (flags.optional("--baseline")?, flags.optional("--fresh")?);
+    let tolerance = flags.value("--tolerance", 4.0)?;
+    let dir = flags.value("--dir", "ci/baselines".to_string())?;
+    let fresh_dir = flags.value("--fresh-dir", ".".to_string())?;
+    flags.finish()?;
+    if tolerance < 1.0 {
+        return Err("--tolerance must be >= 1".into());
+    }
+    let mode = match pair {
+        _ if bless => Mode::Bless,
+        _ if gate_all => Mode::GateAll,
+        (Some(baseline), Some(fresh)) => Mode::Pair { baseline, fresh },
+        _ => return Err("--baseline and --fresh are required (or use --gate-all)".into()),
+    };
+    Ok(Args {
+        mode,
+        tolerance,
+        dir,
+        fresh_dir,
+    })
+}
+
+fn main() {
+    let args = parse_args().unwrap_or_else(|e| exit_with_usage(&e, USAGE));
+    let tolerance = args.tolerance;
     let mut report = Report {
         violations: Vec::new(),
         compared: 0,
     };
-    if gate_all {
+    match &args.mode {
+        Mode::Bless => return bless(&args.dir),
         // Gate every smoke baseline in one pass: all files are compared and
         // *every* out-of-tolerance key is reported before the gate fails,
         // so one bad benchmark cannot hide regressions in the ones after it.
-        for (_, _, out_name) in SMOKE_JOBS {
-            gate_pair(
-                &format!("{bless_dir}/{out_name}"),
-                &format!("{fresh_dir}/{out_name}"),
-                tolerance,
-                &mut report,
-            );
+        Mode::GateAll => {
+            for (_, _, out_name) in SMOKE_JOBS {
+                gate_pair(
+                    &format!("{}/{out_name}", args.dir),
+                    &format!("{}/{out_name}", args.fresh_dir),
+                    tolerance,
+                    &mut report,
+                );
+            }
         }
-    } else {
-        let baseline_path = baseline_path.expect("--baseline is required (or use --gate-all)");
-        let fresh_path = fresh_path.expect("--fresh is required (or use --gate-all)");
-        gate_pair(&baseline_path, &fresh_path, tolerance, &mut report);
+        Mode::Pair { baseline, fresh } => gate_pair(baseline, fresh, tolerance, &mut report),
     }
 
     println!(
@@ -592,12 +425,9 @@ mod tests {
     use super::*;
 
     fn obj(pairs: &[(&str, Json)]) -> Json {
-        Json::Object(
-            pairs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        )
+        pairs
+            .iter()
+            .fold(Json::object(), |o, (k, v)| o.with(k, v.clone()))
     }
 
     fn check(baseline: &Json, fresh: &Json, tol: f64) -> Vec<String> {
@@ -620,51 +450,40 @@ mod tests {
                 {"users": 2000, "elapsed_s": -3e2}
             ]
         }"#;
-        let parsed = parse_json(text).unwrap();
-        let Json::Object(map) = &parsed else {
-            panic!("expected object")
-        };
-        assert_eq!(map["seed"], Json::Number(42.0));
-        let Json::Array(scales) = &map["scales"] else {
+        let parsed = Json::parse(text).unwrap();
+        assert_eq!(parsed.get("seed"), Some(&Json::from(42.0)));
+        let Some(Json::Array(scales)) = parsed.get("scales") else {
             panic!("expected array")
         };
         assert_eq!(scales.len(), 2);
-        let Json::Object(second) = &scales[1] else {
-            panic!("expected object")
-        };
-        assert_eq!(second["elapsed_s"], Json::Number(-300.0));
+        assert_eq!(scales[1].get("elapsed_s"), Some(&Json::from(-300.0)));
     }
 
     #[test]
     fn parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1, 2").is_err());
-        assert!(parse_json("{} trailing").is_err());
-        assert!(parse_json("nope").is_err());
+        assert!(Json::parse("{").is_err());
+        assert!(Json::parse("[1, 2").is_err());
+        assert!(Json::parse("{} trailing").is_err());
+        assert!(Json::parse("nope").is_err());
     }
 
     #[test]
     fn times_use_the_tolerance_band_plus_slack() {
-        let baseline = obj(&[("elapsed_s", Json::Number(1.0))]);
-        assert!(check(&baseline, &obj(&[("elapsed_s", Json::Number(3.9))]), 4.0).is_empty());
-        assert!(check(&baseline, &obj(&[("elapsed_s", Json::Number(0.01))]), 4.0).is_empty());
+        let baseline = obj(&[("elapsed_s", Json::from(1.0))]);
+        assert!(check(&baseline, &obj(&[("elapsed_s", Json::from(3.9))]), 4.0).is_empty());
+        assert!(check(&baseline, &obj(&[("elapsed_s", Json::from(0.01))]), 4.0).is_empty());
         // 4.1 is within band + 250 ms slack; 4.3 is beyond it.
-        assert!(check(&baseline, &obj(&[("elapsed_s", Json::Number(4.1))]), 4.0).is_empty());
+        assert!(check(&baseline, &obj(&[("elapsed_s", Json::from(4.1))]), 4.0).is_empty());
         assert_eq!(
-            check(&baseline, &obj(&[("elapsed_s", Json::Number(4.3))]), 4.0).len(),
+            check(&baseline, &obj(&[("elapsed_s", Json::from(4.3))]), 4.0).len(),
             1
         );
         // Millisecond keys get the same slack in their own unit.
-        let small = obj(&[("index_build_ms", Json::Number(5.0))]);
-        assert!(check(
-            &small,
-            &obj(&[("index_build_ms", Json::Number(100.0))]),
-            4.0
-        )
-        .is_empty());
-        let big = obj(&[("index_build_ms", Json::Number(500.0))]);
+        let small = obj(&[("index_build_ms", Json::from(5.0))]);
+        assert!(check(&small, &obj(&[("index_build_ms", Json::from(100.0))]), 4.0).is_empty());
+        let big = obj(&[("index_build_ms", Json::from(500.0))]);
         assert_eq!(
-            check(&big, &obj(&[("index_build_ms", Json::Number(2600.0))]), 4.0).len(),
+            check(&big, &obj(&[("index_build_ms", Json::from(2600.0))]), 4.0).len(),
             1
         );
     }
@@ -673,35 +492,25 @@ mod tests {
     fn tiny_time_measurements_do_not_flap() {
         // 9 ms baseline: a one-off 40 ms scheduler blip must not fail the
         // gate even though it is 4.4x the baseline.
-        let baseline = obj(&[("elapsed_s", Json::Number(0.009))]);
-        assert!(check(&baseline, &obj(&[("elapsed_s", Json::Number(0.04))]), 4.0).is_empty());
+        let baseline = obj(&[("elapsed_s", Json::from(0.009))]);
+        assert!(check(&baseline, &obj(&[("elapsed_s", Json::from(0.04))]), 4.0).is_empty());
     }
 
     #[test]
     fn rates_judge_the_implied_time() {
         // 10/s = 0.1 s per unit; band + slack allows down to 1/0.65 = ~1.54/s.
-        let baseline = obj(&[("cycles_per_sec", Json::Number(10.0))]);
-        assert!(check(
-            &baseline,
-            &obj(&[("cycles_per_sec", Json::Number(3.0))]),
-            4.0
-        )
-        .is_empty());
+        let baseline = obj(&[("cycles_per_sec", Json::from(10.0))]);
+        assert!(check(&baseline, &obj(&[("cycles_per_sec", Json::from(3.0))]), 4.0).is_empty());
         assert_eq!(
-            check(
-                &baseline,
-                &obj(&[("cycles_per_sec", Json::Number(1.0))]),
-                4.0
-            )
-            .len(),
+            check(&baseline, &obj(&[("cycles_per_sec", Json::from(1.0))]), 4.0).len(),
             1
         );
         // Speedup ratios are informational — two same-run measurements
         // with no absolute anchor for a noise slack.
-        let ratio = obj(&[("speedup_vs_reference", Json::Number(2.0))]);
+        let ratio = obj(&[("speedup_vs_reference", Json::from(2.0))]);
         assert!(check(
             &ratio,
-            &obj(&[("speedup_vs_reference", Json::Number(0.1))]),
+            &obj(&[("speedup_vs_reference", Json::from(0.1))]),
             4.0
         )
         .is_empty());
@@ -709,31 +518,21 @@ mod tests {
 
     #[test]
     fn bytes_keys_gate_exact_or_below() {
-        let baseline = obj(&[("bytes_index", Json::Number(1000.0))]);
+        let baseline = obj(&[("bytes_index", Json::from(1000.0))]);
         assert!(check(&baseline, &baseline.clone(), 4.0).is_empty());
         // Smaller is fine (an improvement waiting to be re-blessed)…
-        assert!(check(
-            &baseline,
-            &obj(&[("bytes_index", Json::Number(900.0))]),
-            4.0
-        )
-        .is_empty());
+        assert!(check(&baseline, &obj(&[("bytes_index", Json::from(900.0))]), 4.0).is_empty());
         // …but any growth is a memory regression, no tolerance band.
         assert_eq!(
-            check(
-                &baseline,
-                &obj(&[("bytes_index", Json::Number(1001.0))]),
-                4.0
-            )
-            .len(),
+            check(&baseline, &obj(&[("bytes_index", Json::from(1001.0))]), 4.0).len(),
             1
         );
     }
 
     #[test]
     fn fresh_only_keys_are_flagged() {
-        let baseline = obj(&[("users", Json::Number(7.0))]);
-        let fresh = obj(&[("users", Json::Number(7.0)), ("p99_ms", Json::Number(9.0))]);
+        let baseline = obj(&[("users", Json::from(7.0))]);
+        let fresh = obj(&[("users", Json::from(7.0)), ("p99_ms", Json::from(9.0))]);
         assert_eq!(check(&baseline, &fresh, 4.0).len(), 1);
     }
 
@@ -741,12 +540,12 @@ mod tests {
     fn mailbox_counters_are_exact() {
         for key in ["commands_per_cycle", "guests_per_cycle"] {
             assert_eq!(classify(key), KeyClass::Exact, "{key}");
-            let baseline = obj(&[(key, Json::Number(40.125))]);
+            let baseline = obj(&[(key, Json::from(40.125))]);
             assert!(check(&baseline, &baseline.clone(), 4.0).is_empty());
             // Fewer messages still means the run changed: re-bless on purpose.
             for fresh in [40.0, 40.25] {
                 assert_eq!(
-                    check(&baseline, &obj(&[(key, Json::Number(fresh))]), 4.0).len(),
+                    check(&baseline, &obj(&[(key, Json::from(fresh))]), 4.0).len(),
                     1
                 );
             }
@@ -757,12 +556,12 @@ mod tests {
     fn checksums_and_counts_are_exact() {
         let baseline = obj(&[
             ("trace_checksum", Json::String("0xabc".into())),
-            ("total_actions", Json::Number(500.0)),
+            ("total_actions", Json::from(500.0)),
         ]);
         assert!(check(&baseline, &baseline.clone(), 4.0).is_empty());
         let diverged = obj(&[
             ("trace_checksum", Json::String("0xdef".into())),
-            ("total_actions", Json::Number(501.0)),
+            ("total_actions", Json::from(501.0)),
         ]);
         assert_eq!(check(&baseline, &diverged, 4.0).len(), 2);
     }
@@ -770,15 +569,15 @@ mod tests {
     #[test]
     fn host_dependent_keys_are_ignored_and_missing_keys_flagged() {
         let baseline = obj(&[
-            ("host_available_parallelism", Json::Number(1.0)),
-            ("users", Json::Number(7.0)),
+            ("host_available_parallelism", Json::from(1.0)),
+            ("users", Json::from(7.0)),
         ]);
         let fresh = obj(&[
-            ("host_available_parallelism", Json::Number(64.0)),
-            ("users", Json::Number(7.0)),
+            ("host_available_parallelism", Json::from(64.0)),
+            ("users", Json::from(7.0)),
         ]);
         assert!(check(&baseline, &fresh, 4.0).is_empty());
-        let missing = obj(&[("host_available_parallelism", Json::Number(64.0))]);
+        let missing = obj(&[("host_available_parallelism", Json::from(64.0))]);
         assert_eq!(check(&baseline, &missing, 4.0).len(), 1);
     }
 
@@ -787,15 +586,15 @@ mod tests {
         let baseline = obj(&[(
             "scales",
             Json::Array(vec![obj(&[
-                ("users", Json::Number(1000.0)),
-                ("elapsed_s", Json::Number(2.0)),
+                ("users", Json::from(1000.0)),
+                ("elapsed_s", Json::from(2.0)),
             ])]),
         )]);
         let ok = obj(&[(
             "scales",
             Json::Array(vec![obj(&[
-                ("users", Json::Number(1000.0)),
-                ("elapsed_s", Json::Number(2.5)),
+                ("users", Json::from(1000.0)),
+                ("elapsed_s", Json::from(2.5)),
             ])]),
         )]);
         assert!(check(&baseline, &ok, 4.0).is_empty());

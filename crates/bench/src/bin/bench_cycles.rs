@@ -3,25 +3,13 @@
 //! the parallel engine at 1/2/4/8 worker threads — with a byte-equality
 //! check across every configuration (the engine's determinism contract).
 //!
-//! Emits `BENCH_cycles.json` in the working directory so the cycle-engine
-//! trajectory is tracked from PR to PR. The file also records the host's
-//! available parallelism: on a single-core container the parallel numbers
-//! measure engine overhead, not speedup — the determinism property suite is
-//! what guarantees the same bytes come out when cores are available.
-//!
-//! ```text
-//! cargo run --release -p p3q-bench --bin bench_cycles [-- OPTIONS]
-//!     --users a,b,c    population scales      (default 10000,50000,100000)
-//!     --cycles N       lazy cycles to time    (default 3)
-//!     --warmup N       untimed warmup cycles  (default 2)
-//!     --threads a,b    thread counts to time  (default 1,2,4,8)
-//!     --seed N         master seed            (default 42)
-//!     --scenario NAME  workload preset        (default paper-delicious)
-//!     --out PATH       output path            (default BENCH_cycles.json)
-//! ```
+//! Emits `BENCH_cycles.json` in the working directory (git-ignored; the
+//! recording the gate keeps is `ci/baselines/BENCH_cycles_smoke.json`). The
+//! file also records the host's available parallelism: on a single-core
+//! container the parallel numbers measure engine overhead, not speedup — the
+//! determinism property suite is what guarantees the same bytes come out
+//! when cores are available. Options: [`USAGE`].
 
-use std::fmt::Write as _;
-use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -32,9 +20,22 @@ use p3q::experiment::build_simulator;
 use p3q::lazy::bootstrap_random_views;
 use p3q::node::P3qNode;
 use p3q::storage::StorageDistribution;
+use p3q_bench::flags::{exit_with_usage, Flags};
+use p3q_bench::host_parallelism;
+use p3q_bench::json::Json;
 use p3q_sim::RunOptions;
 use p3q_sim::Simulator;
 use p3q_trace::{Scenario, ScenarioConfig, TraceGenerator};
+
+const USAGE: &str = "\
+cargo run --release -p p3q-bench --bin bench_cycles [-- OPTIONS]
+    --users a,b,c    population scales      (default 10000,50000,100000)
+    --cycles N       lazy cycles to time    (default 3)
+    --warmup N       untimed warmup cycles  (default 2)
+    --threads a,b    thread counts to time  (default 1,2,4,8)
+    --seed N         master seed            (default 42)
+    --scenario NAME  workload preset        (default paper-delicious)
+    --out PATH       output path            (default BENCH_cycles.json)";
 
 struct Args {
     users: Vec<usize>,
@@ -46,52 +47,19 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        users: vec![10_000, 50_000, 100_000],
-        cycles: 3,
-        warmup: 2,
-        threads: vec![1, 2, 4, 8],
-        seed: 42,
-        scenario: Scenario::PaperDelicious,
-        out: "BENCH_cycles.json".to_string(),
+fn parse_args() -> Result<Args, String> {
+    let mut flags = Flags::from_env();
+    let args = Args {
+        users: flags.list("--users", &[10_000, 50_000, 100_000])?,
+        cycles: flags.value("--cycles", 3)?,
+        warmup: flags.value("--warmup", 2)?,
+        threads: flags.list("--threads", &[1, 2, 4, 8])?,
+        seed: flags.value("--seed", 42)?,
+        scenario: flags.scenario()?,
+        out: flags.value("--out", "BENCH_cycles.json".to_string())?,
     };
-    let mut it = std::env::args().skip(1);
-    let parse_list = |value: String, name: &str| -> Vec<usize> {
-        value
-            .split(',')
-            .map(|v| {
-                v.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("{name} wants integers"))
-            })
-            .collect()
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--users" => args.users = parse_list(value("--users"), "--users"),
-            "--threads" => args.threads = parse_list(value("--threads"), "--threads"),
-            "--cycles" => {
-                args.cycles = value("--cycles")
-                    .parse()
-                    .expect("--cycles wants an integer")
-            }
-            "--warmup" => {
-                args.warmup = value("--warmup")
-                    .parse()
-                    .expect("--warmup wants an integer")
-            }
-            "--seed" => args.seed = value("--seed").parse().expect("--seed wants an integer"),
-            "--scenario" => args.scenario = Scenario::from_flag(&value("--scenario")),
-            "--out" => args.out = value("--out"),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    args
+    flags.finish()?;
+    Ok(args)
 }
 
 /// One timed configuration: how the cycles were executed.
@@ -225,61 +193,44 @@ fn bench_scale(users: usize, args: &Args) -> ScaleResult {
     }
 }
 
+fn mode_json(m: &ModeResult) -> Json {
+    Json::object()
+        .with("mode", m.label.as_str())
+        .with("elapsed_s", Json::fixed(m.elapsed_s, 3))
+        .with("cycles_per_sec", Json::fixed(m.cycles_per_sec, 4))
+        .with(
+            "speedup_vs_reference",
+            Json::fixed(m.speedup_vs_reference, 3),
+        )
+        .with("traffic_checksum", m.checksum)
+}
+
+fn scale_json(r: &ScaleResult) -> Json {
+    Json::object()
+        .with("users", r.users)
+        .with("total_actions", r.total_actions)
+        .with("warmup_cycles", r.warmup_cycles)
+        .with("timed_cycles", r.timed_cycles)
+        .with("bytes_nodes", r.bytes_nodes)
+        .with("modes", r.modes.iter().map(mode_json).collect::<Json>())
+}
+
 fn main() {
-    let args = parse_args();
-    let host_parallelism = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
+    let args = parse_args().unwrap_or_else(|e| exit_with_usage(&e, USAGE));
+    let host_parallelism = host_parallelism();
     eprintln!("host parallelism: {host_parallelism} core(s)");
     let results: Vec<ScaleResult> = args.users.iter().map(|&u| bench_scale(u, &args)).collect();
 
-    let mut json = String::new();
-    json.push_str("{\n  \"benchmark\": \"cycles\",\n");
-    let _ = writeln!(json, "  \"seed\": {},", args.seed);
-    let _ = writeln!(
-        json,
-        "  \"host_available_parallelism\": {host_parallelism},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"note\": \"cycles/sec of the plan/commit lazy-gossip engine; all modes are byte-identical (checksum-asserted); parallel speedup requires cores — on a 1-core host these numbers measure engine overhead\","
-    );
-    json.push_str("  \"scales\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str("    {\n");
-        let _ = writeln!(json, "      \"users\": {},", r.users);
-        let _ = writeln!(json, "      \"total_actions\": {},", r.total_actions);
-        let _ = writeln!(json, "      \"warmup_cycles\": {},", r.warmup_cycles);
-        let _ = writeln!(json, "      \"timed_cycles\": {},", r.timed_cycles);
-        let _ = writeln!(json, "      \"bytes_nodes\": {},", r.bytes_nodes);
-        json.push_str("      \"modes\": [\n");
-        for (j, m) in r.modes.iter().enumerate() {
-            json.push_str("        {\n");
-            let _ = writeln!(json, "          \"mode\": \"{}\",", m.label);
-            let _ = writeln!(json, "          \"elapsed_s\": {:.3},", m.elapsed_s);
-            let _ = writeln!(
-                json,
-                "          \"cycles_per_sec\": {:.4},",
-                m.cycles_per_sec
-            );
-            let _ = writeln!(
-                json,
-                "          \"speedup_vs_reference\": {:.3},",
-                m.speedup_vs_reference
-            );
-            let _ = writeln!(
-                json,
-                "          \"traffic_checksum\": [{}, {}]",
-                m.checksum.0, m.checksum.1
-            );
-            json.push_str("        }");
-            json.push_str(if j + 1 < r.modes.len() { ",\n" } else { "\n" });
-        }
-        json.push_str("      ]\n    }");
-        json.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    std::fs::write(&args.out, &json).expect("writing the benchmark output");
-    eprintln!("wrote {}", args.out);
+    Json::object()
+        .with("benchmark", "cycles")
+        .with("seed", args.seed)
+        .with("host_available_parallelism", host_parallelism)
+        .with(
+            "note",
+            "cycles/sec of the plan/commit lazy-gossip engine; all modes are byte-identical \
+             (checksum-asserted); parallel speedup requires cores — on a 1-core host these \
+             numbers measure engine overhead",
+        )
+        .with("scales", results.iter().map(scale_json).collect::<Json>())
+        .save(&args.out);
 }

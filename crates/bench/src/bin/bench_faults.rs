@@ -14,28 +14,29 @@
 //!
 //! Every run is deterministic in `(seed, FaultConfig)` and byte-identical
 //! for every `P3Q_THREADS`; the 5% row is re-executed at 1 and 3 worker
-//! threads and checksum-asserted. Emits `BENCH_faults.json`.
-//!
-//! ```text
-//! cargo run --release -p p3q-bench --bin bench_faults [-- OPTIONS]
-//!     --users N        population size                  (default 1000)
-//!     --seed N         master seed                      (default 42)
-//!     --queries N      tracked queries                  (default 150)
-//!     --rates a,b,c    fault rates in percent           (default 0,1,5,20)
-//!     --warmup N       faulted lazy warmup cycles       (default 3)
-//!     --cycles N       faulted eager cycles             (default 20; check: 4)
-//!     --out PATH       output path                      (default BENCH_faults.json)
-//!     --check          determinism check only: run the lossy-network mix,
-//!                      assert default-threads == sequential reference and
-//!                      print the checksum (CI runs this under P3Q_THREADS)
-//! ```
+//! threads and checksum-asserted. Emits `BENCH_faults.json`. Options:
+//! [`USAGE`].
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use p3q::prelude::*;
-use p3q_bench::{HarnessArgs, World};
+use p3q_bench::flags::{exit_with_usage, Flags};
+use p3q_bench::json::Json;
+use p3q_bench::{burst_simulator, composite_faults, issue_queries, HarnessArgs, World};
 use p3q_trace::Scenario;
+
+const USAGE: &str = "\
+cargo run --release -p p3q-bench --bin bench_faults [-- OPTIONS]
+    --users N        population size                  (default 1000)
+    --seed N         master seed                      (default 42)
+    --queries N      tracked queries                  (default 150)
+    --rates a,b,c    fault rates in percent           (default 0,1,5,20)
+    --warmup N       faulted lazy warmup cycles       (default 3)
+    --cycles N       faulted eager cycles             (default 20; check: 4)
+    --out PATH       output path                      (default BENCH_faults.json)
+    --check          determinism check only: run the lossy-network mix,
+                     assert default-threads == sequential reference and
+                     print the checksum (CI runs this under P3Q_THREADS)";
 
 struct Args {
     users: usize,
@@ -48,68 +49,40 @@ struct Args {
     check: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        users: 1_000,
-        seed: 42,
-        queries: 150,
-        rates_percent: vec![0.0, 1.0, 5.0, 20.0],
-        warmup: 3,
-        cycles: None,
-        out: "BENCH_faults.json".to_string(),
-        check: false,
+fn parse_args() -> Result<Args, String> {
+    let mut flags = Flags::from_env();
+    let args = Args {
+        users: flags.value("--users", 1_000)?,
+        seed: flags.value("--seed", 42)?,
+        queries: flags.value("--queries", 150)?,
+        rates_percent: flags.list("--rates", &[0.0, 1.0, 5.0, 20.0])?,
+        warmup: flags.value("--warmup", 3)?,
+        cycles: flags.optional("--cycles")?,
+        out: flags.value("--out", "BENCH_faults.json".to_string())?,
+        check: flags.switch("--check"),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--users" => args.users = value("--users").parse().expect("--users wants an integer"),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed wants an integer"),
-            "--queries" => {
-                args.queries = value("--queries")
-                    .parse()
-                    .expect("--queries wants an integer")
-            }
-            "--rates" => {
-                args.rates_percent = value("--rates")
-                    .split(',')
-                    .map(|v| v.trim().parse().expect("--rates wants percentages"))
-                    .collect()
-            }
-            "--warmup" => {
-                args.warmup = value("--warmup")
-                    .parse()
-                    .expect("--warmup wants an integer")
-            }
-            "--cycles" => {
-                args.cycles = Some(
-                    value("--cycles")
-                        .parse()
-                        .expect("--cycles wants an integer"),
-                )
-            }
-            "--out" => args.out = value("--out"),
-            "--check" => args.check = true,
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    args
+    flags.finish()?;
+    Ok(args)
 }
 
-/// The composite mix at headline rate `rate` (a fraction, not percent):
-/// the `lossy` delivery preset plus a small crash rate — see module docs.
-fn fault_mix(rate: f64, fault_seed: u64) -> FaultConfig {
-    if rate <= 0.0 {
-        return FaultConfig::none();
+impl Args {
+    /// The world of a run of `cycles` eager cycles under `scenario`.
+    fn world(&self, cycles: u64, scenario: Scenario) -> World {
+        World::build(&HarnessArgs {
+            users: self.users,
+            seed: self.seed,
+            cycles,
+            queries: self.queries,
+            paper_scale: false,
+            scenario,
+        })
     }
-    let mut cfg = FaultConfig::lossy(rate, fault_seed);
-    cfg.crash_rate = rate / 20.0;
-    cfg.downtime_cycles = 2;
-    cfg.validate();
-    cfg
+
+    /// The composite mix at headline rate `rate` (a fraction, not percent):
+    /// the crash rate follows the sweep at `rate / 20` — see module docs.
+    fn faults(&self, rate: f64) -> FaultConfig {
+        composite_faults(rate, rate / 20.0, self.seed ^ 0xFA17)
+    }
 }
 
 /// One measured protocol run under one fault mix.
@@ -135,9 +108,7 @@ fn run_arm(
     cycles: u64,
     threads: Option<usize>,
 ) -> ArmResult {
-    let budgets = vec![4usize; world.trace.dataset.num_users()];
-    let mut sim = build_simulator_with_budgets(&world.trace.dataset, cfg, &budgets, 5);
-    init_ideal_networks(&mut sim, &world.ideal);
+    let mut sim = burst_simulator(world, cfg);
 
     let mut lazy_faults: FaultPlan<LazyStep> = FaultPlan::new(faults);
     let mut opts = RunOptions::cycles(warmup).faulted(&mut lazy_faults);
@@ -150,15 +121,7 @@ fn run_arm(
         .iter()
         .map(|q| centralized_topk(&world.trace.dataset, &world.ideal, q, cfg.top_k))
         .collect();
-    for (i, query) in queries.iter().enumerate() {
-        issue_query(
-            &mut sim,
-            query.querier.index(),
-            QueryId(i as u64),
-            query.clone(),
-            cfg,
-        );
-    }
+    issue_queries(&mut sim, queries, cfg);
 
     let mut eager_faults: FaultPlan<EagerTask> = FaultPlan::new(faults);
     let mut opts = RunOptions::cycles(cycles).faulted(&mut eager_faults);
@@ -214,17 +177,9 @@ fn run_arm(
 /// values and diffs the printed lines across jobs.
 fn run_check(args: &Args) {
     let cycles = args.cycles.unwrap_or(4);
-    let harness = HarnessArgs {
-        users: args.users,
-        seed: args.seed,
-        cycles,
-        queries: args.queries,
-        paper_scale: false,
-        scenario: Scenario::LossyNetwork,
-    };
-    let world = World::build(&harness);
+    let world = args.world(cycles, Scenario::LossyNetwork);
     let cfg = world.cfg.clone().with_fault_tolerance(cycles.max(2), 2, 0);
-    let faults = fault_mix(0.05, args.seed ^ 0xFA17);
+    let faults = args.faults(0.05);
     let queries = world.sample_queries(args.queries.min(50));
 
     let start = Instant::now();
@@ -253,63 +208,37 @@ fn run_check(args: &Args) {
     );
 }
 
-fn json_arm(json: &mut String, label: &str, arm: &ArmResult, trailing_comma: bool) {
-    let _ = writeln!(json, "      \"{label}\": {{");
-    let _ = writeln!(json, "        \"queries\": {},", arm.loss.queries);
-    let _ = writeln!(json, "        \"lost_queries\": {},", arm.loss.lost_queries);
-    let _ = writeln!(
-        json,
-        "        \"completed_queries\": {},",
-        arm.loss.completed_queries
-    );
-    let _ = writeln!(
-        json,
-        "        \"avg_recall\": {:.4},",
-        arm.loss.average_recall()
-    );
-    let _ = writeln!(
-        json,
-        "        \"completion_rate\": {:.4},",
-        arm.loss.completion_rate()
-    );
-    let _ = writeln!(
-        json,
-        "        \"avg_latency_cycles\": {:.3},",
-        arm.loss.average_latency_cycles().unwrap_or(-1.0)
-    );
-    let _ = writeln!(json, "        \"bytes_total\": {},", arm.loss.total_bytes);
-    let _ = writeln!(json, "        \"dropped\": {},", arm.stats.dropped);
-    let _ = writeln!(json, "        \"delayed\": {},", arm.stats.delayed);
-    let _ = writeln!(json, "        \"duplicated\": {},", arm.stats.duplicated);
-    let _ = writeln!(json, "        \"expired\": {},", arm.stats.expired);
-    let _ = writeln!(json, "        \"crashes\": {},", arm.stats.crashes);
-    let _ = writeln!(json, "        \"restarts\": {},", arm.stats.restarts);
-    let _ = writeln!(
-        json,
-        "        \"traffic_checksum\": [{}, {}]",
-        arm.traffic_checksum.0, arm.traffic_checksum.1
-    );
-    json.push_str("      }");
-    json.push_str(if trailing_comma { ",\n" } else { "\n" });
+fn arm_json(arm: &ArmResult) -> Json {
+    let latency = arm.loss.average_latency_cycles().unwrap_or(-1.0);
+    Json::object()
+        .with("queries", arm.loss.queries)
+        .with("lost_queries", arm.loss.lost_queries)
+        .with("completed_queries", arm.loss.completed_queries)
+        .with("avg_recall", Json::fixed(arm.loss.average_recall(), 4))
+        .with(
+            "completion_rate",
+            Json::fixed(arm.loss.completion_rate(), 4),
+        )
+        .with("avg_latency_cycles", Json::fixed(latency, 3))
+        .with("bytes_total", arm.loss.total_bytes)
+        .with("dropped", arm.stats.dropped)
+        .with("delayed", arm.stats.delayed)
+        .with("duplicated", arm.stats.duplicated)
+        .with("expired", arm.stats.expired)
+        .with("crashes", arm.stats.crashes)
+        .with("restarts", arm.stats.restarts)
+        .with("traffic_checksum", arm.traffic_checksum)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| exit_with_usage(&e, USAGE));
     if args.check {
         run_check(&args);
         return;
     }
     let cycles = args.cycles.unwrap_or(20);
 
-    let harness = HarnessArgs {
-        users: args.users,
-        seed: args.seed,
-        cycles,
-        queries: args.queries,
-        paper_scale: false,
-        scenario: Scenario::PaperDelicious,
-    };
-    let world = World::build(&harness);
+    let world = args.world(cycles, Scenario::PaperDelicious);
     let hardened_cfg = world.cfg.clone().with_fault_tolerance(cycles.max(2), 2, 0);
     let plain_cfg = world.cfg.clone();
     let queries = world.sample_queries(args.queries);
@@ -328,8 +257,7 @@ fn main() {
     }
     let mut rows: Vec<RateRow> = Vec::new();
     for &rate_percent in &args.rates_percent {
-        let rate = rate_percent / 100.0;
-        let faults = fault_mix(rate, args.seed ^ 0xFA17);
+        let faults = args.faults(rate_percent / 100.0);
         let start = Instant::now();
         let hardened = run_arm(
             &world,
@@ -371,7 +299,7 @@ fn main() {
     // independent — re-run the highest nonzero rate at 1 and 3 workers and
     // require byte-identical traffic and fault schedules.
     if let Some(row) = rows.iter().rev().find(|r| r.rate_percent > 0.0) {
-        let faults = fault_mix(row.rate_percent / 100.0, args.seed ^ 0xFA17);
+        let faults = args.faults(row.rate_percent / 100.0);
         for threads in [1usize, 3] {
             let rerun = run_arm(
                 &world,
@@ -397,27 +325,30 @@ fn main() {
         );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"benchmark\": \"faults\",\n");
-    let _ = writeln!(json, "  \"seed\": {},", args.seed);
-    let _ = writeln!(json, "  \"users\": {},", args.users);
-    let _ = writeln!(json, "  \"queries\": {},", queries.len());
-    let _ = writeln!(json, "  \"lazy_warmup_cycles\": {},", args.warmup);
-    let _ = writeln!(json, "  \"eager_cycles\": {cycles},");
-    let _ = writeln!(
-        json,
-        "  \"note\": \"recall/completion/latency degradation of the eager protocol under a composite fault mix (lossy preset + crash rate/20), hardened (retry+TTL) vs ablation; deterministic in (seed, FaultConfig), thread-checksum asserted\","
-    );
-    json.push_str("  \"rates\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str("    {\n");
-        let _ = writeln!(json, "      \"rate_percent\": {},", row.rate_percent);
-        json_arm(&mut json, "hardened", &row.hardened, true);
-        json_arm(&mut json, "ablation_no_retry", &row.ablation, false);
-        json.push_str("    }");
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]");
+    let mut doc = Json::object()
+        .with("benchmark", "faults")
+        .with("seed", args.seed)
+        .with("users", args.users)
+        .with("queries", queries.len())
+        .with("lazy_warmup_cycles", args.warmup)
+        .with("eager_cycles", cycles)
+        .with(
+            "note",
+            "recall/completion/latency degradation of the eager protocol under a composite fault \
+             mix (lossy preset + crash rate/20), hardened (retry+TTL) vs ablation; deterministic \
+             in (seed, FaultConfig), thread-checksum asserted",
+        )
+        .with(
+            "rates",
+            rows.iter()
+                .map(|row| {
+                    Json::object()
+                        .with("rate_percent", row.rate_percent)
+                        .with("hardened", arm_json(&row.hardened))
+                        .with("ablation_no_retry", arm_json(&row.ablation))
+                })
+                .collect::<Json>(),
+        );
 
     // Headline acceptance numbers: recall at 5% loss vs the zero-fault
     // baseline, and the retry machinery's advantage over the ablation.
@@ -427,17 +358,16 @@ fn main() {
         let drop_pct = 100.0
             * (1.0 - at5.hardened.loss.average_recall() / base.hardened.loss.average_recall());
         let advantage = at5.hardened.loss.average_recall() - at5.ablation.loss.average_recall();
-        json.push_str(",\n  \"acceptance\": {\n");
-        let _ = writeln!(json, "    \"recall_drop_at_5pct_percent\": {drop_pct:.3},");
-        let _ = writeln!(json, "    \"retry_advantage_at_5pct\": {advantage:.4}");
-        json.push_str("  }");
+        doc = doc.with(
+            "acceptance",
+            Json::object()
+                .with("recall_drop_at_5pct_percent", Json::fixed(drop_pct, 3))
+                .with("retry_advantage_at_5pct", Json::fixed(advantage, 4)),
+        );
         eprintln!(
             "acceptance: recall drop at 5% = {drop_pct:.2}% (must stay under 10%), \
              retry advantage = {advantage:.4}"
         );
     }
-    json.push_str("\n}\n");
-
-    std::fs::write(&args.out, &json).expect("writing the benchmark output");
-    eprintln!("wrote {}", args.out);
+    doc.save(&args.out);
 }

@@ -4,21 +4,9 @@
 //! dirty re-score vs full rebuild), plus lazy-cycle throughput, at several
 //! population scales.
 //!
-//! Emits `BENCH_similarity.json` in the working directory so the perf
-//! trajectory of the similarity layer is tracked from PR to PR.
-//!
-//! ```text
-//! cargo run --release -p p3q-bench --bin bench_similarity [-- OPTIONS]
-//!     --users a,b,c   population scales        (default 1000,5000,20000)
-//!     --cycles N      lazy cycles to time      (default 3)
-//!     --delta-batches N  dynamics batches      (default 3)
-//!     --seed N        master seed              (default 42)
-//!     --scenario NAME workload preset          (default paper-delicious)
-//!     --skip-reference  skip the slow per-pair-merge baseline
-//!     --memory-users N  index-memory probe scale (default 100000; 0 = off)
-//!     --hotspot-users N  query-hotspot probe scale (default 100000; 0 = off)
-//!     --out PATH      output path              (default BENCH_similarity.json)
-//! ```
+//! Emits `BENCH_similarity.json` in the working directory (git-ignored; the
+//! recording the gate keeps is `ci/baselines/BENCH_similarity_smoke.json`).
+//! Options: [`USAGE`].
 //!
 //! Every scale reports the resident bytes of the compressed columnar index
 //! (`bytes_index*`) next to the uncompressed CSR layout the first index
@@ -46,7 +34,6 @@
 //! `--hotspot-users` scale (100k by default), where the query-proportional
 //! cost model is the point.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -59,6 +46,8 @@ use p3q::lazy::bootstrap_random_views;
 use p3q::resolver::OnDemandNetworks;
 use p3q::similarity::{ActionIndex, SimilarityScratch};
 use p3q::storage::StorageDistribution;
+use p3q_bench::flags::{exit_with_usage, Flags};
+use p3q_bench::json::Json;
 use p3q_sim::default_threads;
 use p3q_sim::RunOptions;
 use p3q_trace::codec::{
@@ -69,6 +58,18 @@ use p3q_trace::{
     action_key, DynamicsConfig, DynamicsGenerator, Scenario, ScenarioConfig, SyntheticTrace,
     TraceGenerator, UserId,
 };
+
+const USAGE: &str = "\
+cargo run --release -p p3q-bench --bin bench_similarity [-- OPTIONS]
+    --users a,b,c   population scales        (default 1000,5000,20000)
+    --cycles N      lazy cycles to time      (default 3)
+    --delta-batches N  dynamics batches      (default 3)
+    --seed N        master seed              (default 42)
+    --scenario NAME workload preset          (default paper-delicious)
+    --skip-reference  skip the slow per-pair-merge baseline
+    --memory-users N  index-memory probe scale (default 100000; 0 = off)
+    --hotspot-users N  query-hotspot probe scale (default 100000; 0 = off)
+    --out PATH      output path              (default BENCH_similarity.json)";
 
 struct Args {
     users: Vec<usize>,
@@ -82,76 +83,26 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        users: vec![1_000, 5_000, 20_000],
-        cycles: 3,
-        delta_batches: 3,
-        seed: 42,
-        scenario: Scenario::PaperDelicious,
-        skip_reference: false,
-        memory_users: 100_000,
-        hotspot_users: 100_000,
-        out: "BENCH_similarity.json".to_string(),
+fn parse_args() -> Result<Args, String> {
+    let mut flags = Flags::from_env();
+    let args = Args {
+        users: flags.list("--users", &[1_000, 5_000, 20_000])?,
+        cycles: flags.value("--cycles", 3)?,
+        delta_batches: flags.value("--delta-batches", 3)?,
+        seed: flags.value("--seed", 42)?,
+        scenario: flags.scenario()?,
+        skip_reference: flags.switch("--skip-reference"),
+        memory_users: flags.value("--memory-users", 100_000)?,
+        hotspot_users: flags.value("--hotspot-users", 100_000)?,
+        out: flags.value("--out", "BENCH_similarity.json".to_string())?,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--users" => {
-                args.users = value("--users")
-                    .split(',')
-                    .map(|v| v.trim().parse().expect("--users wants integers"))
-                    .collect();
-            }
-            "--cycles" => {
-                args.cycles = value("--cycles")
-                    .parse()
-                    .expect("--cycles wants an integer")
-            }
-            "--delta-batches" => {
-                args.delta_batches = value("--delta-batches")
-                    .parse()
-                    .expect("--delta-batches wants an integer")
-            }
-            "--seed" => args.seed = value("--seed").parse().expect("--seed wants an integer"),
-            "--scenario" => args.scenario = Scenario::from_flag(&value("--scenario")),
-            "--skip-reference" => args.skip_reference = true,
-            "--memory-users" => {
-                args.memory_users = value("--memory-users")
-                    .parse()
-                    .expect("--memory-users wants an integer")
-            }
-            "--hotspot-users" => {
-                args.hotspot_users = value("--hotspot-users")
-                    .parse()
-                    .expect("--hotspot-users wants an integer")
-            }
-            "--out" => args.out = value("--out"),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    args
+    flags.finish()?;
+    Ok(args)
 }
 
-struct ScaleResult {
-    users: usize,
-    total_actions: usize,
-    distinct_actions: usize,
-    index_shards: usize,
-    memory: MemoryResult,
-    decode: DecodeResult,
-    index_build_ms: f64,
-    counting_single_ms: f64,
-    counting_parallel_ms: f64,
-    parallel_threads: usize,
-    reference_ms: Option<f64>,
-    dynamics: Option<DynamicsResult>,
-    on_demand: Option<OnDemandResult>,
-    lazy_cycle_ms: f64,
+/// A millisecond column: three decimals.
+fn ms(value: f64) -> Json {
+    Json::fixed(value, 3)
 }
 
 /// Resident-byte columns of one scale: the compressed index next to its
@@ -193,38 +144,18 @@ impl MemoryResult {
         100.0 * (1.0 - self.bytes_index as f64 / self.bytes_index_csr_equivalent as f64)
     }
 
-    fn write_fields(&self, json: &mut String, indent: &str) {
-        let _ = writeln!(json, "{indent}\"bytes_index\": {},", self.bytes_index);
-        let _ = writeln!(
-            json,
-            "{indent}\"bytes_index_dictionary\": {},",
-            self.bytes_index_dictionary
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"bytes_index_postings\": {},",
-            self.bytes_index_postings
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"bytes_index_directory\": {},",
-            self.bytes_index_directory
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"bytes_index_csr_equivalent\": {},",
-            self.bytes_index_csr_equivalent
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"bytes_profiles_decoded\": {},",
-            self.bytes_profiles_decoded
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"bytes_profiles_packed\": {},",
-            self.bytes_profiles_packed
-        );
+    /// Appends the byte columns to `doc`.
+    fn add_to(&self, doc: Json) -> Json {
+        doc.with("bytes_index", self.bytes_index)
+            .with("bytes_index_dictionary", self.bytes_index_dictionary)
+            .with("bytes_index_postings", self.bytes_index_postings)
+            .with("bytes_index_directory", self.bytes_index_directory)
+            .with(
+                "bytes_index_csr_equivalent",
+                self.bytes_index_csr_equivalent,
+            )
+            .with("bytes_profiles_decoded", self.bytes_profiles_decoded)
+            .with("bytes_profiles_packed", self.bytes_profiles_packed)
     }
 }
 
@@ -370,51 +301,30 @@ impl DecodeResult {
         (self.posting_entries * self.decode_passes) as f64 / (ms / 1e3).max(f64::MIN_POSITIVE)
     }
 
-    fn write_fields(&self, json: &mut String, indent: &str) {
-        let _ = writeln!(json, "{indent}\"posting_runs\": {},", self.posting_runs);
-        let _ = writeln!(
-            json,
-            "{indent}\"posting_entries\": {},",
-            self.posting_entries
-        );
-        let _ = writeln!(json, "{indent}\"decode_passes\": {},", self.decode_passes);
-        let _ = writeln!(
-            json,
-            "{indent}\"decode_checksum\": \"0x{:016x}\",",
-            self.checksum
-        );
-        let _ = writeln!(json, "{indent}\"decode_leb128_ms\": {:.3},", self.leb_ms);
-        let _ = writeln!(json, "{indent}\"decode_group_ms\": {:.3},", self.group_ms);
-        let _ = writeln!(
-            json,
-            "{indent}\"decode_leb128_entries_per_sec\": {:.0},",
-            self.entries_per_sec(self.leb_ms)
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"decode_group_entries_per_sec\": {:.0},",
-            self.entries_per_sec(self.group_ms)
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"decode_group_speedup\": {:.2},",
-            self.leb_ms / self.group_ms.max(f64::MIN_POSITIVE)
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"accumulate_sample_users\": {},",
-            self.accumulate_users
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"accumulate_sample_ms\": {:.3},",
-            self.accumulate_ms
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"accumulate_checksum\": \"0x{:016x}\"",
-            self.accumulate_checksum
-        );
+    fn json(&self) -> Json {
+        let speedup = self.leb_ms / self.group_ms.max(f64::MIN_POSITIVE);
+        Json::object()
+            .with("posting_runs", self.posting_runs)
+            .with("posting_entries", self.posting_entries)
+            .with("decode_passes", self.decode_passes)
+            .with("decode_checksum", Json::checksum(self.checksum))
+            .with("decode_leb128_ms", ms(self.leb_ms))
+            .with("decode_group_ms", ms(self.group_ms))
+            .with(
+                "decode_leb128_entries_per_sec",
+                Json::fixed(self.entries_per_sec(self.leb_ms), 0),
+            )
+            .with(
+                "decode_group_entries_per_sec",
+                Json::fixed(self.entries_per_sec(self.group_ms), 0),
+            )
+            .with("decode_group_speedup", Json::fixed(speedup, 2))
+            .with("accumulate_sample_users", self.accumulate_users)
+            .with("accumulate_sample_ms", ms(self.accumulate_ms))
+            .with(
+                "accumulate_checksum",
+                Json::checksum(self.accumulate_checksum),
+            )
     }
 }
 
@@ -430,23 +340,13 @@ fn checksum_ranking(ranking: &[(UserId, u64)]) -> u64 {
     h
 }
 
-struct DynamicsResult {
-    batches: usize,
-    mean_changed_users: f64,
-    mean_new_actions: f64,
-    mean_dirty_users: f64,
-    incremental_ms_mean: f64,
-    rebuild_ms_mean: f64,
-    speedup: f64,
-}
-
 /// The dynamics scenario: apply `batches` paper-day change batches and, for
 /// each, time the incremental path (patch the sharded index + re-score only
 /// the dirty users) against a full rebuild (fresh index + full population
 /// sweep), verifying after every batch that both produce identical
 /// networks. Both sides run single-threaded so the ratio is an algorithmic
-/// speedup, not a parallelism artefact.
-fn bench_dynamics(trace: &SyntheticTrace, s: usize, args: &Args) -> Option<DynamicsResult> {
+/// speedup, not a parallelism artefact. Returns the `dynamics` block.
+fn bench_dynamics(trace: &SyntheticTrace, s: usize, args: &Args) -> Option<Json> {
     if args.delta_batches == 0 {
         return None;
     }
@@ -483,25 +383,28 @@ fn bench_dynamics(trace: &SyntheticTrace, s: usize, args: &Args) -> Option<Dynam
         }
     }
     let n = args.delta_batches as f64;
-    let result = DynamicsResult {
-        batches: args.delta_batches,
-        mean_changed_users: changed_users as f64 / n,
-        mean_new_actions: new_actions as f64 / n,
-        mean_dirty_users: dirty_users as f64 / n,
-        incremental_ms_mean: incremental_ms / n,
-        rebuild_ms_mean: rebuild_ms / n,
-        speedup: rebuild_ms / incremental_ms.max(f64::MIN_POSITIVE),
-    };
+    let mean_dirty_users = dirty_users as f64 / n;
+    let speedup = rebuild_ms / incremental_ms.max(f64::MIN_POSITIVE);
     eprintln!(
-        "   dynamics ({} batches): incremental {:.1} ms vs rebuild {:.0} ms ({:.1}x), \
-         {:.0} dirty users/batch",
-        result.batches,
-        result.incremental_ms_mean,
-        result.rebuild_ms_mean,
-        result.speedup,
-        result.mean_dirty_users
+        "   dynamics ({} batches): incremental {:.1} ms vs rebuild {:.0} ms ({speedup:.1}x), \
+         {mean_dirty_users:.0} dirty users/batch",
+        args.delta_batches,
+        incremental_ms / n,
+        rebuild_ms / n,
     );
-    Some(result)
+    Some(
+        Json::object()
+            .with("batches", args.delta_batches)
+            .with(
+                "mean_changed_users",
+                Json::fixed(changed_users as f64 / n, 1),
+            )
+            .with("mean_new_actions", Json::fixed(new_actions as f64 / n, 1))
+            .with("mean_dirty_users", Json::fixed(mean_dirty_users, 1))
+            .with("incremental_update_ms", ms(incremental_ms / n))
+            .with("full_rebuild_ms", ms(rebuild_ms / n))
+            .with("speedup_incremental_vs_rebuild", Json::fixed(speedup, 2)),
+    )
 }
 
 /// The demand-driven columns: per dynamics batch, time exact cache
@@ -530,43 +433,23 @@ struct OnDemandResult {
 }
 
 impl OnDemandResult {
-    fn write_fields(&self, json: &mut String, indent: &str) {
-        let _ = writeln!(json, "{indent}\"batches\": {},", self.batches);
-        let _ = writeln!(
-            json,
-            "{indent}\"mean_queriers_per_cycle\": {:.1},",
-            self.mean_queriers_per_cycle
-        );
-        let _ = writeln!(json, "{indent}\"resolutions\": {},", self.resolutions);
-        let _ = writeln!(json, "{indent}\"cache_hits\": {},", self.cache_hits);
-        let _ = writeln!(
-            json,
-            "{indent}\"positions_scanned\": {},",
-            self.positions_scanned
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"early_terminations\": {},",
-            self.early_terminations
-        );
-        let _ = writeln!(json, "{indent}\"patched\": {},", self.patched);
-        let _ = writeln!(json, "{indent}\"evicted\": {},", self.evicted);
-        let _ = writeln!(json, "{indent}\"parallel_threads\": {},", self.threads);
-        let _ = writeln!(
-            json,
-            "{indent}\"on_demand_update_ms\": {:.3},",
-            self.on_demand_ms_mean
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"global_recompute_ms\": {:.3},",
-            self.global_ms_mean
-        );
-        let _ = writeln!(
-            json,
-            "{indent}\"speedup_on_demand_vs_global\": {:.2}",
-            self.speedup
-        );
+    /// Appends the resolver columns to `doc`.
+    fn add_to(&self, doc: Json) -> Json {
+        doc.with("batches", self.batches)
+            .with(
+                "mean_queriers_per_cycle",
+                Json::fixed(self.mean_queriers_per_cycle, 1),
+            )
+            .with("resolutions", self.resolutions)
+            .with("cache_hits", self.cache_hits)
+            .with("positions_scanned", self.positions_scanned)
+            .with("early_terminations", self.early_terminations)
+            .with("patched", self.patched)
+            .with("evicted", self.evicted)
+            .with("parallel_threads", self.threads)
+            .with("on_demand_update_ms", ms(self.on_demand_ms_mean))
+            .with("global_recompute_ms", ms(self.global_ms_mean))
+            .with("speedup_on_demand_vs_global", Json::fixed(self.speedup, 2))
     }
 }
 
@@ -659,7 +542,8 @@ fn bench_on_demand(
     Some(result)
 }
 
-fn bench_scale(users: usize, args: &Args) -> ScaleResult {
+/// Measures one scale; returns its element of `scales`.
+fn bench_scale(users: usize, args: &Args) -> Json {
     eprintln!("== {users} users ==");
     let generation = Instant::now();
     // The scenario layer's density-preserving shape: items-per-user density
@@ -750,22 +634,32 @@ fn bench_scale(users: usize, args: &Args) -> ScaleResult {
     let lazy_cycle_ms = start.elapsed().as_secs_f64() * 1e3 / args.cycles as f64;
     eprintln!("   lazy cycle: {lazy_cycle_ms:.0} ms");
 
-    ScaleResult {
-        users,
-        total_actions: dataset.total_actions(),
-        distinct_actions,
-        index_shards,
-        memory,
-        decode,
-        index_build_ms,
-        counting_single_ms,
-        counting_parallel_ms,
-        parallel_threads,
-        reference_ms,
-        dynamics,
-        on_demand,
-        lazy_cycle_ms,
-    }
+    let doc = Json::object()
+        .with("users", users)
+        .with("total_actions", dataset.total_actions())
+        .with("distinct_actions", distinct_actions)
+        .with("index_shards", index_shards);
+    memory
+        .add_to(doc)
+        .with("index_build_ms", ms(index_build_ms))
+        .with(
+            "ideal_networks_counting_1_thread_ms",
+            ms(counting_single_ms),
+        )
+        .with(
+            "ideal_networks_counting_parallel_ms",
+            ms(counting_parallel_ms),
+        )
+        .with("parallel_threads", parallel_threads)
+        .with("ideal_networks_reference_merge_ms", reference_ms.map(ms))
+        .with(
+            "speedup_counting_vs_reference_1_thread",
+            reference_ms.map(|ms| Json::fixed(ms / counting_single_ms, 2)),
+        )
+        .with("dynamics", dynamics)
+        .with("on_demand", on_demand.map(|d| d.add_to(Json::object())))
+        .with("decode", decode.json())
+        .with("lazy_cycle_ms", ms(lazy_cycle_ms))
 }
 
 /// Query-hotspot probe at a large scale: the acceptance measurement for the
@@ -811,8 +705,8 @@ fn memory_probe(users: usize, args: &Args) -> (MemoryResult, DecodeResult) {
 }
 
 fn main() {
-    let args = parse_args();
-    let results: Vec<ScaleResult> = args.users.iter().map(|&u| bench_scale(u, &args)).collect();
+    let args = parse_args().unwrap_or_else(|e| exit_with_usage(&e, USAGE));
+    let scales: Json = args.users.iter().map(|&u| bench_scale(u, &args)).collect();
     let hotspot = if args.hotspot_users > 0 {
         hotspot_probe(args.hotspot_users, &args)
     } else {
@@ -820,140 +714,35 @@ fn main() {
     };
     let probe = (args.memory_users > 0).then(|| memory_probe(args.memory_users, &args));
 
-    let mut json = String::new();
-    json.push_str("{\n  \"benchmark\": \"similarity\",\n");
-    let _ = writeln!(
-        json,
-        "  \"network_size\": {},",
-        P3qConfig::laptop_scale().personal_network_size
-    );
-    let _ = writeln!(json, "  \"lazy_cycles_timed\": {},", args.cycles);
-    let _ = writeln!(json, "  \"seed\": {},", args.seed);
-    json.push_str("  \"scales\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str("    {\n");
-        let _ = writeln!(json, "      \"users\": {},", r.users);
-        let _ = writeln!(json, "      \"total_actions\": {},", r.total_actions);
-        let _ = writeln!(json, "      \"distinct_actions\": {},", r.distinct_actions);
-        let _ = writeln!(json, "      \"index_shards\": {},", r.index_shards);
-        r.memory.write_fields(&mut json, "      ");
-        let _ = writeln!(json, "      \"index_build_ms\": {:.3},", r.index_build_ms);
-        let _ = writeln!(
-            json,
-            "      \"ideal_networks_counting_1_thread_ms\": {:.3},",
-            r.counting_single_ms
+    let doc = Json::object()
+        .with("benchmark", "similarity")
+        .with(
+            "network_size",
+            P3qConfig::laptop_scale().personal_network_size,
+        )
+        .with("lazy_cycles_timed", args.cycles)
+        .with("seed", args.seed)
+        .with("scales", scales)
+        .with(
+            "query_hotspot",
+            hotspot.map(|d| d.add_to(Json::object().with("users", d.users))),
+        )
+        .with(
+            "index_memory",
+            probe.map(|(m, d)| {
+                let doc = Json::object()
+                    .with("users", m.users)
+                    .with("total_actions", m.total_actions)
+                    .with("distinct_actions", m.distinct_actions);
+                m.add_to(doc).with("decode", d.json()).with(
+                    "note",
+                    format!(
+                        "compressed columnar index vs uncompressed CSR: {:.1}% smaller",
+                        m.reduction_percent()
+                    ),
+                )
+            }),
         );
-        let _ = writeln!(
-            json,
-            "      \"ideal_networks_counting_parallel_ms\": {:.3},",
-            r.counting_parallel_ms
-        );
-        let _ = writeln!(json, "      \"parallel_threads\": {},", r.parallel_threads);
-        match r.reference_ms {
-            Some(ms) => {
-                let _ = writeln!(
-                    json,
-                    "      \"ideal_networks_reference_merge_ms\": {ms:.3},"
-                );
-                let _ = writeln!(
-                    json,
-                    "      \"speedup_counting_vs_reference_1_thread\": {:.2},",
-                    ms / r.counting_single_ms
-                );
-            }
-            None => {
-                json.push_str("      \"ideal_networks_reference_merge_ms\": null,\n");
-                json.push_str("      \"speedup_counting_vs_reference_1_thread\": null,\n");
-            }
-        }
-        match &r.dynamics {
-            Some(d) => {
-                json.push_str("      \"dynamics\": {\n");
-                let _ = writeln!(json, "        \"batches\": {},", d.batches);
-                let _ = writeln!(
-                    json,
-                    "        \"mean_changed_users\": {:.1},",
-                    d.mean_changed_users
-                );
-                let _ = writeln!(
-                    json,
-                    "        \"mean_new_actions\": {:.1},",
-                    d.mean_new_actions
-                );
-                let _ = writeln!(
-                    json,
-                    "        \"mean_dirty_users\": {:.1},",
-                    d.mean_dirty_users
-                );
-                let _ = writeln!(
-                    json,
-                    "        \"incremental_update_ms\": {:.3},",
-                    d.incremental_ms_mean
-                );
-                let _ = writeln!(
-                    json,
-                    "        \"full_rebuild_ms\": {:.3},",
-                    d.rebuild_ms_mean
-                );
-                let _ = writeln!(
-                    json,
-                    "        \"speedup_incremental_vs_rebuild\": {:.2}",
-                    d.speedup
-                );
-                json.push_str("      },\n");
-            }
-            None => json.push_str("      \"dynamics\": null,\n"),
-        }
-        match &r.on_demand {
-            Some(d) => {
-                json.push_str("      \"on_demand\": {\n");
-                d.write_fields(&mut json, "        ");
-                json.push_str("      },\n");
-            }
-            None => json.push_str("      \"on_demand\": null,\n"),
-        }
-        json.push_str("      \"decode\": {\n");
-        r.decode.write_fields(&mut json, "        ");
-        json.push_str("      },\n");
-        let _ = writeln!(json, "      \"lazy_cycle_ms\": {:.3}", r.lazy_cycle_ms);
-        json.push_str(if i + 1 == results.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    json.push_str("  ],\n");
-    match &hotspot {
-        Some(d) => {
-            json.push_str("  \"query_hotspot\": {\n");
-            let _ = writeln!(json, "    \"users\": {},", d.users);
-            d.write_fields(&mut json, "    ");
-            json.push_str("  },\n");
-        }
-        None => json.push_str("  \"query_hotspot\": null,\n"),
-    }
-    match &probe {
-        Some((m, d)) => {
-            json.push_str("  \"index_memory\": {\n");
-            let _ = writeln!(json, "    \"users\": {},", m.users);
-            let _ = writeln!(json, "    \"total_actions\": {},", m.total_actions);
-            let _ = writeln!(json, "    \"distinct_actions\": {},", m.distinct_actions);
-            m.write_fields(&mut json, "    ");
-            json.push_str("    \"decode\": {\n");
-            d.write_fields(&mut json, "      ");
-            json.push_str("    },\n");
-            let _ = writeln!(
-                json,
-                "    \"note\": \"compressed columnar index vs uncompressed CSR: {:.1}% smaller\"",
-                m.reduction_percent()
-            );
-            json.push_str("  }\n");
-        }
-        None => json.push_str("  \"index_memory\": null\n"),
-    }
-    json.push_str("}\n");
-
-    std::fs::write(&args.out, &json).expect("writing benchmark output");
-    eprintln!("wrote {}", args.out);
-    println!("{json}");
+    doc.save(&args.out);
+    println!("{}", doc.pretty());
 }

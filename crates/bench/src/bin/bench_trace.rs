@@ -5,29 +5,30 @@
 //! a trace plus its scenario schedule under several thread counts and fails
 //! on any divergence.
 //!
-//! Emits `BENCH_trace.json` in the working directory so generator
-//! throughput is tracked from PR to PR. The file records the host's
-//! available parallelism: on a single-core container the "parallel" numbers
-//! measure fan-out overhead (the chunked path must be no slower than the
-//! reference), while real speedup is harvested on multi-core hosts — safe,
-//! because thread count provably cannot change the bytes.
-//!
-//! ```text
-//! cargo run --release -p p3q-bench --bin bench_trace [-- OPTIONS]
-//!     --users a,b      population scales     (default 10000,100000)
-//!     --threads a,b    thread counts to time (default 1,2,4,8)
-//!     --seed N         master seed           (default 42)
-//!     --scenario NAME  workload preset       (default paper-delicious)
-//!     --check          determinism mode: compare all modes, print checksums
-//!     --out PATH       output path           (default BENCH_trace.json)
-//! ```
+//! Emits `BENCH_trace.json` in the working directory (git-ignored; the
+//! recording the gate keeps is `ci/baselines/BENCH_trace_smoke.json`). The
+//! file records the host's available parallelism: on a single-core
+//! container the "parallel" numbers measure fan-out overhead (the chunked
+//! path must be no slower than the reference), while real speedup is
+//! harvested on multi-core hosts — safe, because thread count provably
+//! cannot change the bytes. Options: [`USAGE`].
 
-use std::fmt::Write as _;
-use std::num::NonZeroUsize;
 use std::time::Instant;
 
+use p3q_bench::flags::{exit_with_usage, Flags};
+use p3q_bench::host_parallelism;
+use p3q_bench::json::Json;
 use p3q_sim::Fnv;
 use p3q_trace::{Scenario, ScenarioConfig, ScenarioEvent, SyntheticTrace, TraceGenerator};
+
+const USAGE: &str = "\
+cargo run --release -p p3q-bench --bin bench_trace [-- OPTIONS]
+    --users a,b      population scales     (default 10000,100000)
+    --threads a,b    thread counts to time (default 1,2,4,8)
+    --seed N         master seed           (default 42)
+    --scenario NAME  workload preset       (default paper-delicious)
+    --check          determinism mode: compare all modes, print checksums
+    --out PATH       output path           (default BENCH_trace.json)";
 
 struct Args {
     users: Vec<usize>,
@@ -38,42 +39,18 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        users: vec![10_000, 100_000],
-        threads: vec![1, 2, 4, 8],
-        seed: 42,
-        scenario: Scenario::PaperDelicious,
-        check: false,
-        out: "BENCH_trace.json".to_string(),
+fn parse_args() -> Result<Args, String> {
+    let mut flags = Flags::from_env();
+    let args = Args {
+        users: flags.list("--users", &[10_000, 100_000])?,
+        threads: flags.list("--threads", &[1, 2, 4, 8])?,
+        seed: flags.value("--seed", 42)?,
+        scenario: flags.scenario()?,
+        check: flags.switch("--check"),
+        out: flags.value("--out", "BENCH_trace.json".to_string())?,
     };
-    let mut it = std::env::args().skip(1);
-    let parse_list = |value: String, name: &str| -> Vec<usize> {
-        value
-            .split(',')
-            .map(|v| {
-                v.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("{name} wants integers"))
-            })
-            .collect()
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--users" => args.users = parse_list(value("--users"), "--users"),
-            "--threads" => args.threads = parse_list(value("--threads"), "--threads"),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed wants an integer"),
-            "--scenario" => args.scenario = Scenario::from_flag(&value("--scenario")),
-            "--check" => args.check = true,
-            "--out" => args.out = value("--out"),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    args
+    flags.finish()?;
+    Ok(args)
 }
 
 /// Content checksum of a trace: the latent world plus every profile byte.
@@ -259,11 +236,31 @@ fn check_scale(users: usize, args: &Args) {
     println!("   all modes byte-identical");
 }
 
+fn mode_json(m: &ModeResult) -> Json {
+    Json::object()
+        .with("mode", m.label.as_str())
+        .with("elapsed_s", Json::fixed(m.elapsed_s, 3))
+        .with(
+            "speedup_vs_reference",
+            Json::fixed(m.speedup_vs_reference, 3),
+        )
+        .with("trace_checksum", Json::checksum(m.checksum))
+}
+
+fn scale_json(r: &ScaleResult) -> Json {
+    Json::object()
+        .with("users", r.users)
+        .with("total_actions", r.total_actions)
+        .with("trace_checksum", Json::checksum(r.checksum))
+        .with("bytes_profiles_decoded", r.bytes_profiles_decoded)
+        .with("bytes_profiles_packed", r.bytes_profiles_packed)
+        .with("bytes_dictionary", r.bytes_dictionary)
+        .with("modes", r.modes.iter().map(mode_json).collect::<Json>())
+}
+
 fn main() {
-    let args = parse_args();
-    let host_parallelism = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
+    let args = parse_args().unwrap_or_else(|e| exit_with_usage(&e, USAGE));
+    let host_parallelism = host_parallelism();
     eprintln!("host parallelism: {host_parallelism} core(s)");
 
     if args.check {
@@ -275,60 +272,17 @@ fn main() {
 
     let results: Vec<ScaleResult> = args.users.iter().map(|&u| bench_scale(u, &args)).collect();
 
-    let mut json = String::new();
-    json.push_str("{\n  \"benchmark\": \"trace\",\n");
-    let _ = writeln!(json, "  \"seed\": {},", args.seed);
-    let _ = writeln!(json, "  \"scenario\": \"{}\",", args.scenario.name());
-    let _ = writeln!(
-        json,
-        "  \"host_available_parallelism\": {host_parallelism},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"note\": \"synthetic trace generation wall-clock; all modes byte-identical \
-         (checksum-asserted); on a 1-core host the parallel numbers measure fan-out overhead, \
-         not speedup\","
-    );
-    json.push_str("  \"scales\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str("    {\n");
-        let _ = writeln!(json, "      \"users\": {},", r.users);
-        let _ = writeln!(json, "      \"total_actions\": {},", r.total_actions);
-        let _ = writeln!(json, "      \"trace_checksum\": \"{:#018x}\",", r.checksum);
-        let _ = writeln!(
-            json,
-            "      \"bytes_profiles_decoded\": {},",
-            r.bytes_profiles_decoded
-        );
-        let _ = writeln!(
-            json,
-            "      \"bytes_profiles_packed\": {},",
-            r.bytes_profiles_packed
-        );
-        let _ = writeln!(json, "      \"bytes_dictionary\": {},", r.bytes_dictionary);
-        json.push_str("      \"modes\": [\n");
-        for (j, m) in r.modes.iter().enumerate() {
-            json.push_str("        {\n");
-            let _ = writeln!(json, "          \"mode\": \"{}\",", m.label);
-            let _ = writeln!(json, "          \"elapsed_s\": {:.3},", m.elapsed_s);
-            let _ = writeln!(
-                json,
-                "          \"speedup_vs_reference\": {:.3},",
-                m.speedup_vs_reference
-            );
-            let _ = writeln!(
-                json,
-                "          \"trace_checksum\": \"{:#018x}\"",
-                m.checksum
-            );
-            json.push_str("        }");
-            json.push_str(if j + 1 < r.modes.len() { ",\n" } else { "\n" });
-        }
-        json.push_str("      ]\n    }");
-        json.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    std::fs::write(&args.out, &json).expect("writing the benchmark output");
-    eprintln!("wrote {}", args.out);
+    Json::object()
+        .with("benchmark", "trace")
+        .with("seed", args.seed)
+        .with("scenario", args.scenario.name())
+        .with("host_available_parallelism", host_parallelism)
+        .with(
+            "note",
+            "synthetic trace generation wall-clock; all modes byte-identical \
+             (checksum-asserted); on a 1-core host the parallel numbers measure fan-out overhead, \
+             not speedup",
+        )
+        .with("scales", results.iter().map(scale_json).collect::<Json>())
+        .save(&args.out);
 }

@@ -14,32 +14,33 @@
 //! are the mailbox counters beside them (`commands_per_cycle`,
 //! `guests_per_cycle`): what a layout costs in messages is a function of
 //! the run, so a per-pair round trip coming back fails the gate on any host.
-//!
-//! ```text
-//! cargo run --release -p p3q-bench --bin bench_transport [-- OPTIONS]
-//!     --users N        population size                  (default 1000)
-//!     --seed N         master seed                      (default 42)
-//!     --queries N      tracked queries                  (default 100)
-//!     --warmup N       lazy warmup cycles               (default 3)
-//!     --cycles N       eager cycles                     (default 12; check: 4)
-//!     --actors a,b,c   shard-actor counts to sweep      (default 1,3,8)
-//!     --out PATH       output path                      (default BENCH_transport.json)
-//!     --check          oracle check only: run one transport layout (actor
-//!                      count from P3Q_THREADS, default 3), assert it is
-//!                      byte-identical to the simulator and print the
-//!                      checksum (CI runs this under a P3Q_THREADS matrix
-//!                      and diffs the printed TRANSPORT_CHECKSUM lines
-//!                      across jobs; the layout's own mailbox counters go
-//!                      on a TRANSPORT_TRAFFIC line)
-//! ```
+//! Options: [`USAGE`].
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use p3q::prelude::*;
-use p3q_bench::{HarnessArgs, World};
+use p3q_bench::flags::{exit_with_usage, Flags};
+use p3q_bench::json::Json;
+use p3q_bench::{burst_simulator, composite_faults, issue_queries, HarnessArgs, World};
 use p3q_trace::Scenario;
 use p3q_transport::{DeliverySchedule, MailboxTraffic, TransportRuntime};
+
+const USAGE: &str = "\
+cargo run --release -p p3q-bench --bin bench_transport [-- OPTIONS]
+    --users N        population size                  (default 1000)
+    --seed N         master seed                      (default 42)
+    --queries N      tracked queries                  (default 100)
+    --warmup N       lazy warmup cycles               (default 3)
+    --cycles N       eager cycles                     (default 12; check: 4)
+    --actors a,b,c   shard-actor counts to sweep      (default 1,3,8)
+    --out PATH       output path                      (default BENCH_transport.json)
+    --check          oracle check only: run one transport layout (actor
+                     count from P3Q_THREADS, default 3), assert it is
+                     byte-identical to the simulator and print the
+                     checksum (CI runs this under a P3Q_THREADS matrix
+                     and diffs the printed TRANSPORT_CHECKSUM lines
+                     across jobs; the layout's own mailbox counters go
+                     on a TRANSPORT_TRAFFIC line)";
 
 struct Args {
     users: usize,
@@ -52,55 +53,34 @@ struct Args {
     check: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        users: 1_000,
-        seed: 42,
-        queries: 100,
-        warmup: 3,
-        cycles: None,
-        actors: vec![1, 3, 8],
-        out: "BENCH_transport.json".to_string(),
-        check: false,
+fn parse_args() -> Result<Args, String> {
+    let mut flags = Flags::from_env();
+    let args = Args {
+        users: flags.value("--users", 1_000)?,
+        seed: flags.value("--seed", 42)?,
+        queries: flags.value("--queries", 100)?,
+        warmup: flags.value("--warmup", 3)?,
+        cycles: flags.optional("--cycles")?,
+        actors: flags.list("--actors", &[1, 3, 8])?,
+        out: flags.value("--out", "BENCH_transport.json".to_string())?,
+        check: flags.switch("--check"),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--users" => args.users = value("--users").parse().expect("--users wants an integer"),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed wants an integer"),
-            "--queries" => {
-                args.queries = value("--queries")
-                    .parse()
-                    .expect("--queries wants an integer")
-            }
-            "--warmup" => {
-                args.warmup = value("--warmup")
-                    .parse()
-                    .expect("--warmup wants an integer")
-            }
-            "--cycles" => {
-                args.cycles = Some(
-                    value("--cycles")
-                        .parse()
-                        .expect("--cycles wants an integer"),
-                )
-            }
-            "--actors" => {
-                args.actors = value("--actors")
-                    .split(',')
-                    .map(|v| v.trim().parse().expect("--actors wants integers"))
-                    .collect()
-            }
-            "--out" => args.out = value("--out"),
-            "--check" => args.check = true,
-            other => panic!("unknown flag {other}"),
-        }
+    flags.finish()?;
+    Ok(args)
+}
+
+impl Args {
+    /// The paper-shaped world of a run of `cycles` eager cycles.
+    fn world(&self, cycles: u64) -> World {
+        World::build(&HarnessArgs {
+            users: self.users,
+            seed: self.seed,
+            cycles,
+            queries: self.queries,
+            paper_scale: false,
+            scenario: Scenario::PaperDelicious,
+        })
     }
-    args
 }
 
 /// A host-independent digest of a run's complete end state: cycle, every
@@ -118,22 +98,17 @@ fn state_checksum<'a>(
     h.finish()
 }
 
-/// Builds the simulation at the point both drivers start from: ideal
-/// personal networks, `warmup` lazy cycles, the query workload issued.
-fn build_sim(world: &World, cfg: &P3qConfig, queries: &[Query], warmup: u64) -> Simulator<P3qNode> {
-    let budgets = vec![4usize; world.trace.dataset.num_users()];
-    let mut sim = build_simulator_with_budgets(&world.trace.dataset, cfg, &budgets, 5);
-    init_ideal_networks(&mut sim, &world.ideal);
+/// The point both drivers start from: the burst simulation after `warmup`
+/// lazy cycles, with the query workload issued.
+fn start_point(
+    world: &World,
+    cfg: &P3qConfig,
+    queries: &[Query],
+    warmup: u64,
+) -> Simulator<P3qNode> {
+    let mut sim = burst_simulator(world, cfg);
     sim.drive(&cfg.lazy(), RunOptions::cycles(warmup), |_, _| {});
-    for (i, query) in queries.iter().enumerate() {
-        issue_query(
-            &mut sim,
-            query.querier.index(),
-            QueryId(i as u64),
-            query.clone(),
-            cfg,
-        );
-    }
+    issue_queries(&mut sim, queries, cfg);
     sim
 }
 
@@ -166,7 +141,7 @@ fn run_simulator(
     warmup: u64,
     cycles: u64,
 ) -> ArmResult {
-    let mut sim = build_sim(world, cfg, queries, warmup);
+    let mut sim = start_point(world, cfg, queries, warmup);
     let start = Instant::now();
     let report = sim.drive(&cfg.eager(), RunOptions::cycles(cycles), |_, _| {});
     let elapsed_s = start.elapsed().as_secs_f64();
@@ -187,7 +162,7 @@ fn run_transport(
     cycles: u64,
     actors: usize,
 ) -> ArmResult {
-    let mut sim = build_sim(world, cfg, queries, warmup);
+    let mut sim = start_point(world, cfg, queries, warmup);
     let mut rt = TransportRuntime::from_simulator(&mut sim, actors, DeliverySchedule::canonical());
     let start = Instant::now();
     let report = rt.drive(&cfg.eager(), RunOptions::cycles(cycles));
@@ -217,16 +192,6 @@ fn assert_oracle_equal(reference: &ArmResult, transport: &ArmResult, label: &str
     );
 }
 
-/// The composite transport-fault mix for the faulted arm: the 5% lossy
-/// preset plus a small crash rate, as in `bench_faults`.
-fn fault_mix(fault_seed: u64) -> FaultConfig {
-    let mut cfg = FaultConfig::lossy(0.05, fault_seed);
-    cfg.crash_rate = 0.002;
-    cfg.downtime_cycles = 2;
-    cfg.validate();
-    cfg
-}
-
 /// Faulted oracle comparison at one actor count; returns the (shared)
 /// fault fingerprint, traffic and state checksums.
 fn run_faulted(
@@ -238,9 +203,11 @@ fn run_faulted(
     actors: usize,
     fault_seed: u64,
 ) -> (u64, (u64, u64), u64) {
-    let faults = fault_mix(fault_seed);
+    // The 5% lossy preset plus this benchmark's own fixed crash rate (not
+    // `bench_faults`' `rate / 20`: the committed checksums pin 0.002).
+    let faults = composite_faults(0.05, 0.002, fault_seed);
 
-    let mut sim = build_sim(world, cfg, queries, warmup);
+    let mut sim = start_point(world, cfg, queries, warmup);
     let mut sim_faults: FaultPlan<EagerTask> = FaultPlan::new(faults);
     sim.drive(
         &cfg.eager(),
@@ -249,7 +216,7 @@ fn run_faulted(
     );
     let sim_state = state_checksum(sim.cycle(), sim.nodes(), sim.bandwidth.totals());
 
-    let mut seeded = build_sim(world, cfg, queries, warmup);
+    let mut seeded = start_point(world, cfg, queries, warmup);
     let mut rt =
         TransportRuntime::from_simulator(&mut seeded, actors, DeliverySchedule::canonical());
     let mut rt_faults: FaultPlan<EagerTask> = FaultPlan::new(faults);
@@ -288,15 +255,7 @@ fn run_check(args: &Args) {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3usize);
-    let harness = HarnessArgs {
-        users: args.users,
-        seed: args.seed,
-        cycles,
-        queries: args.queries,
-        paper_scale: false,
-        scenario: Scenario::PaperDelicious,
-    };
-    let world = World::build(&harness);
+    let world = args.world(cycles);
     let cfg = world.cfg.clone();
     let queries = world.sample_queries(args.queries.min(50));
 
@@ -337,22 +296,14 @@ fn run_check(args: &Args) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| exit_with_usage(&e, USAGE));
     if args.check {
         run_check(&args);
         return;
     }
     let cycles = args.cycles.unwrap_or(12);
 
-    let harness = HarnessArgs {
-        users: args.users,
-        seed: args.seed,
-        cycles,
-        queries: args.queries,
-        paper_scale: false,
-        scenario: Scenario::PaperDelicious,
-    };
-    let world = World::build(&harness);
+    let world = args.world(cycles);
     let cfg = world.cfg.clone();
     let queries = world.sample_queries(args.queries);
     eprintln!(
@@ -397,74 +348,50 @@ fn main() {
     );
     eprintln!("faulted arm ({faulted_actors} actors): byte-identical, fault_fp {fault_fp:x}");
 
-    let mut json = String::new();
-    json.push_str("{\n  \"benchmark\": \"transport\",\n");
-    let _ = writeln!(json, "  \"seed\": {},", args.seed);
-    let _ = writeln!(json, "  \"users\": {},", args.users);
-    let _ = writeln!(json, "  \"queries\": {},", queries.len());
-    let _ = writeln!(json, "  \"lazy_warmup_cycles\": {},", args.warmup);
-    let _ = writeln!(json, "  \"eager_cycles\": {cycles},");
-    let _ = writeln!(
-        json,
-        "  \"note\": \"eager workload through the message-passing transport runtime vs the simulator oracle; every layout byte-identity-asserted (state fingerprint, traffic, run report), plus a composite-fault arm pinning the fault schedule\","
-    );
-    json.push_str("  \"simulator\": {\n");
-    let _ = writeln!(json, "    \"elapsed_s\": {:.3},", reference.elapsed_s);
-    let _ = writeln!(json, "    \"exchanges\": {},", reference.report.exchanges());
-    let _ = writeln!(
-        json,
-        "    \"traffic_checksum\": [{}, {}],",
-        reference.traffic_checksum.0, reference.traffic_checksum.1
-    );
-    let _ = writeln!(
-        json,
-        "    \"state_checksum\": \"{:016x}\"",
-        reference.state_checksum
-    );
-    json.push_str("  },\n  \"transport\": [\n");
-    for (i, (actors, arm)) in arms.iter().enumerate() {
-        json.push_str("    {\n");
-        let _ = writeln!(json, "      \"actors\": {actors},");
-        let _ = writeln!(json, "      \"elapsed_s\": {:.3},", arm.elapsed_s);
-        let _ = writeln!(
-            json,
-            "      \"speedup_vs_simulator\": {:.3},",
-            reference.elapsed_s / arm.elapsed_s.max(1e-9)
-        );
-        let _ = writeln!(
-            json,
-            "      \"commands_per_cycle\": {:.3},",
-            arm.commands_per_cycle()
-        );
-        let _ = writeln!(
-            json,
-            "      \"guests_per_cycle\": {:.3},",
-            arm.guests_per_cycle()
-        );
-        let _ = writeln!(
-            json,
-            "      \"traffic_checksum\": [{}, {}],",
-            arm.traffic_checksum.0, arm.traffic_checksum.1
-        );
-        let _ = writeln!(
-            json,
-            "      \"state_checksum\": \"{:016x}\"",
-            arm.state_checksum
-        );
-        json.push_str("    }");
-        json.push_str(if i + 1 < arms.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"faulted\": {\n");
-    let _ = writeln!(json, "    \"actors\": {faulted_actors},");
-    let _ = writeln!(json, "    \"fault_checksum\": \"{fault_fp:x}\",");
-    let _ = writeln!(
-        json,
-        "    \"traffic_checksum\": [{}, {}],",
-        faulted_traffic.0, faulted_traffic.1
-    );
-    let _ = writeln!(json, "    \"state_checksum\": \"{faulted_state:016x}\"");
-    json.push_str("  }\n}\n");
-
-    std::fs::write(&args.out, &json).expect("writing the benchmark output");
-    eprintln!("wrote {}", args.out);
+    let checksum_json = |checksum: u64| Json::from(format!("{checksum:016x}"));
+    let transport = arms.iter().map(|(actors, arm)| {
+        let speedup = reference.elapsed_s / arm.elapsed_s.max(1e-9);
+        Json::object()
+            .with("actors", *actors)
+            .with("elapsed_s", Json::fixed(arm.elapsed_s, 3))
+            .with("speedup_vs_simulator", Json::fixed(speedup, 3))
+            .with(
+                "commands_per_cycle",
+                Json::fixed(arm.commands_per_cycle(), 3),
+            )
+            .with("guests_per_cycle", Json::fixed(arm.guests_per_cycle(), 3))
+            .with("traffic_checksum", arm.traffic_checksum)
+            .with("state_checksum", checksum_json(arm.state_checksum))
+    });
+    Json::object()
+        .with("benchmark", "transport")
+        .with("seed", args.seed)
+        .with("users", args.users)
+        .with("queries", queries.len())
+        .with("lazy_warmup_cycles", args.warmup)
+        .with("eager_cycles", cycles)
+        .with(
+            "note",
+            "eager workload through the message-passing transport runtime vs the simulator \
+             oracle; every layout byte-identity-asserted (state fingerprint, traffic, run \
+             report), plus a composite-fault arm pinning the fault schedule",
+        )
+        .with(
+            "simulator",
+            Json::object()
+                .with("elapsed_s", Json::fixed(reference.elapsed_s, 3))
+                .with("exchanges", reference.report.exchanges())
+                .with("traffic_checksum", reference.traffic_checksum)
+                .with("state_checksum", checksum_json(reference.state_checksum)),
+        )
+        .with("transport", transport.collect::<Json>())
+        .with(
+            "faulted",
+            Json::object()
+                .with("actors", faulted_actors)
+                .with("fault_checksum", format!("{fault_fp:x}"))
+                .with("traffic_checksum", faulted_traffic)
+                .with("state_checksum", checksum_json(faulted_state)),
+        )
+        .save(&args.out);
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use p3q::prelude::*;
-use p3q_bench::{fmt, print_table, HarnessArgs, World};
+use p3q_bench::{fmt, issue_queries, print_table, HarnessArgs, World};
 use p3q_sim::DistributionSummary;
 
 struct ScenarioOutcome {
@@ -27,15 +27,7 @@ fn run_scenario(
     let cfg = &world.cfg;
     let mut sim = build_simulator(&world.trace.dataset, cfg, &storage, seed);
     init_ideal_networks(&mut sim, &world.ideal);
-    for (i, query) in queries.iter().enumerate() {
-        issue_query(
-            &mut sim,
-            query.querier.index(),
-            QueryId(i as u64),
-            query.clone(),
-            cfg,
-        );
-    }
+    issue_queries(&mut sim, queries, cfg);
     sim.drive(
         &cfg.eager(),
         RunOptions::until_complete(max_cycles),

@@ -12,7 +12,7 @@
 
 use p3q::bandwidth::{bits_per_second, category};
 use p3q::prelude::*;
-use p3q_bench::{fmt, print_table, HarnessArgs, World};
+use p3q_bench::{fmt, issue_queries, print_table, HarnessArgs, World};
 use p3q_sim::DistributionSummary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,15 +47,7 @@ fn main() {
     let queries = world.sample_queries(args.queries);
     let eager_bandwidth_before = sim.bandwidth.totals().0;
     let cycle_before = sim.cycle();
-    for (i, query) in queries.iter().enumerate() {
-        issue_query(
-            &mut sim,
-            query.querier.index(),
-            QueryId(i as u64),
-            query.clone(),
-            cfg,
-        );
-    }
+    issue_queries(&mut sim, &queries, cfg);
     sim.drive(&cfg.eager(), RunOptions::until_complete(40), |_, _| {});
     let eager_cycles = sim.cycle() - cycle_before;
     let eager_bytes = sim.bandwidth.totals().0 - eager_bandwidth_before;

@@ -18,7 +18,7 @@ use p3q::analysis::{
 };
 use p3q::prelude::*;
 use p3q::storage::scale_bucket;
-use p3q_bench::{fmt, print_table, HarnessArgs, World};
+use p3q_bench::{fmt, issue_queries, print_table, HarnessArgs, World};
 use p3q_sim::DistributionSummary;
 
 fn main() {
@@ -55,15 +55,7 @@ fn main() {
             / queries.len().max(1) as f64;
         let x = (c + 1) as f64;
 
-        for (i, query) in queries.iter().enumerate() {
-            issue_query(
-                &mut sim,
-                query.querier.index(),
-                QueryId(i as u64),
-                query.clone(),
-                &cfg,
-            );
-        }
+        issue_queries(&mut sim, &queries, &cfg);
         sim.drive(
             &cfg.eager(),
             RunOptions::until_complete(args.cycles),

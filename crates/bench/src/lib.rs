@@ -2,17 +2,24 @@
 //!
 //! Every table and figure of the paper's evaluation (Section 3) has a
 //! dedicated binary in `src/bin/`; they all share the helpers in this crate:
-//! a tiny command-line parser, a common "world" (trace + ideal networks +
-//! query workload) and the per-cycle recall measurement used by the
+//! the command-line reader ([`flags`]), the JSON value the `bench_*`
+//! binaries write and `bench_check` reads ([`json`]), a common "world"
+//! (trace + ideal networks + query workload), the burst set-up of the fault
+//! and transport benchmarks and the per-cycle recall measurement used by the
 //! eager-mode figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod flags;
+pub mod json;
+
 use std::collections::HashMap;
 
 use p3q::prelude::*;
 use p3q_trace::{ChangeBatch, Scenario, ScenarioConfig, ScenarioEvent, SyntheticTrace, TraceShape};
+
+use flags::{exit_with_usage, Flags};
 
 /// Command-line options shared by all harness binaries.
 ///
@@ -53,47 +60,46 @@ impl Default for HarnessArgs {
     }
 }
 
+/// The flags every figure binary takes: printed by `--help` and after a bad
+/// flag.
+const HARNESS_USAGE: &str =
+    "options: --users N --seed N --cycles N --queries N --paper-scale --scenario NAME";
+
 impl HarnessArgs {
     /// Parses `std::env::args`, using `default_cycles` when `--cycles` is not
-    /// given. Unknown flags abort with a usage message.
+    /// given. A bad flag prints the error and the options and exits with
+    /// status 2.
     pub fn parse(default_cycles: u64) -> Self {
         Self::parse_from(std::env::args().skip(1), default_cycles)
+            .unwrap_or_else(|e| exit_with_usage(&e, HARNESS_USAGE))
     }
 
     /// Parses an explicit argument iterator (testable variant of
     /// [`parse`](Self::parse)).
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I, default_cycles: u64) -> Self {
-        let mut parsed = Self {
-            cycles: default_cycles,
-            ..Self::default()
-        };
-        let mut iter = args.into_iter();
-        while let Some(flag) = iter.next() {
-            let mut take_value = |name: &str| {
-                iter.next()
-                    .unwrap_or_else(|| panic!("missing value for {name}"))
-            };
-            match flag.as_str() {
-                "--users" => parsed.users = take_value("--users").parse().expect("--users"),
-                "--seed" => parsed.seed = take_value("--seed").parse().expect("--seed"),
-                "--cycles" => parsed.cycles = take_value("--cycles").parse().expect("--cycles"),
-                "--queries" => parsed.queries = take_value("--queries").parse().expect("--queries"),
-                "--paper-scale" => parsed.paper_scale = true,
-                "--scenario" => parsed.scenario = Scenario::from_flag(&take_value("--scenario")),
-                "--help" | "-h" => {
-                    println!(
-                        "options: --users N --seed N --cycles N --queries N --paper-scale --scenario NAME"
-                    );
-                    println!("scenarios:");
-                    for s in Scenario::ALL {
-                        println!("  {:<16} {}", s.name(), s.description());
-                    }
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag {other}; try --help"),
+    pub fn parse_from<I: IntoIterator<Item = String>>(
+        args: I,
+        default_cycles: u64,
+    ) -> Result<Self, String> {
+        let mut flags = Flags::new(args);
+        if flags.switch("--help") || flags.switch("-h") {
+            println!("{HARNESS_USAGE}");
+            println!("scenarios:");
+            for s in Scenario::ALL {
+                println!("  {:<16} {}", s.name(), s.description());
             }
+            std::process::exit(0);
         }
-        parsed
+        let defaults = Self::default();
+        let parsed = Self {
+            users: flags.value("--users", defaults.users)?,
+            seed: flags.value("--seed", defaults.seed)?,
+            cycles: flags.value("--cycles", default_cycles)?,
+            queries: flags.value("--queries", defaults.queries)?,
+            paper_scale: flags.switch("--paper-scale"),
+            scenario: flags.scenario()?,
+        };
+        flags.finish()?;
+        Ok(parsed)
     }
 
     /// The protocol configuration implied by the scale flags.
@@ -260,6 +266,54 @@ pub fn fire_due_sim_events(sim: &mut Simulator<P3qNode>, events: &mut EventQueue
     }
 }
 
+/// Issues `queries[i]` from its querier's node as `QueryId(i)` — the
+/// numbering every harness reads the query books back under.
+pub fn issue_queries(sim: &mut Simulator<P3qNode>, queries: &[Query], cfg: &P3qConfig) {
+    for (i, query) in queries.iter().enumerate() {
+        issue_query(
+            sim,
+            query.querier.index(),
+            QueryId(i as u64),
+            query.clone(),
+            cfg,
+        );
+    }
+}
+
+/// The simulation the burst benchmarks (`bench_faults`, `bench_transport`)
+/// start from: a storage budget of 4 profiles per node, engine seed 5 and
+/// the ideal personal networks installed.
+pub fn burst_simulator(world: &World, cfg: &P3qConfig) -> Simulator<P3qNode> {
+    let budgets = vec![4usize; world.trace.dataset.num_users()];
+    let mut sim = build_simulator_with_budgets(&world.trace.dataset, cfg, &budgets, 5);
+    init_ideal_networks(&mut sim, &world.ideal);
+    sim
+}
+
+/// The composite fault mix of the burst benchmarks at headline `rate` (a
+/// fraction, not percent): the `lossy` delivery preset (drop `rate`, delay
+/// `rate / 2`, duplicate `rate / 4`) plus `crash_rate` crashes per node per
+/// cycle with a 2-cycle downtime. Pure delivery loss only delays the eager
+/// protocol (an uncommitted exchange leaves the remaining list with the
+/// initiator, who re-plans next cycle); the permanent damage comes from
+/// crashes wiping in-flight query state.
+///
+/// The two callers pass different crash rates: `bench_faults` scales it with
+/// the sweep (`rate / 20`, so 0.0025 at its 5 % row), `bench_transport` pairs
+/// the 5 % preset with a fixed 0.002. The `fault_checksum`, `state_checksum`
+/// and `traffic_checksum` values committed under `ci/baselines/` pin both, so
+/// neither can adopt the other's rate without a deliberate re-bless.
+pub fn composite_faults(rate: f64, crash_rate: f64, fault_seed: u64) -> FaultConfig {
+    if rate <= 0.0 {
+        return FaultConfig::none();
+    }
+    let mut cfg = FaultConfig::lossy(rate, fault_seed);
+    cfg.crash_rate = crash_rate;
+    cfg.downtime_cycles = 2;
+    cfg.validate();
+    cfg
+}
+
 /// Per-cycle average recall of a batch of queries processed simultaneously in
 /// eager mode — the measurement behind Figures 3, 4 and 11.
 pub struct RecallExperiment {
@@ -307,15 +361,7 @@ pub fn run_recall_experiment_with_events(
         })
         .collect();
 
-    for (i, query) in queries.iter().enumerate() {
-        issue_query(
-            sim,
-            query.querier.index(),
-            QueryId(i as u64),
-            query.clone(),
-            cfg,
-        );
-    }
+    issue_queries(sim, queries, cfg);
 
     let average_recall = |sim: &mut Simulator<P3qNode>| -> f64 {
         let mut total = 0.0;
@@ -373,6 +419,12 @@ pub fn run_recall_experiment_with_events(
     }
 }
 
+/// The host's available parallelism (1 when it cannot be told), recorded
+/// beside every result that depends on threads.
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Prints a simple aligned table: a header row followed by data rows.
 pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -409,7 +461,7 @@ mod tests {
 
     #[test]
     fn args_defaults_and_overrides() {
-        let args = HarnessArgs::parse_from(Vec::<String>::new(), 25);
+        let args = HarnessArgs::parse_from(Vec::<String>::new(), 25).unwrap();
         assert_eq!(args.users, 1000);
         assert_eq!(args.cycles, 25);
         assert!(!args.paper_scale);
@@ -428,7 +480,8 @@ mod tests {
             .iter()
             .map(|s| s.to_string()),
             25,
-        );
+        )
+        .unwrap();
         assert_eq!(args.users, 50);
         assert_eq!(args.seed, 9);
         assert_eq!(args.cycles, 3);
@@ -436,9 +489,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn unknown_flag_panics() {
-        let _ = HarnessArgs::parse_from(["--bogus".to_string()], 1);
+    fn unknown_flag_is_an_error() {
+        assert!(HarnessArgs::parse_from(["--bogus".to_string()], 1).is_err());
     }
 
     #[test]

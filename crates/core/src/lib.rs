@@ -101,8 +101,8 @@
 //!   past every run, and the fused
 //!   [`p3q_trace::codec::for_each_sorted_u32_grouped_padded`] kernel runs
 //!   the counting sweep entirely on bounds-check-free masked 4-byte loads
-//!   (measured 1.3–1.4× over LEB128 decode at the 20k/100k-user scales —
-//!   the `decode` columns of `BENCH_similarity.json`). The posting
+//!   (measured 1.3–1.4× over LEB128 decode at 20k/100k users; the gated
+//!   `decode` columns: `ci/baselines/BENCH_similarity_smoke.json`). The posting
 //!   directory stores group-relative `u16` offsets anchored every 64
 //!   slots (~1 MiB smaller at 100k users). Profiles are held and served
 //!   decoded; [`p3q_trace::PackedProfile`] is an at-rest size format only.

@@ -62,7 +62,8 @@ pub fn recall_at_k(result_items: &[ItemId], reference: &[(ItemId, u32)]) -> f64 
 /// Degradation surface of a faulted query workload: how much recall,
 /// latency and bandwidth a fault schedule costs relative to the fault-free
 /// run. One instance accumulates a whole workload (one per fault rate in
-/// the degradation curves of `BENCH_faults.json`).
+/// the degradation curves `bench_faults` writes, gated at smoke scale in
+/// `ci/baselines/BENCH_faults_smoke.json`).
 ///
 /// Queries are classified three ways: **completed** (every target profile
 /// covered before any deadline), **degraded** (still alive at the end of
