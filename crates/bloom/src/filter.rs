@@ -66,21 +66,38 @@ impl BloomFilter {
     /// exactly `keys.any(|k| self.contains(k))` over the keys the set was
     /// built from, false positives included.
     ///
-    /// Each key is screened with one bit test on its precomputed first
-    /// slot; the other `k − 1` probes run only for the keys that pass, so a
-    /// miss — the common case for a digest of an unrelated profile — costs
-    /// no hashing and no division.
+    /// Each key is screened with one bit test on its first slot; the other
+    /// `k − 1` probes run only for the keys that pass, so a miss — the
+    /// common case for a digest of an unrelated profile — costs no hashing
+    /// and no division.
     ///
     /// # Panics
     /// Panics if `probes` was hashed for a different geometry.
     pub fn contains_any(&self, probes: &ProbeSet) -> bool {
         self.assert_geometry(probes.bit_len, probes.num_hashes);
-        probes.first_slots.iter().enumerate().any(|(key, &first)| {
-            self.bit(first as usize) && {
-                let (h1, h2) = probes.hashes[key];
-                (1..self.num_hashes).all(|i| self.bit(slot(self.bit_len, h1, h2, i)))
+        match &probes.column {
+            ProbeColumn::Strided(keys) => {
+                let mask = self.bit_len - 1;
+                keys.iter().any(|&(first, stride)| {
+                    let mut at = u32::from(first);
+                    self.bit(at as usize)
+                        && (1..self.num_hashes).all(|_| {
+                            at = (at + u32::from(stride)) & mask;
+                            self.bit(at as usize)
+                        })
+                })
             }
-        })
+            ProbeColumn::Hashed {
+                first_slots,
+                hashes,
+            } => first_slots
+                .iter()
+                .zip(hashes.iter())
+                .any(|(&first, &(h1, h2))| {
+                    self.bit(first as usize)
+                        && (1..self.num_hashes).all(|i| self.bit(slot(self.bit_len, h1, h2, i)))
+                }),
+        }
     }
 
     /// Returns `true` if no key was ever inserted.
@@ -212,14 +229,38 @@ fn slot(bit_len: u32, h1: u64, h2: u64, i: u32) -> usize {
 /// in its random view and of every offer it receives; its items and the
 /// digest geometry are the same each time, so the hashing is done here,
 /// once, and each test is left with bit lookups.
+///
+/// For a power-of-two `bit_len = 2^k ≤ 2^16` a key is kept as the two
+/// residues `(h1 mod 2^k, h2 mod 2^k)`, 4 bytes: probe `i` is
+/// `(h1 + i·h2 mod 2^64) mod 2^k`, and because `2^k` divides `2^64` the
+/// wrap of the 64-bit sum is invisible to the residue, so the probe sequence
+/// is `at ← (at + h2 mod 2^k) & (2^k − 1)` from `at = h1 mod 2^k` — no
+/// division and nothing of the 64-bit hashes needed. Every other geometry
+/// (a bit length that is not a power of two, such as the paper's 20 Kbit,
+/// or one wider than `u16`) cannot drop the high bits and keeps the first
+/// slot and the full `(h1, h2)` of every key, 20 bytes. The choice follows
+/// from the geometry alone; both forms answer exactly what per-key
+/// [`BloomFilter::contains`] answers.
 #[derive(Debug, Clone)]
 pub struct ProbeSet {
     bit_len: u32,
     num_hashes: u32,
-    /// Probe 0 of every key, the only column a miss reads.
-    first_slots: Vec<u32>,
-    /// `(h1, h2)` of every key, from which probes `1..k` are derived.
-    hashes: Vec<(u64, u64)>,
+    column: ProbeColumn,
+}
+
+/// Widest bit length whose residues fit the strided column's `u16`s.
+const STRIDED_MAX_BITS: u32 = 1 << 16;
+
+#[derive(Debug, Clone)]
+enum ProbeColumn {
+    /// `(h1 mod bit_len, h2 mod bit_len)` of every key.
+    Strided(Box<[(u16, u16)]>),
+    /// Probe 0 of every key — the only column a miss reads — and the
+    /// `(h1, h2)` from which probes `1..k` are derived.
+    Hashed {
+        first_slots: Box<[u32]>,
+        hashes: Box<[(u64, u64)]>,
+    },
 }
 
 impl ProbeSet {
@@ -231,16 +272,42 @@ impl ProbeSet {
     pub fn new<I: IntoIterator<Item = u64>>(bit_len: usize, num_hashes: u32, keys: I) -> Self {
         assert!(bit_len > 0, "a Bloom filter needs at least one bit");
         let bit_len = u32::try_from(bit_len).expect("filters are at most 2^32 - 1 bits");
-        let hashes: Vec<(u64, u64)> = keys.into_iter().map(hash_pair).collect();
-        let first_slots = hashes
-            .iter()
-            .map(|&(h1, h2)| slot(bit_len, h1, h2, 0) as u32)
-            .collect();
+        let hashes = keys.into_iter().map(hash_pair);
+        let column = if bit_len.is_power_of_two() && bit_len <= STRIDED_MAX_BITS {
+            let mask = u64::from(bit_len - 1);
+            // The mask keeps each residue below 2^16, so `as u16` drops
+            // nothing.
+            ProbeColumn::Strided(
+                hashes
+                    .map(|(h1, h2)| ((h1 & mask) as u16, (h2 & mask) as u16))
+                    .collect(),
+            )
+        } else {
+            let hashes: Box<[(u64, u64)]> = hashes.collect();
+            ProbeColumn::Hashed {
+                first_slots: hashes
+                    .iter()
+                    .map(|&(h1, h2)| slot(bit_len, h1, h2, 0) as u32)
+                    .collect(),
+                hashes,
+            }
+        };
         Self {
             bit_len,
             num_hashes,
-            first_slots,
-            hashes,
+            column,
+        }
+    }
+
+    /// Resident heap bytes of the key columns (each allocated at its exact
+    /// length): 4 bytes a key in the strided form, 20 otherwise.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.column {
+            ProbeColumn::Strided(keys) => std::mem::size_of_val(&**keys),
+            ProbeColumn::Hashed {
+                first_slots,
+                hashes,
+            } => std::mem::size_of_val(&**first_slots) + std::mem::size_of_val(&**hashes),
         }
     }
 }

@@ -119,9 +119,6 @@ pub fn collect_offers(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Vec<Pro
 /// 3-step protocol of Algorithm 1, and returns the byte counts incurred.
 pub fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> ExchangeStats {
     let mut stats = ExchangeStats::default();
-    // The node's items, hashed on the first offer that needs the digest
-    // check and reused for the rest of the batch.
-    let mut probes = None;
     for offer in offers {
         if offer.user == node.id {
             continue;
@@ -151,11 +148,7 @@ pub fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> ExchangeSt
         // Lines 10–11: no common item → drop. The digest is the only
         // information available at this point, so the check uses it (false
         // positives are possible and simply cost a step-2 exchange).
-        if known.is_none()
-            && !offer
-                .digest
-                .contains_any(probes.get_or_insert_with(|| node.item_probes()))
-        {
+        if known.is_none() && !offer.digest.contains_any(node.item_probes()) {
             continue;
         }
 
@@ -381,7 +374,7 @@ impl GossipProtocol for LazyProtocol {
         let candidates: Vec<ProbeCandidate> = node
             .random_view
             .iter()
-            .filter(|e| valid_partner(e.peer) && e.meta.digest.contains_any(&probes))
+            .filter(|e| valid_partner(e.peer) && e.meta.digest.contains_any(probes))
             .map(|e| {
                 let peer_node = world.node(e.peer.index());
                 ProbeCandidate {

@@ -223,6 +223,10 @@ pub struct P3qNode {
     /// the next read rebuilds it — a batch of `add_tagging_actions` calls
     /// costs one Bloom construction instead of one per call.
     digest: OnceLock<SharedFilter>,
+    /// The profile's distinct items hashed for the digest geometry — like
+    /// `digest` a function of the profile alone, built on first use and
+    /// cleared wherever `digest` is.
+    probes: OnceLock<Arc<ProbeSet>>,
     digest_bits: u32,
     digest_hashes: u32,
     storage_budget: u32,
@@ -249,6 +253,7 @@ impl Default for P3qNode {
             profile: EMPTY.get_or_init(SharedProfile::default).clone(),
             profile_version: 0,
             digest: OnceLock::new(),
+            probes: OnceLock::new(),
             digest_bits: 0,
             digest_hashes: 0,
             storage_budget: 1,
@@ -288,6 +293,7 @@ impl P3qNode {
             profile,
             profile_version: 1,
             digest: OnceLock::new(),
+            probes: OnceLock::new(),
             digest_bits: u32::try_from(digest_bits).expect("digest size fits u32"),
             digest_hashes,
             storage_budget: u32::try_from(storage_budget.max(1)).expect("storage budget fits u32"),
@@ -331,17 +337,21 @@ impl P3qNode {
         })
     }
 
-    /// The node's distinct items hashed once for its digest geometry: the
-    /// probe side of "does any of my items hit this digest?" (Algorithm 1,
-    /// lines 10–11), to be tested against every digest of one plan or one
-    /// offer batch with [`BloomFilter::contains_any`]. Built per call and
-    /// dropped — a node does not keep it.
-    pub fn item_probes(&self) -> ProbeSet {
-        ProbeSet::new(
-            self.digest_bits as usize,
-            self.digest_hashes,
-            self.profile.items().map(ItemId::as_key),
-        )
+    /// The node's distinct items hashed for its digest geometry: the probe
+    /// side of "does any of my items hit this digest?" (Algorithm 1, lines
+    /// 10–11), to be tested against digests with
+    /// [`BloomFilter::contains_any`]. Built on the first call after
+    /// construction or after profile dynamics and kept beside the digest —
+    /// every plan, offer batch and piggybacked exchange of one profile
+    /// version reads the same column, and a cloned node shares it.
+    pub fn item_probes(&self) -> &ProbeSet {
+        self.probes.get_or_init(|| {
+            Arc::new(ProbeSet::new(
+                self.digest_bits as usize,
+                self.digest_hashes,
+                self.profile.items().map(ItemId::as_key),
+            ))
+        })
     }
 
     /// Forces the pending digest rebuild now (no-op if the digest is
@@ -384,6 +394,7 @@ impl P3qNode {
                 .checked_add(1)
                 .expect("profile versions are bounded by dynamics batches (u32)");
             self.digest.take();
+            self.probes.take();
         }
         added
     }
@@ -576,10 +587,10 @@ impl P3qNode {
 
     /// Crashes the node: every piece of **volatile** state is lost — the
     /// personal network and random view (in-memory routing state), the
-    /// query books (in-flight queries and delegated shares) and the
-    /// unflushed digest. What survives is the **at-rest** state a real node
-    /// would recover from disk: its own profile (and version), the digest
-    /// geometry and the storage budget. Called by the protocols'
+    /// query books (in-flight queries and delegated shares), the unflushed
+    /// digest and the probe column. What survives is the **at-rest** state
+    /// a real node would recover from disk: its own profile (and version),
+    /// the digest geometry and the storage budget. Called by the protocols'
     /// `on_crash` hooks when a fault schedule crashes the node; after
     /// `Membership::rejoin` the node re-bootstraps its views through the
     /// lazy protocol's re-bootstrap step.
@@ -589,6 +600,7 @@ impl P3qNode {
         self.querier_states = LazyMap::new();
         self.tasks = LazyMap::new();
         self.digest.take();
+        self.probes.take();
     }
 
     /// Evicts every personal-network neighbour whose staleness timestamp
@@ -612,7 +624,8 @@ impl P3qNode {
     }
 
     /// Resident bytes of this node's protocol state: the struct itself, the
-    /// materialized own digest, the personal-network / random-view entries
+    /// materialized own digest and probe column, the personal-network /
+    /// random-view entries
     /// and any allocated query books. Shared payloads behind `Arc` handles
     /// (profiles, neighbour digests) are *not* counted — they are
     /// deduplicated across the whole simulation and accounted once at
@@ -623,8 +636,14 @@ impl P3qNode {
             .get()
             .map(|d| d.heap_bytes() + std::mem::size_of::<BloomFilter>())
             .unwrap_or(0);
+        let probes = self
+            .probes
+            .get()
+            .map(|p| p.heap_bytes() + std::mem::size_of::<ProbeSet>())
+            .unwrap_or(0);
         std::mem::size_of::<Self>()
             + digest
+            + probes
             + self.personal_network.len()
                 * std::mem::size_of::<p3q_gossip::ScoredEntry<UserId, NeighbourInfo>>()
             + self.random_view.len()
@@ -863,6 +882,43 @@ mod tests {
             Arc::ptr_eq(n.shared_digest(), &flushed),
             "flushing a current digest must not rebuild it"
         );
+    }
+
+    #[test]
+    fn item_probes_track_the_profile_version() {
+        let mut n = node(2);
+        let theirs = profile(&[(9, 9)]).digest(1024, 4);
+        assert!(!theirs.contains_any(n.item_probes()));
+        let built = Arc::clone(n.probes.get().expect("built by the first call"));
+        assert!(
+            std::ptr::eq(n.item_probes(), &*built),
+            "a second call reads the kept column"
+        );
+
+        // A clone answers from the same column; nothing is rebuilt.
+        let copy = n.clone();
+        assert!(std::ptr::eq(copy.item_probes(), &*built));
+        let cold_bytes = node(2).storage_bytes();
+        assert_eq!(
+            n.storage_bytes(),
+            cold_bytes + std::mem::size_of::<ProbeSet>() + built.heap_bytes(),
+            "a materialised column is accounted"
+        );
+
+        // Re-adding a known action is no new version: the column stays.
+        n.add_tagging_actions(vec![TaggingAction::new(ItemId(1), TagId(1))]);
+        assert!(std::ptr::eq(n.item_probes(), &*built));
+        // Adding item 9 is: a stale column would still miss the digest.
+        n.add_tagging_actions(vec![TaggingAction::new(ItemId(9), TagId(9))]);
+        assert!(theirs.contains_any(n.item_probes()));
+        assert!(
+            !theirs.contains_any(copy.item_probes()),
+            "the clone is as it was"
+        );
+
+        n.crash_volatile();
+        assert!(n.probes.get().is_none(), "volatile state is lost");
+        assert!(theirs.contains_any(n.item_probes()));
     }
 
     #[test]

@@ -117,23 +117,30 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
     ///
     /// Returns `true` if the peer is in the view after the call.
     pub fn upsert(&mut self, peer: P, score: u64, meta: M) -> bool {
-        if let Some(entry) = self.get_mut(&peer) {
-            entry.score = score;
-            entry.meta = meta;
-            self.sort();
-            return true;
+        let staleness = match self.rank_of(&peer) {
+            Some(rank) => self.entries.remove(rank).staleness,
+            None => 0,
+        };
+        // Where the entry belongs in (score descending, peer ascending).
+        let rank = self
+            .entries
+            .partition_point(|e| e.score > score || (e.score == score && e.peer < peer));
+        if rank >= self.capacity {
+            return false;
         }
-        self.entries.push(ScoredEntry {
-            peer,
-            score,
-            staleness: 0,
-            meta,
-        });
-        self.sort();
-        if self.entries.len() > self.capacity {
-            self.entries.pop();
-        }
-        self.contains(&peer)
+        // Evict before inserting: a full view never asks its buffer for one
+        // slot more than `capacity`.
+        self.entries.truncate(self.capacity - 1);
+        self.entries.insert(
+            rank,
+            ScoredEntry {
+                peer,
+                score,
+                staleness,
+                meta,
+            },
+        );
+        true
     }
 
     /// Removes a peer; returns its entry if it was present.
@@ -220,11 +227,6 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
         let peer = self.oldest_matching(|e| candidates.contains(&e.peer))?;
         self.reset_staleness(&peer);
         Some(peer)
-    }
-
-    fn sort(&mut self) {
-        self.entries
-            .sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.peer.cmp(&b.peer)));
     }
 }
 
@@ -346,6 +348,8 @@ impl<P: Copy + Eq + Hash + Ord, M: Clone> AgedView<P, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     type V = ScoredView<u32, ()>;
 
@@ -380,6 +384,59 @@ mod tests {
         v.upsert(1, 30, ());
         assert_eq!(v.len(), 2);
         assert_eq!(v.rank_of(&1), Some(0));
+    }
+
+    #[test]
+    fn upsert_on_a_full_view_keeps_the_buffer_at_capacity() {
+        let mut full = V::new(4);
+        for peer in 0..4u32 {
+            full.upsert(peer, 10 + u64::from(peer), ());
+        }
+        // A clone allocates exactly `len` slots: the buffer has no slack.
+        let mut v = full.clone();
+        assert_eq!(v.entries.capacity(), 4);
+        assert!(!v.upsert(9, 1, ()), "worse than the minimum");
+        assert!(!v.upsert(9, 10, ()), "ties with the minimum, larger id");
+        assert_eq!(v, full);
+        assert!(v.upsert(9, 12, ()), "evicts the minimum");
+        assert!(v.upsert(2, 50, ()), "moves a present peer");
+        assert_eq!(v.peers().collect::<Vec<_>>(), vec![2, 3, 9, 1]);
+        assert_eq!(v.entries.capacity(), 4);
+    }
+
+    #[test]
+    fn upsert_matches_push_sort_pop() {
+        // The definition upsert replaces: update or push, sort by (score
+        // descending, peer ascending), drop what exceeds the capacity.
+        fn model(entries: &mut Vec<ScoredEntry<u32, u64>>, cap: usize, peer: u32, score: u64) {
+            match entries.iter_mut().find(|e| e.peer == peer) {
+                Some(e) => (e.score, e.meta) = (score, score),
+                None => entries.push(ScoredEntry {
+                    peer,
+                    score,
+                    staleness: 0,
+                    meta: score,
+                }),
+            }
+            entries.sort_by(|a, b| b.score.cmp(&a.score).then(a.peer.cmp(&b.peer)));
+            entries.truncate(cap);
+        }
+        let mut v: ScoredView<u32, u64> = ScoredView::new(5);
+        let mut expected = Vec::new();
+        let mut rng = StdRng::seed_from_u64(42);
+        for step in 0..2000 {
+            // Few peers and few scores: updates, ties and rejections are
+            // all common.
+            let (peer, score) = (rng.gen_range(0..12u32), rng.gen_range(0..6u64));
+            model(&mut expected, 5, peer, score);
+            let kept = v.upsert(peer, score, score);
+            assert_eq!(kept, expected.iter().any(|e| e.peer == peer), "step {step}");
+            if step % 7 == 0 {
+                v.tick();
+                expected.iter_mut().for_each(|e| e.staleness += 1);
+            }
+            assert_eq!(v.entries, expected, "step {step}");
+        }
     }
 
     #[test]
