@@ -2,12 +2,14 @@
 # A perf PR proves it changed no answer.
 #
 # Runs the e2e benchmark the way BENCHMARK.json's `command` does (built
-# through its own manifest) on the two gossip workloads, one round each
-# (`--seconds 0`), for seeds 42 and 7, and compares what the simulation
-# *answered* — `correct`, `failed`, `quality_ratio`, `bytes_per_op` —
-# with ci/e2e_answers.json. Those four are simulated: they repeat bit for
-# bit on any host, so the comparison is exact and a mismatch is a
-# behaviour change, never noise. Timings are not looked at.
+# through its own manifest) on the two gossip workloads and the two
+# similarity workloads, one round each (`--seconds 0`), for seeds 42 and 7,
+# and compares what each run *answered* — `correct`, `failed`,
+# `quality_ratio`, `bytes_per_op` — with ci/e2e_answers.json. Those four
+# are simulated (or, on the similarity side, oracle verdicts and the
+# resident index bytes per user): they repeat bit for bit on any host, so
+# the comparison is exact and a mismatch is a behaviour change, never
+# noise. Timings are not looked at.
 #
 #   ci/e2e_answers.sh            compare; exit 1 and print both values on a mismatch
 #   ci/e2e_answers.sh --record   rewrite ci/e2e_answers.json from this checkout
@@ -29,7 +31,7 @@ esac
 
 fresh=$(mktemp)
 trap 'rm -f "$fresh"' EXIT
-for workload in lazy_converge eager_burst; do
+for workload in lazy_converge eager_burst similarity_sweep similarity_serve; do
     for seed in 42 7; do
         echo "e2e --workload $workload --seed $seed --seconds 0" >&2
         # The last line of a run is its one-line verdict object.
