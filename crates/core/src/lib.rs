@@ -64,7 +64,7 @@
 //!   all cores with deterministic, thread-count-independent output
 //!   (measured: ~6× over the per-pair-merge reference single-threaded on a
 //!   20k-user trace, before parallel speedup). The index is sharded by id
-//!   range: profile dynamics recompress only the touched shards
+//!   range: profile dynamics rewrite only the touched posting lists
 //!   ([`similarity::ActionIndex::apply_deltas`], churn via
 //!   [`similarity::ActionIndex::remove_user`]) and
 //!   [`baseline::IdealNetworks::apply_change_batch`] re-scores only the

@@ -49,16 +49,26 @@
 //!
 //! The id space is split into contiguous **shards** (about
 //! [`TARGET_KEYS_PER_SHARD`] ids each). Profile dynamics (Section 3.4.1:
-//! users keep tagging) no longer force a rebuild:
+//! users keep tagging) no longer force a rebuild, and a write costs the
+//! batch, not the index. Every write goes through one streaming patcher
+//! per touched shard: it decodes, rewrites and re-encodes **only the
+//! touched posting lists**, copies the byte spans between them verbatim
+//! out of the old blob, and shifts the group directory by the bytes each
+//! rewritten list gained or lost — the result is byte for byte what
+//! encoding the patched lists from scratch would produce, and no list the
+//! batch does not name is ever decoded.
 //!
 //! * [`ActionIndex::apply_deltas`] interns any genuinely new actions into
-//!   the dictionary tail, then decodes, patches and **recompresses only the
-//!   shards containing the touched ids**. A batch of `D` new actions costs
-//!   `O(D log D + Σ |touched shard|)` — untouched shards are never read.
-//! * [`ActionIndex::remove_user`] handles churn (departures) the same way:
-//!   only the shards holding the departed profile's ids are recompressed,
-//!   and the **dirty set** (everyone who shared an action with the departed
-//!   user) comes back for re-scoring through
+//!   the dictionary tail, sorts the batch's `(id, user)` pairs and patches
+//!   each shard that holds one. A batch of `D` new actions costs
+//!   `O(D log D + Σ |touched posting| + memcpy(touched shard bytes))`; a
+//!   paper-day batch (≈ 15 % of the users, ≈ 8 actions each) lands in
+//!   every shard, so the last term is one copy of the blob column —
+//!   untouched shards are never read.
+//! * [`ActionIndex::remove_user`] handles churn (departures) through the
+//!   same patcher: only the departed profile's own posting lists are
+//!   rewritten, and the **dirty set** (everyone who shared an action with
+//!   the departed user) comes back for re-scoring through
 //!   [`crate::baseline::IdealNetworks::recompute_dirty`].
 //! * [`ActionIndex::apply_deltas`] goes further and returns a
 //!   [`DeltaOutcome`]: the changing users plus the exact `(affected,
@@ -67,7 +77,9 @@
 //!   patch a lightly affected user's network from a few pair merges and
 //!   reserve full counting sweeps for the changing users — provably
 //!   matching a from-scratch
-//!   [`crate::baseline::IdealNetworks::compute`].
+//!   [`crate::baseline::IdealNetworks::compute`]. Sorting and deduplicating
+//!   those pairs is what a large batch mostly pays for once the shards
+//!   are patched in place.
 //!
 //! The per-user loop is embarrassingly parallel and runs through
 //! [`p3q_sim::parallel_map_chunks`], which guarantees output identical for
@@ -91,7 +103,7 @@
 
 use p3q_trace::codec::{
     decode_group, encode_sorted_u32s_grouped, for_each_sorted_u32_grouped_padded, read_varint,
-    write_varint, VarintReader, GROUP_DECODE_SLACK, GROUP_SIZE,
+    varint_len, write_varint, VarintReader, GROUP_DECODE_SLACK, GROUP_SIZE,
 };
 use p3q_trace::{ActionDictionary, Dataset, Profile, TaggingAction, UserId};
 
@@ -217,7 +229,7 @@ pub struct IndexMemory {
 
 /// The per-shard group offset directory: byte offset of posting slot
 /// `g * IDS_PER_GROUP` for every group `g`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum GroupDirectory {
     /// Anchored layout (the common case): `anchors[a]` is the absolute byte
     /// offset of group `a * GROUPS_PER_ANCHOR`, `deltas[g]` the `u16`
@@ -287,7 +299,7 @@ impl GroupDirectory {
 /// `blob` holds, per id in order, `[byte-length varint][first id: LEB128]
 /// [deltas: group-varint]` (length 0 = empty posting); `directory` maps
 /// group `g` to the byte offset of slot `g * IDS_PER_GROUP`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PostingShard {
     start_id: usize,
     num_ids: usize,
@@ -303,12 +315,9 @@ impl PostingShard {
         let mut run = Vec::new();
         for (rel, posting) in postings.iter().enumerate() {
             if rel % IDS_PER_GROUP == 0 {
-                offsets.push(u32::try_from(blob.len()).expect("shard blob exceeds 4 GiB"));
+                offsets.push(group_offset(blob.len()));
             }
-            run.clear();
-            encode_sorted_u32s_grouped(posting, &mut run);
-            write_varint(run.len() as u64, &mut blob);
-            blob.extend_from_slice(&run);
+            push_slot(posting, &mut run, &mut blob);
         }
         // Decode slack: every run's backing slice reaches this far past its
         // logical end, so the counting sweep's fused kernel never needs a
@@ -354,17 +363,102 @@ impl PostingShard {
         decode_run(bytes)
     }
 
-    /// Decodes every posting list into owned vectors (the mutation path).
-    fn decode_all(&self) -> Vec<Vec<u32>> {
-        let mut out = Vec::with_capacity(self.num_ids);
-        let mut pos = 0usize;
-        for _ in 0..self.num_ids {
-            let len = read_varint(&self.blob, &mut pos) as usize;
-            out.push(decode_run(&self.blob[pos..pos + len]).collect());
-            pos += len;
+    /// The streaming patcher — the only write path into a built shard.
+    ///
+    /// `touched` is sorted by id (`id_of`), every id at or above `start_id`;
+    /// each run of equal ids names one posting slot. `rewrite(run, old, new)`
+    /// sees that slot's decoded posting and either fills `new` (ascending)
+    /// and returns `true`, or returns `false` to leave the slot as it is.
+    ///
+    /// Only the touched postings are decoded and re-encoded. Everything
+    /// between two rewritten slots — `[len varint][run]` of every slot in
+    /// between — is one `extend_from_slice` from the old blob, and the new
+    /// directory is the old one shifted by the bytes the rewritten slots
+    /// before each group gained or lost. Ids past `num_ids` (dictionary-tail
+    /// ids routed into the open-above last shard) grow the shard, the gap up
+    /// to them filled with empty slots. The result is byte for byte what
+    /// [`Self::encode`] builds from the patched lists; a patch in which no
+    /// slot is rewritten and nothing grows leaves the shard untouched.
+    fn patch<T>(
+        &mut self,
+        touched: &[T],
+        id_of: impl Fn(&T) -> u32,
+        mut rewrite: impl FnMut(&[T], &[u32], &mut Vec<u32>) -> bool,
+    ) {
+        let rel_of = |t: &T| id_of(t) as usize - self.start_id;
+        let old_end = self.blob.len().saturating_sub(GROUP_DECODE_SLACK);
+        let num_ids = self
+            .num_ids
+            .max(touched.last().map_or(0, |t| rel_of(t) + 1));
+        let mut offsets = Vec::with_capacity(num_ids.div_ceil(IDS_PER_GROUP));
+        let mut blob = Vec::with_capacity(self.blob.len() + 4 * touched.len());
+        let (mut old, mut new, mut run) = (Vec::new(), Vec::new(), Vec::new());
+        // `blob` always holds the patched form of `self.blob[..copied]`, so a
+        // group that starts at an old offset `>= copied` keeps its distance
+        // to `copied` from the end of `blob`.
+        let mut copied = 0usize;
+        let shifted = |group: usize, copied: usize, blob: &[u8]| {
+            group_offset(self.directory.offset(group) - copied + blob.len())
+        };
+        let mut slots = touched.chunk_by(|a, b| id_of(a) == id_of(b)).peekable();
+
+        while let Some(delta) = slots.next_if(|delta| rel_of(&delta[0]) < self.num_ids) {
+            let rel = rel_of(&delta[0]);
+            let (bytes, len) = self.posting_run(rel);
+            old.clear();
+            for_each_sorted_u32_grouped_padded(bytes, len, |user| old.push(user));
+            new.clear();
+            if !rewrite(delta, &old, &mut new) {
+                continue;
+            }
+            let from = offsets.len();
+            offsets.extend((from..=rel / IDS_PER_GROUP).map(|g| shifted(g, copied, &blob)));
+            let run_start = self.blob.len() - bytes.len();
+            blob.extend_from_slice(&self.blob[copied..run_start - varint_len(len as u64)]);
+            push_slot(&new, &mut run, &mut blob);
+            copied = run_start + len;
         }
-        out
+        if copied == 0 && num_ids == self.num_ids {
+            return;
+        }
+        let old_groups = self.num_ids.div_ceil(IDS_PER_GROUP);
+        let from = offsets.len();
+        offsets.extend((from..old_groups).map(|g| shifted(g, copied, &blob)));
+        blob.extend_from_slice(&self.blob[copied..old_end]);
+
+        // Growth of the open-above last shard: every slot from the old end
+        // to the largest touched id is new, empty unless a delta names it.
+        for rel in self.num_ids..num_ids {
+            if rel % IDS_PER_GROUP == 0 {
+                offsets.push(group_offset(blob.len()));
+            }
+            new.clear();
+            if let Some(delta) = slots.next_if(|delta| rel_of(&delta[0]) == rel) {
+                if !rewrite(delta, &[], &mut new) {
+                    new.clear();
+                }
+            }
+            push_slot(&new, &mut run, &mut blob);
+        }
+        blob.resize(blob.len() + GROUP_DECODE_SLACK, 0);
+        self.num_ids = num_ids;
+        self.directory = GroupDirectory::from_offsets(offsets);
+        self.blob = blob;
     }
+}
+
+/// A directory entry for a group starting at blob byte `at`.
+fn group_offset(at: usize) -> u32 {
+    u32::try_from(at).expect("shard blob exceeds 4 GiB")
+}
+
+/// Appends one posting slot — `[byte-length varint][run]`, length 0 for an
+/// empty posting — to `blob`, staging the run's bytes in `run`.
+fn push_slot(posting: &[u32], run: &mut Vec<u8>, blob: &mut Vec<u8>) {
+    run.clear();
+    encode_sorted_u32s_grouped(posting, run);
+    write_varint(run.len() as u64, blob);
+    blob.extend_from_slice(run);
 }
 
 /// Decodes one posting run (the byte-length prefix already consumed) into
@@ -380,7 +474,7 @@ fn decode_run(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
 /// Building the index costs one sort of the `(action, user)` pairs —
 /// `O(A log A)` for `A` total actions — after which profile dynamics are
 /// absorbed by [`Self::apply_deltas`] / [`Self::remove_user`] at the cost
-/// of recompressing only the affected shards.
+/// of rewriting only the affected posting lists.
 #[derive(Debug, Clone)]
 pub struct ActionIndex {
     dict: ActionDictionary,
@@ -520,8 +614,11 @@ impl ActionIndex {
     /// index are skipped (set semantics, matching [`Profile::extend`]), so
     /// the deltas may safely repeat existing actions.
     ///
-    /// Only the shards whose id range contains a delta are decoded and
-    /// recompressed; untouched shards are never read.
+    /// Only the posting lists that gain a tagger are decoded and
+    /// re-encoded; the rest of a touched shard is copied byte for byte
+    /// (see `PostingShard::patch`) and untouched shards are never read,
+    /// so the batch costs `O(D log D + Σ |touched posting| +
+    /// memcpy(touched shard bytes))` for `D` delta actions.
     ///
     /// Returns a [`DeltaOutcome`] describing exactly which pairwise scores
     /// changed: the changing users themselves (every one of their scores
@@ -563,8 +660,7 @@ impl ActionIndex {
             let last = sidx == self.shards.len() - 1;
             let shard = &mut self.shards[sidx];
             // The last shard is open above: freshly interned tail ids route
-            // into it and merge_into_shard grows it with empty slots during
-            // the same recompression pass.
+            // into it and the patch grows it with empty slots as it goes.
             let shard_end = if last {
                 usize::MAX
             } else {
@@ -590,8 +686,15 @@ impl ActionIndex {
         changed.dedup();
         // The per-key emission already skips members that gained the same
         // key; drop the pairs whose affected side changed via *another* key
-        // too — changing users are fully re-swept downstream regardless.
-        score_pairs.retain(|&(affected, _)| changed.binary_search(&affected).is_err());
+        // too — changing users are fully re-swept downstream regardless. A
+        // dense flag per user makes this one load per pair (a paper-day
+        // batch emits over a million of them); it costs the bytes of one
+        // shard copy.
+        let mut is_changed = vec![false; self.num_users];
+        for &user in &changed {
+            is_changed[user as usize] = true;
+        }
+        score_pairs.retain(|&(affected, _)| !is_changed[affected as usize]);
         score_pairs.sort_unstable();
         score_pairs.dedup();
         resweep.sort_unstable();
@@ -608,9 +711,11 @@ impl ActionIndex {
 
     /// Removes a departed user from the index (churn). `profile` must be the
     /// profile the index currently holds for her — her posting entries are
-    /// deleted from exactly those actions' lists. Only the shards covering
-    /// her ids are recompressed; an emptied posting list stops counting as
-    /// a distinct action (a from-scratch build would not contain it).
+    /// deleted from exactly those actions' lists. Only those lists are
+    /// decoded and re-encoded, the rest of each shard they sit in is
+    /// copied byte for byte (the same patcher as [`Self::apply_deltas`]);
+    /// an emptied posting list stops counting as a distinct action (a
+    /// from-scratch build would not contain it).
     ///
     /// Returns the dirty users: everyone who shared an action with her (her
     /// score against each of them drops), plus the user herself.
@@ -874,8 +979,9 @@ fn finish_dirty(mut dirty: Vec<u32>) -> Vec<UserId> {
 }
 
 /// Merges sorted, deduplicated delta `(id, user)` pairs into one shard (all
-/// ids must fall in its range) by decoding, patching and recompressing it.
-/// Every id that genuinely gains a tagger reports its gainers into
+/// ids fall in its range, or past its end for the open-above last shard)
+/// through [`PostingShard::patch`]: a posting is rewritten only if it
+/// genuinely gains a tagger. Every such id reports its gainers into
 /// `changed` and the `(posting member, gainer)` pairs whose score grew into
 /// `score_pairs` — unless the id is so popular that the pair product
 /// exceeds [`PAIR_EMISSION_CAP`], in which case its posting members go to
@@ -888,125 +994,80 @@ fn merge_into_shard(
     score_pairs: &mut Vec<(u32, u32)>,
     resweep: &mut Vec<u32>,
 ) -> usize {
-    let mut postings = shard.decode_all();
-    // Tail ids interned by this batch may reach past the (open-above) last
-    // shard's current coverage: grow it with empty slots in the same
-    // recompression pass.
-    let max_rel = pairs.last().expect("merge called with deltas").0 as usize - shard.start_id;
-    if max_rel >= postings.len() {
-        postings.resize(max_rel + 1, Vec::new());
-    }
     let mut went_live = 0usize;
     let mut gainers: Vec<u32> = Vec::new();
-
-    let mut j = 0usize;
-    while j < pairs.len() {
-        let id = pairs[j].0;
-        let rel = id as usize - shard.start_id;
-        let delta_lo = j;
-        while j < pairs.len() && pairs[j].0 == id {
-            j += 1;
-        }
-        let delta = &pairs[delta_lo..j];
-        let posting = &mut postings[rel];
-        let was_empty = posting.is_empty();
-
-        // Two-pointer union of the old posting list and the delta users;
-        // a delta user already present is a duplicate action and adds
-        // nothing.
-        gainers.clear();
-        let mut merged = Vec::with_capacity(posting.len() + delta.len());
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < posting.len() || b < delta.len() {
-            match (
-                (a < posting.len()).then(|| posting[a]),
-                (b < delta.len()).then(|| delta[b].1),
-            ) {
-                (Some(x), Some(y)) if x < y => {
-                    merged.push(x);
-                    a += 1;
+    shard.patch(
+        pairs,
+        |&(id, _)| id,
+        |delta, posting, merged| {
+            // Union of the old posting list and the delta users, both
+            // ascending; a delta user already present is a duplicate action
+            // and adds nothing.
+            gainers.clear();
+            let mut delta = delta.iter().map(|&(_, user)| user).peekable();
+            for &member in posting {
+                while let Some(gainer) = delta.next_if(|&user| user < member) {
+                    merged.push(gainer);
+                    gainers.push(gainer);
                 }
-                (Some(x), Some(y)) if x > y => {
-                    merged.push(y);
-                    b += 1;
-                    gainers.push(y);
-                }
-                (Some(x), Some(_)) => {
-                    merged.push(x);
-                    a += 1;
-                    b += 1;
-                }
-                (Some(x), None) => {
-                    merged.push(x);
-                    a += 1;
-                }
-                (None, Some(y)) => {
-                    merged.push(y);
-                    b += 1;
-                    gainers.push(y);
-                }
-                (None, None) => unreachable!("loop condition guarantees a side"),
+                delta.next_if_eq(&member);
+                merged.push(member);
             }
-        }
-        *posting = merged;
-        if was_empty && !posting.is_empty() {
-            went_live += 1;
-        }
-        if !gainers.is_empty() {
+            for gainer in delta {
+                merged.push(gainer);
+                gainers.push(gainer);
+            }
+            if gainers.is_empty() {
+                return false;
+            }
+            went_live += usize::from(posting.is_empty());
             changed.extend_from_slice(&gainers);
             // Everyone on the final posting list now overlaps each gainer
             // on this key; their pairwise scores grew by one. Pairs whose
             // affected side is itself a gainer are skipped — gainers get a
             // full sweep downstream anyway — so they neither bloat the
-            // outcome nor count toward the emission cap.
-            let affected_members = posting.len() - gainers.len();
-            if affected_members.saturating_mul(gainers.len()) > PAIR_EMISSION_CAP {
-                resweep.extend_from_slice(posting);
+            // outcome nor count toward the emission cap: the affected
+            // members are exactly the old posting.
+            if posting.len().saturating_mul(gainers.len()) > PAIR_EMISSION_CAP {
+                resweep.extend_from_slice(merged);
             } else {
-                for &member in posting.iter() {
-                    // `gainers` is in ascending user order (it follows the
-                    // sorted delta pairs), so membership is a binary search.
-                    if gainers.binary_search(&member).is_ok() {
-                        continue;
-                    }
-                    for &gainer in &gainers {
-                        score_pairs.push((member, gainer));
-                    }
+                for &member in posting {
+                    score_pairs.extend(gainers.iter().map(|&gainer| (member, gainer)));
                 }
             }
-        }
-    }
-    *shard = PostingShard::encode(shard.start_id, &postings);
+            true
+        },
+    );
     went_live
 }
 
 /// Removes `user` from the posting lists of `ids` (sorted, all inside this
-/// shard's range) by decoding, stripping and recompressing the shard. Every
-/// posting list the user was actually on contributes its pre-removal
-/// members to `dirty`. Returns `(emptied postings, removed entries)` — the
-/// live-key and posting-count deltas.
+/// shard's range) through [`PostingShard::patch`]: only the lists she is
+/// actually on are rewritten, and each contributes its pre-removal members
+/// to `dirty`. Returns `(emptied postings, removed entries)` — the live-key
+/// and posting-count deltas.
 fn strip_user_from_shard(
     shard: &mut PostingShard,
     ids: &[u32],
     user: u32,
     dirty: &mut Vec<u32>,
 ) -> (usize, usize) {
-    let mut postings = shard.decode_all();
-    let mut emptied = 0usize;
-    let mut removed = 0usize;
-    for &id in ids {
-        let rel = id as usize - shard.start_id;
-        let posting = &mut postings[rel];
-        if let Ok(pos) = posting.binary_search(&user) {
+    let (mut emptied, mut removed) = (0usize, 0usize);
+    shard.patch(
+        ids,
+        |&id| id,
+        |_, posting, stripped| {
+            let Ok(at) = posting.binary_search(&user) else {
+                return false;
+            };
             dirty.extend_from_slice(posting);
-            posting.remove(pos);
+            stripped.extend_from_slice(&posting[..at]);
+            stripped.extend_from_slice(&posting[at + 1..]);
             removed += 1;
-            if posting.is_empty() {
-                emptied += 1;
-            }
-        }
-    }
-    *shard = PostingShard::encode(shard.start_id, &postings);
+            emptied += usize::from(stripped.is_empty());
+            true
+        },
+    );
     (emptied, removed)
 }
 
@@ -1014,6 +1075,8 @@ fn strip_user_from_shard(
 mod tests {
     use super::*;
     use p3q_trace::{ItemId, TagId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn act(item: u32, tag: u32) -> TaggingAction {
         TaggingAction::new(ItemId(item), TagId(tag))
@@ -1032,6 +1095,11 @@ mod tests {
     fn assert_matches_fresh_build(index: &ActionIndex, dataset: &Dataset) {
         let fresh = ActionIndex::build(dataset);
         assert_eq!(index.distinct_actions(), fresh.distinct_actions());
+        assert_eq!(index.memory().postings, fresh.memory().postings);
+        assert_eq!(
+            index.memory().csr_equivalent_bytes,
+            fresh.memory().csr_equivalent_bytes
+        );
         for (_, profile) in dataset.iter() {
             for action in profile.iter() {
                 assert_eq!(
@@ -1250,6 +1318,399 @@ mod tests {
         let oracle = crate::baseline::IdealNetworks::compute_with_threads(&d, 5, 1);
         for user in d.users() {
             assert_eq!(ideal.network_of(user), oracle.network_of(user), "{user}");
+        }
+    }
+
+    /// Decodes every posting list of a shard into owned vectors — what the
+    /// write path did before the streaming patcher, kept as the oracle the
+    /// patcher is held to (no shipped code decodes a whole shard).
+    fn decode_all(shard: &PostingShard) -> Vec<Vec<u32>> {
+        let mut pos = 0usize;
+        (0..shard.num_ids)
+            .map(|_| {
+                let len = read_varint(&shard.blob, &mut pos) as usize;
+                pos += len;
+                decode_run(&shard.blob[pos - len..pos]).collect()
+            })
+            .collect()
+    }
+
+    /// What the decode-everything write path built for a delta merge:
+    /// every list decoded, the union taken per id, the whole shard encoded
+    /// again. Returns the shard, the went-live count and the gainers.
+    fn merge_by_re_encoding(
+        shard: &PostingShard,
+        pairs: &[(u32, u32)],
+    ) -> (PostingShard, usize, Vec<u32>) {
+        let mut lists = decode_all(shard);
+        let (mut went_live, mut gainers) = (0usize, Vec::new());
+        for &(id, user) in pairs {
+            let rel = id as usize - shard.start_id;
+            if rel >= lists.len() {
+                lists.resize(rel + 1, Vec::new());
+            }
+            if let Err(at) = lists[rel].binary_search(&user) {
+                went_live += usize::from(lists[rel].is_empty());
+                lists[rel].insert(at, user);
+                gainers.push(user);
+            }
+        }
+        let encoded = PostingShard::encode(shard.start_id, &lists);
+        (encoded, went_live, gainers)
+    }
+
+    /// The same oracle for a departure: `(shard, emptied, removed)`.
+    fn strip_by_re_encoding(
+        shard: &PostingShard,
+        ids: &[u32],
+        user: u32,
+    ) -> (PostingShard, usize, usize) {
+        let mut lists = decode_all(shard);
+        let (mut emptied, mut removed) = (0usize, 0usize);
+        for &id in ids {
+            let list = &mut lists[id as usize - shard.start_id];
+            if let Ok(at) = list.binary_search(&user) {
+                list.remove(at);
+                removed += 1;
+                emptied += usize::from(list.is_empty());
+            }
+        }
+        let encoded = PostingShard::encode(shard.start_id, &lists);
+        (encoded, emptied, removed)
+    }
+
+    /// Patches a copy of `shard` with `pairs` (sorted, deduplicated) and
+    /// holds blob, directory, slot count, went-live count and gainers to
+    /// the re-encoding oracle, byte for byte. Returns the patched shard.
+    fn assert_merge_is_byte_identical(
+        shard: &PostingShard,
+        pairs: &[(u32, u32)],
+        case: &str,
+    ) -> PostingShard {
+        let (oracle, oracle_live, oracle_gainers) = merge_by_re_encoding(shard, pairs);
+        let mut patched = shard.clone();
+        let (mut changed, mut score_pairs, mut resweep) = (Vec::new(), Vec::new(), Vec::new());
+        let went_live = merge_into_shard(
+            &mut patched,
+            pairs,
+            &mut changed,
+            &mut score_pairs,
+            &mut resweep,
+        );
+        assert_eq!(patched.blob, oracle.blob, "{case}: blob");
+        assert_eq!(patched.directory, oracle.directory, "{case}: directory");
+        assert_eq!(patched, oracle, "{case}: shard");
+        assert_eq!(went_live, oracle_live, "{case}: went live");
+        assert_eq!(changed, oracle_gainers, "{case}: gainers");
+        patched
+    }
+
+    /// The departure counterpart of [`assert_merge_is_byte_identical`].
+    fn assert_strip_is_byte_identical(
+        shard: &PostingShard,
+        ids: &[u32],
+        user: u32,
+        case: &str,
+    ) -> PostingShard {
+        let (oracle, oracle_emptied, oracle_removed) = strip_by_re_encoding(shard, ids, user);
+        let mut patched = shard.clone();
+        let mut dirty = Vec::new();
+        let (emptied, removed) = strip_user_from_shard(&mut patched, ids, user, &mut dirty);
+        assert_eq!(patched.blob, oracle.blob, "{case}: blob");
+        assert_eq!(patched.directory, oracle.directory, "{case}: directory");
+        assert_eq!(patched, oracle, "{case}: shard");
+        assert_eq!(
+            (emptied, removed),
+            (oracle_emptied, oracle_removed),
+            "{case}: emptied / removed"
+        );
+        patched
+    }
+
+    /// A shard of `slots` postings over users `< population`: about one
+    /// slot in five empty, most lists short, a few long ones with wide gaps
+    /// (multi-byte deltas, multi-byte length prefixes).
+    fn random_shard(
+        rng: &mut StdRng,
+        start_id: usize,
+        slots: usize,
+        population: u32,
+    ) -> PostingShard {
+        let lists: Vec<Vec<u32>> = (0..slots)
+            .map(|_| {
+                let len = match rng.gen_range(0..10u32) {
+                    0 | 1 => 0,
+                    2..=7 => rng.gen_range(1..6usize),
+                    8 => rng.gen_range(6..40usize),
+                    _ => rng.gen_range(40..300usize),
+                };
+                let mut list: Vec<u32> = (0..len).map(|_| rng.gen_range(0..population)).collect();
+                list.sort_unstable();
+                list.dedup();
+                list
+            })
+            .collect();
+        PostingShard::encode(start_id, &lists)
+    }
+
+    /// Sorted, deduplicated `(id, user)` pairs over the given relative slots.
+    fn pairs_on(shard: &PostingShard, rels: &[usize], users: &[u32]) -> Vec<(u32, u32)> {
+        let mut pairs: Vec<(u32, u32)> = rels
+            .iter()
+            .flat_map(|&rel| {
+                users
+                    .iter()
+                    .map(move |&user| ((shard.start_id + rel) as u32, user))
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    }
+
+    #[test]
+    fn patch_is_byte_identical_on_the_edge_slots() {
+        let mut rng = StdRng::seed_from_u64(0x5A4D);
+        // Users 0..5000 on the lists, gainers from 5000.. so that every
+        // delta below genuinely gains unless the case says otherwise.
+        let shard = random_shard(&mut rng, 700, 83, 5000);
+        let last = shard.num_ids - 1;
+        let gainers = [5001u32, 6000, 70_000];
+        for (case, rels) in [
+            ("slot 0", vec![0]),
+            ("last slot", vec![last]),
+            (
+                "slot 0 and last slot, ten untouched groups between",
+                vec![0, last],
+            ),
+            ("rel % 8 == 0", vec![8, 16, 64]),
+            ("rel % 8 == 7", vec![7, 15, 79]),
+            ("a group boundary from both sides", vec![7, 8, 15, 16]),
+            ("every slot of one group", (24..32).collect()),
+            ("one slot in each of several groups", vec![3, 33, 34, 61]),
+            ("every slot", (0..=last).collect()),
+        ] {
+            let pairs = pairs_on(&shard, &rels, &gainers);
+            let patched = assert_merge_is_byte_identical(&shard, &pairs, case);
+            assert_ne!(patched.blob, shard.blob, "{case}: something was merged");
+            // Merging the same pairs again gains nothing: the patch must
+            // hand the shard back as it is.
+            let again = assert_merge_is_byte_identical(&patched, &pairs, case);
+            assert_eq!(again, patched, "{case}: duplicate-only delta");
+        }
+        // A delta user below, between and above the members of one list.
+        let members: Vec<u32> = shard.posting(8).collect();
+        let mut users = vec![members[0], members[members.len() - 1] + 1, 0];
+        users.extend(
+            members
+                .windows(2)
+                .filter(|w| w[1] - w[0] > 1)
+                .map(|w| w[0] + 1),
+        );
+        let pairs = pairs_on(&shard, &[8], &users);
+        assert_merge_is_byte_identical(&shard, &pairs, "interleaved gainers");
+    }
+
+    #[test]
+    fn patch_strips_byte_identically_and_empties_postings() {
+        let user = 77u32;
+        let lists: Vec<Vec<u32>> = (0..40usize)
+            .map(|rel| match rel % 5 {
+                0 => vec![user],
+                1 => vec![3, user, 900],
+                2 => vec![user, 78, 79, 80, 81, 4000, 70_000],
+                3 => vec![1, 2, 3],
+                _ => Vec::new(),
+            })
+            .collect();
+        let shard = PostingShard::encode(120, &lists);
+        let all: Vec<u32> = (120..160).collect();
+        let patched = assert_strip_is_byte_identical(&shard, &all, user, "whole profile");
+        assert_eq!(
+            patched.posting(0).count(),
+            0,
+            "a singleton posting is emptied"
+        );
+        assert_eq!(patched.posting(1).collect::<Vec<_>>(), vec![3, 900]);
+        // She is gone: stripping again rewrites nothing.
+        let again = assert_strip_is_byte_identical(&patched, &all, user, "already stripped");
+        assert_eq!(again, patched);
+        for (case, ids) in [
+            ("slot 0", vec![120u32]),
+            ("last slot she is on", vec![157]),
+            ("rel % 8 in {0, 7}", vec![127, 128, 135, 136]),
+            ("only lists she is not on", vec![123, 124]),
+        ] {
+            assert_strip_is_byte_identical(&shard, &ids, user, case);
+        }
+        // Re-adding her to some of her lists restores exactly those.
+        let back = [0usize, 1, 2, 5, 36, 37];
+        let pairs = pairs_on(&patched, &back, &[user]);
+        let restored = assert_merge_is_byte_identical(&patched, &pairs, "re-add");
+        let mut expected = lists.clone();
+        for (rel, list) in expected.iter_mut().enumerate() {
+            if !back.contains(&rel) {
+                list.retain(|&member| member != user);
+            }
+        }
+        assert_eq!(restored, PostingShard::encode(120, &expected));
+    }
+
+    #[test]
+    fn patch_grows_the_open_above_shard_with_empty_slots() {
+        let mut rng = StdRng::seed_from_u64(0x7A11);
+        for slots in [0usize, 1, 7, 8, 9, 30] {
+            let shard = random_shard(&mut rng, 50, slots, 300);
+            for (case, rels) in [
+                ("the next slot", vec![slots]),
+                ("a gap of empty slots", vec![slots + 13]),
+                ("a gap that crosses several groups", vec![slots + 41]),
+                (
+                    "two tail ids with a gap between",
+                    vec![slots + 2, slots + 19],
+                ),
+                ("an old slot and a far tail id", vec![slots / 2, slots + 9]),
+                ("a run of tail ids", (slots..slots + 17).collect()),
+            ] {
+                let case = format!("{slots} slots, {case}");
+                let pairs = pairs_on(&shard, &rels, &[4, 301]);
+                let patched = assert_merge_is_byte_identical(&shard, &pairs, &case);
+                assert_eq!(patched.num_ids, rels[rels.len() - 1] + 1, "{case}");
+            }
+        }
+        // A `Default` shard has no blob at all, not even the decode slack.
+        let empty = PostingShard::default();
+        assert!(empty.blob.is_empty());
+        let pairs = pairs_on(&empty, &[0, 11], &[9]);
+        let patched = assert_merge_is_byte_identical(&empty, &pairs, "default shard");
+        assert_eq!(patched.posting(11).collect::<Vec<_>>(), vec![9]);
+        let mut untouched = PostingShard::default();
+        untouched.patch(&[] as &[u32], |&id| id, |_, _, _| true);
+        assert_eq!(untouched, PostingShard::default());
+    }
+
+    #[test]
+    fn patch_keeps_and_crosses_the_wide_directory() {
+        // 70 slots × 1500 sequential users: every 64-slot window outgrows
+        // u16, so the shard sits in the wide fallback before and after.
+        let everyone: Vec<u32> = (0..1500).collect();
+        let wide = PostingShard::encode(0, &vec![everyone.clone(); 70]);
+        assert!(matches!(wide.directory, GroupDirectory::Wide(_)));
+        for (case, rels) in [
+            ("slot 0", vec![0usize]),
+            ("last slot", vec![69]),
+            ("both windows", vec![5, 63, 64, 69]),
+        ] {
+            let pairs = pairs_on(&wide, &rels, &[1500, 9000]);
+            let patched = assert_merge_is_byte_identical(&wide, &pairs, case);
+            assert!(matches!(patched.directory, GroupDirectory::Wide(_)));
+            let ids: Vec<u32> = rels.iter().map(|&rel| rel as u32).collect();
+            assert_strip_is_byte_identical(&patched, &ids, 700, case);
+        }
+        // Compact → wide and back on one posting entry: slot 3 holds the
+        // longest list (3-byte deltas) that still keeps group 1 within u16
+        // of its anchor, so one more tagger tips the directory over and her
+        // departure tips it back.
+        let lists = |taggers: u32| {
+            let mut lists = vec![vec![1u32]; 70];
+            lists[3] = (0..taggers).map(|u| u * 70_000).collect();
+            lists
+        };
+        let is_compact =
+            |shard: &PostingShard| matches!(shard.directory, GroupDirectory::Compact { .. });
+        let mut taggers = 20_100u32;
+        assert!(is_compact(&PostingShard::encode(0, &lists(taggers))));
+        while is_compact(&PostingShard::encode(0, &lists(taggers + 1))) {
+            taggers += 1;
+        }
+        let compact = PostingShard::encode(0, &lists(taggers));
+        let pairs = [(3u32, taggers * 70_000)];
+        let grown = assert_merge_is_byte_identical(&compact, &pairs, "compact to wide");
+        assert!(!is_compact(&grown));
+        let shrunk = assert_strip_is_byte_identical(&grown, &[3], pairs[0].1, "wide to compact");
+        assert_eq!(shrunk, compact);
+    }
+
+    #[test]
+    fn random_patches_are_byte_identical_to_a_re_encode() {
+        let mut rng = StdRng::seed_from_u64(0xB17E);
+        for round in 0..300 {
+            let slots = rng.gen_range(0..90usize);
+            let start_id = rng.gen_range(0..5000usize);
+            let population = rng.gen_range(2..4000u32);
+            let shard = random_shard(&mut rng, start_id, slots, population);
+            // Deltas over the covered slots and — one round in three — past
+            // them, with users drawn from the same range as the members so
+            // that duplicates, gainers and no-op slots all occur.
+            let reach = if round % 3 == 0 { slots + 25 } else { slots };
+            let mut pairs: Vec<(u32, u32)> = (0..rng.gen_range(0..60usize))
+                .filter(|_| reach > 0)
+                .map(|_| {
+                    let rel = rng.gen_range(0..reach);
+                    ((start_id + rel) as u32, rng.gen_range(0..population))
+                })
+                .collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            let case = format!("round {round}");
+            let merged = if pairs.is_empty() {
+                shard.clone()
+            } else {
+                assert_merge_is_byte_identical(&shard, &pairs, &case)
+            };
+            // One departure over a random ascending id subset.
+            let user = rng.gen_range(0..population);
+            let ids: Vec<u32> = (0..merged.num_ids)
+                .filter(|_| rng.gen_bool(0.4))
+                .map(|rel| (start_id + rel) as u32)
+                .collect();
+            assert_strip_is_byte_identical(&merged, &ids, user, &case);
+        }
+    }
+
+    #[test]
+    fn delta_departure_re_add_round_trips_match_a_fresh_build() {
+        let mut rng = StdRng::seed_from_u64(0x0D0E);
+        let users = 60u32;
+        let profiles: Vec<Profile> = (0..users)
+            .map(|_| {
+                let n = rng.gen_range(0..25usize);
+                Profile::from_actions(
+                    (0..n).map(|_| act(rng.gen_range(0..40u32), rng.gen_range(0..6u32))),
+                )
+            })
+            .collect();
+        let mut d = Dataset::new(profiles, 400, 10);
+        for shards in [1usize, 3, 16] {
+            let mut index = ActionIndex::build_with_shards(&d, shards);
+            for _ in 0..12 {
+                // A batch of additions: known actions, new keys (items
+                // ≥ 40 are dictionary-tail ids) and repeats.
+                let deltas: Vec<(UserId, Vec<TaggingAction>)> = (0..rng.gen_range(1..8usize))
+                    .map(|_| {
+                        let user = UserId(rng.gen_range(0..users));
+                        let actions = (0..rng.gen_range(1..9usize))
+                            .map(|_| act(rng.gen_range(0..60u32), rng.gen_range(0..6u32)))
+                            .collect();
+                        (user, actions)
+                    })
+                    .collect();
+                index.apply_deltas(deltas.iter().map(|(u, a)| (*u, a.as_slice())));
+                for (user, actions) in &deltas {
+                    d.profile_mut(*user).extend(actions.iter().copied());
+                }
+                assert_matches_fresh_build(&index, &d);
+
+                // A departure, checked while she is gone, then her return.
+                let user = UserId(rng.gen_range(0..users));
+                let profile = std::mem::take(d.profile_mut(user));
+                index.remove_user(user, &profile);
+                assert_matches_fresh_build(&index, &d);
+                let actions: Vec<TaggingAction> = profile.iter().copied().collect();
+                index.apply_delta(user, &actions);
+                *d.profile_mut(user) = profile;
+                assert_matches_fresh_build(&index, &d);
+            }
         }
     }
 

@@ -425,7 +425,8 @@ pub fn encode_sorted_u32s_grouped(values: &[u32], out: &mut Vec<u8>) {
     write_varint(u64::from(first), out);
     // Deltas of a strictly ascending u32 run always fit u32 themselves;
     // staging one group at a time keeps the encoder allocation-free (it
-    // runs once per posting during index builds and shard recompressions).
+    // runs once per posting during index builds and once per rewritten
+    // posting when a shard is patched).
     let mut prev = first;
     let mut chunk = [0u32; GROUP_SIZE];
     let mut n = 0usize;

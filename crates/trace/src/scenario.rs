@@ -118,15 +118,6 @@ impl Scenario {
         Scenario::ALL.into_iter().find(|s| s.name() == name)
     }
 
-    /// Resolves a `--scenario` flag value, panicking with the list of valid
-    /// names on a typo — the shared flag handler of the bench binaries.
-    pub fn from_flag(name: &str) -> Scenario {
-        Scenario::from_name(name).unwrap_or_else(|| {
-            let names: Vec<&str> = Scenario::ALL.iter().map(|s| s.name()).collect();
-            panic!("unknown scenario {name}; one of: {}", names.join(", "))
-        })
-    }
-
     /// One-line description for `--help` output and reports.
     pub fn description(self) -> &'static str {
         match self {
