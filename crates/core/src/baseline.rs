@@ -16,7 +16,16 @@ use p3q_sim::{default_threads, parallel_map_chunks};
 use p3q_trace::{ChangeBatch, Dataset, ItemId, Profile, Query, UserId};
 
 use crate::scoring::{full_relevance_scores, similarity};
-use crate::similarity::{ActionIndex, DeltaOutcome, SimilarityScratch};
+use crate::similarity::{ActionIndex, DeltaOutcome, SimilarityScratch, TransposedIds};
+
+/// Users per transposition block of the bulk sweep
+/// ([`IdealNetworks::compute_with_index_threads`]). A block costs one
+/// two-pass read of the whole posting column and holds its users' action
+/// ids (4 bytes each — ≈ 7.7 MB at the paper's ≈ 118 actions a user), so
+/// the size trades passes against transient bytes; at 16 384 a 50k-user
+/// sweep pays four transpositions for the ≈ 5.9 M dictionary lookups they
+/// replace.
+const SWEEP_BLOCK_USERS: usize = 16_384;
 
 /// The ideal personal networks of every user, computed from global
 /// knowledge.
@@ -33,9 +42,10 @@ impl IdealNetworks {
     /// The computation runs on the counting [`ActionIndex`]: one inverted
     /// index over all `(item, tag)` actions, then a single counting sweep
     /// per user whose cost is proportional to the shared-action mass instead
-    /// of the candidate profile lengths. The per-user loop fans out over all
-    /// available cores (override with the `P3Q_THREADS` environment
-    /// variable); results are identical for every thread count.
+    /// of the candidate profile lengths. The users fan out over all
+    /// available cores in contiguous ranges (override with the
+    /// `P3Q_THREADS` environment variable); results are identical for every
+    /// thread count.
     pub fn compute(dataset: &Dataset, network_size: usize) -> Self {
         Self::compute_with_threads(dataset, network_size, default_threads())
     }
@@ -56,27 +66,66 @@ impl IdealNetworks {
     }
 
     /// [`Self::compute_with_index`] with an explicit worker-thread count.
+    ///
+    /// This is the bulk path (see the [`crate::similarity`] module docs): no
+    /// profile is interned. Each worker takes one contiguous user range and
+    /// walks it in fixed-size blocks — one transposition of the index reads
+    /// the block's action ids back off the posting column, then every user
+    /// of the block is swept from her slice. `dataset` only fixes the
+    /// population here; the networks are those of the profiles the index
+    /// holds. Output is independent of `threads`.
     pub fn compute_with_index_threads(
         dataset: &Dataset,
         network_size: usize,
         index: &ActionIndex,
         threads: usize,
     ) -> Self {
+        Self::compute_in_blocks(dataset, network_size, index, threads, SWEEP_BLOCK_USERS)
+    }
+
+    /// [`Self::compute_with_index_threads`] with the transposition block
+    /// size spelled out, so tests can force many small blocks; neither
+    /// `threads` nor `block_users` changes the output.
+    fn compute_in_blocks(
+        dataset: &Dataset,
+        network_size: usize,
+        index: &ActionIndex,
+        threads: usize,
+        block_users: usize,
+    ) -> Self {
+        let num_users = dataset.num_users();
         assert_eq!(
             index.num_users(),
-            dataset.num_users(),
+            num_users,
             "index and dataset cover different populations"
         );
-        let per_user = parallel_map_chunks(
-            dataset.num_users(),
-            threads,
-            || SimilarityScratch::new(dataset.num_users()),
-            |idx, scratch| {
-                index.top_similar(dataset, UserId::from_index(idx), network_size, scratch)
+        // One contiguous user range per worker (`parallel_map_chunks` hands
+        // each worker exactly one range index), blocks inside the range.
+        let workers = threads.clamp(1, num_users.max(1));
+        let range_users = num_users.div_ceil(workers);
+        let per_range = parallel_map_chunks(
+            workers,
+            workers,
+            || (SimilarityScratch::new(num_users), TransposedIds::default()),
+            |worker, (scratch, ids)| {
+                let end = ((worker + 1) * range_users).min(num_users);
+                let mut block_start = (worker * range_users).min(end);
+                let mut networks = Vec::with_capacity(end - block_start);
+                while block_start < end {
+                    let block_end = (block_start + block_users).min(end);
+                    index.transpose_into(block_start..block_end, ids);
+                    for idx in block_start..block_end {
+                        let user = UserId::from_index(idx);
+                        index.accumulate_ids(ids.of(idx - block_start), user, scratch);
+                        networks.push(index.collect_top(network_size, scratch));
+                    }
+                    block_start = block_end;
+                }
+                networks
             },
         );
         Self {
-            per_user,
+            per_user: per_range.into_iter().flatten().collect(),
             network_size,
         }
     }
@@ -443,6 +492,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn bulk_compute_equals_the_one_user_sweep_for_every_block_and_thread_count() {
+        let trace = TraceGenerator::new(TraceConfig::tiny(11)).generate();
+        let dataset = &trace.dataset;
+        let index = ActionIndex::build(dataset);
+        let mut scratch = SimilarityScratch::new(dataset.num_users());
+        let one_by_one: Vec<Vec<(UserId, u64)>> = dataset
+            .users()
+            .map(|user| index.top_similar(dataset, user, 10, &mut scratch))
+            .collect();
+        for threads in [1usize, 3, 8] {
+            for block_users in [1usize, 7, SWEEP_BLOCK_USERS] {
+                let bulk =
+                    IdealNetworks::compute_in_blocks(dataset, 10, &index, threads, block_users);
+                assert_eq!(
+                    bulk.per_user, one_by_one,
+                    "{threads} threads, blocks of {block_users}"
+                );
+            }
+        }
+        // More workers than users, and nobody at all.
+        let few = Dataset::new(
+            dataset.iter().take(3).map(|(_, p)| p.clone()).collect(),
+            200,
+            200,
+        );
+        let bulk =
+            IdealNetworks::compute_with_index_threads(&few, 10, &ActionIndex::build(&few), 8);
+        assert_eq!(
+            bulk.per_user,
+            IdealNetworks::compute_reference(&few, 10).per_user
+        );
+        let nobody = Dataset::default();
+        let bulk =
+            IdealNetworks::compute_with_index_threads(&nobody, 10, &ActionIndex::build(&nobody), 3);
+        assert_eq!(bulk.num_users(), 0);
+    }
+
+    #[test]
+    fn networks_are_held_at_their_own_size() {
+        // Every sweep touches far more users than it keeps; a network must
+        // not carry the touched set's capacity — not out of the bulk
+        // compute, and not after the point path rewrote it.
+        let held = |ideal: &IdealNetworks| {
+            let length: usize = ideal.per_user.iter().map(Vec::len).sum();
+            let capacity: usize = ideal.per_user.iter().map(Vec::capacity).sum();
+            assert!(length > 0);
+            assert!(
+                capacity <= 2 * length,
+                "{capacity} pairs of capacity for {length} pairs of network"
+            );
+        };
+        let config = TraceConfig {
+            num_users: 300,
+            ..TraceConfig::tiny(17)
+        };
+        let trace = TraceGenerator::new(config).generate();
+        let dataset = &trace.dataset;
+        let index = ActionIndex::build(dataset);
+        let mut ideal = IdealNetworks::compute_with_index(dataset, 5, &index);
+        // The bound bites: a sweep touches several times what it keeps.
+        let touched = IdealNetworks::compute_with_index(dataset, usize::MAX, &index);
+        let kept: usize = ideal.per_user.iter().map(Vec::len).sum();
+        assert!(touched.per_user.iter().map(Vec::len).sum::<usize>() > 4 * kept);
+        held(&ideal);
+        let everyone: Vec<UserId> = dataset.users().collect();
+        ideal.recompute_dirty(dataset, &index, &everyone);
+        held(&ideal);
     }
 
     #[test]

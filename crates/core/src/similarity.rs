@@ -81,9 +81,40 @@
 //!   those pairs is what a large batch mostly pays for once the shards
 //!   are patched in place.
 //!
-//! The per-user loop is embarrassingly parallel and runs through
-//! [`p3q_sim::parallel_map_chunks`], which guarantees output identical for
-//! every worker-thread count (set `P3Q_THREADS=1` to pin).
+//! ## Bulk path and point path
+//!
+//! One counting loop (`ActionIndex::accumulate_ids`) scores an interned
+//! profile against everyone; the two paths differ only in where the
+//! profile's action ids come from.
+//!
+//! * The **point path** ([`ActionIndex::accumulate`] /
+//!   [`ActionIndex::top_similar`], and through them
+//!   [`crate::baseline::IdealNetworks::recompute_dirty`] and
+//!   `apply_delta_outcome`) interns the profile through the dictionary:
+//!   one key search per action, a few hundred nanoseconds each — about a
+//!   third of a sweep.
+//! * The **bulk path** ([`crate::baseline::IdealNetworks::compute`] and its
+//!   `_with_*` forms) interns nothing. The index already *is* the
+//!   `(id → users)` relation, so `ActionIndex::transpose_into` reads it
+//!   the other way round: two sequential passes over the posting column
+//!   (count, then fill) yield the ascending ids of every user of a
+//!   contiguous range as one CSR — what the dictionary would have returned
+//!   for each of them, dictionary-tail ids included.
+//!
+//! A transposition costs the whole posting column's decode whatever the
+//! range (≈ 12 ns a posting slot, so tens of milliseconds at 50k users),
+//! plus 4 bytes per action of the range while the block is alive. The bulk
+//! compute therefore walks each worker's users in blocks of a fixed size:
+//! large enough that the pass is a few per cent of the sweeps it feeds,
+//! small enough that the transient ids stay in the megabytes. A dirty set
+//! after a delta batch or a departure is sparse — its users are scattered
+//! over the whole population, so every one of them would fall into a
+//! different block — and cannot amortise a pass; it stays on the point
+//! path.
+//!
+//! The per-user sweeps are embarrassingly parallel and fan out through
+//! [`p3q_sim::parallel_map_chunks`]; output is identical for every
+//! worker-thread count (set `P3Q_THREADS=1` to pin).
 //!
 //! ## On-demand resolution: one user, straight off the shards
 //!
@@ -134,14 +165,24 @@ const GROUPS_PER_ANCHOR: usize = 8;
 /// (full re-score) instead, which costs only the posting length.
 const PAIR_EMISSION_CAP: usize = 4096;
 
+/// Buckets of [`ActionIndex::collect_top`]'s score histogram: one per score
+/// below `SCORE_BUCKETS - 1`, the last one open above. Similarity scores of
+/// a personal network's weakest member sit far below this on every trace
+/// shape; beyond it the selection merely ranks more candidates.
+const SCORE_BUCKETS: usize = 64;
+
 /// Scratch space for one scoring sweep: a dense per-user counter, the list
-/// of touched slots so that clearing costs `O(touched)`, and a reusable
-/// action-id buffer for the profile being scored.
+/// of touched slots so that clearing costs `O(touched)`, a reusable
+/// action-id buffer for the profile being scored (point path only — the
+/// bulk path reads its ids from a `TransposedIds` block), and the
+/// buffer [`ActionIndex::collect_top`] ranks its candidates in (as packed
+/// keys).
 #[derive(Debug, Clone)]
 pub struct SimilarityScratch {
     counts: Vec<u32>,
     touched: Vec<u32>,
     ids: Vec<u32>,
+    candidates: Vec<u64>,
 }
 
 impl SimilarityScratch {
@@ -151,6 +192,7 @@ impl SimilarityScratch {
             counts: vec![0; num_users],
             touched: Vec::new(),
             ids: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 }
@@ -357,6 +399,19 @@ impl PostingShard {
         (&self.blob[pos..], len)
     }
 
+    /// Every posting slot in blob order, each as the padded run
+    /// [`Self::posting_run`] would return for it: the sequential walk over
+    /// `[len varint][run]`, one length prefix per slot and no directory.
+    fn posting_runs(&self) -> impl Iterator<Item = (&[u8], usize)> + '_ {
+        let mut pos = 0usize;
+        (0..self.num_ids).map(move |_| {
+            let len = read_varint(&self.blob, &mut pos) as usize;
+            let run = &self.blob[pos..];
+            pos += len;
+            (run, len)
+        })
+    }
+
     /// Decodes the posting at relative slot `rel`.
     fn posting(&self, rel: usize) -> impl Iterator<Item = u32> + '_ {
         let bytes = self.posting_bytes(rel);
@@ -465,6 +520,25 @@ fn push_slot(posting: &[u32], run: &mut Vec<u8>, blob: &mut Vec<u8>) {
 /// ascending user ids — the shared grouped-codec decoder.
 fn decode_run(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     p3q_trace::codec::decode_sorted_u32s_grouped(bytes)
+}
+
+/// The action ids of a contiguous user range, read back off the index by
+/// [`ActionIndex::transpose_into`]: one CSR over the range, user `rel`
+/// (relative to the range start) owning `ids[offsets[rel]..offsets[rel + 1]]`
+/// in ascending id order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TransposedIds {
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl TransposedIds {
+    /// The ascending action ids of the `rel`-th user of the transposed
+    /// range — what [`ActionDictionary::ids_of_profile_into`] returns for
+    /// her profile.
+    pub(crate) fn of(&self, rel: usize) -> &[u32] {
+        &self.ids[self.offsets[rel] as usize..self.offsets[rel + 1] as usize]
+    }
 }
 
 /// A counting inverted index over every distinct tagging action of a
@@ -742,6 +816,53 @@ impl ActionIndex {
         finish_dirty(dirty)
     }
 
+    /// Streams every `(action id, user)` posting entry whose user falls in
+    /// `users` into `f(id, user - users.start)`: one sequential pass over
+    /// every shard in id order, so each user sees her ids ascending. Costs
+    /// the whole index's decode whatever the range — a pass is worth it
+    /// only when the range amortises it (see the module docs).
+    fn for_each_posting_of(&self, users: &std::ops::Range<usize>, mut f: impl FnMut(u32, usize)) {
+        let (start, width) = (users.start as u32, users.len() as u32);
+        for shard in &self.shards {
+            for (rel, (bytes, run_len)) in shard.posting_runs().enumerate() {
+                let id = (shard.start_id + rel) as u32;
+                for_each_sorted_u32_grouped_padded(bytes, run_len, |user| {
+                    // One compare for both ends: users below `start` wrap.
+                    let at = user.wrapping_sub(start);
+                    if at < width {
+                        f(id, at as usize);
+                    }
+                });
+            }
+        }
+    }
+
+    /// Transposes the index over the user range `users`: afterwards
+    /// `out.of(rel)` holds the ascending action ids of user
+    /// `users.start + rel` (dictionary-tail ids included) — exactly what
+    /// [`ActionDictionary::ids_of_profile_into`] returns for the profile the
+    /// index holds for her, with no dictionary lookup: the index *is* the
+    /// `(id → users)` relation, read here the other way round.
+    ///
+    /// Two passes over the posting column (count, then fill), each
+    /// `O(postings)` whatever the range; `out` keeps its allocations.
+    pub(crate) fn transpose_into(&self, users: std::ops::Range<usize>, out: &mut TransposedIds) {
+        assert!(users.end <= self.num_users, "user range outside the index");
+        out.offsets.clear();
+        out.offsets.resize(users.len() + 1, 0);
+        self.for_each_posting_of(&users, |_, at| out.offsets[at + 1] += 1);
+        for at in 0..users.len() {
+            out.offsets[at + 1] += out.offsets[at];
+        }
+        out.ids.clear();
+        out.ids.resize(out.offsets[users.len()] as usize, 0);
+        let mut next = out.offsets.clone();
+        self.for_each_posting_of(&users, |id, at| {
+            out.ids[next[at] as usize] = id;
+            next[at] += 1;
+        });
+    }
+
     /// Scores `profile` against every indexed user in one counting sweep.
     ///
     /// After the call, `scratch.counts[v]` holds `|profile ∩ Profile(v)|`
@@ -750,12 +871,28 @@ impl ActionIndex {
     /// result. The caller must drain the scratch through
     /// [`Self::collect_top`] or clear it via the next `accumulate` call —
     /// the sweep starts by resetting only previously touched slots.
+    ///
+    /// This is the point path: it interns the profile through the
+    /// dictionary (one lookup per action) and hands the ids to
+    /// `accumulate_ids`, where the counting happens.
     pub fn accumulate(&self, profile: &Profile, exclude: UserId, scratch: &mut SimilarityScratch) {
-        // Intern the profile once (sorted dense ids), then every posting
-        // lookup is positional: shard by id range, slot by offset — no
-        // per-action key search.
-        self.dict.ids_of_profile_into(profile, &mut scratch.ids);
+        let mut ids = std::mem::take(&mut scratch.ids);
+        self.dict.ids_of_profile_into(profile, &mut ids);
+        self.accumulate_ids(&ids, exclude, scratch);
+        scratch.ids = ids;
+    }
 
+    /// The counting sweep over an already interned profile: `ids` are the
+    /// profile's action ids (from the dictionary on the point path, from
+    /// [`Self::transpose_into`] on the bulk path). Every posting lookup is
+    /// positional — shard by id range, slot by offset — and the scratch
+    /// contract is [`Self::accumulate`]'s.
+    pub(crate) fn accumulate_ids(
+        &self,
+        ids: &[u32],
+        exclude: UserId,
+        scratch: &mut SimilarityScratch,
+    ) {
         debug_assert_eq!(scratch.counts.len(), self.num_users);
         for &slot in &scratch.touched {
             scratch.counts[slot as usize] = 0;
@@ -764,7 +901,7 @@ impl ActionIndex {
 
         let counts = &mut scratch.counts;
         let touched = &mut scratch.touched;
-        for &id in &scratch.ids {
+        for &id in ids {
             let shard = &self.shards[self.shard_of(id as usize)];
             let rel = id as usize - shard.start_id;
             if rel >= shard.num_ids {
@@ -772,7 +909,7 @@ impl ActionIndex {
             }
             // Fused group-varint decode, four posting deltas per control
             // byte, every load bounds-check-free thanks to the blob's
-            // decode slack — this loop carries the whole counting sweep.
+            // decode slack.
             let (bytes, run_len) = shard.posting_run(rel);
             for_each_sorted_u32_grouped_padded(bytes, run_len, |user| {
                 bump_count(counts, touched, exclude.0, user);
@@ -784,6 +921,13 @@ impl ActionIndex {
     /// `(user, score)` pairs with positive scores, in descending score order
     /// with ties broken by ascending user id — exactly the ideal
     /// personal-network ordering of [`crate::baseline::IdealNetworks`].
+    ///
+    /// A sweep touches hundreds to thousands of users to keep a hundred,
+    /// so the selection ranks as few of them as it can: a small score
+    /// histogram (last bucket open above) yields the score of the
+    /// `network_size`-th best user, only users at or above it stay
+    /// candidates, and the candidates are ranked in a scratch buffer. The
+    /// returned network is allocated at its own length.
     pub fn collect_top(
         &self,
         network_size: usize,
@@ -792,19 +936,52 @@ impl ActionIndex {
         if network_size == 0 {
             return Vec::new();
         }
-        let mut scored: Vec<(UserId, u64)> = scratch
-            .touched
-            .iter()
-            .map(|&user| (UserId(user), u64::from(scratch.counts[user as usize])))
-            .collect();
-        let by_rank = |a: &(UserId, u64), b: &(UserId, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
-        if scored.len() > network_size {
-            // Partial selection: only the retained prefix needs a full sort.
-            scored.select_nth_unstable_by(network_size - 1, by_rank);
-            scored.truncate(network_size);
+        // One pass over the touched set reads every score once: it fills
+        // the histogram and stages each user as a packed rank key — inverted
+        // score above the user id, so ascending key order is the network
+        // order, and plain `u64`s sort several times faster than pairs
+        // under a comparator.
+        let counts = &scratch.counts;
+        let candidates = &mut scratch.candidates;
+        let mut histogram = [0u32; SCORE_BUCKETS];
+        candidates.clear();
+        candidates.extend(scratch.touched.iter().map(|&user| {
+            let count = counts[user as usize];
+            histogram[(count as usize).min(SCORE_BUCKETS - 1)] += 1;
+            u64::from(!count) << 32 | u64::from(user)
+        }));
+        // The lowest score a top-`network_size` user can have: walk the
+        // buckets from the best score down until they hold enough users. A
+        // threshold in the open last bucket admits every score at or beyond
+        // it; one that is never reached admits every touched user.
+        let mut at_or_above = 0usize;
+        let threshold = (1..SCORE_BUCKETS)
+            .rev()
+            .find(|&score| {
+                at_or_above += histogram[score] as usize;
+                at_or_above >= network_size
+            })
+            .unwrap_or(1) as u32;
+        // Compact the keys at or above the threshold to the front, without
+        // a branch: most users sit below it, in no predictable pattern.
+        let weakest = u64::from(!threshold) << 32 | u64::from(u32::MAX);
+        let mut kept = 0usize;
+        for at in 0..candidates.len() {
+            let key = candidates[at];
+            candidates[kept] = key;
+            kept += usize::from(key <= weakest);
         }
-        scored.sort_unstable_by(by_rank);
-        scored
+        candidates.truncate(kept);
+        if candidates.len() > network_size {
+            // Partial selection: only the retained prefix needs a full sort.
+            candidates.select_nth_unstable(network_size - 1);
+            candidates.truncate(network_size);
+        }
+        candidates.sort_unstable();
+        candidates
+            .iter()
+            .map(|&key| (UserId(key as u32), u64::from(!((key >> 32) as u32))))
+            .collect()
     }
 
     /// Resolves the top-`network_size` most similar users to `user` **on
@@ -1321,17 +1498,246 @@ mod tests {
         }
     }
 
+    /// A random dataset over a small key space (items `< 40`, tags `< 6`),
+    /// so shared actions, empty profiles and long postings all occur.
+    fn random_dataset(rng: &mut StdRng, users: u32) -> Dataset {
+        let profiles: Vec<Profile> = (0..users)
+            .map(|_| {
+                let n = rng.gen_range(0..25usize);
+                Profile::from_actions(
+                    (0..n).map(|_| act(rng.gen_range(0..40u32), rng.gen_range(0..6u32))),
+                )
+            })
+            .collect();
+        Dataset::new(profiles, 400, 10)
+    }
+
+    /// Holds the transposition of every given user range to the
+    /// dictionary's interning of each profile, one reused block throughout.
+    fn assert_transposes_to_interned_ids(index: &ActionIndex, d: &Dataset, case: &str) {
+        let n = d.num_users();
+        let mut block = TransposedIds::default();
+        let mut interned = Vec::new();
+        for users in [0..n, n / 3..n - n / 4, n / 2..n / 2 + 1, n / 2..n / 2, n..n] {
+            index.transpose_into(users.clone(), &mut block);
+            assert_eq!(block.offsets.len(), users.len() + 1, "{case}, {users:?}");
+            for (rel, idx) in users.clone().enumerate() {
+                let profile = d.profile(UserId::from_index(idx));
+                index
+                    .dictionary()
+                    .ids_of_profile_into(profile, &mut interned);
+                assert_eq!(
+                    block.of(rel),
+                    interned.as_slice(),
+                    "{case}, users {users:?}, user {idx}"
+                );
+                assert_eq!(
+                    interned.len(),
+                    profile.len(),
+                    "{case}: every action is indexed"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_ids_equal_the_interned_profiles() {
+        let mut rng = StdRng::seed_from_u64(0x7E4A);
+        for round in 0..40 {
+            let users = rng.gen_range(1..70u32);
+            let mut d = random_dataset(&mut rng, users);
+            let shards = [1usize, 3, 16][round % 3];
+            let mut index = ActionIndex::build_with_shards(&d, shards);
+            let case = format!("round {round}, {shards} shards");
+            assert_transposes_to_interned_ids(&index, &d, &format!("{case}, fresh build"));
+
+            // Additions that intern dictionary-tail ids (items >= 40 are
+            // unknown to the build) and so grow the open-above last shard.
+            let deltas: Vec<(UserId, Vec<TaggingAction>)> = (0..rng.gen_range(1..8usize))
+                .map(|_| {
+                    let user = UserId(rng.gen_range(0..users));
+                    let actions = (0..rng.gen_range(1..9usize))
+                        .map(|_| act(rng.gen_range(0..60u32), rng.gen_range(0..6u32)))
+                        .chain([act(40 + round as u32, 1)])
+                        .collect();
+                    (user, actions)
+                })
+                .collect();
+            index.apply_deltas(deltas.iter().map(|(u, a)| (*u, a.as_slice())));
+            for (user, actions) in &deltas {
+                d.profile_mut(*user).extend(actions.iter().copied());
+            }
+            assert!(index.dictionary().len() > index.dictionary().frozen_len());
+            assert_transposes_to_interned_ids(&index, &d, &format!("{case}, after deltas"));
+
+            // Departures: her postings lose her, some of them their last
+            // tagger, and her own slice must come back empty.
+            for _ in 0..rng.gen_range(1..4usize) {
+                let user = UserId(rng.gen_range(0..users));
+                let profile = std::mem::take(d.profile_mut(user));
+                index.remove_user(user, &profile);
+            }
+            assert_transposes_to_interned_ids(&index, &d, &format!("{case}, after departures"));
+        }
+    }
+
+    #[test]
+    fn transposition_of_an_empty_index_is_empty() {
+        let index = ActionIndex::build(&Dataset::default());
+        let mut block = TransposedIds::default();
+        index.transpose_into(0..0, &mut block);
+        assert_eq!(block.offsets, vec![0]);
+        assert!(block.ids.is_empty());
+    }
+
+    /// The gather-everything selection [`ActionIndex::collect_top`] replaced
+    /// — every touched user materialised as a pair, then ranked under the
+    /// comparator — kept as the oracle the threshold selection is held to.
+    fn collect_top_gathering_all(
+        network_size: usize,
+        scratch: &SimilarityScratch,
+    ) -> Vec<(UserId, u64)> {
+        if network_size == 0 {
+            return Vec::new();
+        }
+        let mut scored: Vec<(UserId, u64)> = scratch
+            .touched
+            .iter()
+            .map(|&user| (UserId(user), u64::from(scratch.counts[user as usize])))
+            .collect();
+        let by_rank = |a: &(UserId, u64), b: &(UserId, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+        if scored.len() > network_size {
+            scored.select_nth_unstable_by(network_size - 1, by_rank);
+            scored.truncate(network_size);
+        }
+        scored.sort_unstable_by(by_rank);
+        scored
+    }
+
+    /// Loads `scores` into the scratch the way a sweep would leave them
+    /// (clearing what the previous sweep touched), in the given order.
+    fn load_scores(scratch: &mut SimilarityScratch, scores: &[(u32, u32)]) {
+        for &slot in &scratch.touched {
+            scratch.counts[slot as usize] = 0;
+        }
+        scratch.touched.clear();
+        for &(user, score) in scores {
+            assert!(score > 0 && scratch.counts[user as usize] == 0);
+            scratch.counts[user as usize] = score;
+            scratch.touched.push(user);
+        }
+    }
+
+    #[test]
+    fn threshold_selection_matches_gathering_everything() {
+        let index = ActionIndex::build(&dataset());
+        let last = SCORE_BUCKETS as u32 - 1;
+        let mut rng = StdRng::seed_from_u64(0xC011);
+        // One scratch throughout: every case is also a reuse of the last.
+        let mut scratch = SimilarityScratch::new(4000);
+        let mut cases: Vec<(&str, Vec<(u32, u32)>)> = vec![
+            ("nobody touched", Vec::new()),
+            ("one user", vec![(7, 3)]),
+            (
+                "ties at the threshold straddle the cut, ids descending",
+                (0..40u32)
+                    .rev()
+                    .map(|u| (u, if u % 4 == 0 { 9 } else { 2 }))
+                    .collect(),
+            ),
+            ("everyone tied", (0..300u32).map(|u| (299 - u, 1)).collect()),
+            (
+                "scores beyond the last bucket",
+                (0..200u32).map(|u| (u, last - 3 + u % 40)).collect(),
+            ),
+            (
+                "only the open bucket",
+                (0..90u32).map(|u| (u * 3, last + (u * 7) % 500)).collect(),
+            ),
+            (
+                "the cut falls just under the open bucket",
+                (0..30u32)
+                    .map(|u| (u, last + u))
+                    .chain((30..200).map(|u| (u, last - 1 - u % 2)))
+                    .collect(),
+            ),
+        ];
+        for _ in 0..60 {
+            let touched = rng.gen_range(0..400usize);
+            let spread = [2u32, 6, 70, 900][rng.gen_range(0..4usize)];
+            let mut users: Vec<u32> = (0..4000).collect();
+            for i in 0..touched {
+                users.swap(i, rng.gen_range(i..4000usize));
+            }
+            let scores = users[..touched]
+                .iter()
+                .map(|&u| (u, rng.gen_range(1..=spread)))
+                .collect();
+            cases.push(("random", scores));
+        }
+        for (case, scores) in &cases {
+            // 0, sizes around every tie group's edge, touched - 1, touched,
+            // touched + 1 and far beyond.
+            let n = scores.len();
+            for network_size in [
+                0,
+                1,
+                2,
+                10,
+                11,
+                29,
+                30,
+                31,
+                100,
+                n.saturating_sub(1),
+                n,
+                n + 1,
+                5000,
+            ] {
+                load_scores(&mut scratch, scores);
+                let oracle = collect_top_gathering_all(network_size, &scratch);
+                let top = index.collect_top(network_size, &mut scratch);
+                assert_eq!(top, oracle, "{case}, {n} touched, s = {network_size}");
+                assert_eq!(top.len(), n.min(network_size), "{case}, s = {network_size}");
+                assert!(
+                    top.capacity() <= 2 * top.len(),
+                    "{case}, s = {network_size}: the network is held at its own size"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_selection_matches_the_oracle_after_real_sweeps() {
+        // 150 users who all share 70 actions (scores beyond the last
+        // bucket) plus a tail of weaker overlaps, swept back to back on one
+        // scratch.
+        let profiles: Vec<Profile> = (0..260u32)
+            .map(|u| {
+                let shared = if u < 150 { 70 } else { u % 9 };
+                Profile::from_actions((0..shared).map(|i| act(i, 1)).chain([act(1000 + u, 2)]))
+            })
+            .collect();
+        let d = Dataset::new(profiles, 2000, 10);
+        let index = ActionIndex::build(&d);
+        let mut scratch = SimilarityScratch::new(d.num_users());
+        for network_size in [0usize, 5, 100, 149, 150, 400] {
+            for (user, profile) in d.iter() {
+                index.accumulate(profile, user, &mut scratch);
+                let oracle = collect_top_gathering_all(network_size, &scratch);
+                let top = index.collect_top(network_size, &mut scratch);
+                assert_eq!(top, oracle, "user {user}, s = {network_size}");
+            }
+        }
+    }
+
     /// Decodes every posting list of a shard into owned vectors — what the
     /// write path did before the streaming patcher, kept as the oracle the
     /// patcher is held to (no shipped code decodes a whole shard).
     fn decode_all(shard: &PostingShard) -> Vec<Vec<u32>> {
-        let mut pos = 0usize;
-        (0..shard.num_ids)
-            .map(|_| {
-                let len = read_varint(&shard.blob, &mut pos) as usize;
-                pos += len;
-                decode_run(&shard.blob[pos - len..pos]).collect()
-            })
+        shard
+            .posting_runs()
+            .map(|(bytes, len)| decode_run(&bytes[..len]).collect())
             .collect()
     }
 
@@ -1672,15 +2078,7 @@ mod tests {
     fn delta_departure_re_add_round_trips_match_a_fresh_build() {
         let mut rng = StdRng::seed_from_u64(0x0D0E);
         let users = 60u32;
-        let profiles: Vec<Profile> = (0..users)
-            .map(|_| {
-                let n = rng.gen_range(0..25usize);
-                Profile::from_actions(
-                    (0..n).map(|_| act(rng.gen_range(0..40u32), rng.gen_range(0..6u32))),
-                )
-            })
-            .collect();
-        let mut d = Dataset::new(profiles, 400, 10);
+        let mut d = random_dataset(&mut rng, users);
         for shards in [1usize, 3, 16] {
             let mut index = ActionIndex::build_with_shards(&d, shards);
             for _ in 0..12 {
