@@ -2,7 +2,8 @@
 # A perf PR proves it changed no answer.
 #
 # Runs the e2e benchmark the way BENCHMARK.json's `command` does (built
-# through its own manifest) on the two gossip workloads and the two
+# through its own manifest) on the three gossip workloads (the simulator's
+# burst and the same burst on shard actors among them) and the two
 # similarity workloads, one round each (`--seconds 0`), for seeds 42 and 7,
 # and compares what each run *answered* — `correct`, `failed`,
 # `quality_ratio`, `bytes_per_op` — with ci/e2e_answers.json. Those four
@@ -31,7 +32,7 @@ esac
 
 fresh=$(mktemp)
 trap 'rm -f "$fresh"' EXIT
-for workload in lazy_converge eager_burst similarity_sweep similarity_serve; do
+for workload in lazy_converge eager_burst transport_burst similarity_sweep similarity_serve; do
     for seed in 42 7; do
         echo "e2e --workload $workload --seed $seed --seconds 0" >&2
         # The last line of a run is its one-line verdict object.
