@@ -84,13 +84,13 @@
 //!   all of it observationally identical to an uncompressed oracle.
 //! * **Demand-driven similarity resolution** —
 //!   [`resolver::OnDemandNetworks`] answers "top-`s` peers of user `u`"
-//!   lazily: [`similarity::ActionIndex::resolve_top_similar`] drives the
-//!   streaming threshold merge (`p3q_topk::streaming_count_topk`) straight
-//!   over the compressed posting shards and early-terminates once the NRA
-//!   bound proves the top-`s` final. Results are memoized per user and kept
-//!   provably fresh under dynamics by exact [`similarity::DeltaOutcome`]
-//!   invalidation (evict changing users, patch affected cached pairs), so
-//!   per-cycle similarity cost is proportional to *queries*, not *users* —
+//!   lazily: one counting sweep over her posting lists
+//!   ([`similarity::ActionIndex::top_similar`], the oracle's own point
+//!   path) into a scratch the resolver keeps. Results are memoized per
+//!   user and kept provably fresh under dynamics by exact
+//!   [`similarity::DeltaOutcome`] invalidation (evict changing users,
+//!   patch affected cached pairs), so per-cycle similarity cost is
+//!   proportional to *queries*, not *users* —
 //!   the query-skew path toward the 1M-user target, with
 //!   [`baseline::IdealNetworks`] kept as the global oracle.
 //! * **Group-varint decode kernels** — the byte-level
@@ -191,7 +191,7 @@ pub mod prelude {
     pub use crate::node::P3qNode;
     pub use crate::query::{QuerierState, QueryId};
     pub use crate::resolver::{on_demand_topk, OnDemandNetworks, ResolveStats};
-    pub use crate::similarity::{ActionIndex, DeltaOutcome, ResolveProbe, SimilarityScratch};
+    pub use crate::similarity::{ActionIndex, DeltaOutcome, SimilarityScratch};
     pub use crate::storage::StorageDistribution;
     pub use p3q_sim::{
         fingerprint_chain, EventQueue, FaultConfig, FaultPlan, FaultStats, Fingerprint, Fnv,

@@ -8,10 +8,10 @@
 //! cycle. [`OnDemandNetworks`] inverts the cost model:
 //!
 //! * **Resolve lazily.** A user's network is computed the first time it is
-//!   requested, by [`ActionIndex::resolve_top_similar`] — a streaming
-//!   threshold merge ([`p3q_topk::streaming_count_topk`]) straight over the
-//!   compressed posting shards that early-terminates once the NRA bound
-//!   proves the top-`s` final. Users nobody queries are never touched.
+//!   requested, by one counting sweep over her posting lists
+//!   ([`ActionIndex::top_similar`], the point path of the oracle itself)
+//!   into a scratch the resolver owns. Users nobody queries are never
+//!   touched.
 //! * **Memoize exactly.** Resolved networks live in a per-user cache whose
 //!   invariant is byte-equality with the oracle over the *current* dataset.
 //! * **Invalidate surgically.** A [`DeltaOutcome`] from
@@ -26,15 +26,15 @@
 //!   a survivor in that dirty set, so eviction is complete.
 //!
 //! Bulk resolution ([`OnDemandNetworks::resolve_many`]) fans the cache
-//! misses out over [`p3q_sim::parallel_map_chunks`]; each miss is a pure
-//! function of `(dataset, index, user)`, so the output is byte-identical
-//! for every `P3Q_THREADS` value.
+//! misses out over [`p3q_sim::parallel_map_chunks`], one sweep scratch per
+//! worker; each miss is a pure function of `(dataset, index, user)`, so the
+//! output is byte-identical for every `P3Q_THREADS` value.
 
 use p3q_sim::{default_threads, parallel_map_chunks};
 use p3q_trace::{ChangeBatch, Dataset, ItemId, Profile, Query, UserId};
 
 use crate::scoring::full_relevance_scores;
-use crate::similarity::{ActionIndex, DeltaOutcome};
+use crate::similarity::{ActionIndex, DeltaOutcome, SimilarityScratch};
 
 /// Above this many patch partners, evicting the entry and lazily
 /// re-resolving it is cheaper than merging every pair — the cache analogue
@@ -49,10 +49,12 @@ pub struct ResolveStats {
     pub resolutions: usize,
     /// Requests answered straight from the cache.
     pub cache_hits: usize,
-    /// Posting-list positions consumed across all resolutions.
+    /// Posting entries the resolutions' counting sweeps read: per miss, the
+    /// summed posting lengths of the user's actions minus her own entries.
+    /// Deterministic, and the same for every thread count.
     pub positions_scanned: usize,
-    /// Resolutions stopped by the threshold bound before exhausting their
-    /// posting lists.
+    /// Always 0: a counting sweep reads every posting of the profile, so no
+    /// resolution stops early. Kept for the benchmarks that report it.
     pub early_terminations: usize,
     /// Cached entries updated in place by pairwise patching.
     pub patched: usize,
@@ -64,9 +66,9 @@ pub struct ResolveStats {
 ///
 /// Every entry this cache ever serves is byte-identical to
 /// [`IdealNetworks::compute`](crate::baseline::IdealNetworks::compute) over
-/// the same dataset — resolution is exact (no approximation rides on the
-/// early termination) and invalidation is driven by the same
-/// [`DeltaOutcome`] bookkeeping the incremental oracle uses.
+/// the same dataset — resolution is the oracle's own counting sweep and
+/// invalidation is driven by the same [`DeltaOutcome`] bookkeeping the
+/// incremental oracle uses.
 ///
 /// The resolver does not own the [`ActionIndex`]; callers pass the index
 /// alongside the dataset and are responsible for keeping the two in sync
@@ -76,6 +78,9 @@ pub struct OnDemandNetworks {
     cache: Vec<Option<Vec<(UserId, u64)>>>,
     network_size: usize,
     stats: ResolveStats,
+    /// The counting sweep's per-user counters, reused by every miss of
+    /// [`Self::resolve`].
+    scratch: SimilarityScratch,
 }
 
 impl OnDemandNetworks {
@@ -85,6 +90,7 @@ impl OnDemandNetworks {
             cache: vec![None; num_users],
             network_size,
             stats: ResolveStats::default(),
+            scratch: SimilarityScratch::new(num_users),
         }
     }
 
@@ -119,8 +125,10 @@ impl OnDemandNetworks {
         self.stats = ResolveStats::default();
     }
 
-    /// The personal network of `user`, resolving it on demand and memoizing
-    /// the result. `index` must cover exactly `dataset`.
+    /// The personal network of `user`: the memoized one, or on a miss one
+    /// counting sweep over her posting lists ([`ActionIndex::top_similar`]
+    /// into the resolver's own scratch), memoized. `index` must cover
+    /// exactly `dataset`.
     pub fn resolve(
         &mut self,
         dataset: &Dataset,
@@ -131,10 +139,9 @@ impl OnDemandNetworks {
         if self.cache[user.index()].is_some() {
             self.stats.cache_hits += 1;
         } else {
-            let (network, probe) = index.resolve_top_similar(dataset, user, self.network_size);
+            let network = index.top_similar(dataset, user, self.network_size, &mut self.scratch);
             self.stats.resolutions += 1;
-            self.stats.positions_scanned += probe.positions_scanned;
-            self.stats.early_terminations += usize::from(probe.early_terminated);
+            self.stats.positions_scanned += self.scratch.entries_read();
             self.cache[user.index()] = Some(network);
         }
         self.cache[user.index()].as_deref().expect("just resolved")
@@ -173,13 +180,15 @@ impl OnDemandNetworks {
         let resolved = parallel_map_chunks(
             misses.len(),
             threads,
-            || (),
-            |i, ()| index.resolve_top_similar(dataset, misses[i], network_size),
+            || SimilarityScratch::new(dataset.num_users()),
+            |i, scratch| {
+                let network = index.top_similar(dataset, misses[i], network_size, scratch);
+                (network, scratch.entries_read())
+            },
         );
-        for (user, (network, probe)) in misses.iter().zip(resolved) {
+        for (user, (network, entries_read)) in misses.iter().zip(resolved) {
             self.stats.resolutions += 1;
-            self.stats.positions_scanned += probe.positions_scanned;
-            self.stats.early_terminations += usize::from(probe.early_terminated);
+            self.stats.positions_scanned += entries_read;
             self.cache[user.index()] = Some(network);
         }
     }
@@ -390,6 +399,34 @@ mod tests {
         assert_eq!(resolver.stats().resolutions, dataset.num_users());
         assert_eq!(resolver.stats().cache_hits, dataset.num_users());
         assert_eq!(resolver.cached_count(), dataset.num_users());
+    }
+
+    #[test]
+    fn a_miss_counts_the_posting_entries_its_sweep_read() {
+        let trace = TraceGenerator::new(TraceConfig::tiny(3)).generate();
+        let dataset = &trace.dataset;
+        let index = ActionIndex::build(dataset);
+        let mut resolver = OnDemandNetworks::new(dataset.num_users(), 10);
+        let mut total = 0usize;
+        for user in dataset.users() {
+            let profile = dataset.profile(user);
+            // She is on the posting of each of her own actions once.
+            let postings: usize = profile.iter().map(|a| index.taggers_of(a).len()).sum();
+            let read = postings - profile.len();
+            total += read;
+            let _ = resolver.resolve(dataset, &index, user);
+            assert_eq!(resolver.stats().positions_scanned, total, "miss of {user}");
+            let _ = resolver.resolve(dataset, &index, user);
+            assert_eq!(resolver.stats().positions_scanned, total, "hit of {user}");
+        }
+        assert!(total > 0);
+        assert_eq!(resolver.stats().early_terminations, 0);
+        let all: Vec<UserId> = dataset.users().collect();
+        for threads in [1, 3] {
+            let mut many = OnDemandNetworks::new(dataset.num_users(), 10);
+            many.resolve_many(dataset, &index, &all, threads);
+            assert_eq!(many.stats().positions_scanned, total, "threads={threads}");
+        }
     }
 
     #[test]

@@ -116,25 +116,24 @@
 //! [`p3q_sim::parallel_map_chunks`]; output is identical for every
 //! worker-thread count (set `P3Q_THREADS=1` to pin).
 //!
-//! ## On-demand resolution: one user, straight off the shards
+//! ## On-demand resolution: one user, one sweep
 //!
-//! The dense sweep above is the right shape when *every* network is needed
-//! (a global [`crate::baseline::IdealNetworks::compute`]). When only the
-//! users who actually issue queries matter, [`ActionIndex::resolve_top_similar`]
-//! answers a single "top-k most similar peers of `u`" without any dense
-//! per-population state: it opens one [`PostingCursor`] per action of `u`'s
-//! profile — each lazily delta-varint-decoding its compressed posting run in
-//! ascending user-id order — and drives `p3q_topk::streaming_count_topk`
-//! over them, Fagin-style threshold termination included. Users sharing
-//! nothing with `u` are never touched, and the scan stops early once the
-//! threshold bound proves the top-k final. The result is byte-identical to
-//! the [`Self::top_similar`] sweep; [`crate::resolver::OnDemandNetworks`]
-//! adds per-user memoization with exact [`DeltaOutcome`]-driven
-//! invalidation on top.
+//! When only the users who actually issue queries matter, the point path is
+//! the whole answer: [`ActionIndex::top_similar`] scores one user with one
+//! counting sweep over her posting lists and ranks her network with the
+//! same threshold selection as the bulk path, byte for byte what
+//! [`crate::baseline::IdealNetworks::compute`] holds for her.
+//! [`crate::resolver::OnDemandNetworks`] owns one [`SimilarityScratch`] for
+//! its misses and adds per-user memoization with exact
+//! [`DeltaOutcome`]-driven invalidation on top. The sweep reads every
+//! posting of the profile — nothing stops it early: a counter bump costs a
+//! few nanoseconds, while merging the postings in user order to prove an
+//! early stop costs a heap operation per entry, and on paper-shaped
+//! profiles the proof arrives too late to skip more than a handful.
 
 use p3q_trace::codec::{
-    decode_group, encode_sorted_u32s_grouped, for_each_sorted_u32_grouped_padded, read_varint,
-    varint_len, write_varint, VarintReader, GROUP_DECODE_SLACK, GROUP_SIZE,
+    encode_sorted_u32s_grouped, for_each_sorted_u32_grouped_padded, read_varint, varint_len,
+    write_varint, VarintReader, GROUP_DECODE_SLACK,
 };
 use p3q_trace::{ActionDictionary, Dataset, Profile, TaggingAction, UserId};
 
@@ -194,6 +193,15 @@ impl SimilarityScratch {
             ids: Vec::new(),
             candidates: Vec::new(),
         }
+    }
+
+    /// Posting entries the last sweep read, its owner's own excluded: each
+    /// of them bumped one counter by one, so the touched counters sum to it.
+    pub(crate) fn entries_read(&self) -> usize {
+        self.touched
+            .iter()
+            .map(|&user| self.counts[user as usize] as usize)
+            .sum()
     }
 }
 
@@ -984,47 +992,6 @@ impl ActionIndex {
             .collect()
     }
 
-    /// Resolves the top-`network_size` most similar users to `user` **on
-    /// demand**, without the dense per-population accumulator: one
-    /// [`PostingCursor`] per profile action streams its compressed posting
-    /// run into `p3q_topk::streaming_count_topk`, which merges the cursors
-    /// in ascending user-id order and early-terminates once the threshold
-    /// bound proves the top-k final.
-    ///
-    /// The ranking is byte-identical to [`Self::top_similar`] (score
-    /// descending, ties by ascending id, positive scores only, truncated to
-    /// `network_size`); the returned [`ResolveProbe`] reports how much
-    /// posting mass the threshold actually had to scan.
-    pub fn resolve_top_similar(
-        &self,
-        dataset: &Dataset,
-        user: UserId,
-        network_size: usize,
-    ) -> (Vec<(UserId, u64)>, ResolveProbe) {
-        let mut ids = Vec::new();
-        self.dict
-            .ids_of_profile_into(dataset.profile(user), &mut ids);
-        let sources: Vec<PostingCursor<'_>> = ids
-            .iter()
-            .filter_map(|&id| {
-                let shard = &self.shards[self.shard_of(id as usize)];
-                let rel = id as usize - shard.start_id;
-                (rel < shard.num_ids).then(|| PostingCursor::new(shard.posting_bytes(rel), user.0))
-            })
-            .collect();
-        let outcome = p3q_topk::streaming_count_topk(sources, network_size);
-        let probe = ResolveProbe {
-            positions_scanned: outcome.positions_scanned,
-            early_terminated: outcome.early_terminated,
-        };
-        let ranking = outcome
-            .ranking
-            .into_iter()
-            .map(|(raw, count)| (UserId(raw), count))
-            .collect();
-        (ranking, probe)
-    }
-
     /// Convenience wrapper: the top-`network_size` most similar users to
     /// `user`, using (and resetting) `scratch`.
     pub fn top_similar(
@@ -1056,81 +1023,6 @@ impl ActionIndex {
             csr_equivalent_bytes,
             postings,
             distinct_actions: self.live_keys,
-        }
-    }
-}
-
-/// Scan accounting of one [`ActionIndex::resolve_top_similar`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResolveProbe {
-    /// Posting entries decoded across all of the profile's cursors.
-    pub positions_scanned: usize,
-    /// `true` when the threshold bound stopped the merge before the posting
-    /// runs were exhausted.
-    pub early_terminated: bool,
-}
-
-/// A lazily decoding cursor over one compressed posting run: yields the
-/// ascending user ids of the `[first: LEB128][deltas: group-varint]` bytes
-/// one at a time (buffering one decoded group), skipping `exclude` (the
-/// profile's owner) — the sorted-access source
-/// [`ActionIndex::resolve_top_similar`] feeds into
-/// `p3q_topk::streaming_count_topk`. Decoding is incremental, so an
-/// early-terminated merge never pays for the posting tail.
-#[derive(Debug, Clone)]
-pub struct PostingCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    buf: [u32; GROUP_SIZE],
-    buf_len: u8,
-    buf_pos: u8,
-    prev: u32,
-    first: bool,
-    exclude: u32,
-}
-
-impl<'a> PostingCursor<'a> {
-    /// Opens a cursor over one posting's run bytes (the byte-length prefix
-    /// already consumed, as returned by `posting_bytes`).
-    fn new(bytes: &'a [u8], exclude: u32) -> Self {
-        Self {
-            bytes,
-            pos: 0,
-            buf: [0; GROUP_SIZE],
-            buf_len: 0,
-            buf_pos: 0,
-            prev: 0,
-            first: true,
-            exclude,
-        }
-    }
-}
-
-impl Iterator for PostingCursor<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        loop {
-            if self.first {
-                if self.bytes.is_empty() {
-                    return None;
-                }
-                self.first = false;
-                self.prev = read_varint(self.bytes, &mut self.pos) as u32;
-            } else {
-                if self.buf_pos == self.buf_len {
-                    self.buf_len = decode_group(self.bytes, &mut self.pos, &mut self.buf) as u8;
-                    self.buf_pos = 0;
-                    if self.buf_len == 0 {
-                        return None;
-                    }
-                }
-                self.prev += self.buf[self.buf_pos as usize];
-                self.buf_pos += 1;
-            }
-            if self.prev != self.exclude {
-                return Some(self.prev);
-            }
         }
     }
 }
@@ -2162,55 +2054,40 @@ mod tests {
     }
 
     #[test]
-    fn resolve_top_similar_matches_the_dense_sweep() {
-        let d = dataset();
-        for shards in [1, 2, 4] {
-            let index = ActionIndex::build_with_shards(&d, shards);
-            let mut scratch = SimilarityScratch::new(d.num_users());
-            for user in d.users() {
-                for k in [0, 1, 3, 10] {
-                    let swept = index.top_similar(&d, user, k, &mut scratch);
-                    let (resolved, probe) = index.resolve_top_similar(&d, user, k);
-                    assert_eq!(resolved, swept, "user {user}, k {k}, {shards} shards");
-                    if k > 0 && !swept.is_empty() {
-                        assert!(probe.positions_scanned > 0);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn resolve_reflects_deltas_and_departures() {
+        // A patched index resolves every user as a fresh build over the
+        // changed profiles does, and a departed user leaves every network.
         let mut d = dataset();
         let mut index = ActionIndex::build_with_shards(&d, 2);
         let delta = [act(9, 9), act(3, 3)];
         index.apply_delta(UserId(1), &delta);
         d.profile_mut(UserId(1)).extend(delta);
-        let (resolved, _) = index.resolve_top_similar(&d, UserId(1), 10);
-        let mut scratch = SimilarityScratch::new(d.num_users());
-        assert_eq!(resolved, index.top_similar(&d, UserId(1), 10, &mut scratch));
-
         let old = d.profile(UserId(2)).clone();
         index.remove_user(UserId(2), &old);
         *d.profile_mut(UserId(2)) = Profile::new();
+        let fresh = ActionIndex::build(&d);
+        let mut scratch = SimilarityScratch::new(d.num_users());
         for user in d.users() {
-            let (resolved, _) = index.resolve_top_similar(&d, user, 10);
+            let resolved = index.top_similar(&d, user, 10, &mut scratch);
             assert_eq!(
                 resolved,
-                index.top_similar(&d, user, 10, &mut scratch),
+                fresh.top_similar(&d, user, 10, &mut scratch),
                 "{user}"
             );
             assert!(!resolved.iter().any(|&(peer, _)| peer == UserId(2)));
         }
+        assert_eq!(
+            index.top_similar(&d, UserId(1), 10, &mut scratch),
+            vec![(UserId(0), 3)]
+        );
     }
 
     #[test]
     fn wide_directory_fallback_preserves_random_access() {
         // One shard, 70 distinct actions, each tagged by 1500 users: any
         // 64-slot directory window spans far more than u16::MAX blob bytes,
-        // forcing the per-shard Wide fallback. Random access, the counting
-        // sweep and on-demand resolution must be unaffected.
+        // forcing the per-shard Wide fallback. Random access and the
+        // counting sweep must be unaffected.
         let num_users = 1500u32;
         let profiles: Vec<Profile> = (0..num_users)
             .map(|_| Profile::from_actions((0..70u32).map(|i| act(i, 1))))
@@ -2230,9 +2107,8 @@ mod tests {
         );
         let mut scratch = SimilarityScratch::new(d.num_users());
         let swept = index.top_similar(&d, UserId(0), 5, &mut scratch);
-        let (resolved, _) = index.resolve_top_similar(&d, UserId(0), 5);
-        assert_eq!(resolved, swept);
-        assert_eq!(swept[0].1, 70, "full overlap with every peer");
+        assert_eq!(swept.len(), 5);
+        assert_eq!(swept[0], (UserId(1), 70), "full overlap with every peer");
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //!   candidate heap (Algorithm 4 of the paper);
 //! * [`nra_topk`] — classical batch NRA over a fixed set of lists, used as an
 //!   oracle and to quantify early-termination savings;
-//! * [`streaming_count_topk`] — the threshold condition transposed to
-//!   id-ordered unit-score lists (posting lists), driving the on-demand
-//!   similarity resolver's early termination;
 //! * [`exact_topk`] / [`recall`] — full-aggregation ground truth and the
 //!   recall metric the paper reports (R_k).
 //!
@@ -27,10 +24,8 @@ mod exact;
 mod incremental;
 mod list;
 mod nra;
-mod stream;
 
 pub use exact::{exact_topk, recall, topk_of_totals};
 pub use incremental::{IncrementalNra, RankedItem};
 pub use list::PartialResultList;
 pub use nra::{nra_topk, NraOutcome};
-pub use stream::{streaming_count_topk, StreamOutcome};

@@ -2,8 +2,6 @@
 //! reached by a query.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::Hash;
 
 /// A score-ordered partial result list.
 ///
@@ -20,30 +18,25 @@ pub struct PartialResultList<I> {
     entries: Vec<(I, u32)>,
 }
 
-impl<I: Copy + Eq + Hash + Ord> PartialResultList<I> {
+impl<I: Copy + Ord> PartialResultList<I> {
     /// Builds a list from unordered `(item, score)` pairs, dropping
-    /// zero-score entries, summing duplicate items and sorting by descending
-    /// score (ties broken by ascending item for determinism).
+    /// zero-score entries, summing duplicate items (saturating at
+    /// `u32::MAX`) and sorting by descending score (ties broken by
+    /// ascending item for determinism) — [`Self::from_scores_buffer`] over
+    /// the collected pairs.
     pub fn from_scores<It: IntoIterator<Item = (I, u32)>>(scores: It) -> Self {
-        let mut map: HashMap<I, u32> = HashMap::new();
-        for (item, score) in scores {
-            if score > 0 {
-                *map.entry(item).or_insert(0) += score;
-            }
-        }
-        let mut entries: Vec<(I, u32)> = map.into_iter().collect();
-        entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        Self { entries }
+        Self::from_scores_buffer(&mut scores.into_iter().collect())
     }
 
     /// Builds a list by draining `pairs`, leaving its capacity behind for
     /// the caller to reuse.
     ///
-    /// Semantics match [`Self::from_scores`] (duplicates summed, zero scores
-    /// dropped, descending score with ascending-item tie-breaks) but the
-    /// aggregation happens in place: one sort by item, one in-place
-    /// run-summing pass, one sort by rank — no hash map, and the only
-    /// allocation is the exact-size entry vector of the result.
+    /// Duplicates are summed (saturating at `u32::MAX`), zero totals
+    /// dropped and the result ranked by descending score with
+    /// ascending-item tie-breaks. The aggregation happens in place: one sort
+    /// by item, one in-place run-summing pass, one sort by rank — no hash
+    /// map, and the only allocation is the exact-size entry vector of the
+    /// result.
     pub fn from_scores_buffer(pairs: &mut Vec<(I, u32)>) -> Self {
         pairs.sort_unstable_by_key(|&(item, _)| item);
         let mut write = 0usize;
@@ -114,7 +107,7 @@ impl<I: Copy + Eq + Hash + Ord> PartialResultList<I> {
     }
 }
 
-impl<I: Copy + Eq + Hash + Ord> FromIterator<(I, u32)> for PartialResultList<I> {
+impl<I: Copy + Ord> FromIterator<(I, u32)> for PartialResultList<I> {
     fn from_iter<T: IntoIterator<Item = (I, u32)>>(iter: T) -> Self {
         Self::from_scores(iter)
     }
@@ -172,6 +165,20 @@ mod tests {
         assert_eq!(from_buffer, PartialResultList::from_scores(pairs));
         assert!(buffer.is_empty(), "buffer must be drained");
         assert_eq!(buffer.capacity(), capacity, "capacity must survive");
+    }
+
+    #[test]
+    fn duplicate_scores_saturate_instead_of_wrapping() {
+        // 2^32 - 1 + 1 wraps to 0 under `+=`: the item would then be kept at
+        // score 0 in release builds and panic in debug ones.
+        let pairs = vec![(1u32, u32::MAX), (1, 1), (2, 3)];
+        let expected = vec![(1, u32::MAX), (2, 3)];
+        let list = PartialResultList::from_scores(pairs.clone());
+        assert_eq!(list.iter().collect::<Vec<_>>(), expected);
+        let from_buffer = PartialResultList::from_scores_buffer(&mut pairs.clone());
+        assert_eq!(from_buffer.iter().collect::<Vec<_>>(), expected);
+        let collected: PartialResultList<u32> = pairs.into_iter().collect();
+        assert_eq!(collected, list);
     }
 
     #[test]
