@@ -232,8 +232,6 @@ impl IdealNetworks {
         outcome: &DeltaOutcome,
         threads: usize,
     ) {
-        use std::collections::HashSet;
-
         /// Above this many partners, re-merging pairs costs more than one
         /// counting sweep; fall back to the sweep (same result, cheaper).
         /// Measured optimum on the 1k–20k synthetic traces (8 and 78 are
@@ -242,16 +240,22 @@ impl IdealNetworks {
 
         // Full sweeps are owed to the changing users and anyone affected
         // through a capped very-popular action; pair patches must skip both.
-        let sweep_set: HashSet<UserId> = outcome
+        // A dense flag per user makes that one load per pair (a paper-day
+        // batch lists about a million).
+        let mut resweep: Vec<UserId> = outcome
             .changed
             .iter()
             .chain(outcome.resweep.iter())
             .copied()
             .collect();
+        let mut swept = vec![false; self.per_user.len()];
+        for user in &resweep {
+            swept[user.index()] = true;
+        }
         // Group pairs by affected user (outcome.pairs is sorted by it).
         let mut patches: Vec<(UserId, Vec<UserId>)> = Vec::new();
         for &(affected, partner) in &outcome.pairs {
-            if sweep_set.contains(&affected) {
+            if swept[affected.index()] {
                 continue;
             }
             match patches.last_mut() {
@@ -259,7 +263,6 @@ impl IdealNetworks {
                 _ => patches.push((affected, vec![partner])),
             }
         }
-        let mut resweep: Vec<UserId> = sweep_set.iter().copied().collect();
         patches.retain(|(user, partners)| {
             if partners.len() >= PATCH_SWEEP_THRESHOLD {
                 resweep.push(*user);

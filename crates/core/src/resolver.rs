@@ -19,7 +19,10 @@
 //!   changing/resweep users are evicted (their whole row may have moved),
 //!   while each *affected* cached entry is patched in place by re-merging
 //!   only the listed partners — the same exactness argument as
-//!   [`IdealNetworks::apply_delta_outcome`], at cache scale. Departures
+//!   [`IdealNetworks::apply_delta_outcome`](crate::baseline::IdealNetworks::apply_delta_outcome),
+//!   at cache scale. The index
+//!   emits pairs only for users the cache holds, so a write pays for the
+//!   cache it invalidates, not for the population. Departures
 //!   evict the dirty set returned by [`ActionIndex::remove_user`]; a
 //!   departed user can only appear in the cached network of someone who
 //!   shared an action with her, and sharing an action is precisely what puts
@@ -207,8 +210,10 @@ impl OnDemandNetworks {
     /// cached entries. Call after [`ChangeBatch::apply`] updated `dataset`
     /// (mirrors [`IdealNetworks::apply_change_batch`](crate::baseline::IdealNetworks::apply_change_batch)).
     ///
-    /// Returns the delta outcome so callers can drive other consumers (e.g.
-    /// an oracle) off the same bookkeeping.
+    /// Returns the batch's delta outcome as the cache saw it: `changed` and
+    /// `resweep` are complete, but `pairs` names only affected users that
+    /// were cached when the call began — the index emitted no pair for
+    /// anyone else.
     pub fn apply_change_batch(
         &mut self,
         dataset: &Dataset,
@@ -226,11 +231,12 @@ impl OnDemandNetworks {
         batch: &ChangeBatch,
         threads: usize,
     ) -> DeltaOutcome {
-        let outcome = index.apply_deltas(
+        let outcome = index.apply_deltas_where(
             batch
                 .changes
                 .iter()
                 .map(|c| (c.user, c.new_actions.as_slice())),
+            |user| self.cache[user as usize].is_some(),
         );
         self.apply_delta_outcome(dataset, &outcome, threads);
         outcome
@@ -248,9 +254,17 @@ impl OnDemandNetworks {
     ///   [`PATCH_EVICT_THRESHOLD`] or more partners are evicted instead —
     ///   lazy re-resolution is cheaper than that many profile merges.
     ///
-    /// `dataset` must already reflect the batch the outcome came from.
-    /// Uncached users cost nothing, which is the point: invalidation work is
-    /// proportional to the *cached∩dirty* overlap, not the dirty set.
+    /// `dataset` must already reflect the batch the outcome came from. Any
+    /// outcome for that batch works: the full one of
+    /// [`ActionIndex::apply_deltas`], or one whose `pairs` keep at least
+    /// the currently cached affected users — pairs of uncached users are
+    /// skipped here either way.
+    ///
+    /// Uncached users cost nothing, which is the point: through
+    /// [`Self::apply_change_batch`] the index asks the cache whose pairs to
+    /// emit before it emits any, so the pairs this walks — and the pairs
+    /// the index emitted, sorted and deduplicated — are the *cached∩dirty*
+    /// overlap, not the dirty set.
     pub fn apply_delta_outcome(
         &mut self,
         dataset: &Dataset,

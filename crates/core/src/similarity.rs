@@ -77,9 +77,15 @@
 //!   patch a lightly affected user's network from a few pair merges and
 //!   reserve full counting sweeps for the changing users — provably
 //!   matching a from-scratch
-//!   [`crate::baseline::IdealNetworks::compute`]. Sorting and deduplicating
-//!   those pairs is what a large batch mostly pays for once the shards
-//!   are patched in place.
+//!   [`crate::baseline::IdealNetworks::compute`]. Those pairs number the
+//!   touched posting lengths times their gainers (≈ 1.1 M for a paper-day
+//!   batch at 50k users), so emitting, sorting and deduplicating them is
+//!   what a batch pays for beyond the patch when every user is wanted. A
+//!   consumer that holds only a few users — the
+//!   [`crate::resolver::OnDemandNetworks`] cache — names them to the
+//!   crate-private `ActionIndex::apply_deltas_where`, and only their pairs
+//!   are ever emitted; what is left of a batch is interning the delta
+//!   actions, sorting them, and the shard patch.
 //!
 //! ## Bulk path and point path
 //!
@@ -161,7 +167,10 @@ const GROUPS_PER_ANCHOR: usize = 8;
 /// that are not themselves gainers of the key). A very popular gained
 /// action would emit a quadratic number of `(member, gainer)` pairs;
 /// beyond this bound its posting members go to [`DeltaOutcome::resweep`]
-/// (full re-score) instead, which costs only the posting length.
+/// (full re-score) instead, which costs only the posting length. The
+/// product counts every affected member before the consumer's interest
+/// filter of `ActionIndex::apply_deltas_where` drops any, so whether a key
+/// is capped — and so `resweep` — does not depend on who asks.
 const PAIR_EMISSION_CAP: usize = 4096;
 
 /// Buckets of [`ActionIndex::collect_top`]'s score histogram: one per score
@@ -700,7 +709,10 @@ impl ActionIndex {
     /// re-encoded; the rest of a touched shard is copied byte for byte
     /// (see `PostingShard::patch`) and untouched shards are never read,
     /// so the batch costs `O(D log D + Σ |touched posting| +
-    /// memcpy(touched shard bytes))` for `D` delta actions.
+    /// memcpy(touched shard bytes) + P log P)` for `D` delta actions and
+    /// `P` emitted `(affected, changed)` pairs — and `P`, the old posting
+    /// lengths times their gainers, is what a paper-day batch is largest
+    /// in (≈ 1.1 M pairs at 50k users).
     ///
     /// Returns a [`DeltaOutcome`] describing exactly which pairwise scores
     /// changed: the changing users themselves (every one of their scores
@@ -713,6 +725,23 @@ impl ActionIndex {
     /// # Panics
     /// Panics if a delta names a user outside the indexed population.
     pub fn apply_deltas<'a, I>(&mut self, deltas: I) -> DeltaOutcome
+    where
+        I: IntoIterator<Item = (UserId, &'a [TaggingAction])>,
+    {
+        self.apply_deltas_where(deltas, |_| true)
+    }
+
+    /// [`Self::apply_deltas`] for a consumer that acts only on some users:
+    /// a pair is emitted only if `interested(affected)` holds, so `P` above
+    /// shrinks to the pairs the consumer keeps before any is sorted. The
+    /// index is patched exactly as by [`Self::apply_deltas`], and `changed`
+    /// and `resweep` do not depend on `interested` (the
+    /// [`PAIR_EMISSION_CAP`] test counts the whole old posting).
+    pub(crate) fn apply_deltas_where<'a, I>(
+        &mut self,
+        deltas: I,
+        interested: impl Fn(u32) -> bool,
+    ) -> DeltaOutcome
     where
         I: IntoIterator<Item = (UserId, &'a [TaggingAction])>,
     {
@@ -754,6 +783,7 @@ impl ActionIndex {
             let gained = merge_into_shard(
                 shard,
                 &pairs[start..end],
+                &interested,
                 &mut changed,
                 &mut score_pairs,
                 &mut resweep,
@@ -770,8 +800,8 @@ impl ActionIndex {
         // key; drop the pairs whose affected side changed via *another* key
         // too — changing users are fully re-swept downstream regardless. A
         // dense flag per user makes this one load per pair (a paper-day
-        // batch emits over a million of them); it costs the bytes of one
-        // shard copy.
+        // batch emits over a million of them to a consumer interested in
+        // everyone); it costs the bytes of one shard copy.
         let mut is_changed = vec![false; self.num_users];
         for &user in &changed {
             is_changed[user as usize] = true;
@@ -1052,13 +1082,14 @@ fn finish_dirty(mut dirty: Vec<u32>) -> Vec<UserId> {
 /// through [`PostingShard::patch`]: a posting is rewritten only if it
 /// genuinely gains a tagger. Every such id reports its gainers into
 /// `changed` and the `(posting member, gainer)` pairs whose score grew into
-/// `score_pairs` — unless the id is so popular that the pair product
-/// exceeds [`PAIR_EMISSION_CAP`], in which case its posting members go to
-/// `resweep` instead. Returns how many previously empty postings became
-/// non-empty (the live-key delta).
+/// `score_pairs`, for the members `interested` accepts — unless the id is
+/// so popular that the pair product exceeds [`PAIR_EMISSION_CAP`], in
+/// which case its posting members go to `resweep` instead. Returns how many
+/// previously empty postings became non-empty (the live-key delta).
 fn merge_into_shard(
     shard: &mut PostingShard,
     pairs: &[(u32, u32)],
+    interested: &impl Fn(u32) -> bool,
     changed: &mut Vec<u32>,
     score_pairs: &mut Vec<(u32, u32)>,
     resweep: &mut Vec<u32>,
@@ -1096,11 +1127,13 @@ fn merge_into_shard(
             // affected side is itself a gainer are skipped — gainers get a
             // full sweep downstream anyway — so they neither bloat the
             // outcome nor count toward the emission cap: the affected
-            // members are exactly the old posting.
+            // members are exactly the old posting. The cap counts all of
+            // them, interested or not, so `resweep` is the same for every
+            // consumer.
             if posting.len().saturating_mul(gainers.len()) > PAIR_EMISSION_CAP {
                 resweep.extend_from_slice(merged);
             } else {
-                for &member in posting {
+                for &member in posting.iter().filter(|&&member| interested(member)) {
                     score_pairs.extend(gainers.iter().map(|&gainer| (member, gainer)));
                 }
             }
@@ -1691,6 +1724,7 @@ mod tests {
         let went_live = merge_into_shard(
             &mut patched,
             pairs,
+            &|_| true,
             &mut changed,
             &mut score_pairs,
             &mut resweep,
@@ -2002,6 +2036,72 @@ mod tests {
                 assert_matches_fresh_build(&index, &d);
             }
         }
+    }
+
+    #[test]
+    fn interest_filters_the_emitted_pairs_and_nothing_else() {
+        let mut rng = StdRng::seed_from_u64(0x1A7E);
+        let users = 260u32;
+        // About 100 users a round gain this key, so from the second round
+        // on its old posting × gainers outgrows PAIR_EMISSION_CAP.
+        let popular = act(500, 1);
+        let (mut capped, mut dropped) = (0usize, 0usize);
+        for shards in 1..=5usize {
+            let mut d = random_dataset(&mut rng, users);
+            let mut index = ActionIndex::build_with_shards(&d, shards);
+            for round in 0..5 {
+                // Known keys, dictionary-tail keys (items ≥ 40), one action
+                // the user already has, and often the popular key.
+                let mut deltas: Vec<(UserId, Vec<TaggingAction>)> = Vec::new();
+                for user in (0..users).map(UserId) {
+                    if rng.gen_bool(0.5) {
+                        continue;
+                    }
+                    let mut actions: Vec<TaggingAction> = (0..rng.gen_range(0..4usize))
+                        .map(|_| act(rng.gen_range(0..60u32), rng.gen_range(0..6u32)))
+                        .collect();
+                    actions.extend(d.profile(user).iter().next().copied());
+                    if rng.gen_bool(0.8) {
+                        actions.push(popular);
+                    }
+                    deltas.push((user, actions));
+                }
+                let batch = || deltas.iter().map(|(u, a)| (*u, a.as_slice()));
+                let mut full = index.clone();
+                let expected = full.apply_deltas(batch());
+                let random: Vec<bool> = (0..users).map(|_| rng.gen_bool(0.3)).collect();
+                for (mask, kind) in [
+                    (vec![false; users as usize], "all-false"),
+                    (vec![true; users as usize], "all-true"),
+                    (random, "random"),
+                ] {
+                    let case = format!("{shards} shards, round {round}, {kind} mask");
+                    let mut filtered = index.clone();
+                    let outcome = filtered.apply_deltas_where(batch(), |u| mask[u as usize]);
+                    assert_eq!(outcome.changed, expected.changed, "{case}: changed");
+                    assert_eq!(outcome.resweep, expected.resweep, "{case}: resweep");
+                    let kept: Vec<(UserId, UserId)> = expected
+                        .pairs
+                        .iter()
+                        .copied()
+                        .filter(|(affected, _)| mask[affected.index()])
+                        .collect();
+                    assert_eq!(outcome.pairs, kept, "{case}: pairs");
+                    assert_eq!(filtered.shards, full.shards, "{case}: shards");
+                    assert_eq!(filtered.live_keys, full.live_keys, "{case}: live keys");
+                    assert_eq!(filtered.num_postings, full.num_postings, "{case}: postings");
+                    assert_eq!(filtered.memory(), full.memory(), "{case}: memory");
+                    dropped += expected.pairs.len() - kept.len();
+                }
+                capped += usize::from(!expected.resweep.is_empty());
+                for (user, actions) in &deltas {
+                    d.profile_mut(*user).extend(actions.iter().copied());
+                }
+                index = full;
+            }
+        }
+        assert!(capped > 0, "the popular key never hit the emission cap");
+        assert!(dropped > 0, "no mask ever dropped a pair");
     }
 
     #[test]

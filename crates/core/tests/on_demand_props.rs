@@ -3,7 +3,8 @@
 //! memoized, patched in place, or re-resolved after invalidation — must be
 //! byte-identical to `IdealNetworks::compute` over the current dataset, on
 //! random traces, under random delta batches and churn, for every shard
-//! layout and worker-thread count (`P3Q_THREADS ∈ {1, 3, 8}`).
+//! layout and worker-thread count (`P3Q_THREADS ∈ {1, 3, 8}`) — and the
+//! cache-filtered write path must leave what the unfiltered one leaves.
 
 use proptest::prelude::*;
 
@@ -200,6 +201,57 @@ proptest! {
         }
         for &u in &departed {
             prop_assert!(resolver.resolve(&dataset, &index, u).is_empty());
+        }
+    }
+
+    /// The served write path has the index emit pairs only for cached
+    /// users. Its twin takes the unfiltered route (`apply_deltas` +
+    /// `apply_delta_outcome`, what the benchmarks time): after every batch
+    /// both hold the same cache and counters, and the served outcome is
+    /// the unfiltered one with `pairs` kept for the users cached before the
+    /// call.
+    #[test]
+    fn cache_filtered_writes_match_the_unfiltered_route(
+        dataset in arb_dataset(),
+        batches in arb_batches(),
+        queries in prop::collection::vec(0usize..64, 1..10),
+        s in 1usize..6,
+        shards in 1usize..5,
+    ) {
+        let threads = p3q_sim::default_threads();
+        let mut dataset = dataset;
+        let mut served_index = ActionIndex::build_with_shards(&dataset, shards);
+        let mut twin_index = served_index.clone();
+        let mut served = OnDemandNetworks::new(dataset.num_users(), s);
+        let queriers = queried(&queries, dataset.num_users());
+        served.resolve_many(&dataset, &served_index, &queriers, threads);
+        let mut twin = served.clone();
+        for (step, raw) in batches.iter().enumerate() {
+            let batch = change_batch(raw, dataset.num_users());
+            batch.apply(&mut dataset);
+            let cached_before: Vec<bool> =
+                dataset.users().map(|u| served.cached(u).is_some()).collect();
+            let outcome = served.apply_change_batch_with_threads(
+                &dataset, &mut served_index, &batch, threads,
+            );
+            let mut full = twin_index.apply_deltas(
+                batch.changes.iter().map(|c| (c.user, c.new_actions.as_slice())),
+            );
+            twin.apply_delta_outcome(&dataset, &full, threads);
+            for user in dataset.users() {
+                prop_assert_eq!(
+                    served.cached(user), twin.cached(user),
+                    "step {}, user {} ({} shards)", step, user, shards
+                );
+            }
+            prop_assert_eq!(served.stats(), twin.stats(), "step {} ({} shards)", step, shards);
+            full.pairs.retain(|(affected, _)| cached_before[affected.index()]);
+            prop_assert_eq!(&outcome, &full, "step {} ({} shards)", step, shards);
+            // Re-warm half the queriers, alternating, so the next batch
+            // meets a different partly warmed cache.
+            let warm: Vec<UserId> = queriers.iter().copied().skip(step % 2).step_by(2).collect();
+            served.resolve_many(&dataset, &served_index, &warm, threads);
+            twin.resolve_many(&dataset, &twin_index, &warm, threads);
         }
     }
 
