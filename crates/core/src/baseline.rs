@@ -59,8 +59,10 @@ impl IdealNetworks {
     }
 
     /// [`Self::compute`] over an already-built index (which must cover
-    /// exactly `dataset`), saving the `O(A log A)` build when the caller
-    /// keeps the index around — the usual case on the incremental path.
+    /// exactly `dataset`), saving the build — an `O(A + I)` counting pass
+    /// over `A` actions and `I` item ids, with about 12 transient bytes an
+    /// action — when the caller keeps the index around, the usual case on
+    /// the incremental path.
     pub fn compute_with_index(dataset: &Dataset, network_size: usize, index: &ActionIndex) -> Self {
         Self::compute_with_index_threads(dataset, network_size, index, default_threads())
     }

@@ -90,8 +90,9 @@
 //! ## Bulk path and point path
 //!
 //! One counting loop (`ActionIndex::accumulate_ids`) scores an interned
-//! profile against everyone; the two paths differ only in where the
-//! profile's action ids come from.
+//! profile against everyone, in two passes: resolve every id's posting
+//! run, then decode the runs and count (see [`SimilarityScratch`]). The two
+//! paths differ only in where the profile's action ids come from.
 //!
 //! * The **point path** ([`ActionIndex::accumulate`] /
 //!   [`ActionIndex::top_similar`], and through them
@@ -179,18 +180,43 @@ const PAIR_EMISSION_CAP: usize = 4096;
 /// shape; beyond it the selection merely ranks more candidates.
 const SCORE_BUCKETS: usize = 64;
 
-/// Scratch space for one scoring sweep: a dense per-user counter, the list
-/// of touched slots so that clearing costs `O(touched)`, a reusable
-/// action-id buffer for the profile being scored (point path only — the
-/// bulk path reads its ids from a `TransposedIds` block), and the
-/// buffer [`ActionIndex::collect_top`] ranks its candidates in (as packed
-/// keys).
+/// Scratch space for one scoring sweep, reused from sweep to sweep.
+///
+/// The counting kernel (`ActionIndex::accumulate_ids`) runs in two passes
+/// over these buffers:
+///
+/// * `runs` — pass 1 resolves each of the profile's action ids to its
+///   posting run (shard, byte offset, run length). The lookups do not wait
+///   on one another, so the directory walks overlap instead of each one
+///   queuing behind the previous posting's decode.
+/// * `counts` and `touched` — pass 2 decodes the runs and bumps a dense
+///   per-user counter. Every entry writes its user to `touched[num_touched]`
+///   and advances `num_touched` only on a counter's first touch, so the
+///   first-touch test is arithmetic, not a branch. `touched` therefore has
+///   one slot more than there are users, and its first `num_touched` slots
+///   list the touched users in first-touch order; clearing costs
+///   `O(touched)`.
+///
+/// Besides, `ids` holds the profile being scored (point path only — the
+/// bulk path reads its ids from a `TransposedIds` block), and
+/// `candidates` the packed keys [`ActionIndex::collect_top`] ranks.
 #[derive(Debug, Clone)]
 pub struct SimilarityScratch {
     counts: Vec<u32>,
     touched: Vec<u32>,
+    num_touched: usize,
+    runs: Vec<PostingRef>,
     ids: Vec<u32>,
     candidates: Vec<u64>,
+}
+
+/// Where pass 1 of the counting kernel found one posting run: the shard,
+/// the byte offset of the run in that shard's blob, and its byte length.
+#[derive(Debug, Clone, Copy)]
+struct PostingRef {
+    shard: u32,
+    at: u32,
+    len: u32,
 }
 
 impl SimilarityScratch {
@@ -198,16 +224,23 @@ impl SimilarityScratch {
     pub fn new(num_users: usize) -> Self {
         Self {
             counts: vec![0; num_users],
-            touched: Vec::new(),
+            touched: vec![0; num_users + 1],
+            num_touched: 0,
+            runs: Vec::new(),
             ids: Vec::new(),
             candidates: Vec::new(),
         }
     }
 
+    /// The users the last sweep touched, in first-touch order.
+    fn touched(&self) -> &[u32] {
+        &self.touched[..self.num_touched]
+    }
+
     /// Posting entries the last sweep read, its owner's own excluded: each
     /// of them bumped one counter by one, so the touched counters sum to it.
     pub(crate) fn entries_read(&self) -> usize {
-        self.touched
+        self.touched()
             .iter()
             .map(|&user| self.counts[user as usize] as usize)
             .sum()
@@ -367,12 +400,15 @@ struct PostingShard {
 }
 
 impl PostingShard {
-    /// Builds a shard from decoded posting lists (empty lists allowed).
-    fn encode(start_id: usize, postings: &[Vec<u32>]) -> Self {
-        let mut offsets = Vec::with_capacity(postings.len().div_ceil(IDS_PER_GROUP));
+    /// Builds a shard from its postings in slot order, each an ascending
+    /// run of user ids (empty runs allowed), encoded one after the other
+    /// straight into the blob.
+    fn encode<'a>(start_id: usize, postings: impl ExactSizeIterator<Item = &'a [u32]>) -> Self {
+        let num_ids = postings.len();
+        let mut offsets = Vec::with_capacity(num_ids.div_ceil(IDS_PER_GROUP));
         let mut blob = Vec::new();
         let mut run = Vec::new();
-        for (rel, posting) in postings.iter().enumerate() {
+        for (rel, posting) in postings.enumerate() {
             if rel % IDS_PER_GROUP == 0 {
                 offsets.push(group_offset(blob.len()));
             }
@@ -384,7 +420,7 @@ impl PostingShard {
         blob.resize(blob.len() + GROUP_DECODE_SLACK, 0);
         Self {
             start_id,
-            num_ids: postings.len(),
+            num_ids,
             directory: GroupDirectory::from_offsets(offsets),
             blob,
         }
@@ -562,10 +598,12 @@ impl TransposedIds {
 /// dataset: dictionary-keyed, sharded by id range, postings delta-varint
 /// compressed (see the module docs for the storage model).
 ///
-/// Building the index costs one sort of the `(action, user)` pairs —
-/// `O(A log A)` for `A` total actions — after which profile dynamics are
-/// absorbed by [`Self::apply_deltas`] / [`Self::remove_user`] at the cost
-/// of rewriting only the affected posting lists.
+/// Building the index costs one counting pass keyed by item — `O(A + I)`
+/// for `A` total actions over `I` item ids, plus a small sort inside each
+/// item's bucket — and, while it runs, about 12 transient bytes per action,
+/// 12 per distinct action and 4 per item id. After that, profile dynamics
+/// are absorbed by [`Self::apply_deltas`] / [`Self::remove_user`] at the
+/// cost of rewriting only the affected posting lists.
 #[derive(Debug, Clone)]
 pub struct ActionIndex {
     dict: ActionDictionary,
@@ -595,27 +633,67 @@ impl ActionIndex {
     /// dataset size). Exposed for tests and tuning; the shard count changes
     /// only the incremental-update granularity, never any query result.
     pub fn build_with_shards(dataset: &Dataset, num_shards: usize) -> Self {
-        // One sort of the (key, user) pairs yields everything at once: the
-        // sorted distinct keys *are* the dictionary (rank = id), and
-        // replacing each key by its running rank turns the pairs into
-        // (id, user) postings — no per-action dictionary lookups.
-        let total: usize = dataset.iter().map(|(_, p)| p.len()).sum();
-        let mut key_pairs: Vec<(u64, u32)> = Vec::with_capacity(total);
+        // A counting pass keyed by item orders the actions: `ItemId`s are
+        // dense, so one bucket per item id up to the largest one present
+        // holds every action, and a prefix sum of the per-item counts
+        // places the buckets. Each action is scattered into its item's
+        // bucket as one packed `tag << 32 | user` word (8 transient bytes
+        // an action).
+        let total = u32::try_from(dataset.total_actions()).expect("posting count overflow");
+        let items = dataset
+            .iter()
+            .filter_map(|(_, profile)| profile.actions().last())
+            .map(|action| action.item.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut bucket_end = vec![0u32; items + 1];
+        for (_, profile) in dataset.iter() {
+            for action in profile.iter() {
+                bucket_end[action.item.index() + 1] += 1;
+            }
+        }
+        for item in 1..=items {
+            bucket_end[item] += bucket_end[item - 1];
+        }
+        // `bucket_end[item]` starts as the bucket's start and is its fill
+        // cursor, so it ends as the bucket's end.
+        let mut packed = vec![0u64; total as usize];
         for (user, profile) in dataset.iter() {
             for action in profile.iter() {
-                key_pairs.push((p3q_trace::action_key(action), user.0));
+                let at = &mut bucket_end[action.item.index()];
+                packed[*at as usize] = u64::from(action.tag.0) << 32 | u64::from(user.0);
+                *at += 1;
             }
         }
-        key_pairs.sort_unstable();
 
+        // Users arrive in ascending order, so a small sort per bucket puts
+        // it in (tag, user) order. Walking the buckets in item order then
+        // yields the distinct keys ascending — they *are* the dictionary,
+        // rank = id — and each (item, tag) run's users ascending: the run
+        // is that id's posting, `users[run_start[id]..run_start[id + 1]]`
+        // (4 more transient bytes an action, 12 a distinct key with its
+        // run start). The walk also fixes the distinct count, and with it
+        // the shard span, so each run is then encoded straight into its
+        // shard's blob.
         let mut keys: Vec<u64> = Vec::new();
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(key_pairs.len());
-        for (key, user) in key_pairs {
-            if keys.last() != Some(&key) {
-                keys.push(key);
+        let mut run_start: Vec<u32> = Vec::new();
+        let mut users: Vec<u32> = Vec::with_capacity(total as usize);
+        let mut start = 0usize;
+        for (item, &end) in bucket_end[..items].iter().enumerate() {
+            let bucket = &mut packed[start..end as usize];
+            bucket.sort_unstable();
+            for &entry in bucket.iter() {
+                let key = (item as u64) << 32 | entry >> 32;
+                if keys.last() != Some(&key) {
+                    keys.push(key);
+                    run_start.push(users.len() as u32);
+                }
+                users.push(entry as u32);
             }
-            pairs.push((u32::try_from(keys.len() - 1).expect("id overflow"), user));
+            start = end as usize;
         }
+        run_start.push(total);
+        drop(packed);
         let dict = ActionDictionary::from_sorted_keys(&keys);
         let distinct = dict.len();
 
@@ -629,26 +707,23 @@ impl ActionIndex {
         let span = distinct.div_ceil(requested).max(1);
         let shard_count = distinct.div_ceil(span).max(1);
 
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut cursor = 0usize;
-        for s in 0..shard_count {
-            let lo = (s * span).min(distinct);
-            let hi = ((s + 1) * span).min(distinct);
-            let mut postings: Vec<Vec<u32>> = vec![Vec::new(); hi - lo];
-            while cursor < pairs.len() && (pairs[cursor].0 as usize) < hi {
-                let (id, user) = pairs[cursor];
-                postings[id as usize - lo].push(user);
-                cursor += 1;
-            }
-            shards.push(PostingShard::encode(lo, &postings));
-        }
+        let shards = (0..shard_count)
+            .map(|s| {
+                let lo = (s * span).min(distinct);
+                let hi = ((s + 1) * span).min(distinct);
+                let runs = run_start[lo..=hi]
+                    .windows(2)
+                    .map(|run| &users[run[0] as usize..run[1] as usize]);
+                PostingShard::encode(lo, runs)
+            })
+            .collect();
         Self {
             dict,
             shards,
             span,
             num_users: dataset.num_users(),
             live_keys: distinct,
-            num_postings: pairs.len(),
+            num_postings: total as usize,
         }
     }
 
@@ -904,15 +979,18 @@ impl ActionIndex {
     /// Scores `profile` against every indexed user in one counting sweep.
     ///
     /// After the call, `scratch.counts[v]` holds `|profile ∩ Profile(v)|`
-    /// for every user `v` in `scratch.touched` (slots outside `touched` are
-    /// zero). `exclude` removes one user (the profile's owner) from the
-    /// result. The caller must drain the scratch through
-    /// [`Self::collect_top`] or clear it via the next `accumulate` call —
-    /// the sweep starts by resetting only previously touched slots.
+    /// for every user `v` the sweep touched (every other counter is zero).
+    /// `exclude` removes one user (the profile's owner) from the result.
+    /// The caller must drain the scratch through [`Self::collect_top`] or
+    /// clear it via the next `accumulate` call — the sweep starts by
+    /// resetting only previously touched slots.
     ///
     /// This is the point path: it interns the profile through the
     /// dictionary (one lookup per action) and hands the ids to
     /// `accumulate_ids`, where the counting happens.
+    ///
+    /// # Panics
+    /// Panics if `scratch` was built for another population than the index.
     pub fn accumulate(&self, profile: &Profile, exclude: UserId, scratch: &mut SimilarityScratch) {
         let mut ids = std::mem::take(&mut scratch.ids);
         self.dict.ids_of_profile_into(profile, &mut ids);
@@ -922,37 +1000,73 @@ impl ActionIndex {
 
     /// The counting sweep over an already interned profile: `ids` are the
     /// profile's action ids (from the dictionary on the point path, from
-    /// [`Self::transpose_into`] on the bulk path). Every posting lookup is
-    /// positional — shard by id range, slot by offset — and the scratch
-    /// contract is [`Self::accumulate`]'s.
+    /// [`Self::transpose_into`] on the bulk path), and the scratch contract
+    /// is [`Self::accumulate`]'s.
+    ///
+    /// Two passes (see [`SimilarityScratch`]). Pass 1 resolves every id
+    /// positionally — shard by id range, slot by offset — into
+    /// `scratch.runs`; an id past its shard's slots has no posting. Pass 2
+    /// decodes the runs and counts, with a branch only for `exclude`: the
+    /// first-touch test is folded into the `touched` cursor.
+    ///
+    /// # Panics
+    /// Panics if `scratch` was built for another population than the index.
     pub(crate) fn accumulate_ids(
         &self,
         ids: &[u32],
         exclude: UserId,
         scratch: &mut SimilarityScratch,
     ) {
-        debug_assert_eq!(scratch.counts.len(), self.num_users);
-        for &slot in &scratch.touched {
-            scratch.counts[slot as usize] = 0;
+        let SimilarityScratch {
+            counts,
+            touched,
+            num_touched,
+            runs,
+            ..
+        } = scratch;
+        assert!(
+            counts.len() == self.num_users,
+            "a similarity scratch for {} users cannot sweep an index of {} users",
+            counts.len(),
+            self.num_users
+        );
+        for &user in &touched[..*num_touched] {
+            counts[user as usize] = 0;
         }
-        scratch.touched.clear();
 
-        let counts = &mut scratch.counts;
-        let touched = &mut scratch.touched;
+        runs.clear();
         for &id in ids {
-            let shard = &self.shards[self.shard_of(id as usize)];
+            let shard_idx = self.shard_of(id as usize);
+            let shard = &self.shards[shard_idx];
             let rel = id as usize - shard.start_id;
             if rel >= shard.num_ids {
                 continue;
             }
+            let (bytes, len) = shard.posting_run(rel);
+            runs.push(PostingRef {
+                shard: shard_idx as u32,
+                at: group_offset(shard.blob.len() - bytes.len()),
+                len: len as u32,
+            });
+        }
+
+        let mut n = 0usize;
+        for run in runs.iter() {
             // Fused group-varint decode, four posting deltas per control
             // byte, every load bounds-check-free thanks to the blob's
             // decode slack.
-            let (bytes, run_len) = shard.posting_run(rel);
-            for_each_sorted_u32_grouped_padded(bytes, run_len, |user| {
-                bump_count(counts, touched, exclude.0, user);
+            let bytes = &self.shards[run.shard as usize].blob[run.at as usize..];
+            for_each_sorted_u32_grouped_padded(bytes, run.len as usize, |user| {
+                if user == exclude.0 {
+                    return;
+                }
+                let count = &mut counts[user as usize];
+                touched[n] = user;
+                n += usize::from(*count == 0);
+                *count += 1;
             });
         }
+        *num_touched = n;
     }
 
     /// Extracts the top-`network_size` scored users from a finished sweep:
@@ -983,7 +1097,7 @@ impl ActionIndex {
         let candidates = &mut scratch.candidates;
         let mut histogram = [0u32; SCORE_BUCKETS];
         candidates.clear();
-        candidates.extend(scratch.touched.iter().map(|&user| {
+        candidates.extend(scratch.touched[..scratch.num_touched].iter().map(|&user| {
             let count = counts[user as usize];
             histogram[(count as usize).min(SCORE_BUCKETS - 1)] += 1;
             u64::from(!count) << 32 | u64::from(user)
@@ -1055,19 +1169,6 @@ impl ActionIndex {
             distinct_actions: self.live_keys,
         }
     }
-}
-
-/// Bumps one posting member's sweep counter, tracking first touches.
-#[inline]
-fn bump_count(counts: &mut [u32], touched: &mut Vec<u32>, exclude: u32, user: u32) {
-    if user == exclude {
-        return;
-    }
-    let slot = &mut counts[user as usize];
-    if *slot == 0 {
-        touched.push(user);
-    }
-    *slot += 1;
 }
 
 /// Sorts, dedups and wraps a raw dirty-user accumulation.
@@ -1526,7 +1627,7 @@ mod tests {
             return Vec::new();
         }
         let mut scored: Vec<(UserId, u64)> = scratch
-            .touched
+            .touched()
             .iter()
             .map(|&user| (UserId(user), u64::from(scratch.counts[user as usize])))
             .collect();
@@ -1542,15 +1643,15 @@ mod tests {
     /// Loads `scores` into the scratch the way a sweep would leave them
     /// (clearing what the previous sweep touched), in the given order.
     fn load_scores(scratch: &mut SimilarityScratch, scores: &[(u32, u32)]) {
-        for &slot in &scratch.touched {
+        for &slot in &scratch.touched[..scratch.num_touched] {
             scratch.counts[slot as usize] = 0;
         }
-        scratch.touched.clear();
-        for &(user, score) in scores {
+        for (at, &(user, score)) in scores.iter().enumerate() {
             assert!(score > 0 && scratch.counts[user as usize] == 0);
             scratch.counts[user as usize] = score;
-            scratch.touched.push(user);
+            scratch.touched[at] = user;
         }
+        scratch.num_touched = scores.len();
     }
 
     #[test]
@@ -1656,6 +1757,11 @@ mod tests {
         }
     }
 
+    /// Encodes a shard from owned posting lists.
+    fn encode_lists(start_id: usize, lists: &[Vec<u32>]) -> PostingShard {
+        PostingShard::encode(start_id, lists.iter().map(Vec::as_slice))
+    }
+
     /// Decodes every posting list of a shard into owned vectors — what the
     /// write path did before the streaming patcher, kept as the oracle the
     /// patcher is held to (no shipped code decodes a whole shard).
@@ -1686,7 +1792,7 @@ mod tests {
                 gainers.push(user);
             }
         }
-        let encoded = PostingShard::encode(shard.start_id, &lists);
+        let encoded = encode_lists(shard.start_id, &lists);
         (encoded, went_live, gainers)
     }
 
@@ -1706,7 +1812,7 @@ mod tests {
                 emptied += usize::from(list.is_empty());
             }
         }
-        let encoded = PostingShard::encode(shard.start_id, &lists);
+        let encoded = encode_lists(shard.start_id, &lists);
         (encoded, emptied, removed)
     }
 
@@ -1782,7 +1888,7 @@ mod tests {
                 list
             })
             .collect();
-        PostingShard::encode(start_id, &lists)
+        encode_lists(start_id, &lists)
     }
 
     /// Sorted, deduplicated `(id, user)` pairs over the given relative slots.
@@ -1855,7 +1961,7 @@ mod tests {
                 _ => Vec::new(),
             })
             .collect();
-        let shard = PostingShard::encode(120, &lists);
+        let shard = encode_lists(120, &lists);
         let all: Vec<u32> = (120..160).collect();
         let patched = assert_strip_is_byte_identical(&shard, &all, user, "whole profile");
         assert_eq!(
@@ -1885,7 +1991,7 @@ mod tests {
                 list.retain(|&member| member != user);
             }
         }
-        assert_eq!(restored, PostingShard::encode(120, &expected));
+        assert_eq!(restored, encode_lists(120, &expected));
     }
 
     #[test]
@@ -1926,7 +2032,7 @@ mod tests {
         // 70 slots × 1500 sequential users: every 64-slot window outgrows
         // u16, so the shard sits in the wide fallback before and after.
         let everyone: Vec<u32> = (0..1500).collect();
-        let wide = PostingShard::encode(0, &vec![everyone.clone(); 70]);
+        let wide = encode_lists(0, &vec![everyone.clone(); 70]);
         assert!(matches!(wide.directory, GroupDirectory::Wide(_)));
         for (case, rels) in [
             ("slot 0", vec![0usize]),
@@ -1951,11 +2057,11 @@ mod tests {
         let is_compact =
             |shard: &PostingShard| matches!(shard.directory, GroupDirectory::Compact { .. });
         let mut taggers = 20_100u32;
-        assert!(is_compact(&PostingShard::encode(0, &lists(taggers))));
-        while is_compact(&PostingShard::encode(0, &lists(taggers + 1))) {
+        assert!(is_compact(&encode_lists(0, &lists(taggers))));
+        while is_compact(&encode_lists(0, &lists(taggers + 1))) {
             taggers += 1;
         }
-        let compact = PostingShard::encode(0, &lists(taggers));
+        let compact = encode_lists(0, &lists(taggers));
         let pairs = [(3u32, taggers * 70_000)];
         let grown = assert_merge_is_byte_identical(&compact, &pairs, "compact to wide");
         assert!(!is_compact(&grown));
@@ -2102,6 +2208,197 @@ mod tests {
         }
         assert!(capped > 0, "the popular key never hit the emission cap");
         assert!(dropped > 0, "no mask ever dropped a pair");
+    }
+
+    /// The comparison-sort build the item-bucket counting pass replaced:
+    /// one global sort of the `(key, user)` pairs, the running key rank as
+    /// the id, and every posting staged as an owned list before encoding —
+    /// kept as the oracle [`ActionIndex::build_with_shards`] is held to.
+    fn build_by_sorting(dataset: &Dataset, num_shards: usize) -> ActionIndex {
+        let mut key_pairs: Vec<(u64, u32)> = Vec::new();
+        for (user, profile) in dataset.iter() {
+            for action in profile.iter() {
+                key_pairs.push((p3q_trace::action_key(action), user.0));
+            }
+        }
+        key_pairs.sort_unstable();
+        let mut keys: Vec<u64> = Vec::new();
+        let mut lists: Vec<Vec<u32>> = Vec::new();
+        for &(key, user) in &key_pairs {
+            if keys.last() != Some(&key) {
+                keys.push(key);
+                lists.push(Vec::new());
+            }
+            lists
+                .last_mut()
+                .expect("list pushed with its key")
+                .push(user);
+        }
+        let distinct = keys.len();
+        let requested = if num_shards > 0 {
+            num_shards
+        } else {
+            distinct
+                .div_ceil(TARGET_KEYS_PER_SHARD)
+                .clamp(1, MAX_SHARDS)
+        };
+        let span = distinct.div_ceil(requested).max(1);
+        let shards = (0..distinct.div_ceil(span).max(1))
+            .map(|s| {
+                let lo = (s * span).min(distinct);
+                let hi = ((s + 1) * span).min(distinct);
+                encode_lists(lo, &lists[lo..hi])
+            })
+            .collect();
+        ActionIndex {
+            dict: ActionDictionary::from_sorted_keys(&keys),
+            shards,
+            span,
+            num_users: dataset.num_users(),
+            live_keys: distinct,
+            num_postings: key_pairs.len(),
+        }
+    }
+
+    /// Holds `built` to `oracle` field by field.
+    fn assert_same_index(built: &ActionIndex, oracle: &ActionIndex, case: &str) {
+        let keys = |index: &ActionIndex| -> Vec<TaggingAction> {
+            (0..index.dict.len())
+                .map(|id| index.dict.resolve(p3q_trace::ActionId::from_index(id)))
+                .collect()
+        };
+        assert_eq!(keys(built), keys(oracle), "{case}: dictionary keys");
+        assert_eq!(
+            built.dict.frozen_len(),
+            oracle.dict.frozen_len(),
+            "{case}: frozen keys"
+        );
+        assert_eq!(built.shards, oracle.shards, "{case}: shards");
+        assert_eq!(built.span, oracle.span, "{case}: span");
+        assert_eq!(built.live_keys, oracle.live_keys, "{case}: live keys");
+        assert_eq!(built.num_postings, oracle.num_postings, "{case}: postings");
+        assert_eq!(built.memory(), oracle.memory(), "{case}: memory");
+    }
+
+    #[test]
+    fn counting_build_equals_the_sorting_build() {
+        let mut rng = StdRng::seed_from_u64(0xB0C7);
+        let far = 1u32 << 20;
+        let mut cases: Vec<(String, Dataset)> = vec![
+            ("no users".into(), Dataset::default()),
+            (
+                "only empty profiles".into(),
+                Dataset::new(vec![Profile::new(); 5], 10, 10),
+            ),
+            (
+                "a single user".into(),
+                Dataset::new(
+                    vec![Profile::from_actions([act(5, 2), act(5, 0), act(far, 3)])],
+                    10,
+                    10,
+                ),
+            ),
+        ];
+        for round in 0..10 {
+            let users = rng.gen_range(1..80u32);
+            cases.push((
+                format!("dense round {round}"),
+                random_dataset(&mut rng, users),
+            ));
+            // A few dozen items scattered up to `far` (always including
+            // it), every third profile empty.
+            let pool: Vec<u32> = (0..30)
+                .map(|_| rng.gen_range(0..far))
+                .chain([far])
+                .collect();
+            let profiles = (0..users)
+                .map(|u| {
+                    let n = if u % 3 == 0 {
+                        0
+                    } else {
+                        rng.gen_range(1..12usize)
+                    };
+                    Profile::from_actions(
+                        (0..n)
+                            .map(|_| act(pool[rng.gen_range(0..pool.len())], rng.gen_range(0..4))),
+                    )
+                })
+                .collect();
+            cases.push((
+                format!("sparse round {round}"),
+                Dataset::new(profiles, 10, 4),
+            ));
+        }
+        for (case, d) in &cases {
+            for shards in 0..=5usize {
+                let case = format!("{case}, {shards} shards");
+                let mut built = ActionIndex::build_with_shards(d, shards);
+                let mut oracle = build_by_sorting(d, shards);
+                assert_same_index(&built, &oracle, &format!("{case}, build"));
+                if d.num_users() == 0 {
+                    continue;
+                }
+                // Known keys, keys past every item of the build, repeats.
+                let mut d = d.clone();
+                let deltas: Vec<(UserId, Vec<TaggingAction>)> = (0..rng.gen_range(1..6usize))
+                    .map(|_| {
+                        let user = UserId(rng.gen_range(0..d.num_users() as u32));
+                        let actions = (0..rng.gen_range(1..6usize))
+                            .map(|_| act(rng.gen_range(0..50u32), rng.gen_range(0..6u32)))
+                            .chain([act(far + 1, 0)])
+                            .collect();
+                        (user, actions)
+                    })
+                    .collect();
+                let batch = || deltas.iter().map(|(u, a)| (*u, a.as_slice()));
+                assert_eq!(built.apply_deltas(batch()), oracle.apply_deltas(batch()));
+                for (user, actions) in &deltas {
+                    d.profile_mut(*user).extend(actions.iter().copied());
+                }
+                assert_same_index(&built, &oracle, &format!("{case}, after deltas"));
+                let user = deltas[0].0;
+                let profile = std::mem::take(d.profile_mut(user));
+                assert_eq!(
+                    built.remove_user(user, &profile),
+                    oracle.remove_user(user, &profile)
+                );
+                assert_same_index(&built, &oracle, &format!("{case}, after a departure"));
+            }
+        }
+    }
+
+    #[test]
+    fn ids_past_their_shard_have_no_posting() {
+        let d = dataset();
+        for shards in [1, 3] {
+            let index = ActionIndex::build_with_shards(&d, shards);
+            let mut scratch = SimilarityScratch::new(d.num_users());
+            let mut ids = Vec::new();
+            index
+                .dictionary()
+                .ids_of_profile_into(d.profile(UserId(0)), &mut ids);
+            index.accumulate_ids(&ids, UserId(0), &mut scratch);
+            let (entries, top) = (scratch.entries_read(), index.collect_top(10, &mut scratch));
+            // Ids the last shard has no slot for, and nothing at all.
+            let past = index.dictionary().len() as u32;
+            ids.extend([past, past + 7, past + 1000]);
+            index.accumulate_ids(&ids, UserId(0), &mut scratch);
+            assert_eq!(scratch.entries_read(), entries, "{shards} shards");
+            assert_eq!(index.collect_top(10, &mut scratch), top, "{shards} shards");
+            index.accumulate_ids(&[past], UserId(0), &mut scratch);
+            assert!(scratch.touched().is_empty(), "{shards} shards");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a similarity scratch for 3 users cannot sweep an index of 4 users")]
+    fn a_scratch_for_a_smaller_population_is_rejected() {
+        let d = dataset();
+        let index = ActionIndex::build(&d);
+        // User 0 shares actions only with users 1 and 2, so nothing but the
+        // size check can fail here.
+        let mut scratch = SimilarityScratch::new(3);
+        index.top_similar(&d, UserId(0), 10, &mut scratch);
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! `IdealNetworks::recompute_dirty`) is pinned the same way: after any
 //! sequence of random profile-change batches and departures it must equal
 //! a from-scratch `compute` over the mutated dataset, for every shard
-//! layout and worker-thread count.
+//! layout and worker-thread count. The counting kernel itself is held to a
+//! naive per-pair counter sweep by sweep, on delta-grown indexes.
 
 use proptest::prelude::*;
 
 use p3q::baseline::IdealNetworks;
+use p3q::resolver::OnDemandNetworks;
 use p3q::similarity::{ActionIndex, SimilarityScratch};
 use p3q_trace::{
     ChangeBatch, Dataset, ItemId, Profile, ProfileChange, TagId, TaggingAction, TraceConfig,
@@ -23,19 +25,26 @@ fn brute_force(dataset: &Dataset, network_size: usize) -> Vec<Vec<(u32, u64)>> {
     dataset
         .iter()
         .map(|(user, profile)| {
-            let mut scored: Vec<(u32, u64)> = dataset
-                .iter()
-                .filter(|&(other, _)| other != user)
-                .map(|(other, other_profile)| {
-                    (other.0, profile.common_actions(other_profile) as u64)
-                })
-                .filter(|&(_, score)| score > 0)
-                .collect();
-            scored.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            scored.truncate(network_size);
-            scored
+            naive_sweep(dataset, profile, user)
+                .into_iter()
+                .take(network_size)
+                .map(|(other, score)| (other.0, score))
+                .collect()
         })
         .collect()
+}
+
+/// What a naive per-pair counter says one sweep must leave behind: every
+/// user but `exclude` with a positive overlap, ranked by score then id.
+fn naive_sweep(dataset: &Dataset, profile: &Profile, exclude: UserId) -> Vec<(UserId, u64)> {
+    let mut scored: Vec<(UserId, u64)> = dataset
+        .iter()
+        .filter(|&(other, _)| other != exclude)
+        .map(|(other, other_profile)| (other, profile.common_actions(other_profile) as u64))
+        .filter(|&(_, score)| score > 0)
+        .collect();
+    scored.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored
 }
 
 fn networks_as_vec(ideal: &IdealNetworks, num_users: usize) -> Vec<Vec<(u32, u64)>> {
@@ -293,6 +302,68 @@ proptest! {
                 "threads = {}", threads
             );
         }
+    }
+}
+
+proptest! {
+    /// The two-pass counting kernel equals a naive per-pair counter on an
+    /// index grown by deltas (dictionary-tail ids included), for every
+    /// shard layout: the networks, the posting entries a sweep reads (the
+    /// touched scores sum to them) and the resolver's `positions_scanned`.
+    /// One scratch serves every sweep, and the sweeps alternate between
+    /// touching nobody, a few users and everyone.
+    #[test]
+    fn counting_kernel_matches_a_naive_pair_counter(
+        dataset in arb_dataset(),
+        raw in arb_batches(),
+        s in 1usize..8,
+        shards in 1usize..6,
+    ) {
+        let mut dataset = dataset;
+        let n = dataset.num_users();
+        let mut index = ActionIndex::build_with_shards(&dataset, shards);
+        for (step, raw_batch) in raw.iter().enumerate() {
+            // Every change also adds an item the build never saw, so the
+            // dictionary tail and the open-above last shard grow.
+            let mut batch = change_batch(raw_batch, n);
+            for change in &mut batch.changes {
+                change.new_actions.push(TaggingAction::new(ItemId(12 + step as u32), TagId(0)));
+            }
+            batch.apply(&mut dataset);
+            index.apply_deltas(batch.changes.iter().map(|c| (c.user, c.new_actions.as_slice())));
+        }
+
+        let everything = Profile::from_actions(
+            dataset.iter().flat_map(|(_, p)| p.iter().copied()),
+        );
+        let empty = Profile::new();
+        let nobody = UserId::from_index(n);
+        let mut sweeps: Vec<(&Profile, UserId)> = Vec::new();
+        for (user, profile) in dataset.iter() {
+            sweeps.push((profile, user));
+            sweeps.push((&everything, [UserId(0), UserId::from_index(n - 1), nobody][user.index() % 3]));
+            sweeps.push((&empty, user));
+        }
+        let mut scratch = SimilarityScratch::new(n);
+        for (profile, exclude) in sweeps {
+            let expected = naive_sweep(&dataset, profile, exclude);
+            index.accumulate(profile, exclude, &mut scratch);
+            let all = index.collect_top(n, &mut scratch);
+            prop_assert_eq!(&all, &expected, "exclude {}", exclude);
+            let mut top = expected;
+            top.truncate(s);
+            prop_assert_eq!(index.collect_top(s, &mut scratch), top, "exclude {}", exclude);
+        }
+
+        let mut resolver = OnDemandNetworks::new(n, s);
+        let mut entries = 0u64;
+        for (user, profile) in dataset.iter() {
+            let mut expected = naive_sweep(&dataset, profile, user);
+            entries += expected.iter().map(|&(_, score)| score).sum::<u64>();
+            expected.truncate(s);
+            prop_assert_eq!(resolver.resolve(&dataset, &index, user), expected.as_slice());
+        }
+        prop_assert_eq!(resolver.stats().positions_scanned as u64, entries);
     }
 }
 

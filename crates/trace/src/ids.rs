@@ -4,6 +4,11 @@
 //! users by 4-byte identifiers. Inside the simulation we only need opaque,
 //! dense identifiers; the wire-size accounting in `p3q::bandwidth` charges the
 //! paper's byte widths regardless of the in-memory representation.
+//!
+//! Dense is a contract, not a hint: the similarity index build
+//! (`p3q::similarity::ActionIndex::build`) sizes one counting bucket per
+//! [`ItemId`] up to the largest one present, so item ids should number the
+//! items from 0 without wide gaps.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
