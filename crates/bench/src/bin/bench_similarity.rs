@@ -341,13 +341,14 @@ fn checksum_ranking(ranking: &[(UserId, u64)]) -> u64 {
 }
 
 /// The dynamics scenario: apply `batches` paper-day change batches and, for
-/// each, time the incremental path (patch the sharded index + re-score only
-/// the dirty users) against a full rebuild (fresh index + full population
-/// sweep), verifying after every batch that both produce identical
-/// networks. Both sides run single-threaded so the ratio is an algorithmic
-/// speedup, not a parallelism artefact. Returns the `dynamics` block:
-/// `apply_deltas_ms` is the index write alone (the part of
-/// `incremental_update_ms` spent in `ActionIndex::apply_deltas`), and
+/// each, time the incremental path (patch the sharded index, then a fully
+/// cached [`OnDemandNetworks`] patches or evicts the dirty users and
+/// `into_ideal` re-sweeps the evicted ones) against a full rebuild (fresh
+/// index + full population sweep), verifying after every batch that both
+/// produce identical networks. Both sides run single-threaded so the ratio
+/// is an algorithmic speedup, not a parallelism artefact. Returns the
+/// `dynamics` block: `apply_deltas_ms` is the index write alone (the part
+/// of `incremental_update_ms` spent in `ActionIndex::apply_deltas`), and
 /// `index_bytes_after_batches` the exact resident size of the patched index
 /// — a write path that changes what the index holds moves it.
 fn bench_dynamics(trace: &SyntheticTrace, s: usize, args: &Args) -> Option<Json> {
@@ -370,8 +371,9 @@ fn bench_dynamics(trace: &SyntheticTrace, s: usize, args: &Args) -> Option<Json>
         changed_users += batch.len();
         new_actions += batch.apply(&mut dataset);
 
-        // `apply_change_batch_with_threads`, spelled out so the index write
-        // is also timed apart from the network recompute it is summed with.
+        // A fully cached resolver's `apply_change_batch_with_threads`,
+        // spelled out so the index write is also timed apart from the
+        // network update it is summed with.
         let start = Instant::now();
         let outcome = index.apply_deltas(
             batch
@@ -380,7 +382,9 @@ fn bench_dynamics(trace: &SyntheticTrace, s: usize, args: &Args) -> Option<Json>
                 .map(|c| (c.user, c.new_actions.as_slice())),
         );
         apply_deltas_ms += start.elapsed().as_secs_f64() * 1e3;
-        ideal.apply_delta_outcome(&dataset, &index, &outcome, 1);
+        let mut resolver = OnDemandNetworks::from(ideal);
+        resolver.apply_delta_outcome(&dataset, &outcome, 1);
+        ideal = resolver.into_ideal(&dataset, &index, 1);
         let dirty = outcome.dirty_users();
         incremental_ms += start.elapsed().as_secs_f64() * 1e3;
         dirty_users += dirty.len();

@@ -52,9 +52,10 @@ fn main() {
                 .collect();
 
             // How much ideal-network quality did the departures destroy?
-            // Strip the departed users from a clone of the index and
-            // re-score only the affected survivors (the incremental churn
-            // path), then count the queriers whose ideal network shrank.
+            // Strip the departed users from a clone of the index, evict
+            // every network that could mention them from a fully cached
+            // resolver (the incremental churn path), then count the
+            // queriers whose re-resolved ideal network differs.
             let departed: Vec<UserId> = (0..sim.num_nodes())
                 .filter(|&i| !sim.is_alive(i))
                 .map(UserId::from_index)
@@ -71,16 +72,13 @@ fn main() {
                     *survivors_dataset.profile_mut(u) = Profile::new();
                 }
                 let mut index = world.index.clone();
-                let mut survivor_ideal = world.ideal.clone();
-                survivor_ideal.apply_departures(
-                    &survivors_dataset,
-                    &mut index,
-                    old_profiles.iter().map(|(u, profile)| (*u, profile)),
-                );
+                let mut survivors = OnDemandNetworks::from(world.ideal.clone());
+                survivors.apply_departures(&mut index, old_profiles.iter().map(|(u, p)| (*u, p)));
                 queries
                     .iter()
                     .filter(|q| {
-                        survivor_ideal.network_of(q.querier) != world.ideal.network_of(q.querier)
+                        survivors.resolve(&survivors_dataset, &index, q.querier)
+                            != world.ideal.network_of(q.querier)
                     })
                     .count()
             };

@@ -16,8 +16,8 @@ use p3q_bench::{fmt, print_table, run_recall_experiment, HarnessArgs, World};
 fn main() {
     let args = HarnessArgs::parse(20);
     println!("=== Figure 3: average recall vs cycles for different α (c = 10) ===");
-    let world = World::build(&args);
-    let base_cfg = &world.cfg;
+    let mut world = World::build(&args);
+    let base_cfg = world.cfg.clone();
     let c = scale_bucket(10, base_cfg.personal_network_size);
     let queries = world.sample_queries(args.queries);
     println!(
@@ -30,20 +30,13 @@ fn main() {
     let alphas = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0];
     let mut results = Vec::new();
     for &alpha in &alphas {
-        let cfg = base_cfg.clone().with_alpha(alpha);
         // Only α differs; the trace, index and ideal networks are shared.
-        let scoped_world = World {
-            trace: world.trace.clone(),
-            cfg: cfg.clone(),
-            index: world.index.clone(),
-            ideal: world.ideal.clone(),
-            queries: world.queries.clone(),
-            schedule: world.schedule.clone(),
-        };
+        world.cfg = base_cfg.clone().with_alpha(alpha);
         let budgets = vec![c; world.trace.dataset.num_users()];
-        let mut sim = build_simulator_with_budgets(&world.trace.dataset, &cfg, &budgets, args.seed);
-        init_ideal_networks(&mut sim, &scoped_world.ideal);
-        let outcome = run_recall_experiment(&mut sim, &scoped_world, &queries, args.cycles);
+        let mut sim =
+            build_simulator_with_budgets(&world.trace.dataset, &world.cfg, &budgets, args.seed);
+        init_ideal_networks(&mut sim, &world.ideal);
+        let outcome = run_recall_experiment(&mut sim, &world, &queries, args.cycles);
         eprintln!(
             "  α={alpha:<4}: recall cycle0 {:.3} → final {:.3}",
             outcome.recall_per_cycle[0],

@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 
 use p3q::prelude::*;
-use p3q::storage::{scale_bucket, PAPER_STORAGE_BUCKETS};
+use p3q::storage::PAPER_STORAGE_BUCKETS;
 use p3q_bench::{fmt, print_table, HarnessArgs, World};
 use p3q_sim::SeriesRecorder;
 use rand::rngs::StdRng;
@@ -77,7 +77,6 @@ fn main() {
     let mut recorder = SeriesRecorder::new();
     // (a) uniform budgets.
     for &bucket in &PAPER_STORAGE_BUCKETS {
-        let c = scale_bucket(bucket, world.cfg.personal_network_size);
         run_scenario(
             &world,
             &format!("c={bucket}"),
@@ -85,7 +84,6 @@ fn main() {
             &args,
             &mut recorder,
         );
-        let _ = c;
     }
     // (b) heterogeneous budgets.
     run_scenario(

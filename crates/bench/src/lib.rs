@@ -185,21 +185,24 @@ impl World {
     }
 
     /// The ideal personal networks after one batch of profile changes,
-    /// derived incrementally: the batch is applied to a dataset clone, and
-    /// `apply_change_batch` patches a clone of the pre-change index and
-    /// re-scores only the affected users (the index must predate the batch
-    /// — the set semantics of `apply_deltas` tolerate re-applied actions,
-    /// but the dirty set would degenerate to empty if the deltas were
-    /// already indexed).
+    /// derived incrementally: the batch is applied to a dataset clone, a
+    /// fully cached [`OnDemandNetworks`] made from a clone of the networks
+    /// absorbs it into a clone of the pre-change index, and
+    /// [`OnDemandNetworks::into_ideal`] re-sweeps only the users it evicted
+    /// (the index must predate the batch — the set semantics of
+    /// `apply_deltas` tolerate re-applied actions, but the dirty set would
+    /// degenerate to empty if the deltas were already indexed).
     ///
-    /// Returns the new networks and the dirty users that were re-scored.
+    /// Returns the new networks and the dirty users, whose networks were
+    /// patched or re-swept.
     pub fn incremental_ideal_after(&self, batch: &ChangeBatch) -> (IdealNetworks, Vec<UserId>) {
         let mut changed_dataset = self.trace.dataset.clone();
         batch.apply(&mut changed_dataset);
         let mut index = self.index.clone();
-        let mut new_ideal = self.ideal.clone();
-        let dirty = new_ideal.apply_change_batch(&changed_dataset, &mut index, batch);
-        (new_ideal, dirty)
+        let mut resolver = OnDemandNetworks::from(self.ideal.clone());
+        let outcome = resolver.apply_change_batch(&changed_dataset, &mut index, batch);
+        let new_ideal = resolver.into_ideal(&changed_dataset, &index, p3q_sim::default_threads());
+        (new_ideal, outcome.dirty_users())
     }
 
     /// A deterministic sample of at most `limit` queries (spread over the

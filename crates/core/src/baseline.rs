@@ -13,10 +13,10 @@
 use std::collections::HashMap;
 
 use p3q_sim::{default_threads, parallel_map_chunks};
-use p3q_trace::{ChangeBatch, Dataset, ItemId, Profile, Query, UserId};
+use p3q_trace::{Dataset, ItemId, Query, UserId};
 
 use crate::scoring::{full_relevance_scores, similarity};
-use crate::similarity::{ActionIndex, DeltaOutcome, SimilarityScratch, TransposedIds};
+use crate::similarity::{ActionIndex, SimilarityScratch, TransposedIds};
 
 /// Users per transposition block of the bulk sweep
 /// ([`IdealNetworks::compute_with_index_threads`]). A block costs one
@@ -29,10 +29,16 @@ const SWEEP_BLOCK_USERS: usize = 16_384;
 
 /// The ideal personal networks of every user, computed from global
 /// knowledge.
+///
+/// The networks are read-only here. To keep them current under profile
+/// changes or departures, convert them into a fully cached
+/// [`OnDemandNetworks`](crate::resolver::OnDemandNetworks) (a move), write
+/// through it, and take the networks back with
+/// [`OnDemandNetworks::into_ideal`](crate::resolver::OnDemandNetworks::into_ideal).
 #[derive(Debug, Clone)]
 pub struct IdealNetworks {
-    per_user: Vec<Vec<(UserId, u64)>>,
-    network_size: usize,
+    pub(crate) per_user: Vec<Vec<(UserId, u64)>>,
+    pub(crate) network_size: usize,
 }
 
 impl IdealNetworks {
@@ -132,209 +138,6 @@ impl IdealNetworks {
         }
     }
 
-    /// Re-scores only the `dirty` users against an up-to-date index,
-    /// leaving every other personal network untouched.
-    ///
-    /// This is the incremental path under profile dynamics: after
-    /// [`ActionIndex::apply_deltas`] / [`ActionIndex::remove_user`] patched
-    /// the index and returned the dirty set, the networks of non-dirty
-    /// users cannot have changed (none of their pairwise scores did), so
-    /// re-sweeping the dirty users reproduces a from-scratch
-    /// [`Self::compute`] over the updated dataset byte-for-byte — at
-    /// `O(|dirty|)` sweeps instead of `O(num_users)`.
-    ///
-    /// `dataset` must already reflect the changes the index was patched
-    /// with.
-    pub fn recompute_dirty(&mut self, dataset: &Dataset, index: &ActionIndex, dirty: &[UserId]) {
-        self.recompute_dirty_with_threads(dataset, index, dirty, default_threads());
-    }
-
-    /// [`Self::recompute_dirty`] with an explicit worker-thread count. Like
-    /// the full computation, the output is independent of `threads`.
-    pub fn recompute_dirty_with_threads(
-        &mut self,
-        dataset: &Dataset,
-        index: &ActionIndex,
-        dirty: &[UserId],
-        threads: usize,
-    ) {
-        assert_eq!(
-            self.per_user.len(),
-            dataset.num_users(),
-            "recompute_dirty needs the same population the networks were computed over"
-        );
-        assert_eq!(
-            index.num_users(),
-            dataset.num_users(),
-            "index and dataset cover different populations"
-        );
-        let network_size = self.network_size;
-        let networks = parallel_map_chunks(
-            dirty.len(),
-            threads,
-            || SimilarityScratch::new(dataset.num_users()),
-            |i, scratch| index.top_similar(dataset, dirty[i], network_size, scratch),
-        );
-        for (user, network) in dirty.iter().zip(networks) {
-            self.per_user[user.index()] = network;
-        }
-    }
-
-    /// Absorbs one batch of profile changes incrementally: patches `index`
-    /// with the batch's new actions and updates exactly the affected
-    /// networks. Call after [`ChangeBatch::apply`] has updated `dataset`.
-    ///
-    /// Returns the dirty users whose networks were updated.
-    pub fn apply_change_batch(
-        &mut self,
-        dataset: &Dataset,
-        index: &mut ActionIndex,
-        batch: &ChangeBatch,
-    ) -> Vec<UserId> {
-        self.apply_change_batch_with_threads(dataset, index, batch, default_threads())
-    }
-
-    /// [`Self::apply_change_batch`] with an explicit worker-thread count.
-    pub fn apply_change_batch_with_threads(
-        &mut self,
-        dataset: &Dataset,
-        index: &mut ActionIndex,
-        batch: &ChangeBatch,
-        threads: usize,
-    ) -> Vec<UserId> {
-        let outcome = index.apply_deltas(
-            batch
-                .changes
-                .iter()
-                .map(|c| (c.user, c.new_actions.as_slice())),
-        );
-        self.apply_delta_outcome(dataset, index, &outcome, threads);
-        outcome.dirty_users()
-    }
-
-    /// Updates the networks to reflect a [`DeltaOutcome`], splitting the
-    /// dirty users in two:
-    ///
-    /// * **changing users** (and heavily affected ones) get a full counting
-    ///   sweep — any of their scores may have moved;
-    /// * every other affected user gets an **exact pairwise patch**: her
-    ///   scores moved only against the partners the outcome lists for her,
-    ///   and only *upwards* (additions never shrink an intersection), so
-    ///   re-merging those few pairs and re-ranking her current network is
-    ///   provably identical to a full sweep — a user outside her old top-`s`
-    ///   that gained nothing still has at least `s` users ranked above her.
-    ///
-    /// The patch path is what keeps a paper-day batch cheap: a typical
-    /// affected user shares gained actions with one or two changing users,
-    /// so she costs two profile merges instead of a population sweep.
-    pub fn apply_delta_outcome(
-        &mut self,
-        dataset: &Dataset,
-        index: &ActionIndex,
-        outcome: &DeltaOutcome,
-        threads: usize,
-    ) {
-        /// Above this many partners, re-merging pairs costs more than one
-        /// counting sweep; fall back to the sweep (same result, cheaper).
-        /// Measured optimum on the 1k–20k synthetic traces (8 and 78 are
-        /// both ~25–50% slower at 20k users).
-        const PATCH_SWEEP_THRESHOLD: usize = 16;
-
-        // Full sweeps are owed to the changing users and anyone affected
-        // through a capped very-popular action; pair patches must skip both.
-        // A dense flag per user makes that one load per pair (a paper-day
-        // batch lists about a million).
-        let mut resweep: Vec<UserId> = outcome
-            .changed
-            .iter()
-            .chain(outcome.resweep.iter())
-            .copied()
-            .collect();
-        let mut swept = vec![false; self.per_user.len()];
-        for user in &resweep {
-            swept[user.index()] = true;
-        }
-        // Group pairs by affected user (outcome.pairs is sorted by it).
-        let mut patches: Vec<(UserId, Vec<UserId>)> = Vec::new();
-        for &(affected, partner) in &outcome.pairs {
-            if swept[affected.index()] {
-                continue;
-            }
-            match patches.last_mut() {
-                Some((user, partners)) if *user == affected => partners.push(partner),
-                _ => patches.push((affected, vec![partner])),
-            }
-        }
-        patches.retain(|(user, partners)| {
-            if partners.len() >= PATCH_SWEEP_THRESHOLD {
-                resweep.push(*user);
-                false
-            } else {
-                true
-            }
-        });
-        resweep.sort_unstable();
-        resweep.dedup();
-        self.recompute_dirty_with_threads(dataset, index, &resweep, threads);
-
-        let network_size = self.network_size;
-        let per_user = &self.per_user;
-        let by_rank = |a: &(UserId, u64), b: &(UserId, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
-        let patched = parallel_map_chunks(
-            patches.len(),
-            threads,
-            || (),
-            |i, ()| {
-                let (user, partners) = &patches[i];
-                let mut network = per_user[user.index()].clone();
-                let profile = dataset.profile(*user);
-                for &partner in partners {
-                    let score = profile.common_actions(dataset.profile(partner)) as u64;
-                    debug_assert!(score > 0, "affected pairs share at least the gained action");
-                    match network.iter_mut().find(|e| e.0 == partner) {
-                        Some(entry) => entry.1 = score,
-                        None => network.push((partner, score)),
-                    }
-                }
-                network.sort_unstable_by(by_rank);
-                network.truncate(network_size);
-                network
-            },
-        );
-        for ((user, _), network) in patches.iter().zip(patched) {
-            self.per_user[user.index()] = network;
-        }
-    }
-
-    /// Absorbs a batch of departures (churn) incrementally: strips every
-    /// `(user, old_profile)` pair from `index` and re-scores the affected
-    /// survivors once. `dataset` must already hold an empty profile for each
-    /// departed user (so their own networks recompute to empty), and each
-    /// `old_profile` must be the profile the index held for that user.
-    ///
-    /// Returns the dirty users that were re-scored.
-    pub fn apply_departures<'a, I>(
-        &mut self,
-        dataset: &Dataset,
-        index: &mut ActionIndex,
-        departed: I,
-    ) -> Vec<UserId>
-    where
-        I: IntoIterator<Item = (UserId, &'a Profile)>,
-    {
-        let mut dirty: Vec<UserId> = Vec::new();
-        for (user, old_profile) in departed {
-            dirty.extend(index.remove_user(user, old_profile));
-            // A user with an empty profile produces no dirty entries but
-            // still needs her (empty) network refreshed.
-            dirty.push(user);
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        self.recompute_dirty(dataset, index, &dirty);
-        dirty
-    }
-
     /// The pre-index reference implementation: an item → users candidate
     /// index plus one full `O(|P_a| + |P_b|)` sorted-profile merge per
     /// candidate pair.
@@ -425,6 +228,7 @@ pub fn centralized_topk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolver::OnDemandNetworks;
     use p3q_trace::{Profile, QueryGenerator, TagId, TaggingAction, TraceConfig, TraceGenerator};
 
     fn act(item: u32, tag: u32) -> TaggingAction {
@@ -558,14 +362,15 @@ mod tests {
         let trace = TraceGenerator::new(config).generate();
         let dataset = &trace.dataset;
         let index = ActionIndex::build(dataset);
-        let mut ideal = IdealNetworks::compute_with_index(dataset, 5, &index);
+        let ideal = IdealNetworks::compute_with_index(dataset, 5, &index);
         // The bound bites: a sweep touches several times what it keeps.
         let touched = IdealNetworks::compute_with_index(dataset, usize::MAX, &index);
         let kept: usize = ideal.per_user.iter().map(Vec::len).sum();
         assert!(touched.per_user.iter().map(Vec::len).sum::<usize>() > 4 * kept);
         held(&ideal);
-        let everyone: Vec<UserId> = dataset.users().collect();
-        ideal.recompute_dirty(dataset, &index, &everyone);
+        let mut resolver = OnDemandNetworks::from(ideal);
+        resolver.invalidate(dataset.users());
+        let ideal = resolver.into_ideal(dataset, &index, 2);
         held(&ideal);
     }
 
@@ -574,16 +379,18 @@ mod tests {
         use p3q_trace::{DynamicsConfig, DynamicsGenerator};
         let trace = TraceGenerator::new(TraceConfig::tiny(7)).generate();
         let mut dataset = trace.dataset.clone();
-        let mut index = crate::similarity::ActionIndex::build(&dataset);
+        let mut index = ActionIndex::build(&dataset);
         let mut ideal = IdealNetworks::compute(&dataset, 10);
         for day in 0..3u64 {
             let batch = DynamicsGenerator::new(DynamicsConfig::paper_day(day)).generate(&trace);
             batch.apply(&mut dataset);
-            let dirty = ideal.apply_change_batch(&dataset, &mut index, &batch);
+            let mut resolver = OnDemandNetworks::from(ideal);
+            let outcome = resolver.apply_change_batch(&dataset, &mut index, &batch);
             assert!(
-                batch.is_empty() || !dirty.is_empty(),
+                batch.is_empty() || !outcome.dirty_users().is_empty(),
                 "a non-empty batch must dirty at least the changing users"
             );
+            ideal = resolver.into_ideal(&dataset, &index, 2);
             let oracle = IdealNetworks::compute(&dataset, 10);
             for user in dataset.users() {
                 assert_eq!(
@@ -599,27 +406,38 @@ mod tests {
     fn incremental_departures_match_from_scratch_compute() {
         let trace = TraceGenerator::new(TraceConfig::tiny(13)).generate();
         let mut dataset = trace.dataset.clone();
-        let mut index = crate::similarity::ActionIndex::build(&dataset);
-        let mut ideal = IdealNetworks::compute(&dataset, 10);
+        let mut index = ActionIndex::build(&dataset);
+        let mut resolver = OnDemandNetworks::from(IdealNetworks::compute(&dataset, 10));
         let departed: Vec<UserId> = dataset.users().step_by(3).collect();
-        let old_profiles: Vec<(UserId, p3q_trace::Profile)> = departed
+        let old_profiles: Vec<(UserId, Profile)> = departed
             .iter()
             .map(|&u| (u, dataset.profile(u).clone()))
             .collect();
         for &u in &departed {
-            *dataset.profile_mut(u) = p3q_trace::Profile::new();
+            *dataset.profile_mut(u) = Profile::new();
         }
-        ideal.apply_departures(
-            &dataset,
-            &mut index,
-            old_profiles.iter().map(|(u, p)| (*u, p)),
-        );
+        resolver.apply_departures(&mut index, old_profiles.iter().map(|(u, p)| (*u, p)));
+        let ideal = resolver.into_ideal(&dataset, &index, 2);
         let oracle = IdealNetworks::compute(&dataset, 10);
         for user in dataset.users() {
             assert_eq!(ideal.network_of(user), oracle.network_of(user), "{user}");
         }
         for &u in &departed {
             assert!(ideal.network_of(u).is_empty());
+        }
+    }
+
+    #[test]
+    fn an_empty_resolver_resolves_into_the_full_compute() {
+        let trace = TraceGenerator::new(TraceConfig::tiny(9)).generate();
+        let dataset = &trace.dataset;
+        let index = ActionIndex::build(dataset);
+        let oracle = IdealNetworks::compute(dataset, 10);
+        for threads in [1, 3] {
+            let ideal =
+                OnDemandNetworks::new(dataset.num_users(), 10).into_ideal(dataset, &index, threads);
+            assert_eq!(ideal.network_size(), 10);
+            assert_eq!(ideal.per_user, oracle.per_user, "threads={threads}");
         }
     }
 

@@ -66,10 +66,9 @@
 //!   20k-user trace, before parallel speedup). The index is sharded by id
 //!   range: profile dynamics rewrite only the touched posting lists
 //!   ([`similarity::ActionIndex::apply_deltas`], churn via
-//!   [`similarity::ActionIndex::remove_user`]) and
-//!   [`baseline::IdealNetworks::apply_change_batch`] re-scores only the
-//!   affected users — provably identical to a from-scratch recompute at
-//!   2–3× less cost for a paper-day change batch.
+//!   [`similarity::ActionIndex::remove_user`]), and the resolver below
+//!   re-scores only the affected users — provably identical to a
+//!   from-scratch recompute at 2–3× less cost for a paper-day change batch.
 //! * **Compressed columnar storage** — every distinct action is interned
 //!   to a dense [`p3q_trace::ActionId`] by the
 //!   [`p3q_trace::ActionDictionary`] (delta-compressed key blocks, assigned
@@ -92,7 +91,10 @@
 //!   patch affected cached pairs), so per-cycle similarity cost is
 //!   proportional to *queries*, not *users* —
 //!   the query-skew path toward the 1M-user target, with
-//!   [`baseline::IdealNetworks`] kept as the global oracle.
+//!   [`baseline::IdealNetworks`] kept as the global oracle. It is also the
+//!   one incremental path for the whole population: a resolver made from
+//!   an `IdealNetworks` holds every entry, absorbs the write, and
+//!   [`resolver::OnDemandNetworks::into_ideal`] re-sweeps what it evicted.
 //! * **Group-varint decode kernels** — the byte-level
 //!   decode tax of the compression above is clawed back by
 //!   [`p3q_trace::codec`]'s group-varint kernels: one control byte

@@ -18,30 +18,39 @@
 //!   [`ActionIndex::apply_deltas`] names every pair whose score moved:
 //!   changing/resweep users are evicted (their whole row may have moved),
 //!   while each *affected* cached entry is patched in place by re-merging
-//!   only the listed partners — the same exactness argument as
-//!   [`IdealNetworks::apply_delta_outcome`](crate::baseline::IdealNetworks::apply_delta_outcome),
-//!   at cache scale. The index
-//!   emits pairs only for users the cache holds, so a write pays for the
-//!   cache it invalidates, not for the population. Departures
-//!   evict the dirty set returned by [`ActionIndex::remove_user`]; a
-//!   departed user can only appear in the cached network of someone who
-//!   shared an action with her, and sharing an action is precisely what puts
-//!   a survivor in that dirty set, so eviction is complete.
+//!   only the listed partners (additions only raise scores, so re-merging
+//!   the listed pairs is exact). The index emits pairs only for users the
+//!   cache holds, so a write pays for the cache it invalidates, not for
+//!   the population. Departures evict the dirty set returned by
+//!   [`ActionIndex::remove_user`]; a departed user can only appear in the
+//!   cached network of someone who shared an action with her, and sharing
+//!   an action is precisely what puts a survivor in that dirty set, so
+//!   eviction is complete.
 //!
 //! Bulk resolution ([`OnDemandNetworks::resolve_many`]) fans the cache
 //! misses out over [`p3q_sim::parallel_map_chunks`], one sweep scratch per
 //! worker; each miss is a pure function of `(dataset, index, user)`, so the
 //! output is byte-identical for every `P3Q_THREADS` value.
+//!
+//! This is also the one way to keep *every* network current. A resolver
+//! made by `OnDemandNetworks::from(ideal)` holds every entry, so its writes
+//! see the unfiltered outcome and evict exactly the users whose networks
+//! need a full sweep; [`OnDemandNetworks::into_ideal`] re-sweeps them in
+//! one [`OnDemandNetworks::resolve_many`] and hands the networks back, byte
+//! for byte what [`IdealNetworks::compute`] returns over the changed
+//! dataset.
 
 use p3q_sim::{default_threads, parallel_map_chunks};
 use p3q_trace::{ChangeBatch, Dataset, ItemId, Profile, Query, UserId};
 
+use crate::baseline::IdealNetworks;
 use crate::scoring::full_relevance_scores;
 use crate::similarity::{ActionIndex, DeltaOutcome, SimilarityScratch};
 
-/// Above this many patch partners, evicting the entry and lazily
-/// re-resolving it is cheaper than merging every pair — the cache analogue
-/// of `IdealNetworks`' patch-vs-sweep crossover.
+/// Above this many patch partners, evicting the entry and re-resolving it
+/// with one counting sweep is cheaper than merging every pair (same
+/// result). Measured optimum on the 1k–20k synthetic traces: 8 and 78 are
+/// both ~25–50% slower at 20k users.
 const PATCH_EVICT_THRESHOLD: usize = 16;
 
 /// Counters describing the work a resolver instance has done — the
@@ -68,14 +77,12 @@ pub struct ResolveStats {
 /// A lazily-resolved, memoized view of the ideal personal networks.
 ///
 /// Every entry this cache ever serves is byte-identical to
-/// [`IdealNetworks::compute`](crate::baseline::IdealNetworks::compute) over
-/// the same dataset — resolution is the oracle's own counting sweep and
-/// invalidation is driven by the same [`DeltaOutcome`] bookkeeping the
-/// incremental oracle uses.
+/// [`IdealNetworks::compute`] over the same dataset — resolution is the
+/// oracle's own counting sweep and invalidation follows the exact
+/// [`DeltaOutcome`] of every write.
 ///
 /// The resolver does not own the [`ActionIndex`]; callers pass the index
-/// alongside the dataset and are responsible for keeping the two in sync
-/// (exactly like the `IdealNetworks` incremental path).
+/// alongside the dataset and are responsible for keeping the two in sync.
 #[derive(Debug, Clone)]
 pub struct OnDemandNetworks {
     cache: Vec<Option<Vec<(UserId, u64)>>>,
@@ -94,6 +101,23 @@ impl OnDemandNetworks {
             network_size,
             stats: ResolveStats::default(),
             scratch: SimilarityScratch::new(num_users),
+        }
+    }
+
+    /// Panics unless the cache, `dataset` and, where given, `index` cover
+    /// one population. O(1).
+    fn assert_population(&self, dataset: &Dataset, index: Option<&ActionIndex>) {
+        let (cached, users) = (self.cache.len(), dataset.num_users());
+        assert!(
+            cached == users,
+            "the resolver covers {cached} users but the dataset {users}"
+        );
+        if let Some(index) = index {
+            let indexed = index.num_users();
+            assert!(
+                indexed == users,
+                "the index covers {indexed} users but the dataset {users}"
+            );
         }
     }
 
@@ -138,7 +162,7 @@ impl OnDemandNetworks {
         index: &ActionIndex,
         user: UserId,
     ) -> &[(UserId, u64)] {
-        debug_assert_eq!(self.cache.len(), dataset.num_users());
+        self.assert_population(dataset, Some(index));
         if self.cache[user.index()].is_some() {
             self.stats.cache_hits += 1;
         } else {
@@ -160,7 +184,7 @@ impl OnDemandNetworks {
         users: &[UserId],
         threads: usize,
     ) {
-        debug_assert_eq!(self.cache.len(), dataset.num_users());
+        self.assert_population(dataset, Some(index));
         let mut misses: Vec<UserId> = Vec::new();
         for &user in users {
             if self.cache[user.index()].is_some() {
@@ -196,6 +220,33 @@ impl OnDemandNetworks {
         }
     }
 
+    /// Resolves every uncached entry with one [`Self::resolve_many`] over
+    /// `threads` workers and hands the networks back, moved, as
+    /// [`IdealNetworks`] — the way back from `OnDemandNetworks::from`.
+    /// `index` must cover exactly `dataset`; the result is what
+    /// [`IdealNetworks::compute`] returns over it, for every `threads`.
+    pub fn into_ideal(
+        mut self,
+        dataset: &Dataset,
+        index: &ActionIndex,
+        threads: usize,
+    ) -> IdealNetworks {
+        self.assert_population(dataset, Some(index));
+        let uncached: Vec<UserId> = (0..self.cache.len())
+            .filter(|&idx| self.cache[idx].is_none())
+            .map(UserId::from_index)
+            .collect();
+        self.resolve_many(dataset, index, &uncached, threads);
+        IdealNetworks {
+            per_user: self
+                .cache
+                .into_iter()
+                .map(|entry| entry.expect("every entry was just resolved"))
+                .collect(),
+            network_size: self.network_size,
+        }
+    }
+
     /// Drops the cached entries of `users` (missing entries are fine).
     pub fn invalidate<I: IntoIterator<Item = UserId>>(&mut self, users: I) {
         for user in users {
@@ -207,8 +258,7 @@ impl OnDemandNetworks {
 
     /// Absorbs one batch of profile changes: patches `index` with the
     /// batch's new actions and invalidates/patches exactly the affected
-    /// cached entries. Call after [`ChangeBatch::apply`] updated `dataset`
-    /// (mirrors [`IdealNetworks::apply_change_batch`](crate::baseline::IdealNetworks::apply_change_batch)).
+    /// cached entries. Call after [`ChangeBatch::apply`] updated `dataset`.
     ///
     /// Returns the batch's delta outcome as the cache saw it: `changed` and
     /// `resweep` are complete, but `pairs` names only affected users that
@@ -249,10 +299,11 @@ impl OnDemandNetworks {
     /// * every other *affected* user with a cached entry gets an **exact
     ///   pairwise patch**: her scores moved only against the partners the
     ///   outcome lists for her, and only upwards, so re-merging those pairs
-    ///   and re-ranking reproduces a fresh resolution byte-for-byte (the
-    ///   same argument as the `IdealNetworks` patch path). Entries with
+    ///   and re-ranking reproduces a fresh resolution byte-for-byte — a
+    ///   user outside her old top-`s` that gained nothing still has at
+    ///   least `s` users ranked above her. Entries with
     ///   [`PATCH_EVICT_THRESHOLD`] or more partners are evicted instead —
-    ///   lazy re-resolution is cheaper than that many profile merges.
+    ///   one re-resolution is cheaper than that many profile merges.
     ///
     /// `dataset` must already reflect the batch the outcome came from. Any
     /// outcome for that batch works: the full one of
@@ -271,22 +322,17 @@ impl OnDemandNetworks {
         outcome: &DeltaOutcome,
         threads: usize,
     ) {
-        debug_assert_eq!(self.cache.len(), dataset.num_users());
-        let mut swept: Vec<UserId> = outcome
-            .changed
-            .iter()
-            .chain(outcome.resweep.iter())
-            .copied()
-            .collect();
-        swept.sort_unstable();
-        swept.dedup();
-        self.invalidate(swept.iter().copied());
+        self.assert_population(dataset, None);
+        // p3q-allow: hash-iter — this `changed` is the outcome's sorted
+        // `Vec<UserId>`, and eviction does not depend on visit order.
+        self.invalidate(outcome.changed.iter().chain(&outcome.resweep).copied());
 
         // Group pairs by affected user (outcome.pairs is sorted by it),
-        // keeping only cached entries — everyone else re-resolves lazily.
+        // keeping only cached entries — everyone else, the users just
+        // evicted included, re-resolves lazily.
         let mut patches: Vec<(UserId, Vec<UserId>)> = Vec::new();
         for &(affected, partner) in &outcome.pairs {
-            if swept.binary_search(&affected).is_ok() || self.cache[affected.index()].is_none() {
+            if self.cache[affected.index()].is_none() {
                 continue;
             }
             match patches.last_mut() {
@@ -360,10 +406,24 @@ impl OnDemandNetworks {
     }
 }
 
+impl From<IdealNetworks> for OnDemandNetworks {
+    /// A resolver with every network of `ideal` cached. The networks are
+    /// moved in, not cloned.
+    fn from(ideal: IdealNetworks) -> Self {
+        let num_users = ideal.per_user.len();
+        Self {
+            cache: ideal.per_user.into_iter().map(Some).collect(),
+            network_size: ideal.network_size,
+            stats: ResolveStats::default(),
+            scratch: SimilarityScratch::new(num_users),
+        }
+    }
+}
+
 /// The centralized top-`k` of a query, resolving the querier's personal
 /// network on demand — the serving-path counterpart of
 /// [`centralized_topk`](crate::baseline::centralized_topk), which requires
-/// the full [`IdealNetworks`](crate::baseline::IdealNetworks) sweep.
+/// the full [`IdealNetworks`] sweep.
 pub fn on_demand_topk(
     dataset: &Dataset,
     index: &ActionIndex,
@@ -385,7 +445,7 @@ pub fn on_demand_topk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{centralized_topk, IdealNetworks};
+    use crate::baseline::centralized_topk;
     use p3q_trace::{
         DynamicsConfig, DynamicsGenerator, QueryGenerator, TraceConfig, TraceGenerator,
     };
@@ -560,5 +620,13 @@ mod tests {
         // Only queriers were resolved.
         assert_eq!(resolver.stats().resolutions, resolver.cached_count());
         assert!(resolver.cached_count() <= 15);
+    }
+
+    #[test]
+    #[should_panic(expected = "the resolver covers 40 users but the dataset 0")]
+    fn a_dataset_of_another_size_is_refused() {
+        let nobody = Dataset::default();
+        let resolver = OnDemandNetworks::new(40, 5);
+        let _ = resolver.into_ideal(&nobody, &ActionIndex::build(&nobody), 1);
     }
 }

@@ -68,14 +68,14 @@
 //! * [`ActionIndex::remove_user`] handles churn (departures) through the
 //!   same patcher: only the departed profile's own posting lists are
 //!   rewritten, and the **dirty set** (everyone who shared an action with
-//!   the departed user) comes back for re-scoring through
-//!   [`crate::baseline::IdealNetworks::recompute_dirty`].
+//!   the departed user) comes back to be evicted by
+//!   [`crate::resolver::OnDemandNetworks::apply_departures`].
 //! * [`ActionIndex::apply_deltas`] goes further and returns a
 //!   [`DeltaOutcome`]: the changing users plus the exact `(affected,
 //!   changed)` pairs whose score grew. Because additions only *increase*
-//!   scores, [`crate::baseline::IdealNetworks::apply_change_batch`] can
-//!   patch a lightly affected user's network from a few pair merges and
-//!   reserve full counting sweeps for the changing users — provably
+//!   scores, [`crate::resolver::OnDemandNetworks::apply_delta_outcome`]
+//!   can patch a lightly affected user's network from a few pair merges
+//!   and evict the changing users for a full counting sweep — provably
 //!   matching a from-scratch
 //!   [`crate::baseline::IdealNetworks::compute`]. Those pairs number the
 //!   touched posting lengths times their gainers (≈ 1.1 M for a paper-day
@@ -95,11 +95,10 @@
 //! paths differ only in where the profile's action ids come from.
 //!
 //! * The **point path** ([`ActionIndex::accumulate`] /
-//!   [`ActionIndex::top_similar`], and through them
-//!   [`crate::baseline::IdealNetworks::recompute_dirty`] and
-//!   `apply_delta_outcome`) interns the profile through the dictionary:
-//!   one key search per action, a few hundred nanoseconds each — about a
-//!   third of a sweep.
+//!   [`ActionIndex::top_similar`], and through them every resolution of
+//!   [`crate::resolver::OnDemandNetworks`], `into_ideal` included) interns
+//!   the profile through the dictionary: one key search per action, a few
+//!   hundred nanoseconds each — about a third of a sweep.
 //! * The **bulk path** ([`crate::baseline::IdealNetworks::compute`] and its
 //!   `_with_*` forms) interns nothing. The index already *is* the
 //!   `(id → users)` relation, so `ActionIndex::transpose_into` reads it
@@ -254,7 +253,7 @@ impl SimilarityScratch {
 /// what moved: a changing user's score may have grown against anyone, while
 /// a non-changing user's score grew only against the partners listed for
 /// her in `pairs` — which is what lets
-/// [`crate::baseline::IdealNetworks::apply_change_batch`] patch most
+/// [`crate::resolver::OnDemandNetworks::apply_delta_outcome`] patch most
 /// networks from a few exact pair merges instead of full sweeps.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaOutcome {
@@ -767,12 +766,6 @@ impl ActionIndex {
         shard.posting(rel).collect()
     }
 
-    /// Patches the index with one user's newly added tagging actions and
-    /// returns the effects (see [`Self::apply_deltas`]).
-    pub fn apply_delta(&mut self, user: UserId, new_actions: &[TaggingAction]) -> DeltaOutcome {
-        self.apply_deltas(std::iter::once((user, new_actions)))
-    }
-
     /// Patches the index with a batch of profile additions: for every
     /// `(user, new_actions)` pair the user is inserted into the posting
     /// lists of her new actions (genuinely new actions are interned into
@@ -795,7 +788,7 @@ impl ActionIndex {
     /// pairs whose overlap grew. Since additions can only *increase*
     /// scores, that is all the information needed to update the ideal
     /// networks exactly — see
-    /// [`crate::baseline::IdealNetworks::apply_change_batch`].
+    /// [`crate::resolver::OnDemandNetworks::apply_delta_outcome`].
     ///
     /// # Panics
     /// Panics if a delta names a user outside the indexed population.
@@ -1402,7 +1395,7 @@ mod tests {
             let mut index = ActionIndex::build_with_shards(&d, shards);
             // User 3 adds an action user 2 already has, plus a brand-new key.
             let delta = [act(9, 9), act(50, 50)];
-            let outcome = index.apply_delta(UserId(3), &delta);
+            let outcome = index.apply_deltas([(UserId(3), &delta[..])]);
             d.profile_mut(UserId(3)).extend(delta);
             assert_eq!(outcome.changed, vec![UserId(3)]);
             // u2's score against u3 grew via act(9,9); act(50,50) is hers
@@ -1422,11 +1415,11 @@ mod tests {
         let d = dataset();
         let mut index = ActionIndex::build(&d);
         // Every action already in the profile: nothing changes.
-        let outcome = index.apply_delta(UserId(0), &[act(1, 1), act(2, 2)]);
+        let outcome = index.apply_deltas([(UserId(0), &[act(1, 1), act(2, 2)][..])]);
         assert!(outcome.is_empty());
         assert!(outcome.dirty_users().is_empty());
         assert_matches_fresh_build(&index, &d);
-        assert!(index.apply_delta(UserId(1), &[]).is_empty());
+        assert!(index.apply_deltas([(UserId(1), &[][..])]).is_empty());
     }
 
     #[test]
@@ -1477,7 +1470,7 @@ mod tests {
         let profile = d.profile(UserId(0)).clone();
         let actions: Vec<TaggingAction> = profile.iter().copied().collect();
         index.remove_user(UserId(0), &profile);
-        let outcome = index.apply_delta(UserId(0), &actions);
+        let outcome = index.apply_deltas([(UserId(0), &actions[..])]);
         assert_eq!(outcome.changed, vec![UserId(0)]);
         assert!(outcome.dirty_users().contains(&UserId(0)));
         assert_matches_fresh_build(&index, &d);
@@ -1500,7 +1493,7 @@ mod tests {
             .collect();
         let mut d = Dataset::new(profiles, 400, 10);
         let mut index = ActionIndex::build(&d);
-        let mut ideal = crate::baseline::IdealNetworks::compute_with_threads(&d, 5, 1);
+        let ideal = crate::baseline::IdealNetworks::compute_with_threads(&d, 5, 1);
 
         let deltas: Vec<(UserId, Vec<TaggingAction>)> =
             (130..195).map(|i| (UserId(i), vec![act(1, 1)])).collect();
@@ -1517,7 +1510,9 @@ mod tests {
         assert_matches_fresh_build(&index, &d);
 
         // The resweep path still reproduces a from-scratch compute.
-        ideal.apply_delta_outcome(&d, &index, &outcome, 1);
+        let mut resolver = crate::resolver::OnDemandNetworks::from(ideal);
+        resolver.apply_delta_outcome(&d, &outcome, 1);
+        let ideal = resolver.into_ideal(&d, &index, 1);
         let oracle = crate::baseline::IdealNetworks::compute_with_threads(&d, 5, 1);
         for user in d.users() {
             assert_eq!(ideal.network_of(user), oracle.network_of(user), "{user}");
@@ -2137,7 +2132,7 @@ mod tests {
                 index.remove_user(user, &profile);
                 assert_matches_fresh_build(&index, &d);
                 let actions: Vec<TaggingAction> = profile.iter().copied().collect();
-                index.apply_delta(user, &actions);
+                index.apply_deltas([(user, &actions[..])]);
                 *d.profile_mut(user) = profile;
                 assert_matches_fresh_build(&index, &d);
             }
@@ -2406,7 +2401,7 @@ mod tests {
     fn delta_for_out_of_range_user_is_rejected() {
         let d = dataset();
         let mut index = ActionIndex::build(&d);
-        let _ = index.apply_delta(UserId(99), &[act(1, 1)]);
+        let _ = index.apply_deltas([(UserId(99), &[act(1, 1)][..])]);
     }
 
     #[test]
@@ -2426,7 +2421,7 @@ mod tests {
         let frozen = index.dictionary().frozen_len();
         // act(0,0) sorts before every frozen key: it must become a tail id
         // and still land in a shard.
-        let outcome = index.apply_delta(UserId(1), &[act(0, 0)]);
+        let outcome = index.apply_deltas([(UserId(1), &[act(0, 0)][..])]);
         assert_eq!(outcome.changed, vec![UserId(1)]);
         assert_eq!(index.dictionary().frozen_len(), frozen);
         assert_eq!(index.dictionary().len(), frozen + 1);
@@ -2457,7 +2452,7 @@ mod tests {
         let mut d = dataset();
         let mut index = ActionIndex::build_with_shards(&d, 2);
         let delta = [act(9, 9), act(3, 3)];
-        index.apply_delta(UserId(1), &delta);
+        index.apply_deltas([(UserId(1), &delta[..])]);
         d.profile_mut(UserId(1)).extend(delta);
         let old = d.profile(UserId(2)).clone();
         index.remove_user(UserId(2), &old);

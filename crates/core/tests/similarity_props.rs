@@ -2,18 +2,20 @@
 //! O(n²) reference: `IdealNetworks::compute` must be byte-identical to
 //! brute force on random traces — scores, ordering and tie-breaking
 //! included — for every network size and worker-thread count. The
-//! incremental path (`ActionIndex::apply_deltas` / `remove_user` +
-//! `IdealNetworks::recompute_dirty`) is pinned the same way: after any
-//! sequence of random profile-change batches and departures it must equal
-//! a from-scratch `compute` over the mutated dataset, for every shard
-//! layout and worker-thread count. The counting kernel itself is held to a
-//! naive per-pair counter sweep by sweep, on delta-grown indexes.
+//! incremental path (a fully cached `OnDemandNetworks` made from the
+//! networks absorbs `ActionIndex::apply_deltas` / `remove_user`, then
+//! `into_ideal` re-sweeps what it evicted) is pinned the same way: after
+//! any sequence of random profile-change batches and departures it must
+//! equal a from-scratch `compute` over the mutated dataset, for every
+//! shard layout and worker-thread count. The counting kernel itself is
+//! held to a naive per-pair counter sweep by sweep, on delta-grown indexes.
 
 use proptest::prelude::*;
 
 use p3q::baseline::IdealNetworks;
 use p3q::resolver::OnDemandNetworks;
 use p3q::similarity::{ActionIndex, SimilarityScratch};
+use p3q_sim::default_threads;
 use p3q_trace::{
     ChangeBatch, Dataset, ItemId, Profile, ProfileChange, TagId, TaggingAction, TraceConfig,
     TraceGenerator, UserId,
@@ -165,6 +167,25 @@ fn arb_batches() -> impl Strategy<Value = Vec<RawBatch>> {
     )
 }
 
+/// One incremental step: `ideal` becomes a fully cached resolver, absorbs
+/// `batch` (already applied to `dataset`) into `index`, and resolves back
+/// into networks on `threads` workers. Returns the networks and the batch's
+/// dirty users.
+fn absorb(
+    ideal: IdealNetworks,
+    dataset: &Dataset,
+    index: &mut ActionIndex,
+    batch: &ChangeBatch,
+    threads: usize,
+) -> (IdealNetworks, Vec<UserId>) {
+    let mut resolver = OnDemandNetworks::from(ideal);
+    let outcome = resolver.apply_change_batch_with_threads(dataset, index, batch, threads);
+    (
+        resolver.into_ideal(dataset, index, threads),
+        outcome.dirty_users(),
+    )
+}
+
 /// Reduces a raw batch to a `ChangeBatch` with at most one entry per user.
 fn change_batch(raw: &RawBatch, num_users: usize) -> ChangeBatch {
     let mut changes: Vec<ProfileChange> = Vec::new();
@@ -199,7 +220,7 @@ proptest! {
         for (step, raw) in batches.iter().enumerate() {
             let batch = change_batch(raw, dataset.num_users());
             batch.apply(&mut dataset);
-            ideal.apply_change_batch(&dataset, &mut index, &batch);
+            ideal = absorb(ideal, &dataset, &mut index, &batch, default_threads()).0;
             let oracle = IdealNetworks::compute(&dataset, s);
             prop_assert_eq!(
                 networks_as_vec(&ideal, dataset.num_users()),
@@ -222,12 +243,12 @@ proptest! {
     ) {
         let mut dataset = dataset;
         let mut index = ActionIndex::build_with_shards(&dataset, shards);
-        let mut ideal = IdealNetworks::compute(&dataset, s);
+        let ideal = IdealNetworks::compute(&dataset, s);
 
         // One change batch first, so departures hit freshly patched shards.
         let batch = change_batch(&raw[0], dataset.num_users());
         batch.apply(&mut dataset);
-        ideal.apply_change_batch(&dataset, &mut index, &batch);
+        let (ideal, _) = absorb(ideal, &dataset, &mut index, &batch, default_threads());
 
         let mut departed: Vec<UserId> = departures
             .iter()
@@ -242,11 +263,9 @@ proptest! {
         for &u in &departed {
             *dataset.profile_mut(u) = Profile::new();
         }
-        ideal.apply_departures(
-            &dataset,
-            &mut index,
-            old_profiles.iter().map(|(u, p)| (*u, p)),
-        );
+        let mut resolver = OnDemandNetworks::from(ideal);
+        resolver.apply_departures(&mut index, old_profiles.iter().map(|(u, p)| (*u, p)));
+        let ideal = resolver.into_ideal(&dataset, &index, default_threads());
 
         let oracle = IdealNetworks::compute(&dataset, s);
         prop_assert_eq!(
@@ -273,12 +292,8 @@ proptest! {
         for raw_batch in &raw {
             let batch = change_batch(raw_batch, single_dataset.num_users());
             batch.apply(&mut single_dataset);
-            let dirty = single.apply_change_batch_with_threads(
-                &single_dataset,
-                &mut single_index,
-                &batch,
-                1,
-            );
+            let (networks, dirty) = absorb(single, &single_dataset, &mut single_index, &batch, 1);
+            single = networks;
             dirty_per_step.push(dirty);
         }
         for threads in [2, 3, 8] {
@@ -288,12 +303,9 @@ proptest! {
             for (raw_batch, expected_dirty) in raw.iter().zip(&dirty_per_step) {
                 let batch = change_batch(raw_batch, multi_dataset.num_users());
                 batch.apply(&mut multi_dataset);
-                let dirty = multi.apply_change_batch_with_threads(
-                    &multi_dataset,
-                    &mut multi_index,
-                    &batch,
-                    threads,
-                );
+                let (networks, dirty) =
+                    absorb(multi, &multi_dataset, &mut multi_index, &batch, threads);
+                multi = networks;
                 prop_assert_eq!(&dirty, expected_dirty, "dirty sets must be deterministic");
             }
             prop_assert_eq!(
