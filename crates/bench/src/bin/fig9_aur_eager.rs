@@ -5,7 +5,7 @@
 //! cargo run --release -p p3q-bench --bin fig9_aur_eager -- --users 1000 --queries 200
 //! ```
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use p3q::prelude::*;
 use p3q_bench::{fmt, print_table, HarnessArgs, World};
@@ -48,7 +48,9 @@ fn main() {
         querier,
         args.queries,
     );
-    let mut reached_so_far: HashSet<UserId> = HashSet::new();
+    // Ordered by user id: the order of the AUR's floating-point sum must not
+    // depend on a hash seed.
+    let mut reached_so_far: BTreeSet<UserId> = BTreeSet::new();
     let mut rows = Vec::new();
     let sample_every = (args.queries / 20).max(1);
     for (i, query) in burst.into_iter().enumerate() {
