@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Every paper figure still prints what it printed when it was recorded.
 #
-# Runs the 14 figures of the paper's evaluation at smoke size (`--users 300
-# --cycles 5 --queries 30`) on seeds 42 and 7 and compares each run's stdout
-# with ci/figure_answers.txt byte for byte. The figures are simulated: their
+# Runs the 14 figures of the paper's evaluation (`paper_figures --figure
+# NAME`) at smoke size (`--users 300 --cycles 5 --queries 30`) on seeds 42
+# and 7 and compares each run's stdout with ci/figure_answers.txt byte for
+# byte. The figures are simulated: their
 # stdout repeats on any host and for any P3Q_THREADS, so a mismatch is a
 # behaviour change, never noise. Stderr (progress lines) is not compared.
 #
@@ -34,16 +35,16 @@ figures=(fig2_convergence fig3_alpha fig4_storage_recall fig5_space
     table2_profile_changes summary_bandwidth theory_validation)
 seeds=(42 7)
 
-cargo build --release --quiet -p p3q-bench
-bin_dir=${CARGO_TARGET_DIR:-target}/release
+cargo build --release --quiet -p p3q-bench --bin paper_figures
+paper_figures=${CARGO_TARGET_DIR:-target}/release/paper_figures
 
 # Every run's stdout under a `## <figure> seed <seed>` heading.
 run_all() {
     for figure in "${figures[@]}"; do
         for seed in "${seeds[@]}"; do
-            echo "$figure --seed $seed" >&2
+            echo "paper_figures --figure $figure --seed $seed" >&2
             echo "## $figure seed $seed"
-            "$bin_dir/$figure" --users 300 --cycles 5 --queries 30 --seed "$seed"
+            "$paper_figures" --figure "$figure" --users 300 --cycles 5 --queries 30 --seed "$seed"
         done
     done
 }

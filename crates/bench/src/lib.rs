@@ -1,12 +1,12 @@
 //! Shared plumbing for the experiment harness.
 //!
-//! Every table and figure of the paper's evaluation (Section 3) has a
-//! dedicated binary in `src/bin/`; they all share the helpers in this crate:
-//! the command-line reader ([`flags`]), the JSON value the `bench_*`
-//! binaries write and `bench_check` reads ([`json`]), a common "world"
-//! (trace + ideal networks + query workload), the burst set-up of the fault
-//! and transport benchmarks and the per-cycle recall measurement used by the
-//! eager-mode figures.
+//! Every table and figure of the paper's evaluation (Section 3) is one
+//! `--figure` of the `paper_figures` binary; it and the `bench_*` binaries
+//! share the helpers in this crate: the command-line reader ([`flags`]), the
+//! JSON value the `bench_*` binaries write and `bench_check` reads
+//! ([`json`]), a common "world" (trace + ideal networks + query workload),
+//! the burst set-up of the fault and transport benchmarks and the per-cycle
+//! recall measurement used by the eager-mode figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,19 +14,18 @@
 pub mod flags;
 pub mod json;
 
-use std::collections::HashMap;
-
 use p3q::prelude::*;
 use p3q_trace::{ChangeBatch, Scenario, ScenarioConfig, ScenarioEvent, SyntheticTrace, TraceShape};
 
 use flags::{exit_with_usage, Flags};
 
-/// Command-line options shared by all harness binaries.
+/// The options of `paper_figures` after `--figure NAME`; `bench_faults` and
+/// `bench_transport` build their worlds from one too.
 ///
 /// ```text
 /// --users N        population size                    (default 1000)
 /// --seed N         master RNG seed                    (default 42)
-/// --cycles N       number of gossip cycles            (binary-specific default)
+/// --cycles N       number of gossip cycles            (figure-specific default)
 /// --queries N      number of tracked queries          (default 200)
 /// --paper-scale    use the paper's 10,000-user scale  (slow!)
 /// --scenario NAME  workload preset                    (default paper-delicious)
@@ -37,7 +36,7 @@ pub struct HarnessArgs {
     pub users: usize,
     /// Master seed.
     pub seed: u64,
-    /// Number of gossip cycles to run (meaning depends on the binary).
+    /// Number of gossip cycles to run (meaning depends on the figure).
     pub cycles: u64,
     /// Number of queries tracked in eager-mode experiments.
     pub queries: usize,
@@ -60,35 +59,71 @@ impl Default for HarnessArgs {
     }
 }
 
-/// The flags every figure binary takes: printed by `--help` and after a bad
+/// The flags `paper_figures` takes: printed by `--help` and after a bad
 /// flag.
-const HARNESS_USAGE: &str =
-    "options: --users N --seed N --cycles N --queries N --paper-scale --scenario NAME";
+const HARNESS_USAGE: &str = "options: --figure NAME --users N --seed N --cycles N --queries N \
+                             --paper-scale --scenario NAME";
+
+/// One figure of the paper's evaluation: what `paper_figures --figure NAME`
+/// runs.
+pub struct Figure {
+    /// The name `--figure` takes.
+    pub name: &'static str,
+    /// `--cycles` when the flag is not given.
+    pub default_cycles: u64,
+    /// Prints the figure.
+    pub run: fn(&HarnessArgs),
+}
 
 impl HarnessArgs {
-    /// Parses `std::env::args`, using `default_cycles` when `--cycles` is not
-    /// given. A bad flag prints the error and the options and exits with
-    /// status 2.
-    pub fn parse(default_cycles: u64) -> Self {
-        Self::parse_from(std::env::args().skip(1), default_cycles)
-            .unwrap_or_else(|e| exit_with_usage(&e, HARNESS_USAGE))
-    }
-
-    /// Parses an explicit argument iterator (testable variant of
-    /// [`parse`](Self::parse)).
-    pub fn parse_from<I: IntoIterator<Item = String>>(
-        args: I,
-        default_cycles: u64,
-    ) -> Result<Self, String> {
-        let mut flags = Flags::new(args);
-        if flags.switch("--help") || flags.switch("-h") {
+    /// Parses `std::env::args` as `--figure NAME` and the shared flags.
+    /// `--help` prints the options, the figures with their default cycles
+    /// and the scenarios; a bad flag or figure name prints the error and the
+    /// options and exits with status 2.
+    pub fn parse_figure(figures: &[Figure]) -> (&Figure, Self) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|arg| arg == "--help" || arg == "-h") {
             println!("{HARNESS_USAGE}");
+            println!("figures (default --cycles):");
+            for figure in figures {
+                println!("  {:<28} {}", figure.name, figure.default_cycles);
+            }
             println!("scenarios:");
             for s in Scenario::ALL {
                 println!("  {:<16} {}", s.name(), s.description());
             }
             std::process::exit(0);
         }
+        Self::parse_figure_from(args, figures)
+            .unwrap_or_else(|e| exit_with_usage(&e, HARNESS_USAGE))
+    }
+
+    /// Parses an explicit argument iterator (testable variant of
+    /// [`parse_figure`](Self::parse_figure)): the figure named by
+    /// `--figure`, and the shared flags with its default cycles.
+    pub fn parse_figure_from<I: IntoIterator<Item = String>>(
+        args: I,
+        figures: &[Figure],
+    ) -> Result<(&Figure, Self), String> {
+        let mut flags = Flags::new(args);
+        let name: String = flags.optional("--figure")?.ok_or("missing --figure NAME")?;
+        let figure = figures.iter().find(|f| f.name == name).ok_or_else(|| {
+            let names: Vec<&str> = figures.iter().map(|f| f.name).collect();
+            format!("unknown figure {name}; one of: {}", names.join(", "))
+        })?;
+        Ok((figure, Self::read(flags, figure.default_cycles)?))
+    }
+
+    /// Parses the shared flags alone, using `default_cycles` when `--cycles`
+    /// is not given; `--figure` is an unknown flag here.
+    pub fn parse_from<I: IntoIterator<Item = String>>(
+        args: I,
+        default_cycles: u64,
+    ) -> Result<Self, String> {
+        Self::read(Flags::new(args), default_cycles)
+    }
+
+    fn read(mut flags: Flags, default_cycles: u64) -> Result<Self, String> {
         let defaults = Self::default();
         let parsed = Self {
             users: flags.value("--users", defaults.users)?,
@@ -205,6 +240,20 @@ impl World {
         (new_ideal, outcome.dirty_users())
     }
 
+    /// A simulator over the trace with `storage` budgets, engine seed `seed`
+    /// and every personal network set to its ideal content.
+    pub fn simulator(&self, storage: &StorageDistribution, seed: u64) -> Simulator<P3qNode> {
+        let mut sim = build_simulator(&self.trace.dataset, &self.cfg, storage, seed);
+        init_ideal_networks(&mut sim, &self.ideal);
+        sim
+    }
+
+    /// One paper-style day of profile changes (≈ 15 % of the users add ≈ 8
+    /// actions each), drawn from `seed`.
+    pub fn paper_day(&self, seed: u64) -> ChangeBatch {
+        DynamicsGenerator::new(DynamicsConfig::paper_day(seed ^ 0xDA7)).generate(&self.trace)
+    }
+
     /// A deterministic sample of at most `limit` queries (spread over the
     /// user population rather than taking a prefix).
     pub fn sample_queries(&self, limit: usize) -> Vec<Query> {
@@ -218,52 +267,32 @@ impl World {
     }
 }
 
-/// A simulation-level event on the cycle axis — the vocabulary the dynamics
-/// and churn figures schedule in an [`EventQueue`] instead of hand-rolling
-/// "at cycle X, do Y" conditions in their run loops.
-#[derive(Debug, Clone)]
-pub enum SimEvent {
-    /// A fraction of the alive population departs simultaneously
-    /// (Section 3.4.2).
-    MassDeparture(f64),
-    /// A batch of profile changes hits the owners' nodes (Section 3.4.1).
-    ProfileChanges(ChangeBatch),
-}
-
-impl From<ScenarioEvent> for SimEvent {
-    fn from(event: ScenarioEvent) -> Self {
-        match event {
-            ScenarioEvent::ProfileChanges(batch) => SimEvent::ProfileChanges(batch),
-            ScenarioEvent::MassDeparture(fraction) => SimEvent::MassDeparture(fraction),
-        }
-    }
-}
-
 /// Converts a scenario's event schedule into a ready-to-run [`EventQueue`]
 /// — the bridge between [`ScenarioConfig::build`]'s output and the
 /// engine's `run_*_with_events` loops.
-pub fn scenario_event_queue(schedule: &[(u64, ScenarioEvent)]) -> EventQueue<SimEvent> {
+pub fn scenario_event_queue(schedule: &[(u64, ScenarioEvent)]) -> EventQueue<ScenarioEvent> {
     let mut queue = EventQueue::new();
     for (cycle, event) in schedule {
-        queue.schedule(*cycle, SimEvent::from(event.clone()));
+        queue.schedule(*cycle, event.clone());
     }
     queue
 }
 
-/// Applies one [`SimEvent`] to the simulation.
-pub fn apply_sim_event(sim: &mut Simulator<P3qNode>, event: &SimEvent) {
+/// Applies one [`ScenarioEvent`] to the simulation.
+pub fn apply_sim_event(sim: &mut Simulator<P3qNode>, event: &ScenarioEvent) {
     match event {
-        SimEvent::MassDeparture(fraction) => {
+        ScenarioEvent::MassDeparture(fraction) => {
             sim.mass_departure(*fraction);
         }
-        SimEvent::ProfileChanges(batch) => {
+        ScenarioEvent::ProfileChanges(batch) => {
             apply_profile_changes(sim, batch);
         }
     }
 }
 
-/// Fires every scheduled [`SimEvent`] due at the simulator's current cycle.
-pub fn fire_due_sim_events(sim: &mut Simulator<P3qNode>, events: &mut EventQueue<SimEvent>) {
+/// Fires every scheduled [`ScenarioEvent`] due at the simulator's current
+/// cycle.
+fn fire_due_sim_events(sim: &mut Simulator<P3qNode>, events: &mut EventQueue<ScenarioEvent>) {
     for event in events.pop_due(sim.cycle()) {
         apply_sim_event(sim, &event);
     }
@@ -281,6 +310,19 @@ pub fn issue_queries(sim: &mut Simulator<P3qNode>, queries: &[Query], cfg: &P3qC
             cfg,
         );
     }
+}
+
+/// The state of `queries[i]`, which [`issue_queries`] issued as
+/// `QueryId(i)`.
+pub fn query_state<'a>(
+    sim: &'a mut Simulator<P3qNode>,
+    queries: &[Query],
+    i: usize,
+) -> &'a mut QuerierState {
+    sim.node_mut(queries[i].querier.index())
+        .querier_states
+        .get_mut(&QueryId(i as u64))
+        .expect("query state exists")
 }
 
 /// The simulation the burst benchmarks (`bench_faults`, `bench_transport`)
@@ -341,45 +383,34 @@ pub fn run_recall_experiment(
     run_recall_experiment_with_events(sim, world, queries, cycles, &mut EventQueue::new())
 }
 
-/// Like [`run_recall_experiment`], with [`SimEvent`]s scheduled on the cycle
-/// axis: events due at the current cycle fire **before** that cycle's eager
-/// gossip (so a departure scheduled at cycle `c` hits queries in flight),
-/// and events due at the final boundary fire after the loop.
+/// Like [`run_recall_experiment`], with [`ScenarioEvent`]s scheduled on the
+/// cycle axis: events due at the current cycle fire **before** that cycle's
+/// eager gossip (so a departure scheduled at cycle `c` hits queries in
+/// flight), and events due at the final boundary fire after the loop.
 pub fn run_recall_experiment_with_events(
     sim: &mut Simulator<P3qNode>,
     world: &World,
     queries: &[Query],
     cycles: u64,
-    events: &mut EventQueue<SimEvent>,
+    events: &mut EventQueue<ScenarioEvent>,
 ) -> RecallExperiment {
     let cfg = &world.cfg;
-    let references: HashMap<usize, Vec<(ItemId, u32)>> = queries
+    let references: Vec<Vec<(ItemId, u32)>> = queries
         .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            (
-                i,
-                centralized_topk(&world.trace.dataset, &world.ideal, q, cfg.top_k),
-            )
-        })
+        .map(|q| centralized_topk(&world.trace.dataset, &world.ideal, q, cfg.top_k))
         .collect();
 
     issue_queries(sim, queries, cfg);
 
     let average_recall = |sim: &mut Simulator<P3qNode>| -> f64 {
         let mut total = 0.0;
-        for (i, query) in queries.iter().enumerate() {
-            let state = sim
-                .node_mut(query.querier.index())
-                .querier_states
-                .get_mut(&QueryId(i as u64))
-                .expect("query state exists");
-            let items: Vec<ItemId> = state
+        for (i, reference) in references.iter().enumerate() {
+            let items: Vec<ItemId> = query_state(sim, queries, i)
                 .current_topk(cfg.top_k)
                 .iter()
                 .map(|r| r.item)
                 .collect();
-            total += recall_at_k(&items, &references[&i]);
+            total += recall_at_k(&items, reference);
         }
         total / queries.len().max(1) as f64
     };
@@ -394,12 +425,8 @@ pub fn run_recall_experiment_with_events(
 
     let mut incomplete = 0usize;
     let mut reached_total = 0usize;
-    for (i, query) in queries.iter().enumerate() {
-        let state = sim
-            .node_mut(query.querier.index())
-            .querier_states
-            .get_mut(&QueryId(i as u64))
-            .expect("query state exists");
+    for (i, reference) in references.iter().enumerate() {
+        let state = query_state(sim, queries, i);
         reached_total += state.reached_users.len();
         // Figure 11(c): a query counts as unable to reach R10 = 1 if, with
         // everything it has received (scanned exhaustively), some relevant
@@ -410,7 +437,7 @@ pub fn run_recall_experiment_with_events(
             .iter()
             .map(|r| r.item)
             .collect();
-        if recall_at_k(&items, &references[&i]) < 1.0 - 1e-9 {
+        if recall_at_k(&items, reference) < 1.0 - 1e-9 {
             incomplete += 1;
         }
     }
@@ -489,6 +516,50 @@ mod tests {
         assert_eq!(args.seed, 9);
         assert_eq!(args.cycles, 3);
         assert_eq!(args.queries, 7);
+    }
+
+    #[test]
+    fn figure_picks_its_default_cycles() {
+        let figures = [
+            Figure {
+                name: "fig2_convergence",
+                default_cycles: 100,
+                run: |_| {},
+            },
+            Figure {
+                name: "fig3_alpha",
+                default_cycles: 20,
+                run: |_| {},
+            },
+        ];
+        let parse = |args: &[&str]| {
+            HarnessArgs::parse_figure_from(args.iter().map(|s| s.to_string()), &figures)
+                .map(|(figure, args)| (figure.name, args.cycles, args.users))
+        };
+        assert_eq!(
+            parse(&["--figure", "fig3_alpha"]),
+            Ok(("fig3_alpha", 20, 1000))
+        );
+        assert_eq!(
+            parse(&[
+                "--users",
+                "5",
+                "--figure",
+                "fig2_convergence",
+                "--cycles",
+                "3"
+            ]),
+            Ok(("fig2_convergence", 3, 5))
+        );
+
+        let unknown = parse(&["--figure", "fig99"]).unwrap_err();
+        assert!(unknown.contains("fig3_alpha"), "{unknown}");
+        assert!(parse(&["--figure"]).is_err());
+        assert!(parse(&["--figure", "--users", "5"]).is_err());
+        assert!(parse(&["--users", "5"]).is_err());
+        assert!(parse(&["--figure", "fig3_alpha", "--bogus"]).is_err());
+        // Only the figure binary reads --figure.
+        assert!(HarnessArgs::parse_from(["--figure".into(), "fig3_alpha".into()], 1).is_err());
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub fn max_eager_messages(r_alpha: f64) -> f64 {
 /// the number of cycles until every list is empty.
 ///
 /// This is the discrete process the closed form approximates; the
-/// `theory_validation` harness compares the two and the actual protocol
-/// against both.
+/// `paper_figures --figure theory_validation` harness compares the two and
+/// the actual protocol against both.
 pub fn simulate_recurrence(alpha: f64, l: f64, x: f64, max_cycles: usize) -> usize {
     assert!((0.0..=1.0).contains(&alpha), "alpha must lie in [0, 1]");
     if l <= 0.0 {

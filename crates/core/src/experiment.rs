@@ -1,8 +1,8 @@
 //! Reusable experiment plumbing: building a simulator from a dataset,
 //! initialising personal networks, and measuring storage.
 //!
-//! The benchmark harness (one binary per paper figure) and the examples are
-//! thin layers over these helpers.
+//! The benchmark harness (the `paper_figures` binary, one `--figure` per
+//! paper figure) and the examples are thin layers over these helpers.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

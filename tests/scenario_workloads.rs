@@ -1,11 +1,11 @@
 //! End-to-end scenario coverage: every preset builds through the harness's
 //! single entry point (`HarnessArgs::scenario_config` → `World::build`) and
 //! runs its full event schedule — change batches and mass departures —
-//! through real lazy gossip cycles, exactly the way the fig/table drivers
+//! through real lazy gossip cycles, exactly the way the paper figures
 //! consume it.
 
 use p3q::prelude::*;
-use p3q_bench::{scenario_event_queue, HarnessArgs, SimEvent, World};
+use p3q_bench::{scenario_event_queue, HarnessArgs, World};
 use p3q_trace::{Scenario, ScenarioEvent};
 use rand::SeedableRng;
 
@@ -183,10 +183,10 @@ fn eager_queries_survive_a_churn_heavy_scenario() {
 
     // Only the departures — profile changes would shift the centralized
     // reference the recall is measured against.
-    let mut events: EventQueue<SimEvent> = EventQueue::new();
+    let mut events = EventQueue::new();
     for (cycle, event) in &world.schedule {
-        if let ScenarioEvent::MassDeparture(f) = event {
-            events.schedule(*cycle, SimEvent::MassDeparture(*f));
+        if let ScenarioEvent::MassDeparture(_) = event {
+            events.schedule(*cycle, event.clone());
         }
     }
     let outcome = p3q_bench::run_recall_experiment_with_events(
