@@ -5,8 +5,9 @@
 //! RNGs derive from `stream_seed`, plan/commit code never iterates hash
 //! containers in an order-sensitive way, every `unsafe` carries a
 //! `// SAFETY:` justification, every root example/test source is registered
-//! in the explicit target tables, and external dependencies resolve through
-//! the `crates/compat` gate. This crate turns those conventions into a
+//! in the explicit target tables, external dependencies resolve through
+//! the `crates/compat` gate, and the library crates export only what
+//! something outside them calls. This crate turns those conventions into a
 //! checker that fails CI instead of a comment that hopes.
 //!
 //! It is deliberately **dependency-free** (the build environment has no
@@ -272,6 +273,7 @@ pub fn analyze(root: &Path) -> io::Result<Report> {
     }
     rules::target_registration(&ws, &mut raw_findings);
     rules::compat_gating(&ws, &mut raw_findings);
+    rules::unused_pub(&ws, &mut raw_findings);
 
     // Malformed annotations are findings in their own right: a typo'd rule
     // name would otherwise silently suppress nothing while looking like it

@@ -9,7 +9,7 @@
 //! the plan/commit module list is checked for hash iteration), the bound is
 //! part of the rule's documented contract below.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::lexer::{tokenize, SourceFile};
@@ -38,13 +38,18 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "target-registration",
-        "every root examples/*.rs and tests/*.rs must appear in the p3q-examples / \
-         p3q-integration explicit target tables",
+        "every root examples/*.rs and tests/*.rs must appear in the p3q-integration explicit \
+         target tables",
     ),
     (
         "compat-gating",
         "serde/rand/proptest/criterion must come through the crates/compat workspace gate \
          (`dep.workspace = true`), never a direct path/version dependency",
+    ),
+    (
+        "unused-pub",
+        "every `pub fn`/`pub const`/`pub static` of a library crate must be named outside that \
+         crate's src/ (another crate, its tests/, a root test or example)",
     ),
     (
         "allow-syntax",
@@ -80,6 +85,18 @@ pub const PLAN_COMMIT_MODULES: &[&str] = &[
     "crates/transport/src/runtime.rs",
     "crates/transport/src/actor.rs",
     "crates/transport/src/schedule.rs",
+];
+
+/// The library crates (`crates/<name>/src/`) whose public surface
+/// `unused-pub` checks.
+pub const LIBRARY_CRATES: &[&str] = &[
+    "bloom",
+    "topk",
+    "trace",
+    "gossip",
+    "sim",
+    "transport",
+    "core",
 ];
 
 /// Hash-ordered container types whose iteration order is unspecified.
@@ -393,40 +410,40 @@ fn registered_basenames(manifest: &Manifest, needle: &str) -> Vec<(usize, String
     out
 }
 
+/// The manifest whose `[[example]]` and `[[test]]` tables register every
+/// root example and test.
+const TARGET_MANIFEST: &str = "crates/integration/Cargo.toml";
+
 /// Rule `target-registration`: every root `examples/*.rs` / `tests/*.rs`
-/// source must appear in the explicit target tables (and every table entry
-/// must point at an existing file). Cargo silently ignores unregistered
-/// root sources because the target crates set `autoexamples = false` /
-/// `autotests = false`.
+/// source must appear in the explicit target tables of
+/// [`TARGET_MANIFEST`] (and every table entry must point at an existing
+/// file). Cargo silently ignores unregistered root sources because the
+/// target crate sets `autoexamples = false` / `autotests = false`.
 pub fn target_registration(ws: &Workspace, out: &mut Vec<Finding>) {
-    let cases: &[(&str, &str, &str)] = &[
-        ("examples", "crates/examples/Cargo.toml", "examples/"),
-        ("tests", "crates/integration/Cargo.toml", "tests/"),
-    ];
-    for &(dir, manifest_rel, needle) in cases {
+    for dir in ["examples", "tests"] {
+        let needle = format!("{dir}/");
         let sources: Vec<&SourceFile> = ws
             .files
             .iter()
             .filter(|f| {
-                f.rel_path.starts_with(&format!("{dir}/"))
-                    && !f.rel_path[dir.len() + 1..].contains('/')
+                f.rel_path.starts_with(&needle) && !f.rel_path[dir.len() + 1..].contains('/')
             })
             .collect();
         if sources.is_empty() {
             continue;
         }
-        let Some(manifest) = ws.manifests.iter().find(|m| m.rel_path == manifest_rel) else {
+        let Some(manifest) = ws.manifests.iter().find(|m| m.rel_path == TARGET_MANIFEST) else {
             out.push(Finding::new(
                 "target-registration",
-                manifest_rel,
+                TARGET_MANIFEST,
                 1,
                 format!(
-                    "root `{dir}/` has sources but the `{manifest_rel}` target table is missing"
+                    "root `{dir}/` has sources but the `{TARGET_MANIFEST}` target table is missing"
                 ),
             ));
             continue;
         };
-        let registered = registered_basenames(manifest, needle);
+        let registered = registered_basenames(manifest, &needle);
         for file in &sources {
             let base = Path::new(&file.rel_path)
                 .file_name()
@@ -438,7 +455,7 @@ pub fn target_registration(ws: &Workspace, out: &mut Vec<Finding>) {
                     &file.rel_path,
                     1,
                     format!(
-                        "root source not registered in `{manifest_rel}` — cargo silently \
+                        "root source not registered in `{TARGET_MANIFEST}` — cargo silently \
                          ignores it"
                     ),
                 ));
@@ -451,7 +468,7 @@ pub fn target_registration(ws: &Workspace, out: &mut Vec<Finding>) {
             {
                 out.push(Finding::new(
                     "target-registration",
-                    manifest_rel,
+                    TARGET_MANIFEST,
                     *line,
                     format!("stale target entry: `{dir}/{base}` does not exist"),
                 ));
@@ -522,5 +539,124 @@ pub fn compat_gating(ws: &Workspace, out: &mut Vec<Finding>) {
                 }
             }
         }
+    }
+}
+
+/// Index into [`LIBRARY_CRATES`] of the crate whose `src/` holds `rel_path`.
+fn library_src_crate(rel_path: &str) -> Option<usize> {
+    let rest = rel_path.strip_prefix("crates/")?;
+    LIBRARY_CRATES.iter().position(|name| {
+        rest.strip_prefix(name)
+            .is_some_and(|tail| tail.starts_with("/src/"))
+    })
+}
+
+/// The kind and name of the `pub fn` / `pub const` / `pub static` a line
+/// declares, if it declares one (`pub(crate)` and friends do not count).
+fn pub_item(toks: &[String]) -> Option<(&'static str, &str)> {
+    let rest: Vec<&str> = toks.iter().map(String::as_str).collect();
+    let (kind, name) = match rest.as_slice() {
+        ["pub", "fn", name, ..]
+        | ["pub", "const" | "unsafe" | "async", "fn", name, ..]
+        | ["pub", "const", "unsafe", "fn", name, ..] => ("fn", *name),
+        ["pub", "const", name, ..] => ("const", *name),
+        ["pub", "static", "mut", name, ..] | ["pub", "static", name, ..] => ("static", *name),
+        _ => return None,
+    };
+    is_ident(name).then_some((kind, name))
+}
+
+/// Rule `unused-pub`: a `pub fn`, `pub const` or `pub static` in
+/// `crates/<lib>/src/` (for each of [`LIBRARY_CRATES`], outside
+/// `#[cfg(test)]` modules) that no identifier token names in any scanned
+/// `.rs` file outside that crate's `src/` and outside `crates/analyze/`.
+/// Comments and string contents do not count: a doc link is not a caller.
+/// Other crates (the bench crate and its e2e package included), the
+/// crate's own `tests/`, and root `tests/` and `examples/` do.
+///
+/// Bound: the rule matches by name, so an item that shares its name with
+/// anything named elsewhere (`new`, `len`, another crate's function) is
+/// never reported, dead or not. It skips types, because a type reachable
+/// from a public signature must stay `pub`; once a function is narrowed to
+/// `pub(crate)`, rustc's `dead_code` lint takes over.
+pub fn unused_pub(ws: &Workspace, out: &mut Vec<Finding>) {
+    // Per identifier, a bit for each library crate whose src/ names it and
+    // bit `LIBRARY_CRATES.len()` for every other (non-analyzer) file.
+    let outside = 1u32 << LIBRARY_CRATES.len();
+    let mut named_by: BTreeMap<&str, u32> = BTreeMap::new();
+    let tokens: Vec<Vec<Vec<String>>> = ws
+        .files
+        .iter()
+        .map(|file| file.lines.iter().map(|l| tokenize(&l.code)).collect())
+        .collect();
+    for (file, lines) in ws.files.iter().zip(&tokens) {
+        if file.rel_path.starts_with("crates/analyze/") {
+            continue;
+        }
+        let bit = library_src_crate(&file.rel_path).map_or(outside, |c| 1 << c);
+        for tok in lines.iter().flatten().filter(|t| is_ident(t)) {
+            *named_by.entry(tok.as_str()).or_default() |= bit;
+        }
+    }
+    for (file, lines) in ws.files.iter().zip(&tokens) {
+        let Some(krate) = library_src_crate(&file.rel_path) else {
+            continue;
+        };
+        for (idx, (line, toks)) in file.lines.iter().zip(lines).enumerate() {
+            if line.in_test {
+                continue;
+            }
+            let Some((kind, name)) = pub_item(toks) else {
+                continue;
+            };
+            if named_by.get(name).copied().unwrap_or(0) & !(1 << krate) != 0 {
+                continue;
+            }
+            out.push(Finding::new(
+                "unused-pub",
+                &file.rel_path,
+                idx + 1,
+                format!(
+                    "`pub {kind} {name}` is named nowhere outside `crates/{}/src` — delete it or \
+                     narrow it to `pub(crate)`",
+                    LIBRARY_CRATES[krate]
+                ),
+            ));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn item(line: &str) -> Option<(&'static str, String)> {
+        pub_item(&tokenize(line)).map(|(kind, name)| (kind, name.to_string()))
+    }
+
+    #[test]
+    fn pub_item_reads_fns_consts_and_statics_only() {
+        assert_eq!(item("pub fn a() {"), Some(("fn", "a".into())));
+        assert_eq!(
+            item("    pub const fn b() -> u8 {"),
+            Some(("fn", "b".into()))
+        );
+        assert_eq!(item("pub unsafe fn c() {"), Some(("fn", "c".into())));
+        assert_eq!(item("pub const D: u8 = 1;"), Some(("const", "D".into())));
+        assert_eq!(
+            item("pub static mut E: u8 = 1;"),
+            Some(("static", "E".into()))
+        );
+        assert_eq!(item("pub(crate) fn f() {"), None);
+        assert_eq!(item("pub struct G;"), None);
+        assert_eq!(item("fn h() {"), None);
+    }
+
+    #[test]
+    fn library_src_crate_matches_whole_crate_names() {
+        assert_eq!(library_src_crate("crates/core/src/node.rs"), Some(6));
+        assert_eq!(library_src_crate("crates/core/tests/props.rs"), None);
+        assert_eq!(library_src_crate("crates/corex/src/lib.rs"), None);
+        assert_eq!(library_src_crate("tests/end_to_end.rs"), None);
     }
 }

@@ -2,7 +2,7 @@
 // Never compiled — scanned by the analyzer self-tests only.
 
 // VIOLATION: p3q-allow: hash-iter
-pub fn missing_reason() {}
+fn missing_reason() {}
 
 // VIOLATION: p3q-allow: no-such-rule — because I said so
-pub fn unknown_rule() {}
+fn unknown_rule() {}

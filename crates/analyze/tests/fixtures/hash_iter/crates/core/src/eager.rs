@@ -6,7 +6,7 @@ pub struct Node {
     pub tasks: HashMap<u64, u32>,
 }
 
-pub fn drain_all(node: &mut Node) -> u64 {
+fn drain_all(node: &mut Node) -> u64 {
     let mut total = 0;
     // VIOLATION: `.drain()` surfaces HashMap's unspecified order.
     for (_, v) in node.tasks.drain() {
@@ -15,7 +15,7 @@ pub fn drain_all(node: &mut Node) -> u64 {
     total
 }
 
-pub fn visit(node: &Node) -> u64 {
+fn visit(node: &Node) -> u64 {
     let mut total = 0;
     // VIOLATION: `for … in` over a hash-typed field.
     for (k, _) in &node.tasks {

@@ -2,13 +2,13 @@
 // path. Never compiled — scanned by the analyzer self-tests only.
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-pub fn plan_roll(cycle: u64) -> u64 {
+fn plan_roll(cycle: u64) -> u64 {
     // VIOLATION: raw seed, no stream_seed/splitmix derivation in sight.
     let mut rng = StdRng::seed_from_u64(cycle);
     rng.gen()
 }
 
-pub fn ambient_roll() -> u64 {
+fn ambient_roll() -> u64 {
     // VIOLATION: entropy-seeded RNG breaks replay.
     let mut rng = StdRng::from_entropy();
     rng.gen()

@@ -3,7 +3,7 @@
 // Never compiled — scanned by the analyzer self-tests only.
 use std::collections::HashMap;
 
-pub fn run_cycle(charges_by_node: &HashMap<usize, u64>, recorder: &mut Vec<(usize, u64)>) {
+fn run_cycle(charges_by_node: &HashMap<usize, u64>, recorder: &mut Vec<(usize, u64)>) {
     // VIOLATION: applying a batch's charges in HashMap order would make the
     // recorder's contents depend on the hasher.
     for (node, bytes) in charges_by_node.iter() {

@@ -1,3 +1,3 @@
-// VIOLATION: this example is not in the crates/examples target table, so
+// VIOLATION: this example is not in the crates/integration target table, so
 // cargo silently ignores it.
 fn main() {}

@@ -1,2 +1,2 @@
-// Fixture: this example IS registered in crates/examples/Cargo.toml.
+// Fixture: this example IS registered in crates/integration/Cargo.toml.
 fn main() {}

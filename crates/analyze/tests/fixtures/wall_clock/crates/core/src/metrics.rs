@@ -2,17 +2,17 @@
 // Never compiled — scanned by the analyzer self-tests only.
 use std::time::{Instant, SystemTime};
 
-pub fn cycle_deadline() -> Instant {
+fn cycle_deadline() -> Instant {
     // VIOLATION: ambient time in simulation logic.
     Instant::now()
 }
 
-pub fn stamp() -> SystemTime {
+fn stamp() -> SystemTime {
     // VIOLATION: ambient time in simulation logic.
     SystemTime::now()
 }
 
-pub fn worker_label() -> String {
+fn worker_label() -> String {
     // VIOLATION: thread identity feeding logic.
     format!("{:?}", std::thread::current().id())
 }

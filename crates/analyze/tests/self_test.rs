@@ -134,6 +134,38 @@ fn allow_syntax_fixture_fires() {
 }
 
 #[test]
+fn unused_pub_fixture_fires() {
+    let report = analyze(&fixture("unused_pub")).unwrap();
+    assert_eq!(rules_fired(&report), ["unused-pub"]);
+    // A fn named only in its own crate, a const named only in its own
+    // `#[cfg(test)]` module, and a fn named elsewhere only in a comment
+    // and a string. The fn a root test calls is not reported.
+    assert_eq!(report.findings.len(), 3, "{:#?}", report.findings);
+    for name in [
+        "crate_local_helper",
+        "TEST_ONLY_LIMIT",
+        "mentioned_in_a_comment",
+    ] {
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.message.contains(&format!(" {name}`"))),
+            "{name}: {:#?}",
+            report.findings
+        );
+    }
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| f.file == "crates/topk/src/lib.rs"));
+    // The annotated item is allowed, not silent.
+    assert_eq!(report.allowed.len(), 1, "{:#?}", report.allowed);
+    assert_eq!(report.allowed[0].rule, "unused-pub");
+    assert!(report.allowed[0].message.contains("kept_by_annotation"));
+}
+
+#[test]
 fn clean_fixture_is_quiet() {
     let report = analyze(&fixture("clean")).unwrap();
     assert!(report.findings.is_empty(), "{:#?}", report.findings);
@@ -173,6 +205,7 @@ fn cli_exit_codes_match_report() {
         "safety_comment",
         "target_registration",
         "compat_gating",
+        "unused_pub",
         "allow_syntax",
     ] {
         let out = Command::new(bin)

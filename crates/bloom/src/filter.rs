@@ -3,7 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::hashing::hash_pair;
-use crate::{PAPER_FILTER_BITS, PAPER_FILTER_HASHES};
 
 /// A fixed-size Bloom filter over 64-bit keys.
 ///
@@ -37,12 +36,6 @@ impl BloomFilter {
             num_hashes,
             inserted: 0,
         }
-    }
-
-    /// Creates a filter with the parameters used throughout the paper's
-    /// evaluation (20 Kbit, 7 hashes).
-    pub fn with_paper_parameters() -> Self {
-        Self::new(PAPER_FILTER_BITS, PAPER_FILTER_HASHES)
     }
 
     /// Inserts a key.
@@ -142,14 +135,6 @@ impl BloomFilter {
     /// Fraction of bits set to one (the filter's fill ratio).
     pub fn fill_ratio(&self) -> f64 {
         self.ones() as f64 / self.bit_len as f64
-    }
-
-    /// Estimated false-positive probability for the *current* fill ratio.
-    ///
-    /// For a filter with fill ratio `p` and `k` hashes, a key not in the set
-    /// tests positive with probability `p^k`.
-    pub fn false_positive_rate(&self) -> f64 {
-        self.fill_ratio().powi(self.num_hashes as i32)
     }
 
     /// Returns `true` if the two filters share at least one set bit position.
@@ -315,6 +300,17 @@ impl ProbeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PAPER_FILTER_BITS, PAPER_FILTER_HASHES};
+
+    fn paper_filter() -> BloomFilter {
+        BloomFilter::new(PAPER_FILTER_BITS, PAPER_FILTER_HASHES)
+    }
+
+    /// Share of `probes` keys never inserted that `f` reports as present.
+    fn measured_false_positives(f: &BloomFilter, probes: u64) -> f64 {
+        let absent = 1_000_000..1_000_000 + probes;
+        absent.filter(|&k| f.contains(k)).count() as f64 / probes as f64
+    }
 
     #[test]
     fn no_false_negatives() {
@@ -338,19 +334,12 @@ mod tests {
 
     #[test]
     fn false_positive_rate_is_low_at_paper_parameters() {
-        let mut f = BloomFilter::with_paper_parameters();
+        let mut f = paper_filter();
         // Average delicious profile: 249 items.
         for k in 0..249u64 {
             f.insert(k);
         }
-        let mut false_positives = 0usize;
-        let probes = 100_000u64;
-        for k in 1_000_000..1_000_000 + probes {
-            if f.contains(k) {
-                false_positives += 1;
-            }
-        }
-        let rate = false_positives as f64 / probes as f64;
+        let rate = measured_false_positives(&f, 100_000);
         assert!(
             rate < 0.001,
             "paper claims ~0.1% false positives, measured {rate}"
@@ -359,12 +348,12 @@ mod tests {
 
     #[test]
     fn false_positive_rate_stays_reasonable_for_large_profiles() {
-        let mut f = BloomFilter::with_paper_parameters();
+        let mut f = paper_filter();
         // 99th-percentile delicious profile: 2000 items.
         for k in 0..2000u64 {
             f.insert(k);
         }
-        assert!(f.false_positive_rate() < 0.01);
+        assert!(measured_false_positives(&f, 100_000) < 0.01);
     }
 
     #[test]
@@ -417,7 +406,7 @@ mod tests {
     fn size_bytes_rounds_up() {
         assert_eq!(BloomFilter::new(9, 1).size_bytes(), 2);
         assert_eq!(BloomFilter::new(8, 1).size_bytes(), 1);
-        assert_eq!(BloomFilter::with_paper_parameters().size_bytes(), 2560);
+        assert_eq!(paper_filter().size_bytes(), 2560);
     }
 
     #[test]

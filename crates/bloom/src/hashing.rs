@@ -11,7 +11,7 @@
 /// Every input bit affects every output bit with probability close to 1/2,
 /// which is what Bloom filters need from their hash family.
 #[inline]
-pub fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -9,8 +9,8 @@
 //!
 //! The paper sizes the filter at 20 Kbit per user, which for the observed
 //! average of 249 tagged items per user yields a false-positive rate of about
-//! 0.1%. [`BloomFilter::with_paper_parameters`] reproduces that configuration
-//! and [`BloomBuilder`] lets callers size a filter for any target
+//! 0.1%. [`PAPER_FILTER_BITS`] and [`PAPER_FILTER_HASHES`] give that
+//! configuration and [`BloomBuilder`] lets callers size a filter for any target
 //! false-positive rate.
 //!
 //! The implementation is self-contained (no third-party hashing crates): it
@@ -26,7 +26,7 @@ mod hashing;
 
 pub use builder::BloomBuilder;
 pub use filter::{BloomFilter, ProbeSet};
-pub use hashing::{hash_pair, mix64};
+pub use hashing::hash_pair;
 
 /// A reference-counted, immutably shared Bloom filter.
 ///
@@ -52,7 +52,7 @@ mod tests {
 
     #[test]
     fn paper_parameters_are_consistent() {
-        let f = BloomFilter::with_paper_parameters();
+        let f = BloomFilter::new(PAPER_FILTER_BITS, PAPER_FILTER_HASHES);
         assert_eq!(f.bit_len(), PAPER_FILTER_BITS);
         assert_eq!(f.num_hashes(), PAPER_FILTER_HASHES);
         // 20 Kbit == 2560 bytes of payload.

@@ -43,9 +43,6 @@ pub fn cycles_to_completion(alpha: f64, l: f64, x: f64) -> f64 {
     1.0 - ((1.0 - a) * l / x + a).ln() / a.ln()
 }
 
-/// The α that minimises `R(α)` (Theorem 2.2): 0.5.
-pub const OPTIMAL_ALPHA: f64 = 0.5;
-
 /// Upper bound on the number of users involved in processing a query that
 /// completes in `r_alpha` cycles (Theorem 2.3): `2^R(α)`.
 pub fn max_users_involved(r_alpha: f64) -> f64 {
@@ -56,12 +53,6 @@ pub fn max_users_involved(r_alpha: f64) -> f64 {
 /// (Theorem 2.3): `2^R(α) − 1`.
 pub fn max_partial_results(r_alpha: f64) -> f64 {
     2f64.powf(r_alpha) - 1.0
-}
-
-/// Upper bound on the number of eager gossip messages transmitting remaining
-/// lists (Theorem 2.4): `2 · (2^R(α) − 1)`.
-pub fn max_eager_messages(r_alpha: f64) -> f64 {
-    2.0 * (2f64.powf(r_alpha) - 1.0)
 }
 
 /// Simulates the deterministic recurrence of Theorem 2.1's proof directly
@@ -184,7 +175,6 @@ mod tests {
         let r = 4.0;
         assert_eq!(max_users_involved(r), 16.0);
         assert_eq!(max_partial_results(r), 15.0);
-        assert_eq!(max_eager_messages(r), 30.0);
     }
 
     #[test]

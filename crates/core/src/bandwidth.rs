@@ -15,18 +15,16 @@
 
 use serde::{Deserialize, Serialize};
 
-use p3q_trace::Profile;
-
 /// Bytes of a user identifier on the wire.
-pub const USER_ID_BYTES: usize = 4;
+pub(crate) const USER_ID_BYTES: usize = 4;
 /// Bytes of an item identifier (128-bit hash) on the wire.
-pub const ITEM_ID_BYTES: usize = 16;
+pub(crate) const ITEM_ID_BYTES: usize = 16;
 /// Bytes of a tag string on the wire.
-pub const TAG_BYTES: usize = 16;
+pub(crate) const TAG_BYTES: usize = 16;
 /// Bytes of one tagging action (item + tag + owning user).
 pub const TAGGING_ACTION_BYTES: usize = ITEM_ID_BYTES + TAG_BYTES + USER_ID_BYTES;
 /// Bytes of one partial-result entry (item + integer score).
-pub const RESULT_ENTRY_BYTES: usize = ITEM_ID_BYTES + 4;
+pub(crate) const RESULT_ENTRY_BYTES: usize = ITEM_ID_BYTES + 4;
 
 /// Traffic categories used by the bandwidth recorder. Keeping them in one
 /// place makes the per-figure breakdowns (Figure 6, Section 3.3.2)
@@ -38,9 +36,9 @@ pub mod category {
     pub const LAZY_DIGESTS: &str = "lazy_digests";
     /// Common items and their tags exchanged to compute similarity scores
     /// (step 2 of Algorithm 1).
-    pub const LAZY_COMMON: &str = "lazy_common_items";
+    pub(crate) const LAZY_COMMON: &str = "lazy_common_items";
     /// Full profiles transferred for storage (step 3 of Algorithm 1).
-    pub const LAZY_PROFILES: &str = "lazy_profiles";
+    pub(crate) const LAZY_PROFILES: &str = "lazy_profiles";
     /// Remaining lists forwarded from gossip initiator to destination.
     pub const EAGER_FORWARDED: &str = "eager_forwarded_remaining";
     /// Remaining lists returned from destination to initiator.
@@ -52,20 +50,20 @@ pub mod category {
 }
 
 /// Wire size of a remaining list of `len` user identifiers.
-pub fn remaining_list_bytes(len: usize) -> usize {
+pub(crate) fn remaining_list_bytes(len: usize) -> usize {
     len * USER_ID_BYTES
 }
 
 /// Wire size of a partial result list of `entries` items, including the list
 /// of users whose profiles were used (`used_profiles` identifiers), which the
 /// paper sends in the same message.
-pub fn partial_result_bytes(entries: usize, used_profiles: usize) -> usize {
+pub(crate) fn partial_result_bytes(entries: usize, used_profiles: usize) -> usize {
     entries * RESULT_ENTRY_BYTES + used_profiles * USER_ID_BYTES
 }
 
 /// Wire size of a batch of tagging actions (common items with their tags, or
 /// a full profile).
-pub fn tagging_actions_bytes(actions: usize) -> usize {
+pub(crate) fn tagging_actions_bytes(actions: usize) -> usize {
     actions * TAGGING_ACTION_BYTES
 }
 
@@ -81,26 +79,6 @@ pub fn bits_per_second(bytes: u64, cycles: u64, seconds_per_cycle: f64) -> f64 {
         return 0.0;
     }
     (bytes * 8) as f64 / (cycles as f64 * seconds_per_cycle)
-}
-
-/// Per-user storage requirement (Figure 5): the paper measures it as the sum
-/// of the lengths (numbers of tagging actions) of the profiles stored in the
-/// personal network.
-pub fn storage_requirement_actions<'a, I>(stored_profiles: I) -> usize
-where
-    I: IntoIterator<Item = &'a Profile>,
-{
-    stored_profiles.into_iter().map(Profile::len).sum()
-}
-
-/// The same requirement converted to bytes with the paper's 36-byte action
-/// model ("storing 10 profiles in the personal network requires only
-/// 12.5 MB").
-pub fn storage_requirement_bytes<'a, I>(stored_profiles: I) -> usize
-where
-    I: IntoIterator<Item = &'a Profile>,
-{
-    storage_requirement_actions(stored_profiles) * TAGGING_ACTION_BYTES
 }
 
 /// A per-query traffic breakdown in the three categories of Figure 6.
@@ -128,7 +106,10 @@ impl QueryTraffic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p3q_trace::{ItemId, TagId, TaggingAction};
+    use crate::experiment::storage_requirements;
+    use crate::node::P3qNode;
+    use p3q_sim::Simulator;
+    use p3q_trace::{ItemId, Profile, TagId, TaggingAction, UserId};
 
     #[test]
     fn constants_match_the_paper() {
@@ -166,8 +147,16 @@ mod tests {
             TaggingAction::new(ItemId(2), TagId(1)),
         ]);
         let p2 = Profile::from_actions(vec![TaggingAction::new(ItemId(3), TagId(2))]);
-        assert_eq!(storage_requirement_actions([&p1, &p2]), 3);
-        assert_eq!(storage_requirement_bytes([&p1, &p2]), 108);
+        // Figure 5's per-user storage requirement, converted to bytes with
+        // the paper's 36-byte action model.
+        let mut node = P3qNode::new(UserId(0), p2.clone(), 5, 3, 2, 1024, 4);
+        for (peer, p) in [(1, p1), (2, p2)] {
+            node.record_neighbour(UserId(peer), 1, p.digest(1024, 4), 1);
+            node.store_profile(UserId(peer), p, 1);
+        }
+        let actions = storage_requirements(&Simulator::new(vec![node], 0));
+        assert_eq!(actions, [3]);
+        assert_eq!(actions[0] * TAGGING_ACTION_BYTES, 108);
     }
 
     #[test]

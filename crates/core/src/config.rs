@@ -143,13 +143,6 @@ impl P3qConfig {
         self
     }
 
-    /// Returns a copy with a different top-k.
-    pub fn with_top_k(mut self, k: usize) -> Self {
-        self.top_k = k;
-        self.validate();
-        self
-    }
-
     /// The lazy mode ([`LazyProtocol`](crate::lazy::LazyProtocol)) over a
     /// copy of this configuration — the protocol value handed to a
     /// runtime's `drive` entry.
@@ -212,7 +205,7 @@ impl P3qConfig {
     ///
     /// # Panics
     /// Panics if `neighbour_staleness_limit` is nonzero.
-    pub fn validate_eager_only(&self) {
+    pub(crate) fn validate_eager_only(&self) {
         assert!(
             self.neighbour_staleness_limit == 0,
             "neighbour_staleness_limit = {} in an eager-only run: only lazy \
@@ -255,7 +248,11 @@ mod tests {
 
     #[test]
     fn with_alpha_and_top_k_update_fields() {
-        let cfg = P3qConfig::tiny().with_alpha(0.3).with_top_k(20);
+        let cfg = P3qConfig {
+            top_k: 20,
+            ..P3qConfig::tiny().with_alpha(0.3)
+        };
+        cfg.validate();
         assert!((cfg.alpha - 0.3).abs() < 1e-12);
         assert_eq!(cfg.top_k, 20);
     }
@@ -308,6 +305,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "top_k")]
     fn zero_top_k_rejected() {
-        let _ = P3qConfig::tiny().with_top_k(0);
+        P3qConfig {
+            top_k: 0,
+            ..P3qConfig::tiny()
+        }
+        .validate();
     }
 }

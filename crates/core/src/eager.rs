@@ -531,10 +531,10 @@ fn destination_process(
         found.push(dest.id);
         profiles.push(dest.profile());
     }
-    for (peer, profile, _) in dest.fresh_stored_profiles() {
+    for (peer, profile, _) in dest.shared_fresh_stored_profiles() {
         if remaining.contains(&peer) {
             found.push(peer);
-            profiles.push(profile);
+            profiles.push(profile.as_ref());
         }
     }
 

@@ -88,7 +88,7 @@ impl ExchangeStats {
 
 /// Collects the profiles a node proposes in one gossip exchange: a random
 /// subset of at most `limit` stored profiles, plus the node's own profile.
-pub fn collect_offers(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Vec<ProfileOffer> {
+pub(crate) fn collect_offers(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Vec<ProfileOffer> {
     let mut stored: Vec<ProfileOffer> = node
         .personal_network
         .iter()
@@ -117,7 +117,7 @@ pub fn collect_offers(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Vec<Pro
 
 /// Processes the profiles received in a gossip exchange, following the
 /// 3-step protocol of Algorithm 1, and returns the byte counts incurred.
-pub fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> ExchangeStats {
+pub(crate) fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> ExchangeStats {
     let mut stats = ExchangeStats::default();
     for offer in offers {
         if offer.user == node.id {
@@ -206,7 +206,7 @@ pub fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> ExchangeSt
 /// counts each side incurred. Used by the lazy top layer and by the
 /// maintenance piggybacked on eager gossip — always from a commit, where
 /// both `&mut` sides are available.
-pub fn exchange_profiles(
+pub(crate) fn exchange_profiles(
     a: &mut P3qNode,
     b: &mut P3qNode,
     cfg: &P3qConfig,

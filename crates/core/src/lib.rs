@@ -162,7 +162,6 @@ pub mod baseline;
 pub mod config;
 pub mod eager;
 pub mod experiment;
-pub mod explicit;
 pub mod lazy;
 pub mod metrics;
 pub mod node;
@@ -174,7 +173,7 @@ pub mod storage;
 
 /// The most commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::analysis::{cycles_to_completion, OPTIMAL_ALPHA};
+    pub use crate::analysis::cycles_to_completion;
     pub use crate::baseline::{centralized_topk, IdealNetworks};
     pub use crate::config::P3qConfig;
     pub use crate::eager::{issue_query, querier_state, EagerProtocol, EagerTask};

@@ -128,14 +128,6 @@ impl RecallUnderLoss {
         }
         Some(self.latency_sum as f64 / self.completed_queries as f64)
     }
-
-    /// Bytes spent beyond a fault-free baseline run of the same workload:
-    /// retransmissions, duplicated carriers and re-bootstrap traffic all
-    /// land here. Saturates at 0 when faults happened to *save* bytes
-    /// (e.g. dropped carriers of an abandoned query).
-    pub fn wasted_bytes_vs(&self, baseline_total_bytes: u64) -> u64 {
-        self.total_bytes.saturating_sub(baseline_total_bytes)
-    }
 }
 
 /// Per-node freshness numbers behind the average update rate.
@@ -301,9 +293,6 @@ mod tests {
         assert!((m.average_recall() - 0.5).abs() < 1e-12);
         assert!((m.completion_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(m.average_latency_cycles(), Some(4.0));
-        m.total_bytes = 100;
-        assert_eq!(m.wasted_bytes_vs(60), 40);
-        assert_eq!(m.wasted_bytes_vs(150), 0, "waste saturates at zero");
     }
 
     #[test]

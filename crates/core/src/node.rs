@@ -90,7 +90,7 @@ impl<K: std::hash::Hash + Eq, V> LazyMap<K, V> {
     }
 
     /// Returns `true` if `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
+    pub(crate) fn contains_key(&self, key: &K) -> bool {
         self.inner.as_ref().is_some_and(|m| m.contains_key(key))
     }
 
@@ -206,7 +206,7 @@ impl NeighbourInfo {
     /// Returns `true` if a full profile copy is cached **and** it is at
     /// least as new as the freshest digest seen for this neighbour — i.e.
     /// the copy is safe to score queries against.
-    pub fn has_fresh_profile(&self) -> bool {
+    pub(crate) fn has_fresh_profile(&self) -> bool {
         self.profile.is_some() && self.profile_version >= self.digest_version
     }
 }
@@ -344,7 +344,7 @@ impl P3qNode {
     /// construction or after profile dynamics and kept beside the digest —
     /// every plan, offer batch and piggybacked exchange of one profile
     /// version reads the same column, and a cloned node shares it.
-    pub fn item_probes(&self) -> &ProbeSet {
+    pub(crate) fn item_probes(&self) -> &ProbeSet {
         self.probes.get_or_init(|| {
             Arc::new(ProbeSet::new(
                 self.digest_bits as usize,
@@ -354,23 +354,9 @@ impl P3qNode {
         })
     }
 
-    /// Forces the pending digest rebuild now (no-op if the digest is
-    /// current). By default the cost lands lazily on the first gossip read
-    /// after a batch of [`Self::add_tagging_actions`]; call this to pin it
-    /// to a deterministic point instead (e.g. when timing a cycle).
-    pub fn flush_digest(&mut self) {
-        let _ = self.shared_digest();
-    }
-
     /// The node's storage budget `c`.
     pub fn storage_budget(&self) -> usize {
         self.storage_budget as usize
-    }
-
-    /// Changes the storage budget and re-applies the storage rule.
-    pub fn set_storage_budget(&mut self, budget: usize) {
-        self.storage_budget = u32::try_from(budget.max(1)).expect("storage budget fits u32");
-        self.enforce_storage_budget();
     }
 
     /// Adds new tagging actions to the node's own profile (profile dynamics),
@@ -412,7 +398,7 @@ impl P3qNode {
     /// `digest_version` is newer, the copy is **stale** (its owner changed
     /// her profile since it was taken) and stops counting as fresh for
     /// query scoring ([`NeighbourInfo::has_fresh_profile`],
-    /// [`Self::fresh_stored_profiles`]) until [`Self::store_profile`]
+    /// [`Self::shared_fresh_stored_profiles`]) until [`Self::store_profile`]
     /// refreshes it. It is deliberately *not* dropped — stale copies are
     /// what the refresh metrics (Table 2, AUR) measure, and they still feed
     /// the common-item exchanges of lazy gossip.
@@ -420,7 +406,7 @@ impl P3qNode {
     /// Returns `true` if the neighbour is part of the personal network after
     /// the call (it may be rejected if the network is full of better
     /// neighbours).
-    pub fn record_neighbour(
+    pub(crate) fn record_neighbour(
         &mut self,
         peer: UserId,
         score: u64,
@@ -454,7 +440,7 @@ impl P3qNode {
     /// Stores (or refreshes) the full profile of a personal-network
     /// neighbour. The storage rule (only the `c` best neighbours keep a full
     /// profile) is re-applied afterwards; returns `true` if the copy was kept.
-    pub fn store_profile(
+    pub(crate) fn store_profile(
         &mut self,
         peer: UserId,
         profile: impl Into<SharedProfile>,
@@ -470,37 +456,23 @@ impl P3qNode {
     }
 
     /// Applies the storage rule: only the `c` most similar neighbours keep a
-    /// cached profile copy.
-    pub fn enforce_storage_budget(&mut self) {
-        let keep: Vec<UserId> = self
-            .personal_network
-            .top_peers(self.storage_budget as usize);
-        let drop_peers: Vec<UserId> = self
-            .personal_network
-            .iter()
-            .filter(|e| e.meta.profile.is_some() && !keep.contains(&e.peer))
-            .map(|e| e.peer)
-            .collect();
-        for peer in drop_peers {
-            if let Some(entry) = self.personal_network.get_mut(&peer) {
-                entry.meta.profile = None;
-                entry.meta.profile_version = 0;
+    /// cached profile copy. The view is ordered by (score descending, peer
+    /// ascending), so those are its first `c` entries, and every entry from
+    /// rank `c` on drops its copy.
+    pub(crate) fn enforce_storage_budget(&mut self) {
+        let c = self.storage_budget as usize;
+        for meta in self.personal_network.meta_mut_from_rank(c) {
+            if meta.profile.take().is_some() {
+                meta.profile_version = 0;
             }
         }
     }
 
     /// Returns `true` if the full profile of `peer` is stored locally.
-    pub fn has_stored_profile(&self, peer: &UserId) -> bool {
+    pub(crate) fn has_stored_profile(&self, peer: &UserId) -> bool {
         self.personal_network
             .get(peer)
             .is_some_and(|e| e.meta.profile.is_some())
-    }
-
-    /// The cached profile of `peer`, if stored.
-    pub fn stored_profile(&self, peer: &UserId) -> Option<&Profile> {
-        self.personal_network
-            .get(peer)
-            .and_then(|e| e.meta.profile.as_deref())
     }
 
     /// Iterates over `(peer, cached profile, cached version)` for every
@@ -521,21 +493,8 @@ impl P3qNode {
 
     /// Like [`Self::stored_profiles`], but yielding only **fresh** copies
     /// (at least as new as the freshest digest seen for their owner) — the
-    /// set query scoring is allowed to resolve from.
-    pub fn fresh_stored_profiles(&self) -> impl Iterator<Item = (UserId, &Profile, u64)> {
-        self.personal_network.iter().filter_map(|e| {
-            if !e.meta.has_fresh_profile() {
-                return None;
-            }
-            e.meta
-                .profile
-                .as_deref()
-                .map(|p| (e.peer, p, u64::from(e.meta.profile_version)))
-        })
-    }
-
-    /// [`Self::fresh_stored_profiles`] with shareable handles.
-    pub fn shared_fresh_stored_profiles(
+    /// set query scoring is allowed to resolve from — as shareable handles.
+    pub(crate) fn shared_fresh_stored_profiles(
         &self,
     ) -> impl Iterator<Item = (UserId, &SharedProfile, u64)> {
         self.personal_network.iter().filter_map(|e| {
@@ -547,14 +506,6 @@ impl P3qNode {
                 .as_ref()
                 .map(|p| (e.peer, p, u64::from(e.meta.profile_version)))
         })
-    }
-
-    /// Returns `true` if a fresh (non-stale) profile copy of `peer` is
-    /// stored locally.
-    pub fn has_fresh_stored_profile(&self, peer: &UserId) -> bool {
-        self.personal_network
-            .get(peer)
-            .is_some_and(|e| e.meta.has_fresh_profile())
     }
 
     /// Personal-network neighbours whose profiles are *not* stored locally —
@@ -572,7 +523,7 @@ impl P3qNode {
     /// owner's profile dynamics. This is the remaining list of a query
     /// issued after dynamics — a stale copy must be re-fetched, not silently
     /// scored.
-    pub fn peers_missing_fresh_profile(&self) -> Vec<UserId> {
+    pub(crate) fn peers_missing_fresh_profile(&self) -> Vec<UserId> {
         self.personal_network
             .iter()
             .filter(|e| !e.meta.has_fresh_profile())
@@ -610,7 +561,7 @@ impl P3qNode {
     /// staleness is the node-local signal for "this neighbour is gone".
     /// Cached profile copies of evicted neighbours are dropped with their
     /// entries.
-    pub fn evict_stale_neighbours(&mut self, limit: u32) -> usize {
+    pub(crate) fn evict_stale_neighbours(&mut self, limit: u32) -> usize {
         let stale: Vec<UserId> = self
             .personal_network
             .iter()
@@ -747,6 +698,44 @@ mod tests {
     use super::*;
     use p3q_trace::TagId;
 
+    impl P3qNode {
+        /// The cached profile of `peer`, if stored.
+        pub(crate) fn stored_profile(&self, peer: &UserId) -> Option<&Profile> {
+            self.personal_network
+                .get(peer)
+                .and_then(|e| e.meta.profile.as_deref())
+        }
+
+        /// Returns `true` if a fresh (non-stale) profile copy of `peer` is
+        /// stored locally.
+        pub(crate) fn has_fresh_stored_profile(&self, peer: &UserId) -> bool {
+            self.personal_network
+                .get(peer)
+                .is_some_and(|e| e.meta.has_fresh_profile())
+        }
+
+        /// The storage rule as first written: collect the top `c` peers,
+        /// then drop every stored profile whose owner is not among them.
+        /// The oracle of [`P3qNode::enforce_storage_budget`].
+        fn enforce_storage_budget_reference(&mut self) {
+            let keep: Vec<UserId> = self
+                .personal_network
+                .top_peers(self.storage_budget as usize);
+            let drop_peers: Vec<UserId> = self
+                .personal_network
+                .iter()
+                .filter(|e| e.meta.profile.is_some() && !keep.contains(&e.peer))
+                .map(|e| e.peer)
+                .collect();
+            for peer in drop_peers {
+                if let Some(entry) = self.personal_network.get_mut(&peer) {
+                    entry.meta.profile = None;
+                    entry.meta.profile_version = 0;
+                }
+            }
+        }
+    }
+
     fn profile(actions: &[(u32, u32)]) -> Profile {
         Profile::from_actions(
             actions
@@ -830,9 +819,59 @@ mod tests {
             n.store_profile(UserId(peer), p, 1);
         }
         assert_eq!(n.stored_profile_count(), 3);
-        n.set_storage_budget(1);
+        n.storage_budget = 1;
+        n.enforce_storage_budget();
         assert_eq!(n.stored_profile_count(), 1);
         assert!(n.has_stored_profile(&UserId(3)));
+    }
+
+    /// [`P3qNode::store_profile`] under the reference storage rule.
+    fn store_profile_reference(n: &mut P3qNode, peer: UserId, p: Profile, version: u64) -> bool {
+        let Some(entry) = n.personal_network.get_mut(&peer) else {
+            return false;
+        };
+        entry.meta.profile = Some(Arc::new(p));
+        entry.meta.profile_version = compact_version(version);
+        n.enforce_storage_budget_reference();
+        n.has_stored_profile(&peer)
+    }
+
+    #[test]
+    fn one_pass_storage_rule_matches_the_reference_on_random_sequences() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x0570_7A6E);
+        let digest: SharedFilter = Arc::new(profile(&[(1, 1)]).digest(64, 2));
+        for case in 0..300 {
+            let s = rng.gen_range(1..=8usize);
+            let c = rng.gen_range(1..=s + 1);
+            let mut fast = P3qNode::new(UserId(0), profile(&[(1, 1)]), s, 3, c, 1024, 4);
+            let mut reference = fast.clone();
+            for step in 0..40u32 {
+                let peer = UserId(rng.gen_range(1..=12u32));
+                let version = rng.gen_range(0..4u64);
+                let (kept, kept_reference) = if rng.gen_bool(0.5) {
+                    let score = rng.gen_range(0..6u64);
+                    (
+                        fast.record_neighbour(peer, score, digest.clone(), version),
+                        reference.record_neighbour(peer, score, digest.clone(), version),
+                    )
+                } else {
+                    let p = profile(&[(peer.0, step)]);
+                    (
+                        fast.store_profile(peer, p.clone(), version),
+                        store_profile_reference(&mut reference, peer, p, version),
+                    )
+                };
+                assert_eq!(kept, kept_reference, "case {case}, step {step}");
+                assert_eq!(
+                    fast.fingerprint(),
+                    reference.fingerprint(),
+                    "case {case} (s = {s}, c = {c}), step {step}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -863,7 +902,6 @@ mod tests {
     #[test]
     fn digest_rebuild_is_batched_across_adds() {
         let mut n = node(2);
-        n.flush_digest();
         let before = n.shared_digest().clone();
         // Two adds without an intervening read: the digest cell stays cold
         // (no rebuild per call) …
@@ -876,11 +914,10 @@ mod tests {
             !Arc::ptr_eq(n.shared_digest(), &before),
             "the digest must be a fresh filter after dynamics"
         );
-        let flushed = n.shared_digest().clone();
-        n.flush_digest();
+        let current = n.shared_digest().clone();
         assert!(
-            Arc::ptr_eq(n.shared_digest(), &flushed),
-            "flushing a current digest must not rebuild it"
+            Arc::ptr_eq(n.shared_digest(), &current),
+            "reading a current digest must not rebuild it"
         );
     }
 
@@ -936,7 +973,7 @@ mod tests {
         n.record_neighbour(UserId(1), 4, d2.clone(), 2);
         assert!(n.has_stored_profile(&UserId(1)));
         assert!(!n.has_fresh_stored_profile(&UserId(1)));
-        assert_eq!(n.fresh_stored_profiles().count(), 0);
+        assert_eq!(n.shared_fresh_stored_profiles().count(), 0);
         assert_eq!(n.peers_missing_fresh_profile(), vec![UserId(1)]);
 
         // A relayed offer carrying the *old* digest must not whitewash the

@@ -73,7 +73,11 @@ impl QuerierState {
 
     /// Feeds one partial result list (plus the set of profiles it was built
     /// from) into the querier's NRA.
-    pub fn absorb_partial_result(&mut self, list: PartialResultList<ItemId>, used: &[UserId]) {
+    pub(crate) fn absorb_partial_result(
+        &mut self,
+        list: PartialResultList<ItemId>,
+        used: &[UserId],
+    ) {
         for &user in used {
             self.used_profiles.insert(user);
         }
@@ -110,7 +114,7 @@ impl QuerierState {
     }
 
     /// Marks the completion cycle the first time the query becomes complete.
-    pub fn mark_complete_if_done(&mut self, cycle: u64) {
+    pub(crate) fn mark_complete_if_done(&mut self, cycle: u64) {
         if self.completed_cycle.is_none() && self.is_complete() {
             self.completed_cycle = Some(cycle);
         }
@@ -124,7 +128,7 @@ impl QuerierState {
     /// Returns `true` if the query has a deadline, the deadline has passed
     /// and the query is still incomplete — the querier stops re-gossiping
     /// it (its latency is reported as "lost" by the loss metrics).
-    pub fn is_expired(&self, cycle: u64) -> bool {
+    pub(crate) fn is_expired(&self, cycle: u64) -> bool {
         self.deadline_cycle != 0 && cycle >= self.deadline_cycle && !self.is_complete()
     }
 
@@ -142,7 +146,7 @@ impl QuerierState {
     /// correctness.
     ///
     /// Returns `true` if a retry fired.
-    pub fn maybe_retry(&mut self, cycle: u64, backoff_cycles: u64) -> bool {
+    pub(crate) fn maybe_retry(&mut self, cycle: u64, backoff_cycles: u64) -> bool {
         if self.is_complete() || self.is_expired(cycle) {
             return false;
         }
@@ -193,13 +197,8 @@ pub struct RemainingTask {
 }
 
 impl RemainingTask {
-    /// Returns `true` if nothing remains to be resolved by this node.
-    pub fn is_done(&self) -> bool {
-        self.remaining.is_empty()
-    }
-
     /// Returns `true` if this share has a TTL and it has lapsed.
-    pub fn is_expired(&self, cycle: u64) -> bool {
+    pub(crate) fn is_expired(&self, cycle: u64) -> bool {
         self.expires_cycle != 0 && cycle >= self.expires_cycle
     }
 }
@@ -267,24 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn remaining_task_done_flag() {
-        let t = RemainingTask {
-            query_id: QueryId(1),
-            querier: UserId(0),
-            query: query(),
-            remaining: vec![UserId(5)],
-            expires_cycle: 0,
-        };
-        assert!(!t.is_done());
-        assert!(!t.is_expired(u64::MAX), "0 means no TTL");
-        let done = RemainingTask {
-            remaining: vec![],
-            ..t
-        };
-        assert!(done.is_done());
-    }
-
-    #[test]
     fn remaining_task_ttl_lapses() {
         let t = RemainingTask {
             query_id: QueryId(1),
@@ -295,6 +276,11 @@ mod tests {
         };
         assert!(!t.is_expired(9));
         assert!(t.is_expired(10));
+        let no_ttl = RemainingTask {
+            expires_cycle: 0,
+            ..t
+        };
+        assert!(!no_ttl.is_expired(u64::MAX), "0 means no TTL");
     }
 
     #[test]

@@ -141,15 +141,9 @@ impl OnDemandNetworks {
         self.cache[user.index()].as_deref()
     }
 
-    /// Work counters accumulated since construction (or the last
-    /// [`reset_stats`](Self::reset_stats)).
+    /// Work counters accumulated since construction.
     pub fn stats(&self) -> ResolveStats {
         self.stats
-    }
-
-    /// Zeroes the work counters (the cache itself is untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = ResolveStats::default();
     }
 
     /// The personal network of `user`: the memoized one, or on a miss one
@@ -248,7 +242,7 @@ impl OnDemandNetworks {
     }
 
     /// Drops the cached entries of `users` (missing entries are fine).
-    pub fn invalidate<I: IntoIterator<Item = UserId>>(&mut self, users: I) {
+    pub(crate) fn invalidate<I: IntoIterator<Item = UserId>>(&mut self, users: I) {
         for user in users {
             if self.cache[user.index()].take().is_some() {
                 self.stats.evicted += 1;

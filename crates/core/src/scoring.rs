@@ -14,24 +14,6 @@ pub fn similarity(a: &Profile, b: &Profile) -> u64 {
     a.common_actions(b) as u64
 }
 
-/// `Score_{u_j, Q}(i)`: the number of query tags that user `u_j` used to
-/// annotate item `i`.
-pub fn item_score_for_profile(profile: &Profile, query: &Query, item: ItemId) -> u32 {
-    profile
-        .tags_for_item(item)
-        .filter(|tag| query.contains_tag(*tag))
-        .count() as u32
-}
-
-/// Computes the partial relevance scores contributed by one profile: every
-/// item of the profile that carries at least one query tag, with its
-/// `Score_{u_j, Q}(i)`, in ascending item order.
-pub fn profile_contribution(profile: &Profile, query: &Query) -> Vec<(ItemId, u32)> {
-    let mut out = Vec::new();
-    push_item_scores(profile, query, tag_screen(query), &mut out);
-    out
-}
-
 /// The query's tags as a one-word screen: bit `tag & 63` is set for every
 /// query tag. A tag whose bit is clear cannot be a query tag, so the screen
 /// never rejects a real match; a set bit still needs the exact search.
@@ -60,18 +42,6 @@ fn push_item_scores(profile: &Profile, query: &Query, screen: u64, out: &mut Vec
     }
 }
 
-/// Builds the partial result list of a user who holds `profiles`
-/// (`GoodProfiles(u_j, Q)` in the paper): for each item, the sum of
-/// `Score_{u_l, Q}(i)` over the held profiles, restricted to items with a
-/// positive score and sorted by descending score (Section 2.3).
-pub fn partial_result_list<'a, I>(profiles: I, query: &Query) -> PartialResultList<ItemId>
-where
-    I: IntoIterator<Item = &'a Profile>,
-{
-    let mut scratch = ScoreBuffer::default();
-    partial_result_list_buffered(profiles, query, &mut scratch)
-}
-
 /// Reusable scratch space for [`partial_result_list_buffered`].
 ///
 /// One buffer serves any number of calls; the accumulated capacity tracks
@@ -82,9 +52,14 @@ pub struct ScoreBuffer {
     pairs: Vec<(ItemId, u32)>,
 }
 
-/// [`partial_result_list`] with caller-owned scratch space: per-profile
-/// contributions accumulate into `scratch` and the final aggregation happens
-/// in place, leaving `scratch` empty but with its capacity intact.
+/// Builds the partial result list of a user who holds `profiles`
+/// (`GoodProfiles(u_j, Q)` in the paper): for each item, the sum of
+/// `Score_{u_l, Q}(i)` over the held profiles, restricted to items with a
+/// positive score and sorted by descending score (Section 2.3).
+///
+/// Per-profile contributions accumulate into the caller-owned `scratch`
+/// and the final aggregation happens in place, leaving `scratch` empty but
+/// with its capacity intact.
 pub fn partial_result_list_buffered<'a, I>(
     profiles: I,
     query: &Query,
@@ -131,6 +106,32 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
+
+    /// `Score_{u_j, Q}(i)`: the number of query tags that user `u_j` used
+    /// to annotate item `i`.
+    fn item_score_for_profile(profile: &Profile, query: &Query, item: ItemId) -> u32 {
+        profile
+            .tags_for_item(item)
+            .filter(|tag| query.contains_tag(*tag))
+            .count() as u32
+    }
+
+    /// The partial relevance scores contributed by one profile: every item
+    /// of the profile that carries at least one query tag, with its
+    /// `Score_{u_j, Q}(i)`, in ascending item order.
+    fn profile_contribution(profile: &Profile, query: &Query) -> Vec<(ItemId, u32)> {
+        let mut out = Vec::new();
+        push_item_scores(profile, query, tag_screen(query), &mut out);
+        out
+    }
+
+    /// [`partial_result_list_buffered`] with a scratch buffer of its own.
+    fn partial_result_list<'a, I>(profiles: I, query: &Query) -> PartialResultList<ItemId>
+    where
+        I: IntoIterator<Item = &'a Profile>,
+    {
+        partial_result_list_buffered(profiles, query, &mut ScoreBuffer::default())
+    }
 
     fn act(item: u32, tag: u32) -> TaggingAction {
         TaggingAction::new(ItemId(item), TagId(tag))

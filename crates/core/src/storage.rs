@@ -108,7 +108,7 @@ impl StorageDistribution {
     /// simulations (`s = 100` at laptop scale) the same proportions are kept
     /// by scaling each bucket by `s / 1000` (minimum 1 profile). With
     /// `s = 1000` the buckets are exactly those of Table 1.
-    pub fn assign<R: Rng + ?Sized>(
+    pub(crate) fn assign<R: Rng + ?Sized>(
         &self,
         num_users: usize,
         personal_network_size: usize,

@@ -39,7 +39,7 @@ where
 ///
 /// This is the *plan* half of a plan/commit shuffle — it only reads the
 /// view, so it can run against shared immutable state.
-pub fn shuffle_payload<P, M>(
+pub(crate) fn shuffle_payload<P, M>(
     view: &AgedView<P, M>,
     self_id: P,
     self_meta: M,
@@ -64,7 +64,7 @@ where
 ///
 /// Both the view's entries and the payload are moved into the merge pool,
 /// never cloned: the only copies a shuffle makes are the two payloads.
-pub fn absorb_shuffle<P, M, R>(
+pub(crate) fn absorb_shuffle<P, M, R>(
     view: &mut AgedView<P, M>,
     self_id: P,
     received: Vec<AgedEntry<P, M>>,

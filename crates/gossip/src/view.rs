@@ -98,6 +98,13 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
         self.entries.iter().take(n).map(|e| e.peer).collect()
     }
 
+    /// Mutable metadata of every entry ranked `n` or lower (0 = highest
+    /// score), in rank order. Peers, scores and staleness stay read-only,
+    /// so the ordering cannot break.
+    pub fn meta_mut_from_rank(&mut self, n: usize) -> impl Iterator<Item = &mut M> {
+        self.entries.iter_mut().skip(n).map(|e| &mut e.meta)
+    }
+
     /// Rank of a peer in the view (0 = highest score), if present.
     pub fn rank_of(&self, peer: &P) -> Option<usize> {
         self.entries.iter().position(|e| e.peer == *peer)
@@ -161,7 +168,7 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
     /// pick — the plan phase of a plan/commit protocol step, where partner
     /// choice happens against immutable state and the staleness reset is
     /// deferred to the commit ([`Self::reset_staleness`]).
-    pub fn oldest(&self) -> Option<P> {
+    pub(crate) fn oldest(&self) -> Option<P> {
         self.oldest_matching(|_| true)
     }
 
@@ -215,16 +222,6 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
     /// [`Self::oldest`] followed by [`Self::reset_staleness`].
     pub fn select_oldest_and_reset(&mut self) -> Option<P> {
         let peer = self.oldest()?;
-        self.reset_staleness(&peer);
-        Some(peer)
-    }
-
-    /// Selects, among an arbitrary candidate set, the member of this view
-    /// with the largest staleness, resetting it (Algorithm 3 line 4–6: pick
-    /// the remaining-list user with the maximum timestamp). Returns `None`
-    /// if no candidate is in the view.
-    pub fn select_oldest_among_and_reset(&mut self, candidates: &[P]) -> Option<P> {
-        let peer = self.oldest_matching(|e| candidates.contains(&e.peer))?;
         self.reset_staleness(&peer);
         Some(peer)
     }
@@ -324,7 +321,7 @@ impl<P: Copy + Eq + Hash + Ord, M: Clone> AgedView<P, M> {
     /// Moves the entries out, leaving the view empty (the shuffle merges
     /// them with the received payload and hands the survivors back through
     /// [`Self::replace_with`]).
-    pub fn take_entries(&mut self) -> Vec<AgedEntry<P, M>> {
+    pub(crate) fn take_entries(&mut self) -> Vec<AgedEntry<P, M>> {
         std::mem::take(&mut self.entries)
     }
 
@@ -332,7 +329,7 @@ impl<P: Copy + Eq + Hash + Ord, M: Clone> AgedView<P, M> {
     /// capacity if needed, and gives back the buffer's slack: the shuffle
     /// hands over its 2r + 1-slot merge pool, and a view that kept it would
     /// hold twice its r entries' worth of memory on every node.
-    pub fn replace_with(&mut self, mut entries: Vec<AgedEntry<P, M>>) {
+    pub(crate) fn replace_with(&mut self, mut entries: Vec<AgedEntry<P, M>>) {
         entries.truncate(self.capacity);
         entries.shrink_to_fit();
         self.entries = entries;
@@ -465,8 +462,22 @@ mod tests {
         v.upsert(1, 10, ());
         v.upsert(2, 20, ());
         v.tick();
-        assert_eq!(v.select_oldest_among_and_reset(&[2, 9]), Some(2));
-        assert_eq!(v.select_oldest_among_and_reset(&[9]), None);
+        assert_eq!(v.oldest_matching(|e| [2, 9].contains(&e.peer)), Some(2));
+        assert_eq!(v.oldest_matching(|e| e.peer == 9), None);
+    }
+
+    #[test]
+    fn meta_mut_from_rank_reaches_exactly_the_tail() {
+        let mut v: ScoredView<u32, u32> = ScoredView::new(4);
+        for (peer, score) in [(1, 10), (2, 30), (3, 20), (4, 20)] {
+            v.upsert(peer, score, 0);
+        }
+        for meta in v.meta_mut_from_rank(2) {
+            *meta = 1;
+        }
+        let marked: Vec<(u32, u32)> = v.iter().map(|e| (e.peer, e.meta)).collect();
+        assert_eq!(marked, [(2, 0), (3, 0), (4, 1), (1, 1)]);
+        assert_eq!(v.meta_mut_from_rank(4).count(), 0);
     }
 
     #[test]

@@ -1,1 +1,1 @@
-//! Integration test crate: see repository-level tests/ directory.
+//! Target-table crate: registers the repository-level examples/ and tests/ directories (see README.md).

@@ -173,11 +173,6 @@ impl BandwidthRecorder {
         self.total_bytes += other.total_bytes;
         self.total_messages += other.total_messages;
     }
-
-    /// Clears all counters.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 #[cfg(test)]
@@ -186,6 +181,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
+
+    impl BandwidthRecorder {
+        /// Clears all counters.
+        fn reset(&mut self) {
+            *self = Self::default();
+        }
+    }
 
     /// The recorder as it is defined: one hash entry per key.
     #[derive(Default)]

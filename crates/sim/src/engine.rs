@@ -162,11 +162,6 @@ impl<N> Simulator<N> {
         self.nodes.as_slice()
     }
 
-    /// All node states, mutable.
-    pub fn nodes_mut(&mut self) -> &mut [N] {
-        self.nodes.as_mut_slice()
-    }
-
     /// The shard-partitioned node store backing the simulator.
     pub fn node_store(&self) -> &NodeStore<N> {
         &self.nodes
@@ -183,16 +178,6 @@ impl<N> Simulator<N> {
         F: Fn(usize, &mut N) + Sync,
     {
         self.nodes.for_each_mut_sharded(threads, f);
-    }
-
-    /// Simultaneous mutable access to two distinct nodes — the shape of every
-    /// pairwise gossip exchange (used by the sequential reference path and
-    /// by bespoke drivers).
-    ///
-    /// # Panics
-    /// Panics if `a == b` or either index is out of bounds.
-    pub fn pair_mut(&mut self, a: usize, b: usize) -> (&mut N, &mut N) {
-        self.nodes.pair_mut(a, b)
     }
 
     /// The membership (who is alive).
@@ -565,12 +550,12 @@ mod tests {
     fn pair_mut_gives_two_distinct_references() {
         let mut sim = counters(3, 3);
         {
-            let (a, b) = sim.pair_mut(0, 2);
+            let (a, b) = sim.nodes.pair_mut(0, 2);
             a.initiated += 1;
             b.initiated += 1;
         }
         {
-            let (a, b) = sim.pair_mut(2, 1);
+            let (a, b) = sim.nodes.pair_mut(2, 1);
             a.initiated += 1;
             b.initiated += 1;
         }
@@ -583,7 +568,7 @@ mod tests {
     #[should_panic(expected = "distinct nodes")]
     fn pair_mut_rejects_same_index() {
         let mut sim = counters(2, 0);
-        let _ = sim.pair_mut(1, 1);
+        let _ = sim.nodes.pair_mut(1, 1);
     }
 
     #[test]

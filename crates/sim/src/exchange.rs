@@ -232,7 +232,7 @@ impl<'a, N> EffectContext<'a, N> {
     /// *global* indices. This is how a transport shard — holding only its
     /// contiguous slice of the population — applies effects routed to it
     /// without faking a full world slice.
-    pub fn windowed(
+    pub(crate) fn windowed(
         nodes: &'a mut [N],
         bandwidth: &'a mut BandwidthRecorder,
         cycle: u64,
@@ -495,7 +495,7 @@ pub fn plan_range<P: GossipProtocol>(
 
 /// The RNG a commit runs with: derived from the cycle seed and the plan's
 /// position in the global plan order only.
-pub fn commit_rng(cycle_seed: u64, plan_index: usize) -> StdRng {
+pub(crate) fn commit_rng(cycle_seed: u64, plan_index: usize) -> StdRng {
     StdRng::seed_from_u64(splitmix(
         !cycle_seed ^ (plan_index as u64).wrapping_mul(0x9FB2_1C65_1E98_DF25),
     ))

@@ -277,12 +277,12 @@ impl<P> FaultPlan<P> {
     }
 
     /// Number of delayed plans still in flight.
-    pub fn pending_delayed(&self) -> usize {
+    pub(crate) fn pending_delayed(&self) -> usize {
         self.delayed.len()
     }
 
     /// Number of crashed nodes still waiting to restart.
-    pub fn pending_restarts(&self) -> usize {
+    pub(crate) fn pending_restarts(&self) -> usize {
         self.restarts.len()
     }
 
@@ -306,7 +306,11 @@ impl<P> FaultPlan<P> {
     /// cycle `cycle + 1 + downtime_cycles`. [`Membership::depart`] /
     /// [`Membership::rejoin`] are idempotent, so external churn can never
     /// make the alive count drift even if it races a scheduled restart.
-    pub fn begin_cycle(&mut self, cycle: u64, membership: &mut Membership) -> FaultTransitions {
+    pub(crate) fn begin_cycle(
+        &mut self,
+        cycle: u64,
+        membership: &mut Membership,
+    ) -> FaultTransitions {
         let mut transitions = FaultTransitions::default();
         for idx in self.restarts.pop_due(cycle) {
             if membership.rejoin(idx) {
@@ -347,7 +351,7 @@ impl<P: Clone> FaultPlan<P> {
     /// With zero delivery rates and nothing in flight this returns the
     /// input unchanged, preserving plan indices — and therefore the
     /// per-plan commit RNG streams — exactly.
-    pub fn filter_plans(
+    pub(crate) fn filter_plans(
         &mut self,
         cycle: u64,
         fresh: Vec<ExchangePlan<P>>,

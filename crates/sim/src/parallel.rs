@@ -4,10 +4,10 @@
 //! simulator (building ideal personal networks, precomputing indices,
 //! scoring baselines); since the plan/commit refactor the cycle engine
 //! itself is built on them: the plan phase fans read-only protocol steps
-//! out with [`parallel_map_chunks`], per-node preparation uses
-//! [`parallel_for_each_mut`], and conflict-free exchange batches commit
-//! through [`parallel_map_owned`] over disjoint `&mut` node pairs obtained
-//! with [`disjoint_muts`]. Everything is built on `std::thread::scope` so
+//! out with [`parallel_map_chunks_aligned`], per-node preparation uses
+//! [`parallel_for_each_mut`] in whole shards, and conflict-free exchange
+//! batches commit through [`parallel_map_owned`] over disjoint `&mut` node
+//! pairs obtained with [`disjoint_muts`]. Everything is built on `std::thread::scope` so
 //! no external runtime is needed.
 //!
 //! Determinism contract: every helper splits its input into contiguous
@@ -65,36 +65,7 @@ where
     MS: Fn() -> S + Sync,
     F: Fn(usize, &mut S) -> T + Sync,
 {
-    let threads = threads.max(1).min(len.max(1));
-    if threads == 1 {
-        let mut state = make_state();
-        return (0..len).map(|i| f(i, &mut state)).collect();
-    }
-    // Contiguous chunking keeps results trivially reorderable and gives each
-    // worker cache-friendly, index-adjacent work.
-    let chunk_size = len.div_ceil(threads);
-    let mut chunk_results: Vec<Vec<T>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let start = t * chunk_size;
-                let end = ((t + 1) * chunk_size).min(len);
-                let (f, make_state) = (&f, &make_state);
-                scope.spawn(move || {
-                    let mut state = make_state();
-                    (start..end).map(|i| f(i, &mut state)).collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            chunk_results.push(handle.join().expect("parallel worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(len);
-    for chunk in chunk_results {
-        out.extend(chunk);
-    }
-    out
+    parallel_map_chunks_aligned(len, threads, 1, make_state, f)
 }
 
 /// [`parallel_map_chunks`] with chunk boundaries rounded up to a multiple
@@ -103,9 +74,9 @@ where
 /// phase of a cycle walks each shard's cache-adjacent nodes on one thread
 /// instead of splitting shards across workers at arbitrary offsets.
 ///
-/// Output is identical to [`parallel_map_chunks`] (and independent of
-/// `threads` and `align`) by the module's determinism contract — chunking
-/// changes only which worker computes which contiguous index run.
+/// Output is independent of `threads` and `align` by the module's
+/// determinism contract — chunking changes only which worker computes
+/// which contiguous index run.
 ///
 /// [`NodeStore`]: crate::NodeStore
 pub fn parallel_map_chunks_aligned<T, S, MS, F>(
@@ -120,12 +91,14 @@ where
     MS: Fn() -> S + Sync,
     F: Fn(usize, &mut S) -> T + Sync,
 {
-    let align = align.max(1);
     let threads = threads.max(1).min(len.max(1));
     if threads == 1 {
-        return parallel_map_chunks(len, 1, make_state, f);
+        let mut state = make_state();
+        return (0..len).map(|i| f(i, &mut state)).collect();
     }
-    let chunk_size = len.div_ceil(threads).div_ceil(align) * align;
+    // Contiguous chunking keeps results trivially reorderable and gives each
+    // worker cache-friendly, index-adjacent work.
+    let chunk_size = aligned_chunk_size(len, threads, align);
     let chunks = len.div_ceil(chunk_size);
     let mut chunk_results: Vec<Vec<T>> = Vec::with_capacity(chunks);
     std::thread::scope(|scope| {
@@ -151,13 +124,21 @@ where
     out
 }
 
+/// The chunk length that splits `len` indices over `threads` (> 1)
+/// workers with every chunk boundary on a multiple of `align`.
+fn aligned_chunk_size(len: usize, threads: usize, align: usize) -> usize {
+    let align = align.max(1);
+    len.div_ceil(threads).div_ceil(align) * align
+}
+
 /// Applies `f` to every element of `items` (as `f(index, &mut item)`),
-/// fanning contiguous chunks out to `threads` workers.
+/// fanning contiguous chunks, with boundaries on multiples of `align`, out
+/// to `threads` workers (the same chunks as [`parallel_map_chunks_aligned`]).
 ///
 /// Each element is visited exactly once and no element is shared between
-/// workers, so the final state is independent of `threads`. Passing
-/// `threads <= 1` (or a tiny `len`) runs inline without spawning.
-pub fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
+/// workers, so the final state is independent of `threads` and `align`.
+/// Passing `threads <= 1` (or a tiny `len`) runs inline without spawning.
+pub(crate) fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, align: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
@@ -170,7 +151,7 @@ where
         }
         return;
     }
-    let chunk_size = len.div_ceil(threads);
+    let chunk_size = aligned_chunk_size(len, threads, align);
     std::thread::scope(|scope| {
         for (chunk_idx, chunk) in items.chunks_mut(chunk_size).enumerate() {
             let f = &f;
@@ -191,7 +172,7 @@ where
 /// that helper, the work items are moved into the workers, which is what
 /// lets a batch of disjoint `&mut` node pairs travel to the threads that
 /// commit them.
-pub fn parallel_map_owned<T, U, S, MS, F>(
+pub(crate) fn parallel_map_owned<T, U, S, MS, F>(
     items: Vec<T>,
     threads: usize,
     make_state: MS,
@@ -252,7 +233,7 @@ where
 ///
 /// # Panics
 /// Panics if the indices are not strictly increasing or out of bounds.
-pub fn disjoint_muts<'a, T>(slice: &'a mut [T], sorted_unique: &[usize]) -> Vec<&'a mut T> {
+pub(crate) fn disjoint_muts<'a, T>(slice: &'a mut [T], sorted_unique: &[usize]) -> Vec<&'a mut T> {
     let mut out = Vec::with_capacity(sorted_unique.len());
     let mut rest = slice;
     let mut consumed = 0usize;
@@ -287,12 +268,13 @@ mod tests {
 
     #[test]
     fn aligned_chunks_match_unaligned_for_any_geometry() {
-        let expected: Vec<usize> = (0..257).map(|i| i * 3 + 1).collect();
         for threads in [1, 2, 3, 8, 64] {
-            for align in [1, 4, 16, 64, 512] {
+            let unaligned = parallel_map_chunks_aligned(257, threads, 1, || (), |i, ()| i * 3 + 1);
+            assert_eq!(unaligned, (0..257).map(|i| i * 3 + 1).collect::<Vec<_>>());
+            for align in [4, 16, 64, 512] {
                 let got =
                     parallel_map_chunks_aligned(257, threads, align, || (), |i, ()| i * 3 + 1);
-                assert_eq!(got, expected, "threads = {threads}, align = {align}");
+                assert_eq!(got, unaligned, "threads = {threads}, align = {align}");
             }
         }
         let empty: Vec<u8> = parallel_map_chunks_aligned(0, 4, 16, || (), |_, ()| unreachable!());
@@ -339,15 +321,17 @@ mod tests {
     #[test]
     fn for_each_mut_touches_every_element_once() {
         for threads in [1, 2, 3, 8, 50] {
-            let mut items: Vec<usize> = (0..37).collect();
-            parallel_for_each_mut(&mut items, threads, |i, item| {
-                assert_eq!(*item, i);
-                *item += 100;
-            });
-            assert!(
-                items.iter().enumerate().all(|(i, &v)| v == i + 100),
-                "threads = {threads}"
-            );
+            for align in [1, 4, 64] {
+                let mut items: Vec<usize> = (0..37).collect();
+                parallel_for_each_mut(&mut items, threads, align, |i, item| {
+                    assert_eq!(*item, i);
+                    *item += 100;
+                });
+                assert!(
+                    items.iter().enumerate().all(|(i, &v)| v == i + 100),
+                    "threads = {threads}, align = {align}"
+                );
+            }
         }
     }
 

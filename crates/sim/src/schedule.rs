@@ -45,11 +45,6 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// The cycle of the next pending event, if any.
-    pub fn next_due_cycle(&self) -> Option<u64> {
-        self.events.keys().next().copied()
-    }
-
     /// Removes and returns every event due at or before `cycle`, in
     /// scheduling order.
     ///
@@ -82,7 +77,7 @@ mod tests {
         q.schedule(3, "a");
         q.schedule(5, "c");
         assert_eq!(q.len(), 3);
-        assert_eq!(q.next_due_cycle(), Some(3));
+        assert!(q.pop_due(2).is_empty());
         assert_eq!(q.pop_due(4), vec!["a"]);
         assert_eq!(q.pop_due(10), vec!["b", "c"]);
         assert!(q.is_empty());
@@ -92,7 +87,7 @@ mod tests {
     fn pop_due_on_empty_is_empty() {
         let mut q: EventQueue<u32> = EventQueue::new();
         assert!(q.pop_due(100).is_empty());
-        assert_eq!(q.next_due_cycle(), None);
+        assert!(q.is_empty());
     }
 
     #[test]

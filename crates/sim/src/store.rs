@@ -17,7 +17,7 @@
 //! indices, and the sharded fan-out visits every node exactly once with its
 //! own index, so cycle output stays byte-identical for every thread count.
 
-use crate::parallel::disjoint_muts;
+use crate::parallel::{disjoint_muts, parallel_for_each_mut};
 
 /// Debug-build aliasing sanitizer state (see
 /// [`NodeStore::begin_commit_batch`]).
@@ -90,7 +90,7 @@ impl<N> NodeStore<N> {
     /// Wraps the given nodes with an explicit shard size (rounded up to a
     /// power of two). The shard size changes only work granularity and
     /// layout accounting, never any result.
-    pub fn with_shard_size(nodes: Vec<N>, shard_size: usize) -> Self {
+    pub(crate) fn with_shard_size(nodes: Vec<N>, shard_size: usize) -> Self {
         Self {
             nodes,
             shard_size: shard_size.max(1).next_power_of_two(),
@@ -109,7 +109,7 @@ impl<N> NodeStore<N> {
     /// Panics (debug builds) if a batch window is already open — commit
     /// batches are a flat sequence, never nested.
     #[inline]
-    pub fn begin_commit_batch(&mut self) {
+    pub(crate) fn begin_commit_batch(&mut self) {
         #[cfg(debug_assertions)]
         {
             assert!(
@@ -128,7 +128,7 @@ impl<N> NodeStore<N> {
     /// # Panics
     /// Panics (debug builds) if no batch window is open.
     #[inline]
-    pub fn end_commit_batch(&mut self) {
+    pub(crate) fn end_commit_batch(&mut self) {
         #[cfg(debug_assertions)]
         {
             assert!(
@@ -270,7 +270,7 @@ impl<N> NodeStore<N> {
     }
 
     /// All nodes as one contiguous mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [N] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [N] {
         self.assert_none_on_loan();
         &mut self.nodes
     }
@@ -286,7 +286,7 @@ impl<N> NodeStore<N> {
     ///
     /// # Panics
     /// Panics if the indices are not strictly increasing or out of bounds.
-    pub fn disjoint_muts(&mut self, sorted_unique: &[usize]) -> Vec<&mut N> {
+    pub(crate) fn disjoint_muts(&mut self, sorted_unique: &[usize]) -> Vec<&mut N> {
         for &idx in sorted_unique {
             self.record_batch_borrow(idx);
         }
@@ -298,7 +298,7 @@ impl<N> NodeStore<N> {
     ///
     /// # Panics
     /// Panics if `a == b` or either index is out of bounds.
-    pub fn pair_mut(&mut self, a: usize, b: usize) -> (&mut N, &mut N) {
+    pub(crate) fn pair_mut(&mut self, a: usize, b: usize) -> (&mut N, &mut N) {
         assert!(a != b, "a gossip exchange needs two distinct nodes");
         self.record_batch_borrow(a);
         self.record_batch_borrow(b);
@@ -326,32 +326,11 @@ impl<N: Send> NodeStore<N> {
     ///
     /// Every node is visited exactly once with its own index, so the final
     /// state is independent of `threads`.
-    pub fn for_each_mut_sharded<F>(&mut self, threads: usize, f: F)
+    pub(crate) fn for_each_mut_sharded<F>(&mut self, threads: usize, f: F)
     where
         F: Fn(usize, &mut N) + Sync,
     {
-        let shard_size = self.shard_size;
-        let num_shards = self.num_shards();
-        let threads = threads.max(1).min(num_shards);
-        if threads == 1 {
-            for (i, node) in self.nodes.iter_mut().enumerate() {
-                f(i, node);
-            }
-            return;
-        }
-        let shards_per_worker = num_shards.div_ceil(threads);
-        let nodes_per_worker = shards_per_worker * shard_size;
-        std::thread::scope(|scope| {
-            for (w, run) in self.nodes.chunks_mut(nodes_per_worker).enumerate() {
-                let f = &f;
-                scope.spawn(move || {
-                    let base = w * nodes_per_worker;
-                    for (j, node) in run.iter_mut().enumerate() {
-                        f(base + j, node);
-                    }
-                });
-            }
-        });
+        parallel_for_each_mut(&mut self.nodes, threads, self.shard_size, f);
     }
 }
 

@@ -28,7 +28,7 @@ pub fn exact_topk<I: Copy + Eq + Hash + Ord>(
 
 /// Returns the `k` best entries of an item → total-score map, ordered by
 /// descending score then ascending item.
-pub fn topk_of_totals<I: Copy + Eq + Hash + Ord>(
+pub(crate) fn topk_of_totals<I: Copy + Eq + Hash + Ord>(
     totals: HashMap<I, u32>,
     k: usize,
 ) -> Vec<(I, u32)> {

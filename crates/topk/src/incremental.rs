@@ -91,11 +91,6 @@ impl<I: Copy + Eq + Hash + Ord> IncrementalNra<I> {
         self.lists.len()
     }
 
-    /// Number of candidate items currently tracked.
-    pub fn candidate_count(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// Total number of list positions consumed since the beginning of the
     /// query (each position is read at most once).
     pub fn positions_scanned(&self) -> usize {
@@ -104,7 +99,7 @@ impl<I: Copy + Eq + Hash + Ord> IncrementalNra<I> {
 
     /// Returns `true` if every received list has been fully scanned, i.e. the
     /// current ranking is exact for the information received so far.
-    pub fn all_lists_exhausted(&self) -> bool {
+    pub(crate) fn all_lists_exhausted(&self) -> bool {
         self.lists.iter().all(ListState::exhausted)
     }
 
@@ -389,6 +384,5 @@ mod tests {
         nra.push_list(list(&[(3, 3)]));
         let _ = nra.topk(1);
         assert_eq!(nra.list_count(), 2);
-        assert!(nra.candidate_count() >= 1);
     }
 }

@@ -25,7 +25,7 @@ mod incremental;
 mod list;
 mod nra;
 
-pub use exact::{exact_topk, recall, topk_of_totals};
+pub use exact::{exact_topk, recall};
 pub use incremental::{IncrementalNra, RankedItem};
 pub use list::PartialResultList;
 pub use nra::{nra_topk, NraOutcome};

@@ -87,11 +87,6 @@ impl<I: Copy + Ord> PartialResultList<I> {
         self.entries.iter().copied()
     }
 
-    /// Highest score in the list (`None` if empty).
-    pub fn top_score(&self) -> Option<u32> {
-        self.entries.first().map(|&(_, s)| s)
-    }
-
     /// Score of the item if present.
     pub fn score_of(&self, item: &I) -> Option<u32> {
         self.entries
@@ -122,7 +117,6 @@ mod tests {
         let list = PartialResultList::from_scores(vec![(1u32, 2), (2, 5), (3, 3)]);
         let order: Vec<_> = list.iter().collect();
         assert_eq!(order, vec![(2, 5), (3, 3), (1, 2)]);
-        assert_eq!(list.top_score(), Some(5));
     }
 
     #[test]
@@ -185,7 +179,7 @@ mod tests {
     fn empty_list_behaviour() {
         let list = PartialResultList::<u32>::empty();
         assert!(list.is_empty());
-        assert_eq!(list.top_score(), None);
+        assert_eq!(list.get(0), None);
         assert_eq!(list.iter().count(), 0);
     }
 }

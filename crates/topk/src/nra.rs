@@ -23,17 +23,6 @@ pub struct NraOutcome<I> {
     pub total_entries: usize,
 }
 
-impl<I> NraOutcome<I> {
-    /// Fraction of list entries that were *not* read thanks to early
-    /// termination (0.0 = everything read).
-    pub fn savings(&self) -> f64 {
-        if self.total_entries == 0 {
-            return 0.0;
-        }
-        1.0 - self.sorted_accesses as f64 / self.total_entries as f64
-    }
-}
-
 /// Runs classical NRA over `lists` and returns the top-`k` items together
 /// with access statistics.
 pub fn nra_topk<I: Copy + Eq + Hash + Ord>(
@@ -84,7 +73,6 @@ mod tests {
         let head: Vec<(u32, u32)> = vec![(1, 100), (2, 99)];
         let tail: Vec<(u32, u32)> = (10..200u32).map(|i| (i, 1)).collect();
         let outcome = nra_topk(&[list(&head), list(&tail)], 2);
-        assert!(outcome.savings() > 0.0);
         assert!(outcome.sorted_accesses < outcome.total_entries);
     }
 
@@ -92,6 +80,6 @@ mod tests {
     fn empty_lists_give_empty_outcome() {
         let outcome = nra_topk(&[] as &[PartialResultList<u32>], 5);
         assert!(outcome.topk.is_empty());
-        assert_eq!(outcome.savings(), 0.0);
+        assert_eq!((outcome.sorted_accesses, outcome.total_entries), (0, 0));
     }
 }

@@ -28,7 +28,7 @@ impl TaggingAction {
     /// Wire size of one tagging action under the paper's accounting
     /// (Section 3.3.1): a 128-bit item hash (16 bytes), a 16-byte tag string
     /// and the 4-byte user identifier it belongs to — 36 bytes in total.
-    pub const WIRE_BYTES: usize = 36;
+    pub(crate) const WIRE_BYTES: usize = 36;
 }
 
 impl fmt::Display for TaggingAction {

@@ -161,7 +161,7 @@ pub const GROUP_SIZE: usize = 4;
 
 /// Maximum payload bytes of one full group (four 4-byte values). Once this
 /// many bytes remain, [`decode_group`] may take its bounds-check-free path.
-pub const MAX_GROUP_PAYLOAD: usize = GROUP_SIZE * 4;
+pub(crate) const MAX_GROUP_PAYLOAD: usize = GROUP_SIZE * 4;
 
 /// Bytes the group-varint encoding of `v` occupies (1–4, excluding its two
 /// control bits).
@@ -577,7 +577,7 @@ pub fn decode_sorted_u32s_grouped(bytes: &[u8]) -> impl Iterator<Item = u32> + '
 /// block, so the constant trades lookup cost against directory size
 /// (8 + 4 bytes per block, i.e. 0.75 bytes per key at 16). 16 keeps the
 /// per-lookup decode short enough for the counting-sweep hot path.
-pub const KEYS_PER_BLOCK: usize = 16;
+pub(crate) const KEYS_PER_BLOCK: usize = 16;
 
 /// Per-block codec flag: the block's deltas all fit `u32` and are stored as
 /// one group-varint run (the common case — within one item and across

@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::action::TaggingAction;
 use crate::dict::ActionDictionary;
 use crate::ids::{ItemId, TagId, UserId};
 use crate::profile::{PackedProfile, Profile, SharedProfile};
@@ -102,7 +101,7 @@ impl Dataset {
     }
 
     /// Number of distinct users that used each tag.
-    pub fn tag_user_counts(&self) -> HashMap<TagId, usize> {
+    pub(crate) fn tag_user_counts(&self) -> HashMap<TagId, usize> {
         let mut counts = HashMap::new();
         for profile in &self.profiles {
             let mut seen: Vec<TagId> = profile.iter().map(|a| a.tag).collect();
@@ -113,32 +112,6 @@ impl Dataset {
             }
         }
         counts
-    }
-
-    /// Reproduces the paper's dataset-reduction step (Section 3.1.1): keep
-    /// only tagging actions whose item **and** tag are used by at least
-    /// `min_users` distinct users.
-    ///
-    /// Returns the filtered dataset; the original is left untouched. Item and
-    /// tag identifiers are preserved (not re-densified) so that profiles
-    /// remain comparable before and after filtering.
-    pub fn filter_min_users(&self, min_users: usize) -> Dataset {
-        let item_counts = self.item_user_counts();
-        let tag_counts = self.tag_user_counts();
-        let keep = |a: &TaggingAction| {
-            item_counts.get(&a.item).copied().unwrap_or(0) >= min_users
-                && tag_counts.get(&a.tag).copied().unwrap_or(0) >= min_users
-        };
-        let profiles = self
-            .profiles
-            .iter()
-            .map(|p| Arc::new(p.iter().filter(|a| keep(a)).copied().collect::<Profile>()))
-            .collect();
-        Dataset {
-            profiles,
-            num_items: self.num_items,
-            num_tags: self.num_tags,
-        }
     }
 
     /// Builds the interned action dictionary over every distinct
@@ -172,16 +145,8 @@ impl Dataset {
             .sum()
     }
 
-    /// Average profile length (tagging actions per user).
-    pub fn mean_profile_len(&self) -> f64 {
-        if self.profiles.is_empty() {
-            return 0.0;
-        }
-        self.total_actions() as f64 / self.num_users() as f64
-    }
-
     /// Largest profile length.
-    pub fn max_profile_len(&self) -> usize {
+    pub(crate) fn max_profile_len(&self) -> usize {
         self.profiles.iter().map(|p| p.len()).max().unwrap_or(0)
     }
 }
@@ -189,6 +154,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::TaggingAction;
 
     fn act(item: u32, tag: u32) -> TaggingAction {
         TaggingAction::new(ItemId(item), TagId(tag))
@@ -210,7 +176,6 @@ mod tests {
         assert_eq!(d.total_actions(), 6);
         assert_eq!(d.profile(UserId(0)).len(), 2);
         assert_eq!(d.users().count(), 3);
-        assert!((d.mean_profile_len() - 2.0).abs() < 1e-9);
         assert_eq!(d.max_profile_len(), 2);
     }
 
@@ -227,26 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_removes_rare_items_and_tags() {
-        let d = tiny_dataset();
-        let f = d.filter_min_users(2);
-        // act(2,2): item 2 has 2 users but tag 2 only 1 → removed.
-        // act(9,9): both rare → removed.
-        assert_eq!(f.profile(UserId(0)).len(), 2);
-        assert_eq!(f.profile(UserId(1)).len(), 1);
-        assert_eq!(f.profile(UserId(2)).len(), 1);
-        // Originals unchanged.
-        assert_eq!(d.total_actions(), 6);
-    }
-
-    #[test]
-    fn filter_with_threshold_one_is_identity() {
-        let d = tiny_dataset();
-        let f = d.filter_min_users(1);
-        assert_eq!(f.total_actions(), d.total_actions());
-    }
-
-    #[test]
     fn profile_mut_allows_dynamics() {
         let mut d = tiny_dataset();
         d.profile_mut(UserId(0)).insert(act(5, 5));
@@ -258,6 +203,6 @@ mod tests {
         let d = Dataset::default();
         assert_eq!(d.num_users(), 0);
         assert_eq!(d.total_actions(), 0);
-        assert_eq!(d.mean_profile_len(), 0.0);
+        assert_eq!(d.max_profile_len(), 0);
     }
 }

@@ -95,7 +95,7 @@ impl ActionDictionary {
     /// profiles — the trace-build-time interning step. Deterministic: the
     /// id assignment depends only on the *set* of actions, never on
     /// iteration or thread order.
-    pub fn from_profiles<'a, I>(profiles: I) -> Self
+    pub(crate) fn from_profiles<'a, I>(profiles: I) -> Self
     where
         I: IntoIterator<Item = &'a Profile>,
     {

@@ -317,7 +317,7 @@ impl TraceGenerator {
     /// Generates `target_items` new item-tagging events for `user`,
     /// consistent with her topics in `world`. Used both for initial profile
     /// construction and by the dynamics generator.
-    pub fn actions_for_user<R: Rng + ?Sized>(
+    pub(crate) fn actions_for_user<R: Rng + ?Sized>(
         &self,
         world: &World,
         user: UserId,
@@ -341,7 +341,7 @@ impl TraceGenerator {
     /// [`actions_for_user`](Self::actions_for_user); the dynamics generator
     /// uses it to model *drifted* interests that differ from the topics a
     /// user started with.
-    pub fn actions_in_topics<R: Rng + ?Sized>(
+    pub(crate) fn actions_in_topics<R: Rng + ?Sized>(
         &self,
         world: &World,
         topics: &[u32],
@@ -370,7 +370,7 @@ impl TraceGenerator {
     /// `max_tags_per_item` tags, biased towards the item's characteristic
     /// tags). Exposed so workload layers (flash crowds) can target specific
     /// items while staying consistent with the trace's tag model.
-    pub fn tag_item<R: Rng + ?Sized>(
+    pub(crate) fn tag_item<R: Rng + ?Sized>(
         &self,
         world: &World,
         item: ItemId,
@@ -395,7 +395,7 @@ impl TraceGenerator {
 
     /// Samples the number of distinct items a user tags (log-normal,
     /// truncated to `[1, max_items_per_user]`).
-    pub fn sample_profile_size<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample_profile_size<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let cfg = &self.config;
         let sigma = cfg.profile_sigma;
         let mu = cfg.mean_items_per_user.ln() - sigma * sigma / 2.0;
@@ -406,7 +406,7 @@ impl TraceGenerator {
 
     /// Exposes the per-topic item/tag Zipf samplers used during generation so
     /// other components (dynamics) can stay consistent with the trace.
-    pub fn samplers(&self, world: &World) -> (ZipfSampler, ZipfSampler) {
+    pub(crate) fn samplers(&self, world: &World) -> (ZipfSampler, ZipfSampler) {
         (
             ZipfSampler::new(
                 world.topic_items.iter().map(Vec::len).max().unwrap_or(1),

@@ -2,7 +2,6 @@
 //! operations P3Q's similarity metric and query scoring need.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use p3q_bloom::BloomFilter;
@@ -148,7 +147,7 @@ impl Profile {
     }
 
     /// Number of distinct items the user tagged.
-    pub fn item_count(&self) -> usize {
+    pub(crate) fn item_count(&self) -> usize {
         self.items().count()
     }
 
@@ -176,12 +175,6 @@ impl Profile {
         merge_count(&self.actions, &other.actions)
     }
 
-    /// Items present in both profiles.
-    pub fn common_items(&self, other: &Profile) -> Vec<ItemId> {
-        let mine: BTreeSet<ItemId> = self.items().collect();
-        other.items().filter(|i| mine.contains(i)).collect()
-    }
-
     /// Returns `true` if the two profiles share at least one item
     /// (the cheap pre-filter the profile digests approximate).
     pub fn shares_item_with(&self, other: &Profile) -> bool {
@@ -196,32 +189,10 @@ impl Profile {
         false
     }
 
-    /// All tagging actions of this profile that concern items in `items`.
-    ///
-    /// This is the payload of step 2 of Algorithm 1: "require her tagging
-    /// actions for the common items with u_i".
-    pub fn actions_for_items(&self, items: &[ItemId]) -> Vec<TaggingAction> {
-        let set: BTreeSet<ItemId> = items.iter().copied().collect();
-        self.actions
-            .iter()
-            .filter(|a| set.contains(&a.item))
-            .copied()
-            .collect()
-    }
-
     /// Builds the Bloom-filter digest of this profile: the filter contains
     /// only the *items* tagged by the user (Section 2.1).
     pub fn digest(&self, bits: usize, hashes: u32) -> BloomFilter {
         BloomFilter::from_keys(bits, hashes, self.items().map(ItemId::as_key))
-    }
-
-    /// Builds the digest with the paper's 20 Kbit / 7-hash geometry.
-    pub fn paper_digest(&self) -> BloomFilter {
-        BloomFilter::from_keys(
-            p3q_bloom::PAPER_FILTER_BITS,
-            p3q_bloom::PAPER_FILTER_HASHES,
-            self.items().map(ItemId::as_key),
-        )
     }
 
     /// Wire size of the full profile under the paper's 36-bytes-per-action
@@ -465,17 +436,13 @@ mod tests {
         let a = Profile::from_actions(vec![act(1, 1), act(2, 1)]);
         let b = Profile::from_actions(vec![act(2, 9), act(3, 1)]);
         let c = Profile::from_actions(vec![act(7, 1)]);
+        let common_items = |x: &Profile, y: &Profile| -> Vec<ItemId> {
+            x.items().filter(|&i| y.has_item(i)).collect()
+        };
         assert!(a.shares_item_with(&b));
-        assert_eq!(a.common_items(&b), vec![ItemId(2)]);
+        assert_eq!(common_items(&a, &b), vec![ItemId(2)]);
         assert!(!a.shares_item_with(&c));
-        assert!(a.common_items(&c).is_empty());
-    }
-
-    #[test]
-    fn actions_for_items_filters_correctly() {
-        let p = Profile::from_actions(vec![act(1, 1), act(2, 2), act(3, 3)]);
-        let subset = p.actions_for_items(&[ItemId(1), ItemId(3)]);
-        assert_eq!(subset, vec![act(1, 1), act(3, 3)]);
+        assert!(common_items(&a, &c).is_empty());
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl Query {
         }
     }
 
-    /// Number of query terms.
-    pub fn term_count(&self) -> usize {
-        self.tags.len()
-    }
-
     /// Returns `true` if `tag` is one of the query terms.
     pub fn contains_tag(&self, tag: TagId) -> bool {
         self.tags.binary_search(&tag).is_ok()
@@ -67,7 +62,7 @@ impl QueryGenerator {
     }
 
     /// Builds the query of a single user, or `None` if her profile is empty.
-    pub fn query_for_user<R: Rng + ?Sized>(
+    pub(crate) fn query_for_user<R: Rng + ?Sized>(
         dataset: &Dataset,
         user: UserId,
         rng: &mut R,
@@ -167,7 +162,7 @@ mod tests {
     #[test]
     fn query_deduplicates_tags_and_reports_sizes() {
         let q = Query::new(UserId(1), vec![TagId(5), TagId(5), TagId(2)], ItemId(9));
-        assert_eq!(q.term_count(), 2);
+        assert_eq!(q.tags, [TagId(2), TagId(5)]);
         assert!(q.contains_tag(TagId(5)));
         assert!(!q.contains_tag(TagId(9)));
         assert_eq!(q.wire_bytes(), 4 + 32);

@@ -397,8 +397,8 @@ pub enum PlanKind {
 }
 
 /// The cycle-axis plan of a scenario: which change batches and departures
-/// fire when. This is the *description*; [`DynamicsPlan::materialize`] turns
-/// it into concrete events against a generated trace.
+/// fire when. This is the *description*;
+/// [`DynamicsPlan::materialize_with_threads`] turns it into concrete events against a generated trace.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DynamicsPlan {
     /// The steps, in firing order.
@@ -414,11 +414,6 @@ impl DynamicsPlan {
     /// Returns `true` if nothing is planned.
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
-    }
-
-    /// Generates the concrete event schedule for `trace` (default threads).
-    pub fn materialize(&self, trace: &SyntheticTrace) -> Vec<(u64, ScenarioEvent)> {
-        self.materialize_with_threads(trace, default_threads())
     }
 
     /// Generates the concrete event schedule for `trace` with an explicit

@@ -443,7 +443,7 @@ impl<N: Send + Sync> TransportRuntime<N, InProcess> {
 impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
     /// [`from_simulator`](TransportRuntime::from_simulator) over an explicit
     /// transport backend.
-    pub fn with_transport(
+    pub(crate) fn with_transport(
         sim: &mut Simulator<N>,
         num_actors: usize,
         schedule: DeliverySchedule,

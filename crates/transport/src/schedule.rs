@@ -47,11 +47,6 @@ impl DeliverySchedule {
         Self { seed: Some(seed) }
     }
 
-    /// Returns `true` for the canonical (oracle-equal) schedule.
-    pub fn is_canonical(&self) -> bool {
-        self.seed.is_none()
-    }
-
     /// The order in which the sequencer collects the shards' plan
     /// announcements for `cycle`: a permutation of `0..num_shards`.
     pub(crate) fn gather_order(&self, num_shards: usize, cycle: u64) -> Vec<usize> {
@@ -78,7 +73,7 @@ mod tests {
     #[test]
     fn canonical_order_is_ascending() {
         let s = DeliverySchedule::canonical();
-        assert!(s.is_canonical());
+        assert_eq!(s.seed, None);
         assert_eq!(s.gather_order(4, 0), vec![0, 1, 2, 3]);
         assert_eq!(s.gather_order(4, 17), vec![0, 1, 2, 3]);
     }
@@ -86,7 +81,7 @@ mod tests {
     #[test]
     fn seeded_order_is_a_deterministic_permutation() {
         let s = DeliverySchedule::seeded(42);
-        assert!(!s.is_canonical());
+        assert_eq!(s.seed, Some(42));
         let a = s.gather_order(8, 3);
         let b = s.gather_order(8, 3);
         assert_eq!(a, b, "same (seed, cycle) must give the same order");

@@ -15,7 +15,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p p3q-examples --example churn_and_dynamics
+//! cargo run --release -p p3q-integration --example churn_and_dynamics
 //! ```
 
 use std::collections::HashSet;

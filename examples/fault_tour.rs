@@ -16,7 +16,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p p3q-examples --example fault_tour
+//! cargo run --release -p p3q-integration --example fault_tour
 //! ```
 
 use p3q::prelude::*;

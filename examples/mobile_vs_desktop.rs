@@ -17,7 +17,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p p3q-examples --example mobile_vs_desktop
+//! cargo run --release -p p3q-integration --example mobile_vs_desktop
 //! ```
 
 use p3q::prelude::*;

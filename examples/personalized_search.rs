@@ -11,7 +11,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p p3q-examples --example personalized_search
+//! cargo run --release -p p3q-integration --example personalized_search
 //! ```
 
 use std::collections::{HashMap, HashSet};

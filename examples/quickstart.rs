@@ -4,7 +4,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p p3q-examples --example quickstart
+//! cargo run --release -p p3q-integration --example quickstart
 //! ```
 
 use p3q::prelude::*;

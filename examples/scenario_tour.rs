@@ -12,7 +12,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p p3q-examples --example scenario_tour
+//! cargo run --release -p p3q-integration --example scenario_tour
 //! ```
 
 use p3q::prelude::*;
