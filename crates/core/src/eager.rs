@@ -178,7 +178,7 @@ fn collect_contexts(node: &P3qNode, cycle: u64) -> Vec<GossipContext> {
     // p3q-allow: hash-iter — order-insensitive collection; contexts are
     // sorted by query_id before being returned.
     for (&query_id, task) in &node.tasks {
-        if !task.remaining.is_empty() {
+        if !task.is_done() {
             contexts.push(GossipContext {
                 query_id,
                 querier: task.querier,

@@ -197,6 +197,11 @@ pub struct RemainingTask {
 }
 
 impl RemainingTask {
+    /// Returns `true` if nothing remains to be resolved by this node.
+    pub(crate) fn is_done(&self) -> bool {
+        self.remaining.is_empty()
+    }
+
     /// Returns `true` if this share has a TTL and it has lapsed.
     pub(crate) fn is_expired(&self, cycle: u64) -> bool {
         self.expires_cycle != 0 && cycle >= self.expires_cycle
@@ -266,6 +271,24 @@ mod tests {
     }
 
     #[test]
+    fn remaining_task_done_flag() {
+        let t = RemainingTask {
+            query_id: QueryId(1),
+            querier: UserId(0),
+            query: query(),
+            remaining: vec![UserId(5)],
+            expires_cycle: 0,
+        };
+        assert!(!t.is_done());
+        assert!(!t.is_expired(u64::MAX), "0 means no TTL");
+        let done = RemainingTask {
+            remaining: vec![],
+            ..t
+        };
+        assert!(done.is_done());
+    }
+
+    #[test]
     fn remaining_task_ttl_lapses() {
         let t = RemainingTask {
             query_id: QueryId(1),
@@ -276,11 +299,6 @@ mod tests {
         };
         assert!(!t.is_expired(9));
         assert!(t.is_expired(10));
-        let no_ttl = RemainingTask {
-            expires_cycle: 0,
-            ..t
-        };
-        assert!(!no_ttl.is_expired(u64::MAX), "0 means no TTL");
     }
 
     #[test]
