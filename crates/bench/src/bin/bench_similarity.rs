@@ -17,8 +17,8 @@
 //! keys exact-or-below-baseline.
 //!
 //! Each scale carries a **decode microbench** (`decode` block): every
-//! posting run of the trace is encoded under both the retained LEB128
-//! delta codec and the group-varint codec that now carries the hot paths,
+//! posting run of the trace is encoded both as a plain LEB128 delta run
+//! and in the group-varint posting-run format the index stores,
 //! then decoded back to back with matching checksums — the raw sweep cost
 //! split from the full `accumulate` (id resolution + decode + counters)
 //! cost. The `index_memory` probe repeats the decode columns at the
@@ -51,8 +51,8 @@ use p3q_bench::json::Json;
 use p3q_sim::default_threads;
 use p3q_sim::RunOptions;
 use p3q_trace::codec::{
-    encode_sorted_u32s, encode_sorted_u32s_grouped, for_each_sorted_u32_grouped_padded,
-    read_varint, GROUP_DECODE_SLACK,
+    encode_sorted_u32s_grouped, for_each_sorted_u32_grouped_padded, read_varint, write_varint,
+    GROUP_DECODE_SLACK,
 };
 use p3q_trace::{
     action_key, DynamicsConfig, DynamicsGenerator, Scenario, ScenarioConfig, SyntheticTrace,
@@ -160,9 +160,10 @@ impl MemoryResult {
 }
 
 /// The decode microbench: every posting run of the scale's trace encoded
-/// both ways — the retained LEB128 delta codec and the group-varint codec
-/// that now carries the hot paths — then decoded back to back over the same
-/// runs, with matching rolling checksums proving the two streams agree.
+/// both ways — as a plain LEB128 delta run, encoded here, and in the
+/// group-varint posting-run format the index stores — then decoded back to
+/// back over the same runs, with matching rolling checksums proving the two
+/// streams agree.
 /// `accumulate_sample_ms` re-times the *full* counting sweep (id
 /// resolution, decode, per-user counters) over a user sample, so the
 /// raw-decode and end-to-end accumulate costs are split into separate
@@ -205,7 +206,12 @@ impl DecodeResult {
                 run.push(pairs[i].1);
                 i += 1;
             }
-            encode_sorted_u32s(&run, &mut leb_blob);
+            // The LEB128 side: first value, then every delta, one varint each.
+            let mut prev = 0;
+            for &user in &run {
+                write_varint(u64::from(user - prev), &mut leb_blob);
+                prev = user;
+            }
             leb_ends.push(leb_blob.len());
             encode_sorted_u32s_grouped(&run, &mut grp_blob);
             grp_ends.push(grp_blob.len());

@@ -8,8 +8,9 @@ use crate::BloomFilter;
 /// `m = -n·ln(p) / (ln 2)^2` and `k = (m/n)·ln 2`.
 ///
 /// P3Q users may tune the digest size against their bandwidth budget; the
-/// paper's 20 Kbit / 0.1% point is one instance of this trade-off, and the
-/// `ablation_bloom` benchmark sweeps others.
+/// paper's 20 Kbit / 0.1% point is one instance of this trade-off. No
+/// benchmark sweeps the others; the `bloom_props` suite checks the derived
+/// geometry against the target rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BloomBuilder {
     expected_keys: usize,

@@ -139,10 +139,11 @@ impl BloomFilter {
 
     /// Returns `true` if the two filters share at least one set bit position.
     ///
-    /// This is the cheap "might we share an item?" test used in step 1 of
-    /// Algorithm 1 when a full membership probe is not possible (both sides
-    /// only hold digests). It can over-approximate but never misses a real
-    /// overlap, provided both filters use the same geometry.
+    /// A digest-to-digest overlap test: it can over-approximate but never
+    /// misses a real overlap, provided both filters use the same geometry.
+    /// The protocol does not use it — step 1 of Algorithm 1 probes a
+    /// neighbour's digest with the node's own items through
+    /// [`Self::contains_any`] over its [`ProbeSet`].
     ///
     /// # Panics
     /// Panics if the two filters have different geometries.

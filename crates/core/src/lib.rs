@@ -95,9 +95,9 @@
 //!   one incremental path for the whole population: a resolver made from
 //!   an `IdealNetworks` holds every entry, absorbs the write, and
 //!   [`resolver::OnDemandNetworks::into_ideal`] re-sweeps what it evicted.
-//! * **Group-varint decode kernels** — the byte-level
+//! * **Group-varint decode kernel** — the byte-level
 //!   decode tax of the compression above is clawed back by
-//!   [`p3q_trace::codec`]'s group-varint kernels: one control byte
+//!   [`p3q_trace::codec`]'s group-varint posting runs: one control byte
 //!   dispatches four delta lengths through a 256-entry table, posting
 //!   blobs carry [`p3q_trace::codec::GROUP_DECODE_SLACK`] readable bytes
 //!   past every run, and the fused
@@ -108,8 +108,9 @@
 //!   directory stores group-relative `u16` offsets anchored every 64
 //!   slots (~1 MiB smaller at 100k users). Profiles are held and served
 //!   decoded; [`p3q_trace::PackedProfile`] is an at-rest size format only.
-//!   Output is byte-identical to the LEB128 era; the `codec_props` suite pins every kernel to the
-//!   retained LEB128 oracle, including garbage-slack discard.
+//!   Output is byte-identical to the LEB128 era; the `codec_props` suite
+//!   round-trips every group shape through the one padded kernel,
+//!   including garbage-slack discard.
 //! * **Zero-copy gossip payloads** — profiles and digests travel as
 //!   [`p3q_trace::SharedProfile`] / [`p3q_bloom::SharedFilter`] handles
 //!   (`Arc`s): offers, view entries, stored copies and simulator

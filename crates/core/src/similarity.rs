@@ -25,15 +25,16 @@
 //! `(item, tag)` action is a dense [`p3q_trace::ActionId`] (`u32`), assigned
 //! in key order at build time, so
 //!
-//! * the key column is the dictionary itself — delta-varint compressed,
-//!   ~2–3 bytes per key instead of the 8-byte packed `u64`s of the first
-//!   index generation;
+//! * the key column is the dictionary itself — LEB128 delta blocks, about
+//!   3.4 bytes per key with its directory at 50k users, instead of the
+//!   8-byte packed `u64`s of the first index generation;
 //! * posting lookup is *positional*: an action id maps straight to its slot
 //!   in an id-range shard, no per-action key search;
 //! * each posting list is stored as a **group-varint run** of ascending
 //!   user ids (`[byte-length][first id: LEB128][deltas: group-varint]`,
 //!   four deltas per control byte — see `p3q_trace::codec`), ~1–3 bytes
-//!   per posting instead of 4, decoded four-at-a-time on the hot paths;
+//!   per posting instead of 4, decoded four at a time by the one padded
+//!   kernel, `p3q_trace::codec::for_each_sorted_u32_grouped_padded`;
 //! * random access goes through a two-level **group offset directory**:
 //!   one absolute `u32` anchor every [`GROUPS_PER_ANCHOR`] groups (= 64
 //!   posting slots) plus a `u16` anchor-relative delta per group —
@@ -139,7 +140,7 @@
 
 use p3q_trace::codec::{
     encode_sorted_u32s_grouped, for_each_sorted_u32_grouped_padded, read_varint, varint_len,
-    write_varint, VarintReader, GROUP_DECODE_SLACK,
+    write_varint, GROUP_DECODE_SLACK,
 };
 use p3q_trace::{ActionDictionary, Dataset, Profile, TaggingAction, UserId};
 
@@ -413,9 +414,10 @@ impl PostingShard {
             }
             push_slot(posting, &mut run, &mut blob);
         }
-        // Decode slack: every run's backing slice reaches this far past its
-        // logical end, so the counting sweep's fused kernel never needs a
-        // bounds-checked tail path (see `for_each_sorted_u32_grouped_padded`).
+        // Decode slack: the padded kernel, the only posting decoder, asserts
+        // GROUP_DECODE_SLACK readable bytes past every run it decodes; these
+        // trailing bytes give the last run its slack (every other run's
+        // slack is the slots after it).
         blob.resize(blob.len() + GROUP_DECODE_SLACK, 0);
         Self {
             start_id,
@@ -425,29 +427,20 @@ impl PostingShard {
         }
     }
 
-    /// Byte range of the posting at relative slot `rel`, plus nothing else:
-    /// walks at most `IDS_PER_GROUP - 1` length prefixes from the group
-    /// start.
-    fn posting_bytes(&self, rel: usize) -> &[u8] {
-        let (bytes, len) = self.posting_run(rel);
-        &bytes[..len]
-    }
-
     /// The posting at relative slot `rel` as a padded run: the backing
     /// slice reaches to the end of the blob (whose trailing
     /// [`GROUP_DECODE_SLACK`] zero bytes guarantee the fused kernel's slack
     /// invariant for every run, including the last), plus the run's logical
-    /// byte length.
+    /// byte length. Walks at most `IDS_PER_GROUP - 1` length prefixes from
+    /// the group start.
     fn posting_run(&self, rel: usize) -> (&[u8], usize) {
         debug_assert!(rel < self.num_ids);
-        let group_start = self.directory.offset(rel / IDS_PER_GROUP);
-        let mut reader = VarintReader::new(&self.blob[group_start..]);
+        let mut pos = self.directory.offset(rel / IDS_PER_GROUP);
         for _ in 0..rel % IDS_PER_GROUP {
-            let len = reader.next_varint().expect("slot inside the shard") as usize;
-            reader.skip(len);
+            let len = read_varint(&self.blob, &mut pos) as usize;
+            pos += len;
         }
-        let len = reader.next_varint().expect("slot inside the shard") as usize;
-        let pos = self.blob.len() - reader.remaining();
+        let len = read_varint(&self.blob, &mut pos) as usize;
         (&self.blob[pos..], len)
     }
 
@@ -465,9 +458,11 @@ impl PostingShard {
     }
 
     /// Decodes the posting at relative slot `rel`.
-    fn posting(&self, rel: usize) -> impl Iterator<Item = u32> + '_ {
-        let bytes = self.posting_bytes(rel);
-        decode_run(bytes)
+    fn posting(&self, rel: usize) -> Vec<u32> {
+        let (bytes, len) = self.posting_run(rel);
+        let mut users = Vec::new();
+        for_each_sorted_u32_grouped_padded(bytes, len, |user| users.push(user));
+        users
     }
 
     /// The streaming patcher — the only write path into a built shard.
@@ -566,12 +561,6 @@ fn push_slot(posting: &[u32], run: &mut Vec<u8>, blob: &mut Vec<u8>) {
     encode_sorted_u32s_grouped(posting, run);
     write_varint(run.len() as u64, blob);
     blob.extend_from_slice(run);
-}
-
-/// Decodes one posting run (the byte-length prefix already consumed) into
-/// ascending user ids — the shared grouped-codec decoder.
-fn decode_run(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    p3q_trace::codec::decode_sorted_u32s_grouped(bytes)
 }
 
 /// The action ids of a contiguous user range, read back off the index by
@@ -763,7 +752,7 @@ impl ActionIndex {
         if rel >= shard.num_ids {
             return Vec::new();
         }
-        shard.posting(rel).collect()
+        shard.posting(rel)
     }
 
     /// Patches the index with a batch of profile additions: for every
@@ -1763,7 +1752,11 @@ mod tests {
     fn decode_all(shard: &PostingShard) -> Vec<Vec<u32>> {
         shard
             .posting_runs()
-            .map(|(bytes, len)| decode_run(&bytes[..len]).collect())
+            .map(|(bytes, len)| {
+                let mut users = Vec::new();
+                for_each_sorted_u32_grouped_padded(bytes, len, |user| users.push(user));
+                users
+            })
             .collect()
     }
 
@@ -1932,7 +1925,7 @@ mod tests {
             assert_eq!(again, patched, "{case}: duplicate-only delta");
         }
         // A delta user below, between and above the members of one list.
-        let members: Vec<u32> = shard.posting(8).collect();
+        let members = shard.posting(8);
         let mut users = vec![members[0], members[members.len() - 1] + 1, 0];
         users.extend(
             members
@@ -1960,11 +1953,11 @@ mod tests {
         let all: Vec<u32> = (120..160).collect();
         let patched = assert_strip_is_byte_identical(&shard, &all, user, "whole profile");
         assert_eq!(
-            patched.posting(0).count(),
+            patched.posting(0).len(),
             0,
             "a singleton posting is emptied"
         );
-        assert_eq!(patched.posting(1).collect::<Vec<_>>(), vec![3, 900]);
+        assert_eq!(patched.posting(1), vec![3, 900]);
         // She is gone: stripping again rewrites nothing.
         let again = assert_strip_is_byte_identical(&patched, &all, user, "already stripped");
         assert_eq!(again, patched);
@@ -2016,7 +2009,7 @@ mod tests {
         assert!(empty.blob.is_empty());
         let pairs = pairs_on(&empty, &[0, 11], &[9]);
         let patched = assert_merge_is_byte_identical(&empty, &pairs, "default shard");
-        assert_eq!(patched.posting(11).collect::<Vec<_>>(), vec![9]);
+        assert_eq!(patched.posting(11), vec![9]);
         let mut untouched = PostingShard::default();
         untouched.patch(&[] as &[u32], |&id| id, |_, _, _| true);
         assert_eq!(untouched, PostingShard::default());

@@ -1,51 +1,37 @@
-//! Variable-length integer and delta-stream codecs — the byte-level
-//! substrate of the compressed columnar storage layer.
+//! Variable-length integer codecs — the byte-level substrate of the
+//! compressed columnar storage layer. One format per job, and one decoder
+//! per format:
 //!
-//! Three users share these primitives:
+//! * **LEB128** scalars ([`write_varint`], [`read_varint`],
+//!   [`varint_len`]; 7 payload bits per byte, high bit = continuation)
+//!   carry the byte-length prefixes in front of posting runs, the first
+//!   value of every posting run, the [`SortedKeyStore`] key blocks behind
+//!   [`crate::dict::ActionDictionary`] (one `u64` delta run per block) and
+//!   the [`crate::profile::PackedProfile`] at-rest stream.
+//! * **Posting runs** — the ascending user ids of one posting list of the
+//!   similarity engine's `ActionIndex`, ~1–3 bytes per posting instead of
+//!   4 — are written by [`encode_sorted_u32s_grouped`] as `[first value:
+//!   LEB128][deltas: group-varint]` and read back by
+//!   [`for_each_sorted_u32_grouped_padded`] alone.
 //!
-//! * the [`crate::dict::ActionDictionary`] stores its sorted distinct
-//!   `(item, tag)` keys as a [`SortedKeyStore`] (delta blocks with a
-//!   skip-sample directory, ~2–3 bytes per key instead of 8);
-//! * the similarity engine's `ActionIndex` stores each posting list as a
-//!   compressed run of ascending user ids ([`encode_sorted_u32s_grouped`] /
-//!   [`decode_sorted_u32s_grouped`], with [`decode_group`] driving the
-//!   hot-path decode), ~1–3 bytes per posting instead of 4;
-//! * [`crate::profile::PackedProfile`] stores a whole profile as one
-//!   delta-varint key stream.
+//! ## Group-varint posting deltas
 //!
-//! ## Storage formats: group-varint on the hot paths, LEB128 elsewhere
+//! Deltas are packed four to a *group*: one control byte whose four 2-bit
+//! fields give each value's byte length (1–4, little-endian payload bytes),
+//! followed by exactly those payload bytes. The decoder looks the four
+//! lengths up in a 256-entry table and assembles four values with no
+//! per-byte continuation branches — the branch misprediction per encoded
+//! byte that makes LEB128 slow to decode is amortized to one dispatch per
+//! four values. A trailing group simply runs out of payload bytes: the
+//! encoder writes only the bytes of the values present, so the run's byte
+//! length is its only delimiter. The LEB128 head keeps the very common
+//! singleton posting free of control-byte overhead.
 //!
-//! Two wire formats coexist, chosen per stream by decode cost:
-//!
-//! **Group-varint** (the hot-path format). Values are packed four to a
-//! *group*: one control byte whose four 2-bit fields give each value's byte
-//! length (1–4, little-endian payload bytes), followed by exactly those
-//! payload bytes. The decoder reads one control byte, looks the four
-//! lengths up in a 256-entry table ([`decode_group`]) and assembles four
-//! values with no per-byte continuation branches — the branch misprediction
-//! per encoded byte that makes LEB128 slow to decode is amortized to one
-//! dispatch per four values. A trailing group simply runs out of payload
-//! bytes: the encoder writes only the bytes of the values present, so the
-//! decoder stops when the stream ends (no count prefix needed). Group
-//! streams are decoded by [`decode_group`] (the unrolled kernel, with a
-//! bounds-check-free inner loop once at least [`MAX_GROUP_PAYLOAD`] bytes
-//! remain) or the buffered [`GroupReader`] iterator.
-//!
-//! **LEB128** (the standard varint: 7 payload bits per byte, high bit =
-//! continuation) remains where decode is not hot or values exceed 32 bits:
-//! byte-length prefixes in front of posting runs, the *first* value of a
-//! sorted run (see below), [`SortedKeyStore`] blocks whose `u64` deltas
-//! overflow `u32` (rare multi-item jumps), [`crate::profile::PackedProfile`]
-//! streams (tiny per-action deltas where LEB128 is the denser form), and
-//! every trace/transport stream.
-//!
-//! Delta streams store the first value verbatim and every subsequent value
-//! as the difference to its predecessor, which for *strictly ascending*
-//! inputs keeps most deltas in one or two bytes. A grouped sorted run
-//! ([`encode_sorted_u32s_grouped`]) writes the first value as LEB128 and
-//! only the deltas as group-varint: the very common singleton posting then
-//! carries zero control-byte overhead and the group format only pays its
-//! quarter-byte-per-value dispatch cost where it also buys decode speed.
+//! Every value is read with one unaligned 4-byte load masked down to its
+//! length, which may read up to three bytes past the run. The backing
+//! slice must therefore extend [`GROUP_DECODE_SLACK`] readable bytes past
+//! the run (posting blobs append them at encode time), and the decoder
+//! asserts it before the first load.
 
 /// Appends one LEB128 varint to `out`.
 #[inline]
@@ -82,86 +68,11 @@ pub fn varint_len(value: u64) -> usize {
     (1 + (63_u32.saturating_sub(value.leading_zeros())) / 7) as usize
 }
 
-/// Encodes a strictly ascending `u32` run as first-value + deltas, appending
-/// to `out`. The caller is responsible for remembering the run length.
-pub fn encode_sorted_u32s(values: &[u32], out: &mut Vec<u8>) {
-    let mut prev = 0u64;
-    for (i, &v) in values.iter().enumerate() {
-        let v = u64::from(v);
-        if i == 0 {
-            write_varint(v, out);
-        } else {
-            debug_assert!(v > prev, "delta runs need strictly ascending input");
-            write_varint(v - prev, out);
-        }
-        prev = v;
-    }
-}
-
-/// Streaming varint reader over a byte slice. Walks the slice with an
-/// iterator (no per-byte bounds checks in release builds), which is what
-/// keeps the decode loops on the counting-sweep hot path cheap.
-#[derive(Debug, Clone)]
-pub struct VarintReader<'a> {
-    iter: std::slice::Iter<'a, u8>,
-}
-
-impl<'a> VarintReader<'a> {
-    /// Starts reading at the beginning of `bytes`.
-    #[inline]
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { iter: bytes.iter() }
-    }
-
-    /// Reads the next varint, or `None` at end of input.
-    #[inline]
-    pub fn next_varint(&mut self) -> Option<u64> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = *self.iter.next()?;
-            value |= u64::from(byte & 0x7F) << shift;
-            if byte < 0x80 {
-                return Some(value);
-            }
-            shift += 7;
-        }
-    }
-
-    /// Bytes not yet consumed.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.iter.len()
-    }
-
-    /// Skips `n` raw bytes.
-    #[inline]
-    pub fn skip(&mut self, n: usize) {
-        self.iter = self.iter.as_slice()[n..].iter();
-    }
-}
-
-/// Decodes a whole delta run written by [`encode_sorted_u32s`] back into
-/// the ascending values it encoded, consuming `bytes` to the end — the
-/// single shared decoder behind posting lists and packed runs.
-pub fn decode_sorted_u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    let mut reader = VarintReader::new(bytes);
-    let mut prev = 0u64;
-    let mut first = true;
-    std::iter::from_fn(move || {
-        let raw = reader.next_varint()?;
-        prev = if first { raw } else { prev + raw };
-        first = false;
-        Some(prev)
-    })
-}
-
 /// Values per group-varint control byte.
 pub const GROUP_SIZE: usize = 4;
 
-/// Maximum payload bytes of one full group (four 4-byte values). Once this
-/// many bytes remain, [`decode_group`] may take its bounds-check-free path.
-pub(crate) const MAX_GROUP_PAYLOAD: usize = GROUP_SIZE * 4;
+/// Maximum payload bytes of one full group (four 4-byte values).
+const MAX_GROUP_PAYLOAD: usize = GROUP_SIZE * 4;
 
 /// Bytes the group-varint encoding of `v` occupies (1–4, excluding its two
 /// control bits).
@@ -211,90 +122,26 @@ const fn build_group_table() -> [GroupEntry; 256] {
     table
 }
 
-/// Appends `values` as group-varint to `out`: per chunk of [`GROUP_SIZE`]
-/// values one control byte (four 2-bit little-endian length fields), then
-/// each value's low bytes. A final partial chunk writes a full control byte
-/// but only the present values' bytes — the decoder detects the end of the
-/// run by payload exhaustion, so the caller only needs to remember the byte
-/// length (or delimit the stream), never the value count.
-pub fn encode_group_u32s(values: &[u32], out: &mut Vec<u8>) {
-    for chunk in values.chunks(GROUP_SIZE) {
-        let mut ctrl = 0u8;
-        for (j, &v) in chunk.iter().enumerate() {
-            ctrl |= ((group_value_len(v) - 1) as u8) << (2 * j);
-        }
-        out.push(ctrl);
-        for &v in chunk {
-            out.extend_from_slice(&v.to_le_bytes()[..group_value_len(v)]);
-        }
+/// Appends `values` (at most [`GROUP_SIZE`]) as one group: a control byte
+/// of four 2-bit little-endian length fields, then each value's low bytes.
+/// A trailing partial group writes a full control byte but only the
+/// present values' bytes.
+fn encode_group_u32s(values: &[u32], out: &mut Vec<u8>) {
+    debug_assert!(values.len() <= GROUP_SIZE);
+    let mut ctrl = 0u8;
+    for (j, &v) in values.iter().enumerate() {
+        ctrl |= ((group_value_len(v) - 1) as u8) << (2 * j);
     }
-}
-
-/// Decodes the next group of a [`encode_group_u32s`] run into `out`,
-/// advancing `*pos`. Returns how many values were decoded: [`GROUP_SIZE`]
-/// for a full group, less for the trailing partial group, `0` at end of
-/// input. `bytes` must span exactly one encoded run (the end-of-run
-/// condition is payload exhaustion).
-///
-/// This is the unrolled decode kernel of the counting-sweep hot paths: one
-/// table lookup dispatches all four lengths, and once at least
-/// [`MAX_GROUP_PAYLOAD`] bytes remain the per-value loads skip bounds
-/// checks entirely (see `decode_full_group_unchecked`).
-///
-/// # Panics
-/// Panics (via slice indexing) if the run is truncated mid-value.
-#[inline]
-pub fn decode_group(bytes: &[u8], pos: &mut usize, out: &mut [u32; GROUP_SIZE]) -> usize {
-    let mut p = *pos;
-    if p >= bytes.len() {
-        return 0;
+    out.push(ctrl);
+    for &v in values {
+        out.extend_from_slice(&v.to_le_bytes()[..group_value_len(v)]);
     }
-    let ctrl = bytes[p];
-    p += 1;
-    let remaining = bytes.len() - p;
-    if ctrl == 0 {
-        // All-one-byte group — the dominant shape of dense posting runs
-        // (small ascending deltas): the values *are* the payload bytes, no
-        // dispatch table, no masking. `remaining` caps a trailing partial
-        // group (payload exhaustion is the end-of-run condition).
-        let n = remaining.min(GROUP_SIZE);
-        for (slot, &byte) in out.iter_mut().zip(&bytes[p..p + n]) {
-            *slot = u32::from(byte);
-        }
-        *pos = p + n;
-        return n;
-    }
-    let entry = &GROUP_TABLE[ctrl as usize];
-    if remaining >= MAX_GROUP_PAYLOAD {
-        // At least one full group's worth of payload remains, so this group
-        // is complete (a trailing partial group is followed by nothing and
-        // carries at most MAX_GROUP_PAYLOAD - 1 bytes).
-        decode_full_group_unchecked(bytes, p, entry, out);
-        *pos = p + entry.total as usize;
-        return GROUP_SIZE;
-    }
-    // Safe tail path: stage the trailing payload (at most
-    // MAX_GROUP_PAYLOAD - 1 bytes) in a zero-filled pad sized so every
-    // value decodes with the same masked 4-byte load as the unchecked
-    // kernel — no data-dependent per-byte loop, and the only bounds checks
-    // are against the pad's constant size.
-    let mut pad = [0u8; MAX_GROUP_PAYLOAD + 3];
-    pad[..remaining].copy_from_slice(&bytes[p..]);
-    let mut n = 0usize;
-    let mut off = 0usize;
-    while n < GROUP_SIZE && off < remaining {
-        let word = u32::from_le_bytes(pad[off..off + 4].try_into().expect("pad window is 4 bytes"));
-        out[n] = word & entry.masks[n];
-        off += entry.lens[n] as usize;
-        n += 1;
-    }
-    *pos = p + off;
-    n
 }
 
 /// Bounds-check-free unaligned little-endian 4-byte load — the single
-/// `deny(unsafe_code)` exemption of this crate, shared by every unchecked
-/// decode kernel. Callers must have established `p + 4 <= bytes.len()`.
+/// `deny(unsafe_code)` exemption of this crate, reached only from
+/// [`for_each_sorted_u32_grouped_padded`] after its slack assert. Callers
+/// must have established `p + 4 <= bytes.len()`.
 #[allow(unsafe_code)]
 #[inline]
 fn load_word_unchecked(bytes: &[u8], p: usize) -> u32 {
@@ -307,7 +154,7 @@ fn load_word_unchecked(bytes: &[u8], p: usize) -> u32 {
     u32::from_le(word)
 }
 
-/// The bounds-check-free inner loop of [`decode_group`]: four unaligned
+/// The full-group body of the padded kernel: four unaligned
 /// 4-byte loads masked down to their encoded lengths. Callers must have
 /// established `p + MAX_GROUP_PAYLOAD <= bytes.len()` — value `j` starts at
 /// most 3 × 4 = 12 bytes past `p` (three predecessors of at most 4 bytes
@@ -348,69 +195,6 @@ fn read_varint_u32_padded(bytes: &[u8], pos: &mut usize) -> u32 {
     // Keep only the encoding's own bytes, then gather the 7-bit fields.
     let w = word & (u32::MAX >> (32 - 8 * len)) & 0x7F7F_7F7F;
     (w & 0x7F) | ((w >> 1) & 0x3F80) | ((w >> 2) & 0x001F_C000) | ((w >> 3) & 0x0FE0_0000)
-}
-
-/// Buffered iterator over one [`encode_group_u32s`] run: yields the raw
-/// `u32` values one at a time (decoding a group per refill). The
-/// convenience counterpart of [`decode_group`] for the non-hot paths.
-#[derive(Debug, Clone)]
-pub struct GroupReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    buf: [u32; GROUP_SIZE],
-    buf_len: u8,
-    buf_pos: u8,
-}
-
-impl<'a> GroupReader<'a> {
-    /// Starts reading at the beginning of `bytes` (exactly one encoded run).
-    #[inline]
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self {
-            bytes,
-            pos: 0,
-            buf: [0; GROUP_SIZE],
-            buf_len: 0,
-            buf_pos: 0,
-        }
-    }
-}
-
-impl Iterator for GroupReader<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.buf_pos == self.buf_len {
-            self.buf_len = decode_group(self.bytes, &mut self.pos, &mut self.buf) as u8;
-            self.buf_pos = 0;
-            if self.buf_len == 0 {
-                return None;
-            }
-        }
-        let v = self.buf[self.buf_pos as usize];
-        self.buf_pos += 1;
-        Some(v)
-    }
-}
-
-/// One [`SortedKeyStore`] block's delta stream, dispatched on its flag byte:
-/// the grouped hot-path decoder or the full-width LEB128 fallback.
-enum BlockDeltas<'a> {
-    Grouped(GroupReader<'a>),
-    Leb(VarintReader<'a>),
-}
-
-impl Iterator for BlockDeltas<'_> {
-    type Item = u64;
-
-    #[inline]
-    fn next(&mut self) -> Option<u64> {
-        match self {
-            BlockDeltas::Grouped(r) => r.next().map(u64::from),
-            BlockDeltas::Leb(r) => r.next_varint(),
-        }
-    }
 }
 
 /// Encodes a strictly ascending `u32` run as `[first value: LEB128][deltas:
@@ -459,11 +243,9 @@ pub const GROUP_DECODE_SLACK: usize = MAX_GROUP_PAYLOAD;
 /// The run occupies `bytes[..run_len]`; the slice must extend at least
 /// [`GROUP_DECODE_SLACK`] bytes further (posting blobs append that much
 /// zero slack at encode time), which lets every per-value load skip bounds
-/// checks: unlike driving [`decode_group`] in a caller-side loop, the
-/// fused form pays no terminal probe call, no safe-tail staging, unrolls
-/// the full-group bodies to exactly [`GROUP_SIZE`] callback invocations,
-/// and walks all-one-byte groups (the dominant shape of dense posting
-/// runs) directly over the payload bytes.
+/// checks. The full-group bodies unroll to exactly [`GROUP_SIZE`] callback
+/// invocations, and all-one-byte groups (the dominant shape of dense
+/// posting runs) are walked directly over the payload bytes.
 ///
 /// # Panics
 /// Panics if the slice does not carry the required slack.
@@ -541,59 +323,19 @@ pub fn for_each_sorted_u32_grouped_padded(bytes: &[u8], run_len: usize, mut f: i
     }
 }
 
-/// Decodes a whole run written by [`encode_sorted_u32s_grouped`] back into
-/// its ascending values, consuming `bytes` to the end.
-pub fn decode_sorted_u32s_grouped(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    let mut pos = 0usize;
-    let mut prev = 0u32;
-    let mut first = true;
-    let mut buf = [0u32; GROUP_SIZE];
-    let mut buf_len = 0usize;
-    let mut buf_pos = 0usize;
-    std::iter::from_fn(move || {
-        if first {
-            if bytes.is_empty() {
-                return None;
-            }
-            first = false;
-            prev = read_varint(bytes, &mut pos) as u32;
-            return Some(prev);
-        }
-        if buf_pos == buf_len {
-            buf_len = decode_group(bytes, &mut pos, &mut buf);
-            buf_pos = 0;
-            if buf_len == 0 {
-                return None;
-            }
-        }
-        prev += buf[buf_pos];
-        buf_pos += 1;
-        Some(prev)
-    })
-}
-
 /// How many keys one skip block of a [`SortedKeyStore`] covers. Lookups
 /// binary-search the per-block sample directory and then decode at most one
 /// block, so the constant trades lookup cost against directory size
 /// (8 + 4 bytes per block, i.e. 0.75 bytes per key at 16). 16 keeps the
 /// per-lookup decode short enough for the counting-sweep hot path.
-pub(crate) const KEYS_PER_BLOCK: usize = 16;
-
-/// Per-block codec flag: the block's deltas all fit `u32` and are stored as
-/// one group-varint run (the common case — within one item and across
-/// single-item boundaries the `u64` key delta stays below `2^32`).
-const BLOCK_GROUPED: u8 = 0;
-/// Per-block codec flag: at least one delta exceeds `u32` (a multi-item
-/// jump), so the block keeps the full-width LEB128 delta run.
-const BLOCK_LEB128: u8 = 1;
+const KEYS_PER_BLOCK: usize = 16;
 
 /// An immutable, compressed store of strictly ascending `u64` keys with
 /// random access by rank and rank lookup by key.
 ///
-/// Layout: keys are split into blocks of [`KEYS_PER_BLOCK`]; each block is
-/// one flag byte ([`BLOCK_GROUPED`] / [`BLOCK_LEB128`]) followed by its
-/// delta run — group-varint whenever every delta fits `u32` (the hot-path
-/// decode), LEB128 for the rare blocks with wider jumps. A directory holds
+/// Layout: keys are split into blocks of `KEYS_PER_BLOCK` (16); a block's
+/// first key lives in the directory only, and the blob holds the block's
+/// following keys as one LEB128 run of `u64` deltas. The directory holds
 /// every block's first key (`samples`) and byte offset (`block_offsets`),
 /// so both directions cost one binary search over the directory plus one
 /// block decode:
@@ -601,8 +343,8 @@ const BLOCK_LEB128: u8 = 1;
 /// * [`Self::get`] — rank → key;
 /// * [`Self::rank_of`] — key → rank (exact match only).
 ///
-/// For ~6M distinct action keys of a 100k-user trace this stores ~2.3 bytes
-/// per key against the 8 bytes of a plain `Vec<u64>`.
+/// On the paper-shaped trace at 50k users this stores about 3.4 bytes per
+/// key, directory included, against the 8 bytes of a plain `Vec<u64>`.
 #[derive(Debug, Clone, Default)]
 pub struct SortedKeyStore {
     /// Every `ROOT_FANOUT`-th sample: a small, cache-resident first search
@@ -626,33 +368,12 @@ impl SortedKeyStore {
         let mut samples = Vec::with_capacity(keys.len().div_ceil(KEYS_PER_BLOCK));
         let mut block_offsets = Vec::with_capacity(samples.capacity());
         let mut blob = Vec::new();
-        let mut deltas: Vec<u64> = Vec::with_capacity(KEYS_PER_BLOCK - 1);
         for block in keys.chunks(KEYS_PER_BLOCK) {
-            // The block's first key lives only in the sample directory —
-            // the blob holds just the following deltas, seeded from it.
             samples.push(block[0]);
             block_offsets.push(u32::try_from(blob.len()).expect("key blob exceeds 4 GiB"));
-            deltas.clear();
-            let mut prev = block[0];
-            for &k in &block[1..] {
-                debug_assert!(k > prev, "SortedKeyStore needs strictly ascending keys");
-                deltas.push(k - prev);
-                prev = k;
-            }
-            if deltas.iter().all(|&d| d <= u64::from(u32::MAX)) {
-                blob.push(BLOCK_GROUPED);
-                let mut chunk = [0u32; GROUP_SIZE];
-                for group in deltas.chunks(GROUP_SIZE) {
-                    for (j, &d) in group.iter().enumerate() {
-                        chunk[j] = d as u32;
-                    }
-                    encode_group_u32s(&chunk[..group.len()], &mut blob);
-                }
-            } else {
-                blob.push(BLOCK_LEB128);
-                for &d in &deltas {
-                    write_varint(d, &mut blob);
-                }
+            for pair in block.windows(2) {
+                debug_assert!(pair[0] < pair[1], "keys must be strictly ascending");
+                write_varint(pair[1] - pair[0], &mut blob);
             }
         }
         let root = samples.iter().step_by(ROOT_FANOUT).copied().collect();
@@ -675,23 +396,10 @@ impl SortedKeyStore {
         self.len == 0
     }
 
+    /// The blob from the start of `block`'s delta run; the run holds
+    /// `block_len(block) - 1` varints.
     fn block_bytes(&self, block: usize) -> &[u8] {
-        let start = self.block_offsets[block] as usize;
-        let end = self
-            .block_offsets
-            .get(block + 1)
-            .map_or(self.blob.len(), |&o| o as usize);
-        &self.blob[start..end]
-    }
-
-    /// The flag-dispatched delta stream of one block (the flag byte chooses
-    /// the grouped hot-path decoder or the LEB128 fallback).
-    fn block_deltas(&self, block: usize) -> BlockDeltas<'_> {
-        let bytes = self.block_bytes(block);
-        match bytes[0] {
-            BLOCK_GROUPED => BlockDeltas::Grouped(GroupReader::new(&bytes[1..])),
-            _ => BlockDeltas::Leb(VarintReader::new(&bytes[1..])),
-        }
+        &self.blob[self.block_offsets[block] as usize..]
     }
 
     fn block_len(&self, block: usize) -> usize {
@@ -706,12 +414,10 @@ impl SortedKeyStore {
     pub fn get(&self, rank: usize) -> u64 {
         assert!(rank < self.len, "key rank {rank} out of bounds");
         let block = rank / KEYS_PER_BLOCK;
-        let mut k = self.samples[block];
-        let mut deltas = self.block_deltas(block);
-        for _ in 0..rank % KEYS_PER_BLOCK {
-            k += deltas.next().expect("rank is inside the block");
-        }
-        k
+        let bytes = self.block_bytes(block);
+        let mut pos = 0usize;
+        (0..rank % KEYS_PER_BLOCK)
+            .fold(self.samples[block], |k, _| k + read_varint(bytes, &mut pos))
     }
 
     /// The rank of `key`, or `None` if absent.
@@ -726,9 +432,10 @@ impl SortedKeyStore {
         if k == key {
             return Some(block * KEYS_PER_BLOCK);
         }
-        let mut deltas = self.block_deltas(block);
+        let bytes = self.block_bytes(block);
+        let mut pos = 0usize;
         for i in 1..self.block_len(block) {
-            k += deltas.next()?;
+            k += read_varint(bytes, &mut pos);
             if k >= key {
                 return (k == key).then_some(block * KEYS_PER_BLOCK + i);
             }
@@ -742,9 +449,10 @@ impl SortedKeyStore {
             .iter()
             .enumerate()
             .flat_map(move |(block, &first)| {
-                let mut deltas = self.block_deltas(block);
+                let bytes = self.block_bytes(block);
+                let mut pos = 0usize;
                 let rest = (1..self.block_len(block)).scan(first, move |k, _| {
-                    *k += deltas.next()?;
+                    *k += read_varint(bytes, &mut pos);
                     Some(*k)
                 });
                 std::iter::once(first).chain(rest)
@@ -762,6 +470,27 @@ impl SortedKeyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encodes `values` as a posting run and decodes it back through the
+    /// padded kernel, with garbage in the mandatory slack.
+    fn round_trip(values: &[u32]) -> Vec<u32> {
+        let mut buf = Vec::new();
+        encode_sorted_u32s_grouped(values, &mut buf);
+        let run_len = buf.len();
+        buf.resize(run_len + GROUP_DECODE_SLACK, 0xA5);
+        let mut decoded = Vec::new();
+        for_each_sorted_u32_grouped_padded(&buf, run_len, |v| decoded.push(v));
+        decoded
+    }
+
+    /// The ascending run `first, first + d0, first + d0 + d1, …`.
+    fn prefix_sums(first: u32, deltas: &[u32]) -> Vec<u32> {
+        let rest = deltas.iter().scan(first, |acc, &d| {
+            *acc += d;
+            Some(*acc)
+        });
+        std::iter::once(first).chain(rest).collect()
+    }
 
     #[test]
     fn varint_round_trips_boundary_values() {
@@ -789,18 +518,25 @@ mod tests {
     #[test]
     fn delta_run_round_trips() {
         let values: Vec<u32> = vec![0, 1, 5, 100, 101, 70_000, 4_000_000_000];
-        let mut buf = Vec::new();
-        encode_sorted_u32s(&values, &mut buf);
-        let decoded: Vec<u64> = decode_sorted_u64s(&buf).collect();
-        assert_eq!(
-            decoded,
-            values.iter().map(|&v| u64::from(v)).collect::<Vec<_>>()
-        );
+        assert_eq!(round_trip(&values), values);
     }
 
     #[test]
     fn empty_delta_run_is_empty() {
-        assert_eq!(decode_sorted_u64s(&[]).count(), 0);
+        let mut buf = Vec::new();
+        encode_sorted_u32s_grouped(&[], &mut buf);
+        assert!(buf.is_empty());
+        assert!(round_trip(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "readable bytes past the run")]
+    fn padded_decode_rejects_a_slice_without_slack() {
+        let mut buf = Vec::new();
+        encode_sorted_u32s_grouped(&[1, 2, 3, 4, 5], &mut buf);
+        let run_len = buf.len();
+        buf.resize(run_len + GROUP_DECODE_SLACK - 1, 0);
+        for_each_sorted_u32_grouped_padded(&buf, run_len, |_| {});
     }
 
     #[test]
@@ -873,37 +609,43 @@ mod tests {
     #[test]
     fn group_round_trips_adversarial_values() {
         let cases: Vec<Vec<u32>> = vec![
-            vec![],
-            vec![0],
-            vec![0, 0, 0, 0, 0, 0, 0, 0, 0],
-            vec![u32::MAX; 7],
-            vec![1, 0x100, 0x1_0000, 0x100_0000, u32::MAX, 0, 42],
-            (0..100u32).map(|i| i.wrapping_mul(2_654_435_761)).collect(),
+            // All-one-byte groups: two full, then trailing groups of 1–3.
+            prefix_sums(0, &[1; 9]),
+            prefix_sums(7, &[255; 10]),
+            prefix_sums(0, &[1; 11]),
+            // Every width class in every lane of a group.
+            prefix_sums(0, &[1, 0x100, 0x1_0000, 0x100_0000, 0x100_0000, 1, 0x100]),
+            prefix_sums(0, &[0x100_0000; 7]),
+            // One delta spanning the whole u32 range.
+            vec![0, u32::MAX],
+            prefix_sums(
+                3,
+                &(1..100u32)
+                    .map(|i| i.wrapping_mul(2_654_435_761) % 0x3F_FFFF + 1)
+                    .collect::<Vec<_>>(),
+            ),
         ];
         for values in cases {
-            let mut buf = Vec::new();
-            encode_group_u32s(&values, &mut buf);
-            let decoded: Vec<u32> = GroupReader::new(&buf).collect();
-            assert_eq!(decoded, values, "values {values:?}");
+            assert_eq!(round_trip(&values), values, "values {values:?}");
         }
     }
 
     #[test]
     fn decode_group_covers_fast_and_tail_paths() {
-        // 5 values: the first group of 4 has >= MAX_GROUP_PAYLOAD bytes of
-        // payload after it (the unchecked fast path); the trailing single
-        // value takes the byte-at-a-time tail path.
-        let values = [u32::MAX, u32::MAX, u32::MAX, u32::MAX, 7u32];
+        // Deltas: a full 4-byte group (the table-driven full-group path),
+        // a full all-one-byte group, then a trailing one-byte group of 2
+        // and, in the second run, a trailing table-driven group of 3.
+        let full = [0x100_0000, 0x100_0000, 0x100_0000, 0x100_0000];
+        let mut deltas = full.to_vec();
+        deltas.extend([1, 2, 3, 4, 5, 6]);
+        let values = prefix_sums(9, &deltas);
         let mut buf = Vec::new();
-        encode_group_u32s(&values, &mut buf);
-        let mut pos = 0;
-        let mut out = [0u32; GROUP_SIZE];
-        assert_eq!(decode_group(&buf, &mut pos, &mut out), GROUP_SIZE);
-        assert_eq!(out, [u32::MAX; 4]);
-        assert_eq!(decode_group(&buf, &mut pos, &mut out), 1);
-        assert_eq!(out[0], 7);
-        assert_eq!(decode_group(&buf, &mut pos, &mut out), 0);
-        assert_eq!(pos, buf.len());
+        encode_sorted_u32s_grouped(&values, &mut buf);
+        assert_eq!(buf.len(), 1 + (1 + 16) + (1 + 4) + (1 + 2));
+        assert_eq!(round_trip(&values), values);
+
+        let values = prefix_sums(9, &[1, 2, 3, 4, 0x100, 0x1_0000, 0x100_0000]);
+        assert_eq!(round_trip(&values), values);
     }
 
     #[test]
@@ -916,10 +658,7 @@ mod tests {
             vec![0, u32::MAX],
         ];
         for values in cases {
-            let mut buf = Vec::new();
-            encode_sorted_u32s_grouped(&values, &mut buf);
-            let decoded: Vec<u32> = decode_sorted_u32s_grouped(&buf).collect();
-            assert_eq!(decoded, values, "values {values:?}");
+            assert_eq!(round_trip(&values), values, "values {values:?}");
         }
     }
 

@@ -30,13 +30,14 @@
 //! * the **compressed columnar storage substrate** — the interned action
 //!   dictionary ([`ActionDictionary`], [`ActionId`]: dense `u32` ids for
 //!   distinct `(item, tag)` actions, assigned in key order at trace build
-//!   time), the delta-varint codecs ([`codec`]) and the packed at-rest
-//!   profile form ([`PackedProfile`]) the similarity index and the
-//!   benchmark memory accounting are built on.
+//!   time) and the varint codecs ([`codec`]) the similarity index is built
+//!   on, and the packed at-rest profile form ([`PackedProfile`]), a size
+//!   format for the benchmark memory accounting only.
 
-// `deny`, not `forbid`: the group-varint decode kernel in [`codec`] is the
-// sole, explicitly `#[allow]`-ed exemption (a bounds-check-free unaligned
-// load with a `// SAFETY:` justification); everything else stays safe Rust.
+// `deny`, not `forbid`: the padded posting-run decode kernel in [`codec`]
+// is the sole, explicitly `#[allow]`-ed exemption (a bounds-check-free
+// unaligned load with a `// SAFETY:` justification); everything else stays
+// safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
