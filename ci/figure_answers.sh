@@ -8,45 +8,72 @@
 # stdout repeats on any host and for any P3Q_THREADS, so a mismatch is a
 # behaviour change, never noise. Stderr (progress lines) is not compared.
 #
-#   ci/figure_answers.sh            compare; on a mismatch print the figure,
-#                                   the seed and the diff, and exit 1
-#   ci/figure_answers.sh --record   run everything twice and rewrite
-#                                   ci/figure_answers.txt, unless the two
-#                                   runs differ
+# --paper-scale runs instead the one figure pinned at the paper's
+# configuration, `fig5_space --paper-scale --users 10000 --seed 42`
+# (s = 1 000 and seven storage budgets up to c = 1 000, each installed by
+# `init_ideal_networks`), against ci/figure_answers_paper.txt.
 #
-# Record only together with a change that means to alter a figure, and say
-# why in the commit message. Honours CARGO_TARGET_DIR.
+#   ci/figure_answers.sh [--paper-scale]            compare; on a mismatch
+#                                                   print the figure, the
+#                                                   seed and the diff, and
+#                                                   exit 1
+#   ci/figure_answers.sh [--paper-scale] --record   run everything twice and
+#                                                   rewrite the answers file,
+#                                                   unless the two runs differ
+#
+# Both modes print the wall time of each pass. Record only together with a
+# change that means to alter a figure, and say why in the commit message.
+# Honours CARGO_TARGET_DIR.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-answers=ci/figure_answers.txt
-mode=${1:-compare}
-case "$mode" in
-compare | --record) ;;
-*)
-    echo "usage: ci/figure_answers.sh [--record]" >&2
-    exit 2
-    ;;
-esac
+mode=compare
+scale=smoke
+for arg in "$@"; do
+    case "$arg" in
+    --record) mode=--record ;;
+    --paper-scale) scale=paper ;;
+    *)
+        echo "usage: ci/figure_answers.sh [--paper-scale] [--record]" >&2
+        exit 2
+        ;;
+    esac
+done
 
-figures=(fig2_convergence fig3_alpha fig4_storage_recall fig5_space
-    fig6_query_bandwidth fig7_aur_lazy fig8_users_reached fig9_aur_eager
-    fig10_network_evolution fig11_churn table1_storage_distribution
-    table2_profile_changes summary_bandwidth theory_validation)
-seeds=(42 7)
+# One run per entry: "<figure> <seed> <flags…>".
+runs=()
+if [ "$scale" = paper ]; then
+    answers=ci/figure_answers_paper.txt
+    runs+=("fig5_space 42 --paper-scale --users 10000")
+else
+    answers=ci/figure_answers.txt
+    for figure in fig2_convergence fig3_alpha fig4_storage_recall fig5_space \
+        fig6_query_bandwidth fig7_aur_lazy fig8_users_reached fig9_aur_eager \
+        fig10_network_evolution fig11_churn table1_storage_distribution \
+        table2_profile_changes summary_bandwidth theory_validation; do
+        for seed in 42 7; do
+            runs+=("$figure $seed --users 300 --cycles 5 --queries 30")
+        done
+    done
+fi
 
 cargo build --release --quiet -p p3q-bench --bin paper_figures
 paper_figures=${CARGO_TARGET_DIR:-target}/release/paper_figures
 
-# Every run's stdout under a `## <figure> seed <seed>` heading.
+# Every run's stdout under a `## <figure> seed <seed>` heading, into $1; the
+# pass's wall time on stdout.
 run_all() {
-    for figure in "${figures[@]}"; do
-        for seed in "${seeds[@]}"; do
-            echo "paper_figures --figure $figure --seed $seed" >&2
-            echo "## $figure seed $seed"
-            "$paper_figures" --figure "$figure" --users 300 --cycles 5 --queries 30 --seed "$seed"
-        done
-    done
+    local start figure seed flags
+    start=$(date +%s%N)
+    for run in "${runs[@]}"; do
+        read -r figure seed flags <<<"$run"
+        echo "paper_figures --figure $figure $flags --seed $seed" >&2
+        echo "## $figure seed $seed"
+        # shellcheck disable=SC2086 # $flags is a word list
+        "$paper_figures" --figure "$figure" $flags --seed "$seed"
+    done >"$1"
+    awk -v ns=$(($(date +%s%N) - start)) -v n=${#runs[@]} \
+        'BEGIN { printf "wall time of %d run(s): %.1f s\n", n, ns / 1e9 }'
 }
 
 # The stdout recorded under one heading of a file written by run_all.
@@ -56,31 +83,30 @@ section() {
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-run_all >"$tmp/fresh.txt"
+run_all "$tmp/fresh.txt"
 
 if [ "$mode" = --record ]; then
-    run_all >"$tmp/again.txt"
+    run_all "$tmp/again.txt"
     if ! cmp -s "$tmp/fresh.txt" "$tmp/again.txt"; then
         diff "$tmp/fresh.txt" "$tmp/again.txt" || true
         echo "two runs of this checkout differ; not recording" >&2
         exit 1
     fi
     cp "$tmp/fresh.txt" "$answers"
-    echo "recorded $((${#figures[@]} * ${#seeds[@]})) runs in $answers"
+    echo "recorded ${#runs[@]} run(s) in $answers"
     exit 0
 fi
 
 mismatches=0
-for figure in "${figures[@]}"; do
-    for seed in "${seeds[@]}"; do
-        section "$answers" "$figure" "$seed" >"$tmp/want"
-        section "$tmp/fresh.txt" "$figure" "$seed" >"$tmp/got"
-        if ! cmp -s "$tmp/want" "$tmp/got"; then
-            echo "MISMATCH $figure seed $seed (< recorded, > fresh):"
-            diff "$tmp/want" "$tmp/got" || true
-            mismatches=$((mismatches + 1))
-        fi
-    done
+for run in "${runs[@]}"; do
+    read -r figure seed _ <<<"$run"
+    section "$answers" "$figure" "$seed" >"$tmp/want"
+    section "$tmp/fresh.txt" "$figure" "$seed" >"$tmp/got"
+    if ! cmp -s "$tmp/want" "$tmp/got"; then
+        echo "MISMATCH $figure seed $seed (< recorded, > fresh):"
+        diff "$tmp/want" "$tmp/got" || true
+        mismatches=$((mismatches + 1))
+    fi
 done
 if [ "$mismatches" -gt 0 ]; then
     echo "$mismatches run(s) differ from $answers" >&2
@@ -90,4 +116,4 @@ if ! cmp -s "$answers" "$tmp/fresh.txt"; then
     echo "$answers holds runs this script no longer makes" >&2
     exit 1
 fi
-echo "$((${#figures[@]} * ${#seeds[@]})) runs print exactly what $answers records"
+echo "${#runs[@]} run(s) print exactly what $answers records"
