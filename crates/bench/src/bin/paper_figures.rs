@@ -995,8 +995,11 @@ fn summary_bandwidth(args: &HarnessArgs) {
     let lazy_cycles = args.cycles;
     let per_node_lazy: Vec<f64> = (0..sim.num_nodes())
         .map(|idx| {
-            sim.bandwidth
-                .node_bits_per_second(idx, lazy_cycles, cfg.lazy_cycle_seconds)
+            bits_per_second(
+                sim.bandwidth.node_total_bytes(idx),
+                lazy_cycles,
+                cfg.lazy_cycle_seconds,
+            )
         })
         .collect();
     let lazy_summary = DistributionSummary::of(&per_node_lazy);

@@ -151,8 +151,8 @@ mod tests {
         // the paper's 36-byte action model.
         let mut node = P3qNode::new(UserId(0), p2.clone(), 5, 3, 2, 1024, 4);
         for (peer, p) in [(1, p1), (2, p2)] {
-            node.record_neighbour(UserId(peer), 1, p.digest(1024, 4), 1);
-            node.store_profile(UserId(peer), p, 1);
+            let offer = P3qNode::new(UserId(peer), p, 5, 3, 2, 1024, 4).own_offer();
+            node.admit(&offer, 1);
         }
         let actions = storage_requirements(&Simulator::new(vec![node], 0));
         assert_eq!(actions, [3]);

@@ -67,66 +67,23 @@ pub fn build_simulator_with_budgets(
 /// query protocol on personal networks that have already been built; this
 /// helper produces exactly that starting point without having to run
 /// hundreds of lazy cycles first.
+///
+/// Every ideal neighbour is admitted ([`P3qNode::admit`]) with its own
+/// offer, in the ideal network's order (score descending, then peer
+/// ascending), which is the view's order: each lands below the ones before
+/// it, so the first `c` store their profiles and nothing moves afterwards.
+///
+/// Precondition: every personal network is empty, as [`build_simulator`]
+/// leaves it (checked in debug builds).
 pub fn init_ideal_networks(sim: &mut Simulator<P3qNode>, ideal: &IdealNetworks) {
-    /// Digest, profile and their (single) version, read together so no later
-    /// pass can observe the peer at a different version.
-    struct PeerSnapshot {
-        peer: UserId,
-        score: u64,
-        digest: p3q_bloom::SharedFilter,
-        profile: p3q_trace::SharedProfile,
-        version: u64,
-    }
-
-    let n = sim.num_nodes();
-    for idx in 0..n {
-        // Snapshot every ideal neighbour exactly once: the record pass and
-        // the fill-missing pass below both reuse this copy, so a peer whose
-        // profile mutates mid-initialisation can never be stored at a
-        // version its recorded digest does not match.
-        let snapshots: Vec<PeerSnapshot> = ideal
-            .network_of(UserId::from_index(idx))
-            .iter()
-            .map(|&(peer, score)| {
-                let peer_node = sim.node(peer.index());
-                PeerSnapshot {
-                    peer,
-                    score,
-                    digest: peer_node.shared_digest().clone(),
-                    profile: peer_node.shared_profile().clone(),
-                    version: peer_node.profile_version(),
-                }
-            })
-            .collect();
-        for snap in &snapshots {
-            let node = sim.node_mut(idx);
-            node.record_neighbour(snap.peer, snap.score, snap.digest.clone(), snap.version);
-            let rank = node
-                .personal_network
-                .rank_of(&snap.peer)
-                .unwrap_or(usize::MAX);
-            if rank < node.storage_budget() {
-                node.store_profile(snap.peer, snap.profile.clone(), snap.version);
-            }
-        }
-        // A second pass to be sure the storage rule holds after all inserts
-        // (an early-stored profile may have been pushed out of the top-c by a
-        // later, better neighbour).
-        let node = sim.node_mut(idx);
-        node.enforce_storage_budget();
-        let missing: Vec<UserId> = node
-            .personal_network
-            .top_peers(node.storage_budget())
-            .into_iter()
-            .filter(|p| !node.has_stored_profile(p))
-            .collect();
-        for peer in missing {
-            let snap = snapshots
-                .iter()
-                .find(|s| s.peer == peer)
-                .expect("every personal-network member came from the snapshot pass");
-            sim.node_mut(idx)
-                .store_profile(peer, snap.profile.clone(), snap.version);
+    for idx in 0..sim.num_nodes() {
+        debug_assert!(
+            sim.node(idx).personal_network.is_empty(),
+            "init_ideal_networks starts from empty personal networks"
+        );
+        for &(peer, score) in ideal.network_of(UserId::from_index(idx)) {
+            let offer = sim.node(peer.index()).own_offer();
+            sim.node_mut(idx).admit(&offer, score);
         }
     }
 }
@@ -235,7 +192,7 @@ mod tests {
             }
             // Every top-c neighbour has a stored profile.
             for peer in node.personal_network.top_peers(node.storage_budget()) {
-                assert!(node.has_stored_profile(&peer));
+                assert!(node.stored_profile(&peer).is_some());
             }
         }
     }

@@ -36,7 +36,7 @@ use p3q_trace::{SharedProfile, UserId};
 
 use crate::bandwidth::{category, digest_bytes, tagging_actions_bytes};
 use crate::config::P3qConfig;
-use crate::node::{DigestInfo, P3qNode};
+use crate::node::{Admission, DigestInfo, P3qNode};
 
 /// One profile proposed during a gossip exchange: the owner, her digest and
 /// the proposer's stored copy of her profile.
@@ -105,13 +105,7 @@ pub(crate) fn collect_offers(node: &P3qNode, limit: usize, rng: &mut StdRng) -> 
         .collect();
     stored.shuffle(rng);
     stored.truncate(limit);
-    stored.push(ProfileOffer {
-        user: node.id,
-        digest: node.shared_digest().clone(),
-        digest_version: node.profile_version(),
-        version: node.profile_version(),
-        profile: node.shared_profile().clone(),
-    });
+    stored.push(node.own_offer());
     stored
 }
 
@@ -161,41 +155,12 @@ pub(crate) fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> Exc
             // The digest check was a false positive; nothing to add.
             continue;
         }
-        let accepted = node.record_neighbour(
-            offer.user,
-            common as u64,
-            offer.digest.clone(),
-            offer.digest_version,
-        );
-        if !accepted {
-            continue;
-        }
-
-        // Step 3 (lines 27–31): fetch the rest of the profile if the
-        // neighbour ranks within the storage budget and the offered copy is
-        // newer than what is cached. A copy at the same version as a stale
-        // cache is *not* re-fetched — it would not make the cache any
-        // fresher; staleness (profile older than the recorded digest) is
-        // resolved only by an offer actually carrying the newer profile.
-        let rank = node
-            .personal_network
-            .rank_of(&offer.user)
-            .unwrap_or(usize::MAX);
-        if rank < node.storage_budget() {
-            let cached_version = node
-                .personal_network
-                .get(&offer.user)
-                .map(|e| u64::from(e.meta.profile_version))
-                .unwrap_or(0);
-            let offer_improves =
-                !node.has_stored_profile(&offer.user) || cached_version < offer.version;
-            if offer_improves {
-                let rest = offer.profile.len().saturating_sub(common);
-                stats.profile_bytes += tagging_actions_bytes(rest);
-                if node.store_profile(offer.user, offer.profile.clone(), offer.version) {
-                    stats.profiles_stored += 1;
-                }
-            }
+        // Step 3 (lines 27–31): the rest of the profile travels only if
+        // admission stored it (see `P3qNode::admit` for when).
+        if node.admit(offer, common as u64) == Admission::Stored {
+            let rest = offer.profile.len().saturating_sub(common);
+            stats.profile_bytes += tagging_actions_bytes(rest);
+            stats.profiles_stored += 1;
         }
     }
     stats
@@ -219,22 +184,6 @@ pub(crate) fn exchange_profiles(
     (a_stats, b_stats)
 }
 
-/// A random-view member worth probing, snapshotted during the plan phase:
-/// the digest check already passed, and the peer's profile/digest/version
-/// were read together from the cycle-start state so the commit stores a
-/// consistent snapshot.
-#[derive(Debug, Clone)]
-pub struct ProbeCandidate {
-    /// The probed peer.
-    pub peer: UserId,
-    /// The peer's digest at the snapshot.
-    pub digest: SharedFilter,
-    /// The peer's profile at the snapshot.
-    pub profile: SharedProfile,
-    /// The peer's profile version at the snapshot.
-    pub version: u64,
-}
-
 /// One planned lazy step.
 #[derive(Debug, Clone)]
 pub enum LazyStep {
@@ -244,8 +193,9 @@ pub enum LazyStep {
     /// stalest alive personal-network neighbour).
     NetworkGossip,
     /// Solo step: probe the random-view members whose digest shares an item
-    /// with the initiator (candidates snapshotted at plan time).
-    Probe(Vec<ProbeCandidate>),
+    /// with the initiator. Each member's own offer is snapshotted at plan
+    /// time, so the commit stores a profile consistent with its digest.
+    Probe(Vec<ProfileOffer>),
     /// Solo recovery step: a node whose random view is empty (it just
     /// restarted after a crash and lost all volatile state) re-seeds the
     /// view with uniformly random alive peers, snapshotted at plan time —
@@ -307,33 +257,7 @@ impl GossipProtocol for LazyProtocol {
         // normally). The branch never fires for a node with a live view, so
         // fault-free cycles draw exactly the same RNG stream as before.
         if node.random_view.is_empty() {
-            let n = world.num_nodes();
-            let alive_others = world.membership().alive_count().saturating_sub(1);
-            let target = self
-                .cfg
-                .random_view_size
-                .min(n.saturating_sub(1))
-                .min(alive_others);
-            let mut picked: Vec<usize> = Vec::new();
-            while picked.len() < target {
-                let other = rng.gen_range(0..n);
-                if other != idx && !picked.contains(&other) && world.is_alive(other) {
-                    picked.push(other);
-                }
-            }
-            let picks: Vec<(UserId, DigestInfo)> = picked
-                .into_iter()
-                .map(|other| {
-                    let peer = world.node(other);
-                    (
-                        UserId::from_index(other),
-                        DigestInfo {
-                            digest: peer.shared_digest().clone(),
-                            version: peer.profile_version(),
-                        },
-                    )
-                })
-                .collect();
+            let picks = sample_alive_peers(world, idx, self.cfg.random_view_size, rng);
             if !picks.is_empty() {
                 out.push(ExchangePlan {
                     initiator: idx,
@@ -371,19 +295,11 @@ impl GossipProtocol for LazyProtocol {
         // All peer reads happen here, against the snapshot, so the commit
         // only touches the probing node.
         let probes = node.item_probes();
-        let candidates: Vec<ProbeCandidate> = node
+        let candidates: Vec<ProfileOffer> = node
             .random_view
             .iter()
             .filter(|e| valid_partner(e.peer) && e.meta.digest.contains_any(probes))
-            .map(|e| {
-                let peer_node = world.node(e.peer.index());
-                ProbeCandidate {
-                    peer: e.peer,
-                    digest: peer_node.shared_digest().clone(),
-                    profile: peer_node.shared_profile().clone(),
-                    version: peer_node.profile_version(),
-                }
-            })
+            .map(|e| world.node(e.peer.index()).own_offer())
             .collect();
         if !candidates.is_empty() {
             out.push(ExchangePlan {
@@ -410,14 +326,7 @@ impl GossipProtocol for LazyProtocol {
                 let dest_idx = plan.destination.expect("shuffles are pairwise");
                 let b = destination.expect("shuffles are pairwise");
                 let a = initiator;
-                let a_info = DigestInfo {
-                    digest: a.shared_digest().clone(),
-                    version: a.profile_version(),
-                };
-                let b_info = DigestInfo {
-                    digest: b.shared_digest().clone(),
-                    version: b.profile_version(),
-                };
+                let (a_info, b_info) = (a.descriptor(), b.descriptor());
                 peer_sampling::shuffle(
                     a.id,
                     &mut a.random_view,
@@ -450,7 +359,7 @@ impl GossipProtocol for LazyProtocol {
             }
             LazyStep::Probe(candidates) => {
                 // p3q-allow: hash-iter — this `candidates` is the plan's
-                // `Vec<ProbeCandidate>` (snapshotted in plan order), not the
+                // `Vec<ProfileOffer>` (snapshotted in plan order), not the
                 // hash-typed field of the same name elsewhere.
                 for candidate in candidates {
                     probe_candidate(initiator, plan.initiator, candidate, &mut outcome);
@@ -476,42 +385,26 @@ impl GossipProtocol for LazyProtocol {
 fn probe_candidate(
     me: &mut P3qNode,
     my_idx: usize,
-    candidate: &ProbeCandidate,
+    candidate: &ProfileOffer,
     outcome: &mut CommitOutcome<()>,
 ) {
     let common = me.profile().common_actions(&candidate.profile);
     let mut common_bytes = tagging_actions_bytes(common);
     let mut profile_bytes = 0usize;
-    if common > 0
-        && me.record_neighbour(
-            candidate.peer,
-            common as u64,
-            candidate.digest.clone(),
-            candidate.version,
-        )
-    {
-        let rank = me
-            .personal_network
-            .rank_of(&candidate.peer)
-            .unwrap_or(usize::MAX);
-        // The probe read the peer's snapshot profile, so store it not only
-        // when no copy exists but also when it upgrades a cached copy that
-        // just went stale (mirrors `process_offers` step 3).
-        let cached_version = me
-            .personal_network
-            .get(&candidate.peer)
-            .map(|e| u64::from(e.meta.profile_version))
-            .unwrap_or(0);
-        let improves =
-            !me.has_stored_profile(&candidate.peer) || cached_version < candidate.version;
-        if rank < me.storage_budget() && improves {
-            profile_bytes = tagging_actions_bytes(candidate.profile.len().saturating_sub(common));
-            me.store_profile(candidate.peer, candidate.profile.clone(), candidate.version);
-        }
+    let admission = if common == 0 {
+        Admission::Rejected
     } else {
-        // The digest matched but the profiles share nothing: the step-2
-        // exchange still happened (false positive cost).
-        common_bytes = common_bytes.max(tagging_actions_bytes(1));
+        me.admit(candidate, common as u64)
+    };
+    match admission {
+        Admission::Stored => {
+            profile_bytes = tagging_actions_bytes(candidate.profile.len().saturating_sub(common));
+        }
+        Admission::Kept => {}
+        // No common item (the digest matched falsely) or no room among
+        // better neighbours: the step-2 exchange still happened, and is
+        // charged at least one action.
+        Admission::Rejected => common_bytes = common_bytes.max(tagging_actions_bytes(1)),
     }
     outcome.charge(my_idx, category::LAZY_COMMON, common_bytes);
     if profile_bytes > 0 {
@@ -578,10 +471,9 @@ pub fn bootstrap_random_views_reference(
     }
 }
 
-/// One node's bootstrap contacts: `r` distinct uniformly random alive peers
-/// drawn from the node's private stream of `master`, snapshotted as
-/// `(user, digest)` pairs. Depends only on the master seed and the node
-/// index, never on visit order.
+/// One node's bootstrap contacts, drawn from the node's private stream of
+/// `master`: depends only on the master seed and the node index, never on
+/// visit order.
 fn bootstrap_node_picks(
     sim: &Simulator<P3qNode>,
     cfg: &P3qConfig,
@@ -591,35 +483,36 @@ fn bootstrap_node_picks(
     if !sim.is_alive(idx) {
         return Vec::new();
     }
-    let n = sim.num_nodes();
+    let world = CycleContext::new(sim.nodes(), sim.membership(), sim.cycle());
+    let mut rng = StdRng::seed_from_u64(stream_seed(master, idx as u64));
+    sample_alive_peers(&world, idx, cfg.random_view_size, &mut rng)
+}
+
+/// What a random view is seeded with, at bootstrap and after a crash: `r`
+/// distinct uniformly random alive peers other than node `idx`, drawn by
+/// rejection from `rng` and snapshotted as `(user, descriptor)` pairs.
+fn sample_alive_peers(
+    world: &CycleContext<'_, P3qNode>,
+    idx: usize,
+    r: usize,
+    rng: &mut StdRng,
+) -> Vec<(UserId, DigestInfo)> {
+    let n = world.num_nodes();
     // The view can hold at most every *other alive* peer — without this
     // bound the rejection sampling below would spin forever on a heavily
     // churned population (fewer alive peers than the view size).
-    let alive_others = sim.membership().alive_count().saturating_sub(1);
-    let target = cfg
-        .random_view_size
-        .min(n.saturating_sub(1))
-        .min(alive_others);
-    let mut rng = StdRng::seed_from_u64(stream_seed(master, idx as u64));
+    let alive_others = world.membership().alive_count().saturating_sub(1);
+    let target = r.min(n.saturating_sub(1)).min(alive_others);
     let mut picked = Vec::new();
     while picked.len() < target {
         let other = rng.gen_range(0..n);
-        if other != idx && !picked.contains(&other) && sim.is_alive(other) {
+        if other != idx && !picked.contains(&other) && world.is_alive(other) {
             picked.push(other);
         }
     }
     picked
         .into_iter()
-        .map(|other| {
-            let peer = sim.node(other);
-            (
-                UserId::from_index(other),
-                DigestInfo {
-                    digest: peer.shared_digest().clone(),
-                    version: peer.profile_version(),
-                },
-            )
-        })
+        .map(|other| (UserId::from_index(other), world.node(other).descriptor()))
         .collect()
 }
 
@@ -691,16 +584,7 @@ mod tests {
         let Some(&(best, score)) = ideal.network_of(UserId(0)).first() else {
             return; // degenerate trace; nothing to assert
         };
-        let offer = {
-            let peer = sim.node(best.index());
-            ProfileOffer {
-                user: peer.id,
-                digest: peer.shared_digest().clone(),
-                digest_version: peer.profile_version(),
-                version: peer.profile_version(),
-                profile: peer.shared_profile().clone(),
-            }
-        };
+        let offer = sim.node(best.index()).own_offer();
         let stats = process_offers(sim.node_mut(0), &[offer]);
         assert_eq!(stats.candidates_scored, 1);
         assert!(stats.digest_bytes > 0);
@@ -718,16 +602,7 @@ mod tests {
         let Some(&(best, _)) = ideal.network_of(UserId(0)).first() else {
             return;
         };
-        let offer = {
-            let peer = sim.node(best.index());
-            ProfileOffer {
-                user: peer.id,
-                digest: peer.shared_digest().clone(),
-                digest_version: peer.profile_version(),
-                version: peer.profile_version(),
-                profile: peer.shared_profile().clone(),
-            }
-        };
+        let offer = sim.node(best.index()).own_offer();
         let first = process_offers(sim.node_mut(0), std::slice::from_ref(&offer));
         assert_eq!(first.candidates_scored, 1);
         // Re-offering the identical digest must be dropped at step 1.
@@ -805,7 +680,7 @@ mod tests {
         let probed: Vec<UserId> = plans
             .iter()
             .find_map(|plan| match &plan.payload {
-                LazyStep::Probe(candidates) => Some(candidates.iter().map(|c| c.peer).collect()),
+                LazyStep::Probe(candidates) => Some(candidates.iter().map(|c| c.user).collect()),
                 _ => None,
             })
             .expect("a false positive is a probe candidate");
@@ -829,16 +704,7 @@ mod tests {
             return;
         };
         // Step 0: a direct offer stores the peer's profile (fresh, v1).
-        let direct = |sim: &Simulator<P3qNode>| {
-            let peer = sim.node(best.index());
-            ProfileOffer {
-                user: peer.id,
-                digest: peer.shared_digest().clone(),
-                digest_version: peer.profile_version(),
-                version: peer.profile_version(),
-                profile: peer.shared_profile().clone(),
-            }
-        };
+        let direct = |sim: &Simulator<P3qNode>| sim.node(best.index()).own_offer();
         let old_offer = direct(&sim);
         process_offers(sim.node_mut(0), std::slice::from_ref(&old_offer));
         assert!(sim.node(0).has_fresh_stored_profile(&best));
@@ -858,7 +724,7 @@ mod tests {
         };
         let stats = process_offers(sim.node_mut(0), &[relayed]);
         assert_eq!(stats.profile_bytes, 0, "an old payload must not be fetched");
-        assert!(sim.node(0).has_stored_profile(&best));
+        assert!(sim.node(0).stored_profile(&best).is_some());
         assert!(!sim.node(0).has_fresh_stored_profile(&best));
 
         // A later relay with the old digest must not whitewash the copy.

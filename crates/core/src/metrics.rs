@@ -226,10 +226,23 @@ pub fn network_refresh_ratio(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lazy::ProfileOffer;
     use p3q_trace::{Dataset, Profile, TagId, TaggingAction};
 
     fn act(item: u32, tag: u32) -> TaggingAction {
         TaggingAction::new(ItemId(item), TagId(tag))
+    }
+
+    /// What user `peer`, whose profile is one action on item `peer`,
+    /// offers of itself at `version`.
+    fn offer(peer: u32, version: u64) -> ProfileOffer {
+        let p = Profile::from_actions(vec![act(peer, peer)]);
+        let own = P3qNode::new(UserId(peer), p, 1, 1, 1, 1024, 4).own_offer();
+        ProfileOffer {
+            digest_version: version,
+            version,
+            ..own
+        }
     }
 
     fn dataset() -> Dataset {
@@ -250,8 +263,7 @@ mod tests {
             4,
         );
         for &(peer, score) in peers {
-            let p = Profile::from_actions(vec![act(peer, peer)]);
-            n.record_neighbour(UserId(peer), score, p.digest(1024, 4), 1);
+            n.admit(&offer(peer, 1), score);
         }
         n
     }
@@ -299,14 +311,13 @@ mod tests {
     fn update_counts_and_aur() {
         // Node stores profiles of users 1 and 2 at version 1.
         let mut n = node_with_network(&[(1, 5), (2, 3)]);
-        n.store_profile(UserId(1), Profile::from_actions(vec![act(1, 1)]), 1);
-        n.store_profile(UserId(2), Profile::from_actions(vec![act(2, 2)]), 1);
+        assert_eq!(n.stored_profile_count(), 2);
 
         // Both users changed (now at version 2); only user 1's copy has been
         // refreshed.
         let changed: HashSet<UserId> = [UserId(1), UserId(2)].into_iter().collect();
         let mut versions = vec![1u64, 2, 2];
-        n.store_profile(UserId(1), Profile::from_actions(vec![act(1, 1)]), 2);
+        n.admit(&offer(1, 2), 5);
         let counts = update_counts(&n, &changed, &versions);
         assert_eq!(counts.owing_update, 2);
         assert_eq!(counts.updated, 1);

@@ -1,6 +1,12 @@
 //! Per-user protocol state: own profile, personal network, random view and
 //! bounded profile storage.
 //!
+//! A peer enters or moves in the personal network through one door,
+//! [`P3qNode::admit`]: gossip offers, random-view probes and the
+//! ideal-network install all score the peer first and then hand it over
+//! with its offer. Admission applies the storage rule too, so only the `c`
+//! most similar neighbours hold a full profile copy.
+//!
 //! Profiles and digests are held as [`SharedProfile`] / [`SharedFilter`]
 //! handles: every copy that travels between nodes inside the simulator is a
 //! reference bump, and the wire-cost accounting stays a separate concern of
@@ -14,6 +20,7 @@ use p3q_gossip::{AgedView, ScoredView};
 use p3q_sim::{Fingerprint, Fnv};
 use p3q_trace::{ItemId, Profile, SharedProfile, TaggingAction, UserId};
 
+use crate::lazy::ProfileOffer;
 use crate::query::{QuerierState, QueryId, RemainingTask};
 
 /// Digest metadata carried by random-view entries.
@@ -211,6 +218,18 @@ impl NeighbourInfo {
     }
 }
 
+/// What [`P3qNode::admit`] did with a peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// The personal network is full of better neighbours.
+    Rejected,
+    /// The peer is in the personal network; no profile was stored.
+    Kept,
+    /// The peer is in the personal network and its offered profile was
+    /// stored.
+    Stored,
+}
+
 /// The complete local state of one P3Q user (Figure 1 of the paper).
 #[derive(Debug, Clone)]
 pub struct P3qNode {
@@ -385,74 +404,82 @@ impl P3qNode {
         added
     }
 
-    /// Inserts or refreshes a neighbour in the personal network with a new
-    /// similarity score and digest, preserving any cached profile copy.
-    ///
-    /// The digest never regresses: an offer relayed through a third party
-    /// may carry an *older* digest than the one already recorded, and
-    /// accepting it would silently whitewash a known-stale cached profile
-    /// back to fresh. Only a digest at least as new as the recorded one
-    /// replaces it; an older offer still refreshes the score.
-    ///
-    /// The cached copy keeps its own `profile_version`: if the recorded
-    /// `digest_version` is newer, the copy is **stale** (its owner changed
-    /// her profile since it was taken) and stops counting as fresh for
-    /// query scoring ([`NeighbourInfo::has_fresh_profile`],
-    /// [`Self::shared_fresh_stored_profiles`]) until [`Self::store_profile`]
-    /// refreshes it. It is deliberately *not* dropped — stale copies are
-    /// what the refresh metrics (Table 2, AUR) measure, and they still feed
-    /// the common-item exchanges of lazy gossip.
-    ///
-    /// Returns `true` if the neighbour is part of the personal network after
-    /// the call (it may be rejected if the network is full of better
-    /// neighbours).
-    pub(crate) fn record_neighbour(
-        &mut self,
-        peer: UserId,
-        score: u64,
-        digest: impl Into<SharedFilter>,
-        digest_version: u64,
-    ) -> bool {
-        let mut digest = digest.into();
-        let mut digest_version = compact_version(digest_version);
-        let (profile, profile_version) = match self.personal_network.get(&peer) {
-            Some(entry) => {
-                if entry.meta.digest_version > digest_version {
-                    digest = entry.meta.digest.clone();
-                    digest_version = entry.meta.digest_version;
-                }
-                (entry.meta.profile.clone(), entry.meta.profile_version)
-            }
-            None => (None, 0),
-        };
-        self.personal_network.upsert(
-            peer,
-            score,
-            NeighbourInfo {
-                digest,
-                digest_version,
-                profile,
-                profile_version,
-            },
-        )
+    /// The node's own digest and version: what the peer-sampling layer
+    /// carries for it.
+    pub(crate) fn descriptor(&self) -> DigestInfo {
+        DigestInfo {
+            digest: self.shared_digest().clone(),
+            version: self.profile_version(),
+        }
     }
 
-    /// Stores (or refreshes) the full profile of a personal-network
-    /// neighbour. The storage rule (only the `c` best neighbours keep a full
-    /// profile) is re-applied afterwards; returns `true` if the copy was kept.
-    pub(crate) fn store_profile(
-        &mut self,
-        peer: UserId,
-        profile: impl Into<SharedProfile>,
-        version: u64,
-    ) -> bool {
-        let Some(entry) = self.personal_network.get_mut(&peer) else {
-            return false;
-        };
-        entry.meta.profile = Some(profile.into());
-        entry.meta.profile_version = compact_version(version);
-        self.enforce_storage_budget();
-        self.has_stored_profile(&peer)
+    /// The node's own profile as an offer, digest and copy both at its
+    /// current version: what it proposes for itself in gossip, what a probe
+    /// reads of it, and what the ideal-network install admits.
+    pub(crate) fn own_offer(&self) -> ProfileOffer {
+        ProfileOffer {
+            user: self.id,
+            digest: self.shared_digest().clone(),
+            digest_version: self.profile_version(),
+            version: self.profile_version(),
+            profile: self.profile.clone(),
+        }
+    }
+
+    /// Admits a peer whose exact similarity `score` is known into the
+    /// personal network: steps 2–3 of Algorithm 1 after the score, for
+    /// every path a peer arrives by. One scan of the view
+    /// ([`ScoredView::upsert_with`]) inserts the peer or moves it to its new
+    /// rank, and its metadata is merged on the way:
+    ///
+    /// * The digest never regresses. An offer relayed through a third party
+    ///   may carry an *older* digest than the recorded one, and accepting
+    ///   it would whitewash a known-stale cached copy back to fresh; such
+    ///   an offer still refreshes the score.
+    /// * A cached copy carries over with its own `profile_version`. If the
+    ///   recorded digest is newer, the copy is **stale** and stops counting
+    ///   as fresh for query scoring ([`NeighbourInfo::has_fresh_profile`])
+    ///   until a newer profile is stored. It is deliberately kept: stale
+    ///   copies are what the refresh metrics (Table 2, AUR) measure, and
+    ///   they still feed lazy gossip.
+    /// * The offered profile is stored if the peer ranks within the storage
+    ///   budget `c` and the offer improves on the copy: there is none, or
+    ///   it is older. A copy at the same version as a stale cache is not
+    ///   re-fetched, since it would not make the cache any fresher. After a
+    ///   store the storage rule runs ([`Self::enforce_storage_budget`]).
+    pub(crate) fn admit(&mut self, offer: &ProfileOffer, score: u64) -> Admission {
+        let c = self.storage_budget as usize;
+        let digest_version = compact_version(offer.digest_version);
+        let mut stored = false;
+        let rank = self
+            .personal_network
+            .upsert_with(offer.user, score, |old, rank| {
+                let mut meta = match old {
+                    Some(old) if old.digest_version > digest_version => old,
+                    Some(old) => NeighbourInfo {
+                        digest: offer.digest.clone(),
+                        digest_version,
+                        ..old
+                    },
+                    None => NeighbourInfo::digest_only(offer.digest.clone(), offer.digest_version),
+                };
+                if rank < c
+                    && (meta.profile.is_none() || u64::from(meta.profile_version) < offer.version)
+                {
+                    meta.profile = Some(offer.profile.clone());
+                    meta.profile_version = compact_version(offer.version);
+                    stored = true;
+                }
+                meta
+            });
+        match rank {
+            None => Admission::Rejected,
+            Some(_) if stored => {
+                self.enforce_storage_budget();
+                Admission::Stored
+            }
+            Some(_) => Admission::Kept,
+        }
     }
 
     /// Applies the storage rule: only the `c` most similar neighbours keep a
@@ -466,13 +493,6 @@ impl P3qNode {
                 meta.profile_version = 0;
             }
         }
-    }
-
-    /// Returns `true` if the full profile of `peer` is stored locally.
-    pub(crate) fn has_stored_profile(&self, peer: &UserId) -> bool {
-        self.personal_network
-            .get(peer)
-            .is_some_and(|e| e.meta.profile.is_some())
     }
 
     /// Iterates over `(peer, cached profile, cached version)` for every
@@ -748,6 +768,19 @@ mod tests {
         P3qNode::new(UserId(0), profile(&[(1, 1), (2, 2)]), 5, 3, c, 1024, 4)
     }
 
+    /// What `peer` offers of itself: its digest and profile `p`, both at
+    /// `version`.
+    fn offer(peer: u32, p: impl Into<SharedProfile>, version: u64) -> ProfileOffer {
+        let profile: SharedProfile = p.into();
+        ProfileOffer {
+            user: UserId(peer),
+            digest: Arc::new(profile.digest(1024, 4)),
+            digest_version: version,
+            version,
+            profile,
+        }
+    }
+
     #[test]
     fn digest_tracks_own_profile() {
         let mut n = node(2);
@@ -777,12 +810,15 @@ mod tests {
     #[test]
     fn record_neighbour_preserves_cached_profile() {
         let mut n = node(2);
-        let d: SharedFilter = Arc::new(profile(&[(5, 5)]).digest(1024, 4));
-        assert!(n.record_neighbour(UserId(1), 3, d.clone(), 1));
-        assert!(n.store_profile(UserId(1), profile(&[(5, 5)]), 1));
-        // Refreshing the score must not drop the stored profile.
-        assert!(n.record_neighbour(UserId(1), 7, d, 2));
-        assert!(n.has_stored_profile(&UserId(1)));
+        let first = offer(1, profile(&[(5, 5)]), 1);
+        assert_eq!(n.admit(&first, 3), Admission::Stored);
+        // Refreshing the score and the digest must not drop the stored
+        // profile: the offered copy is no newer, so it is not fetched again.
+        let newer_digest = ProfileOffer {
+            digest_version: 2,
+            ..first
+        };
+        assert_eq!(n.admit(&newer_digest, 7), Admission::Kept);
         assert_eq!(n.stored_profile(&UserId(1)).unwrap().len(), 1);
     }
 
@@ -790,50 +826,68 @@ mod tests {
     fn storage_budget_keeps_only_top_c_profiles() {
         let mut n = node(2);
         for (peer, score) in [(1u32, 10u64), (2, 20), (3, 30)] {
-            let p = profile(&[(peer, peer)]);
-            let d = p.digest(1024, 4);
-            n.record_neighbour(UserId(peer), score, d, 1);
-            n.store_profile(UserId(peer), p, 1);
+            let admitted = n.admit(&offer(peer, profile(&[(peer, peer)]), 1), score);
+            assert_eq!(admitted, Admission::Stored, "each lands at rank 0");
         }
         // Only the two best-scored neighbours (3 and 2) may keep a profile.
         assert_eq!(n.stored_profile_count(), 2);
-        assert!(n.has_stored_profile(&UserId(3)));
-        assert!(n.has_stored_profile(&UserId(2)));
-        assert!(!n.has_stored_profile(&UserId(1)));
+        assert!(n.stored_profile(&UserId(3)).is_some());
+        assert!(n.stored_profile(&UserId(2)).is_some());
+        assert!(n.stored_profile(&UserId(1)).is_none());
         assert_eq!(n.unstored_network_peers(), vec![UserId(1)]);
-    }
-
-    #[test]
-    fn store_profile_for_unknown_peer_is_rejected() {
-        let mut n = node(2);
-        assert!(!n.store_profile(UserId(9), profile(&[(1, 1)]), 1));
     }
 
     #[test]
     fn shrinking_the_budget_evicts_profiles() {
         let mut n = node(3);
         for (peer, score) in [(1u32, 10u64), (2, 20), (3, 30)] {
-            let p = profile(&[(peer, peer)]);
-            let d = p.digest(1024, 4);
-            n.record_neighbour(UserId(peer), score, d, 1);
-            n.store_profile(UserId(peer), p, 1);
+            n.admit(&offer(peer, profile(&[(peer, peer)]), 1), score);
         }
         assert_eq!(n.stored_profile_count(), 3);
         n.storage_budget = 1;
         n.enforce_storage_budget();
         assert_eq!(n.stored_profile_count(), 1);
-        assert!(n.has_stored_profile(&UserId(3)));
+        assert!(n.stored_profile(&UserId(3)).is_some());
     }
 
-    /// [`P3qNode::store_profile`] under the reference storage rule.
-    fn store_profile_reference(n: &mut P3qNode, peer: UserId, p: Profile, version: u64) -> bool {
-        let Some(entry) = n.personal_network.get_mut(&peer) else {
-            return false;
+    /// The admission sequence as first written, the oracle of
+    /// [`P3qNode::admit`]: record the neighbour (the digest never
+    /// regresses, a cached copy carries over), look its rank up, and store
+    /// the offered profile under the reference storage rule if it ranks
+    /// within `c` and improves on the copy.
+    fn admit_reference(n: &mut P3qNode, offer: &ProfileOffer, score: u64) -> Admission {
+        let mut digest = offer.digest.clone();
+        let mut digest_version = compact_version(offer.digest_version);
+        let (profile, profile_version) = match n.personal_network.get(&offer.user) {
+            Some(entry) => {
+                if entry.meta.digest_version > digest_version {
+                    digest = entry.meta.digest.clone();
+                    digest_version = entry.meta.digest_version;
+                }
+                (entry.meta.profile.clone(), entry.meta.profile_version)
+            }
+            None => (None, 0),
         };
-        entry.meta.profile = Some(Arc::new(p));
-        entry.meta.profile_version = compact_version(version);
+        let meta = NeighbourInfo {
+            digest,
+            digest_version,
+            profile,
+            profile_version,
+        };
+        if !n.personal_network.upsert(offer.user, score, meta) {
+            return Admission::Rejected;
+        }
+        let rank = n.personal_network.rank_of(&offer.user).unwrap();
+        let c = n.storage_budget();
+        let meta = &mut n.personal_network.get_mut(&offer.user).unwrap().meta;
+        if rank >= c || (meta.profile.is_some() && u64::from(meta.profile_version) >= offer.version)
+        {
+            return Admission::Kept;
+        }
+        meta.profile = Some(offer.profile.clone());
+        meta.profile_version = compact_version(offer.version);
         n.enforce_storage_budget_reference();
-        n.has_stored_profile(&peer)
+        Admission::Stored
     }
 
     #[test]
@@ -841,33 +895,35 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
+        // Twin nodes, one admitting through `admit`, one through the
+        // reference sequence. Twelve peers against at most eight slots and
+        // six scores make full views, ties and score drops common; digest
+        // and copy versions drawn apart make stale copies, older digests
+        // and not-newer offers common.
         let mut rng = StdRng::seed_from_u64(0x0570_7A6E);
-        let digest: SharedFilter = Arc::new(profile(&[(1, 1)]).digest(64, 2));
         for case in 0..300 {
             let s = rng.gen_range(1..=8usize);
             let c = rng.gen_range(1..=s + 1);
             let mut fast = P3qNode::new(UserId(0), profile(&[(1, 1)]), s, 3, c, 1024, 4);
             let mut reference = fast.clone();
             for step in 0..40u32 {
-                let peer = UserId(rng.gen_range(1..=12u32));
-                let version = rng.gen_range(0..4u64);
-                let (kept, kept_reference) = if rng.gen_bool(0.5) {
-                    let score = rng.gen_range(0..6u64);
-                    (
-                        fast.record_neighbour(peer, score, digest.clone(), version),
-                        reference.record_neighbour(peer, score, digest.clone(), version),
-                    )
-                } else {
-                    let p = profile(&[(peer.0, step)]);
-                    (
-                        fast.store_profile(peer, p.clone(), version),
-                        store_profile_reference(&mut reference, peer, p, version),
-                    )
+                let peer = rng.gen_range(1..=12u32);
+                let score = rng.gen_range(0..6u64);
+                let p = profile(&[(peer, step)]);
+                let offer = ProfileOffer {
+                    user: UserId(peer),
+                    digest: Arc::new(p.digest(64, 2)),
+                    digest_version: rng.gen_range(0..4u64),
+                    version: rng.gen_range(0..4u64),
+                    profile: Arc::new(p),
                 };
-                assert_eq!(kept, kept_reference, "case {case}, step {step}");
                 assert_eq!(
-                    fast.fingerprint(),
-                    reference.fingerprint(),
+                    fast.admit(&offer, score),
+                    admit_reference(&mut reference, &offer, score),
+                    "case {case}, step {step}"
+                );
+                assert_eq!(
+                    fast.personal_network, reference.personal_network,
                     "case {case} (s = {s}, c = {c}), step {step}"
                 );
             }
@@ -878,20 +934,23 @@ mod tests {
     fn network_capacity_is_bounded_by_s() {
         let mut n = node(3);
         for peer in 1..=10u32 {
-            let p = profile(&[(peer, peer)]);
-            n.record_neighbour(UserId(peer), peer as u64, p.digest(1024, 4), 1);
+            n.admit(&offer(peer, profile(&[(peer, peer)]), 1), peer as u64);
         }
         // s = 5 in the fixture.
         assert_eq!(n.network_peers().len(), 5);
         assert_eq!(n.network_peers()[0], UserId(10));
+        // A peer worse than all five is turned away and stores nothing.
+        let worse = offer(11, profile(&[(11, 11)]), 1);
+        assert_eq!(n.admit(&worse, 0), Admission::Rejected);
+        assert!(!n.personal_network.contains(&UserId(11)));
+        assert_eq!(n.stored_profile_count(), 3);
     }
 
     #[test]
     fn stored_profiles_share_storage_with_their_source() {
         let mut n = node(2);
         let p: SharedProfile = Arc::new(profile(&[(5, 5), (6, 6)]));
-        n.record_neighbour(UserId(1), 3, Arc::new(p.digest(1024, 4)), 1);
-        n.store_profile(UserId(1), p.clone(), 1);
+        n.admit(&offer(1, p.clone(), 1), 3);
         let stored = n.personal_network.get(&UserId(1)).unwrap();
         assert!(
             Arc::ptr_eq(stored.meta.profile.as_ref().unwrap(), &p),
@@ -961,32 +1020,37 @@ mod tests {
     #[test]
     fn newer_digest_version_marks_cached_profile_stale() {
         let mut n = node(2);
-        let d: SharedFilter = Arc::new(profile(&[(5, 5)]).digest(1024, 4));
-        n.record_neighbour(UserId(1), 3, d.clone(), 1);
-        n.store_profile(UserId(1), profile(&[(5, 5)]), 1);
+        let v1 = offer(1, profile(&[(5, 5)]), 1);
+        n.admit(&v1, 3);
         assert!(n.has_fresh_stored_profile(&UserId(1)));
         assert!(n.peers_missing_fresh_profile().is_empty());
 
-        // The owner changed her profile: a newer digest arrives. The copy is
-        // kept (refresh accounting needs it) but no longer counts as fresh.
-        let d2: SharedFilter = Arc::new(profile(&[(5, 5), (6, 6)]).digest(1024, 4));
-        n.record_neighbour(UserId(1), 4, d2.clone(), 2);
-        assert!(n.has_stored_profile(&UserId(1)));
+        // The owner changed her profile: a newer digest arrives, relayed
+        // beside the old copy. The copy is kept (refresh accounting needs
+        // it) but no longer counts as fresh.
+        let v2 = offer(1, profile(&[(5, 5), (6, 6)]), 2);
+        let relayed = ProfileOffer {
+            digest: v2.digest.clone(),
+            digest_version: 2,
+            ..v1.clone()
+        };
+        assert_eq!(n.admit(&relayed, 4), Admission::Kept);
+        assert!(n.stored_profile(&UserId(1)).is_some());
         assert!(!n.has_fresh_stored_profile(&UserId(1)));
         assert_eq!(n.shared_fresh_stored_profiles().count(), 0);
         assert_eq!(n.peers_missing_fresh_profile(), vec![UserId(1)]);
 
         // A relayed offer carrying the *old* digest must not whitewash the
         // stale copy back to fresh: the recorded digest never regresses.
-        n.record_neighbour(UserId(1), 5, d, 1);
+        n.admit(&v1, 5);
         assert!(!n.has_fresh_stored_profile(&UserId(1)));
         let entry = n.personal_network.get(&UserId(1)).unwrap();
         assert_eq!(entry.meta.digest_version, 2);
-        assert!(Arc::ptr_eq(&entry.meta.digest, &d2));
+        assert!(Arc::ptr_eq(&entry.meta.digest, &v2.digest));
         assert_eq!(entry.score, 5, "an older digest still refreshes the score");
 
         // Storing the refreshed copy makes it fresh again.
-        n.store_profile(UserId(1), profile(&[(5, 5), (6, 6)]), 2);
+        assert_eq!(n.admit(&v2, 5), Admission::Stored);
         assert!(n.has_fresh_stored_profile(&UserId(1)));
         assert_eq!(n.shared_fresh_stored_profiles().count(), 1);
     }
@@ -994,9 +1058,7 @@ mod tests {
     #[test]
     fn crash_loses_volatile_state_and_keeps_the_profile_at_rest() {
         let mut n = node(2);
-        let p = profile(&[(5, 5)]);
-        n.record_neighbour(UserId(1), 3, p.digest(1024, 4), 1);
-        n.store_profile(UserId(1), p, 1);
+        n.admit(&offer(1, profile(&[(5, 5)]), 1), 3);
         n.random_view.insert(
             UserId(2),
             crate::node::DigestInfo {
@@ -1026,8 +1088,7 @@ mod tests {
     fn stale_neighbours_are_evicted_beyond_the_limit() {
         let mut n = node(2);
         for peer in 1..=3u32 {
-            let p = profile(&[(peer, peer)]);
-            n.record_neighbour(UserId(peer), peer as u64, p.digest(1024, 4), 1);
+            n.admit(&offer(peer, profile(&[(peer, peer)]), 1), peer as u64);
         }
         // Age everyone by 3, then refresh peer 2's timestamp.
         for _ in 0..3 {
@@ -1044,9 +1105,7 @@ mod tests {
     fn fingerprint_is_stable_and_sensitive() {
         let make = || {
             let mut n = node(2);
-            let p = profile(&[(5, 5)]);
-            n.record_neighbour(UserId(1), 3, p.digest(1024, 4), 1);
-            n.store_profile(UserId(1), p, 1);
+            n.admit(&offer(1, profile(&[(5, 5)]), 1), 3);
             n
         };
         assert_eq!(make().fingerprint(), make().fingerprint());

@@ -285,9 +285,9 @@ fn lazy_plan_key(plan: &ExchangePlan<LazyStep>) -> (usize, Option<usize>, u8, Ve
         LazyStep::Shuffle => (0, Vec::new()),
         LazyStep::NetworkGossip => (1, Vec::new()),
         LazyStep::Probe(candidates) => {
-            let read = |c: &p3q::lazy::ProbeCandidate| {
+            let read = |c: &p3q::lazy::ProfileOffer| {
                 let profile = std::sync::Arc::as_ptr(&c.profile) as usize;
-                [c.peer.index(), c.version as usize, ptr(&c.digest), profile]
+                [c.user.index(), c.version as usize, ptr(&c.digest), profile]
             };
             (2, candidates.iter().map(read).collect())
         }

@@ -124,20 +124,44 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
     ///
     /// Returns `true` if the peer is in the view after the call.
     pub fn upsert(&mut self, peer: P, score: u64, meta: M) -> bool {
-        let staleness = match self.rank_of(&peer) {
-            Some(rank) => self.entries.remove(rank).staleness,
-            None => 0,
+        self.upsert_with(peer, score, |_, _| meta).is_some()
+    }
+
+    /// [`Self::upsert`] with the metadata computed from what it replaces, in
+    /// one scan of the view.
+    ///
+    /// `f` receives the peer's old metadata (`None` if it was absent) and
+    /// the rank the peer lands at, and returns the metadata to store. It is
+    /// not called when the peer is rejected, which only happens to an
+    /// absent peer: a present one always finds room, since its own slot is
+    /// free. The staleness of a present peer is preserved.
+    ///
+    /// Returns the rank of the peer after the call, or `None` if it was
+    /// rejected.
+    pub fn upsert_with(
+        &mut self,
+        peer: P,
+        score: u64,
+        f: impl FnOnce(Option<M>, usize) -> M,
+    ) -> Option<usize> {
+        let (old, staleness) = match self.rank_of(&peer) {
+            Some(rank) => {
+                let entry = self.entries.remove(rank);
+                (Some(entry.meta), entry.staleness)
+            }
+            None => (None, 0),
         };
         // Where the entry belongs in (score descending, peer ascending).
         let rank = self
             .entries
             .partition_point(|e| e.score > score || (e.score == score && e.peer < peer));
         if rank >= self.capacity {
-            return false;
+            return None;
         }
         // Evict before inserting: a full view never asks its buffer for one
         // slot more than `capacity`.
         self.entries.truncate(self.capacity - 1);
+        let meta = f(old, rank);
         self.entries.insert(
             rank,
             ScoredEntry {
@@ -147,7 +171,7 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
                 meta,
             },
         );
-        true
+        Some(rank)
     }
 
     /// Removes a peer; returns its entry if it was present.

@@ -48,6 +48,44 @@ proptest! {
         }
     }
 
+    /// `upsert_with` hands its closure the peer's old metadata and the rank
+    /// it lands at, returns that rank (the one `rank_of` then reports), keeps
+    /// a present peer's staleness, and leaves the view untouched when it
+    /// rejects a peer — which only happens to an absent one.
+    #[test]
+    fn prop_upsert_with_reports_the_landing_rank(
+        capacity in 1usize..8,
+        steps in prop::collection::vec((0u32..16, 0u64..6, any::<bool>()), 0..120),
+    ) {
+        let mut view: ScoredView<u32, usize> = ScoredView::new(capacity);
+        for (step, &(peer, score, tick)) in steps.iter().enumerate() {
+            if tick {
+                view.tick();
+            }
+            let before = view.clone();
+            let old = view.get(&peer).map(|e| (e.meta, e.staleness));
+            let mut seen = None;
+            let landed = view.upsert_with(peer, score, |meta, rank| {
+                seen = Some((meta, rank));
+                step
+            });
+            prop_assert_eq!(landed, view.rank_of(&peer), "step {}", step);
+            match landed {
+                Some(rank) => {
+                    prop_assert_eq!(seen, Some((old.map(|(meta, _)| meta), rank)));
+                    let entry = view.get(&peer).unwrap();
+                    prop_assert_eq!((entry.score, entry.meta), (score, step));
+                    prop_assert_eq!(entry.staleness, old.map_or(0, |(_, staleness)| staleness));
+                }
+                None => {
+                    prop_assert!(old.is_none(), "a present peer is never dropped");
+                    prop_assert_eq!(seen, None);
+                    prop_assert_eq!(&view, &before);
+                }
+            }
+        }
+    }
+
     /// Repeated tick/select cycles visit every peer of a scored view
     /// (fair, timestamp-driven partner selection).
     #[test]

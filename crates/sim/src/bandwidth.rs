@@ -146,17 +146,6 @@ impl BandwidthRecorder {
         cats
     }
 
-    /// Average bits per second for a node, given bytes recorded over
-    /// `cycles` cycles of `seconds_per_cycle` seconds each — the unit the
-    /// paper's summary quotes (e.g. "13.4 Kbps for maintaining the personal
-    /// network").
-    pub fn node_bits_per_second(&self, node: usize, cycles: u64, seconds_per_cycle: f64) -> f64 {
-        if cycles == 0 || seconds_per_cycle <= 0.0 {
-            return 0.0;
-        }
-        (self.node_total_bytes(node) * 8) as f64 / (cycles as f64 * seconds_per_cycle)
-    }
-
     /// Merges the counters of another recorder into this one (used when
     /// experiments run phases with separate recorders).
     pub fn merge(&mut self, other: &BandwidthRecorder) {
@@ -348,16 +337,6 @@ mod tests {
         r.record(1, 0, "a", 1);
         r.record(2, 0, "b", 1);
         assert_eq!(r.categories(), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn bits_per_second_matches_manual_computation() {
-        let mut r = BandwidthRecorder::new();
-        // 1000 bytes over 10 cycles of 5 seconds = 8000 bits / 50 s = 160 bps.
-        r.record(3, 0, "x", 1000);
-        let bps = r.node_bits_per_second(3, 10, 5.0);
-        assert!((bps - 160.0).abs() < 1e-9);
-        assert_eq!(r.node_bits_per_second(3, 0, 5.0), 0.0);
     }
 
     #[test]
