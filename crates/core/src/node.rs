@@ -210,6 +210,12 @@ impl NeighbourInfo {
         }
     }
 
+    /// Drops the cached profile copy, if any.
+    fn drop_profile(&mut self) {
+        self.profile = None;
+        self.profile_version = 0;
+    }
+
     /// Returns `true` if a full profile copy is cached **and** it is at
     /// least as new as the freshest digest seen for this neighbour — i.e.
     /// the copy is safe to score queries against.
@@ -447,6 +453,12 @@ impl P3qNode {
     ///   it is older. A copy at the same version as a stale cache is not
     ///   re-fetched, since it would not make the cache any fresher. After a
     ///   store the storage rule runs ([`Self::enforce_storage_budget`]).
+    /// * A peer that lands at rank `c` or lower keeps no copy. A relayed
+    ///   older copy can score lower than the one stored and move its owner
+    ///   down; that is the one way a copy crosses rank `c` without a store.
+    ///
+    /// So after every admission at most `c` copies are held, all ranked
+    /// within `c`.
     pub(crate) fn admit(&mut self, offer: &ProfileOffer, score: u64) -> Admission {
         let c = self.storage_budget as usize;
         let digest_version = compact_version(offer.digest_version);
@@ -463,8 +475,9 @@ impl P3qNode {
                     },
                     None => NeighbourInfo::digest_only(offer.digest.clone(), offer.digest_version),
                 };
-                if rank < c
-                    && (meta.profile.is_none() || u64::from(meta.profile_version) < offer.version)
+                if rank >= c {
+                    meta.drop_profile();
+                } else if meta.profile.is_none() || u64::from(meta.profile_version) < offer.version
                 {
                     meta.profile = Some(offer.profile.clone());
                     meta.profile_version = compact_version(offer.version);
@@ -488,11 +501,9 @@ impl P3qNode {
     /// rank `c` on drops its copy.
     pub(crate) fn enforce_storage_budget(&mut self) {
         let c = self.storage_budget as usize;
-        for meta in self.personal_network.meta_mut_from_rank(c) {
-            if meta.profile.take().is_some() {
-                meta.profile_version = 0;
-            }
-        }
+        self.personal_network
+            .meta_mut_from_rank(c)
+            .for_each(NeighbourInfo::drop_profile);
     }
 
     /// Iterates over `(peer, cached profile, cached version)` for every
@@ -838,6 +849,24 @@ mod tests {
     }
 
     #[test]
+    fn a_stored_neighbour_that_sinks_past_c_loses_its_copy() {
+        let mut n = node(2);
+        for (peer, score) in [(1u32, 30u64), (2, 20), (3, 10)] {
+            n.admit(&offer(peer, profile(&[(peer, peer)]), 1), score);
+        }
+        assert_eq!(n.stored_profile_count(), 2, "peers 1 and 2 hold copies");
+        // A relayed copy of peer 1 scores lower and moves it to rank 2. No
+        // store happens, yet only the two best neighbours may keep a copy.
+        let relayed = offer(1, profile(&[(1, 1)]), 1);
+        assert_eq!(n.admit(&relayed, 5), Admission::Kept);
+        assert_eq!(n.personal_network.rank_of(&UserId(1)), Some(2));
+        assert!(n.stored_profile(&UserId(1)).is_none());
+        assert_eq!(n.stored_profile_count(), 1);
+        let entry = n.personal_network.get(&UserId(1)).unwrap();
+        assert_eq!(entry.meta.profile_version, 0);
+    }
+
+    #[test]
     fn shrinking_the_budget_evicts_profiles() {
         let mut n = node(3);
         for (peer, score) in [(1u32, 10u64), (2, 20), (3, 30)] {
@@ -880,8 +909,13 @@ mod tests {
         let rank = n.personal_network.rank_of(&offer.user).unwrap();
         let c = n.storage_budget();
         let meta = &mut n.personal_network.get_mut(&offer.user).unwrap().meta;
-        if rank >= c || (meta.profile.is_some() && u64::from(meta.profile_version) >= offer.version)
-        {
+        if rank >= c {
+            // The sink rule: a copy does not survive below rank `c`.
+            meta.profile = None;
+            meta.profile_version = 0;
+            return Admission::Kept;
+        }
+        if meta.profile.is_some() && u64::from(meta.profile_version) >= offer.version {
             return Admission::Kept;
         }
         meta.profile = Some(offer.profile.clone());

@@ -425,3 +425,44 @@ fn scheduled_events_equal_hand_rolled_mutations() {
     assert!(events.is_empty());
     assert_eq!(sim_fingerprint(&manual), sim_fingerprint(&scheduled));
 }
+
+/// Stored profile copies held at rank `c` or lower, over every node.
+fn copies_past_the_budget(sim: &Simulator<P3qNode>) -> usize {
+    sim.nodes()
+        .iter()
+        .map(|node| {
+            node.personal_network
+                .iter()
+                .skip(node.storage_budget())
+                .filter(|e| e.meta.profile.is_some())
+                .count()
+        })
+        .sum()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Only the `c` most similar neighbours keep a full profile, after
+    /// every lazy cycle, across a paper day of profile dynamics. After the
+    /// day a third party can relay an older copy of a known neighbour: it
+    /// scores lower and moves the neighbour down, and the neighbour's
+    /// stored copy must not go along past rank `c`.
+    #[test]
+    fn no_copy_is_held_past_the_storage_budget_under_dynamics(seed in 0u64..1000) {
+        let w = world(seed);
+        let batch = DynamicsGenerator::new(DynamicsConfig::paper_day(seed ^ 0xDA7))
+            .generate(&w.trace);
+        let mut sim = lazy_sim(&w, seed);
+        for cycle in 0..12 {
+            if cycle == 4 {
+                apply_profile_changes(&mut sim, &batch);
+            }
+            sim.drive(&w.cfg.lazy(), RunOptions::cycles(1), |_, _| {});
+            prop_assert_eq!(
+                copies_past_the_budget(&sim), 0,
+                "seed {}, after cycle {}", seed, cycle
+            );
+        }
+    }
+}
