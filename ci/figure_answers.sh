@@ -3,15 +3,17 @@
 #
 # Runs the 14 figures of the paper's evaluation (`paper_figures --figure
 # NAME`) at smoke size (`--users 300 --cycles 5 --queries 30`) on seeds 42
-# and 7 and compares each run's stdout with ci/figure_answers.txt byte for
-# byte. The figures are simulated: their
-# stdout repeats on any host and for any P3Q_THREADS, so a mismatch is a
-# behaviour change, never noise. Stderr (progress lines) is not compared.
+# and 7 and compares each run's stdout, and apart from it its stderr, with
+# ci/figure_answers.txt byte for byte. The figures are simulated: both
+# streams repeat on any host and for any P3Q_THREADS, so a mismatch is a
+# behaviour change, never noise. The script's own progress lines are not
+# part of the answers.
 #
-# --paper-scale runs instead the one figure pinned at the paper's
-# configuration, `fig5_space --paper-scale --users 10000 --seed 42`
+# --paper-scale runs instead the figures pinned at the paper's
+# configuration (`--paper-scale --users 10000 --seed 42`): `fig5_space`
 # (s = 1 000 and seven storage budgets up to c = 1 000, each installed by
-# `init_ideal_networks`), against ci/figure_answers_paper.txt.
+# `init_ideal_networks`), `table1_storage_distribution` and
+# `table2_profile_changes`, against ci/figure_answers_paper.txt.
 #
 #   ci/figure_answers.sh [--paper-scale]            compare; on a mismatch
 #                                                   print the figure, the
@@ -44,7 +46,9 @@ done
 runs=()
 if [ "$scale" = paper ]; then
     answers=ci/figure_answers_paper.txt
-    runs+=("fig5_space 42 --paper-scale --users 10000")
+    for figure in fig5_space table1_storage_distribution table2_profile_changes; do
+        runs+=("$figure 42 --paper-scale --users 10000")
+    done
 else
     answers=ci/figure_answers.txt
     for figure in fig2_convergence fig3_alpha fig4_storage_recall fig5_space \
@@ -60,8 +64,9 @@ fi
 cargo build --release --quiet -p p3q-bench --bin paper_figures
 paper_figures=${CARGO_TARGET_DIR:-target}/release/paper_figures
 
-# Every run's stdout under a `## <figure> seed <seed>` heading, into $1; the
-# pass's wall time on stdout.
+# Every run's stdout under a `## <figure> seed <seed>` heading and its
+# stderr under `## <figure> seed <seed> stderr`, into $1; the pass's wall
+# time on stdout.
 run_all() {
     local start figure seed flags
     start=$(date +%s%N)
@@ -70,15 +75,20 @@ run_all() {
         echo "paper_figures --figure $figure $flags --seed $seed" >&2
         echo "## $figure seed $seed"
         # shellcheck disable=SC2086 # $flags is a word list
-        "$paper_figures" --figure "$figure" $flags --seed "$seed"
+        if ! "$paper_figures" --figure "$figure" $flags --seed "$seed" 2>"$tmp/stderr"; then
+            cat "$tmp/stderr" >&2
+            exit 1
+        fi
+        echo "## $figure seed $seed stderr"
+        cat "$tmp/stderr"
     done >"$1"
     awk -v ns=$(($(date +%s%N) - start)) -v n=${#runs[@]} \
         'BEGIN { printf "wall time of %d run(s): %.1f s\n", n, ns / 1e9 }'
 }
 
-# The stdout recorded under one heading of a file written by run_all.
+# The lines recorded under heading `## $2` of a file written by run_all.
 section() {
-    awk -v heading="## $2 seed $3" '$0 == heading { on = 1; next } /^## / { on = 0 } on' "$1"
+    awk -v heading="## $2" '$0 == heading { on = 1; next } /^## / { on = 0 } on' "$1"
 }
 
 tmp=$(mktemp -d)
@@ -100,16 +110,18 @@ fi
 mismatches=0
 for run in "${runs[@]}"; do
     read -r figure seed _ <<<"$run"
-    section "$answers" "$figure" "$seed" >"$tmp/want"
-    section "$tmp/fresh.txt" "$figure" "$seed" >"$tmp/got"
-    if ! cmp -s "$tmp/want" "$tmp/got"; then
-        echo "MISMATCH $figure seed $seed (< recorded, > fresh):"
-        diff "$tmp/want" "$tmp/got" || true
-        mismatches=$((mismatches + 1))
-    fi
+    for heading in "$figure seed $seed" "$figure seed $seed stderr"; do
+        section "$answers" "$heading" >"$tmp/want"
+        section "$tmp/fresh.txt" "$heading" >"$tmp/got"
+        if ! cmp -s "$tmp/want" "$tmp/got"; then
+            echo "MISMATCH $heading (< recorded, > fresh):"
+            diff "$tmp/want" "$tmp/got" || true
+            mismatches=$((mismatches + 1))
+        fi
+    done
 done
 if [ "$mismatches" -gt 0 ]; then
-    echo "$mismatches run(s) differ from $answers" >&2
+    echo "$mismatches section(s) differ from $answers" >&2
     exit 1
 fi
 if ! cmp -s "$answers" "$tmp/fresh.txt"; then
