@@ -15,7 +15,9 @@ use std::collections::{BTreeSet, HashSet};
 use p3q::analysis::{
     cycles_to_completion, max_partial_results, max_users_involved, simulate_recurrence,
 };
-use p3q::bandwidth::{bits_per_second, category, TAGGING_ACTION_BYTES};
+use p3q::bandwidth::{
+    bits_per_second, category, EAGER_CYCLE_SECONDS, LAZY_CYCLE_SECONDS, TAGGING_ACTION_BYTES,
+};
 use p3q::metrics::update_counts;
 use p3q::prelude::*;
 use p3q::storage::{scale_bucket, PAPER_STORAGE_BUCKETS};
@@ -983,8 +985,8 @@ fn summary_bandwidth(args: &HarnessArgs) {
     let world = World::build(args);
     let cfg = &world.cfg;
     println!(
-        "users {}, lazy cycle {} s, eager cycle {} s",
-        args.users, cfg.lazy_cycle_seconds, cfg.eager_cycle_seconds
+        "users {}, lazy cycle {LAZY_CYCLE_SECONDS} s, eager cycle {EAGER_CYCLE_SECONDS} s",
+        args.users
     );
 
     // ---------------------------------------------------------------- lazy
@@ -998,7 +1000,7 @@ fn summary_bandwidth(args: &HarnessArgs) {
             bits_per_second(
                 sim.bandwidth.node_total_bytes(idx),
                 lazy_cycles,
-                cfg.lazy_cycle_seconds,
+                LAZY_CYCLE_SECONDS,
             )
         })
         .collect();
@@ -1021,7 +1023,7 @@ fn summary_bandwidth(args: &HarnessArgs) {
         per_query_bps.push(bits_per_second(
             state.traffic.total_bytes(),
             cycles,
-            cfg.eager_cycle_seconds,
+            EAGER_CYCLE_SECONDS,
         ));
     }
     let query_summary = DistributionSummary::of(&per_query_bps);
@@ -1035,7 +1037,7 @@ fn summary_bandwidth(args: &HarnessArgs) {
                 + sim
                     .bandwidth
                     .node_bytes(idx, category::EAGER_PARTIAL_RESULTS);
-            bits_per_second(maintenance, eager_cycles.max(1), cfg.eager_cycle_seconds)
+            bits_per_second(maintenance, eager_cycles.max(1), EAGER_CYCLE_SECONDS)
         })
         .collect();
     let eager_summary = DistributionSummary::of(&per_node_eager);

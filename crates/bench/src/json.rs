@@ -1,9 +1,9 @@
 //! The one JSON value of the `bench_*` binaries and their gate: built in
 //! memory as a tree, written indented (the committed baselines under
 //! `ci/baselines/` are reviewed as diffs, one leaf per line) and parsed back
-//! by `bench_check`. The workspace's serde is an offline stub without JSON
-//! support, and the documents are small and machine-written, so a minimal
-//! recursive-descent parser keeps the gate dependency-free.
+//! by `bench_check`. The workspace has no JSON library, and the documents
+//! are small and machine-written, so a minimal recursive-descent parser
+//! keeps the gate dependency-free.
 
 use std::fmt::Write as _;
 

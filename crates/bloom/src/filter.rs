@@ -1,7 +1,5 @@
 //! The Bloom filter proper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hashing::hash_pair;
 
 /// A fixed-size Bloom filter over 64-bit keys.
@@ -10,7 +8,7 @@ use crate::hashing::hash_pair;
 /// "might this user have tagged this item?" with no false negatives and a
 /// false-positive rate governed by the filter size and the number of inserted
 /// items.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     /// Stored as `u32` (filters are tens of kilobits; the simulator holds
@@ -125,52 +123,6 @@ impl BloomFilter {
     /// so usually slightly above [`Self::size_bytes`]).
     pub fn heap_bytes(&self) -> usize {
         self.bits.len() * std::mem::size_of::<u64>()
-    }
-
-    /// Number of bits currently set to one.
-    pub fn ones(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Fraction of bits set to one (the filter's fill ratio).
-    pub fn fill_ratio(&self) -> f64 {
-        self.ones() as f64 / self.bit_len as f64
-    }
-
-    /// Returns `true` if the two filters share at least one set bit position.
-    ///
-    /// A digest-to-digest overlap test: it can over-approximate but never
-    /// misses a real overlap, provided both filters use the same geometry.
-    /// The protocol does not use it — step 1 of Algorithm 1 probes a
-    /// neighbour's digest with the node's own items through
-    /// [`Self::contains_any`] over its [`ProbeSet`].
-    ///
-    /// # Panics
-    /// Panics if the two filters have different geometries.
-    pub fn intersects(&self, other: &Self) -> bool {
-        self.assert_geometry(other.bit_len, other.num_hashes);
-        self.bits
-            .iter()
-            .zip(other.bits.iter())
-            .any(|(a, b)| a & b != 0)
-    }
-
-    /// In-place union with another filter of identical geometry.
-    ///
-    /// # Panics
-    /// Panics if the two filters have different geometries.
-    pub fn union_with(&mut self, other: &Self) {
-        self.assert_geometry(other.bit_len, other.num_hashes);
-        for (a, b) in self.bits.iter_mut().zip(other.bits.iter()) {
-            *a |= b;
-        }
-        self.inserted += other.inserted;
-    }
-
-    /// Clears the filter without changing its geometry.
-    pub fn clear(&mut self) {
-        self.bits.iter_mut().for_each(|w| *w = 0);
-        self.inserted = 0;
     }
 
     /// Builds a filter of the given geometry from an iterator of keys.
@@ -358,64 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn union_contains_both_sides() {
-        let mut a = BloomFilter::new(2048, 4);
-        let mut b = BloomFilter::new(2048, 4);
-        a.insert(1);
-        a.insert(2);
-        b.insert(100);
-        a.union_with(&b);
-        assert!(a.contains(1) && a.contains(2) && a.contains(100));
-        assert_eq!(a.inserted_keys(), 3);
-    }
-
-    #[test]
-    fn intersects_detects_shared_keys() {
-        let mut a = BloomFilter::new(4096, 5);
-        let mut b = BloomFilter::new(4096, 5);
-        a.insert(7);
-        b.insert(9999);
-        // Disjoint small filters normally do not intersect.
-        assert!(!a.intersects(&b));
-        b.insert(7);
-        assert!(a.intersects(&b));
-    }
-
-    #[test]
-    fn clear_resets_state() {
-        let mut f = BloomFilter::new(512, 3);
-        f.insert(11);
-        assert!(f.contains(11));
-        f.clear();
-        assert!(f.is_empty());
-        assert!(!f.contains(11));
-        assert_eq!(f.ones(), 0);
-    }
-
-    #[test]
-    fn fill_ratio_grows_with_insertions() {
-        let mut f = BloomFilter::new(1 << 14, 7);
-        let before = f.fill_ratio();
-        for k in 0..100 {
-            f.insert(k);
-        }
-        assert!(f.fill_ratio() > before);
-        assert!(f.fill_ratio() <= 1.0);
-    }
-
-    #[test]
     fn size_bytes_rounds_up() {
         assert_eq!(BloomFilter::new(9, 1).size_bytes(), 2);
         assert_eq!(BloomFilter::new(8, 1).size_bytes(), 1);
         assert_eq!(paper_filter().size_bytes(), 2560);
-    }
-
-    #[test]
-    #[should_panic(expected = "same geometry")]
-    fn union_rejects_mismatched_geometry() {
-        let mut a = BloomFilter::new(128, 3);
-        let b = BloomFilter::new(256, 3);
-        a.union_with(&b);
     }
 
     #[test]

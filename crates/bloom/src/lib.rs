@@ -10,8 +10,7 @@
 //! The paper sizes the filter at 20 Kbit per user, which for the observed
 //! average of 249 tagged items per user yields a false-positive rate of about
 //! 0.1%. [`PAPER_FILTER_BITS`] and [`PAPER_FILTER_HASHES`] give that
-//! configuration and [`BloomBuilder`] lets callers size a filter for any target
-//! false-positive rate.
+//! configuration; `P3qConfig::laptop_scale` runs a 4 Kbit geometry.
 //!
 //! The implementation is self-contained (no third-party hashing crates): it
 //! uses the SplitMix64 finalizer as the hash family and the standard
@@ -20,11 +19,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 mod filter;
 mod hashing;
 
-pub use builder::BloomBuilder;
 pub use filter::{BloomFilter, ProbeSet};
 pub use hashing::hash_pair;
 

@@ -1,8 +1,6 @@
 //! Property-based tests for the Bloom filter digests.
 
-use p3q_bloom::{
-    hash_pair, BloomBuilder, BloomFilter, ProbeSet, PAPER_FILTER_BITS, PAPER_FILTER_HASHES,
-};
+use p3q_bloom::{hash_pair, BloomFilter, ProbeSet, PAPER_FILTER_BITS, PAPER_FILTER_HASHES};
 use proptest::prelude::*;
 
 /// The geometries `contains_any` is pinned on, each with several hashes and
@@ -159,63 +157,6 @@ proptest! {
         }
     }
 
-    /// Union behaves like inserting the concatenation of both key sets.
-    #[test]
-    fn prop_union_is_superset(
-        left in prop::collection::vec(any::<u64>(), 0..200),
-        right in prop::collection::vec(any::<u64>(), 0..200),
-    ) {
-        let mut a = BloomFilter::new(1 << 12, 4);
-        let mut b = BloomFilter::new(1 << 12, 4);
-        for &k in &left {
-            a.insert(k);
-        }
-        for &k in &right {
-            b.insert(k);
-        }
-        let mut u = a.clone();
-        u.union_with(&b);
-        for &k in left.iter().chain(right.iter()) {
-            prop_assert!(u.contains(k));
-        }
-        prop_assert!(u.ones() >= a.ones().max(b.ones()));
-    }
-
-    /// The fill ratio never exceeds 1 and is monotone in the number of
-    /// insertions.
-    #[test]
-    fn prop_fill_ratio_monotone(keys in prop::collection::vec(any::<u64>(), 1..500)) {
-        let mut f = BloomFilter::new(4096, 3);
-        let mut previous = 0.0f64;
-        for &k in &keys {
-            f.insert(k);
-            let ratio = f.fill_ratio();
-            prop_assert!(ratio >= previous);
-            prop_assert!(ratio <= 1.0);
-            previous = ratio;
-        }
-    }
-
-    /// `intersects` never misses a genuinely shared key.
-    #[test]
-    fn prop_intersects_is_sound(
-        shared in any::<u64>(),
-        left in prop::collection::vec(any::<u64>(), 0..100),
-        right in prop::collection::vec(any::<u64>(), 0..100),
-    ) {
-        let mut a = BloomFilter::new(1 << 12, 4);
-        let mut b = BloomFilter::new(1 << 12, 4);
-        for &k in &left {
-            a.insert(k);
-        }
-        for &k in &right {
-            b.insert(k);
-        }
-        a.insert(shared);
-        b.insert(shared);
-        prop_assert!(a.intersects(&b));
-    }
-
     /// `contains_any` equals `any(contains)` for random filters — from empty
     /// to nearly full, so misses, first-slot hits that later probes reject,
     /// false positives and true members all occur — and random key sets
@@ -236,22 +177,5 @@ proptest! {
             let with_shared: Vec<u64> = keys.iter().chain(&shared).copied().collect();
             check_contains_any(&filter, &with_shared)?;
         }
-    }
-
-    /// Builder-derived geometry always accommodates the requested capacity
-    /// with a measured false-positive rate not wildly above the target.
-    #[test]
-    fn prop_builder_respects_target(
-        n in 10usize..2000,
-        // target rates between 0.1% and 10%
-        rate_millis in 1u32..100,
-    ) {
-        let target = rate_millis as f64 / 1000.0;
-        let b = BloomBuilder::new(n, target);
-        prop_assert!(b.optimal_bits() > 0);
-        prop_assert!(b.optimal_hashes() >= 1);
-        // The analytical expected rate should be within 2x of the target
-        // (rounding of k causes slight deviations).
-        prop_assert!(b.expected_fpr() <= target * 2.0 + 1e-9);
     }
 }

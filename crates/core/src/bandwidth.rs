@@ -13,8 +13,6 @@
 //! * a profile digest is the configured Bloom filter (20 Kbit = 2,560 bytes
 //!   at paper scale).
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes of a user identifier on the wire.
 pub(crate) const USER_ID_BYTES: usize = 4;
 /// Bytes of an item identifier (128-bit hash) on the wire.
@@ -72,6 +70,13 @@ pub fn digest_bytes(digest_bits: usize) -> usize {
     digest_bits.div_ceil(8)
 }
 
+/// Wall-clock seconds per lazy-mode cycle: the paper's summary (Section
+/// 3.5) assumes one lazy cycle a minute. Used only to turn byte counts into
+/// bits per second.
+pub const LAZY_CYCLE_SECONDS: f64 = 60.0;
+/// Wall-clock seconds per eager-mode cycle: one every 5 s (Section 3.5).
+pub const EAGER_CYCLE_SECONDS: f64 = 5.0;
+
 /// Converts a byte count over a number of cycles into the bits-per-second
 /// figure the paper's summary quotes.
 pub fn bits_per_second(bytes: u64, cycles: u64, seconds_per_cycle: f64) -> f64 {
@@ -82,7 +87,7 @@ pub fn bits_per_second(bytes: u64, cycles: u64, seconds_per_cycle: f64) -> f64 {
 }
 
 /// A per-query traffic breakdown in the three categories of Figure 6.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryTraffic {
     /// Bytes of partial result lists returned to the querier.
     pub partial_results: u64,

@@ -1,9 +1,7 @@
 //! Protocol configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the P3Q protocol (Section 2.1 / 3.1.2 of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct P3qConfig {
     /// Size `s` of the personal network: the number of most-similar
     /// neighbours every user tracks (paper: 1000).
@@ -23,11 +21,6 @@ pub struct P3qConfig {
     pub digest_bits: usize,
     /// Number of hash functions of the profile digests.
     pub digest_hashes: u32,
-    /// Wall-clock seconds per lazy-mode cycle (paper: 60 s), used only to
-    /// convert byte counts into bits-per-second figures.
-    pub lazy_cycle_seconds: f64,
-    /// Wall-clock seconds per eager-mode cycle (paper: 5 s).
-    pub eager_cycle_seconds: f64,
     /// Fault-hardening: lifetime, in cycles, of query state under loss.
     /// Delegated remaining-list shares expire this many cycles after they
     /// were (last) refreshed, and a querier stops re-gossiping an
@@ -67,8 +60,6 @@ impl P3qConfig {
             profiles_per_gossip: 50,
             digest_bits: p3q_bloom::PAPER_FILTER_BITS,
             digest_hashes: p3q_bloom::PAPER_FILTER_HASHES,
-            lazy_cycle_seconds: 60.0,
-            eager_cycle_seconds: 5.0,
             query_ttl_cycles: 0,
             retry_backoff_cycles: 0,
             neighbour_staleness_limit: 0,
@@ -88,8 +79,6 @@ impl P3qConfig {
             profiles_per_gossip: 50,
             digest_bits: 4 * 1024,
             digest_hashes: 7,
-            lazy_cycle_seconds: 60.0,
-            eager_cycle_seconds: 5.0,
             query_ttl_cycles: 0,
             retry_backoff_cycles: 0,
             neighbour_staleness_limit: 0,
@@ -106,8 +95,6 @@ impl P3qConfig {
             profiles_per_gossip: 10,
             digest_bits: 2048,
             digest_hashes: 5,
-            lazy_cycle_seconds: 60.0,
-            eager_cycle_seconds: 5.0,
             query_ttl_cycles: 0,
             retry_backoff_cycles: 0,
             neighbour_staleness_limit: 0,
@@ -180,10 +167,6 @@ impl P3qConfig {
         );
         assert!(self.digest_bits > 0, "digest_bits must be positive");
         assert!(self.digest_hashes > 0, "digest_hashes must be positive");
-        assert!(
-            self.lazy_cycle_seconds > 0.0 && self.eager_cycle_seconds > 0.0,
-            "cycle durations must be positive"
-        );
         if self.query_ttl_cycles > 0 && self.retry_backoff_cycles > 0 {
             assert!(
                 self.retry_backoff_cycles <= self.query_ttl_cycles,

@@ -11,8 +11,6 @@ use p3q_trace::{ItemId, UserId};
 use crate::baseline::IdealNetworks;
 use crate::node::P3qNode;
 
-pub use p3q_topk::recall;
-
 /// Success ratio of one user's personal network against her ideal one:
 /// `|current ∩ ideal| / |ideal|` (Section 3.2.1). Returns 1.0 when the ideal
 /// network is empty (nothing to discover).
@@ -44,9 +42,10 @@ where
     }
 }
 
-/// Recall@k of a protocol result against the centralized reference, looking
-/// only at item identity (Section 3.2.2). A convenience wrapper around
-/// [`recall`] for the item type used by P3Q.
+/// Recall@k of a protocol result against the centralized reference: the
+/// fraction of reference items the result holds, `R_k = |retrieved ∩
+/// relevant| / |relevant|` (Section 3.2.2). Only item identity counts, not
+/// rank or score; an empty reference gives 1.
 pub fn recall_at_k(result_items: &[ItemId], reference: &[(ItemId, u32)]) -> f64 {
     if reference.is_empty() {
         return 1.0;
@@ -289,6 +288,8 @@ mod tests {
         assert_eq!(recall_at_k(&[ItemId(1), ItemId(9)], &reference), 0.5);
         assert_eq!(recall_at_k(&[], &reference), 0.0);
         assert_eq!(recall_at_k(&[ItemId(1)], &[]), 1.0);
+        // Rank and score do not count.
+        assert_eq!(recall_at_k(&[ItemId(2), ItemId(1)], &reference), 1.0);
     }
 
     #[test]

@@ -12,14 +12,13 @@
 //!   `λ = 4` a population of storage-rich desktops.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The seven storage buckets of Table 1, as fractions of the personal
 /// network size `s = 1000` used by the paper.
 pub const PAPER_STORAGE_BUCKETS: [usize; 7] = [10, 20, 50, 100, 200, 500, 1000];
 
 /// A storage scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StorageDistribution {
     /// Every user stores exactly `c` profiles.
     Uniform(usize),

@@ -14,11 +14,10 @@
 //! crate can attach digests, profiles or anything else without this crate
 //! knowing about the tagging data model.
 
-use serde::{Deserialize, Serialize};
 use std::hash::Hash;
 
 /// An entry of a [`ScoredView`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScoredEntry<P, M> {
     /// The peer.
     pub peer: P,
@@ -34,7 +33,7 @@ pub struct ScoredEntry<P, M> {
 ///
 /// Ties are broken by peer identifier (ascending) so that view contents are
 /// deterministic for a given input sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScoredView<P, M> {
     capacity: usize,
     entries: Vec<ScoredEntry<P, M>>,
@@ -110,11 +109,6 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
         self.entries.iter().position(|e| e.peer == *peer)
     }
 
-    /// Lowest score currently retained (`None` if the view is empty).
-    pub fn min_score(&self) -> Option<u64> {
-        self.entries.last().map(|e| e.score)
-    }
-
     /// Inserts or updates a peer.
     ///
     /// * If the peer is already present its score and metadata are replaced
@@ -188,16 +182,11 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
         }
     }
 
-    /// Read-only peek at the peer [`Self::select_oldest_and_reset`] would
-    /// pick — the plan phase of a plan/commit protocol step, where partner
-    /// choice happens against immutable state and the staleness reset is
-    /// deferred to the commit ([`Self::reset_staleness`]).
-    pub(crate) fn oldest(&self) -> Option<P> {
-        self.oldest_matching(|_| true)
-    }
-
     /// Read-only peek at the stalest entry satisfying `pred` (e.g. "is an
-    /// alive remaining-list member"). Returns `None` if nothing matches.
+    /// alive remaining-list member") — the plan phase of a plan/commit
+    /// protocol step, where partner choice happens against immutable state
+    /// and the staleness reset is deferred to the commit
+    /// ([`Self::reset_staleness`]). Returns `None` if nothing matches.
     pub fn oldest_matching(&self, pred: impl Fn(&ScoredEntry<P, M>) -> bool) -> Option<P> {
         self.oldest_matching_with(pred, |e| e.staleness)
     }
@@ -226,7 +215,7 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
     }
 
     /// Resets a peer's staleness to zero (the commit half of a partner
-    /// selection planned via [`Self::oldest`]). Returns `true` if the peer
+    /// selection planned via [`Self::oldest_matching`]). Returns `true` if the peer
     /// was present.
     pub fn reset_staleness(&mut self, peer: &P) -> bool {
         match self.get_mut(peer) {
@@ -237,22 +226,10 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
             None => false,
         }
     }
-
-    /// Selects the peer with the largest staleness (the one the owner has not
-    /// gossiped with for the longest time) and resets its staleness to zero.
-    ///
-    /// Ties are broken by score (higher first) then peer id, so selection is
-    /// deterministic. Returns `None` if the view is empty. Equivalent to
-    /// [`Self::oldest`] followed by [`Self::reset_staleness`].
-    pub fn select_oldest_and_reset(&mut self) -> Option<P> {
-        let peer = self.oldest()?;
-        self.reset_staleness(&peer);
-        Some(peer)
-    }
 }
 
 /// An entry of an [`AgedView`] (random view).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AgedEntry<P, M> {
     /// The peer.
     pub peer: P,
@@ -264,7 +241,7 @@ pub struct AgedEntry<P, M> {
 
 /// A bounded view of uniformly random peers, maintained by the peer-sampling
 /// shuffle ([`crate::peer_sampling`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AgedView<P, M> {
     capacity: usize,
     entries: Vec<AgedEntry<P, M>>,
@@ -383,7 +360,7 @@ mod tests {
         assert_eq!(v.len(), 3);
         let peers: Vec<u32> = v.peers().collect();
         assert_eq!(peers, vec![5, 2, 3]);
-        assert_eq!(v.min_score(), Some(20));
+        assert_eq!(v.iter().last().map(|e| e.score), Some(20));
         assert!(!v.contains(&4));
     }
 
@@ -470,7 +447,9 @@ mod tests {
         let mut selected = Vec::new();
         for _ in 0..3 {
             v.tick();
-            selected.push(v.select_oldest_and_reset().unwrap());
+            let peer = v.oldest_matching(|_| true).unwrap();
+            assert!(v.reset_staleness(&peer));
+            selected.push(peer);
         }
         selected.sort_unstable();
         assert_eq!(

@@ -39,7 +39,7 @@ proptest! {
         prop_assert!(view.len() <= capacity);
         if view.len() == capacity {
             let retained: std::collections::HashSet<u32> = view.peers().collect();
-            let min_retained = view.min_score().unwrap_or(0);
+            let min_retained = view.iter().last().map_or(0, |e| e.score);
             for (&peer, &score) in &inserts {
                 if !retained.contains(&peer) {
                     prop_assert!(score <= min_retained);
@@ -87,7 +87,9 @@ proptest! {
     }
 
     /// Repeated tick/select cycles visit every peer of a scored view
-    /// (fair, timestamp-driven partner selection).
+    /// (fair, timestamp-driven partner selection): the stalest peer is
+    /// planned with `oldest_matching` and reset on commit, as the lazy
+    /// mode does.
     #[test]
     fn prop_oldest_selection_is_fair(peers in prop::collection::hash_set(0u32..50, 1..10)) {
         let peers: Vec<u32> = peers.into_iter().collect();
@@ -98,7 +100,9 @@ proptest! {
         let mut selected = Vec::new();
         for _ in 0..peers.len() {
             view.tick();
-            selected.push(view.select_oldest_and_reset().unwrap());
+            let peer = view.oldest_matching(|_| true).unwrap();
+            prop_assert!(view.reset_staleness(&peer));
+            selected.push(peer);
         }
         selected.sort_unstable();
         let mut expected = peers.clone();

@@ -47,7 +47,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::exchange::ExchangePlan;
 use crate::fingerprint::{Fingerprint, Fnv};
@@ -64,7 +63,7 @@ const STREAM_CRASH: u64 = 0xFA17_0000_0000_0002;
 /// rates, crash behaviour and the seed all fault randomness derives from.
 ///
 /// `(simulation seed, FaultConfig)` fully determines a faulted run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Probability that a pairwise plan is dropped outright.
     pub drop_rate: f64,
@@ -199,7 +198,7 @@ impl Default for FaultConfig {
 }
 
 /// Counters of every fault the plan has injected so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Pairwise plans dropped outright.
     pub dropped: u64,

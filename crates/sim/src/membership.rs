@@ -8,14 +8,13 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Alive/departed status of every node in the simulation.
 ///
 /// The alive count is maintained incrementally so that the per-cycle
 /// scheduling of large populations (100k+ nodes) never has to re-scan the
 /// whole vector just to size its work lists.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Membership {
     alive: Vec<bool>,
     alive_count: usize,

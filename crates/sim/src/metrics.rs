@@ -7,13 +7,12 @@
 //! them as aligned text tables / CSV so the plots can be regenerated with
 //! any plotting tool.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A collection of named series indexed by an integer x-value (typically the
 /// gossip cycle).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SeriesRecorder {
     series: BTreeMap<String, BTreeMap<u64, f64>>,
 }
@@ -92,7 +91,7 @@ impl SeriesRecorder {
 
 /// Summary statistics of a set of per-entity observations (one value per
 /// query, per user, …).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistributionSummary {
     /// Number of observations.
     pub count: usize,

@@ -1,4 +1,4 @@
-//! Exact top-k by full aggregation — the reference the NRA variants are
+//! Exact top-k by full aggregation — the reference the incremental NRA is
 //! checked against, and the building block of the paper's centralized
 //! baseline ("we run a top-10 processing in a centralized implementation of
 //! our protocol and take the 10 returned items as relevant items").
@@ -38,23 +38,6 @@ pub(crate) fn topk_of_totals<I: Copy + Eq + Hash + Ord>(
     entries
 }
 
-/// Recall of a result set against a reference set: the fraction of reference
-/// items that appear in the result (Section 3.2.2 of the paper).
-///
-/// Only item identity matters, not rank or score — this matches the paper's
-/// `R_k = |retrieved ∩ relevant| / |relevant|` definition.
-pub fn recall<I: Copy + Eq + Hash + Ord>(result: &[(I, u32)], reference: &[(I, u32)]) -> f64 {
-    if reference.is_empty() {
-        return 1.0;
-    }
-    let reference_items: std::collections::HashSet<I> = reference.iter().map(|&(i, _)| i).collect();
-    let hits = result
-        .iter()
-        .filter(|(i, _)| reference_items.contains(i))
-        .count();
-    hits as f64 / reference_items.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,21 +69,5 @@ mod tests {
     fn ties_are_deterministic() {
         let lists = vec![list(&[(5, 2), (1, 2), (9, 2)])];
         assert_eq!(exact_topk(&lists, 2), vec![(1, 2), (5, 2)]);
-    }
-
-    #[test]
-    fn recall_matches_paper_definition() {
-        let reference = vec![(1u32, 10), (2, 9), (3, 8), (4, 7)];
-        let result = vec![(2u32, 100), (9, 50), (3, 1)];
-        assert!((recall(&result, &reference) - 0.5).abs() < 1e-12);
-        assert_eq!(recall(&result, &[]), 1.0);
-        assert_eq!(recall(&[], &reference), 0.0);
-    }
-
-    #[test]
-    fn recall_ignores_rank_and_score() {
-        let reference = vec![(1u32, 10), (2, 9)];
-        let reversed = vec![(2u32, 1), (1, 1)];
-        assert_eq!(recall(&reversed, &reference), 1.0);
     }
 }

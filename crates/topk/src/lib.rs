@@ -9,10 +9,8 @@
 //!   back to the querier;
 //! * [`IncrementalNra`] — the querier-side, per-cycle NRA with a persistent
 //!   candidate heap (Algorithm 4 of the paper);
-//! * [`nra_topk`] — classical batch NRA over a fixed set of lists, used as an
-//!   oracle and to quantify early-termination savings;
-//! * [`exact_topk`] / [`recall`] — full-aggregation ground truth and the
-//!   recall metric the paper reports (R_k).
+//! * [`exact_topk`] — full-aggregation ground truth, the centralized
+//!   reference the paper's recall (R_k) is measured against.
 //!
 //! Everything is generic over the item identifier type so the crate has no
 //! dependency on the tagging data model.
@@ -23,9 +21,7 @@
 mod exact;
 mod incremental;
 mod list;
-mod nra;
 
-pub use exact::{exact_topk, recall};
+pub use exact::exact_topk;
 pub use incremental::{IncrementalNra, RankedItem};
 pub use list::PartialResultList;
-pub use nra::{nra_topk, NraOutcome};

@@ -1,8 +1,6 @@
 //! Partial result lists: score-ordered lists of items produced by each user
 //! reached by a query.
 
-use serde::{Deserialize, Serialize};
-
 /// A score-ordered partial result list.
 ///
 /// In P3Q every user reached by a query computes, from the profiles she
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The list type is generic over the item identifier so the top-k machinery
 /// is reusable outside the P3Q data model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialResultList<I> {
     entries: Vec<(I, u32)>,
 }

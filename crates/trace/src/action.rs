@@ -1,6 +1,5 @@
 //! Tagging actions: the atomic unit of a user profile.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::ids::{ItemId, TagId};
@@ -10,7 +9,7 @@ use crate::ids::{ItemId, TagId};
 ///
 /// A user profile is a *set* of tagging actions, and the similarity between
 /// two users is the size of the intersection of their profiles (Section 2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaggingAction {
     /// The annotated item.
     pub item: ItemId,

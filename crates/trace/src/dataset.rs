@@ -1,7 +1,6 @@
 //! The collaborative-tagging dataset: one profile per user plus global
 //! vocabulary sizes.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -14,7 +13,7 @@ use crate::profile::{PackedProfile, Profile, SharedProfile};
 /// This is the in-memory equivalent of the paper's delicious crawl: the set
 /// `U` of users, the set `I` of items, the set `T` of tags and, for every
 /// user, her profile `{Tagged_u(i, t)}`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     profiles: Vec<SharedProfile>,
     num_items: usize,

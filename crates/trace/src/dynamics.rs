@@ -21,7 +21,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use p3q_sim::{default_threads, parallel_map_chunks, stream_seed};
 
@@ -37,7 +36,7 @@ const STREAM_CHANGE: u64 = 0xD1A0_11C5_0000_0005;
 const STREAM_HOT_ITEMS: u64 = 0xF1A5_0C20_0000_0006;
 
 /// How the new tagging actions of a change batch are distributed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DynamicsMode {
     /// The paper's organic day: every changing user tags new items from her
     /// own interest topics.
@@ -94,7 +93,7 @@ impl DynamicsMode {
 }
 
 /// Configuration of a profile-change batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicsConfig {
     /// Fraction of users that change their profile in the batch
     /// (the paper's simulated day: 1540 / 10000 ≈ 0.154).
@@ -185,7 +184,7 @@ impl DynamicsConfig {
 }
 
 /// The profile change of one user.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileChange {
     /// The user whose profile changes.
     pub user: UserId,
@@ -194,7 +193,7 @@ pub struct ProfileChange {
 }
 
 /// A batch of simultaneous profile changes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChangeBatch {
     /// Per-user changes; at most one entry per user.
     pub changes: Vec<ProfileChange>,

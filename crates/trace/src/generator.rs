@@ -30,7 +30,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use p3q_sim::{default_threads, parallel_map_chunks, stream_seed};
 
@@ -49,8 +48,12 @@ const STREAM_ITEM_TAGS: u64 = 0x17A6_5000_0000_0003;
 /// Salt for the per-user topic-interest streams.
 const STREAM_USER_TOPICS: u64 = 0x5709_1C50_0000_0004;
 
+/// Probability that a tagging action reuses one of the item's
+/// characteristic tags instead of a random topic tag.
+const CANONICAL_TAG_PROBABILITY: f64 = 0.8;
+
 /// Configuration of the synthetic trace generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Number of users `|U|`.
     pub num_users: usize,
@@ -77,9 +80,6 @@ pub struct TraceConfig {
     pub tag_zipf_exponent: f64,
     /// Number of characteristic tags attached to each item.
     pub characteristic_tags_per_item: usize,
-    /// Probability that a tagging action reuses one of the item's
-    /// characteristic tags instead of a random topic tag.
-    pub canonical_tag_probability: f64,
     /// Maximum number of tags one user applies to one item.
     pub max_tags_per_item: usize,
     /// Fraction of the tag vocabulary shared by every topic ("general" tags
@@ -106,7 +106,6 @@ impl TraceConfig {
             item_zipf_exponent: 0.9,
             tag_zipf_exponent: 0.9,
             characteristic_tags_per_item: 4,
-            canonical_tag_probability: 0.8,
             max_tags_per_item: 4,
             shared_tag_fraction: 0.1,
             seed,
@@ -130,7 +129,6 @@ impl TraceConfig {
             item_zipf_exponent: 0.95,
             tag_zipf_exponent: 0.95,
             characteristic_tags_per_item: 5,
-            canonical_tag_probability: 0.8,
             max_tags_per_item: 5,
             shared_tag_fraction: 0.1,
             seed,
@@ -153,7 +151,6 @@ impl TraceConfig {
             item_zipf_exponent: 0.9,
             tag_zipf_exponent: 0.9,
             characteristic_tags_per_item: 3,
-            canonical_tag_probability: 0.8,
             max_tags_per_item: 3,
             shared_tag_fraction: 0.1,
             seed,
@@ -182,10 +179,6 @@ impl TraceConfig {
             "primary_topic_affinity must be a probability"
         );
         assert!(
-            (0.0..=1.0).contains(&self.canonical_tag_probability),
-            "canonical_tag_probability must be a probability"
-        );
-        assert!(
             (0.0..=1.0).contains(&self.shared_tag_fraction),
             "shared_tag_fraction must be a probability"
         );
@@ -199,7 +192,7 @@ impl TraceConfig {
 ///
 /// The dynamics generator reuses the world to produce *new* tagging actions
 /// that stay consistent with each user's interests (Section 3.4.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct World {
     /// Topic of each item (indexed by item id).
     pub item_topic: Vec<u32>,
@@ -384,7 +377,7 @@ impl TraceGenerator {
         let characteristic = &world.item_tags[item.index()];
         let pool = &world.topic_tags[topic];
         for _ in 0..tag_count {
-            let tag = if !characteristic.is_empty() && rng.gen_bool(cfg.canonical_tag_probability) {
+            let tag = if !characteristic.is_empty() && rng.gen_bool(CANONICAL_TAG_PROBABILITY) {
                 characteristic[rng.gen_range(0..characteristic.len())]
             } else {
                 pool[tag_sampler.sample(rng) % pool.len()]

@@ -1,7 +1,6 @@
 //! User profiles: sorted sets of tagging actions with the intersection
 //! operations P3Q's similarity metric and query scoring need.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use p3q_bloom::BloomFilter;
@@ -28,7 +27,7 @@ pub type SharedProfile = Arc<Profile>;
 ///   search plus a short scan, and
 /// * the memory footprint stays close to the 8 bytes per action a simulation
 ///   with ~10 million actions requires.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profile {
     actions: Vec<TaggingAction>,
 }
@@ -173,20 +172,6 @@ impl Profile {
     /// actions, i.e. the similarity score of Section 2.1.
     pub fn common_actions(&self, other: &Profile) -> usize {
         merge_count(&self.actions, &other.actions)
-    }
-
-    /// Returns `true` if the two profiles share at least one item
-    /// (the cheap pre-filter the profile digests approximate).
-    pub fn shares_item_with(&self, other: &Profile) -> bool {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.actions.len() && j < other.actions.len() {
-            match self.actions[i].item.cmp(&other.actions[j].item) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
     }
 
     /// Builds the Bloom-filter digest of this profile: the filter contains
@@ -429,20 +414,6 @@ mod tests {
         assert!(p.has_item(ItemId(4)));
         assert!(!p.has_item(ItemId(3)));
         assert!(!p.has_item(ItemId(5)));
-    }
-
-    #[test]
-    fn shares_item_with_agrees_with_common_items() {
-        let a = Profile::from_actions(vec![act(1, 1), act(2, 1)]);
-        let b = Profile::from_actions(vec![act(2, 9), act(3, 1)]);
-        let c = Profile::from_actions(vec![act(7, 1)]);
-        let common_items = |x: &Profile, y: &Profile| -> Vec<ItemId> {
-            x.items().filter(|&i| y.has_item(i)).collect()
-        };
-        assert!(a.shares_item_with(&b));
-        assert_eq!(common_items(&a, &b), vec![ItemId(2)]);
-        assert!(!a.shares_item_with(&c));
-        assert!(common_items(&a, &c).is_empty());
     }
 
     #[test]

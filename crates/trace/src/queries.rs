@@ -8,13 +8,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::ids::{ItemId, TagId, UserId};
 
 /// A personalized top-k query `Q = {u_i, t_1, ..., t_n}`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
     /// The user issuing the query.
     pub querier: UserId,

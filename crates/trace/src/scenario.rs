@@ -50,7 +50,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use p3q_sim::{default_threads, stream_seed};
 
@@ -65,7 +64,7 @@ const STREAM_PLAN: u64 = 0x5CE0_A210_0000_0007;
 const STREAM_QUERIERS: u64 = 0x5CE0_A210_0000_0008;
 
 /// A named workload preset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
     /// The paper's delicious-like substrate with organic daily dynamics.
     PaperDelicious,
@@ -157,7 +156,7 @@ impl Scenario {
 }
 
 /// How the trace vocabulary scales with the population.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceShape {
     /// The laptop vocabulary (12k items / 3k tags / 25 topics) regardless of
     /// population — the shape of the figure drivers, where changing `--users`
@@ -173,7 +172,7 @@ pub enum TraceShape {
 
 /// A fully specified scenario instance: preset + population + seed +
 /// schedule horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// The workload preset.
     pub scenario: Scenario,
@@ -363,7 +362,7 @@ impl ScenarioConfig {
 }
 
 /// One step of a [`DynamicsPlan`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanStep {
     /// The cycle at which the step fires.
     pub cycle: u64,
@@ -388,7 +387,7 @@ impl PlanStep {
 }
 
 /// The kind of a plan step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanKind {
     /// A batch of profile changes with the given configuration.
     Changes(DynamicsConfig),
@@ -399,7 +398,7 @@ pub enum PlanKind {
 /// The cycle-axis plan of a scenario: which change batches and departures
 /// fire when. This is the *description*;
 /// [`DynamicsPlan::materialize_with_threads`] turns it into concrete events against a generated trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DynamicsPlan {
     /// The steps, in firing order.
     pub steps: Vec<PlanStep>,

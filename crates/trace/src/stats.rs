@@ -5,13 +5,12 @@
 //! 9,536,635 tagging actions, 249 items per user on average, >99% of users
 //! below 2,000 items).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::dataset::Dataset;
 
 /// Aggregate statistics of a dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     /// Number of users.
     pub users: usize,
