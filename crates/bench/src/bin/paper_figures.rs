@@ -134,11 +134,12 @@ fn fig3_alpha(args: &HarnessArgs) {
 
     let alphas = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0];
     let mut results = Vec::new();
+    let no_events = &mut EventQueue::new();
     for &alpha in &alphas {
         // Only α differs; the trace, index and ideal networks are shared.
         world.cfg = base_cfg.clone().with_alpha(alpha);
         let mut sim = world.simulator(&StorageDistribution::Uniform(10), args.seed);
-        let outcome = run_recall_experiment(&mut sim, &world, &queries, args.cycles);
+        let outcome = run_recall_experiment(&mut sim, &world, &queries, args.cycles, no_events);
         eprintln!(
             "  α={alpha:<4}: recall cycle0 {:.3} → final {:.3}",
             outcome.recall_per_cycle[0],
@@ -197,9 +198,10 @@ fn fig4_storage_recall(args: &HarnessArgs) {
 
     let buckets = [10usize, 20, 50, 100, 200, 500];
     let mut results = Vec::new();
+    let no_events = &mut EventQueue::new();
     for &bucket in &buckets {
         let mut sim = world.simulator(&StorageDistribution::Uniform(bucket), args.seed);
-        let outcome = run_recall_experiment(&mut sim, &world, &queries, args.cycles);
+        let outcome = run_recall_experiment(&mut sim, &world, &queries, args.cycles, no_events);
         eprintln!(
             "  c={bucket:<4}: recall cycle0 {:.3} → final {:.3} (users reached/query {:.1})",
             outcome.recall_per_cycle[0],
@@ -719,6 +721,7 @@ fn fig11_churn(args: &HarnessArgs) {
     );
 
     let departure_fractions = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9];
+    let no_events = &mut EventQueue::new();
     let mut incomplete_rows = Vec::new();
     for storage in [
         StorageDistribution::poisson_lambda_1(),
@@ -772,7 +775,7 @@ fn fig11_churn(args: &HarnessArgs) {
                     .count()
             };
 
-            let outcome = run_recall_experiment(&mut sim, &world, &queries, args.cycles);
+            let outcome = run_recall_experiment(&mut sim, &world, &queries, args.cycles, no_events);
             eprintln!(
                 "  p={:>3.0}%: recall cycle0 {:.3} → final {:.3}, {:.1}% of queries incomplete, \
                  {}/{} queriers lost ideal neighbours",

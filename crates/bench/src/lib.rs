@@ -268,8 +268,8 @@ impl World {
 }
 
 /// Converts a scenario's event schedule into a ready-to-run [`EventQueue`]
-/// — the bridge between [`ScenarioConfig::build`]'s output and the
-/// engine's `run_*_with_events` loops.
+/// — the bridge between [`ScenarioConfig::build`]'s output and
+/// `RunOptions::events`.
 pub fn scenario_event_queue(schedule: &[(u64, ScenarioEvent)]) -> EventQueue<ScenarioEvent> {
     let mut queue = EventQueue::new();
     for (cycle, event) in schedule {
@@ -287,14 +287,6 @@ pub fn apply_sim_event(sim: &mut Simulator<P3qNode>, event: &ScenarioEvent) {
         ScenarioEvent::ProfileChanges(batch) => {
             apply_profile_changes(sim, batch);
         }
-    }
-}
-
-/// Fires every scheduled [`ScenarioEvent`] due at the simulator's current
-/// cycle.
-fn fire_due_sim_events(sim: &mut Simulator<P3qNode>, events: &mut EventQueue<ScenarioEvent>) {
-    for event in events.pop_due(sim.cycle()) {
-        apply_sim_event(sim, &event);
     }
 }
 
@@ -374,20 +366,13 @@ pub struct RecallExperiment {
 
 /// Issues `queries` on `sim`, runs `cycles` eager cycles and measures the
 /// average recall against the centralized reference after every cycle.
+///
+/// The [`ScenarioEvent`]s of `events` fire on the cycle axis through
+/// `RunOptions::events`: an event due at cycle `c` fires **before** that
+/// cycle's eager gossip (so a departure scheduled at cycle `c` hits queries
+/// in flight), and one due at the final boundary fires after the last
+/// cycle. The figures pass an empty queue.
 pub fn run_recall_experiment(
-    sim: &mut Simulator<P3qNode>,
-    world: &World,
-    queries: &[Query],
-    cycles: u64,
-) -> RecallExperiment {
-    run_recall_experiment_with_events(sim, world, queries, cycles, &mut EventQueue::new())
-}
-
-/// Like [`run_recall_experiment`], with [`ScenarioEvent`]s scheduled on the
-/// cycle axis: events due at the current cycle fire **before** that cycle's
-/// eager gossip (so a departure scheduled at cycle `c` hits queries in
-/// flight), and events due at the final boundary fire after the loop.
-pub fn run_recall_experiment_with_events(
     sim: &mut Simulator<P3qNode>,
     world: &World,
     queries: &[Query],
@@ -416,12 +401,14 @@ pub fn run_recall_experiment_with_events(
     };
 
     let mut recall_per_cycle = vec![average_recall(sim)];
-    for _ in 0..cycles {
-        fire_due_sim_events(sim, events);
-        sim.drive(&cfg.eager(), RunOptions::cycles(1), |_, _| {});
-        recall_per_cycle.push(average_recall(sim));
-    }
-    fire_due_sim_events(sim, events);
+    sim.drive(
+        &cfg.eager(),
+        RunOptions::cycles(cycles).events(events),
+        |sim, event| match event {
+            RunEvent::Scheduled(event) => apply_sim_event(sim, &event),
+            RunEvent::CycleEnd(_) => recall_per_cycle.push(average_recall(sim)),
+        },
+    );
 
     let mut incomplete = 0usize;
     let mut reached_total = 0usize;
@@ -594,7 +581,7 @@ mod tests {
         let budgets = vec![2usize; world.trace.dataset.num_users()];
         let mut sim = build_simulator_with_budgets(&world.trace.dataset, &cfg, &budgets, 5);
         init_ideal_networks(&mut sim, &world.ideal);
-        let outcome = run_recall_experiment(&mut sim, &world, &queries, 6);
+        let outcome = run_recall_experiment(&mut sim, &world, &queries, 6, &mut EventQueue::new());
         assert_eq!(outcome.recall_per_cycle.len(), 7);
         let first = outcome.recall_per_cycle[0];
         let last = *outcome.recall_per_cycle.last().unwrap();

@@ -189,13 +189,8 @@ fn eager_queries_survive_a_churn_heavy_scenario() {
             events.schedule(*cycle, event.clone());
         }
     }
-    let outcome = p3q_bench::run_recall_experiment_with_events(
-        &mut sim,
-        &world,
-        &queries,
-        args.cycles,
-        &mut events,
-    );
+    let outcome =
+        p3q_bench::run_recall_experiment(&mut sim, &world, &queries, args.cycles, &mut events);
     assert_eq!(outcome.recall_per_cycle.len(), args.cycles as usize + 1);
     let last = *outcome.recall_per_cycle.last().unwrap();
     assert!(
