@@ -1153,28 +1153,25 @@ fn theory_validation(args: &HarnessArgs) {
         }
         let closed = cycles_to_completion(alpha, mean_l, x);
         let recurrence = simulate_recurrence(alpha, mean_l, x, 10_000);
-        let measured = DistributionSummary::of(&latencies);
-        let reached_summary = DistributionSummary::of(&reached);
-        let messages_summary = DistributionSummary::of(&messages);
-        // Theorems 2.3/2.4 bound the involved users and messages by 2^R where
-        // R is the number of cycles the query actually ran, so the bound is
-        // evaluated at the measured completion time.
+        let [completed, mean, max, users_bound, messages_bound] =
+            completion_columns(&latencies, queries.len(), args.cycles, args.users);
+        eprintln!(
+            "  α={alpha}: R_closed {closed:.1}, R_recurrence {recurrence}, measured mean {mean} \
+             ({completed} completed)"
+        );
         rows.push(vec![
             alpha.to_string(),
             fmt(mean_l),
             fmt(closed),
             recurrence.to_string(),
-            fmt(measured.mean),
-            fmt(measured.max),
-            fmt(reached_summary.mean),
-            fmt(max_users_involved(measured.mean).min(args.users as f64)),
-            fmt(messages_summary.mean),
-            fmt(max_partial_results(measured.mean).min(args.users as f64)),
+            completed,
+            mean,
+            max,
+            fmt(DistributionSummary::of(&reached).mean),
+            users_bound,
+            fmt(DistributionSummary::of(&messages).mean),
+            messages_bound,
         ]);
-        eprintln!(
-            "  α={alpha}: R_closed {:.1}, R_recurrence {}, measured mean {:.1}",
-            closed, recurrence, measured.mean
-        );
     }
 
     print_table(
@@ -1183,6 +1180,7 @@ fn theory_validation(args: &HarnessArgs) {
             "mean L",
             "R(α) closed",
             "R(α) recurrence",
+            "completed",
             "measured cycles (mean)",
             "measured (max)",
             "users reached (mean)",
@@ -1199,6 +1197,31 @@ fn theory_validation(args: &HarnessArgs) {
          both extremes (Theorem 2.2); measured users reached and partial-result messages \
          stay below the 2^R(α) and 2^R(α)−1 bounds (Theorems 2.3–2.4)."
     );
+}
+
+/// The measured columns of one `theory_validation` row, from the
+/// completion times of the `latencies.len()` queries, of `tracked`, that
+/// completed within `cycles`: `completed` (k / tracked), the mean and max
+/// completion cycles, and the bounds of Theorems 2.3–2.4 (2^R users and
+/// 2^R − 1 messages, capped at `users`). Those bound the run of each query,
+/// so they are evaluated at the measured mean R. With k = 0 there is no
+/// completion time: the measured columns read `>{cycles}`, as in
+/// `fig3_alpha`, and the bounds `n/a`.
+fn completion_columns(latencies: &[f64], tracked: usize, cycles: u64, users: usize) -> [String; 5] {
+    let completed = format!("{}/{tracked}", latencies.len());
+    if latencies.is_empty() {
+        let never = format!(">{cycles}");
+        return [completed, never.clone(), never, "n/a".into(), "n/a".into()];
+    }
+    let measured = DistributionSummary::of(latencies);
+    let capped = |bound: f64| fmt(bound.min(users as f64));
+    [
+        completed,
+        fmt(measured.mean),
+        fmt(measured.max),
+        capped(max_users_involved(measured.mean)),
+        capped(max_partial_results(measured.mean)),
+    ]
 }
 
 /// Runs `cycles` lazy cycles and records `metric` of the population under
@@ -1274,4 +1297,28 @@ fn print_recall_table<'a>(
         })
         .collect();
     print_table(&header, &rows);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn completion_columns_for_none_some_and_all_queries_completed() {
+        // k = 0: no completion time, so no bound either.
+        assert_eq!(
+            completion_columns(&[], 3, 5, 300),
+            ["0/3", ">5", ">5", "n/a", "n/a"]
+        );
+        // 0 < k < n: the completed queries' times; bounds at their mean.
+        assert_eq!(
+            completion_columns(&[2.0, 4.0], 3, 5, 300),
+            ["2/3", "3.000", "4.000", "8.000", "7.000"]
+        );
+        // k = n, with both bounds capped at the population.
+        assert_eq!(
+            completion_columns(&[10.0, 10.0], 2, 40, 300),
+            ["2/2", "10.000", "10.000", "300.000", "300.000"]
+        );
+    }
 }
