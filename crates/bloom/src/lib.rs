@@ -10,7 +10,8 @@
 //! The paper sizes the filter at 20 Kbit per user, which for the observed
 //! average of 249 tagged items per user yields a false-positive rate of about
 //! 0.1%. [`PAPER_FILTER_BITS`] and [`PAPER_FILTER_HASHES`] give that
-//! configuration; `P3qConfig::laptop_scale` runs a 4 Kbit geometry.
+//! configuration. The protocol's configuration picks the geometry of its
+//! digests; the laptop-scale runs use 4 Kbit.
 //!
 //! The implementation is self-contained (no third-party hashing crates): it
 //! uses the SplitMix64 finalizer as the hash family and the standard
