@@ -139,7 +139,7 @@ fn rel(path: &Path, root: &Path) -> String {
 }
 
 /// Scans every `.rs` and `Cargo.toml` under `root` (skipping
-/// [`SKIP_DIRS`]).
+/// `SKIP_DIRS`).
 pub fn scan_workspace(root: &Path) -> io::Result<Workspace> {
     let mut file_paths = Vec::new();
     let mut manifest_paths = Vec::new();

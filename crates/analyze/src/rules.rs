@@ -416,7 +416,7 @@ const TARGET_MANIFEST: &str = "crates/integration/Cargo.toml";
 
 /// Rule `target-registration`: every root `examples/*.rs` / `tests/*.rs`
 /// source must appear in the explicit target tables of
-/// [`TARGET_MANIFEST`] (and every table entry must point at an existing
+/// `TARGET_MANIFEST` (and every table entry must point at an existing
 /// file). Cargo silently ignores unregistered root sources because the
 /// target crate sets `autoexamples = false` / `autotests = false`.
 pub fn target_registration(ws: &Workspace, out: &mut Vec<Finding>) {

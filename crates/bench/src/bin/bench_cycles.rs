@@ -121,7 +121,7 @@ fn bench_scale(users: usize, args: &Args) -> ScaleResult {
     sim.drive(&cfg.lazy(), RunOptions::cycles(args.warmup), |_, _| {});
 
     // Node-storage accounting at the measurement point (deterministic for a
-    // given seed): the shard-partitioned store sums each node's protocol
+    // given seed): the node store sums each node's protocol
     // state.
     let bytes_nodes = sim.node_store().storage_bytes(P3qNode::storage_bytes);
     eprintln!(

@@ -178,7 +178,7 @@ fn run_arm(
 fn run_check(args: &Args) {
     let cycles = args.cycles.unwrap_or(4);
     let world = args.world(cycles, Scenario::LossyNetwork);
-    let cfg = world.cfg.clone().with_fault_tolerance(cycles.max(2), 2, 0);
+    let cfg = world.cfg.clone().with_fault_tolerance(cycles.max(2), 2);
     let faults = args.faults(0.05);
     let queries = world.sample_queries(args.queries.min(50));
 
@@ -239,7 +239,7 @@ fn main() {
     let cycles = args.cycles.unwrap_or(20);
 
     let world = args.world(cycles, Scenario::PaperDelicious);
-    let hardened_cfg = world.cfg.clone().with_fault_tolerance(cycles.max(2), 2, 0);
+    let hardened_cfg = world.cfg.clone().with_fault_tolerance(cycles.max(2), 2);
     let plain_cfg = world.cfg.clone();
     let queries = world.sample_queries(args.queries);
     eprintln!(

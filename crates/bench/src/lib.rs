@@ -140,7 +140,7 @@ impl HarnessArgs {
     /// The protocol configuration implied by the scale flags.
     pub fn protocol_config(&self) -> P3qConfig {
         if self.paper_scale {
-            P3qConfig::paper(self.users)
+            P3qConfig::paper()
         } else {
             P3qConfig::laptop_scale()
         }

@@ -32,26 +32,13 @@ pub struct P3qConfig {
     /// stretch of cycles without progress (a lost carrier exchange leaves
     /// no other trace). Doubles per retry. `0` disables retries.
     pub retry_backoff_cycles: u64,
-    /// Fault-hardening: a personal-network neighbour whose staleness
-    /// timestamp exceeds this limit is evicted — under crash faults a dead
-    /// neighbour never answers gossip, so its timestamp grows without
-    /// bound while live ones keep getting reset. `0` disables eviction.
-    ///
-    /// Only lazy gossip resets staleness, so this knob **requires lazy
-    /// refresh cycles to interleave with eager ones**: in an eager-only run
-    /// every timestamp grows monotonically and the personal network evicts
-    /// itself wholesale after `limit` cycles. Until-idle eager drives
-    /// ([`EagerProtocol`](crate::eager::EagerProtocol) under
-    /// `RunOptions::until_complete`) reject a nonzero limit via
-    /// [`Self::validate_eager_only`].
-    pub neighbour_staleness_limit: u32,
 }
 
 impl P3qConfig {
     /// The configuration used throughout the paper's evaluation
     /// (10,000-user delicious trace): `s = 1000`, `r = 10`, `k = 10`,
     /// `α = 0.5`, 50 profiles per gossip, 20 Kbit digests.
-    pub fn paper(_users: usize) -> Self {
+    pub fn paper() -> Self {
         Self {
             personal_network_size: 1000,
             random_view_size: 10,
@@ -62,7 +49,6 @@ impl P3qConfig {
             digest_hashes: p3q_bloom::PAPER_FILTER_HASHES,
             query_ttl_cycles: 0,
             retry_backoff_cycles: 0,
-            neighbour_staleness_limit: 0,
         }
     }
 
@@ -81,7 +67,6 @@ impl P3qConfig {
             digest_hashes: 7,
             query_ttl_cycles: 0,
             retry_backoff_cycles: 0,
-            neighbour_staleness_limit: 0,
         }
     }
 
@@ -97,28 +82,19 @@ impl P3qConfig {
             digest_hashes: 5,
             query_ttl_cycles: 0,
             retry_backoff_cycles: 0,
-            neighbour_staleness_limit: 0,
         }
     }
 
-    /// Returns a copy with the fault-hardening machinery switched on:
-    /// query TTL / deadline tracking, querier retry-with-backoff and
-    /// staleness-based neighbour eviction. Passing `0` for a knob leaves
-    /// that mechanism disabled.
-    ///
-    /// A nonzero `neighbour_staleness_limit` is only sound when lazy
-    /// refresh cycles interleave with eager ones (see the field docs);
-    /// eager-only run loops enforce this via
-    /// [`Self::validate_eager_only`].
+    /// Returns a copy with the fault-hardening machinery switched on: query
+    /// TTL / deadline tracking and querier retry-with-backoff. Passing `0`
+    /// for a knob leaves that mechanism disabled.
     pub fn with_fault_tolerance(
         mut self,
         query_ttl_cycles: u64,
         retry_backoff_cycles: u64,
-        neighbour_staleness_limit: u32,
     ) -> Self {
         self.query_ttl_cycles = query_ttl_cycles;
         self.retry_backoff_cycles = retry_backoff_cycles;
-        self.neighbour_staleness_limit = neighbour_staleness_limit;
         self.validate();
         self
     }
@@ -175,29 +151,6 @@ impl P3qConfig {
             );
         }
     }
-
-    /// Checks that the configuration is sound for an **eager-only** run —
-    /// one where no lazy refresh cycles interleave with the eager ones.
-    ///
-    /// Only lazy gossip resets neighbour staleness, so with a nonzero
-    /// [`neighbour_staleness_limit`](Self::neighbour_staleness_limit) an
-    /// eager-only run silently evicts the *entire* personal network (live
-    /// neighbours included) once every timestamp passes the limit.
-    /// [`EagerProtocol`](crate::eager::EagerProtocol)'s `begin_run` hook
-    /// calls this on until-idle drives so the footgun fails loudly instead.
-    ///
-    /// # Panics
-    /// Panics if `neighbour_staleness_limit` is nonzero.
-    pub(crate) fn validate_eager_only(&self) {
-        assert!(
-            self.neighbour_staleness_limit == 0,
-            "neighbour_staleness_limit = {} in an eager-only run: only lazy \
-             gossip resets staleness, so the personal network would evict \
-             itself wholesale. Interleave lazy refresh cycles (alternate \
-             eager and lazy drives yourself) or set the limit to 0.",
-            self.neighbour_staleness_limit
-        );
-    }
 }
 
 impl Default for P3qConfig {
@@ -212,7 +165,7 @@ mod tests {
 
     #[test]
     fn paper_configuration_matches_section_3_1_2() {
-        let cfg = P3qConfig::paper(10_000);
+        let cfg = P3qConfig::paper();
         assert_eq!(cfg.personal_network_size, 1000);
         assert_eq!(cfg.random_view_size, 10);
         assert_eq!(cfg.top_k, 10);
@@ -243,40 +196,22 @@ mod tests {
     #[test]
     fn fault_tolerance_defaults_off_and_builder_sets_knobs() {
         for cfg in [
-            P3qConfig::paper(10_000),
+            P3qConfig::paper(),
             P3qConfig::laptop_scale(),
             P3qConfig::tiny(),
         ] {
             assert_eq!(cfg.query_ttl_cycles, 0);
             assert_eq!(cfg.retry_backoff_cycles, 0);
-            assert_eq!(cfg.neighbour_staleness_limit, 0);
         }
-        let cfg = P3qConfig::tiny().with_fault_tolerance(12, 3, 8);
+        let cfg = P3qConfig::tiny().with_fault_tolerance(12, 3);
         assert_eq!(cfg.query_ttl_cycles, 12);
         assert_eq!(cfg.retry_backoff_cycles, 3);
-        assert_eq!(cfg.neighbour_staleness_limit, 8);
     }
 
     #[test]
     #[should_panic(expected = "retry_backoff_cycles")]
     fn retry_backoff_beyond_ttl_rejected() {
-        let _ = P3qConfig::tiny().with_fault_tolerance(2, 5, 0);
-    }
-
-    #[test]
-    fn eager_only_validation_accepts_disabled_staleness_eviction() {
-        P3qConfig::tiny().validate_eager_only();
-        P3qConfig::tiny()
-            .with_fault_tolerance(12, 3, 0)
-            .validate_eager_only();
-    }
-
-    #[test]
-    #[should_panic(expected = "eager-only run")]
-    fn eager_only_validation_rejects_staleness_eviction() {
-        P3qConfig::tiny()
-            .with_fault_tolerance(12, 3, 8)
-            .validate_eager_only();
+        let _ = P3qConfig::tiny().with_fault_tolerance(2, 5);
     }
 
     #[test]

@@ -31,10 +31,10 @@
 //! partial result lists with the incremental NRA and can display a top-k at
 //! the end of every cycle. [`EagerProtocol`] implements the engine's
 //! run-loop hooks so a runtime's `drive` entry runs that loop directly:
-//! `finish_cycle` updates querier completion status after every cycle,
-//! `begin_run` rejects eager-unsound configurations on until-idle runs, and
+//! `finish_cycle` updates querier completion status after every cycle, and
 //! `wants_more` keeps a faulted until-idle run alive while backed-off
-//! retries may still re-ignite gossip.
+//! retries may still re-ignite gossip. It needs no `begin_run`: no
+//! configuration is unsound for an eager-only run.
 
 use std::collections::HashSet;
 
@@ -217,7 +217,7 @@ impl GossipProtocol for EagerProtocol {
     }
 
     fn prepare(&self, node: &mut P3qNode, cycle: u64) {
-        // All three mechanisms are fault-hardening knobs defaulting to 0:
+        // Both mechanisms are fault-hardening knobs defaulting to 0:
         // with the paper's idealized network none of this runs and eager
         // cycles are byte-identical to the pre-fault engine.
         let cfg = &self.cfg;
@@ -234,15 +234,6 @@ impl GossipProtocol for EagerProtocol {
             for state in node.querier_states.values_mut() {
                 state.maybe_retry(cycle, cfg.retry_backoff_cycles);
             }
-        }
-        if cfg.neighbour_staleness_limit > 0 {
-            // Eager cycles normally leave staleness untouched (only lazy
-            // prepare ticks it); under the eviction knob they tick too so
-            // dead neighbours age out even during long query bursts. A
-            // uniform tick shifts every timestamp equally, so relative
-            // destination preferences are unchanged.
-            node.personal_network.tick();
-            node.evict_stale_neighbours(cfg.neighbour_staleness_limit);
         }
     }
 
@@ -471,16 +462,6 @@ impl GossipProtocol for EagerProtocol {
         state.traffic.users_reached = state.reached_users.len() as u64;
     }
 
-    fn begin_run(&self, until_idle: bool) {
-        // An until-idle eager drive is eager-only by construction — no lazy
-        // refresh interleaves — so the staleness-eviction knob must be off
-        // (it would evict the entire personal network; see
-        // [`P3qConfig::validate_eager_only`]).
-        if until_idle {
-            self.cfg.validate_eager_only();
-        }
-    }
-
     fn finish_cycle(&self, node: &mut P3qNode, cycle: u64) {
         // End-of-cycle bookkeeping on every node: the queriers update their
         // completion status.
@@ -576,7 +557,7 @@ mod tests {
     use crate::baseline::{centralized_topk, IdealNetworks};
     use crate::experiment::{build_simulator_with_budgets, init_ideal_networks};
     use crate::metrics::recall_at_k;
-    use p3q_sim::{FaultPlan, RunOptions};
+    use p3q_sim::RunOptions;
     use p3q_trace::{ItemId, QueryGenerator, TraceConfig, TraceGenerator};
 
     struct Fixture {
@@ -602,28 +583,6 @@ mod tests {
             ideal,
             queries,
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "eager-only run")]
-    fn eager_only_loop_rejects_staleness_eviction() {
-        let mut fx = fixture(2);
-        fx.cfg = fx.cfg.with_fault_tolerance(0, 0, 5);
-        fx.sim
-            .drive(&fx.cfg.eager(), RunOptions::until_complete(10), |_, _| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "eager-only run")]
-    fn faulted_eager_only_loop_rejects_staleness_eviction() {
-        let mut fx = fixture(2);
-        fx.cfg = fx.cfg.with_fault_tolerance(0, 0, 5);
-        let mut faults = FaultPlan::new(p3q_sim::FaultConfig::none());
-        fx.sim.drive(
-            &fx.cfg.eager(),
-            RunOptions::until_complete(10).faulted(&mut faults),
-            |_, _| {},
-        );
     }
 
     #[test]

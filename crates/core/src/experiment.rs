@@ -68,7 +68,7 @@ pub fn build_simulator_with_budgets(
 /// helper produces exactly that starting point without having to run
 /// hundreds of lazy cycles first.
 ///
-/// Every ideal neighbour is admitted ([`P3qNode::admit`]) with its own
+/// Every ideal neighbour is admitted (`P3qNode::admit`) with its own
 /// offer, in the ideal network's order (score descending, then peer
 /// ascending), which is the view's order: each lands below the ones before
 /// it, so the first `c` store their profiles and nothing moves afterwards.

@@ -232,9 +232,6 @@ impl GossipProtocol for LazyProtocol {
         // increment their timestamps by 1").
         node.random_view.tick();
         node.personal_network.tick();
-        if self.cfg.neighbour_staleness_limit > 0 {
-            node.evict_stale_neighbours(self.cfg.neighbour_staleness_limit);
-        }
     }
 
     fn on_crash(&self, node: &mut P3qNode, _cycle: u64) {
@@ -433,22 +430,19 @@ pub fn bootstrap_random_views_with_threads(
 ) {
     let master: u64 = rng.gen();
     // Read-only phase: every node's picks and the digest snapshots of the
-    // picked peers, from per-node streams of the master seed. Chunks are
-    // aligned to the node store's shard size so each worker reads whole
-    // shards of cache-adjacent nodes.
+    // picked peers, from per-node streams of the master seed.
     let picks = {
         let sim = &*sim;
-        p3q_sim::parallel_map_chunks_aligned(
+        p3q_sim::parallel_map_chunks(
             sim.num_nodes(),
             threads,
-            sim.node_store().shard_size(),
             || (),
             |idx, ()| bootstrap_node_picks(sim, cfg, master, idx),
         )
     };
     // Write phase: each node only touches its own view, so the fill is
-    // trivially conflict-free; whole shards travel to each worker.
-    sim.for_each_node_mut_sharded(threads, |idx, node| {
+    // trivially conflict-free.
+    sim.for_each_node_mut(threads, |idx, node| {
         for (user, info) in &picks[idx] {
             node.random_view.insert(*user, info.clone());
         }
@@ -911,30 +905,6 @@ mod tests {
             assert!(!view.is_empty(), "node {idx} never re-bootstrapped");
             for entry in &view {
                 assert_ne!(entry.peer.index(), idx);
-            }
-        }
-    }
-
-    #[test]
-    fn stale_neighbour_eviction_is_gated_by_the_config_knob() {
-        let (mut sim, mut cfg, _) = small_sim();
-        let mut rng = StdRng::seed_from_u64(5);
-        bootstrap_random_views(&mut sim, &cfg, &mut rng);
-        sim.drive(&cfg.lazy(), RunOptions::cycles(5), |_, _| {});
-        // Kill half the population; without eviction their entries linger.
-        sim.mass_departure(0.5);
-        cfg.neighbour_staleness_limit = 3;
-        sim.drive(&cfg.lazy(), RunOptions::cycles(8), |_, _| {});
-        for idx in 0..sim.num_nodes() {
-            if !sim.is_alive(idx) {
-                continue;
-            }
-            for entry in sim.node(idx).personal_network.iter() {
-                assert!(
-                    entry.staleness <= cfg.neighbour_staleness_limit + 1,
-                    "node {idx} kept a neighbour at staleness {}",
-                    entry.staleness
-                );
             }
         }
     }

@@ -78,7 +78,7 @@
 //!   layout at the 100k-user scenario), node state is compacted
 //!   ([`node::NeighbourInfo`] `u32` versions, lazily allocated query books
 //!   via [`node::LazyMap`], [`node::P3qNode::storage_bytes`] accounting)
-//!   and the simulator keeps its nodes in the shard-partitioned
+//!   and the simulator keeps its nodes in one contiguous
 //!   [`p3q_sim::NodeStore`]. The `compression_props` property suite pins
 //!   all of it observationally identical to an uncompressed oracle.
 //! * **Demand-driven similarity resolution** —

@@ -2,7 +2,7 @@
 //! bounded profile storage.
 //!
 //! A peer enters or moves in the personal network through one door,
-//! [`P3qNode::admit`]: gossip offers, random-view probes and the
+//! `P3qNode::admit`: gossip offers, random-view probes and the
 //! ideal-network install all score the peer first and then hand it over
 //! with its offer. Admission applies the storage rule too, so only the `c`
 //! most similar neighbours hold a full profile copy.
@@ -180,7 +180,7 @@ impl<K: std::hash::Hash + Eq, V> std::ops::Index<&K> for LazyMap<K, V> {
 /// `profile_version` lags `digest_version` is **stale** — it is kept for
 /// refresh accounting (Table 2, the AUR metric) and as gossip payload, but
 /// query scoring must not silently treat it as current; use
-/// [`Self::has_fresh_profile`] to tell the two states apart.
+/// `has_fresh_profile` to tell the two states apart.
 ///
 /// Versions are stored as `u32` (they bump once per dynamics batch), which
 /// packs one personal-network entry into 40 bytes instead of the 48 of the
@@ -583,26 +583,6 @@ impl P3qNode {
         self.tasks = LazyMap::new();
         self.digest.take();
         self.probes.take();
-    }
-
-    /// Evicts every personal-network neighbour whose staleness timestamp
-    /// exceeds `limit`, returning how many were dropped. Under crash
-    /// faults a dead neighbour never answers gossip, so its timestamp
-    /// grows without bound while live neighbours keep getting reset —
-    /// staleness is the node-local signal for "this neighbour is gone".
-    /// Cached profile copies of evicted neighbours are dropped with their
-    /// entries.
-    pub(crate) fn evict_stale_neighbours(&mut self, limit: u32) -> usize {
-        let stale: Vec<UserId> = self
-            .personal_network
-            .iter()
-            .filter(|e| e.staleness > limit)
-            .map(|e| e.peer)
-            .collect();
-        for peer in &stale {
-            self.personal_network.remove(peer);
-        }
-        stale.len()
     }
 
     /// Resident bytes of this node's protocol state: the struct itself, the
@@ -1116,23 +1096,6 @@ mod tests {
         assert_eq!(n.profile(), &own);
         assert_eq!(n.profile_version(), version);
         assert!(n.digest().contains(ItemId(9).as_key()));
-    }
-
-    #[test]
-    fn stale_neighbours_are_evicted_beyond_the_limit() {
-        let mut n = node(2);
-        for peer in 1..=3u32 {
-            n.admit(&offer(peer, profile(&[(peer, peer)]), 1), peer as u64);
-        }
-        // Age everyone by 3, then refresh peer 2's timestamp.
-        for _ in 0..3 {
-            n.personal_network.tick();
-        }
-        n.personal_network.reset_staleness(&UserId(2));
-        assert_eq!(n.evict_stale_neighbours(2), 2);
-        assert_eq!(n.network_peers(), vec![UserId(2)]);
-        // Nothing further to evict below the limit.
-        assert_eq!(n.evict_stale_neighbours(2), 0);
     }
 
     #[test]

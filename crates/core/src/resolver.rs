@@ -1,11 +1,11 @@
 //! Demand-driven personal-network resolution with memoization and exact
 //! delta invalidation.
 //!
-//! [`IdealNetworks`](crate::baseline::IdealNetworks) answers "who are the
-//! `s` most similar peers of user `u`?" by sweeping **every** user up front
-//! — the right shape for an oracle, the wrong one for a serving path where
-//! queries are heavily skewed and only a sliver of the population asks per
-//! cycle. [`OnDemandNetworks`] inverts the cost model:
+//! [`IdealNetworks`] answers "who are the `s` most similar peers of user
+//! `u`?" by sweeping **every** user up front — the right shape for an
+//! oracle, the wrong one for a serving path where queries are heavily
+//! skewed and only a sliver of the population asks per cycle.
+//! [`OnDemandNetworks`] inverts the cost model:
 //!
 //! * **Resolve lazily.** A user's network is computed the first time it is
 //!   requested, by one counting sweep over her posting lists
@@ -296,7 +296,7 @@ impl OnDemandNetworks {
     ///   and re-ranking reproduces a fresh resolution byte-for-byte — a
     ///   user outside her old top-`s` that gained nothing still has at
     ///   least `s` users ranked above her. Entries with
-    ///   [`PATCH_EVICT_THRESHOLD`] or more partners are evicted instead —
+    ///   `PATCH_EVICT_THRESHOLD` or more partners are evicted instead —
     ///   one re-resolution is cheaper than that many profile merges.
     ///
     /// `dataset` must already reflect the batch the outcome came from. Any

@@ -36,7 +36,7 @@
 //!   per posting instead of 4, decoded four at a time by the one padded
 //!   kernel, `p3q_trace::codec::for_each_sorted_u32_grouped_padded`;
 //! * random access goes through a two-level **group offset directory**:
-//!   one absolute `u32` anchor every [`GROUPS_PER_ANCHOR`] groups (= 64
+//!   one absolute `u32` anchor every `GROUPS_PER_ANCHOR` groups (= 64
 //!   posting slots) plus a `u16` anchor-relative delta per group —
 //!   ~0.31 bytes per key against the 0.5 of the previous absolute-`u32`
 //!   directory, with a per-shard wide fallback for blobs whose 64-slot
@@ -49,7 +49,7 @@
 //! ## Sharding and the delta-apply cost model
 //!
 //! The id space is split into contiguous **shards** (about
-//! [`TARGET_KEYS_PER_SHARD`] ids each). Profile dynamics (Section 3.4.1:
+//! `TARGET_KEYS_PER_SHARD` ids each). Profile dynamics (Section 3.4.1:
 //! users keep tagging) no longer force a rebuild, and a write costs the
 //! batch, not the index. Every write goes through one streaming patcher
 //! per touched shard: it decodes, rewrites and re-encodes **only the
@@ -265,7 +265,7 @@ pub struct DeltaOutcome {
     /// user are omitted — changing users are fully re-swept anyway.
     pub pairs: Vec<(UserId, UserId)>,
     /// Users affected through a *very popular* gained action (posting list
-    /// × gainers beyond [`PAIR_EMISSION_CAP`]), reported for full
+    /// × gainers beyond `PAIR_EMISSION_CAP`), reported for full
     /// re-scoring instead of per-pair emission — this bounds the outcome's
     /// size by the touched posting mass rather than its square. Sorted and
     /// deduplicated.
@@ -611,8 +611,8 @@ pub struct ActionIndex {
 impl ActionIndex {
     /// Builds the index over every profile of the dataset, interning the
     /// action dictionary and choosing the shard count from the number of
-    /// distinct actions (about [`TARGET_KEYS_PER_SHARD`] ids per shard, at
-    /// most [`MAX_SHARDS`]).
+    /// distinct actions (about `TARGET_KEYS_PER_SHARD` ids per shard, at
+    /// most `MAX_SHARDS`).
     pub fn build(dataset: &Dataset) -> Self {
         Self::build_with_shards(dataset, 0)
     }

@@ -200,7 +200,7 @@ proptest! {
         let mut w = world(seed);
         let hardened = hardened == 1;
         if hardened {
-            w.cfg = w.cfg.with_fault_tolerance(20, 4, 10);
+            w.cfg = w.cfg.with_fault_tolerance(20, 4);
         }
         let cfg = w.cfg.clone();
 
@@ -270,7 +270,7 @@ proptest! {
         fault_seed in 0u64..1000,
     ) {
         let w = world(seed);
-        let cfg = w.cfg.clone().with_fault_tolerance(20, 4, 10);
+        let cfg = w.cfg.clone().with_fault_tolerance(20, 4);
 
         let run = |fault_seed: u64| {
             let mut sim = eager_sim(&w, &cfg, seed);
@@ -302,7 +302,7 @@ proptest! {
         threads in 1usize..9,
     ) {
         let w = world(seed ^ 0x0FF);
-        let cfg = w.cfg.clone().with_fault_tolerance(20, 4, 10);
+        let cfg = w.cfg.clone().with_fault_tolerance(20, 4);
         let fault_cfg = composite_faults(seed ^ 0xFA01);
 
         // Lazy mode.

@@ -2,19 +2,14 @@
 //! (`p3q_transport::TransportRuntime`) to its oracle, the deterministic
 //! simulator:
 //!
-//! * under the **canonical delivery schedule** a transport run is
-//!   **byte-identical** to `Simulator::drive` for the same seed — node
-//!   states (via the `Fingerprint` chain), every bandwidth counter and the
-//!   run reports all agree, for both protocols (lazy maintenance, eager
-//!   query processing), across shard layouts of 1 / 3 / 8 actors;
+//! * a transport run is **byte-identical** to `Simulator::drive` for the
+//!   same seed — node states (via the `Fingerprint` chain), every bandwidth
+//!   counter and the run reports all agree, for both protocols (lazy
+//!   maintenance, eager query processing), across shard layouts of 1 / 3 /
+//!   8 actors;
 //! * the equality survives a **composite fault mix** (loss + delay +
 //!   duplication + crash/restart) reinterpreted as transport faults, with
 //!   identical fault schedules and statistics;
-//! * a **seeded schedule is a pure function of `(seed, schedule)`** —
-//!   replaying it reproduces the run bit for bit even under faults;
-//! * **actor crash/restart mid-run is invisible**: stopping, joining and
-//!   respawning shard actors between cycles leaves the run byte-identical
-//!   to the simulator;
 //! * **mailbox traffic is bounded by shards × batches**, never by plans, and
 //!   repeats exactly for the same run;
 //! * the end-to-end **recall** of a query gossiped over the transport
@@ -211,7 +206,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let w = world(seed ^ 0x0FF);
-        let cfg = w.cfg.clone().with_fault_tolerance(20, 4, 10);
+        let cfg = w.cfg.clone().with_fault_tolerance(20, 4);
         let fault_cfg = composite_faults(seed ^ 0xFA01);
 
         // Lazy mode.
@@ -262,75 +257,6 @@ proptest! {
                 seed, actors
             );
         }
-    }
-
-    /// A seeded delivery schedule is a pure function of `(seed, schedule)`:
-    /// replaying the same pair reproduces the run bit for bit, with and
-    /// without faults. (Only the canonical schedule additionally equals the
-    /// simulator — a seeded one permutes the plan gather order, which the
-    /// fault filter and batcher legitimately observe.)
-    #[test]
-    fn seeded_schedules_are_deterministic_in_seed_and_schedule(
-        seed in 0u64..1000,
-        schedule_seed in 0u64..1000,
-        faulted in 0u32..2,
-    ) {
-        let w = world(seed);
-        let cfg = w.cfg.clone().with_fault_tolerance(20, 4, 10);
-        let faulted = faulted == 1;
-
-        let run = |schedule: DeliverySchedule| {
-            let mut rt = TransportRuntime::from_simulator(
-                &mut eager_sim(&w, &cfg, seed),
-                3,
-                schedule,
-            );
-            if faulted {
-                let mut faults = FaultPlan::new(composite_faults(seed ^ 0xFA01));
-                rt.drive(&cfg.eager(), RunOptions::cycles(6).faulted(&mut faults));
-                (transport_state(&rt), Some((faults.fingerprint(), faults.stats())))
-            } else {
-                rt.drive(&cfg.eager(), RunOptions::cycles(6));
-                (transport_state(&rt), None)
-            }
-        };
-
-        let a = run(DeliverySchedule::seeded(schedule_seed));
-        let b = run(DeliverySchedule::seeded(schedule_seed));
-        prop_assert_eq!(a, b, "same (seed, schedule) gave different runs");
-    }
-
-    /// Actor crash/restart mid-run is a pure infrastructure fault: shard
-    /// actors stopped, joined and respawned between cycles carry their
-    /// state and accounting across the hop, leaving the run byte-identical
-    /// to the simulator.
-    #[test]
-    fn actor_restarts_mid_run_leave_the_run_byte_identical(
-        seed in 0u64..1000,
-    ) {
-        let w = world(seed);
-        let cfg = w.cfg.clone();
-
-        let mut reference = eager_sim(&w, &cfg, seed);
-        reference.drive(&cfg.eager(), RunOptions::cycles(5), |_, _| {});
-
-        let mut rt = TransportRuntime::from_simulator(
-            &mut eager_sim(&w, &cfg, seed),
-            4,
-            DeliverySchedule::canonical(),
-        );
-        // Restart every actor at least once, two of them on the same cycle.
-        rt.schedule_actor_restart(1, 0);
-        rt.schedule_actor_restart(1, 3);
-        rt.schedule_actor_restart(2, 2);
-        rt.schedule_actor_restart(4, 1);
-        rt.drive(&cfg.eager(), RunOptions::cycles(5));
-        prop_assert_eq!(
-            sim_state(&reference),
-            transport_state(&rt),
-            "actor restarts leaked into the run (seed {})",
-            seed
-        );
     }
 }
 

@@ -87,7 +87,7 @@ pub(crate) fn absorb_shuffle<P, M, R>(
 /// random subset of the union (minus themselves, minus duplicates), exactly
 /// as in the paper's description. Entry ages are incremented by the caller
 /// ([`AgedView::tick`]) once per cycle, not here. Composed from
-/// [`shuffle_payload`] and [`absorb_shuffle`].
+/// `shuffle_payload` and `absorb_shuffle`.
 pub fn shuffle<P, M, R>(
     a_id: P,
     a_view: &mut AgedView<P, M>,

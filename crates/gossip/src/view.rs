@@ -168,12 +168,6 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
         Some(rank)
     }
 
-    /// Removes a peer; returns its entry if it was present.
-    pub fn remove(&mut self, peer: &P) -> Option<ScoredEntry<P, M>> {
-        let pos = self.entries.iter().position(|e| e.peer == *peer)?;
-        Some(self.entries.remove(pos))
-    }
-
     /// Increments every entry's staleness by one — called once per gossip
     /// cycle ("other neighbours increment their timestamps by 1").
     pub fn tick(&mut self) {
@@ -303,13 +297,6 @@ impl<P: Copy + Eq + Hash + Ord, M: Clone> AgedView<P, M> {
                 self.entries.remove(idx);
             }
         }
-    }
-
-    /// Removes a peer; returns `true` if it was present.
-    pub fn remove(&mut self, peer: &P) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.peer != *peer);
-        self.entries.len() != before
     }
 
     /// Increments every entry's age.
@@ -481,16 +468,6 @@ mod tests {
         let marked: Vec<(u32, u32)> = v.iter().map(|e| (e.peer, e.meta)).collect();
         assert_eq!(marked, [(2, 0), (3, 0), (4, 1), (1, 1)]);
         assert_eq!(v.meta_mut_from_rank(4).count(), 0);
-    }
-
-    #[test]
-    fn remove_returns_entry() {
-        let mut v = V::new(2);
-        v.upsert(7, 1, ());
-        let removed = v.remove(&7).unwrap();
-        assert_eq!(removed.peer, 7);
-        assert!(v.is_empty());
-        assert!(v.remove(&7).is_none());
     }
 
     #[test]

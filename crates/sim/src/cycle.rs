@@ -8,7 +8,7 @@
 //! touches a node: everything per node happens behind a [`Substrate`], one
 //! method per phase. Three substrates execute it —
 //!
-//! * the simulator's in-process parallel one (`engine.rs`): shard-granular
+//! * the simulator's in-process parallel one (`engine.rs`): chunked
 //!   fan-out over worker threads;
 //! * the sequential [`Shard`](crate::Shard): plain loops over a run of
 //!   nodes — the whole population for
@@ -52,10 +52,9 @@ pub struct RunState {
 /// must: run `on_restart` hooks before `on_crash` hooks; plan alive nodes
 /// in ascending index order with [`plan_rng`](crate::exchange::plan_rng)
 /// against the post-prepare state; commit plan `i` with
-/// [`commit_rng`](crate::exchange::commit_rng)`(cycle_seed, i)` on the
-/// initiator and destination the plan names and return a batch's outcomes
-/// in batch order, all of its commits being visible before it returns;
-/// apply effects in the order given.
+/// `commit_rng(cycle_seed, i)` on the initiator and destination the plan
+/// names and return a batch's outcomes in batch order, all of its commits
+/// being visible before it returns; apply effects in the order given.
 pub trait Substrate<P: GossipProtocol> {
     /// Runs the crash/restart hooks over the transitioned nodes.
     fn transitions(&mut self, proto: &P, cycle: u64, transitions: &FaultTransitions);

@@ -102,8 +102,7 @@ impl<'a, Pl, E> RunOptions<'a, Pl, E> {
     }
 
     /// Attaches a fault schedule: node transitions fire at each cycle start
-    /// and the plan list passes through
-    /// [`FaultPlan::filter_plans`](crate::FaultPlan::filter_plans) before
+    /// and the plan list passes through `FaultPlan::filter_plans` before
     /// batching. A zero-fault plan leaves the run byte-identical.
     pub fn faulted(mut self, faults: &'a mut FaultPlan<Pl>) -> Self {
         self.faults = Some(faults);

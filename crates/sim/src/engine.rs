@@ -10,16 +10,14 @@
 //! module supplies what makes it parallel *and* deterministic in process:
 //!
 //! 1. **prepare** — per-node bookkeeping touches only its own node, so it
-//!    fans out in whole shards of the [`NodeStore`] (each worker mutates
-//!    one contiguous, shard-aligned cache region);
+//!    fans out over the [`NodeStore`] in contiguous chunks, one per worker;
 //! 2. **plan** — planning is a pure function of the post-prepare snapshot
 //!    ([`CycleContext`]) and a per-node RNG, so it fans out with
-//!    [`parallel_map_chunks_aligned`] and the plan list is the same for
-//!    every thread count;
+//!    [`parallel_map_chunks`] and the plan list is the same for every
+//!    thread count;
 //! 3. **commit** — within a conflict-free batch no node appears twice, so
-//!    each exchange gets its disjoint `&mut` node pair
-//!    ([`NodeStore::disjoint_muts`]) and the batch commits in parallel
-//!    ([`parallel_map_owned`]);
+//!    each exchange gets its disjoint `&mut` node pair (`disjoint_muts`)
+//!    and the batch commits in parallel (`parallel_map_owned`);
 //! 4. **apply** — commits return deferred bandwidth charges and
 //!    third-party effects as data; the sequencer applies them
 //!    sequentially, in plan order, before the next batch starts.
@@ -77,7 +75,7 @@ use crate::exchange::{
 };
 use crate::fault::FaultTransitions;
 use crate::membership::Membership;
-use crate::parallel::{default_threads, parallel_map_chunks_aligned, parallel_map_owned};
+use crate::parallel::{default_threads, parallel_map_chunks, parallel_map_owned};
 use crate::shard::Shard;
 use crate::store::NodeStore;
 
@@ -162,22 +160,21 @@ impl<N> Simulator<N> {
         self.nodes.as_slice()
     }
 
-    /// The shard-partitioned node store backing the simulator.
+    /// The node store backing the simulator.
     pub fn node_store(&self) -> &NodeStore<N> {
         &self.nodes
     }
 
     /// Applies `f` to every node (as `f(index, &mut node)`), fanning
-    /// **whole shards** out to `threads` workers — the shard-granular
-    /// mutable fan-out for bespoke drivers and offline phases (see
-    /// [`NodeStore::for_each_mut_sharded`]). Final state is independent of
+    /// contiguous chunks out to `threads` workers — the mutable fan-out for
+    /// bespoke drivers and offline phases. Final state is independent of
     /// `threads`.
-    pub fn for_each_node_mut_sharded<F>(&mut self, threads: usize, f: F)
+    pub fn for_each_node_mut<F>(&mut self, threads: usize, f: F)
     where
         N: Send,
         F: Fn(usize, &mut N) + Sync,
     {
-        self.nodes.for_each_mut_sharded(threads, f);
+        self.nodes.for_each_mut(threads, f);
     }
 
     /// The membership (who is alive).
@@ -283,15 +280,15 @@ impl<P: GossipProtocol> Substrate<P> for Workers<'_, P::Node> {
         self.shard.transitions(proto, cycle, transitions);
     }
 
-    /// Fans out whole shards of the store, so each worker mutates one
-    /// shard-aligned region.
+    /// Fans out contiguous chunks of the store, so each worker mutates one
+    /// contiguous region.
     fn prepare(&mut self, proto: &P, cycle: u64, membership: &Membership) {
         let prepare = |idx, node: &mut P::Node| {
             if membership.is_alive(idx) {
                 proto.prepare(node, cycle);
             }
         };
-        self.shard.nodes.for_each_mut_sharded(self.threads, prepare);
+        self.shard.nodes.for_each_mut(self.threads, prepare);
     }
 
     fn plan(
@@ -301,17 +298,11 @@ impl<P: GossipProtocol> Substrate<P> for Workers<'_, P::Node> {
         cycle_seed: u64,
         membership: &Membership,
     ) -> Vec<ExchangePlan<P::Payload>> {
-        let nodes = &*self.shard.nodes;
-        let world = CycleContext::new(nodes.as_slice(), membership, cycle);
+        let world = CycleContext::new(self.shard.nodes.as_slice(), membership, cycle);
         let alive = membership.alive_nodes();
-        // Shard-aligned chunking: with no (or few) crashed nodes the alive
-        // list is (nearly) the identity, so aligning its chunk boundaries
-        // to the shard size hands each worker whole shards of
-        // cache-adjacent nodes to plan.
-        parallel_map_chunks_aligned(
+        parallel_map_chunks(
             alive.len(),
             self.threads,
-            nodes.shard_size(),
             || (),
             |i, ()| {
                 let idx = alive[i];

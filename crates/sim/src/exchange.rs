@@ -372,8 +372,8 @@ pub trait GossipProtocol: Sync {
     /// Invoked once when a driver starts a run (`Simulator::drive` or a
     /// transport runtime), before the first cycle. `until_idle` says
     /// whether the run stops on its own once gossip dries up — the place
-    /// for mode-specific configuration validation (e.g. the eager-only
-    /// staleness-eviction footgun).
+    /// for mode-specific configuration validation. No library protocol
+    /// needs one; wrappers (the e2e benchmark's probe) forward it.
     fn begin_run(&self, until_idle: bool) {
         let _ = until_idle;
     }

@@ -38,9 +38,9 @@
 //!   takes;
 //! * [`EventQueue`] — "at cycle X, do Y" hooks, wired into the run loop via
 //!   [`RunOptions::events`];
-//! * [`NodeStore`] — shard-partitioned node storage: one contiguous
-//!   allocation whose power-of-two shards are the engine's unit of mutable
-//!   fan-out (and the layout hook for memory accounting);
+//! * [`NodeStore`] — node storage: one contiguous allocation that the
+//!   engine fans out over in contiguous chunks, with a debug-build
+//!   sanitizer on commit borrows and transport loans;
 //! * [`parallel`] — the deterministic fork-join primitives shared by the
 //!   cycle engine and the offline phases (index building, baseline
 //!   computation).
@@ -74,9 +74,7 @@ pub use fault::{FaultConfig, FaultPlan, FaultStats, FaultTransitions};
 pub use fingerprint::{fingerprint_chain, Fingerprint, Fnv};
 pub use membership::Membership;
 pub use metrics::{DistributionSummary, SeriesRecorder};
-pub use parallel::{
-    default_threads, parallel_map_chunks, parallel_map_chunks_aligned, stream_seed,
-};
+pub use parallel::{default_threads, parallel_map_chunks, stream_seed};
 pub use schedule::EventQueue;
 pub use shard::Shard;
 pub use store::NodeStore;

@@ -4,10 +4,10 @@
 //! simulator (building ideal personal networks, precomputing indices,
 //! scoring baselines); since the plan/commit refactor the cycle engine
 //! itself is built on them: the plan phase fans read-only protocol steps
-//! out with [`parallel_map_chunks_aligned`], per-node preparation uses
-//! [`parallel_for_each_mut`] in whole shards, and conflict-free exchange
-//! batches commit through [`parallel_map_owned`] over disjoint `&mut` node
-//! pairs obtained with [`disjoint_muts`]. Everything is built on `std::thread::scope` so
+//! out with [`parallel_map_chunks`], per-node preparation uses
+//! `parallel_for_each_mut`, and conflict-free exchange batches commit
+//! through `parallel_map_owned` over disjoint `&mut` node pairs obtained
+//! with `disjoint_muts`. Everything is built on `std::thread::scope` so
 //! no external runtime is needed.
 //!
 //! Determinism contract: every helper splits its input into contiguous
@@ -65,32 +65,6 @@ where
     MS: Fn() -> S + Sync,
     F: Fn(usize, &mut S) -> T + Sync,
 {
-    parallel_map_chunks_aligned(len, threads, 1, make_state, f)
-}
-
-/// [`parallel_map_chunks`] with chunk boundaries rounded up to a multiple
-/// of `align` — the shard-granular fan-out: pass a [`NodeStore`] shard size
-/// (a power of two) and every worker receives whole shard runs, so the read
-/// phase of a cycle walks each shard's cache-adjacent nodes on one thread
-/// instead of splitting shards across workers at arbitrary offsets.
-///
-/// Output is independent of `threads` and `align` by the module's
-/// determinism contract — chunking changes only which worker computes
-/// which contiguous index run.
-///
-/// [`NodeStore`]: crate::NodeStore
-pub fn parallel_map_chunks_aligned<T, S, MS, F>(
-    len: usize,
-    threads: usize,
-    align: usize,
-    make_state: MS,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    MS: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> T + Sync,
-{
     let threads = threads.max(1).min(len.max(1));
     if threads == 1 {
         let mut state = make_state();
@@ -98,7 +72,7 @@ where
     }
     // Contiguous chunking keeps results trivially reorderable and gives each
     // worker cache-friendly, index-adjacent work.
-    let chunk_size = aligned_chunk_size(len, threads, align);
+    let chunk_size = len.div_ceil(threads);
     let chunks = len.div_ceil(chunk_size);
     let mut chunk_results: Vec<Vec<T>> = Vec::with_capacity(chunks);
     std::thread::scope(|scope| {
@@ -124,21 +98,14 @@ where
     out
 }
 
-/// The chunk length that splits `len` indices over `threads` (> 1)
-/// workers with every chunk boundary on a multiple of `align`.
-fn aligned_chunk_size(len: usize, threads: usize, align: usize) -> usize {
-    let align = align.max(1);
-    len.div_ceil(threads).div_ceil(align) * align
-}
-
 /// Applies `f` to every element of `items` (as `f(index, &mut item)`),
-/// fanning contiguous chunks, with boundaries on multiples of `align`, out
-/// to `threads` workers (the same chunks as [`parallel_map_chunks_aligned`]).
+/// fanning contiguous chunks out to `threads` workers (the same chunks as
+/// [`parallel_map_chunks`]).
 ///
 /// Each element is visited exactly once and no element is shared between
-/// workers, so the final state is independent of `threads` and `align`.
-/// Passing `threads <= 1` (or a tiny `len`) runs inline without spawning.
-pub(crate) fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, align: usize, f: F)
+/// workers, so the final state is independent of `threads`. Passing
+/// `threads <= 1` (or a tiny `len`) runs inline without spawning.
+pub(crate) fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
@@ -151,7 +118,7 @@ where
         }
         return;
     }
-    let chunk_size = aligned_chunk_size(len, threads, align);
+    let chunk_size = len.div_ceil(threads);
     std::thread::scope(|scope| {
         for (chunk_idx, chunk) in items.chunks_mut(chunk_size).enumerate() {
             let f = &f;
@@ -267,21 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn aligned_chunks_match_unaligned_for_any_geometry() {
-        for threads in [1, 2, 3, 8, 64] {
-            let unaligned = parallel_map_chunks_aligned(257, threads, 1, || (), |i, ()| i * 3 + 1);
-            assert_eq!(unaligned, (0..257).map(|i| i * 3 + 1).collect::<Vec<_>>());
-            for align in [4, 16, 64, 512] {
-                let got =
-                    parallel_map_chunks_aligned(257, threads, align, || (), |i, ()| i * 3 + 1);
-                assert_eq!(got, unaligned, "threads = {threads}, align = {align}");
-            }
-        }
-        let empty: Vec<u8> = parallel_map_chunks_aligned(0, 4, 16, || (), |_, ()| unreachable!());
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn empty_input_yields_empty_output() {
         let got: Vec<u32> = parallel_map_chunks(0, 4, || (), |_, ()| unreachable!());
         assert!(got.is_empty());
@@ -321,17 +273,15 @@ mod tests {
     #[test]
     fn for_each_mut_touches_every_element_once() {
         for threads in [1, 2, 3, 8, 50] {
-            for align in [1, 4, 64] {
-                let mut items: Vec<usize> = (0..37).collect();
-                parallel_for_each_mut(&mut items, threads, align, |i, item| {
-                    assert_eq!(*item, i);
-                    *item += 100;
-                });
-                assert!(
-                    items.iter().enumerate().all(|(i, &v)| v == i + 100),
-                    "threads = {threads}, align = {align}"
-                );
-            }
+            let mut items: Vec<usize> = (0..37).collect();
+            parallel_for_each_mut(&mut items, threads, |i, item| {
+                assert_eq!(*item, i);
+                *item += 100;
+            });
+            assert!(
+                items.iter().enumerate().all(|(i, &v)| v == i + 100),
+                "threads = {threads}"
+            );
         }
     }
 

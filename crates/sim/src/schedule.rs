@@ -51,7 +51,7 @@ impl<E> EventQueue<E> {
     /// Single pass: the tree is split at `cycle + 1` — the not-yet-due tail
     /// stays, the due head is drained by value — instead of collecting the
     /// due keys first and removing them one lookup at a time.
-    pub fn pop_due(&mut self, cycle: u64) -> Vec<E> {
+    pub(crate) fn pop_due(&mut self, cycle: u64) -> Vec<E> {
         let not_due = match cycle.checked_add(1) {
             Some(next) => self.events.split_off(&next),
             None => BTreeMap::new(), // u64::MAX: everything is due

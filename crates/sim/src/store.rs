@@ -1,21 +1,17 @@
-//! Shard-partitioned node storage for the cycle engine.
+//! Node storage for the cycle engine.
 //!
-//! The engine used to hold protocol state as a bare `Vec<N>` and split work
-//! across threads at arbitrary `len / threads` boundaries. [`NodeStore`]
-//! replaces that with an explicit **shard** layout: nodes live in one
-//! contiguous allocation (so read-only snapshots are still plain slices),
-//! partitioned into power-of-two shards that are the engine's unit of
-//! mutable fan-out — per-node *prepare* work is handed to workers in whole
-//! shards, so every worker mutates one contiguous, shard-aligned cache
-//! region and chunk boundaries never straddle a shard. The shard size is
-//! also the natural alignment for future NUMA placement and for the
-//! conflict-free commit batches, whose `&mut` borrows are obtained through
-//! [`Self::disjoint_muts`] / [`Self::pair_mut`].
+//! A [`NodeStore`] holds every node's protocol state in one contiguous
+//! allocation, so the plan phase's read-only snapshot is a plain slice and
+//! per-node *prepare* work fans out in contiguous chunks, one per worker.
+//! The conflict-free commit batches take their `&mut` borrows through
+//! [`NodeStore::disjoint_muts`] / [`NodeStore::pair_mut`], and a transport
+//! shard moves nodes out and back with [`NodeStore::lend`] /
+//! [`NodeStore::restore`]; a debug-build sanitizer polices both.
 //!
-//! Like every storage decision in this workspace, none of this may change
-//! behaviour: a [`NodeStore`] is observationally a `Vec<N>` with stable
-//! indices, and the sharded fan-out visits every node exactly once with its
-//! own index, so cycle output stays byte-identical for every thread count.
+//! None of this may change behaviour: a [`NodeStore`] is observationally a
+//! `Vec<N>` with stable indices, and the fan-out visits every node exactly
+//! once with its own index, so cycle output stays byte-identical for every
+//! thread count.
 
 use crate::parallel::{disjoint_muts, parallel_for_each_mut};
 
@@ -58,42 +54,19 @@ struct AliasLedger {
 #[cfg(debug_assertions)]
 const LENT: u64 = u64::MAX;
 
-/// Smallest shard the derived layout will produce: below this, per-shard
-/// bookkeeping outweighs any locality benefit.
-const MIN_SHARD_SIZE: usize = 256;
-
-/// Target number of shards when deriving the shard size from the population
-/// (enough granularity to feed any realistic worker count).
-const TARGET_SHARDS: usize = 64;
-
-/// Contiguous, shard-partitioned storage of per-node protocol state.
+/// Contiguous storage of per-node protocol state.
 #[derive(Debug, Clone)]
 pub struct NodeStore<N> {
     nodes: Vec<N>,
-    shard_size: usize,
     #[cfg(debug_assertions)]
     ledger: AliasLedger,
 }
 
 impl<N> NodeStore<N> {
-    /// Wraps the given nodes, deriving a power-of-two shard size aimed at
-    /// [`TARGET_SHARDS`] shards (at least [`MIN_SHARD_SIZE`] nodes each).
+    /// Wraps the given nodes.
     pub fn new(nodes: Vec<N>) -> Self {
-        let derived = nodes
-            .len()
-            .div_ceil(TARGET_SHARDS)
-            .next_power_of_two()
-            .max(MIN_SHARD_SIZE);
-        Self::with_shard_size(nodes, derived)
-    }
-
-    /// Wraps the given nodes with an explicit shard size (rounded up to a
-    /// power of two). The shard size changes only work granularity and
-    /// layout accounting, never any result.
-    pub(crate) fn with_shard_size(nodes: Vec<N>, shard_size: usize) -> Self {
         Self {
             nodes,
-            shard_size: shard_size.max(1).next_power_of_two(),
             #[cfg(debug_assertions)]
             ledger: AliasLedger::default(),
         }
@@ -235,21 +208,6 @@ impl<N> NodeStore<N> {
         self.nodes.is_empty()
     }
 
-    /// Nodes per shard (a power of two; the final shard may be shorter).
-    pub fn shard_size(&self) -> usize {
-        self.shard_size
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.nodes.len().div_ceil(self.shard_size).max(1)
-    }
-
-    /// The shard a node index belongs to.
-    pub fn shard_of(&self, idx: usize) -> usize {
-        idx / self.shard_size
-    }
-
     /// One node.
     pub fn get(&self, idx: usize) -> &N {
         self.assert_not_lent(idx);
@@ -273,11 +231,6 @@ impl<N> NodeStore<N> {
     pub(crate) fn as_mut_slice(&mut self) -> &mut [N] {
         self.assert_none_on_loan();
         &mut self.nodes
-    }
-
-    /// Iterates over the shards as contiguous sub-slices.
-    pub fn shards(&self) -> impl Iterator<Item = &[N]> {
-        self.nodes.chunks(self.shard_size)
     }
 
     /// Simultaneous mutable references to the nodes at `sorted_unique`
@@ -320,17 +273,15 @@ impl<N> NodeStore<N> {
 
 impl<N: Send> NodeStore<N> {
     /// Applies `f` to every node (as `f(index, &mut node)`), fanning
-    /// **whole shards** out to `threads` workers: each worker receives a
-    /// contiguous run of shards, so mutable traffic stays in shard-aligned
-    /// cache regions and chunk boundaries never split a shard.
+    /// contiguous chunks out to `threads` workers.
     ///
     /// Every node is visited exactly once with its own index, so the final
     /// state is independent of `threads`.
-    pub(crate) fn for_each_mut_sharded<F>(&mut self, threads: usize, f: F)
+    pub(crate) fn for_each_mut<F>(&mut self, threads: usize, f: F)
     where
         F: Fn(usize, &mut N) + Sync,
     {
-        parallel_for_each_mut(&mut self.nodes, threads, self.shard_size, f);
+        parallel_for_each_mut(&mut self.nodes, threads, f);
     }
 }
 
@@ -352,31 +303,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn derived_shard_size_is_a_power_of_two_and_bounded() {
-        let store: NodeStore<u32> = NodeStore::new((0..100_000).collect());
-        assert!(store.shard_size().is_power_of_two());
-        assert!(store.shard_size() >= MIN_SHARD_SIZE);
-        assert_eq!(store.num_shards(), store.len().div_ceil(store.shard_size()));
-        let tiny: NodeStore<u32> = NodeStore::new(vec![1, 2, 3]);
-        assert_eq!(tiny.num_shards(), 1);
-    }
-
-    #[test]
-    fn indices_are_stable_through_the_shard_layout() {
-        let store = NodeStore::with_shard_size((0..1000u32).collect(), 64);
-        for idx in [0usize, 63, 64, 999] {
-            assert_eq!(*store.get(idx), idx as u32);
-            assert_eq!(store.shard_of(idx), idx / 64);
-        }
-        let flat: Vec<u32> = store.shards().flatten().copied().collect();
-        assert_eq!(flat, store.as_slice());
-    }
-
-    #[test]
     fn sharded_for_each_matches_sequential_for_any_thread_count() {
         for threads in [1, 2, 3, 8, 50] {
-            let mut store = NodeStore::with_shard_size((0..777usize).collect(), 16);
-            store.for_each_mut_sharded(threads, |i, node| {
+            let mut store = NodeStore::new((0..777usize).collect());
+            store.for_each_mut(threads, |i, node| {
                 assert_eq!(*node, i);
                 *node += 1000;
             });
@@ -393,7 +323,7 @@ mod tests {
 
     #[test]
     fn disjoint_and_pair_access_work_across_shards() {
-        let mut store = NodeStore::with_shard_size((0..100u32).collect(), 8);
+        let mut store = NodeStore::new((0..100u32).collect());
         {
             let refs = store.disjoint_muts(&[1, 8, 64, 99]);
             assert_eq!(refs.iter().map(|r| **r).collect::<Vec<_>>(), [1, 8, 64, 99]);
@@ -434,8 +364,7 @@ mod tests {
     fn empty_store_is_sane() {
         let mut store: NodeStore<u8> = NodeStore::new(Vec::new());
         assert!(store.is_empty());
-        assert_eq!(store.num_shards(), 1);
-        store.for_each_mut_sharded(4, |_, _| unreachable!());
+        store.for_each_mut(4, |_, _| unreachable!());
     }
 
     /// Aliasing-sanitizer behaviour: debug builds only (the whole ledger is

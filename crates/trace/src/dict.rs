@@ -15,9 +15,9 @@
 //!   ([`ActionDictionary::ids_of_profile_into`]);
 //! * actions that appear **later** (profile dynamics introduce genuinely
 //!   new `(item, tag)` pairs) are appended to a small *tail* in arrival
-//!   order via [`Self::intern`]. Tail ids keep every dictionary guarantee
-//!   except order-isomorphism with the key space, which only the frozen
-//!   range promises ([`Self::frozen_len`]).
+//!   order via [`ActionDictionary::intern`]. Tail ids keep every
+//!   dictionary guarantee except order-isomorphism with the key space,
+//!   which only the frozen range promises ([`ActionDictionary::frozen_len`]).
 //!
 //! The frozen keys are held as LEB128 delta blocks
 //! ([`crate::codec::SortedKeyStore`], about 3.4 bytes per key with its

@@ -78,10 +78,9 @@ pub struct TraceConfig {
     pub item_zipf_exponent: f64,
     /// Zipf exponent for tag popularity inside a topic.
     pub tag_zipf_exponent: f64,
-    /// Number of characteristic tags attached to each item.
-    pub characteristic_tags_per_item: usize,
-    /// Maximum number of tags one user applies to one item.
-    pub max_tags_per_item: usize,
+    /// Number of characteristic tags attached to each item, and the most
+    /// tags one user applies to one item.
+    pub tags_per_item: usize,
     /// Fraction of the tag vocabulary shared by every topic ("general" tags
     /// such as `web`, `tools`, `reference`).
     pub shared_tag_fraction: f64,
@@ -105,8 +104,7 @@ impl TraceConfig {
             primary_topic_affinity: 0.65,
             item_zipf_exponent: 0.9,
             tag_zipf_exponent: 0.9,
-            characteristic_tags_per_item: 4,
-            max_tags_per_item: 4,
+            tags_per_item: 4,
             shared_tag_fraction: 0.1,
             seed,
         }
@@ -128,8 +126,7 @@ impl TraceConfig {
             primary_topic_affinity: 0.65,
             item_zipf_exponent: 0.95,
             tag_zipf_exponent: 0.95,
-            characteristic_tags_per_item: 5,
-            max_tags_per_item: 5,
+            tags_per_item: 5,
             shared_tag_fraction: 0.1,
             seed,
         }
@@ -150,8 +147,7 @@ impl TraceConfig {
             primary_topic_affinity: 0.7,
             item_zipf_exponent: 0.9,
             tag_zipf_exponent: 0.9,
-            characteristic_tags_per_item: 3,
-            max_tags_per_item: 3,
+            tags_per_item: 3,
             shared_tag_fraction: 0.1,
             seed,
         }
@@ -184,7 +180,7 @@ impl TraceConfig {
         );
         assert!(self.mean_items_per_user >= 1.0, "profiles cannot be empty");
         assert!(self.max_items_per_user >= 1, "profiles cannot be empty");
-        assert!(self.max_tags_per_item >= 1, "items need at least one tag");
+        assert!(self.tags_per_item >= 1, "items need at least one tag");
     }
 }
 
@@ -360,7 +356,7 @@ impl TraceGenerator {
     }
 
     /// Pushes the tagging actions of one user tagging one `item` (1 to
-    /// `max_tags_per_item` tags, biased towards the item's characteristic
+    /// `tags_per_item` tags, biased towards the item's characteristic
     /// tags). Exposed so workload layers (flash crowds) can target specific
     /// items while staying consistent with the trace's tag model.
     pub(crate) fn tag_item<R: Rng + ?Sized>(
@@ -373,7 +369,7 @@ impl TraceGenerator {
     ) {
         let cfg = &self.config;
         let topic = world.item_topic[item.index()] as usize;
-        let tag_count = 1 + rng.gen_range(0..cfg.max_tags_per_item);
+        let tag_count = 1 + rng.gen_range(0..cfg.tags_per_item);
         let characteristic = &world.item_tags[item.index()];
         let pool = &world.topic_tags[topic];
         for _ in 0..tag_count {
@@ -471,8 +467,8 @@ impl TraceGenerator {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed ^ STREAM_ITEM_TAGS, item as u64));
         let pool = &topic_tags[item_topic[item] as usize];
-        let mut tags = Vec::with_capacity(cfg.characteristic_tags_per_item);
-        while tags.len() < cfg.characteristic_tags_per_item.min(pool.len()) {
+        let mut tags = Vec::with_capacity(cfg.tags_per_item);
+        while tags.len() < cfg.tags_per_item.min(pool.len()) {
             let tag = pool[tag_sampler.sample(&mut rng) % pool.len()];
             if !tags.contains(&tag) {
                 tags.push(tag);

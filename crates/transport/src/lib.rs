@@ -7,15 +7,11 @@
 //! deployment would — as communicating processes — without giving up the
 //! simulator's reproducibility. Three pieces:
 //!
-//! * [`mailbox`] — the pluggable substrate: a [`Transport`] mints FIFO,
-//!   reliable, typed mailboxes; [`InProcess`] backs them with
-//!   `std::sync::mpsc` channels and thread-per-shard actors, and a socket
-//!   backend can slot in behind the same two traits.
-//! * [`DeliverySchedule`] — a seeded total order on message delivery. The
-//!   canonical schedule reproduces the simulator's plan order exactly; a
-//!   seeded one replays a different (but fixed) per-cycle arrival
-//!   permutation, so runs are always a pure function of
-//!   `(run seed, schedule)`.
+//! * [`mailbox`] — the substrate: a [`Transport`] mints FIFO, reliable,
+//!   typed mailboxes; [`InProcess`], the one backend, backs them with
+//!   `std::sync::mpsc` channels between thread-per-shard actors.
+//! * [`DeliverySchedule`] — the one order on message delivery: ascending
+//!   shards, which reproduces the simulator's plan order exactly.
 //! * [`TransportRuntime`] — partitions a simulator's node population into
 //!   contiguous shards, runs each shard as an actor behind a command
 //!   mailbox, and executes the simulator's own cycle
@@ -59,22 +55,20 @@
 //!
 //! # Determinism
 //!
-//! A transport run under the canonical schedule is byte-identical to the
-//! simulator for the same seed — node states, bandwidth accounting, cycle
-//! counts, fault stream consumption. Plan order, fault filtering, batching
-//! and apply order are the simulator's because the sequencer is; what the
-//! mailbox substrate itself must keep — RNG streams by index, guest
-//! isolation (by move, and checked by the node store's debug sanitizer),
-//! FIFO restore-before-effect and effect-before-next-lend, leases returned
+//! A transport run is byte-identical to the simulator for the same seed —
+//! node states, bandwidth accounting, cycle counts, fault stream
+//! consumption. Plan order, fault filtering, batching and apply order are
+//! the simulator's because the sequencer is; what the mailbox substrate
+//! itself must keep — RNG streams by index, guest isolation (by move, and
+//! checked by the node store's debug sanitizer), FIFO
+//! restore-before-effect and effect-before-next-lend, leases returned
 //! before the first write, commutative recorder merge — is spelled out at
 //! the runtime's module docs, and the property suites in `crates/core` pin
 //! the equality across protocols, shard layouts, fault mixes and
-//! `P3Q_THREADS` settings. Failure of an actor (a scheduled
-//! stop-and-respawn, see [`TransportRuntime::schedule_actor_restart`]) is
-//! an infrastructure fault: shard state survives the hop, so protocol
-//! output is unaffected — protocol-level faults (lost messages, node
-//! crashes) stay where they were, in [`p3q_sim::FaultPlan`], reinterpreted
-//! over the wire.
+//! `P3Q_THREADS` settings. Faults are protocol-level (lost messages, node
+//! crashes) and stay where they were, in [`p3q_sim::FaultPlan`],
+//! reinterpreted over the wire; like the paper's simulator, the runtime
+//! models no infrastructure faults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

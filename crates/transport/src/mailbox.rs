@@ -1,12 +1,13 @@
-//! The pluggable message-passing substrate: mailboxes, and the [`Transport`]
-//! that mints them.
+//! The message-passing substrate: mailboxes, and the [`Transport`] that
+//! mints them.
 //!
-//! The runtime never names a concrete channel type — every sequencer↔actor
-//! link is a mailbox pair obtained from a [`Transport`], so the in-process
-//! backend ([`InProcess`], `std::sync::mpsc` under the hood) can later be
-//! swapped for a socket-backed one without touching the runtime or the
-//! actors. The contract a backend must honour is deliberately minimal and is
-//! exactly what the determinism argument leans on:
+//! Every sequencer↔actor link is a mailbox pair minted by the in-process
+//! backend ([`InProcess`], `std::sync::mpsc` under the hood); the actors
+//! see only the [`MailboxSender`] / [`MailboxReceiver`] halves. The runtime
+//! is not generic over the backend while it has one; a second
+//! [`Transport`] (sockets) would come with that type parameter. The
+//! contract a backend honours is deliberately minimal and is exactly what
+//! the determinism argument leans on:
 //!
 //! * **FIFO per mailbox** — messages sent through one [`MailboxSender`]
 //!   arrive in send order. The runtime gives every actor a single sender
@@ -22,7 +23,8 @@ use std::sync::mpsc;
 /// Error of a send or receive on a mailbox whose other end has hung up.
 ///
 /// Under the runtime's protocol an actor only hangs up by panicking (or by
-/// being stopped), so the sequencer treats this as fatal.
+/// being stopped at the end of a drive), so the sequencer treats this as
+/// fatal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MailboxClosed;
 
@@ -66,8 +68,8 @@ pub trait Transport {
 
 /// The in-process backend: one `std::sync::mpsc` channel per mailbox.
 ///
-/// This is the only backend the repository ships; it is what the
-/// oracle-equality suites pin against the simulator.
+/// This is the only backend; the runtime mints every mailbox through it,
+/// and it is what the oracle-equality suites pin against the simulator.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcess;
 

@@ -1,6 +1,5 @@
 //! The transport runtime: the cycle sequencer driving shard actors over
-//! mailboxes, byte-identical to [`Simulator`] under the canonical
-//! [`DeliverySchedule`].
+//! in-process mailboxes, byte-identical to [`Simulator`].
 //!
 //! The cycle itself — phase order, fault filtering on the ordered plan
 //! list, conflict-free batching, charges and effects in plan order, the
@@ -23,8 +22,8 @@
 //!   that seed by *index*, so where a computation runs (which actor, which
 //!   thread) can never touch a stream. Shards own contiguous node ranges
 //!   and plan their alive locals in ascending order, so gathering
-//!   announcements in ascending shard order (the canonical schedule)
-//!   concatenates into the simulator's plan list.
+//!   announcements in ascending shard order concatenates into the
+//!   simulator's plan list.
 //! * **Guest isolation, by move** — a cross-shard destination is not
 //!   copied: its owner moves it out of its slot
 //!   ([`NodeStore::lend`](p3q_sim::NodeStore::lend)), the initiator's shard
@@ -55,21 +54,17 @@
 //!   shard-local recorders merged in when an actor stops. Recorder merge
 //!   is addition over the same `(node, cycle, category, bytes)` records
 //!   the simulator makes, so every aggregate matches.
-//!
-//! A seeded schedule replays a *different* (but fixed) arrival permutation
-//! per cycle: runs remain fully deterministic in `(seed, schedule)`, and
-//! only the canonical schedule additionally equals the simulator.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 use p3q_sim::{
-    BandwidthRecorder, CommitOutcome, EventQueue, ExchangePlan, FaultTransitions, GossipProtocol,
-    Membership, RunOptions, RunReport, RunState, Sequencer, Simulator, Substrate,
+    BandwidthRecorder, CommitOutcome, ExchangePlan, FaultTransitions, GossipProtocol, Membership,
+    RunOptions, RunReport, RunState, Sequencer, Simulator, Substrate,
 };
 
 use crate::actor::{run_actor, Command, CommitJob, FromShard, JobOutcome, Lease, Reply, ToShard};
-use crate::mailbox::{InProcess, MailboxReceiver, MailboxSender, Transport};
+use crate::mailbox::{InProcess, Transport};
 use crate::schedule::DeliverySchedule;
 
 /// Sequencer-side panic message when a shard actor's mailbox hangs up.
@@ -77,9 +72,9 @@ const ACTOR_GONE: &str = "shard actor hung up (it panicked or was stopped)";
 
 /// How many messages a runtime has exchanged with its shard actors, counted
 /// where the sequencer sends and receives them. A pure function of the run
-/// — seed, population, actor count, schedule, options — and of nothing the
-/// host does, so a test can bound it: every phase costs a number of
-/// messages proportional to the number of shards, not of plans.
+/// — seed, population, actor count, options — and of nothing the host
+/// does, so a test can bound it: every phase costs a number of messages
+/// proportional to the number of shards, not of plans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MailboxTraffic {
     /// Commands sent to shard actors, each `Stop` included.
@@ -92,20 +87,19 @@ pub struct MailboxTraffic {
 
 /// One live shard actor, sequencer side: its command mailbox, its reply
 /// mailbox and the handle that returns its state on shutdown.
-struct ActorHandle<'scope, P: GossipProtocol, T: Transport> {
-    tx: T::Sender<Command<P>>,
-    reply: T::Receiver<Reply<P>>,
+struct ActorHandle<'scope, P: GossipProtocol> {
+    tx: mpsc::Sender<Command<P>>,
+    reply: mpsc::Receiver<Reply<P>>,
     join: thread::ScopedJoinHandle<'scope, (Vec<P::Node>, BandwidthRecorder)>,
 }
 
 /// The mailbox substrate: every phase of the cycle as the messages that
 /// make the shard actors run it (the per-cycle message sequence is in
 /// [`crate::actor`]'s module docs).
-struct Mailboxes<'scope, P: GossipProtocol, T: Transport> {
+struct Mailboxes<'scope, P: GossipProtocol> {
     /// Actor `s` owns the nodes with `idx / shard_size == s`.
-    actors: Vec<ActorHandle<'scope, P, T>>,
+    actors: Vec<ActorHandle<'scope, P>>,
     shard_size: usize,
-    schedule: DeliverySchedule,
     /// The membership as the actors share it: a copy of the run's, made
     /// again only after fault transitions changed who is alive.
     alive: Arc<Membership>,
@@ -120,7 +114,7 @@ struct Mailboxes<'scope, P: GossipProtocol, T: Transport> {
     traffic: MailboxTraffic,
 }
 
-impl<P: GossipProtocol, T: Transport> Mailboxes<'_, P, T> {
+impl<P: GossipProtocol> Mailboxes<'_, P> {
     fn send(&mut self, s: usize, command: Command<P>) {
         self.traffic.commands += 1;
         self.actors[s].tx.send(command).expect(ACTOR_GONE);
@@ -160,18 +154,17 @@ impl<P: GossipProtocol, T: Transport> Mailboxes<'_, P, T> {
 
     /// Stops an actor (already taken out of `actors`) and takes back its
     /// nodes and shard-local recorder.
-    fn stop(&mut self, actor: ActorHandle<'_, P, T>) -> (Vec<P::Node>, BandwidthRecorder) {
+    fn stop(&mut self, actor: ActorHandle<'_, P>) -> (Vec<P::Node>, BandwidthRecorder) {
         self.traffic.commands += 1;
         actor.tx.send(ToShard::Stop).expect(ACTOR_GONE);
         actor.join.join().expect("shard actor panicked")
     }
 }
 
-impl<P, T> Substrate<P> for Mailboxes<'_, P, T>
+impl<P> Substrate<P> for Mailboxes<'_, P>
 where
     P: GossipProtocol,
     P::Payload: Clone,
-    T: Transport,
 {
     /// Sends every shard the transitions of its own nodes; hooks run
     /// in-shard, restarts before crashes.
@@ -218,8 +211,8 @@ where
         self.leases = prepared.into_iter().map(lease).collect();
     }
 
-    /// Plans everywhere; gathers announcements in the delivery schedule's
-    /// order. Canonical = ascending shards = the simulator's plan list.
+    /// Plans everywhere; gathers announcements in ascending shard order,
+    /// which is the simulator's plan list.
     fn plan(
         &mut self,
         _proto: &P,
@@ -241,7 +234,7 @@ where
             );
         }
         let mut plans = Vec::new();
-        for s in self.schedule.gather_order(self.actors.len(), cycle) {
+        for s in 0..self.actors.len() {
             let FromShard::Plans(announced) = self.recv(s) else {
                 panic!("protocol violation: expected a plan announcement");
             };
@@ -395,35 +388,31 @@ where
 /// A message-passing runtime executing [`GossipProtocol`]s over shard
 /// actors, oracle-equal to [`Simulator`] (see the module docs).
 ///
-/// Constructed from a simulator snapshot ([`from_simulator`]
-/// (Self::from_simulator)); between [`drive`](Self::drive) calls the
-/// runtime owns the node states, membership, RNG position and bandwidth
-/// totals, so state can be inspected (or churned) exactly where a
-/// simulator's could. During a drive the states live inside the actors —
+/// Constructed from a simulator snapshot
+/// ([`from_simulator`](Self::from_simulator)); between
+/// [`drive`](Self::drive) calls the runtime owns the node states,
+/// membership, RNG position and bandwidth totals, so state can be
+/// inspected (or churned) exactly where a simulator's could. During a drive the states live inside the actors —
 /// which is why, unlike `Simulator::drive`, the transport drive takes no
 /// observer closure: observe between drives instead.
 #[derive(Debug)]
-pub struct TransportRuntime<N, T: Transport = InProcess> {
+pub struct TransportRuntime<N> {
     /// Contiguous node shards of `shard_size` nodes (the last may be
     /// shorter): `shards[s][0]` has global index `s * shard_size`.
     shards: Vec<Vec<N>>,
     shard_size: usize,
     run: RunState,
-    schedule: DeliverySchedule,
-    /// Scheduled infrastructure faults: actor ids to stop-and-respawn at
-    /// the start of the given cycle.
-    restarts: EventQueue<usize>,
-    transport: T,
     traffic: MailboxTraffic,
     /// Bandwidth and message accounting for the whole run.
     pub bandwidth: BandwidthRecorder,
 }
 
-impl<N: Send + Sync> TransportRuntime<N, InProcess> {
+impl<N: Send + Sync> TransportRuntime<N> {
     /// Snapshots a simulator into a runtime over `num_actors` in-process
     /// shard actors (clamped to `1..=num_nodes`; the contiguous equal-size
     /// partition may round the actual actor count down — see
-    /// [`num_actors`](Self::num_actors)).
+    /// [`num_actors`](Self::num_actors)). There is one delivery order, so
+    /// the [`DeliverySchedule`] marker carries nothing.
     ///
     /// Takes `&mut` only to clone the simulator's RNG position; the
     /// simulator is otherwise untouched and can keep running as the
@@ -431,23 +420,7 @@ impl<N: Send + Sync> TransportRuntime<N, InProcess> {
     pub fn from_simulator(
         sim: &mut Simulator<N>,
         num_actors: usize,
-        schedule: DeliverySchedule,
-    ) -> Self
-    where
-        N: Clone,
-    {
-        Self::with_transport(sim, num_actors, schedule, InProcess)
-    }
-}
-
-impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
-    /// [`from_simulator`](TransportRuntime::from_simulator) over an explicit
-    /// transport backend.
-    pub(crate) fn with_transport(
-        sim: &mut Simulator<N>,
-        num_actors: usize,
-        schedule: DeliverySchedule,
-        transport: T,
+        _schedule: DeliverySchedule,
     ) -> Self
     where
         N: Clone,
@@ -468,9 +441,6 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
             shards,
             shard_size,
             run,
-            schedule,
-            restarts: EventQueue::new(),
-            transport,
             traffic: MailboxTraffic::default(),
             bandwidth: sim.bandwidth.clone(),
         }
@@ -489,11 +459,6 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
     /// Current cycle (number of completed cycles driven so far).
     pub fn cycle(&self) -> u64 {
         self.run.cycle
-    }
-
-    /// The delivery schedule this runtime replays.
-    pub fn schedule(&self) -> DeliverySchedule {
-        self.schedule
     }
 
     /// The membership (who is alive).
@@ -523,20 +488,6 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
         self.traffic
     }
 
-    /// Schedules an *infrastructure* fault: at the start of `at_cycle` the
-    /// given actor is stopped, joined and respawned on its recovered shard
-    /// state. Protocol output is unaffected by construction (the shard's
-    /// nodes and accounting survive the hop) — which is exactly the
-    /// property the crash/restart suites pin. Restarts falling beyond a
-    /// drive stay queued for the next one.
-    ///
-    /// # Panics
-    /// Panics if `actor >= self.num_actors()`.
-    pub fn schedule_actor_restart(&mut self, at_cycle: u64, actor: usize) {
-        assert!(actor < self.shards.len(), "actor index out of range");
-        self.restarts.schedule(at_cycle, actor);
-    }
-
     /// The one run-loop entry: executes cycles of `proto` under the given
     /// [`RunOptions`] — the same options shape `Simulator::drive` takes.
     ///
@@ -560,8 +511,6 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
         P::Payload: Clone + 'static,
         P::Effect: 'static,
         N: Default + 'static,
-        T::Sender<FromShard<N, P::Payload, P::Effect>>: 'static,
-        T::Receiver<ToShard<N, P::Payload, P::Effect>>: 'static,
     {
         assert!(
             opts.threads.is_none(),
@@ -580,10 +529,10 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
             // One shard actor thread owning `nodes` (global indices from
             // `s * shard_size`), wired to the sequencer through two fresh
             // mailboxes.
-            let (shard_size, transport) = (self.shard_size, &mut self.transport);
-            let mut spawn = |s: usize, nodes: Vec<N>| -> ActorHandle<'_, P, T> {
-                let (tx, commands) = transport.mailbox();
-                let (replies, reply) = transport.mailbox();
+            let shard_size = self.shard_size;
+            let spawn = |s: usize, nodes: Vec<N>| -> ActorHandle<'_, P> {
+                let (tx, commands) = InProcess.mailbox();
+                let (replies, reply) = InProcess.mailbox();
                 let actor = move || run_actor(proto, s, shard_size, nodes, commands, replies);
                 let join = scope.spawn(actor);
                 ActorHandle { tx, reply, join }
@@ -592,7 +541,6 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
             let mut mailboxes = Mailboxes {
                 actors: shards.map(|(s, nodes)| spawn(s, nodes)).collect(),
                 shard_size,
-                schedule: self.schedule,
                 alive: Arc::new(self.run.membership.clone()),
                 alive_is_stale: false,
                 leases: Vec::new(),
@@ -602,16 +550,6 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
             };
 
             for _ in 0..opts.cycles {
-                // Infrastructure faults first: stop, join and respawn due
-                // actors on their recovered state. The dead actor's local
-                // bandwidth merges into the master immediately so nothing
-                // is lost across the hop.
-                for s in self.restarts.pop_due(self.run.cycle) {
-                    let actor = mailboxes.actors.remove(s);
-                    let (nodes, recorder) = mailboxes.stop(actor);
-                    self.bandwidth.merge(&recorder);
-                    mailboxes.actors.insert(s, spawn(s, nodes));
-                }
                 if sequencer.run_cycle(&mut mailboxes, &mut self.run, &mut self.bandwidth) {
                     break;
                 }
@@ -838,42 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn actor_restarts_leave_the_run_byte_identical() {
-        let mut sim = counters(23, 7);
-        let mut reference = counters(23, 7);
-        let mut transport =
-            TransportRuntime::from_simulator(&mut sim, 4, DeliverySchedule::canonical());
-        transport.schedule_actor_restart(1, 0);
-        transport.schedule_actor_restart(1, 3);
-        transport.schedule_actor_restart(2, 2);
-        reference.drive(&RingProtocol, RunOptions::cycles(4), |_, _| {});
-        transport.drive(&RingProtocol, RunOptions::cycles(4));
-        assert_matches_simulator(&reference, &transport, "with actor restarts");
-    }
-
-    #[test]
-    fn seeded_schedules_are_deterministic() {
-        let run = |schedule: DeliverySchedule| {
-            let mut sim = counters(23, 7);
-            let mut transport = TransportRuntime::from_simulator(&mut sim, 4, schedule);
-            let report = transport.drive(&RingProtocol, RunOptions::cycles(3));
-            let nodes: Vec<Counter> = transport.nodes().cloned().collect();
-            (nodes, transport.bandwidth.totals(), report)
-        };
-        assert_eq!(
-            run(DeliverySchedule::seeded(42)),
-            run(DeliverySchedule::seeded(42)),
-            "same (seed, schedule) must be byte-identical"
-        );
-        // A seeded schedule still commits the same exchanges (the ring plan
-        // list is a permutation), just in a different total order.
-        let (_, totals, report) = run(DeliverySchedule::seeded(42));
-        let (_, canonical_totals, canonical_report) = run(DeliverySchedule::canonical());
-        assert_eq!(report.exchanges(), canonical_report.exchanges());
-        assert_eq!(totals, canonical_totals);
-    }
-
-    #[test]
     fn until_complete_stops_with_the_simulator() {
         // The ring never quiets, so cap at the cycle budget; both drivers
         // must agree on cycles_run.
@@ -923,7 +825,7 @@ mod tests {
     fn no_node_is_cloned_inside_a_drive() {
         // Guests cross shards by move and the plan phase reads through a
         // lease, so after `from_simulator` copied the population in, a
-        // drive — faulted or not, across actor restarts — copies nothing.
+        // drive — faulted or not — copies nothing.
         for num_actors in [1, 3, 8] {
             for faults in [None, Some(COMPOSITE)] {
                 let mut sim = counters(23, 7);
@@ -932,8 +834,6 @@ mod tests {
                     num_actors,
                     DeliverySchedule::canonical(),
                 );
-                transport.schedule_actor_restart(1, 0);
-                transport.schedule_actor_restart(3, num_actors - 1);
                 let clones = sim.node(0).clones.0.clone();
                 let before = clones.load(Relaxed);
                 let mut plan = faults.map(FaultPlan::new);
@@ -1058,8 +958,8 @@ mod tests {
 
     /// The per-node hook logs of the same run on every substrate: the
     /// simulator at 1 and 3 worker threads, its sequential oracle, and the
-    /// transport on 1, 3 and 8 actors. 600 nodes span three store shards, so
-    /// the worker substrate really fans out.
+    /// transport on 1, 3 and 8 actors. 600 nodes split into three worker
+    /// chunks of 200, so the worker substrate really fans out.
     fn hook_logs(faults: Option<FaultConfig>) -> Vec<(String, Vec<HookLog>)> {
         type Drive<'d> = &'d dyn Fn(&mut Simulator<Counter>, RunOptions<'_, ()>) -> Vec<Counter>;
         let mut runs = Vec::new();

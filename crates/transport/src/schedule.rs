@@ -1,103 +1,26 @@
-//! The [`DeliverySchedule`]: a seeded total order on message delivery.
+//! The [`DeliverySchedule`]: the one order in which the sequencer gathers
+//! the shards' plan announcements.
 //!
-//! A real message-passing deployment has no global plan list — each shard
-//! announces its planned exchanges and *some* arrival order at the
-//! sequencer decides the cycle's total plan order, which in turn fixes the
-//! per-plan commit RNG streams and the conflict-free batching. The schedule
-//! makes that arrival order an explicit, replayable input instead of a race:
-//!
-//! * [`DeliverySchedule::canonical`] gathers shard announcements in
-//!   ascending shard order. Shards own contiguous node ranges and plan
-//!   their alive locals in ascending order, so the concatenation is exactly
-//!   the simulator's ascending-node plan order — this is the schedule under
-//!   which a transport run is **byte-identical to the simulator** (the
-//!   oracle-equality the property suites pin).
-//! * [`DeliverySchedule::seeded`] draws a deterministic permutation of the
-//!   gather order per cycle from its own seed stream. Runs are still fully
-//!   reproducible — same `(run seed, schedule)` → same bytes — but model a
-//!   network whose arrival order differs from the simulator's; only
-//!   schedule-determinism (not oracle equality) holds.
+//! A message-passing deployment has no global plan list — each shard
+//! announces its planned exchanges and the order in which the sequencer
+//! gathers them decides the cycle's total plan order, which in turn fixes
+//! the per-plan commit RNG streams and the conflict-free batching. The
+//! runtime gathers in ascending shard order. Shards own contiguous node
+//! ranges and plan their alive locals in ascending order, so the
+//! concatenation is exactly the simulator's ascending-node plan order —
+//! which is why a transport run is **byte-identical to the simulator** (the
+//! oracle-equality the property suites pin). The paper's cycle-driven model
+//! has that one order, so the schedule is a marker with nothing to choose.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
-use p3q_sim::stream_seed;
-
-/// Stream label of the schedule's per-cycle permutation RNGs.
-const STREAM_DELIVERY_ORDER: u64 = 0x0DE1_14E2_0000_0001;
-
-/// A replayable total order on per-cycle message delivery (see the module
-/// docs). `(run seed, DeliverySchedule)` fully determines a transport run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeliverySchedule {
-    seed: Option<u64>,
-}
+/// The transport's delivery order: shard announcements gather in ascending
+/// shard order, reproducing the simulator's plan order byte-for-byte (see
+/// the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeliverySchedule;
 
 impl DeliverySchedule {
-    /// The canonical order: shard announcements gather in ascending shard
-    /// order, reproducing the simulator's plan order byte-for-byte.
+    /// The canonical (and only) order.
     pub fn canonical() -> Self {
-        Self { seed: None }
-    }
-
-    /// A seeded order: each cycle's gather order is a deterministic
-    /// permutation drawn from `seed`'s per-cycle stream.
-    pub fn seeded(seed: u64) -> Self {
-        Self { seed: Some(seed) }
-    }
-
-    /// The order in which the sequencer collects the shards' plan
-    /// announcements for `cycle`: a permutation of `0..num_shards`.
-    pub(crate) fn gather_order(&self, num_shards: usize, cycle: u64) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..num_shards).collect();
-        if let Some(seed) = self.seed {
-            let mut rng =
-                StdRng::seed_from_u64(stream_seed(stream_seed(seed, STREAM_DELIVERY_ORDER), cycle));
-            order.shuffle(&mut rng);
-        }
-        order
-    }
-}
-
-impl Default for DeliverySchedule {
-    fn default() -> Self {
-        Self::canonical()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn canonical_order_is_ascending() {
-        let s = DeliverySchedule::canonical();
-        assert_eq!(s.seed, None);
-        assert_eq!(s.gather_order(4, 0), vec![0, 1, 2, 3]);
-        assert_eq!(s.gather_order(4, 17), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn seeded_order_is_a_deterministic_permutation() {
-        let s = DeliverySchedule::seeded(42);
-        assert_eq!(s.seed, Some(42));
-        let a = s.gather_order(8, 3);
-        let b = s.gather_order(8, 3);
-        assert_eq!(a, b, "same (seed, cycle) must give the same order");
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..8).collect::<Vec<_>>(), "must be a permutation");
-        // Different cycles draw from different streams (overwhelmingly
-        // likely to differ for 8 shards; pinned here for these constants).
-        assert_ne!(s.gather_order(8, 3), s.gather_order(8, 4));
-    }
-
-    #[test]
-    fn different_seeds_give_different_orders() {
-        assert_ne!(
-            DeliverySchedule::seeded(1).gather_order(8, 0),
-            DeliverySchedule::seeded(2).gather_order(8, 0),
-        );
+        Self
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! This example runs the two fault scenario axes (`lossy-network`,
 //! `crash-restart`) next to a faultless control, with the hardening knobs
-//! (query TTL, retry-with-backoff, staleness eviction) switched on, and
-//! prints what each fault mix did and what it cost in recall.
+//! (query TTL, retry-with-backoff) switched on, and prints what each fault
+//! mix did and what it cost in recall.
 //!
 //! Run with:
 //!
@@ -31,7 +31,7 @@ fn main() {
     // One world for all three runs: the fault mix is the only difference.
     let workload = ScenarioConfig::new(Scenario::PaperDelicious, users, seed).build();
     let trace = &workload.trace;
-    let cfg = P3qConfig::laptop_scale().with_fault_tolerance(eager_cycles, 2, 0);
+    let cfg = P3qConfig::laptop_scale().with_fault_tolerance(eager_cycles, 2);
     let ideal = IdealNetworks::compute(&trace.dataset, cfg.personal_network_size);
     let queries: Vec<Query> = QueryGenerator::new(seed ^ 0x5EED)
         .one_query_per_user(&trace.dataset)

@@ -28,7 +28,7 @@ fn run_faulted(
     let args = args_for(scenario);
     let world = World::build(&args);
     let cfg = if hardened {
-        world.cfg.clone().with_fault_tolerance(args.cycles, 2, 0)
+        world.cfg.clone().with_fault_tolerance(args.cycles, 2)
     } else {
         world.cfg.clone()
     };
