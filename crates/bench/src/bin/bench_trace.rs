@@ -203,11 +203,7 @@ fn check_scale(users: usize, args: &Args) {
 
     let reference = generator.generate_reference();
     let reference_checksum = trace_checksum(&reference);
-    let reference_schedule = schedule_checksum(
-        &scenario
-            .dynamics_plan()
-            .materialize_with_threads(&reference, 1),
-    );
+    let reference_schedule = schedule_checksum(&scenario.schedule(&reference, 1));
     println!(
         "   reference: trace {reference_checksum:#018x}, schedule {reference_schedule:#018x} \
          ({} actions)",

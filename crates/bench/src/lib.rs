@@ -134,6 +134,9 @@ impl HarnessArgs {
             scenario: flags.scenario()?,
         };
         flags.finish()?;
+        if parsed.users == 0 {
+            return Err("--users must be at least 1".into());
+        }
         Ok(parsed)
     }
 
@@ -184,8 +187,8 @@ pub struct World {
     /// The query workload (one query per user with a non-empty profile).
     pub queries: Vec<Query>,
     /// The scenario's concrete event schedule (change batches, departures),
-    /// ordered by firing cycle. Convert with [`scenario_event_queue`] to
-    /// feed a run loop.
+    /// ordered by firing cycle. Collect it into an [`EventQueue`] to feed a
+    /// run loop.
     pub schedule: Vec<(u64, ScenarioEvent)>,
 }
 
@@ -265,17 +268,6 @@ impl World {
             .map(|i| self.queries[(i as f64 * stride) as usize].clone())
             .collect()
     }
-}
-
-/// Converts a scenario's event schedule into a ready-to-run [`EventQueue`]
-/// — the bridge between [`ScenarioConfig::build`]'s output and
-/// `RunOptions::events`.
-pub fn scenario_event_queue(schedule: &[(u64, ScenarioEvent)]) -> EventQueue<ScenarioEvent> {
-    let mut queue = EventQueue::new();
-    for (cycle, event) in schedule {
-        queue.schedule(*cycle, event.clone());
-    }
-    queue
 }
 
 /// Applies one [`ScenarioEvent`] to the simulation.
@@ -552,6 +544,12 @@ mod tests {
     #[test]
     fn unknown_flag_is_an_error() {
         assert!(HarnessArgs::parse_from(["--bogus".to_string()], 1).is_err());
+    }
+
+    #[test]
+    fn zero_users_is_an_error() {
+        let zero = HarnessArgs::parse_from(["--users".into(), "0".into()], 1);
+        assert!(zero.is_err());
     }
 
     #[test]

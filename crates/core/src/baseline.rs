@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use p3q_sim::{default_threads, parallel_map_chunks};
+use p3q_sim::{default_threads, parallel_map};
 use p3q_trace::{Dataset, ItemId, Query, UserId};
 
 use crate::scoring::{full_relevance_scores, similarity};
@@ -107,12 +107,12 @@ impl IdealNetworks {
             num_users,
             "index and dataset cover different populations"
         );
-        // One contiguous user range per worker (`parallel_map_chunks` hands
-        // each worker exactly one range index), blocks inside the range.
+        // One contiguous user range per worker (`parallel_map` hands each
+        // worker exactly one range index), blocks inside the range.
         let workers = threads.clamp(1, num_users.max(1));
         let range_users = num_users.div_ceil(workers);
-        let per_range = parallel_map_chunks(
-            workers,
+        let per_range = parallel_map(
+            0..workers,
             workers,
             || (SimilarityScratch::new(num_users), TransposedIds::default()),
             |worker, (scratch, ids)| {

@@ -433,8 +433,8 @@ pub fn bootstrap_random_views_with_threads(
     // picked peers, from per-node streams of the master seed.
     let picks = {
         let sim = &*sim;
-        p3q_sim::parallel_map_chunks(
-            sim.num_nodes(),
+        p3q_sim::parallel_map(
+            0..sim.num_nodes(),
             threads,
             || (),
             |idx, ()| bootstrap_node_picks(sim, cfg, master, idx),

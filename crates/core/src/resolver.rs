@@ -28,7 +28,7 @@
 //!   eviction is complete.
 //!
 //! Bulk resolution ([`OnDemandNetworks::resolve_many`]) fans the cache
-//! misses out over [`p3q_sim::parallel_map_chunks`], one sweep scratch per
+//! misses out over [`p3q_sim::parallel_map`], one sweep scratch per
 //! worker; each miss is a pure function of `(dataset, index, user)`, so the
 //! output is byte-identical for every `P3Q_THREADS` value.
 //!
@@ -40,7 +40,7 @@
 //! for byte what [`IdealNetworks::compute`] returns over the changed
 //! dataset.
 
-use p3q_sim::{default_threads, parallel_map_chunks};
+use p3q_sim::{default_threads, parallel_map};
 use p3q_trace::{ChangeBatch, Dataset, ItemId, Profile, Query, UserId};
 
 use crate::baseline::IdealNetworks;
@@ -198,12 +198,12 @@ impl OnDemandNetworks {
             - misses.len();
 
         let network_size = self.network_size;
-        let resolved = parallel_map_chunks(
-            misses.len(),
+        let resolved = parallel_map(
+            &misses,
             threads,
             || SimilarityScratch::new(dataset.num_users()),
-            |i, scratch| {
-                let network = index.top_similar(dataset, misses[i], network_size, scratch);
+            |&user, scratch| {
+                let network = index.top_similar(dataset, user, network_size, scratch);
                 (network, scratch.entries_read())
             },
         );
@@ -346,12 +346,11 @@ impl OnDemandNetworks {
         let network_size = self.network_size;
         let cache = &self.cache;
         let by_rank = |a: &(UserId, u64), b: &(UserId, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
-        let patched = parallel_map_chunks(
-            patches.len(),
+        let patched = parallel_map(
+            &patches,
             threads,
             || (),
-            |i, ()| {
-                let (user, partners) = &patches[i];
+            |(user, partners), ()| {
                 let mut network = cache[user.index()]
                     .clone()
                     .expect("patch targets are cached");

@@ -120,7 +120,7 @@
 //! path.
 //!
 //! The per-user sweeps are embarrassingly parallel and fan out through
-//! [`p3q_sim::parallel_map_chunks`]; output is identical for every
+//! [`p3q_sim::parallel_map`]; output is identical for every
 //! worker-thread count (set `P3Q_THREADS=1` to pin).
 //!
 //! ## On-demand resolution: one user, one sweep

@@ -12,12 +12,12 @@
 //! 1. **prepare** — per-node bookkeeping touches only its own node, so it
 //!    fans out over the [`NodeStore`] in contiguous chunks, one per worker;
 //! 2. **plan** — planning is a pure function of the post-prepare snapshot
-//!    ([`CycleContext`]) and a per-node RNG, so it fans out with
-//!    [`parallel_map_chunks`] and the plan list is the same for every
+//!    ([`CycleContext`]) and a per-node RNG, so it fans out over the alive
+//!    list with [`parallel_map`] and the plan list is the same for every
 //!    thread count;
 //! 3. **commit** — within a conflict-free batch no node appears twice, so
 //!    each exchange gets its disjoint `&mut` node pair (`disjoint_muts`)
-//!    and the batch commits in parallel (`parallel_map_owned`);
+//!    and the batch's work list commits in parallel through [`parallel_map`];
 //! 4. **apply** — commits return deferred bandwidth charges and
 //!    third-party effects as data; the sequencer applies them
 //!    sequentially, in plan order, before the next batch starts.
@@ -75,7 +75,7 @@ use crate::exchange::{
 };
 use crate::fault::FaultTransitions;
 use crate::membership::Membership;
-use crate::parallel::{default_threads, parallel_map_chunks, parallel_map_owned};
+use crate::parallel::{default_threads, parallel_map};
 use crate::shard::Shard;
 use crate::store::NodeStore;
 
@@ -299,13 +299,11 @@ impl<P: GossipProtocol> Substrate<P> for Workers<'_, P::Node> {
         membership: &Membership,
     ) -> Vec<ExchangePlan<P::Payload>> {
         let world = CycleContext::new(self.shard.nodes.as_slice(), membership, cycle);
-        let alive = membership.alive_nodes();
-        parallel_map_chunks(
-            alive.len(),
+        parallel_map(
+            membership.alive_nodes(),
             self.threads,
             || (),
-            |i, ()| {
-                let idx = alive[i];
+            |idx, ()| {
                 let mut rng = plan_rng(cycle_seed, idx);
                 let mut out = Vec::new();
                 proto.plan(&world, idx, &mut rng, &mut out);
@@ -372,7 +370,7 @@ impl<P: GossipProtocol> Substrate<P> for Workers<'_, P::Node> {
             })
             .collect();
 
-        let outcomes = parallel_map_owned(
+        let outcomes = parallel_map(
             work,
             self.threads,
             || proto.scratch(),

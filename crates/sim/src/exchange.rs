@@ -36,6 +36,7 @@ use rand::SeedableRng;
 
 use crate::bandwidth::{BandwidthRecorder, Category};
 use crate::membership::Membership;
+use crate::parallel::splitmix;
 
 /// One planned protocol step: an initiator and, for pairwise gossip, the
 /// destination it wants to exchange with.
@@ -456,13 +457,6 @@ pub fn conflict_free_batches<P>(plans: &[ExchangePlan<P>], num_nodes: usize) -> 
         }
     }
     batches
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The RNG a node plans with: derived from the cycle seed and the node

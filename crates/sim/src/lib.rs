@@ -41,9 +41,9 @@
 //! * [`NodeStore`] — node storage: one contiguous allocation that the
 //!   engine fans out over in contiguous chunks, with a debug-build
 //!   sanitizer on commit borrows and transport loans;
-//! * [`parallel`] — the deterministic fork-join primitives shared by the
-//!   cycle engine and the offline phases (index building, baseline
-//!   computation).
+//! * [`parallel`] — the one deterministic fork-join primitive,
+//!   [`parallel_map`], shared by the cycle engine and the offline phases
+//!   (trace generation, index building, baseline computation).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,7 +74,7 @@ pub use fault::{FaultConfig, FaultPlan, FaultStats, FaultTransitions};
 pub use fingerprint::{fingerprint_chain, Fingerprint, Fnv};
 pub use membership::Membership;
 pub use metrics::{DistributionSummary, SeriesRecorder};
-pub use parallel::{default_threads, parallel_map_chunks, stream_seed};
+pub use parallel::{default_threads, parallel_map, stream_seed};
 pub use schedule::EventQueue;
 pub use shard::Shard;
 pub use store::NodeStore;

@@ -1,16 +1,14 @@
-//! Deterministic fork-join helpers.
+//! Deterministic fork-join.
 //!
-//! Originally these primitives only served the *offline* phases around the
-//! simulator (building ideal personal networks, precomputing indices,
-//! scoring baselines); since the plan/commit refactor the cycle engine
-//! itself is built on them: the plan phase fans read-only protocol steps
-//! out with [`parallel_map_chunks`], per-node preparation uses
-//! `parallel_for_each_mut`, and conflict-free exchange batches commit
-//! through `parallel_map_owned` over disjoint `&mut` node pairs obtained
-//! with `disjoint_muts`. Everything is built on `std::thread::scope` so
-//! no external runtime is needed.
+//! [`parallel_map`] is the one fan-out of the workspace. The offline
+//! phases (trace generation, ideal personal networks, on-demand
+//! resolution) map it over index ranges and work lists; the cycle engine
+//! maps it over the alive list (plan), the node store's `&mut` elements
+//! (prepare) and a conflict-free batch's disjoint `&mut` node pairs,
+//! obtained with `disjoint_muts` (commit). It is built on
+//! `std::thread::scope`, so no external runtime is needed.
 //!
-//! Determinism contract: every helper splits its input into contiguous
+//! Determinism contract: [`parallel_map`] splits its input into contiguous
 //! chunks, processes each chunk independently and reassembles the results
 //! **in input order**, so the output is byte-identical for every thread
 //! count (including 1).
@@ -21,14 +19,18 @@ use std::num::NonZeroUsize;
 /// determinism tests and for pinning benchmark runs to one core).
 pub const THREADS_ENV: &str = "P3Q_THREADS";
 
-/// Derives an independent RNG seed for stream `stream` of a `master` seed
-/// (SplitMix64 finalizer). This is the split-seed trick behind every
-/// deterministic fan-out in the workspace: give each unit of work (a node's
-/// plan, a user's profile, an item's tag set) its own seed derived from the
-/// master seed and the unit's index alone, and the produced bytes cannot
-/// depend on chunking, scheduling or thread count.
+/// Derives an independent RNG seed for stream `stream` of a `master` seed.
+/// This is the split-seed trick behind every deterministic fan-out in the
+/// workspace: give each unit of work (a node's plan, a user's profile, an
+/// item's tag set) its own seed derived from the master seed and the unit's
+/// index alone, and the produced bytes cannot depend on chunking,
+/// scheduling or thread count.
 pub fn stream_seed(master: u64, stream: u64) -> u64 {
-    let mut z = master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    splitmix(master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// The SplitMix64 finalizer: one well-mixed 64-bit value per input.
+pub(crate) fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -50,124 +52,41 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over every index in `0..len`, fanning contiguous chunks out to
-/// `threads` workers, and returns the per-index results in index order.
+/// Maps `f` over `items`, fanning contiguous chunks of ⌈len/threads⌉ items
+/// out to `threads` workers, and returns the results **in input order**.
 ///
-/// `f` is called as `f(index, &mut chunk_state)` where `chunk_state` is one
+/// `f` is called as `f(item, &mut chunk_state)` where `chunk_state` is one
 /// `S` built per worker chunk by `make_state` — the hook for reusable
-/// scratch buffers that would be too expensive to allocate per index.
+/// scratch buffers that would be too expensive to allocate per item. The
+/// items are moved into the workers, so they may be indices (`0..n`),
+/// shared references, or disjoint `&mut`s (`iter_mut().enumerate()`, a
+/// batch of node pairs).
 ///
 /// Output is independent of `threads`; passing `threads <= 1` (or a tiny
-/// `len`) runs inline without spawning.
-pub fn parallel_map_chunks<T, S, MS, F>(len: usize, threads: usize, make_state: MS, f: F) -> Vec<T>
+/// input) runs inline without spawning.
+pub fn parallel_map<I, T, S, MS, F>(items: I, threads: usize, make_state: MS, f: F) -> Vec<T>
 where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
     T: Send,
     MS: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> T + Sync,
+    F: Fn(I::Item, &mut S) -> T + Sync,
 {
+    let mut items = items.into_iter();
+    let len = items.len();
     let threads = threads.max(1).min(len.max(1));
     if threads == 1 {
         let mut state = make_state();
-        return (0..len).map(|i| f(i, &mut state)).collect();
+        return items.map(|item| f(item, &mut state)).collect();
     }
     // Contiguous chunking keeps results trivially reorderable and gives each
-    // worker cache-friendly, index-adjacent work.
+    // worker cache-friendly, adjacent work.
     let chunk_size = len.div_ceil(threads);
-    let chunks = len.div_ceil(chunk_size);
-    let mut chunk_results: Vec<Vec<T>> = Vec::with_capacity(chunks);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..chunks)
-            .map(|t| {
-                let start = t * chunk_size;
-                let end = ((t + 1) * chunk_size).min(len);
-                let (f, make_state) = (&f, &make_state);
-                scope.spawn(move || {
-                    let mut state = make_state();
-                    (start..end).map(|i| f(i, &mut state)).collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            chunk_results.push(handle.join().expect("parallel worker panicked"));
-        }
-    });
+    let chunks: Vec<Vec<I::Item>> = (0..len.div_ceil(chunk_size))
+        .map(|_| items.by_ref().take(chunk_size).collect())
+        .collect();
     let mut out = Vec::with_capacity(len);
-    for chunk in chunk_results {
-        out.extend(chunk);
-    }
-    out
-}
-
-/// Applies `f` to every element of `items` (as `f(index, &mut item)`),
-/// fanning contiguous chunks out to `threads` workers (the same chunks as
-/// [`parallel_map_chunks`]).
-///
-/// Each element is visited exactly once and no element is shared between
-/// workers, so the final state is independent of `threads`. Passing
-/// `threads <= 1` (or a tiny `len`) runs inline without spawning.
-pub(crate) fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let len = items.len();
-    let threads = threads.max(1).min(len.max(1));
-    if threads == 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk_size = len.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (chunk_idx, chunk) in items.chunks_mut(chunk_size).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (j, item) in chunk.iter_mut().enumerate() {
-                    f(chunk_idx * chunk_size + j, item);
-                }
-            });
-        }
-    });
-}
-
-/// Maps `f` over an owned work list, fanning contiguous chunks out to
-/// `threads` workers, and returns the results **in input order**.
-///
-/// `f` is called as `f(item, &mut chunk_state)` with one `S` per worker
-/// chunk (the same scratch-buffer hook as [`parallel_map_chunks`]). Unlike
-/// that helper, the work items are moved into the workers, which is what
-/// lets a batch of disjoint `&mut` node pairs travel to the threads that
-/// commit them.
-pub(crate) fn parallel_map_owned<T, U, S, MS, F>(
-    items: Vec<T>,
-    threads: usize,
-    make_state: MS,
-    f: F,
-) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    MS: Fn() -> S + Sync,
-    F: Fn(T, &mut S) -> U + Sync,
-{
-    let len = items.len();
-    let threads = threads.max(1).min(len.max(1));
-    if threads == 1 {
-        let mut state = make_state();
-        return items.into_iter().map(|item| f(item, &mut state)).collect();
-    }
-    let chunk_size = len.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut iter = items.into_iter();
-    loop {
-        let chunk: Vec<T> = iter.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    let mut chunk_results: Vec<Vec<U>> = Vec::with_capacity(chunks.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
@@ -178,18 +97,14 @@ where
                     chunk
                         .into_iter()
                         .map(|item| f(item, &mut state))
-                        .collect::<Vec<U>>()
+                        .collect::<Vec<T>>()
                 })
             })
             .collect();
         for handle in handles {
-            chunk_results.push(handle.join().expect("parallel worker panicked"));
+            out.extend(handle.join().expect("parallel worker panicked"));
         }
     });
-    let mut out = Vec::with_capacity(len);
-    for chunk in chunk_results {
-        out.extend(chunk);
-    }
     out
 }
 
@@ -228,14 +143,14 @@ mod tests {
     fn results_are_in_index_order_for_any_thread_count() {
         let expected: Vec<usize> = (0..97).map(|i| i * i).collect();
         for threads in [1, 2, 3, 8, 200] {
-            let got = parallel_map_chunks(97, threads, || (), |i, ()| i * i);
+            let got = parallel_map(0..97, threads, || (), |i, ()| i * i);
             assert_eq!(got, expected, "threads = {threads}");
         }
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let got: Vec<u32> = parallel_map_chunks(0, 4, || (), |_, ()| unreachable!());
+        let got: Vec<u32> = parallel_map(0..0, 4, || (), |_, ()| unreachable!());
         assert!(got.is_empty());
     }
 
@@ -243,8 +158,8 @@ mod tests {
     fn chunk_state_is_reused_within_a_chunk() {
         // With one thread there is exactly one state; each call sees the
         // increments of its predecessors.
-        let got = parallel_map_chunks(
-            5,
+        let got = parallel_map(
+            0..5,
             1,
             || 0usize,
             |_, calls| {
@@ -274,10 +189,15 @@ mod tests {
     fn for_each_mut_touches_every_element_once() {
         for threads in [1, 2, 3, 8, 50] {
             let mut items: Vec<usize> = (0..37).collect();
-            parallel_for_each_mut(&mut items, threads, |i, item| {
-                assert_eq!(*item, i);
-                *item += 100;
-            });
+            parallel_map(
+                items.iter_mut().enumerate(),
+                threads,
+                || (),
+                |(i, item), ()| {
+                    assert_eq!(*item, i);
+                    *item += 100;
+                },
+            );
             assert!(
                 items.iter().enumerate().all(|(i, &v)| v == i + 100),
                 "threads = {threads}"
@@ -290,10 +210,10 @@ mod tests {
         let expected: Vec<String> = (0..23).map(|i| format!("#{i}")).collect();
         for threads in [1, 2, 4, 23, 99] {
             let items: Vec<usize> = (0..23).collect();
-            let got = parallel_map_owned(items, threads, || (), |i, ()| format!("#{i}"));
+            let got = parallel_map(items, threads, || (), |i, ()| format!("#{i}"));
             assert_eq!(got, expected, "threads = {threads}");
         }
-        let empty: Vec<u8> = parallel_map_owned(Vec::<u8>::new(), 4, || (), |b, ()| b);
+        let empty: Vec<u8> = parallel_map(Vec::<u8>::new(), 4, || (), |b, ()| b);
         assert!(empty.is_empty());
     }
 

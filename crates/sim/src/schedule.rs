@@ -3,7 +3,8 @@
 //! Experiment drivers occasionally need "at cycle X, do Y" hooks: apply a
 //! batch of profile changes, inject a mass departure, start a burst of
 //! queries. [`EventQueue`] is a minimal, deterministic priority queue for
-//! such events (FIFO among events scheduled for the same cycle).
+//! such events (FIFO among events scheduled for the same cycle); a
+//! schedule of `(cycle, event)` pairs collects straight into one.
 
 use std::collections::BTreeMap;
 
@@ -66,6 +67,18 @@ impl<E> EventQueue<E> {
     }
 }
 
+/// Schedules every `(cycle, event)` pair in iteration order, so events
+/// sharing a cycle fire in the order they were collected.
+impl<E> FromIterator<(u64, E)> for EventQueue<E> {
+    fn from_iter<I: IntoIterator<Item = (u64, E)>>(pairs: I) -> Self {
+        let mut queue = Self::new();
+        for (cycle, event) in pairs {
+            queue.schedule(cycle, event);
+        }
+        queue
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,6 +93,17 @@ mod tests {
         assert!(q.pop_due(2).is_empty());
         assert_eq!(q.pop_due(4), vec!["a"]);
         assert_eq!(q.pop_due(10), vec!["b", "c"]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn collected_queue_pops_by_cycle_then_fifo() {
+        let mut q: EventQueue<&str> = [(7, "c"), (2, "a"), (7, "d"), (2, "b"), (9, "e")]
+            .into_iter()
+            .collect();
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.pop_due(2), vec!["a", "b"]);
+        assert_eq!(q.pop_due(u64::MAX), vec!["c", "d", "e"]);
         assert!(q.is_empty());
     }
 

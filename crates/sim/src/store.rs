@@ -13,7 +13,7 @@
 //! once with its own index, so cycle output stays byte-identical for every
 //! thread count.
 
-use crate::parallel::{disjoint_muts, parallel_for_each_mut};
+use crate::parallel::{disjoint_muts, parallel_map};
 
 /// Debug-build aliasing sanitizer state (see
 /// [`NodeStore::begin_commit_batch`]).
@@ -281,7 +281,12 @@ impl<N: Send> NodeStore<N> {
     where
         F: Fn(usize, &mut N) + Sync,
     {
-        parallel_for_each_mut(&mut self.nodes, threads, f);
+        parallel_map(
+            self.nodes.iter_mut().enumerate(),
+            threads,
+            || (),
+            |(idx, node), ()| f(idx, node),
+        );
     }
 }
 

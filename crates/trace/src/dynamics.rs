@@ -22,7 +22,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use p3q_sim::{default_threads, parallel_map_chunks, stream_seed};
+use p3q_sim::{default_threads, parallel_map, stream_seed};
 
 use crate::action::TaggingAction;
 use crate::dataset::Dataset;
@@ -288,8 +288,8 @@ impl DynamicsGenerator {
     /// Generates one batch with an explicit worker-thread count.
     pub fn generate_with_threads(&self, trace: &SyntheticTrace, threads: usize) -> ChangeBatch {
         let ctx = self.batch_context(trace);
-        let per_user = parallel_map_chunks(
-            trace.dataset.num_users(),
+        let per_user = parallel_map(
+            0..trace.dataset.num_users(),
             threads,
             || (),
             |user, ()| self.change_for_user(trace, &ctx, user),

@@ -31,7 +31,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use p3q_sim::{default_threads, parallel_map_chunks, stream_seed};
+use p3q_sim::{default_threads, parallel_map, stream_seed};
 
 use crate::action::TaggingAction;
 use crate::dataset::Dataset;
@@ -247,8 +247,8 @@ impl TraceGenerator {
         let world = self.build_world_with_threads(threads);
         let (item_sampler, tag_sampler) = self.samplers(&world);
 
-        let profiles = parallel_map_chunks(
-            cfg.num_users,
+        let profiles = parallel_map(
+            0..cfg.num_users,
             threads,
             || (),
             |user, ()| self.user_profile(&world, user, &item_sampler, &tag_sampler),
@@ -501,14 +501,14 @@ impl TraceGenerator {
             topic_tags.iter().map(Vec::len).max().unwrap_or(1),
             cfg.tag_zipf_exponent,
         );
-        let item_tags = parallel_map_chunks(
-            cfg.num_items,
+        let item_tags = parallel_map(
+            0..cfg.num_items,
             threads,
             || (),
             |item, ()| self.item_characteristic_tags(item, &item_topic, &topic_tags, &tag_sampler),
         );
-        let user_topics = parallel_map_chunks(
-            cfg.num_users,
+        let user_topics = parallel_map(
+            0..cfg.num_users,
             threads,
             || (),
             |user, ()| self.user_topic_set(user),

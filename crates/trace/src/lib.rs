@@ -22,8 +22,8 @@
 //!   explored — also parallel with a sequential oracle;
 //! * the **scenario layer** ([`Scenario`], [`ScenarioConfig`]) — named
 //!   workload presets (`paper-delicious`, `flash-crowd`, `topic-drift`,
-//!   `churn-heavy`, `uniform-control`) materialized as a trace plus a
-//!   [`DynamicsPlan`] and a concrete event schedule, the single entry point
+//!   `churn-heavy`, `uniform-control`) materialized as a trace plus its
+//!   event schedule ([`ScenarioConfig::schedule`]), the single entry point
 //!   the benchmark harness builds every experiment from;
 //! * summary [`DatasetStats`] to compare a generated trace against the
 //!   paper's crawl statistics;
@@ -62,9 +62,6 @@ pub use generator::{SyntheticTrace, TraceConfig, TraceGenerator, World};
 pub use ids::{ItemId, TagId, UserId};
 pub use profile::{PackedActions, PackedProfile, Profile, SharedProfile};
 pub use queries::{Query, QueryGenerator};
-pub use scenario::{
-    DynamicsPlan, PlanKind, PlanStep, Scenario, ScenarioConfig, ScenarioEvent, ScenarioWorkload,
-    TraceShape,
-};
+pub use scenario::{Scenario, ScenarioConfig, ScenarioEvent, ScenarioWorkload, TraceShape};
 pub use stats::DatasetStats;
 pub use zipf::ZipfSampler;

@@ -6,10 +6,10 @@
 //! change both utility and privacy leakage, and personalization quality is
 //! highly sensitive to the interest-distribution shape. A [`Scenario`] names
 //! one such shape; [`ScenarioConfig::build`] turns it into a
-//! [`ScenarioWorkload`]: the generated trace, the [`DynamicsPlan`] that
-//! describes what happens on the cycle axis, and the materialized event
-//! [`schedule`](ScenarioWorkload::schedule) the simulation layer feeds into
-//! its `EventQueue`.
+//! [`ScenarioWorkload`]: the generated trace and the event
+//! [`schedule`](ScenarioWorkload::schedule) of what happens on the cycle
+//! axis ([`ScenarioConfig::schedule`]), which the simulation layer collects
+//! into its `EventQueue`.
 //!
 //! The eight presets:
 //!
@@ -58,8 +58,8 @@ use crate::generator::{SyntheticTrace, TraceConfig, TraceGenerator};
 use crate::ids::UserId;
 use crate::zipf::ZipfSampler;
 
-/// Salt for per-plan-step batch seeds.
-const STREAM_PLAN: u64 = 0x5CE0_A210_0000_0007;
+/// Salt for the seeds of the scheduled change batches.
+const STREAM_BATCHES: u64 = 0x5CE0_A210_0000_0007;
 /// Salt for the per-cycle querier draws of [`Scenario::QueryHotspot`].
 const STREAM_QUERIERS: u64 = 0x5CE0_A210_0000_0008;
 
@@ -238,17 +238,24 @@ impl ScenarioConfig {
         cfg
     }
 
-    /// What happens on the cycle axis, before any batch is materialized.
-    /// Every step fires at a cycle within `[0, horizon]`, so a run of
-    /// `horizon` cycles (with an end-boundary event flush) delivers the
-    /// whole schedule even for tiny horizons.
-    pub fn dynamics_plan(&self) -> DynamicsPlan {
+    /// What happens on the cycle axis of `trace` (this scenario's generated
+    /// trace), in firing order: each change batch generated with `threads`
+    /// workers, byte-identical for every thread count. Every event fires at
+    /// a cycle within `[0, horizon]`, so a run of `horizon` cycles (with an
+    /// end-boundary event flush) delivers the whole schedule even for tiny
+    /// horizons.
+    pub fn schedule(&self, trace: &SyntheticTrace, threads: usize) -> Vec<(u64, ScenarioEvent)> {
         let h = self.horizon;
-        let step_seed = |index: usize| stream_seed(self.seed ^ STREAM_PLAN, index as u64);
-        let steps = match self.scenario {
+        let step_seed = |index: usize| stream_seed(self.seed ^ STREAM_BATCHES, index as u64);
+        let changes = |cycle: u64, cfg: DynamicsConfig| {
+            let batch = DynamicsGenerator::new(cfg).generate_with_threads(trace, threads);
+            (cycle, ScenarioEvent::ProfileChanges(batch))
+        };
+        let departure = |cycle: u64, fraction: f64| (cycle, ScenarioEvent::MassDeparture(fraction));
+        match self.scenario {
             Scenario::PaperDelicious => vec![
-                PlanStep::changes(h / 3, DynamicsConfig::paper_day(step_seed(0))),
-                PlanStep::changes(2 * h / 3, DynamicsConfig::paper_day(step_seed(1))),
+                changes(h / 3, DynamicsConfig::paper_day(step_seed(0))),
+                changes(2 * h / 3, DynamicsConfig::paper_day(step_seed(1))),
             ],
             Scenario::FlashCrowd => {
                 let hot_items = (self.num_users / 100).clamp(5, 50);
@@ -257,7 +264,7 @@ impl ScenarioConfig {
                 let hot_seed = step_seed(usize::MAX);
                 (0..3)
                     .map(|k| {
-                        PlanStep::changes(
+                        changes(
                             (h / 3 + k).min(h),
                             DynamicsConfig::flash_crowd(
                                 step_seed(k as usize),
@@ -272,41 +279,37 @@ impl ScenarioConfig {
             }
             Scenario::TopicDrift => (0..3)
                 .map(|k| {
-                    PlanStep::changes(
+                    changes(
                         (k + 1) * h / 4,
                         DynamicsConfig::topic_drift(step_seed(k as usize), 0.8),
                     )
                 })
                 .collect(),
             Scenario::ChurnHeavy => vec![
-                PlanStep::departure(h / 4, 0.10),
-                PlanStep::changes(h / 3, DynamicsConfig::paper_day(step_seed(0))),
-                PlanStep::departure(h / 2, 0.20),
-                PlanStep::changes(2 * h / 3, DynamicsConfig::paper_day(step_seed(1))),
-                PlanStep::departure(3 * h / 4, 0.30),
+                departure(h / 4, 0.10),
+                changes(h / 3, DynamicsConfig::paper_day(step_seed(0))),
+                departure(h / 2, 0.20),
+                changes(2 * h / 3, DynamicsConfig::paper_day(step_seed(1))),
+                departure(3 * h / 4, 0.30),
             ],
             // The fault axes keep the paper's organic dynamics so that loss
             // and crashes are the *only* difference to PaperDelicious; the
             // faults themselves live in the simulation layer's schedule
             // (see [`Scenario::fault_config`]), not on the cycle axis.
             Scenario::LossyNetwork => vec![
-                PlanStep::changes(h / 3, DynamicsConfig::paper_day(step_seed(0))),
-                PlanStep::changes(2 * h / 3, DynamicsConfig::paper_day(step_seed(1))),
+                changes(h / 3, DynamicsConfig::paper_day(step_seed(0))),
+                changes(2 * h / 3, DynamicsConfig::paper_day(step_seed(1))),
             ],
-            Scenario::CrashRestart => vec![PlanStep::changes(
-                h / 2,
-                DynamicsConfig::paper_day(step_seed(0)),
-            )],
+            Scenario::CrashRestart => vec![changes(h / 2, DynamicsConfig::paper_day(step_seed(0)))],
             // The hotspot axis is the *querier* schedule; the cycle axis
             // keeps the paper's organic dynamics so cached similarity is
             // continuously invalidated under the query load.
             Scenario::QueryHotspot => vec![
-                PlanStep::changes(h / 3, DynamicsConfig::paper_day(step_seed(0))),
-                PlanStep::changes(2 * h / 3, DynamicsConfig::paper_day(step_seed(1))),
+                changes(h / 3, DynamicsConfig::paper_day(step_seed(0))),
+                changes(2 * h / 3, DynamicsConfig::paper_day(step_seed(1))),
             ],
             Scenario::UniformControl => Vec::new(),
-        };
-        DynamicsPlan { steps }
+        }
     }
 
     /// The per-cycle querier sets of the [`Scenario::QueryHotspot`] preset:
@@ -346,100 +349,22 @@ impl ScenarioConfig {
     }
 
     /// Materializes the scenario with an explicit worker-thread count:
-    /// generates the trace, then every planned change batch. Output is
-    /// byte-identical for every thread count.
+    /// generates the trace, then its [`schedule`](Self::schedule). Output
+    /// is byte-identical for every thread count.
     pub fn build_with_threads(&self, threads: usize) -> ScenarioWorkload {
         let trace = TraceGenerator::new(self.trace_config()).generate_with_threads(threads);
-        let plan = self.dynamics_plan();
-        let schedule = plan.materialize_with_threads(&trace, threads);
+        let schedule = self.schedule(&trace, threads);
         ScenarioWorkload {
             config: self.clone(),
             trace,
-            plan,
             schedule,
         }
     }
 }
 
-/// One step of a [`DynamicsPlan`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanStep {
-    /// The cycle at which the step fires.
-    pub cycle: u64,
-    /// What fires.
-    pub kind: PlanKind,
-}
-
-impl PlanStep {
-    fn changes(cycle: u64, config: DynamicsConfig) -> Self {
-        Self {
-            cycle,
-            kind: PlanKind::Changes(config),
-        }
-    }
-
-    fn departure(cycle: u64, fraction: f64) -> Self {
-        Self {
-            cycle,
-            kind: PlanKind::Departure(fraction),
-        }
-    }
-}
-
-/// The kind of a plan step.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanKind {
-    /// A batch of profile changes with the given configuration.
-    Changes(DynamicsConfig),
-    /// A mass departure of the given fraction of alive users.
-    Departure(f64),
-}
-
-/// The cycle-axis plan of a scenario: which change batches and departures
-/// fire when. This is the *description*;
-/// [`DynamicsPlan::materialize_with_threads`] turns it into concrete events against a generated trace.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DynamicsPlan {
-    /// The steps, in firing order.
-    pub steps: Vec<PlanStep>,
-}
-
-impl DynamicsPlan {
-    /// Number of planned steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Returns `true` if nothing is planned.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Generates the concrete event schedule for `trace` with an explicit
-    /// worker-thread count.
-    pub fn materialize_with_threads(
-        &self,
-        trace: &SyntheticTrace,
-        threads: usize,
-    ) -> Vec<(u64, ScenarioEvent)> {
-        self.steps
-            .iter()
-            .map(|step| {
-                let event = match &step.kind {
-                    PlanKind::Changes(cfg) => ScenarioEvent::ProfileChanges(
-                        DynamicsGenerator::new(cfg.clone()).generate_with_threads(trace, threads),
-                    ),
-                    PlanKind::Departure(fraction) => ScenarioEvent::MassDeparture(*fraction),
-                };
-                (step.cycle, event)
-            })
-            .collect()
-    }
-}
-
 /// A concrete scheduled event: what the simulation layer applies at a cycle
-/// boundary. The bench crate converts these 1:1 into its `EventQueue`
-/// vocabulary.
+/// boundary. A schedule of `(cycle, event)` pairs collects straight into
+/// the simulation layer's `EventQueue`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioEvent {
     /// A batch of profile changes hits the owners' nodes.
@@ -448,15 +373,13 @@ pub enum ScenarioEvent {
     MassDeparture(f64),
 }
 
-/// A materialized scenario: the trace, the plan, and the concrete schedule.
+/// A materialized scenario: the trace and its concrete event schedule.
 #[derive(Debug, Clone)]
 pub struct ScenarioWorkload {
     /// The configuration that produced this workload.
     pub config: ScenarioConfig,
     /// The generated trace (dataset + latent topic model).
     pub trace: SyntheticTrace,
-    /// The cycle-axis plan.
-    pub plan: DynamicsPlan,
     /// The concrete events, ordered by firing cycle.
     pub schedule: Vec<(u64, ScenarioEvent)>,
 }
@@ -497,6 +420,11 @@ mod tests {
             for (cycle, _) in &workload.schedule {
                 assert!(*cycle <= 12);
             }
+            assert!(
+                workload.schedule.windows(2).all(|w| w[0].0 <= w[1].0),
+                "{} schedule is not ordered by firing cycle",
+                scenario.name()
+            );
         }
         assert_eq!(Scenario::from_name("no-such"), None);
     }
@@ -538,7 +466,6 @@ mod tests {
     #[test]
     fn uniform_control_has_no_events_and_one_topic() {
         let cfg = tiny(Scenario::UniformControl);
-        assert!(cfg.dynamics_plan().is_empty());
         assert_eq!(cfg.trace_config().num_topics, 1);
         let workload = cfg.build();
         assert!(workload.schedule.is_empty());
@@ -592,7 +519,7 @@ mod tests {
         assert!(hits[0] > tail, "head {} vs tail {}", hits[0], tail);
         // Deterministic in the seed, and the dynamics axis still fires.
         assert_eq!(schedule, cfg.querier_schedule());
-        assert!(!cfg.dynamics_plan().is_empty());
+        assert!(!cfg.with_horizon(3).build().schedule.is_empty());
         // Other presets have no querier axis.
         let plain = ScenarioConfig::new(Scenario::PaperDelicious, 4_000, 11).with_horizon(20);
         assert!(plain.querier_schedule().is_empty());

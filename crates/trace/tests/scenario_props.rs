@@ -148,13 +148,8 @@ fn flash_crowd_bursts_concentrate_on_few_items() {
     assert!(burst_actions > 0, "the burst must contain actions");
     let mut counts: Vec<usize> = per_item.values().copied().collect();
     counts.sort_unstable_by(|a, b| b.cmp(a));
-    let hot_cap = match workload.plan.steps.first().map(|s| &s.kind) {
-        Some(p3q_trace::PlanKind::Changes(cfg)) => match cfg.mode {
-            p3q_trace::DynamicsMode::FlashCrowd { hot_items, .. } => hot_items,
-            _ => panic!("flash crowd plan should use FlashCrowd mode"),
-        },
-        other => panic!("unexpected plan head: {other:?}"),
-    };
+    // The preset's hot-set size for this population.
+    let hot_cap = (workload.config.num_users / 100).clamp(5, 50);
     let hot: usize = counts.iter().take(hot_cap).sum();
     assert!(
         hot as f64 / burst_actions as f64 > 0.7,

@@ -3,10 +3,10 @@
 //!
 //! The paper evaluates P3Q on one trace (the delicious crawl). The scenario
 //! layer opens the workload axis: every preset is one `ScenarioConfig` that
-//! materializes into a trace, a dynamics plan and a concrete event schedule
-//! — this example builds each preset at toy scale, prints the structure its
-//! trace actually exhibits, then drives the full schedule (change batches,
-//! mass departures) through lazy gossip cycles and reports how the network
+//! materializes into a trace and a concrete event schedule — this example
+//! builds each preset at toy scale, prints the structure its trace actually
+//! exhibits, then drives the full schedule (change batches, mass
+//! departures) through lazy gossip cycles and reports how the network
 //! fares.
 //!
 //! Run with:
@@ -58,10 +58,7 @@ fn main() {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(config.seed);
         bootstrap_random_views(&mut sim, &cfg, &mut rng);
 
-        let mut events = EventQueue::new();
-        for (cycle, event) in &workload.schedule {
-            events.schedule(*cycle, event.clone());
-        }
+        let mut events: EventQueue<_> = workload.schedule.iter().cloned().collect();
         let report = sim
             .drive(
                 &cfg.lazy(),

@@ -5,7 +5,7 @@
 //! consume it.
 
 use p3q::prelude::*;
-use p3q_bench::{scenario_event_queue, HarnessArgs, World};
+use p3q_bench::{HarnessArgs, World};
 use p3q_trace::{Scenario, ScenarioEvent};
 use rand::SeedableRng;
 
@@ -38,7 +38,7 @@ fn run_preset(scenario: Scenario) -> (World, Simulator<P3qNode>) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(args.seed ^ 0xB007);
     bootstrap_random_views(&mut sim, &world.cfg, &mut rng);
 
-    let mut events = scenario_event_queue(&world.schedule);
+    let mut events: EventQueue<ScenarioEvent> = world.schedule.iter().cloned().collect();
     assert_eq!(events.len(), world.schedule.len());
     sim.drive(
         &world.cfg.lazy(),
@@ -183,12 +183,12 @@ fn eager_queries_survive_a_churn_heavy_scenario() {
 
     // Only the departures — profile changes would shift the centralized
     // reference the recall is measured against.
-    let mut events = EventQueue::new();
-    for (cycle, event) in &world.schedule {
-        if let ScenarioEvent::MassDeparture(_) = event {
-            events.schedule(*cycle, event.clone());
-        }
-    }
+    let mut events = world
+        .schedule
+        .iter()
+        .filter(|(_, event)| matches!(event, ScenarioEvent::MassDeparture(_)))
+        .cloned()
+        .collect();
     let outcome =
         p3q_bench::run_recall_experiment(&mut sim, &world, &queries, args.cycles, &mut events);
     assert_eq!(outcome.recall_per_cycle.len(), args.cycles as usize + 1);
