@@ -111,16 +111,9 @@ impl BloomFilter {
         self.num_hashes
     }
 
-    /// Size of the filter payload when transmitted over the network, in bytes.
-    ///
-    /// This is the figure P3Q's bandwidth accounting charges for every digest
-    /// exchanged in lazy-mode gossip.
-    pub fn size_bytes(&self) -> usize {
-        self.bit_len().div_ceil(8)
-    }
-
     /// Resident heap bytes of the in-memory bit array (whole `u64` words,
-    /// so usually slightly above [`Self::size_bytes`]).
+    /// so usually slightly above the `bit_len / 8` bytes a digest costs on
+    /// the wire).
     pub fn heap_bytes(&self) -> usize {
         self.bits.len() * std::mem::size_of::<u64>()
     }
@@ -307,13 +300,6 @@ mod tests {
             f.insert(k);
         }
         assert!(measured_false_positives(&f, 100_000) < 0.01);
-    }
-
-    #[test]
-    fn size_bytes_rounds_up() {
-        assert_eq!(BloomFilter::new(9, 1).size_bytes(), 2);
-        assert_eq!(BloomFilter::new(8, 1).size_bytes(), 1);
-        assert_eq!(paper_filter().size_bytes(), 2560);
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod tests {
         let f = BloomFilter::new(PAPER_FILTER_BITS, PAPER_FILTER_HASHES);
         assert_eq!(f.bit_len(), PAPER_FILTER_BITS);
         assert_eq!(f.num_hashes(), PAPER_FILTER_HASHES);
-        // 20 Kbit == 2560 bytes of payload.
-        assert_eq!(f.size_bytes(), PAPER_FILTER_BITS / 8);
+        // 20 Kbit == 2560 bytes, held in whole words.
+        assert_eq!(f.heap_bytes(), PAPER_FILTER_BITS / 8);
     }
 }

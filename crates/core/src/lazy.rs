@@ -30,16 +30,18 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use p3q_bloom::SharedFilter;
-use p3q_gossip::peer_sampling;
+use p3q_gossip::{peer_sampling, ScoredEntry};
 use p3q_sim::{stream_seed, CommitOutcome, CycleContext, ExchangePlan, GossipProtocol, Simulator};
 use p3q_trace::{SharedProfile, UserId};
 
 use crate::bandwidth::{category, digest_bytes, tagging_actions_bytes};
 use crate::config::P3qConfig;
-use crate::node::{Admission, DigestInfo, P3qNode};
+use crate::node::{Admission, DigestInfo, NeighbourInfo, P3qNode};
 
-/// One profile proposed during a gossip exchange: the owner, her digest and
-/// the proposer's stored copy of her profile.
+/// One profile proposed during a gossip exchange, owned: the owner, her
+/// digest and the proposer's stored copy of her profile. What a probe plan
+/// snapshots of a random-view member, and what tests build offers from;
+/// gossip reads its offers in place as [`Offer`]s instead.
 ///
 /// The digest and the profile copy are versioned *separately*: a proposer
 /// may know a newer digest (refreshed every exchange) than the profile copy
@@ -64,6 +66,67 @@ pub struct ProfileOffer {
     pub profile: SharedProfile,
 }
 
+/// A [`ProfileOffer`] read in place: the same fields, borrowed from the
+/// proposer (or from an owned offer). Nothing is cloned until the receiver
+/// stores the digest or the copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Offer<'a> {
+    pub(crate) user: UserId,
+    pub(crate) digest: &'a SharedFilter,
+    pub(crate) digest_version: u64,
+    pub(crate) version: u64,
+    pub(crate) profile: &'a SharedProfile,
+}
+
+impl<'a> Offer<'a> {
+    /// What `node` proposes of itself: its digest and profile, both at its
+    /// current version.
+    pub(crate) fn own(node: &'a P3qNode) -> Self {
+        Self {
+            user: node.id,
+            digest: node.shared_digest(),
+            digest_version: node.profile_version(),
+            version: node.profile_version(),
+            profile: node.shared_profile(),
+        }
+    }
+
+    /// The stored copy of a personal-network entry, if it holds one.
+    fn stored(entry: &'a ScoredEntry<UserId, NeighbourInfo>) -> Option<Self> {
+        Some(Self {
+            user: entry.peer,
+            digest: &entry.meta.digest,
+            digest_version: u64::from(entry.meta.digest_version),
+            version: u64::from(entry.meta.profile_version),
+            profile: entry.meta.profile.as_ref()?,
+        })
+    }
+}
+
+impl<'a> From<&'a ProfileOffer> for Offer<'a> {
+    fn from(offer: &'a ProfileOffer) -> Self {
+        Self {
+            user: offer.user,
+            digest: &offer.digest,
+            digest_version: offer.digest_version,
+            version: offer.version,
+            profile: &offer.profile,
+        }
+    }
+}
+
+impl From<Offer<'_>> for ProfileOffer {
+    fn from(offer: Offer<'_>) -> Self {
+        Self {
+            user: offer.user,
+            digest: offer.digest.clone(),
+            digest_version: offer.digest_version,
+            version: offer.version,
+            profile: offer.profile.clone(),
+        }
+    }
+}
+
 /// Byte counts of one side of a gossip exchange, split by protocol step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExchangeStats {
@@ -86,39 +149,67 @@ impl ExchangeStats {
     }
 }
 
-/// Collects the profiles a node proposes in one gossip exchange: a random
-/// subset of at most `limit` stored profiles, plus the node's own profile.
-pub(crate) fn collect_offers(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Vec<ProfileOffer> {
-    let mut stored: Vec<ProfileOffer> = node
-        .personal_network
-        .iter()
-        .filter_map(|entry| {
-            let profile = entry.meta.profile.as_ref()?;
-            Some(ProfileOffer {
-                user: entry.peer,
-                digest: entry.meta.digest.clone(),
-                digest_version: u64::from(entry.meta.digest_version),
-                version: u64::from(entry.meta.profile_version),
-                profile: profile.clone(),
+/// The offers a node proposes in one gossip exchange, by position: the
+/// ranks of a random subset of at most `limit` of its stored copies, in the
+/// order drawn, then its own profile.
+#[derive(Debug)]
+pub(crate) struct OfferSelection {
+    ranks: Vec<usize>,
+}
+
+impl OfferSelection {
+    /// Draws the selection from `node`'s stored copies. Copies are held only
+    /// in the top `c` ranks, so only those are walked.
+    pub(crate) fn draw(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Self {
+        let mut ranks: Vec<usize> = node
+            .personal_network
+            .iter()
+            .take(node.storage_budget())
+            .enumerate()
+            .filter(|(_, entry)| entry.meta.profile.is_some())
+            .map(|(rank, _)| rank)
+            .collect();
+        ranks.shuffle(rng);
+        ranks.truncate(limit);
+        Self { ranks }
+    }
+
+    /// The selected offers, read in place from `node`, which must be the
+    /// node they were drawn from and unchanged since.
+    pub(crate) fn offers<'a>(&'a self, node: &'a P3qNode) -> impl Iterator<Item = Offer<'a>> {
+        self.ranks
+            .iter()
+            .map(|&rank| {
+                node.personal_network
+                    .iter()
+                    .nth(rank)
+                    .and_then(Offer::stored)
+                    .expect("a drawn rank holds a stored copy")
             })
-        })
-        .collect();
-    stored.shuffle(rng);
-    stored.truncate(limit);
-    stored.push(node.own_offer());
-    stored
+            .chain(std::iter::once(Offer::own(node)))
+    }
 }
 
 /// Processes the profiles received in a gossip exchange, following the
 /// 3-step protocol of Algorithm 1, and returns the byte counts incurred.
-pub(crate) fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> ExchangeStats {
+///
+/// `before_first_write` sees the node just before the first admission that
+/// changes its personal network, if any: the moment its own offers, read in
+/// place, would stop being what it proposed.
+pub(crate) fn process_offers<'a>(
+    node: &mut P3qNode,
+    offers: impl IntoIterator<Item = Offer<'a>>,
+    cfg: &P3qConfig,
+    before_first_write: impl FnOnce(&P3qNode),
+) -> ExchangeStats {
+    let mut before_first_write = Some(before_first_write);
     let mut stats = ExchangeStats::default();
     for offer in offers {
         if offer.user == node.id {
             continue;
         }
         // Step 1: the digest always travels.
-        stats.digest_bytes += offer.digest.size_bytes();
+        stats.digest_bytes += digest_bytes(cfg.digest_bits);
 
         // Lines 4–9: known neighbour with an unchanged digest → drop.
         // Shared handles make the common case a pointer comparison. The
@@ -131,7 +222,7 @@ pub(crate) fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> Exc
         let known = node.personal_network.get(&offer.user);
         if let Some(entry) = known {
             let same_digest =
-                Arc::ptr_eq(&entry.meta.digest, &offer.digest) || entry.meta.digest == offer.digest;
+                Arc::ptr_eq(&entry.meta.digest, offer.digest) || entry.meta.digest == *offer.digest;
             let advances_digest = offer.digest_version > u64::from(entry.meta.digest_version);
             let upgrades_copy = entry.meta.profile.is_some()
                 && offer.version > u64::from(entry.meta.profile_version);
@@ -148,39 +239,63 @@ pub(crate) fn process_offers(node: &mut P3qNode, offers: &[ProfileOffer]) -> Exc
 
         // Step 2 (lines 16–26): fetch the tagging actions for the common
         // items and compute the exact similarity score.
-        let common = node.profile().common_actions(&offer.profile);
+        let common = node.profile().common_actions(offer.profile);
         stats.common_bytes += tagging_actions_bytes(common);
         stats.candidates_scored += 1;
         if common == 0 {
             // The digest check was a false positive; nothing to add.
             continue;
         }
+        // A stranger ranked past a full network is turned away by
+        // `P3qNode::admit` without a change, so it is not asked.
+        let score = common as u64;
+        if known.is_none() && !node.personal_network.would_admit(offer.user, score) {
+            continue;
+        }
+        if let Some(hook) = before_first_write.take() {
+            hook(node);
+        }
         // Step 3 (lines 27–31): the rest of the profile travels only if
         // admission stored it (see `P3qNode::admit` for when).
-        if node.admit(offer, common as u64) == Admission::Stored {
-            let rest = offer.profile.len().saturating_sub(common);
-            stats.profile_bytes += tagging_actions_bytes(rest);
-            stats.profiles_stored += 1;
+        match node.admit(offer, score) {
+            Admission::Stored => {
+                let rest = offer.profile.len().saturating_sub(common);
+                stats.profile_bytes += tagging_actions_bytes(rest);
+                stats.profiles_stored += 1;
+            }
+            Admission::Kept => {}
+            Admission::Rejected => unreachable!("a known peer or one with room is admitted"),
         }
     }
     stats
 }
 
 /// Performs a symmetric profile-gossip exchange between two nodes: both
-/// sides collect offers and process the other side's. Returns the byte
-/// counts each side incurred. Used by the lazy top layer and by the
-/// maintenance piggybacked on eager gossip — always from a commit, where
-/// both `&mut` sides are available.
+/// sides draw offers and process the other side's, as if both had sent
+/// theirs before either read. Returns the byte counts each side incurred.
+/// Used by the lazy top layer and by the maintenance piggybacked on eager
+/// gossip — always from a commit, where both `&mut` sides are available.
+///
+/// Offers are read in place. `b` is untouched until `a` is done, so `a`
+/// reads `b`'s offers from `b`. `b` reads `a`'s from `a` as well, unless `a`
+/// changed while reading: then `a`'s offers were copied out just before its
+/// first write.
 pub(crate) fn exchange_profiles(
     a: &mut P3qNode,
     b: &mut P3qNode,
     cfg: &P3qConfig,
     rng: &mut StdRng,
 ) -> (ExchangeStats, ExchangeStats) {
-    let offers_from_a = collect_offers(a, cfg.profiles_per_gossip, rng);
-    let offers_from_b = collect_offers(b, cfg.profiles_per_gossip, rng);
-    let a_stats = process_offers(a, &offers_from_b);
-    let b_stats = process_offers(b, &offers_from_a);
+    let from_a = OfferSelection::draw(a, cfg.profiles_per_gossip, rng);
+    let from_b = OfferSelection::draw(b, cfg.profiles_per_gossip, rng);
+    let mut sent_by_a: Option<Vec<ProfileOffer>> = None;
+    let a_stats = process_offers(a, from_b.offers(b), cfg, |a| {
+        sent_by_a = Some(from_a.offers(a).map(ProfileOffer::from).collect());
+    });
+    let b_stats = match &sent_by_a {
+        Some(offers) => process_offers(b, offers.iter().map(Offer::from), cfg, |_| {}),
+        None => process_offers(b, from_a.offers(a), cfg, |_| {}),
+    };
     (a_stats, b_stats)
 }
 
@@ -514,12 +629,88 @@ fn sample_alive_peers(
 mod tests {
     use super::*;
     use crate::baseline::IdealNetworks;
-    use crate::experiment::build_simulator;
+    use crate::experiment::{apply_profile_changes, build_simulator};
     use crate::metrics::average_success_ratio;
     use crate::storage::StorageDistribution;
-    use p3q_sim::{FaultPlan, RunOptions};
-    use p3q_trace::{TraceConfig, TraceGenerator};
+    use p3q_sim::{FaultPlan, Fingerprint, RunOptions};
+    use p3q_trace::{DynamicsConfig, DynamicsGenerator, TraceConfig, TraceGenerator};
     use rand::SeedableRng;
+
+    /// What a node proposed before offers were read in place: owned copies
+    /// of a random subset of its stored copies (all `s` ranks walked), then
+    /// its own offer. The reference of [`OfferSelection`].
+    fn collect_offers(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Vec<ProfileOffer> {
+        let mut stored: Vec<ProfileOffer> = node
+            .personal_network
+            .iter()
+            .filter_map(|entry| Offer::stored(entry).map(ProfileOffer::from))
+            .collect();
+        stored.shuffle(rng);
+        stored.truncate(limit);
+        stored.push(node.own_offer());
+        stored
+    }
+
+    /// [`process_offers`] as first written: the drop test compares digest
+    /// bytes, and every scored offer goes through `P3qNode::admit`.
+    fn process_offers_reference(
+        node: &mut P3qNode,
+        offers: &[ProfileOffer],
+        cfg: &P3qConfig,
+    ) -> ExchangeStats {
+        let mut stats = ExchangeStats::default();
+        for offer in offers {
+            if offer.user == node.id {
+                continue;
+            }
+            stats.digest_bytes += digest_bytes(cfg.digest_bits);
+            let known = node.personal_network.get(&offer.user);
+            if let Some(entry) = known {
+                let same_digest = entry.meta.digest == offer.digest;
+                let advances_digest = offer.digest_version > u64::from(entry.meta.digest_version);
+                let upgrades_copy = entry.meta.profile.is_some()
+                    && offer.version > u64::from(entry.meta.profile_version);
+                if same_digest && !advances_digest && !upgrades_copy {
+                    continue;
+                }
+            }
+            if known.is_none() && !offer.digest.contains_any(node.item_probes()) {
+                continue;
+            }
+            let common = node.profile().common_actions(&offer.profile);
+            stats.common_bytes += tagging_actions_bytes(common);
+            stats.candidates_scored += 1;
+            if common == 0 {
+                continue;
+            }
+            if node.admit(offer, common as u64) == Admission::Stored {
+                let rest = offer.profile.len().saturating_sub(common);
+                stats.profile_bytes += tagging_actions_bytes(rest);
+                stats.profiles_stored += 1;
+            }
+        }
+        stats
+    }
+
+    /// [`exchange_profiles`] as first written: both sides copy their offers
+    /// out before either reads.
+    fn exchange_profiles_reference(
+        a: &mut P3qNode,
+        b: &mut P3qNode,
+        cfg: &P3qConfig,
+        rng: &mut StdRng,
+    ) -> (ExchangeStats, ExchangeStats) {
+        let offers_from_a = collect_offers(a, cfg.profiles_per_gossip, rng);
+        let offers_from_b = collect_offers(b, cfg.profiles_per_gossip, rng);
+        let a_stats = process_offers_reference(a, &offers_from_b, cfg);
+        let b_stats = process_offers_reference(b, &offers_from_a, cfg);
+        (a_stats, b_stats)
+    }
+
+    /// `node` receives owned `offers`.
+    fn receive(node: &mut P3qNode, offers: &[ProfileOffer], cfg: &P3qConfig) -> ExchangeStats {
+        process_offers(node, offers.iter().map(Offer::from), cfg, |_| {})
+    }
 
     fn small_sim() -> (Simulator<P3qNode>, P3qConfig, p3q_trace::Dataset) {
         let trace = TraceGenerator::new(TraceConfig::tiny(17)).generate();
@@ -564,14 +755,77 @@ mod tests {
     fn collect_offers_includes_own_profile_and_respects_limit() {
         let (sim, _cfg, _) = small_sim();
         let mut rng = StdRng::seed_from_u64(0);
-        let offers = collect_offers(sim.node(0), 3, &mut rng);
-        assert!(offers.iter().any(|o| o.user == sim.node(0).id));
+        let selection = OfferSelection::draw(sim.node(0), 3, &mut rng);
+        let offers: Vec<Offer<'_>> = selection.offers(sim.node(0)).collect();
+        assert_eq!(offers.last().map(|o| o.user), Some(sim.node(0).id));
         assert!(offers.len() <= 4);
     }
 
     #[test]
+    fn in_place_exchanges_match_the_snapshot_first_reference() {
+        // A lazy run with a paper day of profile dynamics in its middle
+        // leaves networks with stale copies, relayed older digests and room
+        // to admit. Random pairs of its nodes then exchange, once in place
+        // and once through the reference, from equal copies and RNG seeds.
+        let trace = TraceGenerator::new(TraceConfig {
+            num_users: 80,
+            ..TraceConfig::tiny(23)
+        })
+        .generate();
+        let cfg = P3qConfig::tiny();
+        let storage = StorageDistribution::Uniform(4);
+        let mut sim = build_simulator(&trace.dataset, &cfg, &storage, 5);
+        bootstrap_random_views(&mut sim, &cfg, &mut StdRng::seed_from_u64(6));
+        let batch = DynamicsGenerator::new(DynamicsConfig::paper_day(7)).generate(&trace);
+        let mut rng = StdRng::seed_from_u64(8);
+        let (mut a_changed, mut a_unchanged) = (0, 0);
+        for round in 0..6 {
+            sim.drive(&cfg.lazy(), RunOptions::cycles(1), |_, _| {});
+            if round == 2 {
+                apply_profile_changes(&mut sim, &batch);
+            }
+            for pair in 0..150 {
+                let i = rng.gen_range(0..sim.num_nodes());
+                let j = rng.gen_range(0..sim.num_nodes());
+                if i == j {
+                    continue;
+                }
+                let seed: u64 = rng.gen();
+                let (mut a, mut b) = (sim.node(i).clone(), sim.node(j).clone());
+                let (mut ref_a, mut ref_b) = (a.clone(), b.clone());
+                let before = a.fingerprint();
+                let stats =
+                    exchange_profiles(&mut a, &mut b, &cfg, &mut StdRng::seed_from_u64(seed));
+                let expected = exchange_profiles_reference(
+                    &mut ref_a,
+                    &mut ref_b,
+                    &cfg,
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                let at = format!("round {round}, pair {pair} ({i}, {j})");
+                assert_eq!(stats, expected, "{at}");
+                assert_eq!(a.fingerprint(), ref_a.fingerprint(), "{at}");
+                assert_eq!(b.fingerprint(), ref_b.fingerprint(), "{at}");
+                assert_eq!(a.personal_network, ref_a.personal_network, "{at}");
+                assert_eq!(b.personal_network, ref_b.personal_network, "{at}");
+                if a.fingerprint() == before {
+                    a_unchanged += 1;
+                } else {
+                    a_changed += 1;
+                }
+            }
+        }
+        // Both of `b`'s reads ran: from `a` in place, and from the copy
+        // taken before `a`'s first write.
+        assert!(
+            a_changed > 0 && a_unchanged > 0,
+            "{a_changed} / {a_unchanged}"
+        );
+    }
+
+    #[test]
     fn process_offers_adds_similar_neighbours() {
-        let (mut sim, _cfg, dataset) = small_sim();
+        let (mut sim, cfg, dataset) = small_sim();
         // Offer node 0 the profile of a user that certainly shares something:
         // its own strongest ideal neighbour.
         let ideal = IdealNetworks::compute(&dataset, 10);
@@ -579,7 +833,7 @@ mod tests {
             return; // degenerate trace; nothing to assert
         };
         let offer = sim.node(best.index()).own_offer();
-        let stats = process_offers(sim.node_mut(0), &[offer]);
+        let stats = receive(sim.node_mut(0), &[offer], &cfg);
         assert_eq!(stats.candidates_scored, 1);
         assert!(stats.digest_bytes > 0);
         assert!(sim.node(0).personal_network.contains(&best));
@@ -591,16 +845,16 @@ mod tests {
 
     #[test]
     fn unchanged_digest_is_dropped_without_rescoring() {
-        let (mut sim, _cfg, dataset) = small_sim();
+        let (mut sim, cfg, dataset) = small_sim();
         let ideal = IdealNetworks::compute(&dataset, 10);
         let Some(&(best, _)) = ideal.network_of(UserId(0)).first() else {
             return;
         };
         let offer = sim.node(best.index()).own_offer();
-        let first = process_offers(sim.node_mut(0), std::slice::from_ref(&offer));
+        let first = receive(sim.node_mut(0), std::slice::from_ref(&offer), &cfg);
         assert_eq!(first.candidates_scored, 1);
         // Re-offering the identical digest must be dropped at step 1.
-        let second = process_offers(sim.node_mut(0), &[offer]);
+        let second = receive(sim.node_mut(0), &[offer], &cfg);
         assert_eq!(second.candidates_scored, 0);
         assert_eq!(second.common_bytes, 0);
     }
@@ -682,7 +936,7 @@ mod tests {
 
         // So does an offer batch: every digest travels, the false positives
         // pay for a step-2 exchange that finds nothing, nobody is recorded.
-        let stats = process_offers(sim.node_mut(0), &offers);
+        let stats = receive(sim.node_mut(0), &offers, &cfg);
         assert_eq!(stats.digest_bytes, offers.len() * digest_bytes(64));
         assert_eq!(stats.candidates_scored, expected.len());
         assert_eq!((stats.common_bytes, stats.profile_bytes), (0, 0));
@@ -692,7 +946,7 @@ mod tests {
     #[test]
     fn stale_copy_is_marked_and_refreshed_only_by_a_newer_profile() {
         use p3q_trace::{ItemId, TagId, TaggingAction};
-        let (mut sim, _cfg, dataset) = small_sim();
+        let (mut sim, cfg, dataset) = small_sim();
         let ideal = IdealNetworks::compute(&dataset, 10);
         let Some(&(best, _)) = ideal.network_of(UserId(0)).first() else {
             return;
@@ -700,7 +954,7 @@ mod tests {
         // Step 0: a direct offer stores the peer's profile (fresh, v1).
         let direct = |sim: &Simulator<P3qNode>| sim.node(best.index()).own_offer();
         let old_offer = direct(&sim);
-        process_offers(sim.node_mut(0), std::slice::from_ref(&old_offer));
+        receive(sim.node_mut(0), std::slice::from_ref(&old_offer), &cfg);
         assert!(sim.node(0).has_fresh_stored_profile(&best));
 
         // The owner changes her profile (v2).
@@ -716,19 +970,19 @@ mod tests {
             digest_version: fresh_offer.digest_version,
             ..old_offer.clone()
         };
-        let stats = process_offers(sim.node_mut(0), &[relayed]);
+        let stats = receive(sim.node_mut(0), &[relayed], &cfg);
         assert_eq!(stats.profile_bytes, 0, "an old payload must not be fetched");
         assert!(sim.node(0).stored_profile(&best).is_some());
         assert!(!sim.node(0).has_fresh_stored_profile(&best));
 
         // A later relay with the old digest must not whitewash the copy.
         let old_relay = old_offer.clone();
-        process_offers(sim.node_mut(0), &[old_relay]);
+        receive(sim.node_mut(0), &[old_relay], &cfg);
         assert!(!sim.node(0).has_fresh_stored_profile(&best));
 
         // Only the owner's direct offer — unchanged digest but a newer
         // profile payload — refreshes the copy.
-        let stats = process_offers(sim.node_mut(0), std::slice::from_ref(&fresh_offer));
+        let stats = receive(sim.node_mut(0), std::slice::from_ref(&fresh_offer), &cfg);
         assert!(stats.profile_bytes > 0);
         assert!(sim.node(0).has_fresh_stored_profile(&best));
         assert_eq!(
@@ -742,7 +996,7 @@ mod tests {
         // A profile change whose new actions only hit already-set Bloom
         // bits leaves the digest bytes identical; the offer's digest
         // version must still get through and mark the cached copy stale.
-        let (mut sim, _cfg, dataset) = small_sim();
+        let (mut sim, cfg, dataset) = small_sim();
         let ideal = IdealNetworks::compute(&dataset, 10);
         let Some(&(best, _)) = ideal.network_of(UserId(0)).first() else {
             return;
@@ -757,7 +1011,7 @@ mod tests {
                 profile: peer.shared_profile().clone(),
             }
         };
-        process_offers(sim.node_mut(0), std::slice::from_ref(&offer_v1));
+        receive(sim.node_mut(0), std::slice::from_ref(&offer_v1), &cfg);
         assert!(sim.node(0).has_fresh_stored_profile(&best));
 
         // Same digest bytes (same Arc, even), but the owner is at v2 now.
@@ -765,7 +1019,7 @@ mod tests {
             digest_version: 2,
             ..offer_v1.clone()
         };
-        process_offers(sim.node_mut(0), &[collided]);
+        receive(sim.node_mut(0), &[collided], &cfg);
         let entry = sim.node(0).personal_network.get(&best).unwrap();
         assert_eq!(entry.meta.digest_version, 2);
         assert!(!sim.node(0).has_fresh_stored_profile(&best));

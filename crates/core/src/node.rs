@@ -20,7 +20,7 @@ use p3q_gossip::{AgedView, ScoredView};
 use p3q_sim::{Fingerprint, Fnv};
 use p3q_trace::{ItemId, Profile, SharedProfile, TaggingAction, UserId};
 
-use crate::lazy::ProfileOffer;
+use crate::lazy::{Offer, ProfileOffer};
 use crate::query::{QuerierState, QueryId, RemainingTask};
 
 /// Digest metadata carried by random-view entries.
@@ -423,13 +423,7 @@ impl P3qNode {
     /// current version: what it proposes for itself in gossip, what a probe
     /// reads of it, and what the ideal-network install admits.
     pub(crate) fn own_offer(&self) -> ProfileOffer {
-        ProfileOffer {
-            user: self.id,
-            digest: self.shared_digest().clone(),
-            digest_version: self.profile_version(),
-            version: self.profile_version(),
-            profile: self.profile.clone(),
-        }
+        Offer::own(self).into()
     }
 
     /// Admits a peer whose exact similarity `score` is known into the
@@ -458,8 +452,10 @@ impl P3qNode {
     ///   down; that is the one way a copy crosses rank `c` without a store.
     ///
     /// So after every admission at most `c` copies are held, all ranked
-    /// within `c`.
-    pub(crate) fn admit(&mut self, offer: &ProfileOffer, score: u64) -> Admission {
+    /// within `c`. The offer is read in place; its digest and copy are
+    /// cloned only where they are stored.
+    pub(crate) fn admit<'a>(&mut self, offer: impl Into<Offer<'a>>, score: u64) -> Admission {
+        let offer = offer.into();
         let c = self.storage_budget as usize;
         let digest_version = compact_version(offer.digest_version);
         let mut stored = false;
@@ -485,14 +481,22 @@ impl P3qNode {
                 }
                 meta
             });
-        match rank {
+        let admission = match rank {
             None => Admission::Rejected,
             Some(_) if stored => {
                 self.enforce_storage_budget();
                 Admission::Stored
             }
             Some(_) => Admission::Kept,
-        }
+        };
+        debug_assert!(
+            self.personal_network
+                .iter()
+                .skip(c)
+                .all(|e| e.meta.profile.is_none()),
+            "copies are held only in the top c ranks"
+        );
+        admission
     }
 
     /// Applies the storage rule: only the `c` most similar neighbours keep a

@@ -109,6 +109,20 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
         self.entries.iter().position(|e| e.peer == *peer)
     }
 
+    /// Whether [`Self::upsert`] would find room for `peer`, absent from the
+    /// view, at `score`: the test `upsert_with` makes before it changes
+    /// anything, so `false` means an upsert would leave the view as it is.
+    pub fn would_admit(&self, peer: P, score: u64) -> bool {
+        self.insertion_rank(peer, score) < self.capacity
+    }
+
+    /// Where an entry for `peer` at `score` belongs among the entries, in
+    /// (score descending, peer ascending) order.
+    fn insertion_rank(&self, peer: P, score: u64) -> usize {
+        self.entries
+            .partition_point(|e| e.score > score || (e.score == score && e.peer < peer))
+    }
+
     /// Inserts or updates a peer.
     ///
     /// * If the peer is already present its score and metadata are replaced
@@ -145,10 +159,7 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
             }
             None => (None, 0),
         };
-        // Where the entry belongs in (score descending, peer ascending).
-        let rank = self
-            .entries
-            .partition_point(|e| e.score > score || (e.score == score && e.peer < peer));
+        let rank = self.insertion_rank(peer, score);
         if rank >= self.capacity {
             return None;
         }
@@ -414,8 +425,13 @@ mod tests {
             // all common.
             let (peer, score) = (rng.gen_range(0..12u32), rng.gen_range(0..6u64));
             model(&mut expected, 5, peer, score);
+            let absent = !v.contains(&peer);
+            let room = v.would_admit(peer, score);
             let kept = v.upsert(peer, score, score);
             assert_eq!(kept, expected.iter().any(|e| e.peer == peer), "step {step}");
+            if absent {
+                assert_eq!(room, kept, "would_admit at step {step}");
+            }
             if step % 7 == 0 {
                 v.tick();
                 expected.iter_mut().for_each(|e| e.staleness += 1);
