@@ -158,13 +158,10 @@ pub(crate) struct OfferSelection {
 }
 
 impl OfferSelection {
-    /// Draws the selection from `node`'s stored copies. Copies are held only
-    /// in the top `c` ranks, so only those are walked.
+    /// Draws the selection from `node`'s stored copies.
     pub(crate) fn draw(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Self {
         let mut ranks: Vec<usize> = node
-            .personal_network
-            .iter()
-            .take(node.storage_budget())
+            .storage_ranks()
             .enumerate()
             .filter(|(_, entry)| entry.meta.profile.is_some())
             .map(|(rank, _)| rank)

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use p3q_bloom::{BloomFilter, ProbeSet, SharedFilter};
-use p3q_gossip::{AgedView, ScoredView};
+use p3q_gossip::{AgedView, ScoredEntry, ScoredView};
 use p3q_sim::{Fingerprint, Fnv};
 use p3q_trace::{ItemId, Profile, SharedProfile, TaggingAction, UserId};
 
@@ -510,10 +510,18 @@ impl P3qNode {
             .for_each(NeighbourInfo::drop_profile);
     }
 
+    /// The entries that may hold a stored copy: the top `c` ranks, where
+    /// `admit` keeps every copy.
+    pub(crate) fn storage_ranks(
+        &self,
+    ) -> impl Iterator<Item = &ScoredEntry<UserId, NeighbourInfo>> {
+        self.personal_network.iter().take(self.storage_budget())
+    }
+
     /// Iterates over `(peer, cached profile, cached version)` for every
     /// stored neighbour profile.
     pub fn stored_profiles(&self) -> impl Iterator<Item = (UserId, &Profile, u64)> {
-        self.personal_network.iter().filter_map(|e| {
+        self.storage_ranks().filter_map(|e| {
             e.meta
                 .profile
                 .as_deref()
@@ -532,7 +540,7 @@ impl P3qNode {
     pub(crate) fn shared_fresh_stored_profiles(
         &self,
     ) -> impl Iterator<Item = (UserId, &SharedProfile, u64)> {
-        self.personal_network.iter().filter_map(|e| {
+        self.storage_ranks().filter_map(|e| {
             if !e.meta.has_fresh_profile() {
                 return None;
             }
@@ -611,7 +619,7 @@ impl P3qNode {
             + digest
             + probes
             + self.personal_network.len()
-                * std::mem::size_of::<p3q_gossip::ScoredEntry<UserId, NeighbourInfo>>()
+                * std::mem::size_of::<ScoredEntry<UserId, NeighbourInfo>>()
             + self.random_view.len()
                 * std::mem::size_of::<p3q_gossip::AgedEntry<UserId, DigestInfo>>()
             + self.querier_states.storage_bytes()
