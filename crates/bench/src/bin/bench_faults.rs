@@ -52,7 +52,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut flags = Flags::from_env();
     let args = Args {
-        users: flags.value("--users", 1_000)?,
+        users: flags.users(1_000)?,
         seed: flags.value("--seed", 42)?,
         queries: flags.value("--queries", 150)?,
         rates_percent: flags.list("--rates", &[0.0, 1.0, 5.0, 20.0])?,

@@ -86,7 +86,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut flags = Flags::from_env();
     let args = Args {
-        users: flags.list("--users", &[1_000, 5_000, 20_000])?,
+        users: flags.users_list(&[1_000, 5_000, 20_000])?,
         cycles: flags.value("--cycles", 3)?,
         delta_batches: flags.value("--delta-batches", 3)?,
         seed: flags.value("--seed", 42)?,

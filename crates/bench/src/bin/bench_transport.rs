@@ -56,7 +56,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut flags = Flags::from_env();
     let args = Args {
-        users: flags.value("--users", 1_000)?,
+        users: flags.users(1_000)?,
         seed: flags.value("--seed", 42)?,
         queries: flags.value("--queries", 100)?,
         warmup: flags.value("--warmup", 3)?,

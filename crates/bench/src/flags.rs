@@ -63,6 +63,20 @@ impl Flags {
         }
     }
 
+    /// `--users N`, or `default`: a population, so at least 1.
+    pub fn users(&mut self, default: usize) -> Result<usize, String> {
+        population(self.value("--users", default)?)
+    }
+
+    /// `--users A,B,C`, or `default`: populations, each at least 1.
+    pub fn users_list(&mut self, default: &[usize]) -> Result<Vec<usize>, String> {
+        let users = self.list("--users", default)?;
+        for &n in &users {
+            population(n)?;
+        }
+        Ok(users)
+    }
+
     /// Whether the bare switch `name` was given.
     pub fn switch(&mut self, name: &str) -> bool {
         let before = self.args.len();
@@ -93,6 +107,15 @@ impl Flags {
 fn read<T: FromStr>(name: &str, text: &str) -> Result<T, String> {
     text.parse()
         .map_err(|_| format!("cannot read `{text}` as the value of {name}"))
+}
+
+/// A population size read from `--users`: a simulation of nobody has no
+/// node to build, so 0 is rejected here rather than panicking later.
+fn population(users: usize) -> Result<usize, String> {
+    if users == 0 {
+        return Err("--users must be at least 1".into());
+    }
+    Ok(users)
 }
 
 /// Prints `error: …` and the binary's usage block, then exits with status 2.
@@ -154,5 +177,19 @@ mod tests {
             .is_err());
         let typo = flags(&["--scenario", "nope"]).scenario().unwrap_err();
         assert!(typo.contains("paper-delicious"), "{typo}");
+    }
+
+    #[test]
+    fn an_empty_population_is_an_error() {
+        let error = Err("--users must be at least 1".to_string());
+        assert_eq!(flags(&["--users", "0"]).users(5), error);
+        assert!(flags(&["--users", "10,0"]).users_list(&[5]).is_err());
+        assert!(flags(&["--users", "0"]).users_list(&[5]).is_err());
+        assert_eq!(
+            flags(&["--users", "10,20"]).users_list(&[5]),
+            Ok(vec![10, 20])
+        );
+        assert_eq!(flags(&[]).users(5), Ok(5));
+        assert_eq!(flags(&[]).users_list(&[5, 6]), Ok(vec![5, 6]));
     }
 }

@@ -126,7 +126,7 @@ impl HarnessArgs {
     fn read(mut flags: Flags, default_cycles: u64) -> Result<Self, String> {
         let defaults = Self::default();
         let parsed = Self {
-            users: flags.value("--users", defaults.users)?,
+            users: flags.users(defaults.users)?,
             seed: flags.value("--seed", defaults.seed)?,
             cycles: flags.value("--cycles", default_cycles)?,
             queries: flags.value("--queries", defaults.queries)?,
@@ -134,9 +134,6 @@ impl HarnessArgs {
             scenario: flags.scenario()?,
         };
         flags.finish()?;
-        if parsed.users == 0 {
-            return Err("--users must be at least 1".into());
-        }
         Ok(parsed)
     }
 
