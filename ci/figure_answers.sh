@@ -12,8 +12,9 @@
 # --paper-scale runs instead the figures pinned at the paper's
 # configuration (`--paper-scale --users 10000 --seed 42`): `fig5_space`
 # (s = 1 000 and seven storage budgets up to c = 1 000, each installed by
-# `init_ideal_networks`), `table1_storage_distribution` and
-# `table2_profile_changes`, against ci/figure_answers_paper.txt.
+# `init_ideal_networks`), `table1_storage_distribution`,
+# `table2_profile_changes` and `summary_bandwidth` (20 lazy cycles and the
+# eager phase, 20 Kbit digests), against ci/figure_answers_paper.txt.
 #
 #   ci/figure_answers.sh [--paper-scale]            compare; on a mismatch
 #                                                   print the figure, the
@@ -46,7 +47,8 @@ done
 runs=()
 if [ "$scale" = paper ]; then
     answers=ci/figure_answers_paper.txt
-    for figure in fig5_space table1_storage_distribution table2_profile_changes; do
+    for figure in fig5_space table1_storage_distribution table2_profile_changes \
+        summary_bandwidth; do
         runs+=("$figure 42 --paper-scale --users 10000")
     done
 else
