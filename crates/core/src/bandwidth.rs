@@ -11,7 +11,12 @@
 //!   score → 20 bytes;
 //! * a remaining-list entry is a 4-byte user identifier;
 //! * a profile digest is the configured Bloom filter (20 Kbit = 2,560 bytes
-//!   at paper scale).
+//!   at paper scale);
+//! * a gossip offer opens with a 12-byte header: the user's 4-byte
+//!   identifier and two 4-byte versions (digest and profile copy, the `u32`
+//!   widths the views store). Its digest travels only when the versions
+//!   leave the receiver's drop test open (see `crate::lazy`). The paper
+//!   has no header and ships every offer's digest.
 
 /// Bytes of a user identifier on the wire.
 pub(crate) const USER_ID_BYTES: usize = 4;
@@ -23,6 +28,11 @@ pub(crate) const TAG_BYTES: usize = 16;
 pub const TAGGING_ACTION_BYTES: usize = ITEM_ID_BYTES + TAG_BYTES + USER_ID_BYTES;
 /// Bytes of one partial-result entry (item + integer score).
 pub(crate) const RESULT_ENTRY_BYTES: usize = ITEM_ID_BYTES + 4;
+/// Bytes of a profile version on the wire.
+const VERSION_BYTES: usize = 4;
+/// Bytes of one gossip offer's header (user + digest version + profile
+/// version).
+pub const OFFER_HEADER_BYTES: usize = USER_ID_BYTES + 2 * VERSION_BYTES;
 
 /// Traffic categories used by the bandwidth recorder. Keeping them in one
 /// place makes the per-figure breakdowns (Figure 6, Section 3.3.2)
@@ -30,8 +40,12 @@ pub(crate) const RESULT_ENTRY_BYTES: usize = ITEM_ID_BYTES + 4;
 pub mod category {
     /// Profile digests exchanged by the peer-sampling (bottom) layer.
     pub const RPS_DIGESTS: &str = "rps_digests";
-    /// Profile digests exchanged by the similarity (top) layer.
+    /// Profile digests exchanged by the similarity (top) layer: only those
+    /// the offer headers did not settle.
     pub const LAZY_DIGESTS: &str = "lazy_digests";
+    /// Offer headers of profile gossip, lazy and piggybacked on eager
+    /// gossip alike: [`super::OFFER_HEADER_BYTES`] per offer.
+    pub const OFFER_HEADERS: &str = "offer_headers";
     /// Common items and their tags exchanged to compute similarity scores
     /// (step 2 of Algorithm 1).
     pub(crate) const LAZY_COMMON: &str = "lazy_common_items";
@@ -123,6 +137,7 @@ mod tests {
         assert_eq!(TAG_BYTES, 16);
         assert_eq!(TAGGING_ACTION_BYTES, 36);
         assert_eq!(RESULT_ENTRY_BYTES, 20);
+        assert_eq!(OFFER_HEADER_BYTES, 12);
         assert_eq!(digest_bytes(20 * 1024), 2560);
     }
 

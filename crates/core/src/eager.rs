@@ -433,6 +433,7 @@ impl GossipProtocol for EagerProtocol {
         // of Algorithm 3).
         let (a_stats, b_stats) = exchange_profiles(initiator, dest, cfg, rng);
         for (node_idx, stats) in [(plan.initiator, a_stats), (dest_idx, b_stats)] {
+            outcome.charge(node_idx, category::OFFER_HEADERS, stats.header_bytes);
             outcome.charge(node_idx, category::EAGER_MAINTENANCE, stats.digest_bytes);
             if stats.common_bytes > 0 {
                 outcome.charge(node_idx, category::EAGER_MAINTENANCE, stats.common_bytes);

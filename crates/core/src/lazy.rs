@@ -34,7 +34,7 @@ use p3q_gossip::{peer_sampling, ScoredEntry};
 use p3q_sim::{stream_seed, CommitOutcome, CycleContext, ExchangePlan, GossipProtocol, Simulator};
 use p3q_trace::{SharedProfile, UserId};
 
-use crate::bandwidth::{category, digest_bytes, tagging_actions_bytes};
+use crate::bandwidth::{category, digest_bytes, tagging_actions_bytes, OFFER_HEADER_BYTES};
 use crate::config::P3qConfig;
 use crate::node::{Admission, DigestInfo, NeighbourInfo, P3qNode};
 
@@ -130,7 +130,11 @@ impl From<Offer<'_>> for ProfileOffer {
 /// Byte counts of one side of a gossip exchange, split by protocol step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExchangeStats {
-    /// Bytes of profile digests received (step 1).
+    /// Bytes of offer headers received (step 1): one
+    /// [`OFFER_HEADER_BYTES`] per offer about someone else.
+    pub header_bytes: usize,
+    /// Bytes of profile digests received (step 1): only those the headers
+    /// did not settle.
     pub digest_bytes: usize,
     /// Bytes of tagging actions on common items received (step 2).
     pub common_bytes: usize,
@@ -145,7 +149,7 @@ pub struct ExchangeStats {
 impl ExchangeStats {
     /// Total bytes across the three steps.
     pub fn total_bytes(&self) -> usize {
-        self.digest_bytes + self.common_bytes + self.profile_bytes
+        self.header_bytes + self.digest_bytes + self.common_bytes + self.profile_bytes
     }
 }
 
@@ -205,21 +209,35 @@ pub(crate) fn process_offers<'a>(
         if offer.user == node.id {
             continue;
         }
-        // Step 1: the digest always travels.
-        stats.digest_bytes += digest_bytes(cfg.digest_bits);
+        // Step 1, versions first: the header (user, digest version, profile
+        // version) always travels, the digest only when the versions leave
+        // the drop test below open: the peer is unknown, or its recorded
+        // digest is at another version. A digest is a function of its
+        // profile version, so an equal version means equal digest bytes;
+        // a stale copy upgraded at that version stores equal bytes too.
+        stats.header_bytes += OFFER_HEADER_BYTES;
+        let known = node.personal_network.get(&offer.user);
+        let same_version =
+            known.is_some_and(|e| u64::from(e.meta.digest_version) == offer.digest_version);
+        if !same_version {
+            stats.digest_bytes += digest_bytes(cfg.digest_bits);
+        }
 
-        // Lines 4–9: known neighbour with an unchanged digest → drop.
-        // Shared handles make the common case a pointer comparison. The
-        // digest bytes alone are not enough, though: a profile change whose
-        // actions collide with already-set Bloom bits leaves the digest
-        // bytes identical, and a stale stored copy is refreshed by a newer
+        // Lines 4–9: known neighbour with an unchanged digest → drop. The
+        // digest bytes alone are not enough: a profile change whose actions
+        // collide with already-set Bloom bits leaves the digest bytes
+        // identical, and a stale stored copy is refreshed by a newer
         // *payload* under the same digest. So an offer also passes when it
         // advances the recorded digest version, or carries a newer profile
         // payload than a copy we store.
-        let known = node.personal_network.get(&offer.user);
         if let Some(entry) = known {
-            let same_digest =
-                Arc::ptr_eq(&entry.meta.digest, offer.digest) || entry.meta.digest == *offer.digest;
+            debug_assert!(
+                !same_version || entry.meta.digest == *offer.digest,
+                "one digest per (user, version)"
+            );
+            let same_digest = same_version
+                || Arc::ptr_eq(&entry.meta.digest, offer.digest)
+                || entry.meta.digest == *offer.digest;
             let advances_digest = offer.digest_version > u64::from(entry.meta.digest_version);
             let upgrades_copy = entry.meta.profile.is_some()
                 && offer.version > u64::from(entry.meta.profile_version);
@@ -457,6 +475,7 @@ impl GossipProtocol for LazyProtocol {
                 initiator.personal_network.reset_staleness(&b.id);
                 let (a_stats, b_stats) = exchange_profiles(initiator, b, cfg, rng);
                 for (node_idx, stats) in [(plan.initiator, a_stats), (dest_idx, b_stats)] {
+                    outcome.charge(node_idx, category::OFFER_HEADERS, stats.header_bytes);
                     outcome.charge(node_idx, category::LAZY_DIGESTS, stats.digest_bytes);
                     if stats.common_bytes > 0 {
                         outcome.charge(node_idx, category::LAZY_COMMON, stats.common_bytes);
@@ -660,8 +679,11 @@ mod tests {
             if offer.user == node.id {
                 continue;
             }
-            stats.digest_bytes += digest_bytes(cfg.digest_bits);
+            stats.header_bytes += OFFER_HEADER_BYTES;
             let known = node.personal_network.get(&offer.user);
+            if known.is_none_or(|e| u64::from(e.meta.digest_version) != offer.digest_version) {
+                stats.digest_bytes += digest_bytes(cfg.digest_bits);
+            }
             if let Some(entry) = known {
                 let same_digest = entry.meta.digest == offer.digest;
                 let advances_digest = offer.digest_version > u64::from(entry.meta.digest_version);
@@ -854,6 +876,69 @@ mod tests {
         let second = receive(sim.node_mut(0), &[offer], &cfg);
         assert_eq!(second.candidates_scored, 0);
         assert_eq!(second.common_bytes, 0);
+    }
+
+    #[test]
+    fn each_offer_class_is_charged_its_own_bytes() {
+        use p3q_trace::{ItemId, Profile, TagId, TaggingAction};
+        let cfg = P3qConfig::tiny();
+        let tagged = |items: &[u32]| {
+            Profile::from_actions(
+                items
+                    .iter()
+                    .map(|&i| TaggingAction::new(ItemId(i), TagId(1))),
+            )
+        };
+        let node = |id: u32, items: &[u32]| {
+            P3qNode::new(
+                UserId(id),
+                tagged(items),
+                10,
+                5,
+                3,
+                cfg.digest_bits,
+                cfg.digest_hashes,
+            )
+        };
+        // (header, digest, step-2) bytes of one offer received by `me`.
+        let charged = |me: &mut P3qNode, offer: ProfileOffer| {
+            let stats = receive(me, &[offer], &cfg);
+            (stats.header_bytes, stats.digest_bytes, stats.common_bytes)
+        };
+        let (header, digest) = (OFFER_HEADER_BYTES, digest_bytes(cfg.digest_bits));
+        let mut me = node(0, &[1, 2, 3]);
+        let mut friend = node(1, &[1, 2]);
+
+        // About the receiver: nothing.
+        let own = me.own_offer();
+        assert_eq!(charged(&mut me, own), (0, 0, 0));
+        // Unknown: header and digest, then step 2 on the two common items.
+        let v1 = friend.own_offer();
+        assert_eq!(
+            charged(&mut me, v1.clone()),
+            (header, digest, tagging_actions_bytes(2))
+        );
+        // Known at the same digest version: the header settles the drop.
+        assert_eq!(charged(&mut me, v1), (header, 0, 0));
+        // Known at another version: the digest travels.
+        friend.add_tagging_actions([TaggingAction::new(ItemId(3), TagId(1))]);
+        assert_eq!(
+            charged(&mut me, friend.own_offer()),
+            (header, digest, tagging_actions_bytes(3))
+        );
+        // A digest false positive: a stranger whose digest hits my items
+        // but who shares none pays header and digest, and no step-2 bytes.
+        let stranger = ProfileOffer {
+            user: UserId(2),
+            digest: me.shared_digest().clone(),
+            digest_version: 1,
+            version: 1,
+            profile: Arc::new(tagged(&[7, 8])),
+        };
+        let stats = receive(&mut me, &[stranger], &cfg);
+        assert_eq!((stats.header_bytes, stats.digest_bytes), (header, digest));
+        assert_eq!((stats.candidates_scored, stats.common_bytes), (1, 0));
+        assert!(!me.personal_network.contains(&UserId(2)));
     }
 
     #[test]

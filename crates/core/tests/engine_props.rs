@@ -466,3 +466,65 @@ proptest! {
         }
     }
 }
+
+/// Folds every digest the population holds into `seen`, keyed by `(user,
+/// digest version)`: each node's own, and every personal-network and
+/// random-view entry, relayed copies included. Returns the first key whose
+/// bytes differ from the bytes first seen under it.
+fn first_digest_mismatch(
+    sim: &Simulator<P3qNode>,
+    seen: &mut std::collections::HashMap<(UserId, u64), p3q_bloom::SharedFilter>,
+) -> Option<(UserId, u64)> {
+    for node in sim.nodes() {
+        let own = std::iter::once((node.id, node.profile_version(), node.shared_digest()));
+        let network = node
+            .personal_network
+            .iter()
+            .map(|e| (e.peer, u64::from(e.meta.digest_version), &e.meta.digest));
+        let view = node
+            .random_view
+            .iter()
+            .map(|e| (e.peer, e.meta.version, &e.meta.digest));
+        for (user, version, digest) in own.chain(network).chain(view) {
+            let first = seen
+                .entry((user, version))
+                .or_insert_with(|| digest.clone());
+            if first != digest {
+                return Some((user, version));
+            }
+        }
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// What versions-first gossip rests on: a digest is a function of its
+    /// owner's profile version, so every holder of a user's digest at one
+    /// version (the user, a personal network, a random view, through any
+    /// relay) holds the same bytes, across a lazy run with a paper day of
+    /// profile dynamics.
+    #[test]
+    fn one_digest_per_user_and_version_under_dynamics(seed in 0u64..1000) {
+        let w = world(seed);
+        let batch = DynamicsGenerator::new(DynamicsConfig::paper_day(seed ^ 0xDA7))
+            .generate(&w.trace);
+        let mut sim = lazy_sim(&w, seed);
+        let mut seen = std::collections::HashMap::new();
+        for cycle in 0..10 {
+            if cycle == 3 {
+                apply_profile_changes(&mut sim, &batch);
+            }
+            sim.drive(&w.cfg.lazy(), RunOptions::cycles(1), |_, _| {});
+            prop_assert_eq!(
+                first_digest_mismatch(&sim, &mut seen), None,
+                "seed {}, after cycle {}", seed, cycle
+            );
+        }
+        prop_assert!(
+            seen.keys().any(|&(_, version)| version > 1),
+            "the dynamics must have made a second version"
+        );
+    }
+}
