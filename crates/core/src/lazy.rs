@@ -517,26 +517,14 @@ fn probe_candidate(
     outcome: &mut CommitOutcome<()>,
 ) {
     let common = me.profile().common_actions(&candidate.profile);
-    let mut common_bytes = tagging_actions_bytes(common);
-    let mut profile_bytes = 0usize;
-    let admission = if common == 0 {
-        Admission::Rejected
-    } else {
-        me.admit(candidate, common as u64)
-    };
-    match admission {
-        Admission::Stored => {
-            profile_bytes = tagging_actions_bytes(candidate.profile.len().saturating_sub(common));
-        }
-        Admission::Kept => {}
-        // No common item (the digest matched falsely) or no room among
-        // better neighbours: the step-2 exchange still happened, and is
-        // charged at least one action.
-        Admission::Rejected => common_bytes = common_bytes.max(tagging_actions_bytes(1)),
-    }
-    outcome.charge(my_idx, category::LAZY_COMMON, common_bytes);
-    if profile_bytes > 0 {
-        outcome.charge(my_idx, category::LAZY_PROFILES, profile_bytes);
+    let stored = common > 0 && me.admit(candidate, common as u64) == Admission::Stored;
+    // The step-2 exchange happened whatever its outcome. Like an offer's, it
+    // bills the tagging actions on common items: none for a digest false
+    // positive.
+    outcome.charge(my_idx, category::LAZY_COMMON, tagging_actions_bytes(common));
+    let rest = candidate.profile.len().saturating_sub(common);
+    if stored && rest > 0 {
+        outcome.charge(my_idx, category::LAZY_PROFILES, tagging_actions_bytes(rest));
     }
 }
 
@@ -1015,6 +1003,25 @@ mod tests {
             })
             .expect("a false positive is a probe candidate");
         assert_eq!(probed, expected);
+
+        // Committed, each probe bills its step-2 exchange as an offer does:
+        // the actions on common items, none for a false positive.
+        let probe = plans
+            .iter()
+            .find(|plan| matches!(plan.payload, LazyStep::Probe(_)))
+            .expect("planned above");
+        let mut rng = StdRng::seed_from_u64(3);
+        let outcome = cfg
+            .lazy()
+            .commit(0, probe, sim.node_mut(0), None, &mut rng, &mut ());
+        let step2: Vec<usize> = outcome
+            .charges
+            .iter()
+            .filter(|charge| charge.category == category::LAZY_COMMON)
+            .map(|charge| charge.bytes)
+            .collect();
+        assert_eq!(step2, vec![0; expected.len()]);
+        assert!(sim.node(0).personal_network.is_empty());
 
         // So does an offer batch: every digest travels, the false positives
         // pay for a step-2 exchange that finds nothing, nobody is recorded.
