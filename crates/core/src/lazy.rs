@@ -13,6 +13,17 @@
 //!   top-`c` neighbours), and probes the random-view members whose digest
 //!   reveals a shared item.
 //!
+//! Step 1 runs **versions first**, the pull side of anti-entropy (Demers
+//! et al., PODC 1987): an offer opens with a 12-byte header (user, digest
+//! version, profile version), and its digest travels only when the header
+//! does not settle the drop test: the peer is unknown, or its recorded
+//! digest is at another version. A digest is a function of its owner's
+//! profile version, so equal versions mean equal digest bytes, and every
+//! admission decides exactly as if each digest had travelled (the paper's
+//! accounting, which `summary_bandwidth` prints beside this one). The
+//! receiver reads the offers in place from the proposer's personal
+//! network and clones a digest or a profile only where it stores one.
+//!
 //! [`LazyProtocol`] splits each of those into the engine's phases: partner
 //! choices and probe reads happen in the read-only **plan** phase against
 //! the cycle-start snapshot; view mutations, offer exchanges and profile
@@ -41,7 +52,7 @@ use crate::node::{Admission, DigestInfo, NeighbourInfo, P3qNode};
 /// One profile proposed during a gossip exchange, owned: the owner, her
 /// digest and the proposer's stored copy of her profile. What a probe plan
 /// snapshots of a random-view member, and what tests build offers from;
-/// gossip reads its offers in place as [`Offer`]s instead.
+/// gossip reads its offers in place as `Offer`s instead.
 ///
 /// The digest and the profile copy are versioned *separately*: a proposer
 /// may know a newer digest (refreshed every exchange) than the profile copy
@@ -156,14 +167,13 @@ impl ExchangeStats {
 /// The offers a node proposes in one gossip exchange, by position: the
 /// ranks of a random subset of at most `limit` of its stored copies, in the
 /// order drawn, then its own profile.
-#[derive(Debug)]
-pub(crate) struct OfferSelection {
+struct OfferSelection {
     ranks: Vec<usize>,
 }
 
 impl OfferSelection {
     /// Draws the selection from `node`'s stored copies.
-    pub(crate) fn draw(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Self {
+    fn draw(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Self {
         let mut ranks: Vec<usize> = node
             .storage_ranks()
             .enumerate()
@@ -177,7 +187,7 @@ impl OfferSelection {
 
     /// The selected offers, read in place from `node`, which must be the
     /// node they were drawn from and unchanged since.
-    pub(crate) fn offers<'a>(&'a self, node: &'a P3qNode) -> impl Iterator<Item = Offer<'a>> {
+    fn offers<'a>(&'a self, node: &'a P3qNode) -> impl Iterator<Item = Offer<'a>> {
         self.ranks
             .iter()
             .map(|&rank| {
