@@ -1107,7 +1107,7 @@ fn summary_bandwidth(args: &HarnessArgs) {
     );
 
     println!(
-        "lazy gossip sent {lazy_offers} offers (12-byte headers) and {} of their digests; \
+        "lazy gossip sent {lazy_offers} offers ({OFFER_HEADER_BYTES}-byte headers) and {} of their digests; \
          {} digests were not needed.",
         lazy_digests,
         lazy_offers - lazy_digests
