@@ -22,8 +22,8 @@
 //! flagged line or the comment block immediately above it:
 //!
 //! ```text
-//! // p3q-allow: hash-iter — contexts are sorted by query_id below
-//! for (&query_id, state) in &node.querier_states {
+//! // p3q-allow: hash-iter — the keys are sorted below
+//! let mut peers: Vec<UserId> = counts.keys().copied().collect();
 //! ```
 //!
 //! The annotation must name a known rule and give a non-empty reason;

@@ -20,7 +20,7 @@ use crate::{Finding, Manifest, Workspace};
 pub const RULES: &[(&str, &str)] = &[
     (
         "hash-iter",
-        "no HashMap/HashSet/LazyMap iteration in plan/commit-path modules unless sorted or \
+        "no HashMap/HashSet iteration in plan/commit-path modules unless sorted or \
          order-insensitive and annotated",
     ),
     (
@@ -100,8 +100,7 @@ pub const LIBRARY_CRATES: &[&str] = &[
 ];
 
 /// Hash-ordered container types whose iteration order is unspecified.
-/// `LazyMap` is this workspace's `Option<Box<HashMap>>` wrapper (PR 5).
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "LazyMap"];
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
 
 /// Methods that surface a hash container's unspecified order (or, for
 /// `retain`, run side effects in it).

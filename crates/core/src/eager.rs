@@ -37,6 +37,7 @@
 //! configuration is unsound for an eager-only run.
 
 use std::collections::HashSet;
+use std::mem;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -52,7 +53,7 @@ use crate::bandwidth::{category, partial_result_bytes, remaining_list_bytes};
 use crate::config::P3qConfig;
 use crate::lazy::exchange_profiles;
 use crate::node::P3qNode;
-use crate::query::{QuerierState, QueryId, RemainingTask};
+use crate::query::{insert_sorted, QuerierState, QueryId, RemainingTask};
 use crate::scoring::{partial_result_list_buffered, ScoreBuffer};
 
 /// Issues a query at the given node (Algorithm 2, lines 3–7).
@@ -72,7 +73,7 @@ pub fn issue_query(
     let cycle = sim.cycle();
     let node = sim.node_mut(querier_idx);
     let target_profiles = node.network_peers();
-    let mut state = QuerierState::new(query.clone(), target_profiles, cycle);
+    let mut state = QuerierState::new(query, target_profiles, cycle);
     if cfg.query_ttl_cycles > 0 {
         state.deadline_cycle = cycle + cfg.query_ttl_cycles;
     }
@@ -88,8 +89,11 @@ pub fn issue_query(
         .collect();
     let used: Vec<UserId> = stored.iter().map(|(peer, _)| *peer).collect();
     let mut scratch = ScoreBuffer::default();
-    let list =
-        partial_result_list_buffered(stored.iter().map(|(_, p)| p.as_ref()), &query, &mut scratch);
+    let list = partial_result_list_buffered(
+        stored.iter().map(|(_, p)| p.as_ref()),
+        &state.query,
+        &mut scratch,
+    );
     state.absorb_partial_result(list, &used);
 
     // Remaining list: personal-network members without a fresh stored
@@ -102,18 +106,14 @@ pub fn issue_query(
 }
 
 /// One planned eager exchange: which query context the initiator gossips
-/// for, and how the destination was selected. The remaining list itself is
-/// *not* snapshotted — the commit re-reads the context's current list so
-/// that shares delegated by earlier batches of the same cycle are never
-/// lost.
+/// for, and how the destination was selected. The context itself (querier,
+/// query, remaining list) is *not* snapshotted — the commit reads it from
+/// the initiator's books, so shares delegated by earlier batches of the
+/// same cycle are never lost.
 #[derive(Debug, Clone)]
 pub struct EagerTask {
     /// The query being gossiped.
     pub query_id: QueryId,
-    /// The user who issued it (partial results are delivered to her).
-    pub querier: UserId,
-    /// The query itself.
-    pub query: Query,
     /// `true` if the initiator gossips its own querier-side state,
     /// `false` for a delegated task.
     pub is_querier: bool,
@@ -145,51 +145,57 @@ struct DestinationOutcome {
     initiator_share: Vec<UserId>,
 }
 
-/// Snapshot of a node's active gossip contexts (non-empty remaining lists),
-/// used by the plan phase.
-struct GossipContext {
+/// One of a node's active gossip contexts (a non-empty remaining list),
+/// borrowed from its books by the plan phase.
+struct GossipContext<'a> {
     query_id: QueryId,
-    querier: UserId,
-    query: Query,
-    remaining: Vec<UserId>,
+    remaining: &'a [UserId],
     is_querier: bool,
 }
 
-fn collect_contexts(node: &P3qNode, cycle: u64) -> Vec<GossipContext> {
-    let mut contexts = Vec::new();
-    // p3q-allow: hash-iter — order-insensitive collection; contexts are
-    // sorted by query_id before being returned.
-    for (&query_id, state) in &node.querier_states {
-        // An expired query (deadline passed, still incomplete) is no
-        // longer gossiped; its state stays around for the loss metrics.
-        if state.is_expired(cycle) {
-            continue;
-        }
-        if !state.remaining.is_empty() {
-            contexts.push(GossipContext {
-                query_id,
-                querier: node.id,
-                query: state.query.clone(),
-                remaining: state.remaining.clone(),
-                is_querier: true,
-            });
-        }
-    }
-    // p3q-allow: hash-iter — order-insensitive collection; contexts are
-    // sorted by query_id before being returned.
-    for (&query_id, task) in &node.tasks {
-        if !task.is_done() {
-            contexts.push(GossipContext {
-                query_id,
-                querier: task.querier,
-                query: task.query.clone(),
-                remaining: task.remaining.clone(),
-                is_querier: false,
-            });
-        }
-    }
+/// The node's active contexts by query id; on a tie (a helper handed a
+/// share of its own query) the querier's context comes first.
+fn collect_contexts(node: &P3qNode, cycle: u64) -> Vec<GossipContext<'_>> {
+    // An expired query (deadline passed, still incomplete) is no longer
+    // gossiped; its state stays around for the loss metrics.
+    let own = node
+        .querier_states
+        .iter()
+        .filter(|(_, state)| !state.is_expired(cycle) && !state.remaining.is_empty())
+        .map(|(query_id, state)| GossipContext {
+            query_id,
+            remaining: &state.remaining,
+            is_querier: true,
+        });
+    let helped = node
+        .tasks
+        .iter()
+        .filter(|(_, task)| !task.is_done())
+        .map(|(query_id, task)| GossipContext {
+            query_id,
+            remaining: &task.remaining,
+            is_querier: false,
+        });
+    let mut contexts: Vec<GossipContext<'_>> = own.chain(helped).collect();
     contexts.sort_by_key(|c| c.query_id);
     contexts
+}
+
+/// The context `task` gossips for, read from the initiator's books: the
+/// querier, the query and the remaining list. `None` once the entry is gone
+/// (shed by its TTL or lost in a crash).
+fn context_of<'a>(
+    node: &'a mut P3qNode,
+    task: &EagerTask,
+) -> Option<(UserId, &'a Query, &'a mut Vec<UserId>)> {
+    if task.is_querier {
+        let querier = node.id;
+        let state = node.querier_states.get_mut(&task.query_id)?;
+        Some((querier, &state.query, &mut state.remaining))
+    } else {
+        let share = node.tasks.get_mut(&task.query_id)?;
+        Some((share.querier, &share.query, &mut share.remaining))
+    }
 }
 
 /// The eager mode as a plan/commit protocol. Hand it to a runtime's `drive`
@@ -224,13 +230,9 @@ impl GossipProtocol for EagerProtocol {
         if cfg.query_ttl_cycles > 0 {
             // Shed delegated shares whose TTL lapsed: their querier has
             // given up (or died) and the work would never be billed.
-            // p3q-allow: hash-iter — per-entry predicate; which entries
-            // survive does not depend on visit order.
-            node.tasks.retain(|_, task| !task.is_expired(cycle));
+            node.tasks.retain(|task| !task.is_expired(cycle));
         }
         if cfg.retry_backoff_cycles > 0 {
-            // p3q-allow: hash-iter — independent per-entry update; no
-            // cross-entry state, so visit order cannot leak.
             for state in node.querier_states.values_mut() {
                 state.maybe_retry(cycle, cfg.retry_backoff_cycles);
             }
@@ -307,8 +309,6 @@ impl GossipProtocol for EagerProtocol {
                 destination: Some(destination.index()),
                 payload: EagerTask {
                     query_id: ctx.query_id,
-                    querier: ctx.querier,
-                    query: ctx.query,
                     is_querier: ctx.is_querier,
                     via_network,
                 },
@@ -331,41 +331,29 @@ impl GossipProtocol for EagerProtocol {
         let dest = destination.expect("eager plans are pairwise");
         let mut outcome = CommitOutcome::empty();
 
-        // Re-read the context's *current* remaining list: an earlier batch
-        // of this cycle may have delegated more users to this node, and a
+        // Read the context's *current* remaining list: an earlier batch of
+        // this cycle may have delegated more users to this node, and a
         // snapshot would silently drop them. Note the list cannot have
         // *shrunk* since planning — each (node, query) context commits at
         // most once per cycle and mid-cycle updates only append — so a plan
         // always commits a real exchange and the early return below is pure
         // defence (it keeps `CycleReport::pair_exchanges` an exact count of
         // performed exchanges).
-        let remaining: Vec<UserId> = if task.is_querier {
-            initiator
-                .querier_states
-                .get(&task.query_id)
-                .map(|s| s.remaining.clone())
-                .unwrap_or_default()
-        } else {
-            initiator
-                .tasks
-                .get(&task.query_id)
-                .map(|t| t.remaining.clone())
-                .unwrap_or_default()
+        let Some((querier, query, remaining)) = context_of(initiator, task) else {
+            return outcome;
         };
         if remaining.is_empty() {
             return outcome;
         }
-        if task.via_network {
-            initiator.personal_network.reset_staleness(&dest.id);
-        }
+        let forwarded_list = mem::take(remaining);
 
         // Destination-side processing (Algorithm 3, destination).
-        let processed = destination_process(dest, &task.query, &remaining, cfg, rng, scratch);
+        let processed = destination_process(dest, query, &forwarded_list, cfg, rng, scratch);
 
         // Traffic: forwarded remaining list (initiator pays), returned
         // remaining list (destination pays), partial results to the querier
         // (destination pays).
-        let forwarded = remaining_list_bytes(remaining.len());
+        let forwarded = remaining_list_bytes(forwarded_list.len());
         outcome.charge(plan.initiator, category::EAGER_FORWARDED, forwarded);
         let returned = remaining_list_bytes(processed.initiator_share.len());
         outcome.charge(dest_idx, category::EAGER_RETURNED, returned);
@@ -378,24 +366,28 @@ impl GossipProtocol for EagerProtocol {
             outcome.charge(dest_idx, category::EAGER_PARTIAL_RESULTS, partial_bytes);
         }
 
-        // Update the destination's task (merge with an existing share if it
-        // already helps this query).
-        if !processed.dest_share.is_empty() || dest.tasks.contains_key(&task.query_id) {
-            let expires_cycle = if cfg.query_ttl_cycles > 0 {
-                cycle + cfg.query_ttl_cycles
-            } else {
-                0
-            };
-            let dest_task = dest
-                .tasks
-                .entry(task.query_id)
-                .or_insert_with(|| RemainingTask {
-                    query_id: task.query_id,
-                    querier: task.querier,
-                    query: task.query.clone(),
-                    remaining: Vec::new(),
-                    expires_cycle,
-                });
+        // Update the destination's task: take the share on, or merge it
+        // into (and renew the lease of) a share of this query it already
+        // helps with.
+        let expires_cycle = if cfg.query_ttl_cycles > 0 {
+            cycle + cfg.query_ttl_cycles
+        } else {
+            0
+        };
+        let dest_task = if processed.dest_share.is_empty() {
+            dest.tasks.get_mut(&task.query_id)
+        } else {
+            Some(
+                dest.tasks
+                    .get_or_insert_with(task.query_id, || RemainingTask {
+                        querier,
+                        query: query.clone(),
+                        remaining: Vec::new(),
+                        expires_cycle,
+                    }),
+            )
+        };
+        if let Some(dest_task) = dest_task {
             // A fresh share of the same query renews the lease: only work
             // nobody has touched for a full TTL is dead.
             dest_task.expires_cycle = dest_task.expires_cycle.max(expires_cycle);
@@ -406,20 +398,17 @@ impl GossipProtocol for EagerProtocol {
             }
         }
 
-        // Update the initiator's context with the returned remaining list.
-        if task.is_querier {
-            if let Some(state) = initiator.querier_states.get_mut(&task.query_id) {
-                state.remaining = processed.initiator_share.clone();
-            }
-        } else if let Some(t) = initiator.tasks.get_mut(&task.query_id) {
-            t.remaining = processed.initiator_share.clone();
+        // The initiator's context keeps the returned remaining list.
+        *remaining = processed.initiator_share;
+        if task.via_network {
+            initiator.personal_network.reset_staleness(&dest.id);
         }
 
         // The delivery to the querier (possibly a third node) is deferred:
         // the engine applies it in plan order after this batch commits.
         outcome.effect(EagerDelivery {
             query_id: task.query_id,
-            querier: task.querier,
+            querier,
             dest: dest.id,
             partial: processed.partial,
             found: processed.found,
@@ -450,7 +439,7 @@ impl GossipProtocol for EagerProtocol {
         let Some(state) = querier_node.querier_states.get_mut(&delivery.query_id) else {
             return;
         };
-        state.reached_users.insert(delivery.dest);
+        insert_sorted(&mut state.reached_users, delivery.dest);
         if !delivery.found.is_empty() {
             state.absorb_partial_result(delivery.partial, &delivery.found);
             state.traffic.partial_results += delivery.partial_bytes;
@@ -466,8 +455,6 @@ impl GossipProtocol for EagerProtocol {
     fn finish_cycle(&self, node: &mut P3qNode, cycle: u64) {
         // End-of-cycle bookkeeping on every node: the queriers update their
         // completion status.
-        // p3q-allow: hash-iter — independent per-entry update; no
-        // cross-entry state, so visit order cannot leak.
         for state in node.querier_states.values_mut() {
             state.mark_complete_if_done(cycle);
         }
@@ -481,8 +468,8 @@ impl GossipProtocol for EagerProtocol {
         self.cfg.retry_backoff_cycles > 0
             && node
                 .querier_states
-                .values()
-                .any(|s| !s.is_complete() && !s.is_expired(cycle))
+                .iter()
+                .any(|(_, s)| !s.is_complete() && !s.is_expired(cycle))
     }
 
     fn effect_target(&self, effect: &EagerDelivery) -> Option<usize> {
@@ -599,11 +586,11 @@ mod tests {
         assert!(state.remaining.is_empty());
 
         let reference = centralized_topk(&fx.dataset, &fx.ideal, &query, fx.cfg.top_k);
-        let mut state = fx
+        let state = fx
             .sim
             .node_mut(querier)
             .querier_states
-            .remove(&QueryId(1))
+            .get_mut(&QueryId(1))
             .unwrap();
         let items: Vec<ItemId> = state
             .current_topk(fx.cfg.top_k)
@@ -636,11 +623,11 @@ mod tests {
         for (i, query) in sample.iter().enumerate() {
             let querier = query.querier.index();
             let reference = centralized_topk(&fx.dataset, &fx.ideal, query, fx.cfg.top_k);
-            let mut state = fx
+            let state = fx
                 .sim
                 .node_mut(querier)
                 .querier_states
-                .remove(&QueryId(i as u64))
+                .get_mut(&QueryId(i as u64))
                 .unwrap();
             assert!(
                 state.is_complete(),
@@ -768,8 +755,8 @@ mod tests {
             for idx in 0..reference.sim.num_nodes() {
                 let (a, b) = (reference.sim.node(idx), parallel.sim.node(idx));
                 assert_eq!(a.personal_network, b.personal_network, "node {idx}");
-                for (qid, state) in &a.querier_states {
-                    let other = &b.querier_states[qid];
+                for (qid, state) in a.querier_states.iter() {
+                    let other = b.querier_states.get(&qid).unwrap();
                     assert_eq!(state.remaining, other.remaining);
                     assert_eq!(state.used_profiles, other.used_profiles);
                     assert_eq!(state.reached_users, other.reached_users);

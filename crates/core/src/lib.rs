@@ -76,8 +76,9 @@
 //!   group-varint delta runs behind its CSR-style API
 //!   ([`similarity::ActionIndex::memory`] reports ~46% of the uncompressed
 //!   layout at the 100k-user scenario), node state is compacted
-//!   ([`node::NeighbourInfo`] `u32` versions, lazily allocated query books
-//!   via [`node::LazyMap`], [`node::P3qNode::storage_bytes`] accounting)
+//!   ([`node::NeighbourInfo`] `u32` versions, query books allocated on
+//!   first insert ([`query::QueryBook`]), [`node::P3qNode::storage_bytes`]
+//!   accounting)
 //!   and the simulator keeps its nodes in one contiguous
 //!   [`p3q_sim::NodeStore`]. The `compression_props` property suite pins
 //!   all of it observationally identical to an uncompressed oracle.

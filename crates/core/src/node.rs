@@ -12,7 +12,6 @@
 //! reference bump, and the wire-cost accounting stays a separate concern of
 //! the bandwidth model.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use p3q_bloom::{BloomFilter, ProbeSet, SharedFilter};
@@ -21,7 +20,7 @@ use p3q_sim::{Fingerprint, Fnv};
 use p3q_trace::{ItemId, Profile, SharedProfile, TaggingAction, UserId};
 
 use crate::lazy::{Offer, ProfileOffer};
-use crate::query::{QuerierState, QueryId, RemainingTask};
+use crate::query::{QuerierState, QueryBook, RemainingTask};
 
 /// Digest metadata carried by random-view entries.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,138 +37,6 @@ pub struct DigestInfo {
 #[inline]
 fn compact_version(version: u64) -> u32 {
     u32::try_from(version).expect("profile versions are bounded by dynamics batches (u32)")
-}
-
-/// A `HashMap` that allocates only on first write.
-///
-/// Query state (`querier_states`, `tasks`) is empty on the overwhelming
-/// majority of nodes at any instant — a plain `HashMap` still costs 48
-/// bytes of struct per map per node. `LazyMap` boxes the map behind an
-/// `Option` (8 bytes when empty) and exposes the `HashMap` subset the
-/// query drivers use, so the call sites read exactly like before.
-#[derive(Debug, Clone, Default)]
-pub struct LazyMap<K, V> {
-    // The Box is deliberate: Option<HashMap> would keep the full 48-byte
-    // map struct inline in every node; the pointer keeps the empty (and
-    // overwhelmingly common) case at 8 bytes.
-    #[allow(clippy::box_collection)]
-    inner: Option<Box<HashMap<K, V>>>,
-}
-
-impl<K: std::hash::Hash + Eq, V> LazyMap<K, V> {
-    /// Creates an empty map (no allocation).
-    pub fn new() -> Self {
-        Self { inner: None }
-    }
-
-    fn force(&mut self) -> &mut HashMap<K, V> {
-        self.inner.get_or_insert_with(Box::default)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |m| m.len())
-    }
-
-    /// Returns `true` if the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Inserts a key/value pair, returning the previous value if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.force().insert(key, value)
-    }
-
-    /// The value for `key`, if present.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.inner.as_ref()?.get(key)
-    }
-
-    /// Mutable value for `key`, if present.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.inner.as_mut()?.get_mut(key)
-    }
-
-    /// Removes `key`, returning its value if it was present.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.inner.as_mut()?.remove(key)
-    }
-
-    /// Returns `true` if `key` is present.
-    pub(crate) fn contains_key(&self, key: &K) -> bool {
-        self.inner.as_ref().is_some_and(|m| m.contains_key(key))
-    }
-
-    /// Iterates over `(key, value)` pairs (arbitrary order, like `HashMap`).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        // p3q-allow: hash-iter — LazyMap deliberately forwards HashMap's
-        // arbitrary order; plan/commit call sites must sort or annotate.
-        self.inner.iter().flat_map(|m| m.iter())
-    }
-
-    /// Iterates over the keys.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.iter().map(|(k, _)| k)
-    }
-
-    /// Iterates over the values.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, v)| v)
-    }
-
-    /// Iterates over the values, mutably.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        // p3q-allow: hash-iter — LazyMap deliberately forwards HashMap's
-        // arbitrary order; plan/commit call sites must sort or annotate.
-        self.inner.iter_mut().flat_map(|m| m.values_mut())
-    }
-
-    /// The entry API of the underlying map (allocates it if needed).
-    pub fn entry(&mut self, key: K) -> std::collections::hash_map::Entry<'_, K, V> {
-        self.force().entry(key)
-    }
-
-    /// Keeps only the entries `pred` approves.
-    pub fn retain(&mut self, pred: impl FnMut(&K, &mut V) -> bool) {
-        if let Some(m) = self.inner.as_mut() {
-            m.retain(pred);
-        }
-    }
-
-    /// Resident bytes: the boxed map's entry array (approximated by the
-    /// entry count) when allocated, nothing otherwise.
-    pub fn storage_bytes(&self) -> usize {
-        match &self.inner {
-            Some(m) => {
-                std::mem::size_of::<HashMap<K, V>>() + m.len() * std::mem::size_of::<(K, V)>()
-            }
-            None => 0,
-        }
-    }
-}
-
-impl<'a, K: std::hash::Hash + Eq, V> IntoIterator for &'a LazyMap<K, V> {
-    type Item = (&'a K, &'a V);
-    type IntoIter = std::iter::FlatMap<
-        std::option::Iter<'a, Box<HashMap<K, V>>>,
-        std::collections::hash_map::Iter<'a, K, V>,
-        fn(&'a Box<HashMap<K, V>>) -> std::collections::hash_map::Iter<'a, K, V>,
-    >;
-
-    fn into_iter(self) -> Self::IntoIter {
-        // p3q-allow: hash-iter — LazyMap deliberately forwards HashMap's
-        // arbitrary order; plan/commit call sites must sort or annotate.
-        self.inner.iter().flat_map(|m| m.iter())
-    }
-}
-
-impl<K: std::hash::Hash + Eq, V> std::ops::Index<&K> for LazyMap<K, V> {
-    type Output = V;
-
-    fn index(&self, key: &K) -> &V {
-        self.get(key).expect("no entry found for key")
-    }
 }
 
 /// Metadata attached to every personal-network neighbour.
@@ -261,9 +128,9 @@ pub struct P3qNode {
     pub random_view: AgedView<UserId, DigestInfo>,
     /// Queries this node issued and is still collecting results for
     /// (allocated on first query — empty on most nodes at any instant).
-    pub querier_states: LazyMap<QueryId, QuerierState>,
+    pub querier_states: QueryBook<QuerierState>,
     /// Remaining-list shares this node took over for other users' queries.
-    pub tasks: LazyMap<QueryId, RemainingTask>,
+    pub tasks: QueryBook<RemainingTask>,
 }
 
 /// A placeholder, not a user: what [`std::mem::take`] leaves in a slot while
@@ -284,8 +151,8 @@ impl Default for P3qNode {
             storage_budget: 1,
             personal_network: ScoredView::new(1),
             random_view: AgedView::new(1),
-            querier_states: LazyMap::new(),
-            tasks: LazyMap::new(),
+            querier_states: QueryBook::default(),
+            tasks: QueryBook::default(),
         }
     }
 }
@@ -324,8 +191,8 @@ impl P3qNode {
             storage_budget: u32::try_from(storage_budget.max(1)).expect("storage budget fits u32"),
             personal_network: ScoredView::new(personal_network_size.max(1)),
             random_view: AgedView::new(random_view_size.max(1)),
-            querier_states: LazyMap::new(),
-            tasks: LazyMap::new(),
+            querier_states: QueryBook::default(),
+            tasks: QueryBook::default(),
         }
     }
 
@@ -435,7 +302,9 @@ impl P3qNode {
     /// * The digest never regresses. An offer relayed through a third party
     ///   may carry an *older* digest than the recorded one, and accepting
     ///   it would whitewash a known-stale cached copy back to fresh; such
-    ///   an offer still refreshes the score.
+    ///   an offer still refreshes the score. An offer at the recorded
+    ///   digest version carries the same digest bytes, so the recorded
+    ///   handle is kept too.
     /// * A cached copy carries over with its own `profile_version`. If the
     ///   recorded digest is newer, the copy is **stale** and stops counting
     ///   as fresh for query scoring ([`NeighbourInfo::has_fresh_profile`])
@@ -463,7 +332,7 @@ impl P3qNode {
             .personal_network
             .upsert_with(offer.user, score, |old, rank| {
                 let mut meta = match old {
-                    Some(old) if old.digest_version > digest_version => old,
+                    Some(old) if old.digest_version >= digest_version => old,
                     Some(old) => NeighbourInfo {
                         digest: offer.digest.clone(),
                         digest_version,
@@ -591,8 +460,8 @@ impl P3qNode {
     pub fn crash_volatile(&mut self) {
         self.personal_network = ScoredView::new(self.personal_network.capacity());
         self.random_view = AgedView::new(self.random_view.capacity());
-        self.querier_states = LazyMap::new();
-        self.tasks = LazyMap::new();
+        self.querier_states = QueryBook::default();
+        self.tasks = QueryBook::default();
         self.digest.take();
         self.probes.take();
     }
@@ -638,12 +507,11 @@ fn fold_profile(profile: &Profile, h: &mut Fnv) {
 
 impl Fingerprint for P3qNode {
     /// Folds the node's complete observable protocol state — own profile
-    /// and version, storage budget, both views (entry order is Vec-backed
-    /// and deterministic), and both query books (hash-backed, iterated
-    /// through sorted key lists). This is the per-node witness behind the
-    /// transport runtime's oracle-equality checks and the byte-identity
-    /// property suites: two nodes with equal fingerprints are treated as
-    /// byte-identical.
+    /// and version, storage budget, both views and both query books, each
+    /// in its stored (deterministic) order. This is the per-node witness
+    /// behind the transport runtime's oracle-equality checks and the
+    /// byte-identity property suites: two nodes with equal fingerprints are
+    /// treated as byte-identical.
     fn fold(&self, h: &mut Fnv) {
         h.write_u64(u64::from(self.id.0));
         h.write_u64(self.profile_version());
@@ -669,26 +537,16 @@ impl Fingerprint for P3qNode {
             h.write_u64(entry.meta.version);
         }
 
-        // p3q-allow: hash-iter — keys are collected and sorted before folding.
-        let mut query_ids: Vec<QueryId> = self.querier_states.keys().copied().collect();
-        query_ids.sort_unstable();
-        h.write_u64(query_ids.len() as u64);
-        for qid in query_ids {
-            let state = &self.querier_states[&qid];
+        h.write_u64(self.querier_states.len() as u64);
+        for (qid, state) in self.querier_states.iter() {
             h.write_u64(qid.0);
             h.write_u64(u64::from(state.query.querier.0));
             h.write_all(state.query.tags.iter().map(|t| u64::from(t.0)));
             h.write_u64(u64::from(state.query.source_item.0));
             h.write_all(state.remaining.iter().map(|u| u64::from(u.0)));
             h.write_all(state.target_profiles.iter().map(|u| u64::from(u.0)));
-            // p3q-allow: hash-iter — collected and sorted before folding.
-            let mut used: Vec<UserId> = state.used_profiles.iter().copied().collect();
-            used.sort_unstable();
-            h.write_all(used.into_iter().map(|u| u64::from(u.0)));
-            // p3q-allow: hash-iter — collected and sorted before folding.
-            let mut sorted_reached: Vec<UserId> = state.reached_users.iter().copied().collect();
-            sorted_reached.sort_unstable();
-            h.write_all(sorted_reached.into_iter().map(|u| u64::from(u.0)));
+            h.write_all(state.used_profiles.iter().map(|u| u64::from(u.0)));
+            h.write_all(state.reached_users.iter().map(|u| u64::from(u.0)));
             h.write_u64(state.started_cycle);
             h.write_u64(state.completed_cycle.map_or(u64::MAX, |c| c));
             h.write_u64(state.deadline_cycle);
@@ -702,12 +560,8 @@ impl Fingerprint for P3qNode {
             h.write_u64(state.traffic.partial_result_messages);
             h.write_u64(state.traffic.users_reached);
         }
-        // p3q-allow: hash-iter — keys are collected and sorted before folding.
-        let mut task_ids: Vec<QueryId> = self.tasks.keys().copied().collect();
-        task_ids.sort_unstable();
-        h.write_u64(task_ids.len() as u64);
-        for qid in task_ids {
-            let task = &self.tasks[&qid];
+        h.write_u64(self.tasks.len() as u64);
+        for (qid, task) in self.tasks.iter() {
             h.write_u64(qid.0);
             h.write_u64(u64::from(task.querier.0));
             h.write_all(task.remaining.iter().map(|u| u64::from(u.0)));
@@ -826,6 +680,24 @@ mod tests {
     }
 
     #[test]
+    fn readmission_at_the_same_digest_version_keeps_the_recorded_handle() {
+        let mut n = node(2);
+        let first = offer(1, profile(&[(5, 5)]), 1);
+        n.admit(&first, 3);
+        // The same digest bytes behind another handle, as a relayed offer
+        // of the same version carries them.
+        let again = ProfileOffer {
+            digest: Arc::new((*first.digest).clone()),
+            ..first.clone()
+        };
+        assert_eq!(again.digest, first.digest);
+        assert_eq!(n.admit(&again, 4), Admission::Kept);
+        let entry = n.personal_network.get(&UserId(1)).unwrap();
+        assert!(Arc::ptr_eq(&entry.meta.digest, &first.digest));
+        assert_eq!(entry.score, 4);
+    }
+
+    #[test]
     fn storage_budget_keeps_only_top_c_profiles() {
         let mut n = node(2);
         for (peer, score) in [(1u32, 10u64), (2, 20), (3, 30)] {
@@ -873,7 +745,8 @@ mod tests {
 
     /// The admission sequence as first written, the oracle of
     /// [`P3qNode::admit`]: record the neighbour (the digest never
-    /// regresses, a cached copy carries over), look its rank up, and store
+    /// regresses and is kept at an equal version, a cached copy carries
+    /// over), look its rank up, and store
     /// the offered profile under the reference storage rule if it ranks
     /// within `c` and improves on the copy.
     fn admit_reference(n: &mut P3qNode, offer: &ProfileOffer, score: u64) -> Admission {
@@ -881,7 +754,7 @@ mod tests {
         let mut digest_version = compact_version(offer.digest_version);
         let (profile, profile_version) = match n.personal_network.get(&offer.user) {
             Some(entry) => {
-                if entry.meta.digest_version > digest_version {
+                if entry.meta.digest_version >= digest_version {
                     digest = entry.meta.digest.clone();
                     digest_version = entry.meta.digest_version;
                 }

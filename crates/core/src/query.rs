@@ -1,8 +1,6 @@
 //! Query-side state: what the querier and every helping user keep while a
 //! query is being processed in eager mode.
 
-use std::collections::HashSet;
-
 use p3q_topk::{IncrementalNra, PartialResultList, RankedItem};
 use p3q_trace::{ItemId, Query, UserId};
 
@@ -12,6 +10,124 @@ use crate::bandwidth::QueryTraffic;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u64);
 
+/// One node's per-query state, kept sorted by query id: the querier's own
+/// queries or the remaining-list shares it took over.
+///
+/// The book is empty on the overwhelming majority of nodes at any instant,
+/// so the entries are boxed on first insert: an empty book is one null
+/// pointer (8 bytes) in the node. Lookups are binary searches, and every
+/// walk visits the entries in ascending id order, so no plan or commit
+/// depends on a hash seed.
+#[derive(Debug, Clone)]
+pub struct QueryBook<V> {
+    // The Box is deliberate: an inline `Vec` would cost 24 bytes in every
+    // node, while the pointer keeps the common empty case at 8.
+    #[allow(clippy::box_collection)]
+    entries: Option<Box<Vec<(QueryId, V)>>>,
+}
+
+impl<V> Default for QueryBook<V> {
+    fn default() -> Self {
+        Self { entries: None }
+    }
+}
+
+impl<V> QueryBook<V> {
+    /// The entries, sorted by id (empty if none was ever inserted).
+    fn entries(&self) -> &[(QueryId, V)] {
+        self.entries.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// The slot of `id`: `Ok` where it is, `Err` where it would go.
+    fn slot(&self, id: QueryId) -> Result<usize, usize> {
+        self.entries().binary_search_by_key(&id, |(key, _)| *key)
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// Returns `true` if the book holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The state of query `id`, if present.
+    pub fn get(&self, id: &QueryId) -> Option<&V> {
+        let at = self.slot(*id).ok()?;
+        Some(&self.entries()[at].1)
+    }
+
+    /// The state of query `id`, mutably, if present.
+    pub fn get_mut(&mut self, id: &QueryId) -> Option<&mut V> {
+        let at = self.slot(*id).ok()?;
+        Some(self.value_at(at))
+    }
+
+    /// Records `value` under `id`, replacing any state recorded before.
+    pub fn insert(&mut self, id: QueryId, value: V) {
+        match self.slot(id) {
+            Ok(at) => *self.value_at(at) = value,
+            Err(at) => self.insert_at(at, id, value),
+        }
+    }
+
+    /// The state of query `id`, first recording `make()` under it if absent.
+    pub(crate) fn get_or_insert_with(&mut self, id: QueryId, make: impl FnOnce() -> V) -> &mut V {
+        let at = self.slot(id).unwrap_or_else(|at| {
+            self.insert_at(at, id, make());
+            at
+        });
+        self.value_at(at)
+    }
+
+    fn value_at(&mut self, at: usize) -> &mut V {
+        &mut self.entries.as_mut().expect("a found slot is allocated")[at].1
+    }
+
+    fn insert_at(&mut self, at: usize, id: QueryId, value: V) {
+        self.entries
+            .get_or_insert_with(Box::default)
+            .insert(at, (id, value));
+    }
+
+    /// Keeps only the states `keep` approves.
+    pub fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) {
+        if let Some(entries) = self.entries.as_mut() {
+            entries.retain(|(_, value)| keep(value));
+        }
+    }
+
+    /// The `(id, state)` entries in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (QueryId, &V)> {
+        self.entries().iter().map(|(id, value)| (*id, value))
+    }
+
+    /// The states in ascending id order, mutably.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.entries
+            .iter_mut()
+            .flat_map(|entries| entries.iter_mut().map(|(_, value)| value))
+    }
+
+    /// Resident bytes: the boxed entry vector once allocated (approximated
+    /// by the entry count), nothing before.
+    pub fn storage_bytes(&self) -> usize {
+        self.entries.as_ref().map_or(0, |entries| {
+            std::mem::size_of::<Vec<(QueryId, V)>>()
+                + entries.len() * std::mem::size_of::<(QueryId, V)>()
+        })
+    }
+}
+
+/// Adds `user` to an ascending, distinct user list, if it is not there yet.
+pub(crate) fn insert_sorted(users: &mut Vec<UserId>, user: UserId) {
+    if let Err(at) = users.binary_search(&user) {
+        users.insert(at, user);
+    }
+}
+
 /// The querier's bookkeeping for one of her own queries (Algorithm 2).
 #[derive(Debug, Clone)]
 pub struct QuerierState {
@@ -19,12 +135,13 @@ pub struct QuerierState {
     pub query: Query,
     /// The incremental NRA instance merging partial result lists.
     pub nra: IncrementalNra<ItemId>,
-    /// Users whose profiles have been used so far (the querier estimates the
-    /// result quality from this set).
-    pub used_profiles: HashSet<UserId>,
+    /// Users whose profiles have been used so far, ascending and distinct
+    /// (the querier estimates the result quality from this set).
+    pub used_profiles: Vec<UserId>,
     /// Users that processed the query (gossip destinations), excluding the
-    /// querier herself — the population measured by Figure 8.
-    pub reached_users: HashSet<UserId>,
+    /// querier herself, ascending and distinct — the population measured by
+    /// Figure 8.
+    pub reached_users: Vec<UserId>,
     /// The querier's own remaining list `L_Q(u_i)`.
     pub remaining: Vec<UserId>,
     /// The personal network at query time: the target set of profiles the
@@ -57,8 +174,8 @@ impl QuerierState {
         Self {
             query,
             nra: IncrementalNra::new(),
-            used_profiles: HashSet::new(),
-            reached_users: HashSet::new(),
+            used_profiles: Vec::new(),
+            reached_users: Vec::new(),
             remaining: Vec::new(),
             target_profiles,
             started_cycle,
@@ -79,7 +196,7 @@ impl QuerierState {
         used: &[UserId],
     ) {
         for &user in used {
-            self.used_profiles.insert(user);
+            insert_sorted(&mut self.used_profiles, user);
         }
         if !list.is_empty() {
             self.nra.push_list(list);
@@ -100,7 +217,7 @@ impl QuerierState {
         let covered = self
             .target_profiles
             .iter()
-            .filter(|u| self.used_profiles.contains(u))
+            .filter(|u| self.used_profiles.binary_search(u).is_ok())
             .count();
         covered as f64 / self.target_profiles.len() as f64
     }
@@ -110,7 +227,7 @@ impl QuerierState {
     pub fn is_complete(&self) -> bool {
         self.target_profiles
             .iter()
-            .all(|u| self.used_profiles.contains(u))
+            .all(|u| self.used_profiles.binary_search(u).is_ok())
     }
 
     /// Marks the completion cycle the first time the query becomes complete.
@@ -167,7 +284,7 @@ impl QuerierState {
         // rebuilt remaining list is identical across thread counts.
         for idx in 0..self.target_profiles.len() {
             let user = self.target_profiles[idx];
-            if !self.used_profiles.contains(&user) && !self.remaining.contains(&user) {
+            if self.used_profiles.binary_search(&user).is_err() && !self.remaining.contains(&user) {
                 self.remaining.push(user);
                 added = true;
             }
@@ -182,8 +299,6 @@ impl QuerierState {
 /// (Algorithm 3, gossip-destination side).
 #[derive(Debug, Clone)]
 pub struct RemainingTask {
-    /// The query this task belongs to.
-    pub query_id: QueryId,
     /// The user who issued the query (partial results are sent to her).
     pub querier: UserId,
     /// The query itself.
@@ -231,7 +346,16 @@ mod tests {
         st.absorb_partial_result(list(&[(1, 3)]), &[UserId(1), UserId(2)]);
         assert!((st.coverage() - 0.5).abs() < 1e-12);
 
-        st.absorb_partial_result(list(&[(2, 1)]), &[UserId(3), UserId(4)]);
+        // A duplicate delivery (a retried target that was merely slow) adds
+        // nothing: the used profiles stay ascending and distinct.
+        st.absorb_partial_result(list(&[(1, 3)]), &[UserId(2), UserId(1)]);
+        assert_eq!(st.used_profiles, vec![UserId(1), UserId(2)]);
+
+        st.absorb_partial_result(list(&[(2, 1)]), &[UserId(4), UserId(3)]);
+        assert_eq!(
+            st.used_profiles,
+            vec![UserId(1), UserId(2), UserId(3), UserId(4)]
+        );
         assert!(st.is_complete());
         st.mark_complete_if_done(7);
         assert_eq!(st.completed_cycle, Some(7));
@@ -273,7 +397,6 @@ mod tests {
     #[test]
     fn remaining_task_done_flag() {
         let t = RemainingTask {
-            query_id: QueryId(1),
             querier: UserId(0),
             query: query(),
             remaining: vec![UserId(5)],
@@ -291,7 +414,6 @@ mod tests {
     #[test]
     fn remaining_task_ttl_lapses() {
         let t = RemainingTask {
-            query_id: QueryId(1),
             querier: UserId(0),
             query: query(),
             remaining: vec![UserId(5)],
@@ -299,6 +421,48 @@ mod tests {
         };
         assert!(!t.is_expired(9));
         assert!(t.is_expired(10));
+    }
+
+    #[test]
+    fn query_book_iterates_in_ascending_id_order() {
+        let mut book = QueryBook::default();
+        for id in [7u64, 2, 9, 4] {
+            book.insert(QueryId(id), id * 10);
+        }
+        book.insert(QueryId(2), 21);
+        let entries: Vec<(QueryId, u64)> = book.iter().map(|(id, v)| (id, *v)).collect();
+        assert_eq!(
+            entries,
+            [(2, 21), (4, 40), (7, 70), (9, 90)].map(|(id, v)| (QueryId(id), v))
+        );
+        assert_eq!(book.get(&QueryId(4)), Some(&40));
+        assert_eq!(book.get(&QueryId(5)), None);
+        book.retain(|v| v % 20 != 0);
+        assert_eq!(
+            book.iter().map(|(id, _)| id).collect::<Vec<_>>(),
+            [QueryId(2), QueryId(7), QueryId(9)]
+        );
+    }
+
+    #[test]
+    fn get_or_insert_with_returns_the_existing_state() {
+        let mut book = QueryBook::default();
+        *book.get_or_insert_with(QueryId(3), || 1u32) += 1;
+        let state = book.get_or_insert_with(QueryId(3), || unreachable!("state exists"));
+        assert_eq!(*state, 2);
+        assert_eq!(book.len(), 1);
+    }
+
+    #[test]
+    fn an_empty_book_is_one_pointer_and_owns_nothing() {
+        let book: QueryBook<QuerierState> = QueryBook::default();
+        assert!(book.is_empty());
+        assert_eq!(book.storage_bytes(), 0);
+        // The node layout behind the cycle benchmark's `bytes_nodes`.
+        assert_eq!(
+            std::mem::size_of::<QueryBook<QuerierState>>(),
+            std::mem::size_of::<usize>()
+        );
     }
 
     #[test]

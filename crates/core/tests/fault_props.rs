@@ -26,63 +26,6 @@ use rand::SeedableRng;
 
 use p3q::prelude::*;
 
-/// A stable digest of one node's complete protocol state (the same
-/// everything-that-could-diverge folding as `engine_props.rs`, plus the
-/// fault-hardening fields: deadlines, retry counters, task leases).
-fn node_fingerprint(node: &P3qNode, h: &mut DefaultHasher) {
-    node.id.hash(h);
-    node.profile_version().hash(h);
-    node.profile().actions().hash(h);
-    node.storage_budget().hash(h);
-
-    for entry in node.personal_network.iter() {
-        entry.peer.hash(h);
-        entry.score.hash(h);
-        entry.staleness.hash(h);
-        entry.meta.digest_version.hash(h);
-        entry.meta.profile_version.hash(h);
-        match &entry.meta.profile {
-            Some(profile) => profile.actions().hash(h),
-            None => u64::MAX.hash(h),
-        }
-    }
-    for entry in node.random_view.iter() {
-        entry.peer.hash(h);
-        entry.age.hash(h);
-        entry.meta.version.hash(h);
-    }
-
-    let mut query_ids: Vec<QueryId> = node.querier_states.keys().copied().collect();
-    query_ids.sort_unstable();
-    for qid in query_ids {
-        let state = &node.querier_states[&qid];
-        qid.hash(h);
-        state.remaining.hash(h);
-        state.target_profiles.hash(h);
-        let mut used: Vec<UserId> = state.used_profiles.iter().copied().collect();
-        used.sort_unstable();
-        used.hash(h);
-        state.started_cycle.hash(h);
-        state.completed_cycle.hash(h);
-        state.deadline_cycle.hash(h);
-        state.progress_marker.hash(h);
-        state.last_progress_cycle.hash(h);
-        state.retries.hash(h);
-        state.nra.list_count().hash(h);
-        state.traffic.partial_results.hash(h);
-        state.traffic.users_reached.hash(h);
-    }
-    let mut task_ids: Vec<QueryId> = node.tasks.keys().copied().collect();
-    task_ids.sort_unstable();
-    for qid in task_ids {
-        let task = &node.tasks[&qid];
-        qid.hash(h);
-        task.querier.hash(h);
-        task.remaining.hash(h);
-        task.expires_cycle.hash(h);
-    }
-}
-
 /// Fingerprint of the whole simulation: membership, every node, every
 /// bandwidth counter.
 fn sim_fingerprint(sim: &Simulator<P3qNode>) -> u64 {
@@ -91,7 +34,7 @@ fn sim_fingerprint(sim: &Simulator<P3qNode>) -> u64 {
     sim.membership().alive_count().hash(&mut h);
     for idx in 0..sim.num_nodes() {
         sim.is_alive(idx).hash(&mut h);
-        node_fingerprint(sim.node(idx), &mut h);
+        sim.node(idx).fingerprint().hash(&mut h);
     }
     sim.bandwidth.totals().hash(&mut h);
     for category in sim.bandwidth.categories() {
