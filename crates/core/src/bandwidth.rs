@@ -111,8 +111,6 @@ pub struct QueryTraffic {
     pub forwarded_remaining: u64,
     /// Number of partial-result messages sent to the querier.
     pub partial_result_messages: u64,
-    /// Number of users reached by the query (excluding the querier).
-    pub users_reached: u64,
 }
 
 impl QueryTraffic {
@@ -186,7 +184,6 @@ mod tests {
             returned_remaining: 20,
             forwarded_remaining: 30,
             partial_result_messages: 4,
-            users_reached: 7,
         };
         assert_eq!(t.total_bytes(), 150);
     }

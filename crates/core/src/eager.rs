@@ -421,16 +421,9 @@ impl GossipProtocol for EagerProtocol {
         // destination (the "maintain personal network as in lazy mode" lines
         // of Algorithm 3).
         let (a_stats, b_stats) = exchange_profiles(initiator, dest, cfg, rng);
-        for (node_idx, stats) in [(plan.initiator, a_stats), (dest_idx, b_stats)] {
-            outcome.charge(node_idx, category::OFFER_HEADERS, stats.header_bytes);
-            outcome.charge(node_idx, category::EAGER_MAINTENANCE, stats.digest_bytes);
-            if stats.common_bytes > 0 {
-                outcome.charge(node_idx, category::EAGER_MAINTENANCE, stats.common_bytes);
-            }
-            if stats.profile_bytes > 0 {
-                outcome.charge(node_idx, category::EAGER_MAINTENANCE, stats.profile_bytes);
-            }
-        }
+        let categories = [category::EAGER_MAINTENANCE; 3];
+        a_stats.charge(plan.initiator, &mut outcome, categories);
+        b_stats.charge(dest_idx, &mut outcome, categories);
         outcome
     }
 
@@ -449,7 +442,6 @@ impl GossipProtocol for EagerProtocol {
         // (Figure 6 sums over all users reached by the query).
         state.traffic.forwarded_remaining += delivery.forwarded_bytes;
         state.traffic.returned_remaining += delivery.returned_bytes;
-        state.traffic.users_reached = state.reached_users.len() as u64;
     }
 
     fn finish_cycle(&self, node: &mut P3qNode, cycle: u64) {
@@ -702,10 +694,6 @@ mod tests {
             return;
         }
         assert!(state.traffic.forwarded_remaining > 0 || state.reached_users.is_empty());
-        assert_eq!(
-            state.traffic.users_reached,
-            state.reached_users.len() as u64
-        );
         // Simulator-level categories must be consistent with per-query sums.
         let total_partial = fx
             .sim

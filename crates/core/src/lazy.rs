@@ -42,7 +42,9 @@ use std::sync::Arc;
 
 use p3q_bloom::SharedFilter;
 use p3q_gossip::{peer_sampling, ScoredEntry};
-use p3q_sim::{stream_seed, CommitOutcome, CycleContext, ExchangePlan, GossipProtocol, Simulator};
+use p3q_sim::{
+    stream_seed, Category, CommitOutcome, CycleContext, ExchangePlan, GossipProtocol, Simulator,
+};
 use p3q_trace::{SharedProfile, UserId};
 
 use crate::bandwidth::{category, digest_bytes, tagging_actions_bytes, OFFER_HEADER_BYTES};
@@ -158,9 +160,23 @@ pub struct ExchangeStats {
 }
 
 impl ExchangeStats {
-    /// Total bytes across the three steps.
-    pub fn total_bytes(&self) -> usize {
-        self.header_bytes + self.digest_bytes + self.common_bytes + self.profile_bytes
+    /// Bills this side of an exchange to `node`: its offer headers and its
+    /// digests always, its common items and its profiles only when any
+    /// travelled, under `[digests, common, profiles]`.
+    pub(crate) fn charge<E>(
+        &self,
+        node: usize,
+        outcome: &mut CommitOutcome<E>,
+        [digests, common, profiles]: [Category; 3],
+    ) {
+        outcome.charge(node, category::OFFER_HEADERS, self.header_bytes);
+        outcome.charge(node, digests, self.digest_bytes);
+        if self.common_bytes > 0 {
+            outcome.charge(node, common, self.common_bytes);
+        }
+        if self.profile_bytes > 0 {
+            outcome.charge(node, profiles, self.profile_bytes);
+        }
     }
 }
 
@@ -432,17 +448,17 @@ impl GossipProtocol for LazyProtocol {
         // All peer reads happen here, against the snapshot, so the commit
         // only touches the probing node.
         let probes = node.item_probes();
-        let candidates: Vec<ProfileOffer> = node
+        let offers: Vec<ProfileOffer> = node
             .random_view
             .iter()
             .filter(|e| valid_partner(e.peer) && e.meta.digest.contains_any(probes))
             .map(|e| world.node(e.peer.index()).own_offer())
             .collect();
-        if !candidates.is_empty() {
+        if !offers.is_empty() {
             out.push(ExchangePlan {
                 initiator: idx,
                 destination: None,
-                payload: LazyStep::Probe(candidates),
+                payload: LazyStep::Probe(offers),
             });
         }
     }
@@ -484,23 +500,17 @@ impl GossipProtocol for LazyProtocol {
                 let b = destination.expect("network gossip is pairwise");
                 initiator.personal_network.reset_staleness(&b.id);
                 let (a_stats, b_stats) = exchange_profiles(initiator, b, cfg, rng);
-                for (node_idx, stats) in [(plan.initiator, a_stats), (dest_idx, b_stats)] {
-                    outcome.charge(node_idx, category::OFFER_HEADERS, stats.header_bytes);
-                    outcome.charge(node_idx, category::LAZY_DIGESTS, stats.digest_bytes);
-                    if stats.common_bytes > 0 {
-                        outcome.charge(node_idx, category::LAZY_COMMON, stats.common_bytes);
-                    }
-                    if stats.profile_bytes > 0 {
-                        outcome.charge(node_idx, category::LAZY_PROFILES, stats.profile_bytes);
-                    }
-                }
+                let categories = [
+                    category::LAZY_DIGESTS,
+                    category::LAZY_COMMON,
+                    category::LAZY_PROFILES,
+                ];
+                a_stats.charge(plan.initiator, &mut outcome, categories);
+                b_stats.charge(dest_idx, &mut outcome, categories);
             }
-            LazyStep::Probe(candidates) => {
-                // p3q-allow: hash-iter — this `candidates` is the plan's
-                // `Vec<ProfileOffer>` (snapshotted in plan order), not the
-                // hash-typed field of the same name elsewhere.
-                for candidate in candidates {
-                    probe_candidate(initiator, plan.initiator, candidate, &mut outcome);
+            LazyStep::Probe(offers) => {
+                for offer in offers {
+                    probe_candidate(initiator, plan.initiator, offer, &mut outcome);
                 }
             }
             LazyStep::Rebootstrap(picks) => {
@@ -1008,7 +1018,7 @@ mod tests {
         let probed: Vec<UserId> = plans
             .iter()
             .find_map(|plan| match &plan.payload {
-                LazyStep::Probe(candidates) => Some(candidates.iter().map(|c| c.user).collect()),
+                LazyStep::Probe(offers) => Some(offers.iter().map(|c| c.user).collect()),
                 _ => None,
             })
             .expect("a false positive is a probe candidate");

@@ -558,7 +558,7 @@ impl Fingerprint for P3qNode {
             h.write_u64(state.traffic.returned_remaining);
             h.write_u64(state.traffic.forwarded_remaining);
             h.write_u64(state.traffic.partial_result_messages);
-            h.write_u64(state.traffic.users_reached);
+            h.write_u64(state.reached_users.len() as u64);
         }
         h.write_u64(self.tasks.len() as u64);
         for (qid, task) in self.tasks.iter() {

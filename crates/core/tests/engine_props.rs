@@ -21,8 +21,8 @@ use p3q::prelude::*;
 use p3q_sim::exchange::plan_range;
 use p3q_sim::{CycleContext, ExchangePlan};
 
-/// Fingerprint of the whole simulation: every node plus every bandwidth
-/// counter (per node, per category, per cycle).
+/// Fingerprint of the whole simulation: every node plus the whole
+/// bandwidth recorder.
 fn sim_fingerprint(sim: &Simulator<P3qNode>) -> u64 {
     let mut h = DefaultHasher::new();
     sim.cycle().hash(&mut h);
@@ -31,18 +31,7 @@ fn sim_fingerprint(sim: &Simulator<P3qNode>) -> u64 {
         sim.is_alive(idx).hash(&mut h);
         sim.node(idx).fingerprint().hash(&mut h);
     }
-    sim.bandwidth.totals().hash(&mut h);
-    for category in sim.bandwidth.categories() {
-        category.hash(&mut h);
-        sim.bandwidth.category_bytes(category).hash(&mut h);
-        sim.bandwidth.category_messages(category).hash(&mut h);
-        for idx in 0..sim.num_nodes() {
-            sim.bandwidth.node_bytes(idx, category).hash(&mut h);
-        }
-    }
-    for cycle in 0..=sim.cycle() {
-        sim.bandwidth.cycle_bytes(cycle).hash(&mut h);
-    }
+    sim.bandwidth.hash(&mut h);
     h.finish()
 }
 

@@ -26,8 +26,8 @@ use rand::SeedableRng;
 
 use p3q::prelude::*;
 
-/// Fingerprint of the whole simulation: membership, every node, every
-/// bandwidth counter.
+/// Fingerprint of the whole simulation: membership, every node, the whole
+/// bandwidth recorder.
 fn sim_fingerprint(sim: &Simulator<P3qNode>) -> u64 {
     let mut h = DefaultHasher::new();
     sim.cycle().hash(&mut h);
@@ -36,14 +36,7 @@ fn sim_fingerprint(sim: &Simulator<P3qNode>) -> u64 {
         sim.is_alive(idx).hash(&mut h);
         sim.node(idx).fingerprint().hash(&mut h);
     }
-    sim.bandwidth.totals().hash(&mut h);
-    for category in sim.bandwidth.categories() {
-        category.hash(&mut h);
-        sim.bandwidth.category_bytes(category).hash(&mut h);
-        for idx in 0..sim.num_nodes() {
-            sim.bandwidth.node_bytes(idx, category).hash(&mut h);
-        }
-    }
+    sim.bandwidth.hash(&mut h);
     h.finish()
 }
 

@@ -19,6 +19,9 @@
 //! Same shape as `fault_props.rs`: random scenarios via proptest and
 //! deliberately thorough state fingerprints instead of spot checks.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -30,7 +33,7 @@ use p3q_transport::{DeliverySchedule, TransportRuntime};
 const ACTOR_COUNTS: [usize; 3] = [1, 3, 8];
 
 /// A stable digest of a full run state: cycle, alive flags, every node
-/// (via its [`Fingerprint`] impl) and every bandwidth counter.
+/// (via its [`Fingerprint`] impl) and the whole bandwidth recorder.
 fn state_fingerprint(
     cycle: u64,
     alive: impl Iterator<Item = bool>,
@@ -43,15 +46,9 @@ fn state_fingerprint(
         h.write_u64(flag as u64);
     }
     h.write_u64(fingerprint_chain(nodes.iter().copied()));
-    h.write_u64(bandwidth.totals().0);
-    h.write_u64(bandwidth.totals().1);
-    for category in bandwidth.categories() {
-        h.write_all(category.bytes().map(u64::from));
-        h.write_u64(bandwidth.category_bytes(category));
-        for idx in 0..nodes.len() {
-            h.write_u64(bandwidth.node_bytes(idx, category));
-        }
-    }
+    let mut recorder = DefaultHasher::new();
+    bandwidth.hash(&mut recorder);
+    h.write_u64(recorder.finish());
     h.finish()
 }
 

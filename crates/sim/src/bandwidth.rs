@@ -1,11 +1,15 @@
 //! Bandwidth and message accounting.
 //!
-//! The paper's cost evaluation (Section 3.3.2) tracks, per user and per
-//! cycle, how many bytes travel for each kind of payload (profile digests,
-//! common items, full profiles, forwarded/returned remaining lists, partial
-//! result lists). [`BandwidthRecorder`] provides exactly that: counters keyed
-//! by `(node, category)` plus per-cycle totals, with categories being plain
+//! The paper's cost evaluation (Section 3.3.2) bills every byte to one
+//! user and one kind of payload (profile digests, common items, full
+//! profiles, forwarded/returned remaining lists, partial result lists).
+//! [`BandwidthRecorder`] keeps exactly that: bytes per `(node, category)`
+//! plus the run's byte and message totals, with categories being plain
 //! static strings so the protocol crate can define its own taxonomy.
+//!
+//! A recorder is a pure function of the commit [`Charge`](crate::Charge)s
+//! the cycle sequencer applies in plan order, the only way a byte is
+//! billed; two runs that billed the same charges compare equal.
 //!
 //! Every message of a run is recorded, so a record must cost less than the
 //! exchange it bills: categories are few (a protocol defines a handful of
@@ -16,22 +20,19 @@
 /// Label of a traffic category (e.g. `"digest"`, `"partial_results"`).
 pub type Category = &'static str;
 
-/// The counters of one category: `(bytes, messages)` per node index. Nodes
-/// above the highest one recorded are absent and read as zero.
-#[derive(Debug, Clone)]
+/// The bytes of one category per node index. Nodes above the highest one
+/// recorded are absent and read as zero.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Column {
     category: Category,
-    cells: Vec<(u64, u64)>,
+    bytes: Vec<u64>,
 }
 
-/// Records bytes and message counts per node and per category.
-#[derive(Debug, Clone, Default)]
+/// Records bytes per node and per category, and the run's totals.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct BandwidthRecorder {
     /// One column per category, in first-seen order.
     columns: Vec<Column>,
-    /// `(cycle, bytes)` sorted by cycle. A run records its cycles in
-    /// order, so the cycle being charged is the last entry.
-    per_cycle: Vec<(u64, u64)>,
     /// Total bytes across all nodes and categories.
     total_bytes: u64,
     /// Total messages across all nodes and categories.
@@ -53,114 +54,50 @@ impl BandwidthRecorder {
             .position(|c| std::ptr::eq(c.category, category) || c.category == category)
     }
 
-    /// The cells of `category`, created on first use and widened with zeros
-    /// to hold at least `len` nodes.
-    fn cells_mut(&mut self, category: Category, len: usize) -> &mut Vec<(u64, u64)> {
+    /// The bytes of `category`; none if it was never recorded.
+    fn bytes(&self, category: Category) -> &[u64] {
+        self.column(category)
+            .map_or(&[], |column| &self.columns[column].bytes)
+    }
+
+    /// Records one message of `bytes` bytes sent by `node`, under the given
+    /// category.
+    pub fn record(&mut self, node: usize, category: Category, bytes: usize) {
+        let bytes = bytes as u64;
         let column = self.column(category).unwrap_or_else(|| {
             self.columns.push(Column {
                 category,
-                cells: Vec::new(),
+                bytes: Vec::new(),
             });
             self.columns.len() - 1
         });
-        let cells = &mut self.columns[column].cells;
-        if cells.len() < len {
-            cells.resize(len, (0, 0));
+        let cells = &mut self.columns[column].bytes;
+        if cells.len() <= node {
+            cells.resize(node + 1, 0);
         }
-        cells
-    }
-
-    /// The cells of `category`; none if it was never recorded.
-    fn cells(&self, category: Category) -> &[(u64, u64)] {
-        self.column(category)
-            .map_or(&[], |column| &self.columns[column].cells)
-    }
-
-    fn add_cycle_bytes(&mut self, cycle: u64, bytes: u64) {
-        match self.per_cycle.last_mut() {
-            Some(last) if last.0 == cycle => last.1 += bytes,
-            _ => match self.per_cycle.binary_search_by_key(&cycle, |&(c, _)| c) {
-                Ok(at) => self.per_cycle[at].1 += bytes,
-                Err(at) => self.per_cycle.insert(at, (cycle, bytes)),
-            },
-        }
-    }
-
-    /// Records one message of `bytes` bytes sent by `node` during `cycle`,
-    /// under the given category.
-    pub fn record(&mut self, node: usize, cycle: u64, category: Category, bytes: usize) {
-        let bytes = bytes as u64;
-        let cell = &mut self.cells_mut(category, node + 1)[node];
-        cell.0 += bytes;
-        cell.1 += 1;
-        self.add_cycle_bytes(cycle, bytes);
+        cells[node] += bytes;
         self.total_bytes += bytes;
         self.total_messages += 1;
     }
 
     /// Total bytes recorded for a node in a category.
     pub fn node_bytes(&self, node: usize, category: Category) -> u64 {
-        self.cells(category).get(node).map_or(0, |cell| cell.0)
+        self.bytes(category).get(node).copied().unwrap_or(0)
     }
 
     /// Total bytes recorded for a node across all categories.
     pub fn node_total_bytes(&self, node: usize) -> u64 {
-        self.columns
-            .iter()
-            .filter_map(|c| c.cells.get(node))
-            .map(|&(bytes, _)| bytes)
-            .sum()
-    }
-
-    /// Number of messages recorded for a node in a category.
-    pub fn node_messages(&self, node: usize, category: Category) -> u64 {
-        self.cells(category).get(node).map_or(0, |cell| cell.1)
+        self.columns.iter().filter_map(|c| c.bytes.get(node)).sum()
     }
 
     /// Total bytes recorded in a category across all nodes.
     pub fn category_bytes(&self, category: Category) -> u64 {
-        self.cells(category).iter().map(|cell| cell.0).sum()
-    }
-
-    /// Total messages recorded in a category across all nodes.
-    pub fn category_messages(&self, category: Category) -> u64 {
-        self.cells(category).iter().map(|cell| cell.1).sum()
-    }
-
-    /// Bytes recorded during one cycle (all nodes, all categories).
-    pub fn cycle_bytes(&self, cycle: u64) -> u64 {
-        self.per_cycle
-            .binary_search_by_key(&cycle, |&(c, _)| c)
-            .map_or(0, |at| self.per_cycle[at].1)
+        self.bytes(category).iter().sum()
     }
 
     /// Grand totals: `(bytes, messages)`.
     pub fn totals(&self) -> (u64, u64) {
         (self.total_bytes, self.total_messages)
-    }
-
-    /// All categories observed so far, sorted for deterministic reporting.
-    pub fn categories(&self) -> Vec<Category> {
-        let mut cats: Vec<Category> = self.columns.iter().map(|c| c.category).collect();
-        cats.sort_unstable();
-        cats
-    }
-
-    /// Merges the counters of another recorder into this one (used when
-    /// experiments run phases with separate recorders).
-    pub fn merge(&mut self, other: &BandwidthRecorder) {
-        for column in &other.columns {
-            let mine = self.cells_mut(column.category, column.cells.len());
-            for (into, from) in mine.iter_mut().zip(&column.cells) {
-                into.0 += from.0;
-                into.1 += from.1;
-            }
-        }
-        for &(cycle, bytes) in &other.per_cycle {
-            self.add_cycle_bytes(cycle, bytes);
-        }
-        self.total_bytes += other.total_bytes;
-        self.total_messages += other.total_messages;
     }
 }
 
@@ -171,37 +108,17 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
 
-    impl BandwidthRecorder {
-        /// Clears all counters.
-        fn reset(&mut self) {
-            *self = Self::default();
-        }
-    }
-
     /// The recorder as it is defined: one hash entry per key.
     #[derive(Default)]
     struct Model {
         cells: HashMap<(usize, String), (u64, u64)>,
-        per_cycle: HashMap<u64, u64>,
     }
 
     impl Model {
-        fn record(&mut self, node: usize, cycle: u64, category: &str, bytes: usize) {
+        fn record(&mut self, node: usize, category: &str, bytes: usize) {
             let cell = self.cells.entry((node, category.to_string())).or_default();
             cell.0 += bytes as u64;
             cell.1 += 1;
-            *self.per_cycle.entry(cycle).or_default() += bytes as u64;
-        }
-
-        fn merge(&mut self, other: &Model) {
-            for (key, cell) in &other.cells {
-                let mine = self.cells.entry(key.clone()).or_default();
-                mine.0 += cell.0;
-                mine.1 += cell.1;
-            }
-            for (&cycle, &bytes) in &other.per_cycle {
-                *self.per_cycle.entry(cycle).or_default() += bytes;
-            }
         }
 
         fn sum(&self, keep: impl Fn(usize, &str) -> bool) -> (u64, u64) {
@@ -214,15 +131,10 @@ mod tests {
 
     /// Every read of the public API, on keys seen and unseen.
     fn assert_reads_agree(recorder: &BandwidthRecorder, model: &Model, labels: &[Category]) {
-        let mut categories: Vec<&str> = model.cells.keys().map(|(_, c)| c.as_str()).collect();
-        categories.sort_unstable();
-        categories.dedup();
-        assert_eq!(recorder.categories(), categories);
         assert_eq!(recorder.totals(), model.sum(|_, _| true));
         for &label in labels.iter().chain(&["never recorded"]) {
-            let (bytes, messages) = model.sum(|_, c| c == label);
+            let bytes = model.sum(|_, c| c == label).0;
             assert_eq!(recorder.category_bytes(label), bytes, "{label}");
-            assert_eq!(recorder.category_messages(label), messages, "{label}");
         }
         for node in (0..40).chain([FAR_NODE - 1, FAR_NODE, FAR_NODE + 1]) {
             assert_eq!(
@@ -230,18 +142,9 @@ mod tests {
                 model.sum(|n, _| n == node).0
             );
             for &label in labels.iter().chain(&["never recorded"]) {
-                let (bytes, messages) = model.sum(|n, c| n == node && c == label);
+                let bytes = model.sum(|n, c| n == node && c == label).0;
                 assert_eq!(recorder.node_bytes(node, label), bytes, "{node} {label}");
-                assert_eq!(
-                    recorder.node_messages(node, label),
-                    messages,
-                    "{node} {label}"
-                );
             }
-        }
-        for cycle in (0..30).chain([u64::MAX]) {
-            let bytes = model.per_cycle.get(&cycle).copied().unwrap_or(0);
-            assert_eq!(recorder.cycle_bytes(cycle), bytes, "cycle {cycle}");
         }
     }
 
@@ -256,14 +159,13 @@ mod tests {
         let labels: [Category; 5] = ["digest", "common", "profiles", "partial", digest_again];
         let mut rng = StdRng::seed_from_u64(7);
         let mut draw = move |bound: u64| rng.gen_range(0..bound);
-        // Two recorders that meet the categories in different orders, fed
-        // cycles mostly — not always — in order.
+        // Two recorders that meet the categories in different orders.
         let (mut a, mut a_model) = (BandwidthRecorder::new(), Model::default());
         let (mut b, mut b_model) = (BandwidthRecorder::new(), Model::default());
-        a.record(1, 0, labels[0], 5);
-        a_model.record(1, 0, labels[0], 5);
-        b.record(2, 3, labels[3], 9);
-        b_model.record(2, 3, labels[3], 9);
+        a.record(1, labels[0], 5);
+        a_model.record(1, labels[0], 5);
+        b.record(2, labels[3], 9);
+        b_model.record(2, labels[3], 9);
         for step in 0..3000u64 {
             let (recorder, model) = if draw(2) == 0 {
                 (&mut a, &mut a_model)
@@ -275,50 +177,29 @@ mod tests {
             } else {
                 draw(40) as usize
             };
-            let cycle = if draw(10) == 0 { draw(30) } else { step / 100 };
             let label = labels[draw(5) as usize];
             let bytes = draw(4000) as usize;
-            recorder.record(node, cycle, label, bytes);
-            model.record(node, cycle, label, bytes);
-            match draw(500) {
-                0 => {
-                    a.merge(&b);
-                    a_model.merge(&b_model);
-                }
-                1 => {
-                    b.merge(&a);
-                    b_model.merge(&a_model);
-                }
-                2 => {
-                    b.reset();
-                    b_model = Model::default();
-                }
-                _ => {}
-            }
+            recorder.record(node, label, bytes);
+            model.record(node, label, bytes);
             if step % 250 == 0 {
                 assert_reads_agree(&a, &a_model, &labels);
                 assert_reads_agree(&b, &b_model, &labels);
             }
         }
-        a.merge(&b);
-        a_model.merge(&b_model);
         assert_reads_agree(&a, &a_model, &labels);
+        assert_reads_agree(&b, &b_model, &labels);
         assert!(a.node_bytes(FAR_NODE, "digest") > 0);
     }
 
     #[test]
     fn record_accumulates_bytes_and_messages() {
         let mut r = BandwidthRecorder::new();
-        r.record(0, 1, "digest", 100);
-        r.record(0, 1, "digest", 50);
-        r.record(1, 2, "profile", 500);
+        r.record(0, "digest", 100);
+        r.record(0, "digest", 50);
+        r.record(1, "profile", 500);
         assert_eq!(r.node_bytes(0, "digest"), 150);
-        assert_eq!(r.node_messages(0, "digest"), 2);
         assert_eq!(r.node_total_bytes(0), 150);
         assert_eq!(r.category_bytes("profile"), 500);
-        assert_eq!(r.category_messages("profile"), 1);
-        assert_eq!(r.cycle_bytes(1), 150);
-        assert_eq!(r.cycle_bytes(2), 500);
         assert_eq!(r.totals(), (650, 3));
     }
 
@@ -326,38 +207,6 @@ mod tests {
     fn unknown_keys_are_zero() {
         let r = BandwidthRecorder::new();
         assert_eq!(r.node_bytes(9, "nope"), 0);
-        assert_eq!(r.cycle_bytes(9), 0);
         assert_eq!(r.totals(), (0, 0));
-    }
-
-    #[test]
-    fn categories_are_sorted_and_unique() {
-        let mut r = BandwidthRecorder::new();
-        r.record(0, 0, "b", 1);
-        r.record(1, 0, "a", 1);
-        r.record(2, 0, "b", 1);
-        assert_eq!(r.categories(), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = BandwidthRecorder::new();
-        let mut b = BandwidthRecorder::new();
-        a.record(0, 0, "x", 10);
-        b.record(0, 0, "x", 5);
-        b.record(1, 1, "y", 7);
-        a.merge(&b);
-        assert_eq!(a.node_bytes(0, "x"), 15);
-        assert_eq!(a.node_bytes(1, "y"), 7);
-        assert_eq!(a.totals(), (22, 3));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut r = BandwidthRecorder::new();
-        r.record(0, 0, "x", 10);
-        r.reset();
-        assert_eq!(r.totals(), (0, 0));
-        assert!(r.categories().is_empty());
     }
 }

@@ -81,16 +81,9 @@ pub trait Substrate<P: GossipProtocol> {
         batch: &[usize],
     ) -> Vec<CommitOutcome<P::Effect>>;
 
-    /// Applies one outcome's effects. Bandwidth they record belongs to the
-    /// run's totals: either straight into `bandwidth` (the master recorder)
-    /// or into a recorder the runtime merges into it later.
-    fn effects(
-        &mut self,
-        proto: &P,
-        cycle: u64,
-        effects: impl IntoIterator<Item = P::Effect>,
-        bandwidth: &mut BandwidthRecorder,
-    );
+    /// Applies one outcome's effects, which only change nodes: the
+    /// outcome's charges, the only bytes it bills, are the sequencer's.
+    fn effects(&mut self, proto: &P, effects: impl IntoIterator<Item = P::Effect>);
 
     /// Runs [`GossipProtocol::finish_cycle`] on **every** node, departed
     /// ones included (completion tracking must not freeze when a querier
@@ -135,9 +128,9 @@ where
         }
     }
 
-    /// Executes one plan/commit cycle on `substrate` — commit charges go to
-    /// `bandwidth`, the run's master recorder, at the committing cycle —
-    /// and returns `true` when an until-idle run is over: the cycle
+    /// Executes one plan/commit cycle on `substrate` — commit charges, the
+    /// only bytes a run bills, go to `bandwidth`, the run's recorder — and
+    /// returns `true` when an until-idle run is over: the cycle
     /// committed no pairwise exchange and — under a fault schedule —
     /// nothing is in flight either (no delayed message still due, no
     /// crashed node still down, no alive node that
@@ -175,9 +168,9 @@ where
         for batch in &batches {
             for outcome in substrate.commit_batch(proto, cycle, cycle_seed, &plans, batch) {
                 for charge in outcome.charges {
-                    bandwidth.record(charge.node, cycle, charge.category, charge.bytes);
+                    bandwidth.record(charge.node, charge.category, charge.bytes);
                 }
-                substrate.effects(proto, cycle, outcome.effects, bandwidth);
+                substrate.effects(proto, outcome.effects);
             }
         }
         state.cycle += 1;

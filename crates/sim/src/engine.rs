@@ -383,14 +383,8 @@ impl<P: GossipProtocol> Substrate<P> for Workers<'_, P::Node> {
         outcomes
     }
 
-    fn effects(
-        &mut self,
-        proto: &P,
-        cycle: u64,
-        effects: impl IntoIterator<Item = P::Effect>,
-        bandwidth: &mut BandwidthRecorder,
-    ) {
-        self.shard.effects(proto, cycle, effects, bandwidth);
+    fn effects(&mut self, proto: &P, effects: impl IntoIterator<Item = P::Effect>) {
+        self.shard.effects(proto, effects);
     }
 
     fn finish(&mut self, proto: &P, cycle: u64, probe: Option<&Membership>) -> bool {
@@ -528,8 +522,7 @@ mod tests {
             }
             assert_eq!(reference.nodes(), parallel.nodes(), "threads = {threads}");
             assert_eq!(
-                reference.bandwidth.totals(),
-                parallel.bandwidth.totals(),
+                reference.bandwidth, parallel.bandwidth,
                 "threads = {threads}"
             );
         }
@@ -651,8 +644,7 @@ mod tests {
             }
             assert_eq!(reference.nodes(), parallel.nodes(), "threads = {threads}");
             assert_eq!(
-                reference.bandwidth.totals(),
-                parallel.bandwidth.totals(),
+                reference.bandwidth, parallel.bandwidth,
                 "threads = {threads}"
             );
             assert_eq!(

@@ -34,7 +34,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::bandwidth::{BandwidthRecorder, Category};
+use crate::bandwidth::Category;
 use crate::membership::Membership;
 use crate::parallel::splitmix;
 
@@ -56,8 +56,10 @@ pub struct ExchangePlan<P> {
 
 /// A deferred bandwidth record: "charge `bytes` to `node` under `category`".
 ///
-/// Commits cannot reach the [`BandwidthRecorder`] (it is shared state); they
-/// return charges instead, and the engine applies them in plan order.
+/// Charges are the only way a byte is billed: commits cannot reach the
+/// [`BandwidthRecorder`](crate::BandwidthRecorder) (it is shared state) and
+/// effects do not bill, so commits return charges and the sequencer
+/// applies them in plan order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Charge {
     /// The node paying for the message.
@@ -215,13 +217,12 @@ impl<'a, N> CycleContext<'a, N> {
 }
 
 /// Mutable access handed to [`GossipProtocol::apply_effect`]: the node array
-/// (or the window of it the applying shard holds) plus the bandwidth
-/// recorder. Effects run strictly sequentially, in plan order.
+/// (or the window of it the applying shard holds). Effects run strictly
+/// sequentially, in plan order, and only change nodes: the bytes a delivery
+/// costs are the committing exchange's [`Charge`]s.
 #[derive(Debug)]
 pub struct EffectContext<'a, N> {
     nodes: &'a mut [N],
-    bandwidth: &'a mut BandwidthRecorder,
-    cycle: u64,
     /// Global index of `nodes[0]` (see [`EffectContext::windowed`]).
     base: usize,
 }
@@ -233,18 +234,8 @@ impl<'a, N> EffectContext<'a, N> {
     /// *global* indices. This is how a transport shard — holding only its
     /// contiguous slice of the population — applies effects routed to it
     /// without faking a full world slice.
-    pub(crate) fn windowed(
-        nodes: &'a mut [N],
-        bandwidth: &'a mut BandwidthRecorder,
-        cycle: u64,
-        base: usize,
-    ) -> Self {
-        Self {
-            nodes,
-            bandwidth,
-            cycle,
-            base,
-        }
+    pub(crate) fn windowed(nodes: &'a mut [N], base: usize) -> Self {
+        Self { nodes, base }
     }
 
     /// The window-local position of global index `idx`.
@@ -280,16 +271,6 @@ impl<'a, N> EffectContext<'a, N> {
     pub fn node_mut(&mut self, idx: usize) -> &mut N {
         let local = self.local(idx);
         &mut self.nodes[local]
-    }
-
-    /// Records bandwidth attributed to `node` in the committing cycle.
-    pub fn record_bandwidth(&mut self, node: usize, category: Category, bytes: usize) {
-        self.bandwidth.record(node, self.cycle, category, bytes);
-    }
-
-    /// The cycle being committed.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 }
 
@@ -365,7 +346,9 @@ pub trait GossipProtocol: Sync {
         scratch: &mut Self::Scratch,
     ) -> CommitOutcome<Self::Effect>;
 
-    /// Applies one deferred effect. Runs sequentially, in plan order.
+    /// Applies one deferred effect. Runs sequentially, in plan order, and
+    /// only changes nodes: the bytes it stands for are billed by the
+    /// commit that produced it, as [`Charge`]s.
     fn apply_effect(&self, world: &mut EffectContext<'_, Self::Node>, effect: Self::Effect) {
         let _ = (world, effect);
     }
@@ -572,15 +555,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "node 3 outside the window [4, 6)")]
     fn effect_context_rejects_an_index_below_its_window() {
-        let (mut nodes, mut bandwidth) = ([0u8; 2], BandwidthRecorder::new());
-        EffectContext::windowed(&mut nodes, &mut bandwidth, 0, 4).node(3);
+        let mut nodes = [0u8; 2];
+        EffectContext::windowed(&mut nodes, 4).node(3);
     }
 
     #[test]
     #[should_panic(expected = "node 6 outside the window [4, 6)")]
     fn effect_context_rejects_an_index_above_its_window() {
-        let (mut nodes, mut bandwidth) = ([0u8; 2], BandwidthRecorder::new());
-        *EffectContext::windowed(&mut nodes, &mut bandwidth, 0, 4).node_mut(6) += 1;
+        let mut nodes = [0u8; 2];
+        *EffectContext::windowed(&mut nodes, 4).node_mut(6) += 1;
     }
 
     #[test]

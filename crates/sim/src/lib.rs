@@ -31,8 +31,9 @@
 //!   [`fingerprint_chain`] combinator behind every byte-identity witness;
 //! * [`Membership`] — alive/departed bookkeeping with the paper's "p% of
 //!   users leave simultaneously" churn model (O(1) alive count);
-//! * [`BandwidthRecorder`] — per-node, per-category, per-cycle byte and
-//!   message accounting (the basis of the paper's cost analysis);
+//! * [`BandwidthRecorder`] — bytes per node and per category plus the
+//!   run's byte and message totals, a pure function of the commit
+//!   [`Charge`]s (the basis of the paper's cost analysis);
 //! * [`SeriesRecorder`] / [`DistributionSummary`] — per-cycle series and
 //!   per-entity distributions, the two shapes every figure in the paper
 //!   takes;

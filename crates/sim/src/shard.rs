@@ -15,7 +15,6 @@
 //! — the oracle's and an actor's alike — runs inside the store's aliasing
 //! sanitizer window.
 
-use crate::bandwidth::BandwidthRecorder;
 use crate::cycle::Substrate;
 use crate::exchange::{
     commit_rng, plan_range, CommitOutcome, CycleContext, EffectContext, ExchangePlan,
@@ -130,15 +129,8 @@ impl<P: GossipProtocol> Substrate<P> for Shard<'_, P::Node> {
         self.commit(proto, cycle, cycle_seed, jobs)
     }
 
-    fn effects(
-        &mut self,
-        proto: &P,
-        cycle: u64,
-        effects: impl IntoIterator<Item = P::Effect>,
-        bandwidth: &mut BandwidthRecorder,
-    ) {
-        let mut world =
-            EffectContext::windowed(self.nodes.as_mut_slice(), bandwidth, cycle, self.base);
+    fn effects(&mut self, proto: &P, effects: impl IntoIterator<Item = P::Effect>) {
+        let mut world = EffectContext::windowed(self.nodes.as_mut_slice(), self.base);
         for effect in effects {
             proto.apply_effect(&mut world, effect);
         }

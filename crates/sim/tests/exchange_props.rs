@@ -112,7 +112,6 @@ impl GossipProtocol for ChaosProtocol {
     ) {
         let target = target % 50; // fold into the population used below
         world.node_mut(target).absorb(value);
-        world.record_bandwidth(target, "chaos-effect", 1);
     }
 }
 
@@ -153,17 +152,7 @@ proptest! {
         let b = run_schedule(&mut parallel, Some(threads), 6, fraction);
         prop_assert_eq!(a, b, "cycle reports diverged");
         prop_assert_eq!(reference.nodes(), parallel.nodes());
-        prop_assert_eq!(reference.bandwidth.totals(), parallel.bandwidth.totals());
-        for idx in 0..reference.num_nodes() {
-            prop_assert_eq!(
-                reference.bandwidth.node_bytes(idx, "chaos"),
-                parallel.bandwidth.node_bytes(idx, "chaos")
-            );
-            prop_assert_eq!(
-                reference.bandwidth.node_messages(idx, "chaos-effect"),
-                parallel.bandwidth.node_messages(idx, "chaos-effect")
-            );
-        }
+        prop_assert_eq!(&reference.bandwidth, &parallel.bandwidth);
     }
 
     #[test]

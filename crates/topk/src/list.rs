@@ -92,12 +92,6 @@ impl<I: Copy + Ord> PartialResultList<I> {
             .find(|(i, _)| i == item)
             .map(|&(_, s)| s)
     }
-
-    /// Wire size under the paper's accounting: each entry is a 16-byte item
-    /// identifier (128-bit hash) plus a 4-byte integer score.
-    pub fn wire_bytes(&self) -> usize {
-        self.entries.len() * (16 + 4)
-    }
 }
 
 impl<I: Copy + Ord> FromIterator<(I, u32)> for PartialResultList<I> {
@@ -138,13 +132,6 @@ mod tests {
         assert_eq!(list.get(0), Some((2, 20)));
         assert_eq!(list.get(1), Some((1, 10)));
         assert_eq!(list.get(2), None);
-    }
-
-    #[test]
-    fn wire_bytes_counts_20_per_entry() {
-        let list = PartialResultList::from_scores(vec![(1u32, 1), (2, 2), (3, 3)]);
-        assert_eq!(list.wire_bytes(), 60);
-        assert_eq!(PartialResultList::<u32>::empty().wire_bytes(), 0);
     }
 
     #[test]

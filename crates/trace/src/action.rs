@@ -23,11 +23,6 @@ impl TaggingAction {
     pub fn new(item: ItemId, tag: TagId) -> Self {
         Self { item, tag }
     }
-
-    /// Wire size of one tagging action under the paper's accounting
-    /// (Section 3.3.1): a 128-bit item hash (16 bytes), a 16-byte tag string
-    /// and the 4-byte user identifier it belongs to — 36 bytes in total.
-    pub(crate) const WIRE_BYTES: usize = 36;
 }
 
 impl fmt::Display for TaggingAction {
@@ -47,11 +42,6 @@ mod tests {
         assert!(a < b, "actions must sort by item first");
         let c = TaggingAction::new(ItemId(1), TagId(10));
         assert!(a < c, "ties broken by tag");
-    }
-
-    #[test]
-    fn wire_size_matches_paper() {
-        assert_eq!(TaggingAction::WIRE_BYTES, 36);
     }
 
     #[test]

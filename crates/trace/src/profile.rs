@@ -180,12 +180,6 @@ impl Profile {
         BloomFilter::from_keys(bits, hashes, self.items().map(ItemId::as_key))
     }
 
-    /// Wire size of the full profile under the paper's 36-bytes-per-action
-    /// accounting.
-    pub fn wire_bytes(&self) -> usize {
-        self.len() * TaggingAction::WIRE_BYTES
-    }
-
     /// Resident heap bytes of the in-memory (decoded) layout.
     pub fn heap_bytes(&self) -> usize {
         self.actions.len() * std::mem::size_of::<TaggingAction>()
@@ -426,12 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_is_36_per_action() {
-        let p = Profile::from_actions(vec![act(1, 1), act(2, 2)]);
-        assert_eq!(p.wire_bytes(), 72);
-    }
-
-    #[test]
     fn extend_reports_new_actions_only() {
         let mut p = Profile::from_actions(vec![act(1, 1)]);
         let added = p.extend(vec![act(1, 1), act(2, 2), act(3, 3)]);
@@ -488,6 +476,5 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.common_actions(&p), 0);
         assert_eq!(p.items().count(), 0);
-        assert_eq!(p.wire_bytes(), 0);
     }
 }

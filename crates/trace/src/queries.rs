@@ -40,12 +40,6 @@ impl Query {
     pub fn contains_tag(&self, tag: TagId) -> bool {
         self.tags.binary_search(&tag).is_ok()
     }
-
-    /// Wire size of the query itself: a 4-byte querier id plus one 16-byte
-    /// tag string per term (the paper's byte model).
-    pub fn wire_bytes(&self) -> usize {
-        4 + 16 * self.tags.len()
-    }
 }
 
 /// Generates the paper's one-query-per-user workload.
@@ -164,6 +158,5 @@ mod tests {
         assert_eq!(q.tags, [TagId(2), TagId(5)]);
         assert!(q.contains_tag(TagId(5)));
         assert!(!q.contains_tag(TagId(9)));
-        assert_eq!(q.wire_bytes(), 4 + 32);
     }
 }

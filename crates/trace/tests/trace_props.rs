@@ -1,8 +1,6 @@
 //! Property-based tests for the trace substrate.
 
-use p3q_trace::{
-    ItemId, Profile, Query, TagId, TaggingAction, TraceConfig, TraceGenerator, UserId,
-};
+use p3q_trace::{ItemId, Profile, TagId, TaggingAction, TraceConfig, TraceGenerator};
 use proptest::prelude::*;
 
 fn arb_action() -> impl Strategy<Value = TaggingAction> {
@@ -82,12 +80,6 @@ proptest! {
             }
         }
     }
-}
-
-#[test]
-fn query_wire_size_never_less_than_id() {
-    let q = Query::new(UserId(0), vec![], ItemId(0));
-    assert_eq!(q.wire_bytes(), 4);
 }
 
 /// Asserts two traces are byte-identical: same latent world, same profile

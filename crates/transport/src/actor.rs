@@ -29,12 +29,14 @@
 //!   `Commit` (execute the plans whose initiator is local, guests standing
 //!   in for remote destinations; replies with outcomes and the mutated
 //!   guests) → `Restore` (move the shard's own lent nodes back in) →
-//!   `Effects` (apply the batch's third-party effects routed here) — each
-//!   only to the shards that have such work, at most once per batch;
+//!   `Effects` (apply the batch's third-party effects routed here; they
+//!   only change nodes, since the sequencer bills the batch's bytes from
+//!   the outcomes' charges) — each only to the shards that have such work,
+//!   at most once per batch;
 //! * `FinishCycle` — end-of-cycle hooks; replies whether any alive local
 //!   wants more;
 //!
-//! and eventually `Stop`, returning the shard's state to the sequencer.
+//! and eventually `Stop`, returning the shard's nodes to the sequencer.
 //!
 //! # The plan-phase read lease
 //!
@@ -53,8 +55,8 @@ use std::sync::Arc;
 
 use p3q_sim::exchange::plan_range;
 use p3q_sim::{
-    BandwidthRecorder, CommitOutcome, CycleContext, ExchangePlan, FaultTransitions, GossipProtocol,
-    Membership, NodeStore, Shard, Substrate,
+    CommitOutcome, CycleContext, ExchangePlan, FaultTransitions, GossipProtocol, Membership,
+    NodeStore, Shard, Substrate,
 };
 
 use crate::mailbox::{MailboxReceiver, MailboxSender};
@@ -144,14 +146,9 @@ pub enum ToShard<N, Pl, E> {
     /// post-commit state, by global index.
     Restore(Vec<(usize, N)>),
     /// Apply one batch's third-party effects routed to this shard (their
-    /// targets are local), in the order given; bandwidth they record lands
-    /// in the shard's local recorder.
-    Effects {
-        /// The committing (pre-increment) cycle.
-        cycle: u64,
-        /// The effects to apply, in plan order.
-        effects: Vec<E>,
-    },
+    /// targets are local), in the order given. Effects only change nodes:
+    /// the bytes they stand for were billed as their commits' charges.
+    Effects(Vec<E>),
     /// Run end-of-cycle bookkeeping on **all** locals (departed included);
     /// reply with [`FromShard::WantsMore`] over the alive ones.
     FinishCycle {
@@ -160,7 +157,7 @@ pub enum ToShard<N, Pl, E> {
         /// Who is alive.
         membership: Arc<Membership>,
     },
-    /// Shut down: the actor returns its nodes and bandwidth recorder.
+    /// Shut down: the actor returns its nodes.
     Stop,
 }
 
@@ -209,9 +206,8 @@ fn exclusive<'a, N>(store: &'a mut Lease<N>, command: &str) -> &'a mut NodeStore
 
 /// The shard actor body: a [`Shard`] over the actor's nodes — shard `s` of
 /// a population split into runs of `shard_size` — driven by commands until
-/// [`ToShard::Stop`] (or a hangup); then returns the node states and the
-/// shard-local bandwidth recorder for the sequencer to reassemble and
-/// merge.
+/// [`ToShard::Stop`] (or a hangup); then returns the node states for the
+/// sequencer to reassemble.
 pub(crate) fn run_actor<P>(
     proto: &P,
     s: usize,
@@ -219,14 +215,13 @@ pub(crate) fn run_actor<P>(
     nodes: Vec<P::Node>,
     rx: impl MailboxReceiver<Command<P>>,
     tx: impl MailboxSender<Reply<P>>,
-) -> (Vec<P::Node>, BandwidthRecorder)
+) -> Vec<P::Node>
 where
     P: GossipProtocol,
     P::Node: Default,
 {
     let base = s * shard_size;
     let mut store: Lease<P::Node> = Arc::new(NodeStore::new(nodes));
-    let mut bandwidth = BandwidthRecorder::new();
     while let Ok(msg) = rx.recv() {
         let reply = match msg {
             ToShard::Transitions { cycle, transitions } => {
@@ -285,9 +280,9 @@ where
                 }
                 continue;
             }
-            ToShard::Effects { cycle, effects } => {
+            ToShard::Effects(effects) => {
                 let mut shard = Shard::new(base, exclusive(&mut store, "Effects"));
-                shard.effects(proto, cycle, effects, &mut bandwidth);
+                shard.effects(proto, effects);
                 continue;
             }
             ToShard::FinishCycle { cycle, membership } => {
@@ -302,5 +297,5 @@ where
     }
     let store =
         Arc::into_inner(store).expect("a shard stopped with its plan-phase lease still out");
-    (store.into(), bandwidth)
+    store.into()
 }

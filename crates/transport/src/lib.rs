@@ -57,13 +57,13 @@
 //!
 //! A transport run is byte-identical to the simulator for the same seed —
 //! node states, bandwidth accounting, cycle counts, fault stream
-//! consumption. Plan order, fault filtering, batching and apply order are
-//! the simulator's because the sequencer is; what the mailbox substrate
-//! itself must keep — RNG streams by index, guest isolation (by move, and
-//! checked by the node store's debug sanitizer), FIFO
-//! restore-before-effect and effect-before-next-lend, leases returned
-//! before the first write, commutative recorder merge — is spelled out at
-//! the runtime's module docs, and the property suites in `crates/core` pin
+//! consumption. Plan order, fault filtering, batching, apply order and
+//! billing (commit charges only) are the simulator's because the sequencer
+//! is; what the mailbox substrate itself must keep — RNG streams by index,
+//! guest isolation (by move, and checked by the node store's debug
+//! sanitizer), FIFO restore-before-effect and effect-before-next-lend,
+//! leases returned before the first write — is spelled out at the
+//! runtime's module docs, and the property suites in `crates/core` pin
 //! the equality across protocols, shard layouts, fault mixes and
 //! `P3Q_THREADS` settings. Faults are protocol-level (lost messages, node
 //! crashes) and stay where they were, in [`p3q_sim::FaultPlan`],

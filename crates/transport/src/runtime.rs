@@ -13,8 +13,10 @@
 //! # What is still an argument
 //!
 //! Sharing the sequencer makes most of "byte-identical to the simulator"
-//! hold by construction. Five properties remain the mailbox substrate's
-//! own to keep:
+//! hold by construction, bandwidth included: every byte a run bills is a
+//! commit charge the sequencer records in plan order into the runtime's
+//! one recorder, and effects bill nothing. Four properties remain the
+//! mailbox substrate's own to keep:
 //!
 //! * **RNG streams by index** — the runtime owns a clone of the
 //!   simulator's master RNG, from which the sequencer draws the one seed
@@ -49,11 +51,6 @@
 //!   every shard's reply, so when the cycle's first `Lend`/`Commit` (or
 //!   `FinishCycle`) goes out no handle but each owner's exists. An actor
 //!   checks exactly that on every mutating command and panics otherwise.
-//! * **Commutative recorder merge** — commit charges land in the master
-//!   recorder at the committing cycle; effect-recorded bandwidth lands in
-//!   shard-local recorders merged in when an actor stops. Recorder merge
-//!   is addition over the same `(node, cycle, category, bytes)` records
-//!   the simulator makes, so every aggregate matches.
 
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -90,7 +87,7 @@ pub struct MailboxTraffic {
 struct ActorHandle<'scope, P: GossipProtocol> {
     tx: mpsc::Sender<Command<P>>,
     reply: mpsc::Receiver<Reply<P>>,
-    join: thread::ScopedJoinHandle<'scope, (Vec<P::Node>, BandwidthRecorder)>,
+    join: thread::ScopedJoinHandle<'scope, Vec<P::Node>>,
 }
 
 /// The mailbox substrate: every phase of the cycle as the messages that
@@ -108,9 +105,8 @@ struct Mailboxes<'scope, P: GossipProtocol> {
     /// to hand round.
     leases: Vec<Lease<P::Node>>,
     /// The last committed batch's effects by target shard, in plan order,
-    /// until `flush_effects` sends them, and the cycle they belong to.
+    /// until `flush_effects` sends them.
     outbox: Vec<Vec<P::Effect>>,
-    outbox_cycle: u64,
     traffic: MailboxTraffic,
 }
 
@@ -146,15 +142,14 @@ impl<P: GossipProtocol> Mailboxes<'_, P> {
         for s in 0..self.outbox.len() {
             if !self.outbox[s].is_empty() {
                 let effects = std::mem::take(&mut self.outbox[s]);
-                let cycle = self.outbox_cycle;
-                self.send(s, ToShard::Effects { cycle, effects });
+                self.send(s, ToShard::Effects(effects));
             }
         }
     }
 
     /// Stops an actor (already taken out of `actors`) and takes back its
-    /// nodes and shard-local recorder.
-    fn stop(&mut self, actor: ActorHandle<'_, P>) -> (Vec<P::Node>, BandwidthRecorder) {
+    /// nodes.
+    fn stop(&mut self, actor: ActorHandle<'_, P>) -> Vec<P::Node> {
         self.traffic.commands += 1;
         actor.tx.send(ToShard::Stop).expect(ACTOR_GONE);
         actor.join.join().expect("shard actor panicked")
@@ -347,16 +342,8 @@ where
         outcomes
     }
 
-    /// Buffers each effect for the shard owning its declared target, where
-    /// the bandwidth it records lands in the shard-local recorder.
-    fn effects(
-        &mut self,
-        proto: &P,
-        cycle: u64,
-        effects: impl IntoIterator<Item = P::Effect>,
-        _bandwidth: &mut BandwidthRecorder,
-    ) {
-        self.outbox_cycle = cycle;
+    /// Buffers each effect for the shard owning its declared target.
+    fn effects(&mut self, proto: &P, effects: impl IntoIterator<Item = P::Effect>) {
         for effect in effects {
             let target = proto
                 .effect_target(&effect)
@@ -545,7 +532,6 @@ impl<N: Send + Sync> TransportRuntime<N> {
                 alive_is_stale: false,
                 leases: Vec::new(),
                 outbox: self.shards.iter().map(|_| Vec::new()).collect(),
-                outbox_cycle: self.run.cycle,
                 traffic: self.traffic,
             };
 
@@ -556,13 +542,10 @@ impl<N: Send + Sync> TransportRuntime<N> {
             }
 
             // Stop every actor and reassemble: node states return to their
-            // slots, shard-local (effect-recorded) bandwidth merges into
-            // the master in ascending shard order.
+            // slots.
             let actors = std::mem::take(&mut mailboxes.actors);
             for (shard, actor) in self.shards.iter_mut().zip(actors) {
-                let (nodes, recorder) = mailboxes.stop(actor);
-                self.bandwidth.merge(&recorder);
-                *shard = nodes;
+                *shard = mailboxes.stop(actor);
             }
             self.traffic = mailboxes.traffic;
         });
@@ -670,10 +653,11 @@ mod tests {
         }
 
         fn apply_effect(&self, world: &mut EffectContext<'_, Counter>, target: usize) {
-            let cycle = world.cycle();
-            world.node_mut(target).effects += 1;
-            world.node_mut(target).log.push(("apply_effect", cycle));
-            world.record_bandwidth(target, "ring-effect", 1);
+            // Every node finishes every cycle, so its `finish_cycle` count
+            // is the committing cycle.
+            let node = world.node_mut(target);
+            node.effects += 1;
+            node.log.push(("apply_effect", node.finished));
         }
 
         fn effect_target(&self, effect: &usize) -> Option<usize> {
@@ -711,8 +695,7 @@ mod tests {
         let rt_nodes: Vec<&Counter> = transport.nodes().collect();
         assert_eq!(sim_nodes, rt_nodes, "{label}: node states diverged");
         assert_eq!(
-            sim.bandwidth.totals(),
-            transport.bandwidth.totals(),
+            sim.bandwidth, transport.bandwidth,
             "{label}: bandwidth diverged"
         );
         assert_eq!(sim.cycle(), transport.cycle(), "{label}: cycle diverged");
