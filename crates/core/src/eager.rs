@@ -167,15 +167,12 @@ fn collect_contexts(node: &P3qNode, cycle: u64) -> Vec<GossipContext<'_>> {
             remaining: &state.remaining,
             is_querier: true,
         });
-    let helped = node
-        .tasks
-        .iter()
-        .filter(|(_, task)| !task.is_done())
-        .map(|(query_id, task)| GossipContext {
-            query_id,
-            remaining: &task.remaining,
-            is_querier: false,
-        });
+    // A helper's share leaves its book when its list drains.
+    let helped = node.tasks.iter().map(|(query_id, task)| GossipContext {
+        query_id,
+        remaining: &task.remaining,
+        is_querier: false,
+    });
     let mut contexts: Vec<GossipContext<'_>> = own.chain(helped).collect();
     contexts.sort_by_key(|c| c.query_id);
     contexts
@@ -183,7 +180,7 @@ fn collect_contexts(node: &P3qNode, cycle: u64) -> Vec<GossipContext<'_>> {
 
 /// The context `task` gossips for, read from the initiator's books: the
 /// querier, the query and the remaining list. `None` once the entry is gone
-/// (shed by its TTL or lost in a crash).
+/// (a drained share, shed by its TTL or lost in a crash).
 fn context_of<'a>(
     node: &'a mut P3qNode,
     task: &EagerTask,
@@ -398,8 +395,12 @@ impl GossipProtocol for EagerProtocol {
             }
         }
 
-        // The initiator's context keeps the returned remaining list.
+        // The initiator's context keeps the returned remaining list; a
+        // helper's drained share is dropped (a later share re-creates it).
         *remaining = processed.initiator_share;
+        if !task.is_querier && remaining.is_empty() {
+            initiator.tasks.remove(&task.query_id);
+        }
         if task.via_network {
             initiator.personal_network.reset_staleness(&dest.id);
         }
@@ -675,6 +676,41 @@ mod tests {
             }
         }
         assert_eq!(last_total, 0, "query never drained its remaining lists");
+    }
+
+    #[test]
+    fn drained_shares_leave_the_task_books() {
+        let mut fx = fixture(1);
+        for (i, query) in fx.queries.iter().take(8).enumerate() {
+            let querier = query.querier.index();
+            issue_query(
+                &mut fx.sim,
+                querier,
+                QueryId(i as u64),
+                query.clone(),
+                &fx.cfg,
+            );
+        }
+        let mut shares_seen = 0;
+        for cycle in 0..30 {
+            let report = fx
+                .sim
+                .drive(&fx.cfg.eager(), RunOptions::cycles(1), |_, _| {});
+            for (idx, node) in fx.sim.nodes().iter().enumerate() {
+                for (query_id, task) in node.tasks.iter() {
+                    assert!(
+                        !task.remaining.is_empty(),
+                        "cycle {cycle}: node {idx} keeps a drained share of {query_id:?}"
+                    );
+                    shares_seen += 1;
+                }
+            }
+            if report.exchanges() == 0 {
+                break;
+            }
+        }
+        assert!(shares_seen > 0, "no helper ever held a share");
+        assert!(fx.sim.nodes().iter().all(|node| node.tasks.is_empty()));
     }
 
     #[test]

@@ -82,6 +82,17 @@ impl<V> QueryBook<V> {
         self.value_at(at)
     }
 
+    /// Removes the state of query `id`, if present; the book frees its
+    /// entries once the last one goes.
+    pub(crate) fn remove(&mut self, id: &QueryId) {
+        if let (Ok(at), Some(entries)) = (self.slot(*id), self.entries.as_mut()) {
+            entries.remove(at);
+            if entries.is_empty() {
+                self.entries = None;
+            }
+        }
+    }
+
     fn value_at(&mut self, at: usize) -> &mut V {
         &mut self.entries.as_mut().expect("a found slot is allocated")[at].1
     }
@@ -312,11 +323,6 @@ pub struct RemainingTask {
 }
 
 impl RemainingTask {
-    /// Returns `true` if nothing remains to be resolved by this node.
-    pub(crate) fn is_done(&self) -> bool {
-        self.remaining.is_empty()
-    }
-
     /// Returns `true` if this share has a TTL and it has lapsed.
     pub(crate) fn is_expired(&self, cycle: u64) -> bool {
         self.expires_cycle != 0 && cycle >= self.expires_cycle
@@ -402,13 +408,15 @@ mod tests {
             remaining: vec![UserId(5)],
             expires_cycle: 0,
         };
-        assert!(!t.is_done());
         assert!(!t.is_expired(u64::MAX), "0 means no TTL");
         let done = RemainingTask {
             remaining: vec![],
             ..t
         };
-        assert!(done.is_done());
+        assert!(
+            !done.is_expired(u64::MAX),
+            "a drained share has no TTL either"
+        );
     }
 
     #[test]
