@@ -14,9 +14,11 @@
 # (s = 1 000 and seven storage budgets up to c = 1 000, each installed by
 # `init_ideal_networks`), `table1_storage_distribution`,
 # `table2_profile_changes`, `summary_bandwidth` (20 lazy cycles and the
-# eager phase, 20 Kbit digests), `fig6_query_bandwidth` and
+# eager phase, 20 Kbit digests), `fig6_query_bandwidth`,
 # `fig8_users_reached` (per-query traffic and reached users of eager
-# deliveries), against ci/figure_answers_paper.txt.
+# deliveries) and `fig9_aur_eager` (eager AUR while `DynamicsConfig::
+# all_users` batches change every profile), against
+# ci/figure_answers_paper.txt.
 #
 #   ci/figure_answers.sh [--paper-scale]            compare; on a mismatch
 #                                                   print the figure, the
@@ -50,7 +52,7 @@ runs=()
 if [ "$scale" = paper ]; then
     answers=ci/figure_answers_paper.txt
     for figure in fig5_space table1_storage_distribution table2_profile_changes \
-        summary_bandwidth fig6_query_bandwidth fig8_users_reached; do
+        summary_bandwidth fig6_query_bandwidth fig8_users_reached fig9_aur_eager; do
         runs+=("$figure 42 --paper-scale --users 10000")
     done
 else
