@@ -34,7 +34,6 @@ cargo run --release -p p3q-bench --bin bench_cycles [-- OPTIONS]
     --warmup N       untimed warmup cycles  (default 2)
     --threads a,b    thread counts to time  (default 1,2,4,8)
     --seed N         master seed            (default 42)
-    --scenario NAME  workload preset        (default paper-delicious)
     --out PATH       output path            (default BENCH_cycles.json)";
 
 struct Args {
@@ -43,7 +42,6 @@ struct Args {
     warmup: u64,
     threads: Vec<usize>,
     seed: u64,
-    scenario: Scenario,
     out: String,
 }
 
@@ -55,7 +53,6 @@ fn parse_args() -> Result<Args, String> {
         warmup: flags.value("--warmup", 2)?,
         threads: flags.list("--threads", &[1, 2, 4, 8])?,
         seed: flags.value("--seed", 42)?,
-        scenario: flags.scenario()?,
         out: flags.value("--out", "BENCH_cycles.json".to_string())?,
     };
     flags.finish()?;
@@ -95,9 +92,7 @@ fn bench_scale(users: usize, args: &Args) -> ScaleResult {
     let start = Instant::now();
     // The scenario layer's density-preserving shape: items-per-user density
     // (and therefore the overlap structure) stays constant across scales.
-    // Only the trace is generated — this benchmark times gossip cycles, so
-    // materializing the scenario's event schedule would be wasted work.
-    let scenario = ScenarioConfig::new(args.scenario, users, args.seed);
+    let scenario = ScenarioConfig::new(Scenario::PaperDelicious, users, args.seed);
     let trace = TraceGenerator::new(scenario.trace_config()).generate();
     eprintln!(
         "   trace: {} actions, generated in {:.1} s",

@@ -23,7 +23,6 @@ use p3q::prelude::*;
 use p3q_bench::flags::{exit_with_usage, Flags};
 use p3q_bench::json::Json;
 use p3q_bench::{burst_simulator, composite_faults, issue_queries, HarnessArgs, World};
-use p3q_trace::Scenario;
 
 const USAGE: &str = "\
 cargo run --release -p p3q-bench --bin bench_faults [-- OPTIONS]
@@ -34,7 +33,7 @@ cargo run --release -p p3q-bench --bin bench_faults [-- OPTIONS]
     --warmup N       faulted lazy warmup cycles       (default 3)
     --cycles N       faulted eager cycles             (default 20; check: 4)
     --out PATH       output path                      (default BENCH_faults.json)
-    --check          determinism check only: run the lossy-network mix,
+    --check          determinism check only: run the 5% mix,
                      assert default-threads == sequential reference and
                      print the checksum (CI runs this under P3Q_THREADS)";
 
@@ -54,7 +53,7 @@ fn parse_args() -> Result<Args, String> {
     let args = Args {
         users: flags.users(1_000)?,
         seed: flags.value("--seed", 42)?,
-        queries: flags.value("--queries", 150)?,
+        queries: flags.count("--queries", 150)?,
         rates_percent: flags.list("--rates", &[0.0, 1.0, 5.0, 20.0])?,
         warmup: flags.value("--warmup", 3)?,
         cycles: flags.optional("--cycles")?,
@@ -66,15 +65,12 @@ fn parse_args() -> Result<Args, String> {
 }
 
 impl Args {
-    /// The world of a run of `cycles` eager cycles under `scenario`.
-    fn world(&self, cycles: u64, scenario: Scenario) -> World {
+    /// The paper-shaped world of `--users` users.
+    fn world(&self) -> World {
         World::build(&HarnessArgs {
             users: self.users,
             seed: self.seed,
-            cycles,
-            queries: self.queries,
-            paper_scale: false,
-            scenario,
+            ..HarnessArgs::default()
         })
     }
 
@@ -171,13 +167,13 @@ fn run_arm(
 }
 
 /// `--check`: the CI fault-determinism entry point. Runs the 5% composite
-/// mix on a lossy-network world with the environment's worker-thread count
+/// mix on the paper world with the environment's worker-thread count
 /// and with the sequential reference, asserts byte equality and prints the
 /// checksum — the CI matrix runs this binary under several `P3Q_THREADS`
 /// values and diffs the printed lines across jobs.
 fn run_check(args: &Args) {
     let cycles = args.cycles.unwrap_or(4);
-    let world = args.world(cycles, Scenario::LossyNetwork);
+    let world = args.world();
     let cfg = world.cfg.clone().with_fault_tolerance(cycles.max(2), 2);
     let faults = args.faults(0.05);
     let queries = world.sample_queries(args.queries.min(50));
@@ -238,7 +234,7 @@ fn main() {
     }
     let cycles = args.cycles.unwrap_or(20);
 
-    let world = args.world(cycles, Scenario::PaperDelicious);
+    let world = args.world();
     let hardened_cfg = world.cfg.clone().with_fault_tolerance(cycles.max(2), 2);
     let plain_cfg = world.cfg.clone();
     let queries = world.sample_queries(args.queries);

@@ -65,7 +65,6 @@ cargo run --release -p p3q-bench --bin bench_similarity [-- OPTIONS]
     --cycles N      lazy cycles to time      (default 3)
     --delta-batches N  dynamics batches      (default 3)
     --seed N        master seed              (default 42)
-    --scenario NAME workload preset          (default paper-delicious)
     --skip-reference  skip the slow per-pair-merge baseline
     --memory-users N  index-memory probe scale (default 100000; 0 = off)
     --hotspot-users N  query-hotspot probe scale (default 100000; 0 = off)
@@ -76,7 +75,6 @@ struct Args {
     cycles: u64,
     delta_batches: usize,
     seed: u64,
-    scenario: Scenario,
     skip_reference: bool,
     memory_users: usize,
     hotspot_users: usize,
@@ -90,7 +88,6 @@ fn parse_args() -> Result<Args, String> {
         cycles: flags.value("--cycles", 3)?,
         delta_batches: flags.value("--delta-batches", 3)?,
         seed: flags.value("--seed", 42)?,
-        scenario: flags.scenario()?,
         skip_reference: flags.switch("--skip-reference"),
         memory_users: flags.value("--memory-users", 100_000)?,
         hotspot_users: flags.value("--hotspot-users", 100_000)?,
@@ -438,9 +435,9 @@ fn bench_dynamics(trace: &SyntheticTrace, s: usize, args: &Args) -> Option<Json>
 /// invalidation plus lazy resolution of that cycle's queriers
 /// ([`OnDemandNetworks`]) against a global [`IdealNetworks`] recompute over
 /// the same patched index, asserting both agree on every queried user. The
-/// querier schedule is always the `query-hotspot` preset (Zipf-skewed,
-/// <1% of users per cycle) regardless of `--scenario` — the hotspot axis is
-/// what the demand-driven resolver exists for. The index patch itself
+/// querier schedule is the `query-hotspot` preset (Zipf-skewed, <1% of
+/// users per cycle) — the hotspot axis is what the demand-driven resolver
+/// exists for. The index patch itself
 /// (`apply_deltas`) is shared infrastructure both paths need, so it runs
 /// untimed and the ratio compares pure resolution strategies.
 struct OnDemandResult {
@@ -575,9 +572,7 @@ fn bench_scale(users: usize, args: &Args) -> Json {
     let generation = Instant::now();
     // The scenario layer's density-preserving shape: items-per-user density
     // (and therefore the overlap structure) stays constant across scales.
-    // Only the trace is generated — this benchmark rolls its own dynamics
-    // batches below, so materializing the scenario schedule would be waste.
-    let scenario = ScenarioConfig::new(args.scenario, users, args.seed);
+    let scenario = ScenarioConfig::new(Scenario::PaperDelicious, users, args.seed);
     let trace = TraceGenerator::new(scenario.trace_config()).generate();
     let dataset = &trace.dataset;
     eprintln!(
@@ -711,7 +706,7 @@ fn hotspot_probe(users: usize, args: &Args) -> Option<OnDemandResult> {
 /// the posting population here is what the codec was shaped for.
 fn memory_probe(users: usize, args: &Args) -> (MemoryResult, DecodeResult) {
     eprintln!("== index-memory probe: {users} users ==");
-    let scenario = ScenarioConfig::new(args.scenario, users, args.seed);
+    let scenario = ScenarioConfig::new(Scenario::PaperDelicious, users, args.seed);
     let trace = TraceGenerator::new(scenario.trace_config()).generate();
     let index = ActionIndex::build(&trace.dataset);
     let memory = MemoryResult::measure(&trace.dataset, &index);

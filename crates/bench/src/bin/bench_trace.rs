@@ -2,8 +2,8 @@
 //! parallel generator (per worker-thread count) against the retained
 //! sequential reference, with a content checksum asserted byte-identical
 //! across every mode — and, in `--check` mode, the CI gate that regenerates
-//! a trace plus its scenario schedule under several thread counts and fails
-//! on any divergence.
+//! a trace plus one paper-day change batch under several thread counts and
+//! fails on any divergence.
 //!
 //! Emits `BENCH_trace.json` in the working directory (git-ignored; the
 //! recording the gate keeps is `ci/baselines/BENCH_trace_smoke.json`). The
@@ -19,14 +19,16 @@ use p3q_bench::flags::{exit_with_usage, Flags};
 use p3q_bench::host_parallelism;
 use p3q_bench::json::Json;
 use p3q_sim::Fnv;
-use p3q_trace::{Scenario, ScenarioConfig, ScenarioEvent, SyntheticTrace, TraceGenerator};
+use p3q_trace::{
+    ChangeBatch, DynamicsConfig, DynamicsGenerator, Scenario, ScenarioConfig, SyntheticTrace,
+    TraceGenerator,
+};
 
 const USAGE: &str = "\
 cargo run --release -p p3q-bench --bin bench_trace [-- OPTIONS]
     --users a,b      population scales     (default 10000,100000)
     --threads a,b    thread counts to time (default 1,2,4,8)
     --seed N         master seed           (default 42)
-    --scenario NAME  workload preset       (default paper-delicious)
     --check          determinism mode: compare all modes, print checksums
     --out PATH       output path           (default BENCH_trace.json)";
 
@@ -34,7 +36,6 @@ struct Args {
     users: Vec<usize>,
     threads: Vec<usize>,
     seed: u64,
-    scenario: Scenario,
     check: bool,
     out: String,
 }
@@ -45,7 +46,6 @@ fn parse_args() -> Result<Args, String> {
         users: flags.users_list(&[10_000, 100_000])?,
         threads: flags.list("--threads", &[1, 2, 4, 8])?,
         seed: flags.value("--seed", 42)?,
-        scenario: flags.scenario()?,
         check: flags.switch("--check"),
         out: flags.value("--out", "BENCH_trace.json".to_string())?,
     };
@@ -82,29 +82,25 @@ fn trace_checksum(trace: &SyntheticTrace) -> u64 {
     h.finish()
 }
 
-/// Content checksum of a scenario schedule (batches and departures).
-fn schedule_checksum(schedule: &[(u64, ScenarioEvent)]) -> u64 {
+/// Content checksum of a change batch: every changing user and her new
+/// actions.
+fn batch_checksum(batch: &ChangeBatch) -> u64 {
     let mut h = Fnv::new();
-    for (cycle, event) in schedule {
-        h.write_u64(*cycle);
-        match event {
-            ScenarioEvent::ProfileChanges(batch) => {
-                h.write_u64(batch.len() as u64);
-                for change in &batch.changes {
-                    h.write_u64(change.user.as_key());
-                    for action in &change.new_actions {
-                        h.write_u64(action.item.as_key());
-                        h.write_u64(action.tag.as_key());
-                    }
-                }
-            }
-            ScenarioEvent::MassDeparture(fraction) => {
-                h.write_u64(u64::MAX);
-                h.write_u64(fraction.to_bits());
-            }
+    h.write_u64(batch.len() as u64);
+    for change in &batch.changes {
+        h.write_u64(change.user.as_key());
+        h.write_u64(change.new_actions.len() as u64);
+        for action in &change.new_actions {
+            h.write_u64(action.item.as_key());
+            h.write_u64(action.tag.as_key());
         }
     }
     h.finish()
+}
+
+/// The paper's trace configuration for `users` users.
+fn generator(users: usize, seed: u64) -> TraceGenerator {
+    TraceGenerator::new(ScenarioConfig::new(Scenario::PaperDelicious, users, seed).trace_config())
 }
 
 struct ModeResult {
@@ -129,8 +125,7 @@ struct ScaleResult {
 
 fn bench_scale(users: usize, args: &Args) -> ScaleResult {
     eprintln!("== {users} users ==");
-    let scenario = ScenarioConfig::new(args.scenario, users, args.seed);
-    let generator = TraceGenerator::new(scenario.trace_config());
+    let generator = generator(users, args.seed);
 
     let start = Instant::now();
     let reference = generator.generate_reference();
@@ -191,21 +186,19 @@ fn bench_scale(users: usize, args: &Args) -> ScaleResult {
     }
 }
 
-/// The CI determinism gate: regenerate trace + scenario schedule under
-/// every requested thread count and fail loudly on checksum divergence.
+/// The CI determinism gate: regenerate the trace and one paper-day change
+/// batch over it under every requested thread count and fail loudly on
+/// checksum divergence from the sequential references.
 fn check_scale(users: usize, args: &Args) {
-    println!(
-        "== determinism check: {users} users, scenario {} ==",
-        args.scenario.name()
-    );
-    let scenario = ScenarioConfig::new(args.scenario, users, args.seed);
-    let generator = TraceGenerator::new(scenario.trace_config());
+    println!("== determinism check: {users} users ==");
+    let generator = generator(users, args.seed);
+    let dynamics = DynamicsGenerator::new(DynamicsConfig::paper_day(args.seed));
 
     let reference = generator.generate_reference();
     let reference_checksum = trace_checksum(&reference);
-    let reference_schedule = schedule_checksum(&scenario.schedule(&reference, 1));
+    let reference_batch = batch_checksum(&dynamics.generate_reference(&reference));
     println!(
-        "   reference: trace {reference_checksum:#018x}, schedule {reference_schedule:#018x} \
+        "   reference: trace {reference_checksum:#018x}, batch {reference_batch:#018x} \
          ({} actions)",
         reference.dataset.total_actions()
     );
@@ -213,17 +206,17 @@ fn check_scale(users: usize, args: &Args) {
 
     let mut failures = 0usize;
     for &threads in &args.threads {
-        let workload = scenario.build_with_threads(threads);
-        let trace = trace_checksum(&workload.trace);
-        let schedule = schedule_checksum(&workload.schedule);
+        let generated = generator.generate_with_threads(threads);
+        let trace = trace_checksum(&generated);
+        let batch = batch_checksum(&dynamics.generate_with_threads(&generated, threads));
         let trace_ok = trace == reference_checksum;
-        let schedule_ok = schedule == reference_schedule;
+        let batch_ok = batch == reference_batch;
         println!(
-            "   threads {threads}: trace {trace:#018x} [{}], schedule {schedule:#018x} [{}]",
+            "   threads {threads}: trace {trace:#018x} [{}], batch {batch:#018x} [{}]",
             if trace_ok { "ok" } else { "DIVERGED" },
-            if schedule_ok { "ok" } else { "DIVERGED" },
+            if batch_ok { "ok" } else { "DIVERGED" },
         );
-        failures += usize::from(!trace_ok) + usize::from(!schedule_ok);
+        failures += usize::from(!trace_ok) + usize::from(!batch_ok);
     }
     if failures > 0 {
         eprintln!("{failures} checksum divergence(s) — trace generation is not deterministic");
@@ -271,7 +264,6 @@ fn main() {
     Json::object()
         .with("benchmark", "trace")
         .with("seed", args.seed)
-        .with("scenario", args.scenario.name())
         .with("host_available_parallelism", host_parallelism)
         .with(
             "note",

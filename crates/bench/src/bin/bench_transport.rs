@@ -22,7 +22,6 @@ use p3q::prelude::*;
 use p3q_bench::flags::{exit_with_usage, Flags};
 use p3q_bench::json::Json;
 use p3q_bench::{burst_simulator, composite_faults, issue_queries, HarnessArgs, World};
-use p3q_trace::Scenario;
 use p3q_transport::{DeliverySchedule, MailboxTraffic, TransportRuntime};
 
 const USAGE: &str = "\
@@ -58,7 +57,7 @@ fn parse_args() -> Result<Args, String> {
     let args = Args {
         users: flags.users(1_000)?,
         seed: flags.value("--seed", 42)?,
-        queries: flags.value("--queries", 100)?,
+        queries: flags.count("--queries", 100)?,
         warmup: flags.value("--warmup", 3)?,
         cycles: flags.optional("--cycles")?,
         actors: flags.list("--actors", &[1, 3, 8])?,
@@ -70,15 +69,12 @@ fn parse_args() -> Result<Args, String> {
 }
 
 impl Args {
-    /// The paper-shaped world of a run of `cycles` eager cycles.
-    fn world(&self, cycles: u64) -> World {
+    /// The paper-shaped world of `--users` users.
+    fn world(&self) -> World {
         World::build(&HarnessArgs {
             users: self.users,
             seed: self.seed,
-            cycles,
-            queries: self.queries,
-            paper_scale: false,
-            scenario: Scenario::PaperDelicious,
+            ..HarnessArgs::default()
         })
     }
 }
@@ -255,7 +251,7 @@ fn run_check(args: &Args) {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3usize);
-    let world = args.world(cycles);
+    let world = args.world();
     let cfg = world.cfg.clone();
     let queries = world.sample_queries(args.queries.min(50));
 
@@ -303,7 +299,7 @@ fn main() {
     }
     let cycles = args.cycles.unwrap_or(12);
 
-    let world = args.world(cycles);
+    let world = args.world();
     let cfg = world.cfg.clone();
     let queries = world.sample_queries(args.queries);
     eprintln!(

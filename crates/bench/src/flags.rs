@@ -5,8 +5,6 @@
 
 use std::str::FromStr;
 
-use p3q_trace::Scenario;
-
 /// The arguments not taken yet.
 pub struct Flags {
     args: Vec<String>,
@@ -63,16 +61,22 @@ impl Flags {
         }
     }
 
+    /// `name N`, or `default`: a count of something a run needs, so at
+    /// least 1.
+    pub fn count(&mut self, name: &str, default: usize) -> Result<usize, String> {
+        at_least_one(name, self.value(name, default)?)
+    }
+
     /// `--users N`, or `default`: a population, so at least 1.
     pub fn users(&mut self, default: usize) -> Result<usize, String> {
-        population(self.value("--users", default)?)
+        self.count("--users", default)
     }
 
     /// `--users A,B,C`, or `default`: populations, each at least 1.
     pub fn users_list(&mut self, default: &[usize]) -> Result<Vec<usize>, String> {
         let users = self.list("--users", default)?;
         for &n in &users {
-            population(n)?;
+            at_least_one("--users", n)?;
         }
         Ok(users)
     }
@@ -82,17 +86,6 @@ impl Flags {
         let before = self.args.len();
         self.args.retain(|arg| arg != name);
         self.args.len() < before
-    }
-
-    /// `--scenario NAME`, or the paper's shape; a typo lists the presets.
-    pub fn scenario(&mut self) -> Result<Scenario, String> {
-        let Some(name) = self.take("--scenario")? else {
-            return Ok(Scenario::PaperDelicious);
-        };
-        Scenario::from_name(&name).ok_or_else(|| {
-            let names: Vec<&str> = Scenario::ALL.iter().map(|s| s.name()).collect();
-            format!("unknown scenario {name}; one of: {}", names.join(", "))
-        })
     }
 
     /// Rejects the first argument nobody took.
@@ -109,13 +102,14 @@ fn read<T: FromStr>(name: &str, text: &str) -> Result<T, String> {
         .map_err(|_| format!("cannot read `{text}` as the value of {name}"))
 }
 
-/// A population size read from `--users`: a simulation of nobody has no
-/// node to build, so 0 is rejected here rather than panicking later.
-fn population(users: usize) -> Result<usize, String> {
-    if users == 0 {
-        return Err("--users must be at least 1".into());
+/// A count read from flag `name`: a simulation of nobody has no node to
+/// build and a run that tracks no query measures nothing, so 0 is rejected
+/// here rather than panicking or silently meaning something else later.
+fn at_least_one(name: &str, n: usize) -> Result<usize, String> {
+    if n == 0 {
+        return Err(format!("{name} must be at least 1"));
     }
-    Ok(users)
+    Ok(n)
 }
 
 /// Prints `error: …` and the binary's usage block, then exits with status 2.
@@ -143,7 +137,6 @@ mod tests {
         assert_eq!(f.value("--out", "x.json".to_string()), Ok("x.json".into()));
         assert!(f.switch("--check"));
         assert!(!f.switch("--bless"));
-        assert_eq!(f.scenario(), Ok(Scenario::PaperDelicious));
         assert_eq!(f.finish(), Ok(()));
     }
 
@@ -175,8 +168,6 @@ mod tests {
         assert!(flags(&["--users", "1,,2"])
             .list("--users", &[0usize])
             .is_err());
-        let typo = flags(&["--scenario", "nope"]).scenario().unwrap_err();
-        assert!(typo.contains("paper-delicious"), "{typo}");
     }
 
     #[test]
@@ -191,5 +182,10 @@ mod tests {
         );
         assert_eq!(flags(&[]).users(5), Ok(5));
         assert_eq!(flags(&[]).users_list(&[5, 6]), Ok(vec![5, 6]));
+        assert_eq!(
+            flags(&["--queries", "0"]).count("--queries", 5),
+            Err("--queries must be at least 1".to_string())
+        );
+        assert_eq!(flags(&[]).count("--queries", 5), Ok(5));
     }
 }

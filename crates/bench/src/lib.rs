@@ -15,7 +15,7 @@ pub mod flags;
 pub mod json;
 
 use p3q::prelude::*;
-use p3q_trace::{ChangeBatch, Scenario, ScenarioConfig, ScenarioEvent, SyntheticTrace, TraceShape};
+use p3q_trace::{ChangeBatch, Scenario, ScenarioConfig, SyntheticTrace, TraceShape};
 
 use flags::{exit_with_usage, Flags};
 
@@ -28,7 +28,6 @@ use flags::{exit_with_usage, Flags};
 /// --cycles N       number of gossip cycles            (figure-specific default)
 /// --queries N      number of tracked queries          (default 200)
 /// --paper-scale    use the paper's 10,000-user scale  (slow!)
-/// --scenario NAME  workload preset                    (default paper-delicious)
 /// ```
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
@@ -42,8 +41,6 @@ pub struct HarnessArgs {
     pub queries: usize,
     /// Use the paper's full 10,000-user configuration.
     pub paper_scale: bool,
-    /// The workload preset the world is built from.
-    pub scenario: Scenario,
 }
 
 impl Default for HarnessArgs {
@@ -54,15 +51,14 @@ impl Default for HarnessArgs {
             cycles: 0,
             queries: 200,
             paper_scale: false,
-            scenario: Scenario::PaperDelicious,
         }
     }
 }
 
 /// The flags `paper_figures` takes: printed by `--help` and after a bad
 /// flag.
-const HARNESS_USAGE: &str = "options: --figure NAME --users N --seed N --cycles N --queries N \
-                             --paper-scale --scenario NAME";
+const HARNESS_USAGE: &str =
+    "options: --figure NAME --users N --seed N --cycles N --queries N --paper-scale";
 
 /// One figure of the paper's evaluation: what `paper_figures --figure NAME`
 /// runs.
@@ -77,9 +73,9 @@ pub struct Figure {
 
 impl HarnessArgs {
     /// Parses `std::env::args` as `--figure NAME` and the shared flags.
-    /// `--help` prints the options, the figures with their default cycles
-    /// and the scenarios; a bad flag or figure name prints the error and the
-    /// options and exits with status 2.
+    /// `--help` prints the options and the figures with their default
+    /// cycles; a bad flag or figure name prints the error and the options
+    /// and exits with status 2.
     pub fn parse_figure(figures: &[Figure]) -> (&Figure, Self) {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|arg| arg == "--help" || arg == "-h") {
@@ -87,10 +83,6 @@ impl HarnessArgs {
             println!("figures (default --cycles):");
             for figure in figures {
                 println!("  {:<28} {}", figure.name, figure.default_cycles);
-            }
-            println!("scenarios:");
-            for s in Scenario::ALL {
-                println!("  {:<16} {}", s.name(), s.description());
             }
             std::process::exit(0);
         }
@@ -129,9 +121,8 @@ impl HarnessArgs {
             users: flags.users(defaults.users)?,
             seed: flags.value("--seed", defaults.seed)?,
             cycles: flags.value("--cycles", default_cycles)?,
-            queries: flags.value("--queries", defaults.queries)?,
+            queries: flags.count("--queries", defaults.queries)?,
             paper_scale: flags.switch("--paper-scale"),
-            scenario: flags.scenario()?,
         };
         flags.finish()?;
         Ok(parsed)
@@ -145,32 +136,10 @@ impl HarnessArgs {
             P3qConfig::laptop_scale()
         }
     }
-
-    /// The scenario instance implied by the flags — the single entry point
-    /// every harness binary builds its world from.
-    pub fn scenario_config(&self) -> ScenarioConfig {
-        let shape = if self.paper_scale {
-            TraceShape::FixedPaper
-        } else {
-            TraceShape::FixedLaptop
-        };
-        // The horizon equals the run length, so every scheduled event fires
-        // within the run (the run loops flush end-boundary events).
-        ScenarioConfig::new(self.scenario, self.users, self.seed)
-            .with_shape(shape)
-            .with_horizon(self.cycles)
-    }
-
-    /// The trace configuration implied by the flags (the trace half of
-    /// [`scenario_config`](Self::scenario_config)).
-    pub fn trace_config(&self) -> TraceConfig {
-        self.scenario_config().trace_config()
-    }
 }
 
 /// Everything an experiment needs: the trace, the protocol configuration, the
-/// offline ideal networks, the one-query-per-user workload and the
-/// scenario's event schedule.
+/// offline ideal networks and the one-query-per-user workload.
 pub struct World {
     /// The generated trace (dataset + latent topic model).
     pub trace: SyntheticTrace,
@@ -183,23 +152,21 @@ pub struct World {
     pub ideal: IdealNetworks,
     /// The query workload (one query per user with a non-empty profile).
     pub queries: Vec<Query>,
-    /// The scenario's concrete event schedule (change batches, departures),
-    /// ordered by firing cycle. Collect it into an [`EventQueue`] to feed a
-    /// run loop.
-    pub schedule: Vec<(u64, ScenarioEvent)>,
 }
 
 impl World {
-    /// Builds the world for the given harness arguments, through the
-    /// scenario entry point ([`HarnessArgs::scenario_config`]).
-    ///
-    /// The scenario's event schedule is materialized eagerly so every
-    /// driver sees the same workload object; batch generation is parallel
-    /// and per-user-streamed, so this costs ~2 ms at the default 1k-user
-    /// scale (~0.2% of a paper-scale build, dominated by `IdealNetworks`).
+    /// Builds the world for the given harness arguments over the paper's
+    /// trace: the laptop vocabulary or, with `--paper-scale`, the paper's.
     pub fn build(args: &HarnessArgs) -> Self {
-        let workload = args.scenario_config().build();
-        let trace = workload.trace;
+        let shape = if args.paper_scale {
+            TraceShape::FixedPaper
+        } else {
+            TraceShape::FixedLaptop
+        };
+        let trace_config = ScenarioConfig::new(Scenario::PaperDelicious, args.users, args.seed)
+            .with_shape(shape)
+            .trace_config();
+        let trace = TraceGenerator::new(trace_config).generate();
         let cfg = args.protocol_config();
         let index = ActionIndex::build(&trace.dataset);
         let ideal =
@@ -215,7 +182,6 @@ impl World {
             index,
             ideal,
             queries,
-            schedule: workload.schedule,
         }
     }
 
@@ -257,25 +223,13 @@ impl World {
     /// A deterministic sample of at most `limit` queries (spread over the
     /// user population rather than taking a prefix).
     pub fn sample_queries(&self, limit: usize) -> Vec<Query> {
-        if self.queries.len() <= limit || limit == 0 {
+        if self.queries.len() <= limit {
             return self.queries.clone();
         }
         let stride = self.queries.len() as f64 / limit as f64;
         (0..limit)
             .map(|i| self.queries[(i as f64 * stride) as usize].clone())
             .collect()
-    }
-}
-
-/// Applies one [`ScenarioEvent`] to the simulation.
-pub fn apply_sim_event(sim: &mut Simulator<P3qNode>, event: &ScenarioEvent) {
-    match event {
-        ScenarioEvent::MassDeparture(fraction) => {
-            sim.mass_departure(*fraction);
-        }
-        ScenarioEvent::ProfileChanges(batch) => {
-            apply_profile_changes(sim, batch);
-        }
     }
 }
 
@@ -355,18 +309,11 @@ pub struct RecallExperiment {
 
 /// Issues `queries` on `sim`, runs `cycles` eager cycles and measures the
 /// average recall against the centralized reference after every cycle.
-///
-/// The [`ScenarioEvent`]s of `events` fire on the cycle axis through
-/// `RunOptions::events`: an event due at cycle `c` fires **before** that
-/// cycle's eager gossip (so a departure scheduled at cycle `c` hits queries
-/// in flight), and one due at the final boundary fires after the last
-/// cycle. The figures pass an empty queue.
 pub fn run_recall_experiment(
     sim: &mut Simulator<P3qNode>,
     world: &World,
     queries: &[Query],
     cycles: u64,
-    events: &mut EventQueue<ScenarioEvent>,
 ) -> RecallExperiment {
     let cfg = &world.cfg;
     let references: Vec<Vec<(ItemId, u32)>> = queries
@@ -390,14 +337,11 @@ pub fn run_recall_experiment(
     };
 
     let mut recall_per_cycle = vec![average_recall(sim)];
-    sim.drive(
-        &cfg.eager(),
-        RunOptions::cycles(cycles).events(events),
-        |sim, event| match event {
-            RunEvent::Scheduled(event) => apply_sim_event(sim, &event),
-            RunEvent::CycleEnd(_) => recall_per_cycle.push(average_recall(sim)),
-        },
-    );
+    sim.drive(&cfg.eager(), RunOptions::cycles(cycles), |sim, event| {
+        if let RunEvent::CycleEnd(_) = event {
+            recall_per_cycle.push(average_recall(sim));
+        }
+    });
 
     let mut incomplete = 0usize;
     let mut reached_total = 0usize;
@@ -550,6 +494,12 @@ mod tests {
     }
 
     #[test]
+    fn zero_queries_is_an_error() {
+        let zero = HarnessArgs::parse_from(["--queries".into(), "0".into()], 1);
+        assert_eq!(zero.unwrap_err(), "--queries must be at least 1");
+    }
+
+    #[test]
     fn world_build_and_recall_experiment_smoke() {
         // Build a miniature world by hand to keep the test fast.
         let mut trace_cfg = TraceConfig::tiny(3);
@@ -570,13 +520,12 @@ mod tests {
             index,
             ideal,
             queries: queries.clone(),
-            schedule: Vec::new(),
         };
 
         let budgets = vec![2usize; world.trace.dataset.num_users()];
         let mut sim = build_simulator_with_budgets(&world.trace.dataset, &cfg, &budgets, 5);
         init_ideal_networks(&mut sim, &world.ideal);
-        let outcome = run_recall_experiment(&mut sim, &world, &queries, 6, &mut EventQueue::new());
+        let outcome = run_recall_experiment(&mut sim, &world, &queries, 6);
         assert_eq!(outcome.recall_per_cycle.len(), 7);
         let first = outcome.recall_per_cycle[0];
         let last = *outcome.recall_per_cycle.last().unwrap();
@@ -602,12 +551,12 @@ mod tests {
             index,
             ideal,
             queries,
-            schedule: Vec::new(),
         };
         let sample = world.sample_queries(10);
         assert_eq!(sample.len(), 10);
         let full = world.sample_queries(10_000);
         assert_eq!(full.len(), world.queries.len());
+        assert!(world.sample_queries(0).is_empty());
     }
 
     #[test]

@@ -41,8 +41,7 @@
 //!
 //! ## Performance architecture
 //!
-//! Four structural decisions keep the hot paths fast; later scaling work
-//! (sharding, async transports, churn at scale) builds on them:
+//! Seven structural decisions keep the hot paths fast:
 //!
 //! * **Plan/commit cycle engine** — gossip cycles no longer mutate the
 //!   simulator through a sequential callback: [`lazy::LazyProtocol`] and
@@ -75,7 +74,7 @@
 //!   in key order at trace build time); the index stores posting lists as
 //!   group-varint delta runs behind its CSR-style API
 //!   ([`similarity::ActionIndex::memory`] reports ~46% of the uncompressed
-//!   layout at the 100k-user scenario), node state is compacted
+//!   layout at 100k users), node state is compacted
 //!   ([`node::NeighbourInfo`] `u32` versions, query books allocated on
 //!   first insert ([`query::QueryBook`]), [`node::P3qNode::storage_bytes`]
 //!   accounting)

@@ -103,10 +103,14 @@ impl<V> QueryBook<V> {
             .insert(at, (id, value));
     }
 
-    /// Keeps only the states `keep` approves.
+    /// Keeps only the states `keep` approves; like `remove`, frees the
+    /// entries once none is left.
     pub fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) {
         if let Some(entries) = self.entries.as_mut() {
             entries.retain(|(_, value)| keep(value));
+            if entries.is_empty() {
+                self.entries = None;
+            }
         }
     }
 
@@ -459,6 +463,16 @@ mod tests {
         let state = book.get_or_insert_with(QueryId(3), || unreachable!("state exists"));
         assert_eq!(*state, 2);
         assert_eq!(book.len(), 1);
+    }
+
+    #[test]
+    fn a_book_emptied_by_retain_owns_nothing() {
+        let mut book = QueryBook::default();
+        book.insert(QueryId(1), 10u64);
+        book.insert(QueryId(2), 20);
+        book.retain(|_| false);
+        assert!(book.is_empty());
+        assert_eq!(book.storage_bytes(), 0);
     }
 
     #[test]

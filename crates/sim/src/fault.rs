@@ -141,7 +141,7 @@ impl FaultConfig {
 
     /// Returns `true` if no *delivery* fault (drop/delay/duplicate) can
     /// occur (crashes may still).
-    pub fn is_delivery_perfect(&self) -> bool {
+    pub(crate) fn is_delivery_perfect(&self) -> bool {
         self.drop_rate == 0.0 && self.delay_rate == 0.0 && self.duplicate_rate == 0.0
     }
 

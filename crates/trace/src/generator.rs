@@ -304,8 +304,8 @@ impl TraceGenerator {
     }
 
     /// Generates `target_items` new item-tagging events for `user`,
-    /// consistent with her topics in `world`. Used both for initial profile
-    /// construction and by the dynamics generator.
+    /// consistent with her topics in `world` (primary topic first). Used both
+    /// for initial profile construction and by the dynamics generator.
     pub(crate) fn actions_for_user<R: Rng + ?Sized>(
         &self,
         world: &World,
@@ -315,31 +315,8 @@ impl TraceGenerator {
         tag_sampler: &ZipfSampler,
         rng: &mut R,
     ) -> Vec<TaggingAction> {
-        self.actions_in_topics(
-            world,
-            &world.user_topics[user.index()],
-            target_items,
-            item_sampler,
-            tag_sampler,
-            rng,
-        )
-    }
-
-    /// Generates `target_items` item-tagging events drawn from an explicit
-    /// topic list (primary topic first). This is the raw form behind
-    /// [`actions_for_user`](Self::actions_for_user); the dynamics generator
-    /// uses it to model *drifted* interests that differ from the topics a
-    /// user started with.
-    pub(crate) fn actions_in_topics<R: Rng + ?Sized>(
-        &self,
-        world: &World,
-        topics: &[u32],
-        target_items: usize,
-        item_sampler: &ZipfSampler,
-        tag_sampler: &ZipfSampler,
-        rng: &mut R,
-    ) -> Vec<TaggingAction> {
         let cfg = &self.config;
+        let topics = &world.user_topics[user.index()];
         let mut actions = Vec::with_capacity(target_items * 2);
         for _ in 0..target_items {
             let topic = if topics.len() == 1 || rng.gen_bool(cfg.primary_topic_affinity) {
@@ -357,9 +334,8 @@ impl TraceGenerator {
 
     /// Pushes the tagging actions of one user tagging one `item` (1 to
     /// `tags_per_item` tags, biased towards the item's characteristic
-    /// tags). Exposed so workload layers (flash crowds) can target specific
-    /// items while staying consistent with the trace's tag model.
-    pub(crate) fn tag_item<R: Rng + ?Sized>(
+    /// tags).
+    fn tag_item<R: Rng + ?Sized>(
         &self,
         world: &World,
         item: ItemId,

@@ -17,14 +17,13 @@
 //! * the **query workload** of the paper ([`QueryGenerator`]) — one query per
 //!   user, built from a random item of her own profile;
 //! * **profile dynamics** ([`DynamicsGenerator`]) — batches of new tagging
-//!   actions mirroring the weekly activity analysed in Section 3.4.1, plus
-//!   the [`DynamicsMode`] axis (topic drift, flash crowds) the paper never
-//!   explored — also parallel with a sequential oracle;
-//! * the **scenario layer** ([`Scenario`], [`ScenarioConfig`]) — named
-//!   workload presets (`paper-delicious`, `flash-crowd`, `topic-drift`,
-//!   `churn-heavy`, `uniform-control`) materialized as a trace plus its
-//!   event schedule ([`ScenarioConfig::schedule`]), the single entry point
-//!   the benchmark harness builds every experiment from;
+//!   actions mirroring the weekly activity analysed in Section 3.4.1 (the
+//!   paper's day, [`DynamicsConfig::paper_day`], and every user at once,
+//!   [`DynamicsConfig::all_users`]) — also parallel with a sequential oracle;
+//! * the **scenario layer** ([`Scenario`], [`ScenarioConfig`]) — the trace
+//!   configuration of the paper's workload under a vocabulary rule
+//!   ([`TraceShape`]), and the Zipf-skewed querier schedule of the
+//!   query-hotspot preset ([`ScenarioConfig::querier_schedule`]);
 //! * summary [`DatasetStats`] to compare a generated trace against the
 //!   paper's crawl statistics;
 //! * the **compressed columnar storage substrate** — the interned action
@@ -57,11 +56,11 @@ mod zipf;
 pub use action::TaggingAction;
 pub use dataset::Dataset;
 pub use dict::{action_key, key_action, ActionDictionary, ActionId};
-pub use dynamics::{ChangeBatch, DynamicsConfig, DynamicsGenerator, DynamicsMode, ProfileChange};
+pub use dynamics::{ChangeBatch, DynamicsConfig, DynamicsGenerator, ProfileChange};
 pub use generator::{SyntheticTrace, TraceConfig, TraceGenerator, World};
 pub use ids::{ItemId, TagId, UserId};
 pub use profile::{PackedActions, PackedProfile, Profile, SharedProfile};
 pub use queries::{Query, QueryGenerator};
-pub use scenario::{Scenario, ScenarioConfig, ScenarioEvent, ScenarioWorkload, TraceShape};
+pub use scenario::{Scenario, ScenarioConfig, TraceShape};
 pub use stats::DatasetStats;
 pub use zipf::ZipfSampler;

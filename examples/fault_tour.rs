@@ -8,8 +8,8 @@
 //! `(seed, FaultConfig)` pair replays the exact fault schedule — and a
 //! zero-fault plan is byte-identical to the faultless engine.
 //!
-//! This example runs the two fault scenario axes (`lossy-network`,
-//! `crash-restart`) next to a faultless control, with the hardening knobs
+//! This example runs two fault mixes (a lossy network, crash/restart churn)
+//! next to a faultless control, with the hardening knobs
 //! (query TTL, retry-with-backoff) switched on, and prints what each fault
 //! mix did and what it cost in recall.
 //!
@@ -29,8 +29,10 @@ fn main() {
     let eager_cycles = 15;
 
     // One world for all three runs: the fault mix is the only difference.
-    let workload = ScenarioConfig::new(Scenario::PaperDelicious, users, seed).build();
-    let trace = &workload.trace;
+    let trace = TraceGenerator::new(
+        ScenarioConfig::new(Scenario::PaperDelicious, users, seed).trace_config(),
+    )
+    .generate();
     let cfg = P3qConfig::laptop_scale().with_fault_tolerance(eager_cycles, 2);
     let ideal = IdealNetworks::compute(&trace.dataset, cfg.personal_network_size);
     let queries: Vec<Query> = QueryGenerator::new(seed ^ 0x5EED)
@@ -42,8 +44,8 @@ fn main() {
 
     let axes = [
         ("faultless control", FaultConfig::none()),
-        ("lossy-network", Scenario::LossyNetwork.fault_config(seed)),
-        ("crash-restart", Scenario::CrashRestart.fault_config(seed)),
+        ("lossy-network", FaultConfig::lossy(0.05, seed)),
+        ("crash-restart", FaultConfig::crash_restart(0.02, 2, seed)),
     ];
 
     let mut baseline_recall = None;

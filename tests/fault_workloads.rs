@@ -1,38 +1,52 @@
-//! Cross-crate integration of the fault axes: the scenario layer's fault
-//! recommendations (`p3q-trace`), the seeded fault plan (`p3q-sim`), the
-//! hardened protocols (`p3q`) and the harness world (`p3q-bench`) working
-//! together the way `bench_faults` and the examples consume them.
+//! Cross-crate integration of the fault axes: the seeded fault plan
+//! (`p3q-sim`), the hardened protocols (`p3q`) and the harness world
+//! (`p3q-bench`) working together the way `bench_faults` and the examples
+//! consume them, over a lossy network and under crash/restart churn.
 
 use p3q::prelude::*;
 use p3q_bench::{HarnessArgs, World};
-use p3q_trace::Scenario;
 
-fn args_for(scenario: Scenario) -> HarnessArgs {
-    HarnessArgs {
-        users: 150,
-        seed: 23,
-        cycles: 12,
-        queries: 10,
-        paper_scale: false,
-        scenario,
-    }
+const ARGS: HarnessArgs = HarnessArgs {
+    users: 150,
+    seed: 23,
+    cycles: 12,
+    queries: 10,
+    paper_scale: false,
+};
+
+/// Drops 5 % of the exchanges, delays 2.5 % and duplicates 1.25 %; crashes
+/// nobody.
+fn lossy() -> FaultConfig {
+    FaultConfig::lossy(0.05, ARGS.seed)
+}
+
+/// Crashes 2 % of the nodes per cycle for 2 cycles; delivers everything.
+fn crash_restart() -> FaultConfig {
+    FaultConfig::crash_restart(0.02, 2, ARGS.seed)
+}
+
+/// Both fault axes, by name.
+fn fault_axes() -> [(&'static str, FaultConfig); 2] {
+    [
+        ("lossy-network", lossy()),
+        ("crash-restart", crash_restart()),
+    ]
 }
 
 /// Runs a faulted lazy warmup plus a faulted eager query phase on a world
 /// built through the harness entry point, and returns the measured loss
 /// metrics plus the run's determinism witnesses.
 fn run_faulted(
-    scenario: Scenario,
+    faults: FaultConfig,
     hardened: bool,
 ) -> (RecallUnderLoss, FaultStats, (u64, u64), usize) {
-    let args = args_for(scenario);
+    let args = ARGS;
     let world = World::build(&args);
     let cfg = if hardened {
         world.cfg.clone().with_fault_tolerance(args.cycles, 2)
     } else {
         world.cfg.clone()
     };
-    let faults = scenario.fault_config(args.seed);
 
     let budgets = vec![4usize; world.trace.dataset.num_users()];
     let mut sim = build_simulator_with_budgets(&world.trace.dataset, &cfg, &budgets, args.seed);
@@ -108,25 +122,8 @@ fn run_faulted(
 }
 
 #[test]
-fn only_the_fault_axes_recommend_faults() {
-    for scenario in Scenario::ALL {
-        let faults = scenario.fault_config(23);
-        match scenario {
-            Scenario::LossyNetwork | Scenario::CrashRestart => {
-                assert!(!faults.is_none(), "{} must inject faults", scenario.name())
-            }
-            _ => assert!(
-                faults.is_none(),
-                "{} must not inject faults",
-                scenario.name()
-            ),
-        }
-    }
-}
-
-#[test]
 fn lossy_network_workload_degrades_gracefully() {
-    let (loss, stats, _, alive) = run_faulted(Scenario::LossyNetwork, true);
+    let (loss, stats, _, alive) = run_faulted(lossy(), true);
     assert!(stats.dropped > 0, "a 5% loss run must drop something");
     assert_eq!(stats.crashes, 0, "the lossy axis injects no crashes");
     assert_eq!(alive, 150, "delivery faults never kill nodes");
@@ -143,7 +140,7 @@ fn lossy_network_workload_degrades_gracefully() {
 
 #[test]
 fn crash_restart_workload_loses_only_crashed_queriers() {
-    let (loss, stats, _, _) = run_faulted(Scenario::CrashRestart, true);
+    let (loss, stats, _, _) = run_faulted(crash_restart(), true);
     assert!(stats.crashes > 0, "the crash axis must crash somebody");
     assert!(
         stats.restarts <= stats.crashes,
@@ -160,34 +157,23 @@ fn crash_restart_workload_loses_only_crashed_queriers() {
 
 #[test]
 fn faulted_workloads_replay_byte_identically() {
-    for scenario in [Scenario::LossyNetwork, Scenario::CrashRestart] {
-        let (loss_a, stats_a, checksum_a, _) = run_faulted(scenario, true);
-        let (loss_b, stats_b, checksum_b, _) = run_faulted(scenario, true);
-        assert_eq!(
-            stats_a,
-            stats_b,
-            "{} fault schedule diverged",
-            scenario.name()
-        );
-        assert_eq!(
-            checksum_a,
-            checksum_b,
-            "{} traffic diverged",
-            scenario.name()
-        );
-        assert_eq!(loss_a, loss_b, "{} metrics diverged", scenario.name());
+    for (name, faults) in fault_axes() {
+        let (loss_a, stats_a, checksum_a, _) = run_faulted(faults, true);
+        let (loss_b, stats_b, checksum_b, _) = run_faulted(faults, true);
+        assert_eq!(stats_a, stats_b, "{name} fault schedule diverged");
+        assert_eq!(checksum_a, checksum_b, "{name} traffic diverged");
+        assert_eq!(loss_a, loss_b, "{name} metrics diverged");
     }
 }
 
 #[test]
 fn hardening_never_hurts_recall_on_the_fault_axes() {
-    for scenario in [Scenario::LossyNetwork, Scenario::CrashRestart] {
-        let (hardened, _, _, _) = run_faulted(scenario, true);
-        let (plain, _, _, _) = run_faulted(scenario, false);
+    for (name, faults) in fault_axes() {
+        let (hardened, _, _, _) = run_faulted(faults, true);
+        let (plain, _, _, _) = run_faulted(faults, false);
         assert!(
             hardened.average_recall() >= plain.average_recall() - 1e-9,
-            "{}: hardened recall {} below plain {}",
-            scenario.name(),
+            "{name}: hardened recall {} below plain {}",
             hardened.average_recall(),
             plain.average_recall()
         );
