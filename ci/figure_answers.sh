@@ -16,9 +16,10 @@
 # `table2_profile_changes`, `summary_bandwidth` (20 lazy cycles and the
 # eager phase, 20 Kbit digests), `fig6_query_bandwidth`,
 # `fig8_users_reached` (per-query traffic and reached users of eager
-# deliveries) and `fig9_aur_eager` (eager AUR while `DynamicsConfig::
-# all_users` batches change every profile), against
-# ci/figure_answers_paper.txt.
+# deliveries), `fig9_aur_eager` (eager AUR while `DynamicsConfig::
+# all_users` batches change every profile) and `fig10_network_evolution`
+# (100 lazy cycles after a paper day of profile changes, sampled every 5
+# cycles), against ci/figure_answers_paper.txt.
 #
 #   ci/figure_answers.sh [--paper-scale]            compare; on a mismatch
 #                                                   print the figure, the
@@ -52,7 +53,8 @@ runs=()
 if [ "$scale" = paper ]; then
     answers=ci/figure_answers_paper.txt
     for figure in fig5_space table1_storage_distribution table2_profile_changes \
-        summary_bandwidth fig6_query_bandwidth fig8_users_reached fig9_aur_eager; do
+        summary_bandwidth fig6_query_bandwidth fig8_users_reached fig9_aur_eager \
+        fig10_network_evolution; do
         runs+=("$figure 42 --paper-scale --users 10000")
     done
 else
