@@ -48,7 +48,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut flags = Flags::from_env();
     let args = Args {
-        users: flags.users_list(&[10_000, 50_000, 100_000])?,
+        users: flags.counts("--users", &[10_000, 50_000, 100_000])?,
         cycles: flags.value("--cycles", 3)?,
         warmup: flags.value("--warmup", 2)?,
         threads: flags.list("--threads", &[1, 2, 4, 8])?,

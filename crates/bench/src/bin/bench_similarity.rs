@@ -26,13 +26,13 @@
 //! group-varint kernels.
 //!
 //! Each scale also benches the **demand-driven** path (`on_demand` block):
-//! under the `query-hotspot` querier schedule, per dynamics batch, exact
-//! cache invalidation + lazy resolution of the queried users
-//! (`OnDemandNetworks`) is timed against a global `IdealNetworks` recompute
-//! over the patched index, with results asserted byte-equal on every
-//! queried user. The `query_hotspot` block repeats the measurement at the
-//! `--hotspot-users` scale (100k by default), where the query-proportional
-//! cost model is the point.
+//! for the queriers of `p3q_trace::querier_schedule` (Zipf-skewed, <1% of
+//! users per cycle), per dynamics batch, exact cache invalidation + lazy
+//! resolution of the queried users (`OnDemandNetworks`) is timed against a
+//! global `IdealNetworks` recompute over the patched index, with results
+//! asserted byte-equal on every queried user. The `query_hotspot` block
+//! repeats the measurement at the `--hotspot-users` scale (100k by
+//! default), where the query-proportional cost model is the point.
 
 use std::time::Instant;
 
@@ -55,8 +55,8 @@ use p3q_trace::codec::{
     GROUP_DECODE_SLACK,
 };
 use p3q_trace::{
-    action_key, DynamicsConfig, DynamicsGenerator, Scenario, ScenarioConfig, SyntheticTrace,
-    TraceGenerator, UserId,
+    action_key, querier_schedule, DynamicsConfig, DynamicsGenerator, Scenario, ScenarioConfig,
+    SyntheticTrace, TraceGenerator, UserId,
 };
 
 const USAGE: &str = "\
@@ -81,11 +81,10 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut flags = Flags::from_env();
+fn parse_args(mut flags: Flags) -> Result<Args, String> {
     let args = Args {
-        users: flags.users_list(&[1_000, 5_000, 20_000])?,
-        cycles: flags.value("--cycles", 3)?,
+        users: flags.counts("--users", &[1_000, 5_000, 20_000])?,
+        cycles: flags.count("--cycles", 3)? as u64,
         delta_batches: flags.value("--delta-batches", 3)?,
         seed: flags.value("--seed", 42)?,
         skip_reference: flags.switch("--skip-reference"),
@@ -435,11 +434,11 @@ fn bench_dynamics(trace: &SyntheticTrace, s: usize, args: &Args) -> Option<Json>
 /// invalidation plus lazy resolution of that cycle's queriers
 /// ([`OnDemandNetworks`]) against a global [`IdealNetworks`] recompute over
 /// the same patched index, asserting both agree on every queried user. The
-/// querier schedule is the `query-hotspot` preset (Zipf-skewed, <1% of
-/// users per cycle) — the hotspot axis is what the demand-driven resolver
-/// exists for. The index patch itself
-/// (`apply_deltas`) is shared infrastructure both paths need, so it runs
-/// untimed and the ratio compares pure resolution strategies.
+/// queriers come from [`querier_schedule`] (Zipf-skewed, <1% of users per
+/// cycle) — the hotspot axis is what the demand-driven resolver exists for.
+/// The index patch itself (`apply_deltas`) is shared infrastructure both
+/// paths need, so it runs untimed and the ratio compares pure resolution
+/// strategies.
 struct OnDemandResult {
     users: usize,
     batches: usize,
@@ -489,9 +488,7 @@ fn bench_on_demand(
     let users = trace.dataset.num_users();
     // One warm-up cycle (so the dynamics batches hit memoized entries:
     // patch and evict both exercised) plus one querier set per batch.
-    let schedule = ScenarioConfig::new(Scenario::QueryHotspot, users, args.seed)
-        .with_horizon(args.delta_batches as u64 + 1)
-        .querier_schedule();
+    let schedule = querier_schedule(users, args.seed, args.delta_batches as u64 + 1);
 
     let mut dataset = trace.dataset.clone();
     let mut index = ActionIndex::build(&dataset);
@@ -692,7 +689,7 @@ fn bench_scale(users: usize, args: &Args) -> Json {
 /// `on_demand_props`), so every gated key stays deterministic.
 fn hotspot_probe(users: usize, args: &Args) -> Option<OnDemandResult> {
     eprintln!("== query-hotspot probe: {users} users ==");
-    let scenario = ScenarioConfig::new(Scenario::QueryHotspot, users, args.seed);
+    let scenario = ScenarioConfig::new(Scenario::PaperDelicious, users, args.seed);
     let trace = TraceGenerator::new(scenario.trace_config()).generate();
     let s = P3qConfig::laptop_scale().personal_network_size;
     bench_on_demand(&trace, s, args, default_threads())
@@ -727,7 +724,7 @@ fn memory_probe(users: usize, args: &Args) -> (MemoryResult, DecodeResult) {
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| exit_with_usage(&e, USAGE));
+    let args = parse_args(Flags::from_env()).unwrap_or_else(|e| exit_with_usage(&e, USAGE));
     let scales: Json = args.users.iter().map(|&u| bench_scale(u, &args)).collect();
     let hotspot = if args.hotspot_users > 0 {
         hotspot_probe(args.hotspot_users, &args)
@@ -767,4 +764,22 @@ fn main() {
         );
     doc.save(&args.out);
     println!("{}", doc.pretty());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(Flags::new(args.iter().map(|s| s.to_string())))
+    }
+
+    #[test]
+    fn zero_cycles_is_an_error() {
+        assert_eq!(
+            parse(&["--cycles", "0"]).err(),
+            Some("--cycles must be at least 1".to_string())
+        );
+        assert_eq!(parse(&["--cycles", "2"]).map(|a| a.cycles), Ok(2));
+    }
 }

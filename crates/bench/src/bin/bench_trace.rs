@@ -43,7 +43,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut flags = Flags::from_env();
     let args = Args {
-        users: flags.users_list(&[10_000, 100_000])?,
+        users: flags.counts("--users", &[10_000, 100_000])?,
         threads: flags.list("--threads", &[1, 2, 4, 8])?,
         seed: flags.value("--seed", 42)?,
         check: flags.switch("--check"),

@@ -46,23 +46,23 @@ struct Args {
     seed: u64,
     queries: usize,
     warmup: u64,
-    cycles: Option<u64>,
+    cycles: u64,
     actors: Vec<usize>,
     out: String,
     check: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut flags = Flags::from_env();
+fn parse_args(mut flags: Flags) -> Result<Args, String> {
+    let check = flags.switch("--check");
     let args = Args {
         users: flags.users(1_000)?,
         seed: flags.value("--seed", 42)?,
         queries: flags.count("--queries", 100)?,
         warmup: flags.value("--warmup", 3)?,
-        cycles: flags.optional("--cycles")?,
-        actors: flags.list("--actors", &[1, 3, 8])?,
+        cycles: flags.count("--cycles", if check { 4 } else { 12 })? as u64,
+        actors: flags.counts("--actors", &[1, 3, 8])?,
         out: flags.value("--out", "BENCH_transport.json".to_string())?,
-        check: flags.switch("--check"),
+        check,
     };
     flags.finish()?;
     Ok(args)
@@ -246,7 +246,6 @@ fn run_faulted(
 /// 1 / 3 / 8 — asserts byte-identity (faultless and composite-faulted) and
 /// prints a checksum line the matrix diffs across jobs.
 fn run_check(args: &Args) {
-    let cycles = args.cycles.unwrap_or(4);
     let actors = std::env::var("P3Q_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -256,15 +255,15 @@ fn run_check(args: &Args) {
     let queries = world.sample_queries(args.queries.min(50));
 
     let start = Instant::now();
-    let reference = run_simulator(&world, &cfg, &queries, args.warmup, cycles);
-    let transport = run_transport(&world, &cfg, &queries, args.warmup, cycles, actors);
+    let reference = run_simulator(&world, &cfg, &queries, args.warmup, args.cycles);
+    let transport = run_transport(&world, &cfg, &queries, args.warmup, args.cycles, actors);
     assert_oracle_equal(&reference, &transport, &format!("actors = {actors}"));
     let (fault_fp, faulted_traffic, faulted_state) = run_faulted(
         &world,
         &cfg,
         &queries,
         args.warmup,
-        cycles,
+        args.cycles,
         actors,
         args.seed ^ 0xFA17,
     );
@@ -292,13 +291,11 @@ fn run_check(args: &Args) {
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| exit_with_usage(&e, USAGE));
+    let args = parse_args(Flags::from_env()).unwrap_or_else(|e| exit_with_usage(&e, USAGE));
     if args.check {
         run_check(&args);
         return;
     }
-    let cycles = args.cycles.unwrap_or(12);
-
     let world = args.world();
     let cfg = world.cfg.clone();
     let queries = world.sample_queries(args.queries);
@@ -307,10 +304,10 @@ fn main() {
         args.users,
         queries.len(),
         args.warmup,
-        cycles
+        args.cycles
     );
 
-    let reference = run_simulator(&world, &cfg, &queries, args.warmup, cycles);
+    let reference = run_simulator(&world, &cfg, &queries, args.warmup, args.cycles);
     eprintln!(
         "simulator: {:.2} s, {} exchanges, state {:016x}",
         reference.elapsed_s,
@@ -320,7 +317,7 @@ fn main() {
 
     let mut arms: Vec<(usize, ArmResult)> = Vec::new();
     for &actors in &args.actors {
-        let arm = run_transport(&world, &cfg, &queries, args.warmup, cycles, actors);
+        let arm = run_transport(&world, &cfg, &queries, args.warmup, args.cycles, actors);
         assert_oracle_equal(&reference, &arm, &format!("actors = {actors}"));
         eprintln!(
             "transport {actors:>2} actor(s): {:.2} s ({:.2}x simulator), byte-identical",
@@ -338,7 +335,7 @@ fn main() {
         &cfg,
         &queries,
         args.warmup,
-        cycles,
+        args.cycles,
         faulted_actors,
         args.seed ^ 0xFA17,
     );
@@ -365,7 +362,7 @@ fn main() {
         .with("users", args.users)
         .with("queries", queries.len())
         .with("lazy_warmup_cycles", args.warmup)
-        .with("eager_cycles", cycles)
+        .with("eager_cycles", args.cycles)
         .with(
             "note",
             "eager workload through the message-passing transport runtime vs the simulator \
@@ -390,4 +387,28 @@ fn main() {
                 .with("state_checksum", checksum_json(faulted_state)),
         )
         .save(&args.out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(Flags::new(args.iter().map(|s| s.to_string())))
+    }
+
+    #[test]
+    fn zero_cycles_or_actors_is_an_error() {
+        let no_cycles = Some("--cycles must be at least 1".to_string());
+        assert_eq!(parse(&["--cycles", "0"]).err(), no_cycles);
+        assert_eq!(parse(&["--check", "--cycles", "0"]).err(), no_cycles);
+        let no_actors = Some("--actors must be at least 1".to_string());
+        assert_eq!(parse(&["--actors", "0"]).err(), no_actors);
+        assert_eq!(parse(&["--actors", "3,0"]).err(), no_actors);
+        assert_eq!(
+            parse(&[]).map(|a| (a.cycles, a.actors)),
+            Ok((12, vec![1, 3, 8]))
+        );
+        assert_eq!(parse(&["--check"]).map(|a| a.cycles), Ok(4));
+    }
 }

@@ -27,7 +27,6 @@ use p3q_bench::{
     RecallExperiment, World,
 };
 use p3q_sim::{DistributionSummary, SeriesRecorder};
-use p3q_trace::ChangeBatch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -542,24 +541,26 @@ fn fig9_aur_eager(args: &HarnessArgs) {
     apply_profile_changes(&mut sim, &batch);
     let versions = profile_versions(&sim);
 
-    // A single user issues consecutive queries; after each one we measure the
-    // AUR restricted to the users reached so far.
-    let querier = world.queries[0].querier;
-    let burst = QueryGenerator::new(args.seed ^ 0xB1).burst_for_user(
-        &world.trace.dataset,
-        querier,
-        args.queries,
-    );
+    // A single user issues consecutive queries (none if no user has an
+    // eligible query); after each one we measure the AUR restricted to the
+    // users reached so far.
+    let burst = world.queries.first().map_or_else(Vec::new, |first| {
+        QueryGenerator::new(args.seed ^ 0xB1).burst_for_user(
+            &world.trace.dataset,
+            first.querier,
+            args.queries,
+        )
+    });
     // Ordered by user id: the order of the AUR's floating-point sum must not
     // depend on a hash seed.
     let mut reached_so_far: BTreeSet<UserId> = BTreeSet::new();
     let mut rows = Vec::new();
     let sample_every = (args.queries / 20).max(1);
     for (i, query) in burst.into_iter().enumerate() {
-        let qid = QueryId(i as u64);
-        issue_query(&mut sim, querier.index(), qid, query, cfg);
+        let (querier, qid) = (query.querier.index(), QueryId(i as u64));
+        issue_query(&mut sim, querier, qid, query, cfg);
         sim.drive(&cfg.eager(), RunOptions::until_complete(30), |_, _| {});
-        let state = querier_state(&sim, querier.index(), qid).expect("query state exists");
+        let state = querier_state(&sim, querier, qid).expect("query state exists");
         reached_so_far.extend(state.reached_users.iter().copied());
         if (i + 1) % sample_every == 0 || i == 0 {
             let reached_nodes: Vec<&P3qNode> =
@@ -606,15 +607,6 @@ fn fig9_aur_eager(args: &HarnessArgs) {
 /// paper_figures --figure fig10_network_evolution --users 1000 --cycles 100
 /// ```
 fn fig10_network_evolution(args: &HarnessArgs) {
-    /// Everything this figure does on the cycle axis, as scheduled events:
-    /// the day of profile changes lands at cycle 0, and the refresh ratio is
-    /// sampled at fixed cycles — no hand-rolled "if cycle % n == 0" logic in
-    /// the run loop.
-    enum Fig10Event<'a> {
-        ApplyChanges(&'a ChangeBatch),
-        Sample,
-    }
-
     println!("=== Figure 10: discovery of new ideal neighbours in lazy mode ===");
     let world = World::build(args);
     let cfg = &world.cfg;
@@ -660,34 +652,13 @@ fn fig10_network_evolution(args: &HarnessArgs) {
         let mut rng = StdRng::seed_from_u64(args.seed ^ 0x10_10);
         bootstrap_random_views(&mut sim, cfg, &mut rng);
 
-        let sample_every = (args.cycles / 20).max(1);
-        let mut events = EventQueue::new();
-        // The change batch fires before the first cycle; the cycle-0 sample
-        // is scheduled after it (FIFO within a cycle), so it sees the
-        // post-change, pre-gossip state, exactly like the paper's
-        // measurement.
-        events.schedule(0, Fig10Event::ApplyChanges(&batch));
-        for cycle in (0..=args.cycles).step_by(sample_every as usize) {
-            events.schedule(cycle, Fig10Event::Sample);
-        }
-        if !args.cycles.is_multiple_of(sample_every) {
-            events.schedule(args.cycles, Fig10Event::Sample);
-        }
-        sim.drive(
-            &cfg.lazy(),
-            RunOptions::cycles(args.cycles).events(&mut events),
-            |sim, event| match event {
-                RunEvent::Scheduled(Fig10Event::ApplyChanges(batch)) => {
-                    apply_profile_changes(sim, batch);
-                }
-                RunEvent::Scheduled(Fig10Event::Sample) => recorder.record(
-                    &label,
-                    sim.cycle(),
-                    network_refresh_ratio(sim.nodes(), &world.ideal, &new_ideal) * 100.0,
-                ),
-                RunEvent::CycleEnd(_) => {}
-            },
-        );
+        // The day of changes lands before the first cycle, so the cycle-0
+        // sample sees the post-change, pre-gossip state, exactly like the
+        // paper's measurement.
+        apply_profile_changes(&mut sim, &batch);
+        sample_lazy(&mut sim, cfg, args.cycles, &mut recorder, &label, |nodes| {
+            network_refresh_ratio(nodes, &world.ideal, &new_ideal) * 100.0
+        });
         eprintln!(
             "  {label}: {:.1}% of affected users fully refreshed after {} cycles",
             recorder.last(&label).unwrap_or(0.0),
@@ -1360,5 +1331,16 @@ mod tests {
             completion_columns(&[10.0, 10.0], 2, 40, 300),
             ["2/2", "10.000", "10.000", "300.000", "300.000"]
         );
+    }
+
+    #[test]
+    fn fig9_runs_without_an_eligible_querier() {
+        // One user has no neighbour, so no query is eligible: the figure
+        // prints an empty table and the population AUR instead of panicking.
+        fig9_aur_eager(&HarnessArgs {
+            users: 1,
+            queries: 5,
+            ..HarnessArgs::default()
+        });
     }
 }

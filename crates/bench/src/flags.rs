@@ -72,13 +72,12 @@ impl Flags {
         self.count("--users", default)
     }
 
-    /// `--users A,B,C`, or `default`: populations, each at least 1.
-    pub fn users_list(&mut self, default: &[usize]) -> Result<Vec<usize>, String> {
-        let users = self.list("--users", default)?;
-        for &n in &users {
-            at_least_one("--users", n)?;
-        }
-        Ok(users)
+    /// `name A,B,C`, or `default`: counts of something a run needs (the
+    /// populations of `--users`, the actor counts of `--actors`), each at
+    /// least 1.
+    pub fn counts(&mut self, name: &str, default: &[usize]) -> Result<Vec<usize>, String> {
+        let counts = self.list(name, default)?;
+        counts.into_iter().map(|n| at_least_one(name, n)).collect()
     }
 
     /// Whether the bare switch `name` was given.
@@ -174,14 +173,14 @@ mod tests {
     fn an_empty_population_is_an_error() {
         let error = Err("--users must be at least 1".to_string());
         assert_eq!(flags(&["--users", "0"]).users(5), error);
-        assert!(flags(&["--users", "10,0"]).users_list(&[5]).is_err());
-        assert!(flags(&["--users", "0"]).users_list(&[5]).is_err());
+        assert!(flags(&["--users", "10,0"]).counts("--users", &[5]).is_err());
+        assert!(flags(&["--users", "0"]).counts("--users", &[5]).is_err());
         assert_eq!(
-            flags(&["--users", "10,20"]).users_list(&[5]),
+            flags(&["--users", "10,20"]).counts("--users", &[5]),
             Ok(vec![10, 20])
         );
         assert_eq!(flags(&[]).users(5), Ok(5));
-        assert_eq!(flags(&[]).users_list(&[5, 6]), Ok(vec![5, 6]));
+        assert_eq!(flags(&[]).counts("--users", &[5, 6]), Ok(vec![5, 6]));
         assert_eq!(
             flags(&["--queries", "0"]).count("--queries", 5),
             Err("--queries must be at least 1".to_string())

@@ -89,13 +89,13 @@ pub fn init_ideal_networks(sim: &mut Simulator<P3qNode>, ideal: &IdealNetworks) 
 }
 
 /// Applies one batch of profile changes to the owners' nodes (profile
-/// dynamics): every changing user's own profile grows and her version bumps,
-/// turning the copies cached in other users' personal networks stale.
+/// dynamics): every changing user's own profile grows and its version
+/// bumps, turning the copies cached in other users' personal networks stale.
 ///
-/// This is the canonical "one day of activity happens at cycle X" event of
-/// the dynamics experiments (Figures 7, 9, 10, Table 2) — schedule it in an
-/// [`p3q_sim::EventQueue`] and fire it through the run loop. Returns the
-/// number of genuinely new actions applied.
+/// This is the "one day of activity happens" step of the dynamics
+/// experiments (Figures 7, 9, 10, Table 2): call it between drives, or from
+/// a `drive` observer at the cycle it is due. Returns the number of
+/// genuinely new actions applied.
 pub fn apply_profile_changes(sim: &mut Simulator<P3qNode>, batch: &ChangeBatch) -> usize {
     let mut added = 0;
     for change in &batch.changes {

@@ -196,8 +196,8 @@ pub mod prelude {
     pub use crate::similarity::{ActionIndex, DeltaOutcome, SimilarityScratch};
     pub use crate::storage::StorageDistribution;
     pub use p3q_sim::{
-        fingerprint_chain, EventQueue, FaultConfig, FaultPlan, FaultStats, Fingerprint, Fnv,
-        RunEvent, RunOptions, RunReport, Simulator,
+        fingerprint_chain, FaultConfig, FaultPlan, FaultStats, Fingerprint, Fnv, RunEvent,
+        RunOptions, RunReport, Simulator,
     };
     pub use p3q_trace::{
         Dataset, DynamicsConfig, DynamicsGenerator, ItemId, Profile, Query, QueryGenerator,

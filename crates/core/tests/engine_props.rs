@@ -326,37 +326,6 @@ proptest! {
     }
 }
 
-/// The event-queue integration drives the same engine: scheduling dynamics
-/// and churn as events must equal applying them by hand between cycles.
-#[test]
-fn scheduled_events_equal_hand_rolled_mutations() {
-    let w = world(424_242);
-    let batch = DynamicsGenerator::new(DynamicsConfig::paper_day(0xDA7)).generate(&w.trace);
-
-    // Hand-rolled: run 2 cycles, apply the batch, run 2 more.
-    let mut manual = lazy_sim(&w, 11);
-    manual.drive(&w.cfg.lazy(), RunOptions::cycles(2), |_, _| {});
-    apply_profile_changes(&mut manual, &batch);
-    manual.drive(&w.cfg.lazy(), RunOptions::cycles(2), |_, _| {});
-
-    // Scheduled: the change batch fires at cycle 2 through the run loop.
-    let mut scheduled = lazy_sim(&w, 11);
-    let mut events = EventQueue::new();
-    events.schedule(2, &batch);
-    scheduled.drive(
-        &w.cfg.lazy(),
-        RunOptions::cycles(4).events(&mut events),
-        |sim, event| {
-            if let RunEvent::Scheduled(batch) = event {
-                apply_profile_changes(sim, batch);
-            }
-        },
-    );
-
-    assert!(events.is_empty());
-    assert_eq!(sim_fingerprint(&manual), sim_fingerprint(&scheduled));
-}
-
 /// Stored profile copies held at rank `c` or lower, over every node.
 fn copies_past_the_budget(sim: &Simulator<P3qNode>) -> usize {
     sim.nodes()

@@ -97,7 +97,7 @@ pub trait Substrate<P: GossipProtocol> {
 /// One run of the cycle sequencer: the protocol, the fault schedule, the
 /// stop rule and the totals so far. A runtime's `drive` begins one, calls
 /// [`run_cycle`](Self::run_cycle) up to its cycle budget — doing between
-/// cycles whatever is its own (events and observers, actor restarts) — and
+/// cycles whatever is its own (the observer, actor restarts) — and
 /// returns the [`report`](Self::report).
 #[derive(Debug)]
 pub struct Sequencer<'a, P: GossipProtocol> {

@@ -6,13 +6,15 @@
 //! ```
 //!
 //! The [`RunOptions`] builder picks the execution configuration (worker
-//! threads, sequential oracle mode, fault schedule, event queue, fixed
-//! cycle count or run-until-idle) and the observer closure receives
-//! [`RunEvent`]s — scheduled events due before a cycle, and an end-of-cycle
-//! hook. `Simulator::drive` is the in-process implementation;
-//! `p3q_transport`'s runtime drives the same protocols over message-passing
-//! actors with the same options. Both execute their cycles through the
-//! [`Sequencer`](crate::Sequencer), which also owns the stop rule below.
+//! threads, sequential oracle mode, fault schedule, fixed cycle count or
+//! run-until-idle) and the observer closure receives a [`RunEvent`] at the
+//! end of every cycle: it is the one place where an experiment acts between
+//! cycles (apply profile changes, make users depart, sample a metric), as
+//! in PeerSim's cycle-driven model. `Simulator::drive` is the in-process
+//! implementation; `p3q_transport`'s runtime drives the same protocols over
+//! message-passing actors with the same options. Both execute their cycles
+//! through the [`Sequencer`](crate::Sequencer), which also owns the stop
+//! rule below.
 //!
 //! # Run-until-idle semantics
 //!
@@ -25,16 +27,13 @@
 
 use crate::engine::CycleReport;
 use crate::fault::FaultPlan;
-use crate::schedule::EventQueue;
 
 /// Execution configuration for one `drive` call.
 ///
-/// `Pl` is the protocol's plan payload (tied to `P::Payload` by `drive`);
-/// `E` is the scheduled-event type, pinned to `()` until
-/// [`events`](Self::events) attaches a queue. The fields are what the
-/// builder methods set; a runtime's `drive` reads them, and one that cannot
-/// honour a choice (a transport has no worker threads to override) rejects
-/// it there.
+/// `Pl` is the protocol's plan payload (tied to `P::Payload` by `drive`).
+/// The fields are what the builder methods set; a runtime's `drive` reads
+/// them, and one that cannot honour a choice (a transport has no worker
+/// threads to override) rejects it there.
 ///
 /// ```ignore
 /// // 3 cycles, default threads:
@@ -47,29 +46,26 @@ use crate::schedule::EventQueue;
 /// );
 /// ```
 #[derive(Debug)]
-pub struct RunOptions<'a, Pl, E = ()> {
+pub struct RunOptions<'a, Pl> {
     /// Requested worker-thread count, if overridden.
     pub threads: Option<usize>,
     /// Whether the sequential oracle substrate was requested.
     pub oracle: bool,
     /// The attached fault schedule, if any.
     pub faults: Option<&'a mut FaultPlan<Pl>>,
-    /// The attached event queue, if any.
-    pub events: Option<&'a mut EventQueue<E>>,
     /// Maximum number of cycles to run.
     pub cycles: u64,
     /// Whether the run stops at the first idle cycle.
     pub until_idle: bool,
 }
 
-impl<'a, Pl> RunOptions<'a, Pl, ()> {
+impl<'a, Pl> RunOptions<'a, Pl> {
     /// Runs exactly `count` cycles.
     pub fn cycles(count: u64) -> Self {
         Self {
             threads: None,
             oracle: false,
             faults: None,
-            events: None,
             cycles: count,
             until_idle: false,
         }
@@ -83,9 +79,7 @@ impl<'a, Pl> RunOptions<'a, Pl, ()> {
             ..Self::cycles(max_cycles)
         }
     }
-}
 
-impl<'a, Pl, E> RunOptions<'a, Pl, E> {
     /// Overrides the worker-thread count (default: `P3Q_THREADS` or the
     /// machine's available parallelism). Output never depends on it.
     pub fn threads(mut self, threads: usize) -> Self {
@@ -108,30 +102,16 @@ impl<'a, Pl, E> RunOptions<'a, Pl, E> {
         self.faults = Some(faults);
         self
     }
-
-    /// Attaches an event queue on the cycle axis: events due at the current
-    /// cycle are handed to the observer (as [`RunEvent::Scheduled`])
-    /// **before** that cycle executes, and events due at the final boundary
-    /// fire once more after the loop.
-    pub fn events<E2>(self, events: &'a mut EventQueue<E2>) -> RunOptions<'a, Pl, E2> {
-        RunOptions {
-            threads: self.threads,
-            oracle: self.oracle,
-            faults: self.faults,
-            events: Some(events),
-            cycles: self.cycles,
-            until_idle: self.until_idle,
-        }
-    }
 }
 
 /// What a `drive` observer is called with.
+///
+/// Non-exhaustive: an observer outside this crate matches it with `if let`
+/// or `let … else`, and that pattern stays refutable although the enum has
+/// one variant.
 #[derive(Debug)]
-pub enum RunEvent<E> {
-    /// A scheduled event from the attached [`EventQueue`] came due; it fires
-    /// before the cycle it is due at executes (and events due at the final
-    /// boundary fire after the loop).
-    Scheduled(E),
+#[non_exhaustive]
+pub enum RunEvent {
     /// A cycle just completed; the payload is the now-current cycle number
     /// (i.e. the count of completed cycles).
     CycleEnd(u64),

@@ -219,33 +219,27 @@ impl<N> Simulator<N> {
 
 impl<N: Send + Sync> Simulator<N> {
     /// The one run-loop entry: executes cycles of `proto` under the given
-    /// [`RunOptions`], invoking `observer` with [`RunEvent`]s — scheduled
-    /// events due before a cycle, and an end-of-cycle hook after each.
+    /// [`RunOptions`], invoking `observer` with [`RunEvent::CycleEnd`] after
+    /// each — the one place where a caller acts between cycles.
     ///
-    /// The options pick the substrate the cycle [`Sequencer`] executes on — worker threads, or the sequential
-    /// oracle shard — and carry the fault schedule, the event queue and the
-    /// loop shape (fixed cycle count vs run-until-idle); output is
-    /// byte-identical for every thread choice and for the oracle mode.
-    /// Every protocol hook fires from the sequencer.
-    pub fn drive<P, E>(
+    /// The options pick the substrate the cycle [`Sequencer`] executes on —
+    /// worker threads, or the sequential oracle shard — and carry the fault
+    /// schedule and the loop shape (fixed cycle count vs run-until-idle);
+    /// output is byte-identical for every thread choice and for the oracle
+    /// mode. Every protocol hook fires from the sequencer.
+    pub fn drive<P>(
         &mut self,
         proto: &P,
-        opts: RunOptions<'_, P::Payload, E>,
-        mut observer: impl FnMut(&mut Self, RunEvent<E>),
+        opts: RunOptions<'_, P::Payload>,
+        mut observer: impl FnMut(&mut Self, RunEvent),
     ) -> RunReport
     where
         P: GossipProtocol<Node = N>,
         P::Payload: Clone,
     {
         let threads = opts.threads.unwrap_or_else(default_threads);
-        let mut events = opts.events;
         let mut sequencer = Sequencer::begin(proto, opts.faults, opts.until_idle);
         for _ in 0..opts.cycles {
-            if let Some(queue) = events.as_deref_mut() {
-                for event in queue.pop_due(self.run.cycle) {
-                    observer(self, RunEvent::Scheduled(event));
-                }
-            }
             let (state, bandwidth) = (&mut self.run, &mut self.bandwidth);
             let mut shard = Shard::new(0, &mut self.nodes);
             let done = if opts.oracle {
@@ -256,11 +250,6 @@ impl<N: Send + Sync> Simulator<N> {
             observer(self, RunEvent::CycleEnd(self.run.cycle));
             if done {
                 break;
-            }
-        }
-        if let Some(queue) = events {
-            for event in queue.pop_due(self.run.cycle) {
-                observer(self, RunEvent::Scheduled(event));
             }
         }
         sequencer.report
@@ -397,7 +386,6 @@ mod tests {
     use super::*;
     use crate::driver::{RunEvent, RunOptions};
     use crate::exchange::EffectContext;
-    use crate::schedule::EventQueue;
 
     /// A toy protocol: every alive node gossips with the next alive node
     /// (by index, cyclically), both sides count the exchange, a bandwidth
@@ -731,29 +719,6 @@ mod tests {
         assert_eq!(sim.bandwidth.totals(), (80, 8));
     }
 
-    #[test]
-    fn events_fire_before_their_cycle_and_at_the_end_boundary() {
-        let mut sim = counters(4, 9);
-        let mut events = EventQueue::new();
-        events.schedule(0, "start");
-        events.schedule(2, "mid");
-        events.schedule(3, "end");
-        events.schedule(9, "never");
-        let mut fired: Vec<(u64, &str)> = Vec::new();
-        sim.drive(
-            &RingProtocol,
-            RunOptions::cycles(3).events(&mut events),
-            |sim, event| {
-                if let RunEvent::Scheduled(e) = event {
-                    fired.push((sim.cycle(), e));
-                }
-            },
-        );
-        assert_eq!(fired, vec![(0, "start"), (2, "mid"), (3, "end")]);
-        assert_eq!(events.len(), 1, "undue events stay queued");
-        assert_eq!(sim.cycle(), 3);
-    }
-
     /// A protocol that goes quiet: each node initiates only its first two
     /// exchanges, so an until-idle run stops one cycle after the last one.
     struct QuietingProtocol;
@@ -820,11 +785,11 @@ mod tests {
     fn cycle_end_events_report_the_completed_cycle_number() {
         let mut sim = counters(4, 21);
         let mut ends = Vec::new();
-        sim.drive(&RingProtocol, RunOptions::cycles(3), |_, event| {
-            if let RunEvent::CycleEnd(c) = event {
-                ends.push(c);
-            }
-        });
+        sim.drive(
+            &RingProtocol,
+            RunOptions::cycles(3),
+            |_, RunEvent::CycleEnd(c)| ends.push(c),
+        );
         assert_eq!(ends, vec![1, 2, 3]);
     }
 }

@@ -17,7 +17,7 @@
 //! * **delivery faults** — every *pairwise* plan (a message on the wire)
 //!   independently rolls one uniform draw against the configured rates: it
 //!   is **dropped** (never commits), **delayed** (re-enqueued on an internal
-//!   [`EventQueue`] and re-injected — and re-rolled — in a later cycle), or
+//!   `EventQueue` and re-injected — and re-rolled — in a later cycle), or
 //!   **duplicated** (committed twice; the copy is appended after all
 //!   regular plans). *Solo* plans are local computation, not messages, and
 //!   are never faulted.
@@ -45,6 +45,8 @@
 //! fault-schedule determinism: same `(seed, FaultConfig)` → same
 //! fingerprint.
 
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,7 +54,6 @@ use crate::exchange::ExchangePlan;
 use crate::fingerprint::{Fingerprint, Fnv};
 use crate::membership::Membership;
 use crate::parallel::stream_seed;
-use crate::schedule::EventQueue;
 
 /// Stream label for per-cycle delivery-fault RNGs.
 const STREAM_DELIVERY: u64 = 0xFA17_0000_0000_0001;
@@ -402,6 +403,55 @@ impl<P: Clone> FaultPlan<P> {
     }
 }
 
+/// A queue of values keyed by the cycle at which they become due (FIFO
+/// among values due at the same cycle): a [`FaultPlan`]'s delayed plans
+/// and pending restarts.
+#[derive(Debug, Clone)]
+struct EventQueue<E> {
+    events: BTreeMap<u64, Vec<E>>,
+    len: usize,
+}
+
+impl<E> EventQueue<E> {
+    fn new() -> Self {
+        Self {
+            events: BTreeMap::new(),
+            len: 0,
+        }
+    }
+
+    /// Schedules `event` to fire at `cycle`.
+    fn schedule(&mut self, cycle: u64, event: E) {
+        self.events.entry(cycle).or_default().push(event);
+        self.len += 1;
+    }
+
+    /// Number of pending events.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Removes and returns every event due at or before `cycle`, in
+    /// scheduling order.
+    ///
+    /// Single pass: the tree is split at `cycle + 1` — the not-yet-due tail
+    /// stays, the due head is drained by value — instead of collecting the
+    /// due keys first and removing them one lookup at a time.
+    fn pop_due(&mut self, cycle: u64) -> Vec<E> {
+        let not_due = match cycle.checked_add(1) {
+            Some(next) => self.events.split_off(&next),
+            None => BTreeMap::new(), // u64::MAX: everything is due
+        };
+        let due_map = std::mem::replace(&mut self.events, not_due);
+        let mut due = Vec::new();
+        for (_, mut events) in due_map {
+            self.len -= events.len();
+            due.append(&mut events);
+        }
+        due
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,5 +639,43 @@ mod tests {
         let crashy = FaultConfig::crash_restart(0.01, 5, 0);
         assert!(!crashy.is_none());
         assert!(crashy.is_delivery_perfect());
+    }
+
+    #[test]
+    fn events_fire_in_cycle_then_fifo_order() {
+        let mut q = EventQueue::new();
+        q.schedule(5, "b");
+        q.schedule(3, "a");
+        q.schedule(5, "c");
+        assert_eq!(q.len(), 3);
+        assert!(q.pop_due(2).is_empty());
+        assert_eq!(q.pop_due(4), vec!["a"]);
+        assert_eq!(q.pop_due(10), vec!["b", "c"]);
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn pop_due_on_empty_is_empty() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        assert!(q.pop_due(100).is_empty());
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn events_not_yet_due_stay_queued() {
+        let mut q = EventQueue::new();
+        q.schedule(10, 1u32);
+        assert!(q.pop_due(9).is_empty());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_due(10), vec![1]);
+    }
+
+    #[test]
+    fn pop_due_at_u64_max_drains_everything() {
+        let mut q = EventQueue::new();
+        q.schedule(0, "a");
+        q.schedule(u64::MAX, "b");
+        assert_eq!(q.pop_due(u64::MAX), vec!["a", "b"]);
+        assert_eq!(q.len(), 0);
     }
 }

@@ -16,9 +16,9 @@
 //! * [`Simulator`] — the engine: per-node protocol state, seeded
 //!   determinism, and the in-process parallel substrate. All runs go
 //!   through the one driver entry [`Simulator::drive`], configured by a
-//!   [`RunOptions`] builder (worker threads, fault plan, event queue,
-//!   until-idle mode, sequential oracle mode) — byte-identical output for
-//!   any `P3Q_THREADS`;
+//!   [`RunOptions`] builder (worker threads, fault plan, until-idle mode,
+//!   sequential oracle mode), whose observer is where an experiment acts
+//!   between cycles — byte-identical output for any `P3Q_THREADS`;
 //! * [`exchange`] — the [`GossipProtocol`] contract (prepare / plan /
 //!   commit / effects / run-loop hooks), [`ExchangePlan`]s and the
 //!   deterministic greedy conflict-free batching;
@@ -37,8 +37,6 @@
 //! * [`SeriesRecorder`] / [`DistributionSummary`] — per-cycle series and
 //!   per-entity distributions, the two shapes every figure in the paper
 //!   takes;
-//! * [`EventQueue`] — "at cycle X, do Y" hooks, wired into the run loop via
-//!   [`RunOptions::events`];
 //! * [`NodeStore`] — node storage: one contiguous allocation that the
 //!   engine fans out over in contiguous chunks, with a debug-build
 //!   sanitizer on commit borrows and transport loans;
@@ -59,7 +57,6 @@ pub mod fingerprint;
 mod membership;
 mod metrics;
 pub mod parallel;
-mod schedule;
 mod shard;
 mod store;
 
@@ -76,6 +73,5 @@ pub use fingerprint::{fingerprint_chain, Fingerprint, Fnv};
 pub use membership::Membership;
 pub use metrics::{DistributionSummary, SeriesRecorder};
 pub use parallel::{default_threads, parallel_map, stream_seed};
-pub use schedule::EventQueue;
 pub use shard::Shard;
 pub use store::NodeStore;

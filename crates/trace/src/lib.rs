@@ -23,7 +23,7 @@
 //! * the **scenario layer** ([`Scenario`], [`ScenarioConfig`]) — the trace
 //!   configuration of the paper's workload under a vocabulary rule
 //!   ([`TraceShape`]), and the Zipf-skewed querier schedule of the
-//!   query-hotspot preset ([`ScenarioConfig::querier_schedule`]);
+//!   query-hotspot probe ([`querier_schedule`]);
 //! * summary [`DatasetStats`] to compare a generated trace against the
 //!   paper's crawl statistics;
 //! * the **compressed columnar storage substrate** — the interned action
@@ -61,6 +61,6 @@ pub use generator::{SyntheticTrace, TraceConfig, TraceGenerator, World};
 pub use ids::{ItemId, TagId, UserId};
 pub use profile::{PackedActions, PackedProfile, Profile, SharedProfile};
 pub use queries::{Query, QueryGenerator};
-pub use scenario::{Scenario, ScenarioConfig, TraceShape};
+pub use scenario::{querier_schedule, Scenario, ScenarioConfig, TraceShape};
 pub use stats::DatasetStats;
 pub use zipf::ZipfSampler;

@@ -1,23 +1,20 @@
-//! Scenario presets: one entry point from a named workload shape to the
-//! trace configuration an experiment generates from.
+//! The trace configuration of the paper's workload, and the querier
+//! schedule of the query-hotspot probe.
 //!
 //! The paper evaluates P3Q on a single workload, the delicious crawl with
 //! its daily profile changes (Section 3.4.1) and simultaneous departures
-//! (Section 3.4.2). A [`Scenario`] names the trace that workload runs on;
-//! [`ScenarioConfig::trace_config`] turns it, a population and a seed into
-//! a [`TraceConfig`] under one of the [`TraceShape`] vocabulary rules. The
-//! two presets:
-//!
-//! * [`Scenario::PaperDelicious`] — the paper's evaluation substrate:
-//!   Zipf popularity, interest communities and log-normal profile sizes;
-//! * [`Scenario::QueryHotspot`] — the same trace plus a skewed *querier*
-//!   schedule ([`ScenarioConfig::querier_schedule`]): every cycle a small
-//!   Zipf-distributed set of users (well under 1% of the population)
-//!   issues queries — the workload demand-driven resolution is built for.
+//! (Section 3.4.2). [`ScenarioConfig::trace_config`] turns its one preset,
+//! [`Scenario::PaperDelicious`] (Zipf popularity, interest communities and
+//! log-normal profile sizes), a population and a seed into a
+//! [`TraceConfig`] under one of the [`TraceShape`] vocabulary rules.
+//! [`querier_schedule`] draws, per cycle, the small Zipf-skewed set of
+//! users (well under 1% of the population) that issues queries in the
+//! query-hotspot probe — the workload demand-driven resolution is built
+//! for.
 //!
 //! Profile changes and departures are drawn by the experiment that runs
 //! them ([`crate::DynamicsGenerator`], the simulator's mass departure), so
-//! the trace is all a preset generates. Generation is parallel and
+//! the trace is all a scenario generates. Generation is parallel and
 //! deterministic, byte-identical for every thread count (see
 //! [`crate::TraceGenerator`]).
 
@@ -30,17 +27,14 @@ use crate::generator::TraceConfig;
 use crate::ids::UserId;
 use crate::zipf::ZipfSampler;
 
-/// Salt for the per-cycle querier draws of [`Scenario::QueryHotspot`].
+/// Salt for the per-cycle querier draws of [`querier_schedule`].
 const STREAM_QUERIERS: u64 = 0x5CE0_A210_0000_0008;
 
-/// A named workload preset.
+/// A named workload preset: the paper's one workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
     /// The paper's delicious-like substrate.
     PaperDelicious,
-    /// The paper's substrate plus a Zipf-skewed querier schedule touching
-    /// well under 1% of the population per cycle.
-    QueryHotspot,
 }
 
 /// How the trace vocabulary scales with the population.
@@ -58,31 +52,24 @@ pub enum TraceShape {
     DensityScaled,
 }
 
-/// A fully specified scenario instance: preset + population + seed +
-/// querier-schedule horizon.
+/// A fully specified scenario instance: population + seed + vocabulary
+/// rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
-    /// The workload preset.
-    pub scenario: Scenario,
     /// Population size.
     pub num_users: usize,
-    /// Master seed; the trace and the querier schedule derive their streams
-    /// from it.
+    /// Master seed; the trace derives its streams from it.
     pub seed: u64,
-    /// Number of cycles the querier schedule spans.
-    pub horizon: u64,
     /// Vocabulary scaling rule.
     pub shape: TraceShape,
 }
 
 impl ScenarioConfig {
-    /// A scenario over a density-scaled trace with a 60-cycle horizon.
-    pub fn new(scenario: Scenario, num_users: usize, seed: u64) -> Self {
+    /// The preset over a density-scaled trace.
+    pub fn new(_scenario: Scenario, num_users: usize, seed: u64) -> Self {
         Self {
-            scenario,
             num_users,
             seed,
-            horizon: 60,
             shape: TraceShape::DensityScaled,
         }
     }
@@ -90,12 +77,6 @@ impl ScenarioConfig {
     /// Replaces the vocabulary scaling rule.
     pub fn with_shape(mut self, shape: TraceShape) -> Self {
         self.shape = shape;
-        self
-    }
-
-    /// Replaces the querier-schedule horizon.
-    pub fn with_horizon(mut self, horizon: u64) -> Self {
-        self.horizon = horizon;
         self
     }
 
@@ -116,37 +97,31 @@ impl ScenarioConfig {
         cfg.num_users = self.num_users;
         cfg
     }
+}
 
-    /// The per-cycle querier sets of the [`Scenario::QueryHotspot`] preset:
-    /// one entry per cycle in `0..horizon`, each a sorted, deduplicated set
-    /// of users issuing queries that cycle. Draws follow a Zipf law over
-    /// the user ids (rank 0 = user 0 is the hottest querier) with roughly
-    /// `num_users / 200` draws per cycle, so well under 1% of the
-    /// population is queried per cycle and the same few users dominate —
-    /// the skew that makes demand-driven resolution pay off.
-    ///
-    /// A pure function of `(seed, num_users, horizon)`.
-    /// [`Scenario::PaperDelicious`] returns an empty schedule (queries are
-    /// not part of its axis).
-    pub fn querier_schedule(&self) -> Vec<Vec<UserId>> {
-        if self.scenario != Scenario::QueryHotspot {
-            return Vec::new();
-        }
-        let sampler = ZipfSampler::new(self.num_users, 1.2);
-        let draws_per_cycle = (self.num_users / 200).max(1);
-        (0..self.horizon)
-            .map(|cycle| {
-                let mut rng =
-                    StdRng::seed_from_u64(stream_seed(self.seed ^ STREAM_QUERIERS, cycle));
-                let mut queriers: Vec<UserId> = (0..draws_per_cycle)
-                    .map(|_| UserId::from_index(sampler.sample(&mut rng)))
-                    .collect();
-                queriers.sort_unstable();
-                queriers.dedup();
-                queriers
-            })
-            .collect()
-    }
+/// The per-cycle querier sets of the query-hotspot probe: one entry per
+/// cycle in `0..cycles`, each a sorted, deduplicated set of users issuing
+/// queries that cycle. Draws follow a Zipf law over the user ids (rank 0 =
+/// user 0 is the hottest querier) with roughly `num_users / 200` draws per
+/// cycle, so well under 1% of the population is queried per cycle and the
+/// same few users dominate — the skew that makes demand-driven resolution
+/// pay off.
+///
+/// A pure function of `(num_users, seed, cycles)`.
+pub fn querier_schedule(num_users: usize, seed: u64, cycles: u64) -> Vec<Vec<UserId>> {
+    let sampler = ZipfSampler::new(num_users, 1.2);
+    let draws_per_cycle = (num_users / 200).max(1);
+    (0..cycles)
+        .map(|cycle| {
+            let mut rng = StdRng::seed_from_u64(stream_seed(seed ^ STREAM_QUERIERS, cycle));
+            let mut queriers: Vec<UserId> = (0..draws_per_cycle)
+                .map(|_| UserId::from_index(sampler.sample(&mut rng)))
+                .collect();
+            queriers.sort_unstable();
+            queriers.dedup();
+            queriers
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -155,8 +130,7 @@ mod tests {
 
     #[test]
     fn query_hotspot_schedules_skewed_queriers_under_one_percent() {
-        let cfg = ScenarioConfig::new(Scenario::QueryHotspot, 4_000, 11).with_horizon(20);
-        let schedule = cfg.querier_schedule();
+        let schedule = querier_schedule(4_000, 11, 20);
         assert_eq!(schedule.len(), 20);
         let mut hits = vec![0usize; 4_000];
         for queriers in &schedule {
@@ -173,10 +147,7 @@ mod tests {
         let tail: usize = hits[2_000..].iter().sum();
         assert!(hits[0] > tail, "head {} vs tail {}", hits[0], tail);
         // Deterministic in the seed.
-        assert_eq!(schedule, cfg.querier_schedule());
-        // The paper preset has no querier axis.
-        let plain = ScenarioConfig::new(Scenario::PaperDelicious, 4_000, 11).with_horizon(20);
-        assert!(plain.querier_schedule().is_empty());
+        assert_eq!(schedule, querier_schedule(4_000, 11, 20));
     }
 
     #[test]

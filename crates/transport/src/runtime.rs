@@ -478,12 +478,11 @@ impl<N: Send + Sync> TransportRuntime<N> {
     /// The one run-loop entry: executes cycles of `proto` under the given
     /// [`RunOptions`] — the same options shape `Simulator::drive` takes.
     ///
-    /// Three option axes don't exist on a transport runtime and panic if
-    /// requested: an event queue ([`RunOptions::events`]; inspect and
-    /// mutate state between drives instead), oracle mode
-    /// ([`RunOptions::oracle`]; the transport's oracle *is* the simulator),
-    /// and a thread override ([`RunOptions::threads`]; parallelism is the
-    /// actor count, fixed at construction). Fault schedules and both loop
+    /// Two option axes don't exist on a transport runtime and panic if
+    /// requested: oracle mode ([`RunOptions::oracle`]; the transport's
+    /// oracle *is* the simulator) and a thread override
+    /// ([`RunOptions::threads`]; parallelism is the actor count, fixed at
+    /// construction). Fault schedules and both loop
     /// shapes (fixed cycles, until-idle) behave exactly as on the
     /// simulator.
     ///
@@ -506,10 +505,6 @@ impl<N: Send + Sync> TransportRuntime<N> {
         assert!(
             !opts.oracle,
             "a transport runtime has no oracle mode — the oracle is the simulator itself"
-        );
-        assert!(
-            opts.events.is_none(),
-            "transport runs have no scheduled-event axis — act between drives instead"
         );
         let mut sequencer = Sequencer::begin(proto, opts.faults, opts.until_idle);
         thread::scope(|scope| {
