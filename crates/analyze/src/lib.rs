@@ -4,10 +4,9 @@
 //! `P3Q_THREADS` and every fault seed — rests on source-level conventions:
 //! RNGs derive from `stream_seed`, plan/commit code never iterates hash
 //! containers in an order-sensitive way, every `unsafe` carries a
-//! `// SAFETY:` justification, every root example/test source is registered
-//! in the explicit target tables, external dependencies resolve through
-//! the `crates/compat` gate, and the library crates export only what
-//! something outside them calls. This crate turns those conventions into a
+//! `// SAFETY:` justification, external dependencies resolve through the
+//! `crates/compat` gate, and the library crates export only what something
+//! outside them calls. This crate turns those conventions into a
 //! checker that fails CI instead of a comment that hopes.
 //!
 //! It is deliberately **dependency-free** (the build environment has no
@@ -271,7 +270,6 @@ pub fn analyze(root: &Path) -> io::Result<Report> {
         rules::rng_source(file, &mut raw_findings);
         rules::safety_comment(file, &mut raw_findings);
     }
-    rules::target_registration(&ws, &mut raw_findings);
     rules::compat_gating(&ws, &mut raw_findings);
     rules::unused_pub(&ws, &mut raw_findings);
 
@@ -409,10 +407,10 @@ mod tests {
             .unwrap();
         assert_eq!(allow.rule, "hash-iter");
         assert_eq!(allow.reason, "sorted below");
-        let ascii = parse_allow("# p3q-allow: target-registration - kept for later")
+        let ascii = parse_allow("# p3q-allow: compat-gating - kept for later")
             .unwrap()
             .unwrap();
-        assert_eq!(ascii.rule, "target-registration");
+        assert_eq!(ascii.rule, "compat-gating");
         assert_eq!(ascii.reason, "kept for later");
     }
 

@@ -10,10 +10,9 @@
 //! part of the rule's documented contract below.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 
 use crate::lexer::{tokenize, SourceFile};
-use crate::{Finding, Manifest, Workspace};
+use crate::{Finding, Workspace};
 
 /// Rule ids with one-line descriptions (the `--list-rules` output and the
 /// vocabulary `// p3q-allow:` annotations must use).
@@ -37,11 +36,6 @@ pub const RULES: &[(&str, &str)] = &[
         "every `unsafe` must be immediately preceded by a `// SAFETY:` comment",
     ),
     (
-        "target-registration",
-        "every root examples/*.rs and tests/*.rs must appear in the p3q-integration explicit \
-         target tables",
-    ),
-    (
         "compat-gating",
         "serde/rand/proptest/criterion must come through the crates/compat workspace gate \
          (`dep.workspace = true`), never a direct path/version dependency",
@@ -49,7 +43,7 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "unused-pub",
         "every `pub fn`/`pub const`/`pub static` of a library crate must be named outside that \
-         crate's src/ (another crate, its tests/, a root test or example)",
+         crate's src/ (another crate, its tests/, the integration tests or examples)",
     ),
     (
         "allow-syntax",
@@ -152,9 +146,7 @@ fn content_rules_exempt(rel_path: &str) -> bool {
 /// Test-only source locations: integration tests, benches and examples are
 /// not on the deterministic cycle path.
 fn is_test_or_harness_path(rel_path: &str) -> bool {
-    rel_path.starts_with("tests/")
-        || rel_path.starts_with("examples/")
-        || rel_path.contains("/tests/")
+    rel_path.contains("/tests/")
         || rel_path.contains("/benches/")
         || rel_path.contains("/examples/")
 }
@@ -386,96 +378,6 @@ pub fn safety_comment(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Extracts the basenames registered in a target-table manifest whose
-/// `path = "…"` entries contain `needle` (e.g. `examples/`).
-fn registered_basenames(manifest: &Manifest, needle: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (idx, line) in manifest.lines.iter().enumerate() {
-        let Some(pos) = line.find("path") else {
-            continue;
-        };
-        let rest = &line[pos..];
-        let Some(open) = rest.find('"') else { continue };
-        let Some(close) = rest[open + 1..].find('"') else {
-            continue;
-        };
-        let path = &rest[open + 1..open + 1 + close];
-        if path.contains(needle) {
-            if let Some(base) = Path::new(path).file_name().and_then(|b| b.to_str()) {
-                out.push((idx + 1, base.to_string()));
-            }
-        }
-    }
-    out
-}
-
-/// The manifest whose `[[example]]` and `[[test]]` tables register every
-/// root example and test.
-const TARGET_MANIFEST: &str = "crates/integration/Cargo.toml";
-
-/// Rule `target-registration`: every root `examples/*.rs` / `tests/*.rs`
-/// source must appear in the explicit target tables of
-/// `TARGET_MANIFEST` (and every table entry must point at an existing
-/// file). Cargo silently ignores unregistered root sources because the
-/// target crate sets `autoexamples = false` / `autotests = false`.
-pub fn target_registration(ws: &Workspace, out: &mut Vec<Finding>) {
-    for dir in ["examples", "tests"] {
-        let needle = format!("{dir}/");
-        let sources: Vec<&SourceFile> = ws
-            .files
-            .iter()
-            .filter(|f| {
-                f.rel_path.starts_with(&needle) && !f.rel_path[dir.len() + 1..].contains('/')
-            })
-            .collect();
-        if sources.is_empty() {
-            continue;
-        }
-        let Some(manifest) = ws.manifests.iter().find(|m| m.rel_path == TARGET_MANIFEST) else {
-            out.push(Finding::new(
-                "target-registration",
-                TARGET_MANIFEST,
-                1,
-                format!(
-                    "root `{dir}/` has sources but the `{TARGET_MANIFEST}` target table is missing"
-                ),
-            ));
-            continue;
-        };
-        let registered = registered_basenames(manifest, &needle);
-        for file in &sources {
-            let base = Path::new(&file.rel_path)
-                .file_name()
-                .and_then(|b| b.to_str())
-                .unwrap_or_default();
-            if !registered.iter().any(|(_, b)| b == base) {
-                out.push(Finding::new(
-                    "target-registration",
-                    &file.rel_path,
-                    1,
-                    format!(
-                        "root source not registered in `{TARGET_MANIFEST}` — cargo silently \
-                         ignores it"
-                    ),
-                ));
-            }
-        }
-        for (line, base) in &registered {
-            if !sources
-                .iter()
-                .any(|f| f.rel_path == format!("{dir}/{base}"))
-            {
-                out.push(Finding::new(
-                    "target-registration",
-                    TARGET_MANIFEST,
-                    *line,
-                    format!("stale target entry: `{dir}/{base}` does not exist"),
-                ));
-            }
-        }
-    }
-}
-
 /// Rule `compat-gating`: a member manifest taking serde/rand/proptest/
 /// criterion by path or version instead of `dep.workspace = true`, or an
 /// `extern crate` for one of them in source.
@@ -571,7 +473,8 @@ fn pub_item(toks: &[String]) -> Option<(&'static str, &str)> {
 /// `.rs` file outside that crate's `src/` and outside `crates/analyze/`.
 /// Comments and string contents do not count: a doc link is not a caller.
 /// Other crates (the bench crate and its e2e package included), the
-/// crate's own `tests/`, and root `tests/` and `examples/` do.
+/// crate's own `tests/`, and the integration crate's `tests/` and
+/// `examples/` do.
 ///
 /// Bound: the rule matches by name, so an item that shares its name with
 /// anything named elsewhere (`new`, `len`, another crate's function) is
@@ -656,6 +559,6 @@ mod tests {
         assert_eq!(library_src_crate("crates/core/src/node.rs"), Some(6));
         assert_eq!(library_src_crate("crates/core/tests/props.rs"), None);
         assert_eq!(library_src_crate("crates/corex/src/lib.rs"), None);
-        assert_eq!(library_src_crate("tests/end_to_end.rs"), None);
+        assert_eq!(library_src_crate("crates/integration/src/lib.rs"), None);
     }
 }

@@ -1,4 +1,4 @@
-// Fixture: a registered root example calling the library's public API.
+// Fixture: an example calling the library's public API.
 fn main() {
     let node = p3q::eager::Node {
         tasks: Default::default(),

@@ -9,8 +9,9 @@ pub fn crate_local_helper(x: u32) -> u32 {
 // VIOLATION: read only by this crate's own `#[cfg(test)]` module.
 pub const TEST_ONLY_LIMIT: usize = 8;
 
-// Called by the root test tests/uses_api.rs: not a finding.
-pub fn called_by_root_test() -> u32 {
+// Called by the integration test crates/integration/tests/uses_api.rs:
+// not a finding.
+pub fn called_by_an_integration_test() -> u32 {
     rank(1)
 }
 

@@ -93,27 +93,6 @@ fn safety_comment_fixture_fires() {
 }
 
 #[test]
-fn target_registration_fixture_fires() {
-    let report = analyze(&fixture("target_registration")).unwrap();
-    assert_eq!(rules_fired(&report), ["target-registration"]);
-    let messages: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    // Unregistered example + unregistered test + stale table entry.
-    assert_eq!(report.findings.len(), 3, "{:#?}", report.findings);
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.file == "examples/orphan_demo.rs"));
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.file == "tests/orphan_case.rs"));
-    assert!(
-        messages.iter().any(|m| m.contains("stale target entry")),
-        "{messages:#?}"
-    );
-}
-
-#[test]
 fn compat_gating_fixture_fires() {
     let report = analyze(&fixture("compat_gating")).unwrap();
     assert_eq!(rules_fired(&report), ["compat-gating"]);
@@ -139,7 +118,7 @@ fn unused_pub_fixture_fires() {
     assert_eq!(rules_fired(&report), ["unused-pub"]);
     // A fn named only in its own crate, a const named only in its own
     // `#[cfg(test)]` module, and a fn named elsewhere only in a comment
-    // and a string. The fn a root test calls is not reported.
+    // and a string. The fn an integration test calls is not reported.
     assert_eq!(report.findings.len(), 3, "{:#?}", report.findings);
     for name in [
         "crate_local_helper",
@@ -203,7 +182,6 @@ fn cli_exit_codes_match_report() {
         "wall_clock",
         "rng_source",
         "safety_comment",
-        "target_registration",
         "compat_gating",
         "unused_pub",
         "allow_syntax",

@@ -45,11 +45,10 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut flags = Flags::from_env();
+fn parse_args(mut flags: Flags) -> Result<Args, String> {
     let args = Args {
         users: flags.counts("--users", &[10_000, 50_000, 100_000])?,
-        cycles: flags.value("--cycles", 3)?,
+        cycles: flags.count("--cycles", 3)? as u64,
         warmup: flags.value("--warmup", 2)?,
         threads: flags.list("--threads", &[1, 2, 4, 8])?,
         seed: flags.value("--seed", 42)?,
@@ -211,7 +210,7 @@ fn scale_json(r: &ScaleResult) -> Json {
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| exit_with_usage(&e, USAGE));
+    let args = parse_args(Flags::from_env()).unwrap_or_else(|e| exit_with_usage(&e, USAGE));
     let host_parallelism = host_parallelism();
     eprintln!("host parallelism: {host_parallelism} core(s)");
     let results: Vec<ScaleResult> = args.users.iter().map(|&u| bench_scale(u, &args)).collect();
@@ -228,4 +227,22 @@ fn main() {
         )
         .with("scales", results.iter().map(scale_json).collect::<Json>())
         .save(&args.out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(Flags::new(args.iter().map(|s| s.to_string())))
+    }
+
+    #[test]
+    fn zero_cycles_is_an_error() {
+        assert_eq!(
+            parse(&["--cycles", "0"]).err(),
+            Some("--cycles must be at least 1".to_string())
+        );
+        assert_eq!(parse(&["--cycles", "2"]).map(|a| a.cycles), Ok(2));
+    }
 }

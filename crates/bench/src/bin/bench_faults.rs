@@ -43,22 +43,22 @@ struct Args {
     queries: usize,
     rates_percent: Vec<f64>,
     warmup: u64,
-    cycles: Option<u64>,
+    cycles: u64,
     out: String,
     check: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut flags = Flags::from_env();
+fn parse_args(mut flags: Flags) -> Result<Args, String> {
+    let check = flags.switch("--check");
     let args = Args {
         users: flags.users(1_000)?,
         seed: flags.value("--seed", 42)?,
         queries: flags.count("--queries", 150)?,
         rates_percent: flags.list("--rates", &[0.0, 1.0, 5.0, 20.0])?,
         warmup: flags.value("--warmup", 3)?,
-        cycles: flags.optional("--cycles")?,
+        cycles: flags.count("--cycles", if check { 4 } else { 20 })? as u64,
         out: flags.value("--out", "BENCH_faults.json".to_string())?,
-        check: flags.switch("--check"),
+        check,
     };
     flags.finish()?;
     Ok(args)
@@ -172,15 +172,33 @@ fn run_arm(
 /// checksum — the CI matrix runs this binary under several `P3Q_THREADS`
 /// values and diffs the printed lines across jobs.
 fn run_check(args: &Args) {
-    let cycles = args.cycles.unwrap_or(4);
     let world = args.world();
-    let cfg = world.cfg.clone().with_fault_tolerance(cycles.max(2), 2);
+    let cfg = world
+        .cfg
+        .clone()
+        .with_fault_tolerance(args.cycles.max(2), 2);
     let faults = args.faults(0.05);
     let queries = world.sample_queries(args.queries.min(50));
 
     let start = Instant::now();
-    let default_threads = run_arm(&world, &cfg, faults, &queries, args.warmup, cycles, None);
-    let reference = run_arm(&world, &cfg, faults, &queries, args.warmup, cycles, Some(1));
+    let default_threads = run_arm(
+        &world,
+        &cfg,
+        faults,
+        &queries,
+        args.warmup,
+        args.cycles,
+        None,
+    );
+    let reference = run_arm(
+        &world,
+        &cfg,
+        faults,
+        &queries,
+        args.warmup,
+        args.cycles,
+        Some(1),
+    );
     assert_eq!(
         default_threads.traffic_checksum, reference.traffic_checksum,
         "faulted run diverged from the sequential reference"
@@ -227,15 +245,17 @@ fn arm_json(arm: &ArmResult) -> Json {
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| exit_with_usage(&e, USAGE));
+    let args = parse_args(Flags::from_env()).unwrap_or_else(|e| exit_with_usage(&e, USAGE));
     if args.check {
         run_check(&args);
         return;
     }
-    let cycles = args.cycles.unwrap_or(20);
 
     let world = args.world();
-    let hardened_cfg = world.cfg.clone().with_fault_tolerance(cycles.max(2), 2);
+    let hardened_cfg = world
+        .cfg
+        .clone()
+        .with_fault_tolerance(args.cycles.max(2), 2);
     let plain_cfg = world.cfg.clone();
     let queries = world.sample_queries(args.queries);
     eprintln!(
@@ -243,7 +263,7 @@ fn main() {
         args.users,
         queries.len(),
         args.warmup,
-        cycles
+        args.cycles
     );
 
     struct RateRow {
@@ -261,7 +281,7 @@ fn main() {
             faults,
             &queries,
             args.warmup,
-            cycles,
+            args.cycles,
             None,
         );
         let ablation = run_arm(
@@ -270,7 +290,7 @@ fn main() {
             faults,
             &queries,
             args.warmup,
-            cycles,
+            args.cycles,
             None,
         );
         eprintln!(
@@ -303,7 +323,7 @@ fn main() {
                 faults,
                 &queries,
                 args.warmup,
-                cycles,
+                args.cycles,
                 Some(threads),
             );
             assert_eq!(
@@ -327,7 +347,7 @@ fn main() {
         .with("users", args.users)
         .with("queries", queries.len())
         .with("lazy_warmup_cycles", args.warmup)
-        .with("eager_cycles", cycles)
+        .with("eager_cycles", args.cycles)
         .with(
             "note",
             "recall/completion/latency degradation of the eager protocol under a composite fault \
@@ -366,4 +386,24 @@ fn main() {
         );
     }
     doc.save(&args.out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(Flags::new(args.iter().map(|s| s.to_string())))
+    }
+
+    #[test]
+    fn zero_cycles_is_an_error() {
+        assert_eq!(
+            parse(&["--cycles", "0"]).err(),
+            Some("--cycles must be at least 1".to_string())
+        );
+        assert_eq!(parse(&["--cycles", "2"]).map(|a| a.cycles), Ok(2));
+        assert_eq!(parse(&[]).map(|a| a.cycles), Ok(20));
+        assert_eq!(parse(&["--check"]).map(|a| a.cycles), Ok(4));
+    }
 }

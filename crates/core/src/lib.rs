@@ -107,7 +107,8 @@
 //!   `decode` columns: `ci/baselines/BENCH_similarity_smoke.json`). The posting
 //!   directory stores group-relative `u16` offsets anchored every 64
 //!   slots (~1 MiB smaller at 100k users). Profiles are held and served
-//!   decoded; [`p3q_trace::PackedProfile`] is an at-rest size format only.
+//!   decoded; [`p3q_trace::Dataset::packed_profile_bytes`] is the size
+//!   they would take packed at rest.
 //!   Output is byte-identical to the LEB128 era; the `codec_props` suite
 //!   round-trips every group shape through the one padded kernel,
 //!   including garbage-slack discard.

@@ -13,7 +13,6 @@
 //!   under via `P3Q_THREADS`);
 //! * dictionary round-trip (`intern`/`id_of`/`resolve`) and the
 //!   order-isomorphism of frozen ids;
-//! * [`PackedProfile`] round-trip and its compression guarantee;
 //! * the [`ActionIndex::memory`] report: internally consistent, and the
 //!   compressed layout strictly below the uncompressed CSR equivalent on
 //!   non-trivial traces.
@@ -25,8 +24,7 @@ use proptest::prelude::*;
 use p3q::baseline::IdealNetworks;
 use p3q::similarity::ActionIndex;
 use p3q_trace::{
-    action_key, Dataset, ItemId, PackedProfile, Profile, TagId, TaggingAction, TraceConfig,
-    TraceGenerator, UserId,
+    action_key, Dataset, ItemId, Profile, TagId, TaggingAction, TraceConfig, TraceGenerator, UserId,
 };
 
 fn act(item: u32, tag: u32) -> TaggingAction {
@@ -229,16 +227,6 @@ proptest! {
             .flat_map(|(_, p)| p.iter().map(|a| dict.id_of(a)).collect::<Vec<_>>())
             .collect();
         prop_assert_eq!(before, after, "frozen ids must be undisturbed");
-    }
-
-    /// Packed profiles round-trip losslessly.
-    #[test]
-    fn packed_profiles_round_trip(dataset in arb_dataset()) {
-        for (_, profile) in dataset.iter() {
-            let packed = PackedProfile::pack(profile);
-            prop_assert_eq!(packed.len(), profile.len());
-            prop_assert_eq!(&packed.unpack(), profile);
-        }
     }
 
     /// The memory report is internally consistent after arbitrary builds.

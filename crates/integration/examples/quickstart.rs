@@ -17,8 +17,12 @@ fn main() {
     trace_cfg.num_items = 4_000;
     trace_cfg.num_tags = 1_200;
     let trace = TraceGenerator::new(trace_cfg).generate();
-    println!("generated trace:");
-    println!("{}", p3q_trace::DatasetStats::compute(&trace.dataset));
+    println!(
+        "generated trace: {} users, {} items, {} tagging actions",
+        trace.dataset.num_users(),
+        trace.dataset.num_items(),
+        trace.dataset.total_actions()
+    );
     println!();
 
     // 2. Protocol configuration: personal network of 100 neighbours, but each

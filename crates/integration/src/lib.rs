@@ -1,1 +1,3 @@
-//! Target-table crate: registers the repository-level examples/ and tests/ directories (see README.md).
+//! The workspace's runnable examples (`examples/`) and cross-crate
+//! integration tests (`tests/`); Cargo discovers both, so a new file there
+//! builds and runs with no registration. The library itself is empty.

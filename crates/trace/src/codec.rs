@@ -6,8 +6,8 @@
 //!   [`varint_len`]; 7 payload bits per byte, high bit = continuation)
 //!   carry the byte-length prefixes in front of posting runs, the first
 //!   value of every posting run, the [`SortedKeyStore`] key blocks behind
-//!   [`crate::dict::ActionDictionary`] (one `u64` delta run per block) and
-//!   the [`crate::profile::PackedProfile`] at-rest stream.
+//!   [`crate::dict::ActionDictionary`] (one `u64` delta run per block);
+//!   [`crate::Dataset::packed_profile_bytes`] sizes profiles in them.
 //! * **Posting runs** — the ascending user ids of one posting list of the
 //!   similarity engine's `ActionIndex`, ~1–3 bytes per posting instead of
 //!   4 — are written by [`encode_sorted_u32s_grouped`] as `[first value:

@@ -4,9 +4,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::codec::varint_len;
 use crate::dict::ActionDictionary;
-use crate::ids::{ItemId, TagId, UserId};
-use crate::profile::{PackedProfile, Profile, SharedProfile};
+use crate::ids::{ItemId, UserId};
+use crate::profile::{Profile, SharedProfile};
 
 /// A complete collaborative-tagging dataset.
 ///
@@ -99,20 +100,6 @@ impl Dataset {
         counts
     }
 
-    /// Number of distinct users that used each tag.
-    pub(crate) fn tag_user_counts(&self) -> HashMap<TagId, usize> {
-        let mut counts = HashMap::new();
-        for profile in &self.profiles {
-            let mut seen: Vec<TagId> = profile.iter().map(|a| a.tag).collect();
-            seen.sort_unstable();
-            seen.dedup();
-            for tag in seen {
-                *counts.entry(tag).or_insert(0) += 1;
-            }
-        }
-        counts
-    }
-
     /// Builds the interned action dictionary over every distinct
     /// `(item, tag)` action currently in the dataset — the trace-build-time
     /// interning step of the compressed storage stack.
@@ -134,19 +121,24 @@ impl Dataset {
             .sum()
     }
 
-    /// Heap bytes the same profiles take in the packed columnar form
-    /// ([`PackedProfile`]) — what a storage-bound deployment would hold at
-    /// rest.
+    /// Bytes the same profiles would take packed at rest — what a
+    /// storage-bound deployment would hold: per action, the LEB128 varints
+    /// of its item's delta from the previous action's item and of its tag;
+    /// per profile, a byte vector and a `u32` action count.
     pub fn packed_profile_bytes(&self) -> usize {
         self.profiles
             .iter()
-            .map(|p| PackedProfile::pack(p).heap_bytes() + std::mem::size_of::<PackedProfile>())
+            .map(|profile| {
+                let mut prev_item = 0;
+                let mut bytes = std::mem::size_of::<(Vec<u8>, u32)>();
+                for action in profile.iter() {
+                    bytes += varint_len(u64::from(action.item.0 - prev_item))
+                        + varint_len(u64::from(action.tag.0));
+                    prev_item = action.item.0;
+                }
+                bytes
+            })
             .sum()
-    }
-
-    /// Largest profile length.
-    pub(crate) fn max_profile_len(&self) -> usize {
-        self.profiles.iter().map(|p| p.len()).max().unwrap_or(0)
     }
 }
 
@@ -154,6 +146,7 @@ impl Dataset {
 mod tests {
     use super::*;
     use crate::action::TaggingAction;
+    use crate::ids::TagId;
 
     fn act(item: u32, tag: u32) -> TaggingAction {
         TaggingAction::new(ItemId(item), TagId(tag))
@@ -175,19 +168,15 @@ mod tests {
         assert_eq!(d.total_actions(), 6);
         assert_eq!(d.profile(UserId(0)).len(), 2);
         assert_eq!(d.users().count(), 3);
-        assert_eq!(d.max_profile_len(), 2);
     }
 
     #[test]
-    fn item_and_tag_counts_count_distinct_users() {
+    fn item_user_counts_count_distinct_users() {
         let d = tiny_dataset();
         let items = d.item_user_counts();
         assert_eq!(items[&ItemId(1)], 3);
         assert_eq!(items[&ItemId(2)], 2);
         assert_eq!(items[&ItemId(9)], 1);
-        let tags = d.tag_user_counts();
-        assert_eq!(tags[&TagId(1)], 3);
-        assert_eq!(tags[&TagId(2)], 1);
     }
 
     #[test]
@@ -202,6 +191,5 @@ mod tests {
         let d = Dataset::default();
         assert_eq!(d.num_users(), 0);
         assert_eq!(d.total_actions(), 0);
-        assert_eq!(d.max_profile_len(), 0);
     }
 }

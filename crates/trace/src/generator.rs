@@ -605,7 +605,7 @@ mod tests {
         cfg.max_items_per_user = 10;
         let trace = TraceGenerator::new(cfg).generate();
         for (_, profile) in trace.dataset.iter() {
-            assert!(profile.item_count() <= 10);
+            assert!(profile.items().count() <= 10);
         }
     }
 

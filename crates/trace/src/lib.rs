@@ -24,14 +24,11 @@
 //!   configuration of the paper's workload under a vocabulary rule
 //!   ([`TraceShape`]), and the Zipf-skewed querier schedule of the
 //!   query-hotspot probe ([`querier_schedule`]);
-//! * summary [`DatasetStats`] to compare a generated trace against the
-//!   paper's crawl statistics;
 //! * the **compressed columnar storage substrate** — the interned action
 //!   dictionary ([`ActionDictionary`], [`ActionId`]: dense `u32` ids for
 //!   distinct `(item, tag)` actions, assigned in key order at trace build
 //!   time) and the varint codecs ([`codec`]) the similarity index is built
-//!   on, and the packed at-rest profile form ([`PackedProfile`]), a size
-//!   format for the benchmark memory accounting only.
+//!   on.
 
 // `deny`, not `forbid`: the padded posting-run decode kernel in [`codec`]
 // is the sole, explicitly `#[allow]`-ed exemption (a bounds-check-free
@@ -50,7 +47,6 @@ mod ids;
 mod profile;
 mod queries;
 mod scenario;
-mod stats;
 mod zipf;
 
 pub use action::TaggingAction;
@@ -59,8 +55,7 @@ pub use dict::{action_key, key_action, ActionDictionary, ActionId};
 pub use dynamics::{ChangeBatch, DynamicsConfig, DynamicsGenerator, ProfileChange};
 pub use generator::{SyntheticTrace, TraceConfig, TraceGenerator, World};
 pub use ids::{ItemId, TagId, UserId};
-pub use profile::{PackedActions, PackedProfile, Profile, SharedProfile};
+pub use profile::{Profile, SharedProfile};
 pub use queries::{Query, QueryGenerator};
 pub use scenario::{querier_schedule, Scenario, ScenarioConfig, TraceShape};
-pub use stats::DatasetStats;
 pub use zipf::ZipfSampler;

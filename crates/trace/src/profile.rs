@@ -145,11 +145,6 @@ impl Profile {
         }
     }
 
-    /// Number of distinct items the user tagged.
-    pub(crate) fn item_count(&self) -> usize {
-        self.items().count()
-    }
-
     /// Returns `true` if the user tagged `item` with any tag.
     pub fn has_item(&self, item: ItemId) -> bool {
         let probe = TaggingAction::new(item, TagId(0));
@@ -183,113 +178,6 @@ impl Profile {
     /// Resident heap bytes of the in-memory (decoded) layout.
     pub fn heap_bytes(&self) -> usize {
         self.actions.len() * std::mem::size_of::<TaggingAction>()
-    }
-}
-
-/// A profile stored as one delta-varint compressed key stream — the
-/// columnar at-rest form of a profile.
-///
-/// [`Profile`] keeps its actions as a plain sorted `Vec<TaggingAction>`
-/// (8 bytes per action) because the gossip hot paths live on linear merges
-/// and binary searches over that layout. `PackedProfile` is the compressed
-/// counterpart for bulk storage: the sorted `(item, tag)` keys are encoded
-/// as item-delta + tag varints, which lands around 3–5 bytes per action on
-/// the paper-shaped traces. Round-trips losslessly through
-/// [`Self::unpack`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PackedProfile {
-    bytes: Vec<u8>,
-    len: u32,
-}
-
-impl PackedProfile {
-    /// Packs a profile.
-    pub fn pack(profile: &Profile) -> Self {
-        let mut bytes = Vec::new();
-        let mut prev_item = 0u32;
-        for action in profile.iter() {
-            // Item-delta first (0 = same item as the predecessor), then the
-            // tag verbatim. Both stay small on real profiles: items repeat
-            // and tag ids are dense.
-            crate::codec::write_varint(u64::from(action.item.0 - prev_item), &mut bytes);
-            crate::codec::write_varint(u64::from(action.tag.0), &mut bytes);
-            prev_item = action.item.0;
-        }
-        Self {
-            bytes,
-            len: u32::try_from(profile.len()).expect("profile length overflow"),
-        }
-    }
-
-    /// Number of packed actions.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Returns `true` if no actions are packed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Resident heap bytes of the packed form.
-    pub fn heap_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Decodes back into a [`Profile`].
-    pub fn unpack(&self) -> Profile {
-        let mut actions = Vec::with_capacity(self.len as usize);
-        actions.extend(self.actions());
-        Profile { actions }
-    }
-
-    /// Iterates the packed actions in sorted order, decoding on the fly.
-    /// Profiles are held and served decoded; this is the decoder behind
-    /// [`Self::unpack`].
-    pub fn actions(&self) -> PackedActions<'_> {
-        PackedActions {
-            bytes: &self.bytes,
-            pos: 0,
-            remaining: self.len,
-            item: 0,
-        }
-    }
-}
-
-/// Decode-on-the-fly iterator over a [`PackedProfile`]'s actions (see
-/// [`PackedProfile::actions`]).
-#[derive(Debug, Clone)]
-pub struct PackedActions<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    remaining: u32,
-    item: u32,
-}
-
-impl Iterator for PackedActions<'_> {
-    type Item = TaggingAction;
-
-    #[inline]
-    fn next(&mut self) -> Option<TaggingAction> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.item += crate::codec::read_varint(self.bytes, &mut self.pos) as u32;
-        let tag = crate::codec::read_varint(self.bytes, &mut self.pos) as u32;
-        Some(TaggingAction::new(ItemId(self.item), TagId(tag)))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining as usize, Some(self.remaining as usize))
-    }
-}
-
-impl ExactSizeIterator for PackedActions<'_> {}
-
-impl From<&Profile> for PackedProfile {
-    fn from(profile: &Profile) -> Self {
-        Self::pack(profile)
     }
 }
 
@@ -391,7 +279,7 @@ mod tests {
         let p = Profile::from_actions(vec![act(5, 1), act(1, 1), act(1, 2), act(5, 9)]);
         let items: Vec<_> = p.items().collect();
         assert_eq!(items, vec![ItemId(1), ItemId(5)]);
-        assert_eq!(p.item_count(), 2);
+        assert_eq!(p.items().count(), 2);
     }
 
     #[test]
@@ -447,26 +335,14 @@ mod tests {
     }
 
     #[test]
-    fn packed_profile_round_trips() {
-        let p = Profile::from_actions(vec![act(1, 3), act(1, 9), act(2, 0), act(900, 44)]);
-        let packed = PackedProfile::pack(&p);
-        assert_eq!(packed.len(), p.len());
-        assert_eq!(packed.unpack(), p);
-        let empty = PackedProfile::pack(&Profile::new());
-        assert!(empty.is_empty());
-        assert_eq!(empty.unpack(), Profile::new());
-    }
-
-    #[test]
     fn packed_profile_is_smaller_than_decoded() {
         // A paper-shaped profile: ~100 items with small gaps, 1–2 tags each.
         let p = Profile::from_actions((0..200u32).map(|i| act(1000 + i * 7, i % 50)));
-        let packed = PackedProfile::pack(&p);
+        let dataset = crate::Dataset::new(vec![p], 3_000, 50);
+        let (packed, decoded) = (dataset.packed_profile_bytes(), dataset.profile_heap_bytes());
         assert!(
-            packed.heap_bytes() * 2 <= p.heap_bytes(),
-            "expected at least 2x: packed {} vs decoded {}",
-            packed.heap_bytes(),
-            p.heap_bytes()
+            packed * 2 <= decoded,
+            "expected at least 2x: packed {packed} vs decoded {decoded}"
         );
     }
 

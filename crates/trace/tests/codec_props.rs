@@ -11,7 +11,6 @@ use p3q_trace::codec::{
     encode_sorted_u32s_grouped, for_each_sorted_u32_grouped_padded, group_value_len, read_varint,
     varint_len, SortedKeyStore, GROUP_DECODE_SLACK, GROUP_SIZE,
 };
-use p3q_trace::{PackedProfile, Profile};
 use proptest::prelude::*;
 
 /// Shapes a raw delta into one of five byte-width classes picked by `sel`,
@@ -221,24 +220,6 @@ proptest! {
             }
             prop_assert_eq!(store.rank_of(hi + 1), None);
         }
-    }
-
-    /// The packed profile's decode-on-the-fly iterator yields exactly the
-    /// unpacked profile's actions.
-    #[test]
-    fn packed_actions_iterator_matches_unpack(
-        raw in prop::collection::vec((0u32..5_000, 0u32..200), 0..60)
-    ) {
-        let profile = Profile::from_actions(
-            raw.into_iter()
-                .map(|(i, t)| p3q_trace::TaggingAction::new(p3q_trace::ItemId(i), p3q_trace::TagId(t))),
-        );
-        let packed = PackedProfile::pack(&profile);
-        let streamed: Vec<_> = packed.actions().collect();
-        let unpacked: Vec<_> = packed.unpack().iter().copied().collect();
-        prop_assert_eq!(&streamed, &unpacked);
-        prop_assert_eq!(streamed.len(), profile.len());
-        prop_assert_eq!(packed.actions().len(), profile.len());
     }
 }
 

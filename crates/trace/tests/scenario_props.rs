@@ -3,9 +3,7 @@
 //! interest-community overlap, skewed profile sizes — and the vocabulary
 //! rules must scale the way they say.
 
-use p3q_trace::{
-    DatasetStats, Scenario, ScenarioConfig, SyntheticTrace, TraceGenerator, TraceShape,
-};
+use p3q_trace::{Scenario, ScenarioConfig, SyntheticTrace, TraceGenerator, TraceShape};
 use proptest::prelude::*;
 
 /// Least-squares slope of `ln(count)` over `ln(rank)` for the most-used
@@ -56,7 +54,6 @@ fn paper_delicious_has_zipf_tail_and_communities_and_skewed_profiles() {
     let trace =
         TraceGenerator::new(ScenarioConfig::new(Scenario::PaperDelicious, 600, 77).trace_config())
             .generate();
-    let stats = DatasetStats::compute(&trace.dataset);
 
     // Zipf popularity: a clearly negative log-log slope and a heavy head.
     // The window spans enough ranks to see past the mixed per-topic heads
@@ -67,10 +64,13 @@ fn paper_delicious_has_zipf_tail_and_communities_and_skewed_profiles() {
         slope < -0.45,
         "paper preset should have a Zipf popularity tail, slope = {slope:.3}"
     );
+    let mut usage: Vec<usize> = trace.dataset.item_user_counts().values().copied().collect();
+    usage.sort_unstable_by(|a, b| b.cmp(a));
+    let top_decile_item_share = usage[..(usage.len() / 10).max(1)].iter().sum::<usize>() as f64
+        / usage.iter().sum::<usize>() as f64;
     assert!(
-        stats.top_decile_item_share > 0.3,
-        "top decile should carry the load, got {:.3}",
-        stats.top_decile_item_share
+        top_decile_item_share > 0.3,
+        "top decile should carry the load, got {top_decile_item_share:.3}"
     );
 
     // Interest communities: users overlap far more than independent uniform
@@ -82,13 +82,20 @@ fn paper_delicious_has_zipf_tail_and_communities_and_skewed_profiles() {
 
     // Skewed profile sizes: the log-normal tail puts the 99th percentile
     // well above the mean, below the hard cap.
+    let mut items_per_user: Vec<usize> = trace
+        .dataset
+        .iter()
+        .map(|(_, profile)| profile.items().count())
+        .collect();
+    items_per_user.sort_unstable();
+    let users = items_per_user.len();
+    let p99_items_per_user = items_per_user[(users * 99).div_ceil(100) - 1];
+    let mean_items_per_user = items_per_user.iter().sum::<usize>() as f64 / users as f64;
     assert!(
-        stats.p99_items_per_user as f64 > 2.0 * stats.mean_items_per_user,
-        "p99 {} should dwarf the mean {:.1}",
-        stats.p99_items_per_user,
-        stats.mean_items_per_user
+        p99_items_per_user as f64 > 2.0 * mean_items_per_user,
+        "p99 {p99_items_per_user} should dwarf the mean {mean_items_per_user:.1}"
     );
-    assert!(stats.p99_items_per_user <= trace.config.max_items_per_user);
+    assert!(p99_items_per_user <= trace.config.max_items_per_user);
 }
 
 proptest! {
