@@ -67,6 +67,13 @@
 //! step: whenever a benchmark's output shape or the trace bytes change
 //! deliberately, `--bless` rewrites `ci/baselines/` in one command, with
 //! no flag drift possible between CI and the committed files.
+//!
+//! Over a file that exists, a bless changes only what the gate compares
+//! exactly: checksums, counts, labels and `bytes_*` leaves take the fresh
+//! value, a time or throughput keeps its committed value unless the fresh
+//! one fails the gate against it (`--tolerance`), and the host-dependent
+//! keys keep theirs. A missing file or key takes the fresh value, so CI's
+//! `--bless --dir .` into a clean checkout writes the runs as they are.
 
 use p3q_bench::flags::{exit_with_usage, Flags};
 use p3q_bench::json::Json;
@@ -164,38 +171,8 @@ fn compare(baseline: &Json, fresh: &Json, path: &str, class: KeyClass, tol: f64,
         }
         (Json::Number(b, _), Json::Number(f, _)) => {
             rep.compared += 1;
-            match class {
-                KeyClass::Time { to_seconds } => {
-                    let slack = TIME_SLACK_SECONDS / to_seconds;
-                    if *f > *b * tol + slack {
-                        rep.fail(
-                            path,
-                            format!("regressed: {f:.3} > {b:.3} x tolerance {tol} + slack {slack}"),
-                        );
-                    }
-                }
-                KeyClass::PerSec => {
-                    // Judge the implied per-unit time: 1/rate in seconds.
-                    if *f > 0.0 && *b > 0.0 && 1.0 / f > (1.0 / b) * tol + TIME_SLACK_SECONDS {
-                        rep.fail(
-                            path,
-                            format!("regressed: {f:.4}/s is beyond {b:.4}/s x tolerance {tol}"),
-                        );
-                    }
-                }
-                KeyClass::Bytes => {
-                    if *f > *b {
-                        rep.fail(
-                            path,
-                            format!("memory regressed: {f:.0} bytes > baseline {b:.0}"),
-                        );
-                    }
-                }
-                KeyClass::Exact | KeyClass::Ignored => {
-                    if (b - f).abs() > 1e-9 * b.abs().max(1.0) {
-                        rep.fail(path, format!("exact value changed: {b} -> {f}"));
-                    }
-                }
+            if let Some(message) = judge(*b, *f, class, tol) {
+                rep.fail(path, message);
             }
         }
         _ => {
@@ -204,6 +181,64 @@ fn compare(baseline: &Json, fresh: &Json, path: &str, class: KeyClass, tol: f64,
                 rep.fail(path, format!("value changed: {baseline:?} -> {fresh:?}"));
             }
         }
+    }
+}
+
+/// Judges one numeric leaf: the violation, if the fresh value `f` fails
+/// the gate against the baseline value `b`.
+fn judge(b: f64, f: f64, class: KeyClass, tol: f64) -> Option<String> {
+    match class {
+        KeyClass::Time { to_seconds } => {
+            let slack = TIME_SLACK_SECONDS / to_seconds;
+            (f > b * tol + slack)
+                .then(|| format!("regressed: {f:.3} > {b:.3} x tolerance {tol} + slack {slack}"))
+        }
+        // Judge the implied per-unit time: 1/rate in seconds.
+        KeyClass::PerSec => (f > 0.0 && b > 0.0 && 1.0 / f > (1.0 / b) * tol + TIME_SLACK_SECONDS)
+            .then(|| format!("regressed: {f:.4}/s is beyond {b:.4}/s x tolerance {tol}")),
+        KeyClass::Bytes => {
+            (f > b).then(|| format!("memory regressed: {f:.0} bytes > baseline {b:.0}"))
+        }
+        KeyClass::Exact | KeyClass::Ignored => ((b - f).abs() > 1e-9 * b.abs().max(1.0))
+            .then(|| format!("exact value changed: {b} -> {f}")),
+    }
+}
+
+/// Folds a fresh run into the committed baseline, so that a re-bless
+/// changes only what the gate compares exactly. Checksums, counts, labels
+/// and `bytes_*` leaves take the fresh value. A time or throughput keeps
+/// the committed value while the fresh one passes the gate against it, and
+/// host-dependent keys keep theirs. A key the baseline lacks, or an array
+/// whose length changed, takes the fresh value; a key only the baseline
+/// has is dropped.
+fn merge(baseline: &Json, fresh: Json, class: KeyClass, tol: f64) -> Json {
+    match (baseline, fresh) {
+        (_, _) if class == KeyClass::Ignored => baseline.clone(),
+        (Json::Object(_), Json::Object(members)) => Json::Object(
+            members
+                .into_iter()
+                .map(|(key, fv)| {
+                    let merged = match baseline.get(&key) {
+                        Some(bv) => merge(bv, fv, classify(&key), tol),
+                        None => fv,
+                    };
+                    (key, merged)
+                })
+                .collect(),
+        ),
+        (Json::Array(b), Json::Array(f)) if b.len() == f.len() => Json::Array(
+            b.iter()
+                .zip(f)
+                .map(|(bv, fv)| merge(bv, fv, class, tol))
+                .collect(),
+        ),
+        (Json::Number(b, _), Json::Number(f, _))
+            if matches!(class, KeyClass::Time { .. } | KeyClass::PerSec)
+                && judge(*b, f, class, tol).is_none() =>
+        {
+            baseline.clone()
+        }
+        (_, fresh) => fresh,
     }
 }
 
@@ -280,8 +315,10 @@ const SMOKE_JOBS: &[(&str, &[&str], &str)] = &[
 ];
 
 /// Runs every [`SMOKE_JOBS`] entry with the sibling benchmark binaries
-/// (built alongside this one) and writes the outputs into `dir`.
-fn bless(dir: &str) {
+/// (built alongside this one) and writes the outputs into `dir`. Over an
+/// existing file the fresh run is folded in ([`merge`], with the gate's
+/// `tolerance`); a missing file is written as the run produced it.
+fn bless(dir: &str, tolerance: f64) {
     let own = std::env::current_exe().expect("cannot locate the running binary");
     let bin_dir = own.parent().expect("binary has a parent directory");
     std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir}: {e}"));
@@ -294,16 +331,33 @@ fn bless(dir: &str) {
             bin_path.display()
         );
         let out_path = format!("{dir}/{out_name}");
+        let committed = std::path::Path::new(&out_path).exists();
+        let run_path = if committed {
+            format!("{out_path}.fresh")
+        } else {
+            out_path.clone()
+        };
         println!(
             "bench_check: blessing {out_path} ({bin} {})",
             flags.join(" ")
         );
         let status = std::process::Command::new(&bin_path)
             .args(*flags)
-            .args(["--out", &out_path])
+            .args(["--out", &run_path])
             .status()
             .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
         assert!(status.success(), "{bin} exited with {status}");
+        if committed {
+            merge(
+                &load(&out_path),
+                load(&run_path),
+                KeyClass::Exact,
+                tolerance,
+            )
+            .save(&out_path);
+            std::fs::remove_file(&run_path)
+                .unwrap_or_else(|e| panic!("cannot remove {run_path}: {e}"));
+        }
     }
     println!(
         "bench_check: blessed {} baseline(s) into {dir}",
@@ -388,7 +442,7 @@ fn main() {
         compared: 0,
     };
     match &args.mode {
-        Mode::Bless => return bless(&args.dir),
+        Mode::Bless => return bless(&args.dir, tolerance),
         // Gate every smoke baseline in one pass: all files are compared and
         // *every* out-of-tolerance key is reported before the gate fails,
         // so one bad benchmark cannot hide regressions in the ones after it.
@@ -600,5 +654,72 @@ mod tests {
         assert!(check(&baseline, &ok, 4.0).is_empty());
         let shrunk = obj(&[("scales", Json::Array(vec![]))]);
         assert_eq!(check(&baseline, &shrunk, 4.0).len(), 1);
+    }
+
+    #[test]
+    fn bless_over_a_baseline_changes_only_what_the_gate_compares_exactly() {
+        let committed = obj(&[
+            ("host_available_parallelism", Json::from(1.0)),
+            ("note", Json::from("committed")),
+            ("users", Json::from(400.0)),
+            ("traffic_checksum", Json::from((100u64, 10u64))),
+            ("bytes_total", Json::from(5000.0)),
+            ("elapsed_s", Json::fixed(1.0, 4)),
+            ("commit_ms", Json::fixed(50.0, 3)),
+            ("cycles_per_sec", Json::fixed(10.0, 2)),
+            ("speedup_2t", Json::fixed(1.5, 2)),
+            ("gone", Json::from(1.0)),
+        ]);
+        let fresh = obj(&[
+            ("host_available_parallelism", Json::from(2.0)),
+            ("note", Json::from("fresh")),
+            ("users", Json::from(400.0)),
+            ("traffic_checksum", Json::from((90u64, 12u64))),
+            ("bytes_total", Json::from(4500.0)),
+            // Noise inside the band, and a regression beyond it.
+            ("elapsed_s", Json::fixed(1.3, 4)),
+            ("commit_ms", Json::fixed(900.0, 3)),
+            ("cycles_per_sec", Json::fixed(9.0, 2)),
+            ("speedup_2t", Json::fixed(0.9, 2)),
+            ("added", Json::from(3.0)),
+        ]);
+        let blessed = merge(&committed, fresh, KeyClass::Exact, 4.0);
+        let want = obj(&[
+            ("host_available_parallelism", Json::from(1.0)),
+            ("note", Json::from("committed")),
+            ("users", Json::from(400.0)),
+            ("traffic_checksum", Json::from((90u64, 12u64))),
+            ("bytes_total", Json::from(4500.0)),
+            ("elapsed_s", Json::fixed(1.0, 4)),
+            ("commit_ms", Json::fixed(900.0, 3)),
+            ("cycles_per_sec", Json::fixed(10.0, 2)),
+            ("speedup_2t", Json::fixed(1.5, 2)),
+            ("added", Json::from(3.0)),
+        ]);
+        assert_eq!(blessed, want);
+        assert!(check(&blessed, &want, 4.0).is_empty());
+        // Nested leaves are judged by their own key; a resized array is
+        // taken whole.
+        let nested = |elapsed: f64, checksum: &str, scales: usize| {
+            obj(&[
+                (
+                    "runs",
+                    Json::Array(vec![obj(&[
+                        ("elapsed_s", Json::fixed(elapsed, 3)),
+                        ("state_checksum", Json::from(checksum)),
+                    ])]),
+                ),
+                ("scales", (0..scales).map(Json::from).collect()),
+            ])
+        };
+        assert_eq!(
+            merge(
+                &nested(2.0, "0xa", 2),
+                nested(2.2, "0xb", 3),
+                KeyClass::Exact,
+                4.0
+            ),
+            nested(2.0, "0xb", 3)
+        );
     }
 }

@@ -17,7 +17,7 @@ use p3q::analysis::{
 };
 use p3q::bandwidth::{
     bits_per_second, category, digest_bytes, EAGER_CYCLE_SECONDS, LAZY_CYCLE_SECONDS,
-    OFFER_HEADER_BYTES, TAGGING_ACTION_BYTES,
+    OFFER_HEADER_BYTES, SHUFFLE_DESCRIPTOR_BYTES, TAGGING_ACTION_BYTES,
 };
 use p3q::metrics::update_counts;
 use p3q::prelude::*;
@@ -951,9 +951,12 @@ fn table2_profile_changes(args: &HarnessArgs) {
 ///
 /// Gossip offers travel versions first: a 12-byte header each, and the
 /// digest only where the versions leave the receiver's drop test open.
-/// Under the table the figure prints how many lazy offers were sent, how
-/// many digests they did not need, and the lazy per-node rate under the
-/// paper's accounting, in which every offer ships its digest.
+/// Random-view shuffles trade 12-byte descriptors first and pull only the
+/// digests a side keeps and does not hold at that version. Under the table
+/// the figure prints how many lazy offers were sent, how many digests they
+/// did not need, how many shuffle digests were pulled of the r per shuffle
+/// side the paper ships, and the lazy per-node rate under the paper's
+/// accounting, in which every offer and every shuffle ships its digests.
 ///
 /// ```text
 /// paper_figures --figure summary_bandwidth --users 1000 --queries 100
@@ -984,25 +987,34 @@ fn summary_bandwidth(args: &HarnessArgs) {
         .collect();
     let lazy_summary = DistributionSummary::of(&per_node_lazy);
 
-    // The paper's accounting of the same lazy run: no offer header, and
-    // every offer (header) ships its digest.
+    // The paper's accounting of the same lazy run: no offer header or
+    // shuffle descriptor, every offer (header) ships its digest, and every
+    // shuffle side the r digests it has descriptors for.
     let digest_size = digest_bytes(cfg.digest_bits) as u64;
     let lazy_headers: Vec<u64> = (0..sim.num_nodes())
         .map(|idx| sim.bandwidth.node_bytes(idx, category::OFFER_HEADERS))
         .collect();
     let per_node_lazy_paper: Vec<f64> = (0..sim.num_nodes())
         .map(|idx| {
+            let bytes = |category| sim.bandwidth.node_bytes(idx, category);
             let offers = lazy_headers[idx] / OFFER_HEADER_BYTES as u64;
+            let shuffled = bytes(category::RPS_DESCRIPTORS) / SHUFFLE_DESCRIPTOR_BYTES as u64;
             let paper_bytes = sim.bandwidth.node_total_bytes(idx)
                 - lazy_headers[idx]
-                - sim.bandwidth.node_bytes(idx, category::LAZY_DIGESTS)
-                + offers * digest_size;
+                - bytes(category::LAZY_DIGESTS)
+                - bytes(category::RPS_DESCRIPTORS)
+                - bytes(category::RPS_CONTROL)
+                - bytes(category::RPS_DIGESTS)
+                + (offers + shuffled) * digest_size;
             bits_per_second(paper_bytes, lazy_cycles, LAZY_CYCLE_SECONDS)
         })
         .collect();
     let lazy_paper_summary = DistributionSummary::of(&per_node_lazy_paper);
     let lazy_offers = lazy_headers.iter().sum::<u64>() / OFFER_HEADER_BYTES as u64;
     let lazy_digests = sim.bandwidth.category_bytes(category::LAZY_DIGESTS) / digest_size;
+    let shuffle_digests =
+        sim.bandwidth.category_bytes(category::RPS_DESCRIPTORS) / SHUFFLE_DESCRIPTOR_BYTES as u64;
+    let shuffle_pulled = sim.bandwidth.category_bytes(category::RPS_DIGESTS) / digest_size;
 
     // ---------------------------------------------------------------- eager
     let queries = world.sample_queries(args.queries);
@@ -1080,6 +1092,7 @@ fn summary_bandwidth(args: &HarnessArgs) {
         lazy_digests,
         lazy_offers - lazy_digests
     );
+    println!("shuffle digests pulled: {shuffle_pulled} of the paper's {shuffle_digests}.");
     println!(
         "lazy maintenance under the paper's accounting (every offer ships its digest): mean \
          {} Kbps, p90 {} Kbps per node.",

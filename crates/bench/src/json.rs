@@ -16,8 +16,10 @@ pub enum Json {
     /// `true` / `false`.
     Bool(bool),
     /// A number and the decimals it is written with (`{:.N}`); `None` writes
-    /// the shortest form that reads back equal, which is what the parser
-    /// produces. Integers above 2^53 round, as they would in any reader.
+    /// the shortest form that reads back equal. The parser keeps the
+    /// decimals of a plain fraction and gives `None` to integers and
+    /// exponent forms. Integers above 2^53 round, as they would in any
+    /// reader.
     Number(f64, Option<usize>),
     /// A string.
     String(String),
@@ -372,10 +374,17 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
+        // Keep the decimals a fraction is written with, so a parsed
+        // document writes back byte for byte.
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
-            .and_then(|text| text.parse::<f64>().ok())
-            .map(Json::from)
+            .and_then(|text| {
+                let decimals = match text.split_once('.') {
+                    Some((_, fraction)) if !fraction.contains(['e', 'E']) => Some(fraction.len()),
+                    _ => None,
+                };
+                Some(Json::Number(text.parse::<f64>().ok()?, decimals))
+            })
             .ok_or_else(|| self.error("invalid number"))
     }
 }
@@ -415,12 +424,9 @@ mod tests {
             }
             let text = std::fs::read_to_string(&path).unwrap();
             let parsed = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            assert_eq!(
-                Json::parse(&parsed.pretty()),
-                Ok(parsed),
-                "{}",
-                path.display()
-            );
+            // Byte for byte: a bless that folds a fresh run into a baseline
+            // rewrites the leaves it keeps as they were.
+            assert_eq!(parsed.pretty(), text, "{}", path.display());
             files += 1;
         }
         assert_eq!(files, 5, "one smoke baseline per bench_* binary");

@@ -16,7 +16,14 @@
 //!   identifier and two 4-byte versions (digest and profile copy, the `u32`
 //!   widths the views store). Its digest travels only when the versions
 //!   leave the receiver's drop test open (see `crate::lazy`). The paper
-//!   has no header and ships every offer's digest.
+//!   has no header and ships every offer's digest;
+//! * a random-view shuffle runs descriptors first (see
+//!   `p3q_gossip::peer_sampling`). Each side receives the partner's r + 1
+//!   descriptors of 12 bytes each (user identifier, 4-byte age, 4-byte
+//!   profile version): its view's and its own. It sends back a pull
+//!   request of one user identifier per digest it keeps and does not hold
+//!   at that version, and receives those digests. The paper ships the r
+//!   digests each way.
 
 /// Bytes of a user identifier on the wire.
 pub(crate) const USER_ID_BYTES: usize = 4;
@@ -33,13 +40,30 @@ const VERSION_BYTES: usize = 4;
 /// Bytes of one gossip offer's header (user + digest version + profile
 /// version).
 pub const OFFER_HEADER_BYTES: usize = USER_ID_BYTES + 2 * VERSION_BYTES;
+/// Bytes of a random-view entry's age on the wire.
+const AGE_BYTES: usize = 4;
+/// Bytes of one random-view descriptor a shuffle sends (user + age +
+/// profile version).
+pub const SHUFFLE_DESCRIPTOR_BYTES: usize = USER_ID_BYTES + AGE_BYTES + VERSION_BYTES;
 
 /// Traffic categories used by the bandwidth recorder. Keeping them in one
 /// place makes the per-figure breakdowns (Figure 6, Section 3.3.2)
 /// consistent across the protocol code and the harness.
 pub mod category {
-    /// Profile digests exchanged by the peer-sampling (bottom) layer.
+    /// Profile digests the peer-sampling (bottom) layer pulls in its
+    /// shuffles: only those of kept descriptors the side does not hold at
+    /// their version.
     pub const RPS_DIGESTS: &str = "rps_digests";
+    /// Descriptors of the partner's random-view entries a shuffle side
+    /// receives, [`super::SHUFFLE_DESCRIPTOR_BYTES`] each: r per side with
+    /// full views, one for each digest the paper ships.
+    pub const RPS_DESCRIPTORS: &str = "rps_descriptors";
+    /// The rest of what a shuffle side receives: the partner's own
+    /// descriptor and its pull request, one user identifier per digest
+    /// it pulls.
+    pub const RPS_CONTROL: &str = "rps_control";
+    /// Digests a restarted node fetches to re-seed its empty random view.
+    pub(crate) const RPS_REBOOTSTRAP: &str = "rps_rebootstrap";
     /// Profile digests exchanged by the similarity (top) layer: only those
     /// the offer headers did not settle.
     pub const LAZY_DIGESTS: &str = "lazy_digests";
@@ -136,6 +160,7 @@ mod tests {
         assert_eq!(TAGGING_ACTION_BYTES, 36);
         assert_eq!(RESULT_ENTRY_BYTES, 20);
         assert_eq!(OFFER_HEADER_BYTES, 12);
+        assert_eq!(SHUFFLE_DESCRIPTOR_BYTES, 12);
         assert_eq!(digest_bytes(20 * 1024), 2560);
     }
 

@@ -24,6 +24,14 @@
 //! receiver reads the offers in place from the proposer's personal
 //! network and clones a digest or a profile only where it stores one.
 //!
+//! The shuffle runs **descriptors first** the same way (see
+//! [`peer_sampling`]): each side receives the partner's 12-byte
+//! `(user, age, profile version)` descriptors, chooses its new random view
+//! on them exactly as if the digests had travelled, and pulls the digest
+//! of a kept descriptor only where it holds none at that version. A side
+//! is billed the partner's descriptors, the partner's pull request and the
+//! digests it pulled; the paper's accounting ships the r digests each way.
+//!
 //! [`LazyProtocol`] splits each of those into the engine's phases: partner
 //! choices and probe reads happen in the read-only **plan** phase against
 //! the cycle-start snapshot; view mutations, offer exchanges and profile
@@ -47,7 +55,10 @@ use p3q_sim::{
 };
 use p3q_trace::{SharedProfile, UserId};
 
-use crate::bandwidth::{category, digest_bytes, tagging_actions_bytes, OFFER_HEADER_BYTES};
+use crate::bandwidth::{
+    category, digest_bytes, tagging_actions_bytes, OFFER_HEADER_BYTES, SHUFFLE_DESCRIPTOR_BYTES,
+    USER_ID_BYTES,
+};
 use crate::config::P3qConfig;
 use crate::node::{Admission, DigestInfo, NeighbourInfo, P3qNode};
 
@@ -480,7 +491,7 @@ impl GossipProtocol for LazyProtocol {
                 let b = destination.expect("shuffles are pairwise");
                 let a = initiator;
                 let (a_info, b_info) = (a.descriptor(), b.descriptor());
-                peer_sampling::shuffle(
+                let (a_got, b_got) = peer_sampling::shuffle(
                     a.id,
                     &mut a.random_view,
                     b.id,
@@ -489,11 +500,19 @@ impl GossipProtocol for LazyProtocol {
                     b_info,
                     rng,
                 );
-                // Each side ships r digests (paper: "10 profile digests of
-                // 25K bytes").
-                let payload = cfg.random_view_size * digest_bytes(cfg.digest_bits);
-                outcome.charge(plan.initiator, category::RPS_DIGESTS, payload);
-                outcome.charge(dest_idx, category::RPS_DIGESTS, payload);
+                // Each side receives the partner's descriptors and its pull
+                // request, and the digests it pulled itself (the paper ships
+                // "10 profile digests of 25K bytes" each way instead).
+                let digest = digest_bytes(cfg.digest_bits);
+                for (idx, got, partner) in
+                    [(plan.initiator, a_got, b_got), (dest_idx, b_got, a_got)]
+                {
+                    let descriptors = got.view_descriptors * SHUFFLE_DESCRIPTOR_BYTES;
+                    let control = SHUFFLE_DESCRIPTOR_BYTES + partner.pulled * USER_ID_BYTES;
+                    outcome.charge(idx, category::RPS_DESCRIPTORS, descriptors);
+                    outcome.charge(idx, category::RPS_CONTROL, control);
+                    outcome.charge(idx, category::RPS_DIGESTS, got.pulled * digest);
+                }
             }
             LazyStep::NetworkGossip => {
                 let dest_idx = plan.destination.expect("network gossip is pairwise");
@@ -520,7 +539,7 @@ impl GossipProtocol for LazyProtocol {
                 // Re-fetching r digests costs what a bootstrap contact
                 // does: one digest per re-seeded view slot.
                 let payload = picks.len() * digest_bytes(cfg.digest_bits);
-                outcome.charge(plan.initiator, category::RPS_DIGESTS, payload);
+                outcome.charge(plan.initiator, category::RPS_REBOOTSTRAP, payload);
             }
         }
         outcome
@@ -656,8 +675,10 @@ mod tests {
     use crate::experiment::{apply_profile_changes, build_simulator};
     use crate::metrics::average_success_ratio;
     use crate::storage::StorageDistribution;
-    use p3q_sim::{FaultPlan, Fingerprint, RunOptions};
-    use p3q_trace::{DynamicsConfig, DynamicsGenerator, TraceConfig, TraceGenerator};
+    use p3q_sim::{FaultPlan, Fingerprint, RunEvent, RunOptions};
+    use p3q_trace::{
+        DynamicsConfig, DynamicsGenerator, TagId, TaggingAction, TraceConfig, TraceGenerator,
+    };
     use rand::SeedableRng;
 
     /// What a node proposed before offers were read in place: owned copies
@@ -1189,11 +1210,7 @@ mod tests {
             for idx in 0..reference.num_nodes() {
                 let (a, b) = (reference.node(idx), parallel.node(idx));
                 assert_eq!(a.personal_network, b.personal_network, "node {idx}");
-                assert_eq!(
-                    a.random_view.snapshot(),
-                    b.random_view.snapshot(),
-                    "node {idx}"
-                );
+                assert_eq!(a.random_view, b.random_view, "node {idx}");
             }
             assert_eq!(reference.bandwidth.totals(), parallel.bandwidth.totals());
         }
@@ -1230,13 +1247,124 @@ mod tests {
                 "node {idx}"
             );
             assert_eq!(
-                plain.node(idx).random_view.snapshot(),
-                faulted.node(idx).random_view.snapshot(),
+                plain.node(idx).random_view,
+                faulted.node(idx).random_view,
                 "node {idx}"
             );
         }
         assert_eq!(plain.bandwidth.totals(), faulted.bandwidth.totals());
         assert_eq!(faults.stats(), p3q_sim::FaultStats::default());
+    }
+
+    #[test]
+    fn shuffles_bill_descriptors_requests_and_pulled_digests() {
+        let (mut sim, cfg, _) = small_sim();
+        bootstrap_random_views(&mut sim, &cfg, &mut StdRng::seed_from_u64(5));
+        sim.drive(&cfg.lazy(), RunOptions::cycles(2), |_, _| {});
+        // A newer profile version on a few nodes: the copies others hold of
+        // them are stale, and a younger descriptor must be pulled.
+        for idx in (0..sim.num_nodes()).step_by(3) {
+            let node = sim.node_mut(idx);
+            let action = node.profile().actions()[0];
+            node.add_tagging_actions([TaggingAction::new(action.item, TagId(u32::MAX))]);
+        }
+        let digest = digest_bytes(cfg.digest_bits);
+        let (mut pulled_total, mut new_peers) = (0, 0);
+        for a_idx in 0..sim.num_nodes() {
+            let b_idx = sim.node(a_idx).random_view.peers().next().unwrap().index();
+            let (mut a, mut b) = (sim.node(a_idx).clone(), sim.node(b_idx).clone());
+            let held = |node: &P3qNode| -> Vec<(UserId, u64)> {
+                node.random_view
+                    .iter()
+                    .map(|e| (e.peer, e.meta.version))
+                    .collect()
+            };
+            let (a_held, b_held) = (held(&a), held(&b));
+            let (a_len, b_len) = (a.random_view.len(), b.random_view.len());
+            let plan = ExchangePlan {
+                initiator: a_idx,
+                destination: Some(b_idx),
+                payload: LazyStep::Shuffle,
+            };
+            let mut rng = StdRng::seed_from_u64(a_idx as u64);
+            let outcome = cfg
+                .lazy()
+                .commit(0, &plan, &mut a, Some(&mut b), &mut rng, &mut ());
+            // Pulled: a kept entry whose (peer, version) the side did not
+            // hold; a refreshed copy keeps its version.
+            let pulled = |node: &P3qNode, before: &[(UserId, u64)]| {
+                let new = held(node);
+                let unknown = new
+                    .iter()
+                    .filter(|e| !before.iter().any(|h| h.0 == e.0))
+                    .count();
+                (new.iter().filter(|e| !before.contains(e)).count(), unknown)
+            };
+            let ((a_pulled, a_new), (b_pulled, b_new)) = (pulled(&a, &a_held), pulled(&b, &b_held));
+            let bill = |idx| -> usize {
+                outcome
+                    .charges
+                    .iter()
+                    .filter(|c| c.node == idx)
+                    .map(|c| c.bytes)
+                    .sum()
+            };
+            assert_eq!(
+                bill(a_idx),
+                (b_len + 1) * 12 + a_pulled * digest + b_pulled * 4
+            );
+            assert_eq!(
+                bill(b_idx),
+                (a_len + 1) * 12 + b_pulled * digest + a_pulled * 4
+            );
+            pulled_total += a_pulled + b_pulled;
+            new_peers += a_new + b_new;
+        }
+        assert!(pulled_total > new_peers, "no stale copy was pulled");
+        assert!(
+            pulled_total < sim.num_nodes() * 2 * cfg.random_view_size,
+            "no digest was saved against the paper's r per side"
+        );
+    }
+
+    #[test]
+    fn random_view_invariants_hold_through_crashes_and_restarts() {
+        // Every shuffle checks both views in debug builds (at most
+        // `capacity` entries, none for the owner, no peer twice); here the
+        // views it leaves are checked too, cycle by cycle, while crashed
+        // nodes lose their views and re-bootstrap them.
+        let (mut sim, cfg, _) = small_sim();
+        bootstrap_random_views(&mut sim, &cfg, &mut StdRng::seed_from_u64(5));
+        let mut faults = FaultPlan::new(p3q_sim::FaultConfig::crash_restart(0.3, 1, 11));
+        let mut cycles = 0;
+        sim.drive(
+            &cfg.lazy(),
+            RunOptions::cycles(12).faulted(&mut faults),
+            |sim, event| {
+                if !matches!(event, RunEvent::CycleEnd(_)) {
+                    return;
+                }
+                cycles += 1;
+                for idx in 0..sim.num_nodes() {
+                    let view = &sim.node(idx).random_view;
+                    let mut peers: Vec<UserId> = view.peers().collect();
+                    assert!(peers.len() <= view.capacity(), "node {idx} over capacity");
+                    assert!(
+                        !view.contains(&UserId::from_index(idx)),
+                        "node {idx} holds itself"
+                    );
+                    peers.sort_unstable();
+                    peers.dedup();
+                    assert_eq!(peers.len(), view.len(), "node {idx} holds a peer twice");
+                }
+            },
+        );
+        assert_eq!(cycles, 12);
+        let stats = faults.stats();
+        assert!(
+            stats.crashes > 0 && stats.restarts > 0,
+            "fixture must crash and restart"
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use std::sync::{Arc, OnceLock};
 
 use p3q_bloom::{BloomFilter, ProbeSet, SharedFilter};
+use p3q_gossip::peer_sampling::Versioned;
 use p3q_gossip::{AgedView, ScoredEntry, ScoredView};
 use p3q_sim::{Fingerprint, Fnv};
 use p3q_trace::{ItemId, Profile, SharedProfile, TaggingAction, UserId};
@@ -29,6 +30,14 @@ pub struct DigestInfo {
     pub digest: SharedFilter,
     /// Version of the peer's profile when the digest was taken.
     pub version: u64,
+}
+
+/// A digest is a function of its owner's profile version, so a shuffle
+/// pulls a random-view digest only where it holds none at that version.
+impl Versioned for DigestInfo {
+    fn version(&self) -> u64 {
+        self.version
+    }
 }
 
 /// Narrows a protocol-level `u64` profile version to the compact `u32` the

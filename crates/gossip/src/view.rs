@@ -249,7 +249,9 @@ pub struct AgedEntry<P, M> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AgedView<P, M> {
     capacity: usize,
-    entries: Vec<AgedEntry<P, M>>,
+    /// The shuffle replaces it with a buffer holding exactly the kept
+    /// entries.
+    pub(crate) entries: Vec<AgedEntry<P, M>>,
 }
 
 impl<P: Copy + Eq + Hash + Ord, M: Clone> AgedView<P, M> {
@@ -315,29 +317,6 @@ impl<P: Copy + Eq + Hash + Ord, M: Clone> AgedView<P, M> {
         for entry in &mut self.entries {
             entry.age = entry.age.saturating_add(1);
         }
-    }
-
-    /// Moves the entries out, leaving the view empty (the shuffle merges
-    /// them with the received payload and hands the survivors back through
-    /// [`Self::replace_with`]).
-    pub(crate) fn take_entries(&mut self) -> Vec<AgedEntry<P, M>> {
-        std::mem::take(&mut self.entries)
-    }
-
-    /// Replaces the whole content (used by the shuffle). Truncates to
-    /// capacity if needed, and gives back the buffer's slack: the shuffle
-    /// hands over its 2r + 1-slot merge pool, and a view that kept it would
-    /// hold twice its r entries' worth of memory on every node.
-    pub(crate) fn replace_with(&mut self, mut entries: Vec<AgedEntry<P, M>>) {
-        entries.truncate(self.capacity);
-        entries.shrink_to_fit();
-        self.entries = entries;
-    }
-
-    /// Clones the current entries (the payload a shuffle sends to the other
-    /// side).
-    pub fn snapshot(&self) -> Vec<AgedEntry<P, M>> {
-        self.entries.clone()
     }
 }
 
@@ -520,28 +499,5 @@ mod tests {
         v.insert(1, ());
         v.insert(1, ());
         assert_eq!(v.len(), 1);
-    }
-
-    #[test]
-    fn aged_view_replace_truncates_to_capacity() {
-        let mut v: AgedView<u32, ()> = AgedView::new(2);
-        v.replace_with(vec![
-            AgedEntry {
-                peer: 1,
-                age: 0,
-                meta: (),
-            },
-            AgedEntry {
-                peer: 2,
-                age: 0,
-                meta: (),
-            },
-            AgedEntry {
-                peer: 3,
-                age: 0,
-                meta: (),
-            },
-        ]);
-        assert_eq!(v.len(), 2);
     }
 }

@@ -1,9 +1,96 @@
 //! Property-based tests of the gossip views and the peer-sampling shuffle.
 
-use p3q_gossip::{peer_sampling, AgedView, ScoredView};
+use std::collections::HashMap;
+
+use p3q_gossip::peer_sampling::{self, Versioned};
+use p3q_gossip::{AgedEntry, AgedView, ScoredView};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+/// Shuffle metadata: a version, and the view that held it before the
+/// shuffle, so a test can tell pulled metadata from own metadata.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Tagged {
+    version: u64,
+    holder: u32,
+}
+
+impl Versioned for Tagged {
+    fn version(&self) -> u64 {
+        self.version
+    }
+}
+
+type Entries = Vec<AgedEntry<u32, Tagged>>;
+
+/// The clone-everything shuffle the descriptors-first one replaced, kept to
+/// pin it: each side ships a full copy of its view plus a fresh descriptor
+/// of itself, and keeps a random subset of its entries and the payload.
+fn reference_shuffle(
+    (a_id, a, a_capacity): (u32, Entries, usize),
+    (b_id, b, b_capacity): (u32, Entries, usize),
+    rng: &mut StdRng,
+) -> (Entries, Entries) {
+    let payload = |view: &Entries, peer, holder| {
+        let mut payload = view.clone();
+        payload.push(AgedEntry {
+            peer,
+            age: 0,
+            meta: Tagged {
+                version: u64::from(peer) % 3,
+                holder,
+            },
+        });
+        payload
+    };
+    let (a_payload, b_payload) = (payload(&a, a_id, a_id), payload(&b, b_id, b_id));
+    let mut absorb = |mut pool: Entries, received: Entries, self_id, capacity| {
+        pool.extend(received);
+        pool.retain(|e| e.peer != self_id);
+        pool.sort_by(|x, y| x.peer.cmp(&y.peer).then(x.age.cmp(&y.age)));
+        pool.dedup_by(|later, earlier| later.peer == earlier.peer);
+        pool.shuffle(rng);
+        pool.truncate(capacity);
+        pool
+    };
+    let a_new = absorb(a, b_payload, a_id, a_capacity);
+    let b_new = absorb(b, a_payload, b_id, b_capacity);
+    (a_new, b_new)
+}
+
+/// A view of `capacity` holding `by_peer` (peer → (age, version)), built
+/// through the public API: oldest first, one tick between age classes.
+fn aged_view(
+    capacity: usize,
+    holder: u32,
+    by_peer: &HashMap<u32, (u32, u64)>,
+) -> AgedView<u32, Tagged> {
+    let mut sorted: Vec<(u32, u32, u64)> =
+        by_peer.iter().map(|(&p, &(age, v))| (p, age, v)).collect();
+    sorted.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
+    let mut view = AgedView::new(capacity);
+    let mut age = sorted.first().map_or(0, |e| e.1);
+    for (peer, entry_age, version) in sorted {
+        while age > entry_age {
+            view.tick();
+            age -= 1;
+        }
+        view.insert(peer, Tagged { version, holder });
+    }
+    for _ in 0..age {
+        view.tick();
+    }
+    view
+}
+
+fn descriptors(entries: &[AgedEntry<u32, Tagged>]) -> Vec<(u32, u32, u64)> {
+    entries
+        .iter()
+        .map(|e| (e.peer, e.age, e.meta.version))
+        .collect()
+}
 
 proptest! {
     /// A scored view never exceeds its capacity and stays sorted by
@@ -147,6 +234,67 @@ proptest! {
         // view filled up with other peers.
         if a.len() < a.capacity() {
             prop_assert!(a.contains(&1) || b.is_empty());
+        }
+    }
+
+    /// The descriptors-first shuffle chooses exactly what the
+    /// clone-everything one does, draws the same random numbers, and pulls
+    /// exactly the kept partner descriptors that displaced no own copy at
+    /// the same version. Small peer, age and version ranges make equal ages
+    /// at different versions common; `b` may hold `a` (the partner in the
+    /// own view, self in the partner's view) and either view may be short
+    /// or empty.
+    #[test]
+    fn prop_descriptors_first_matches_the_clone_everything_shuffle(
+        seed in 0u64..1000,
+        capacities in (1usize..7, 1usize..7),
+        a_entries in prop::collection::hash_map(1u32..12, (0u32..3, 0u64..3), 0..7),
+        b_entries in prop::collection::hash_map(0u32..12, (0u32..3, 0u64..3), 0..7),
+    ) {
+        let (a_id, b_id) = (0u32, 1u32);
+        let b_entries: HashMap<u32, (u32, u64)> =
+            b_entries.into_iter().filter(|&(peer, _)| peer != b_id).collect();
+        let mut a = aged_view(capacities.0, a_id, &a_entries);
+        let mut b = aged_view(capacities.1, b_id, &b_entries);
+        let (a_old, b_old): (Entries, Entries) = (a.iter().cloned().collect(), b.iter().cloned().collect());
+        let self_meta = |id: u32| Tagged { version: u64::from(id) % 3, holder: id };
+
+        let mut reference_rng = StdRng::seed_from_u64(seed);
+        let (a_want, b_want) = reference_shuffle(
+            (a_id, a_old.clone(), capacities.0),
+            (b_id, b_old.clone(), capacities.1),
+            &mut reference_rng,
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (a_got, b_got) =
+            peer_sampling::shuffle(a_id, &mut a, b_id, &mut b, self_meta(a_id), self_meta(b_id), &mut rng);
+        prop_assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "RNG state diverged");
+
+        for (id, partner, view, old, partner_old, want, got) in [
+            (a_id, b_id, &a, &a_old, &b_old, &a_want, a_got),
+            (b_id, a_id, &b, &b_old, &a_old, &b_want, b_got),
+        ] {
+            let entries: Entries = view.iter().cloned().collect();
+            prop_assert_eq!(descriptors(&entries), descriptors(want));
+            prop_assert_eq!(got.view_descriptors, partner_old.len());
+            // Kept partner descriptors that displaced no own copy at the same
+            // version: the only ones whose metadata the reference took from
+            // the partner and the new shuffle must pull.
+            let held = |e: &AgedEntry<u32, Tagged>| {
+                old.iter().any(|o| o.peer == e.peer && o.meta.version == e.meta.version)
+            };
+            let must_pull: Vec<u32> = want
+                .iter()
+                .filter(|e| e.meta.holder == partner && !held(e))
+                .map(|e| e.peer)
+                .collect();
+            let pulled: Vec<u32> = entries
+                .iter()
+                .filter(|e| e.meta.holder == partner)
+                .map(|e| e.peer)
+                .collect();
+            prop_assert_eq!(&pulled, &must_pull, "side {}", id);
+            prop_assert_eq!(got.pulled, must_pull.len());
         }
     }
 }
