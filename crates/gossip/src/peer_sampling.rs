@@ -62,7 +62,7 @@ impl Versioned for () {
 }
 
 /// What one side of a shuffle received, for the caller's wire model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShuffleReceipt {
     /// Descriptors of the partner's view entries. The partner's own
     /// descriptor comes on top of them.
