@@ -151,13 +151,19 @@ fn is_test_or_harness_path(rel_path: &str) -> bool {
         || rel_path.contains("/examples/")
 }
 
-/// Pass 1 over the whole workspace: every identifier that is declared or
-/// typed as a hash-ordered container, collected globally so that a field
-/// declared in `node.rs` is recognized when `eager.rs` iterates it.
+/// Pass 1 over the library code: every identifier that is declared or
+/// typed as a hash-ordered container, collected across files so that a
+/// field declared in `node.rs` is recognized when `eager.rs` iterates it.
+/// Test code is skipped (`#[cfg(test)]` lines and files under `tests/`,
+/// `benches/` and `examples/`): a test-only map named like a library `Vec`
+/// must not make the library's iteration over that `Vec` a finding.
 pub fn collect_hash_names(files: &[SourceFile]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for file in files {
-        for line in &file.lines {
+        if is_test_or_harness_path(&file.rel_path) {
+            continue;
+        }
+        for line in file.lines.iter().filter(|line| !line.in_test) {
             let toks = tokenize(&line.code);
             for i in 0..toks.len() {
                 if !HASH_TYPES.contains(&toks[i].as_str()) {

@@ -41,6 +41,15 @@ fn hash_iter_fixture_fires() {
 }
 
 #[test]
+fn hash_names_from_test_code_are_not_collected() {
+    // `entries` is a `HashMap` only in a `#[cfg(test)]` module and in an
+    // integration test; the plan/commit module iterates a `Vec` of that
+    // name, which is no finding.
+    let report = analyze(&fixture("hash_names_from_tests")).unwrap();
+    assert_eq!(report.findings.len(), 0, "{:#?}", report.findings);
+}
+
+#[test]
 fn sequencer_hash_iter_fixture_fires() {
     // The cycle sequencer (`crates/sim/src/cycle.rs`) is on the plan/commit
     // module list: a HashMap iteration there is reported.

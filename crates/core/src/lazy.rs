@@ -60,7 +60,7 @@ use crate::bandwidth::{
     USER_ID_BYTES,
 };
 use crate::config::P3qConfig;
-use crate::node::{Admission, DigestInfo, NeighbourInfo, P3qNode};
+use crate::node::{compact_score, Admission, DigestInfo, NeighbourInfo, P3qNode, StoredCopy};
 
 /// One profile proposed during a gossip exchange, owned: the owner, her
 /// digest and the proposer's stored copy of her profile. What a probe plan
@@ -115,15 +115,15 @@ impl<'a> Offer<'a> {
         }
     }
 
-    /// The stored copy of a personal-network entry, if it holds one.
-    fn stored(entry: &'a ScoredEntry<UserId, NeighbourInfo>) -> Option<Self> {
-        Some(Self {
+    /// A personal-network entry with the copy it stores.
+    fn stored(entry: ScoredEntry<UserId, &'a NeighbourInfo>, copy: &'a StoredCopy) -> Self {
+        Self {
             user: entry.peer,
             digest: &entry.meta.digest,
             digest_version: u64::from(entry.meta.digest_version),
-            version: u64::from(entry.meta.profile_version),
-            profile: entry.meta.profile.as_ref()?,
-        })
+            version: u64::from(copy.version),
+            profile: &copy.profile,
+        }
     }
 }
 
@@ -201,12 +201,7 @@ struct OfferSelection {
 impl OfferSelection {
     /// Draws the selection from `node`'s stored copies.
     fn draw(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Self {
-        let mut ranks: Vec<usize> = node
-            .storage_ranks()
-            .enumerate()
-            .filter(|(_, entry)| entry.meta.profile.is_some())
-            .map(|(rank, _)| rank)
-            .collect();
+        let mut ranks: Vec<usize> = node.copy_ranks().collect();
         ranks.shuffle(rng);
         ranks.truncate(limit);
         Self { ranks }
@@ -217,12 +212,9 @@ impl OfferSelection {
     fn offers<'a>(&'a self, node: &'a P3qNode) -> impl Iterator<Item = Offer<'a>> {
         self.ranks
             .iter()
-            .map(|&rank| {
-                node.personal_network
-                    .iter()
-                    .nth(rank)
-                    .and_then(Offer::stored)
-                    .expect("a drawn rank holds a stored copy")
+            .map(|&rank| match node.neighbour_at(rank) {
+                (entry, Some(copy)) => Offer::stored(entry, copy),
+                (_, None) => unreachable!("a drawn rank holds a stored copy"),
             })
             .chain(std::iter::once(Offer::own(node)))
     }
@@ -253,9 +245,12 @@ pub(crate) fn process_offers<'a>(
         // profile version, so an equal version means equal digest bytes;
         // a stale copy upgraded at that version stores equal bytes too.
         stats.header_bytes += OFFER_HEADER_BYTES;
-        let known = node.personal_network.get(&offer.user);
+        let known = node
+            .personal_network
+            .rank_of(&offer.user)
+            .map(|rank| node.neighbour_at(rank));
         let same_version =
-            known.is_some_and(|e| u64::from(e.meta.digest_version) == offer.digest_version);
+            known.is_some_and(|(e, _)| u64::from(e.meta.digest_version) == offer.digest_version);
         if !same_version {
             stats.digest_bytes += digest_bytes(cfg.digest_bits);
         }
@@ -267,7 +262,7 @@ pub(crate) fn process_offers<'a>(
         // *payload* under the same digest. So an offer also passes when it
         // advances the recorded digest version, or carries a newer profile
         // payload than a copy we store.
-        if let Some(entry) = known {
+        if let Some((entry, copy)) = known {
             debug_assert!(
                 !same_version || entry.meta.digest == *offer.digest,
                 "one digest per (user, version)"
@@ -276,8 +271,7 @@ pub(crate) fn process_offers<'a>(
                 || Arc::ptr_eq(&entry.meta.digest, offer.digest)
                 || entry.meta.digest == *offer.digest;
             let advances_digest = offer.digest_version > u64::from(entry.meta.digest_version);
-            let upgrades_copy = entry.meta.profile.is_some()
-                && offer.version > u64::from(entry.meta.profile_version);
+            let upgrades_copy = copy.is_some_and(|copy| offer.version > u64::from(copy.version));
             if same_digest && !advances_digest && !upgrades_copy {
                 continue;
             }
@@ -301,7 +295,11 @@ pub(crate) fn process_offers<'a>(
         // A stranger ranked past a full network is turned away by
         // `P3qNode::admit` without a change, so it is not asked.
         let score = common as u64;
-        if known.is_none() && !node.personal_network.would_admit(offer.user, score) {
+        if known.is_none()
+            && !node
+                .personal_network
+                .would_admit(offer.user, compact_score(score))
+        {
             continue;
         }
         if let Some(hook) = before_first_write.take() {
@@ -685,10 +683,11 @@ mod tests {
     /// of a random subset of its stored copies (all `s` ranks walked), then
     /// its own offer. The reference of [`OfferSelection`].
     fn collect_offers(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Vec<ProfileOffer> {
-        let mut stored: Vec<ProfileOffer> = node
-            .personal_network
-            .iter()
-            .filter_map(|entry| Offer::stored(entry).map(ProfileOffer::from))
+        let mut stored: Vec<ProfileOffer> = (0..node.personal_network.len())
+            .filter_map(|rank| match node.neighbour_at(rank) {
+                (entry, Some(copy)) => Some(Offer::stored(entry, copy).into()),
+                (_, None) => None,
+            })
             .collect();
         stored.shuffle(rng);
         stored.truncate(limit);
@@ -709,15 +708,18 @@ mod tests {
                 continue;
             }
             stats.header_bytes += OFFER_HEADER_BYTES;
-            let known = node.personal_network.get(&offer.user);
-            if known.is_none_or(|e| u64::from(e.meta.digest_version) != offer.digest_version) {
+            let known = node
+                .personal_network
+                .rank_of(&offer.user)
+                .map(|rank| node.neighbour_at(rank));
+            if known.is_none_or(|(e, _)| u64::from(e.meta.digest_version) != offer.digest_version) {
                 stats.digest_bytes += digest_bytes(cfg.digest_bits);
             }
-            if let Some(entry) = known {
+            if let Some((entry, copy)) = known {
                 let same_digest = entry.meta.digest == offer.digest;
                 let advances_digest = offer.digest_version > u64::from(entry.meta.digest_version);
-                let upgrades_copy = entry.meta.profile.is_some()
-                    && offer.version > u64::from(entry.meta.profile_version);
+                let upgrades_copy =
+                    copy.is_some_and(|copy| offer.version > u64::from(copy.version));
                 if same_digest && !advances_digest && !upgrades_copy {
                     continue;
                 }
@@ -886,7 +888,7 @@ mod tests {
         assert!(stats.digest_bytes > 0);
         assert!(sim.node(0).personal_network.contains(&best));
         assert_eq!(
-            sim.node(0).personal_network.get(&best).unwrap().score,
+            u64::from(sim.node(0).personal_network.get(&best).unwrap().score),
             score
         );
     }
@@ -1364,6 +1366,44 @@ mod tests {
         assert!(
             stats.crashes > 0 && stats.restarts > 0,
             "fixture must crash and restart"
+        );
+    }
+
+    #[test]
+    fn personal_network_invariants_hold_through_crashes_and_restarts() {
+        // Every admission and every crash checks the personal network in
+        // debug builds (at most `s` entries in (score, peer) order, no peer
+        // twice, one copy slot per rank below `c`, no column past its
+        // bound); c = 3 of s = 10 here, so copies are cut at rank `c` while
+        // crashed nodes lose their networks and rebuild them.
+        let trace = TraceGenerator::new(TraceConfig::tiny(17)).generate();
+        let cfg = P3qConfig::tiny();
+        let storage = StorageDistribution::Uniform(300);
+        let mut sim = build_simulator(&trace.dataset, &cfg, &storage, 99);
+        bootstrap_random_views(&mut sim, &cfg, &mut StdRng::seed_from_u64(5));
+        let mut faults = FaultPlan::new(p3q_sim::FaultConfig::crash_restart(0.3, 1, 11));
+        let mut stored = 0;
+        sim.drive(
+            &cfg.lazy(),
+            RunOptions::cycles(12).faulted(&mut faults),
+            |sim, event| {
+                if !matches!(event, RunEvent::CycleEnd(_)) {
+                    return;
+                }
+                for node in sim.nodes() {
+                    let c = node.storage_budget();
+                    assert!(c < cfg.personal_network_size, "c below s");
+                    for (peer, _, _) in node.stored_profiles() {
+                        assert!(node.personal_network.rank_of(&peer).is_some_and(|r| r < c));
+                    }
+                    stored += node.stored_profile_count();
+                }
+            },
+        );
+        let stats = faults.stats();
+        assert!(
+            stats.crashes > 0 && stats.restarts > 0 && stored > 0,
+            "fixture must crash, restart and store copies"
         );
     }
 

@@ -74,10 +74,13 @@
 //!   in key order at trace build time); the index stores posting lists as
 //!   group-varint delta runs behind its CSR-style API
 //!   ([`similarity::ActionIndex::memory`] reports ~46% of the uncompressed
-//!   layout at 100k users), node state is compacted
-//!   ([`node::NeighbourInfo`] `u32` versions, query books allocated on
-//!   first insert ([`query::QueryBook`]), [`node::P3qNode::storage_bytes`]
-//!   accounting)
+//!   layout at 100k users), node state is compacted (a personal-network
+//!   entry is 28 bytes across the columns of a [`p3q_gossip::ScoredView`]:
+//!   peer, `u32` score and staleness, [`node::NeighbourInfo`] with a `u32`
+//!   digest version; stored profile copies sit in a column of at most `c`
+//!   slots; query books are allocated on first insert
+//!   ([`query::QueryBook`]); [`node::P3qNode::storage_bytes`] counts what
+//!   the columns allocate)
 //!   and the simulator keeps its nodes in one contiguous
 //!   [`p3q_sim::NodeStore`]. The `compression_props` property suite pins
 //!   all of it observationally identical to an uncompressed oracle.

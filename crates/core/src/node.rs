@@ -48,31 +48,27 @@ fn compact_version(version: u64) -> u32 {
     u32::try_from(version).expect("profile versions are bounded by dynamics batches (u32)")
 }
 
-/// Metadata attached to every personal-network neighbour.
+/// Narrows a similarity score (a count of common tagging actions) to the
+/// `u32` the personal network stores. A profile holds far fewer than 2^32
+/// actions; fail loudly rather than silently wrapping.
+#[inline]
+pub(crate) fn compact_score(score: u64) -> u32 {
+    u32::try_from(score).expect("similarity scores count common actions (u32)")
+}
+
+/// Metadata attached to every personal-network neighbour: its digest and
+/// the version it was taken at.
 ///
-/// The cached profile copy and the digest may legitimately sit at different
-/// versions: gossip refreshes digests (cheap, every exchange) more often
-/// than full profiles (step 3 of Algorithm 1, budget-gated). A copy whose
-/// `profile_version` lags `digest_version` is **stale** — it is kept for
-/// refresh accounting (Table 2, the AUR metric) and as gossip payload, but
-/// query scoring must not silently treat it as current; use
-/// `has_fresh_profile` to tell the two states apart.
-///
-/// Versions are stored as `u32` (they bump once per dynamics batch), which
-/// packs one personal-network entry into 40 bytes instead of the 48 of the
-/// previous `u64` layout — at `s = 1000` paper scale that is the dominant
-/// term of a node's protocol-state footprint.
+/// With the peer, score and staleness columns of the view this makes one
+/// personal-network entry 28 bytes (versions are `u32`: they bump once per
+/// dynamics batch). The stored profile copy, which only the top `c`
+/// neighbours hold, lives in the node's copy column instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighbourInfo {
     /// The neighbour's profile digest.
     pub digest: SharedFilter,
     /// Version of the neighbour's profile when the digest was taken.
     pub digest_version: u32,
-    /// Cached copy of the neighbour's full profile, present only for the `c`
-    /// most similar neighbours (the node's storage budget).
-    pub profile: Option<SharedProfile>,
-    /// Version of the neighbour's profile when the cached copy was taken.
-    pub profile_version: u32,
 }
 
 impl NeighbourInfo {
@@ -81,22 +77,40 @@ impl NeighbourInfo {
         Self {
             digest: digest.into(),
             digest_version: compact_version(version),
-            profile: None,
-            profile_version: 0,
         }
     }
+}
 
-    /// Drops the cached profile copy, if any.
-    fn drop_profile(&mut self) {
-        self.profile = None;
-        self.profile_version = 0;
+/// A stored copy of a neighbour's full profile and the version it was
+/// taken at.
+///
+/// The copy and the neighbour's digest may legitimately sit at different
+/// versions: gossip refreshes digests (cheap, every exchange) more often
+/// than full profiles (step 3 of Algorithm 1, budget-gated). A copy whose
+/// version lags the digest's is **stale** — it is kept for refresh
+/// accounting (Table 2, the AUR metric) and as gossip payload, but query
+/// scoring must not silently treat it as current; `is_fresh_for` tells
+/// the two states apart.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StoredCopy {
+    pub(crate) profile: SharedProfile,
+    pub(crate) version: u32,
+}
+
+impl StoredCopy {
+    /// Whether the copy is at least as new as the freshest digest seen for
+    /// its owner — i.e. safe to score queries against.
+    fn is_fresh_for(&self, info: &NeighbourInfo) -> bool {
+        self.version >= info.digest_version
     }
+}
 
-    /// Returns `true` if a full profile copy is cached **and** it is at
-    /// least as new as the freshest digest seen for this neighbour — i.e.
-    /// the copy is safe to score queries against.
-    pub(crate) fn has_fresh_profile(&self) -> bool {
-        self.profile.is_some() && self.profile_version >= self.digest_version
+/// Makes room for one more slot in the copy column without growing it past
+/// `c` slots: the buffer doubles as `Vec` would, up to `c`.
+fn reserve_copy_slot(copies: &mut Vec<Option<StoredCopy>>, c: usize) {
+    if copies.len() == copies.capacity() {
+        let target = (copies.len() * 2).max(4).min(c).max(copies.len() + 1);
+        copies.reserve_exact(target - copies.len());
     }
 }
 
@@ -133,6 +147,11 @@ pub struct P3qNode {
     storage_budget: u32,
     /// The personal network: up to `s` most similar neighbours.
     pub personal_network: ScoredView<UserId, NeighbourInfo>,
+    /// The stored profile copies, aligned with the personal network's
+    /// ranks: slot `i` belongs to the neighbour at rank `i`, and there is
+    /// one slot per rank below `c` (the storage budget), so no copy is ever
+    /// held past rank `c`. Only `admit` and `crash_volatile` change it.
+    copies: Vec<Option<StoredCopy>>,
     /// The random view maintained by the peer-sampling layer.
     pub random_view: AgedView<UserId, DigestInfo>,
     /// Queries this node issued and is still collecting results for
@@ -159,6 +178,7 @@ impl Default for P3qNode {
             digest_hashes: 0,
             storage_budget: 1,
             personal_network: ScoredView::new(1),
+            copies: Vec::new(),
             random_view: AgedView::new(1),
             querier_states: QueryBook::default(),
             tasks: QueryBook::default(),
@@ -199,6 +219,7 @@ impl P3qNode {
             digest_hashes,
             storage_budget: u32::try_from(storage_budget.max(1)).expect("storage budget fits u32"),
             personal_network: ScoredView::new(personal_network_size.max(1)),
+            copies: Vec::new(),
             random_view: AgedView::new(random_view_size.max(1)),
             querier_states: QueryBook::default(),
             tasks: QueryBook::default(),
@@ -306,7 +327,7 @@ impl P3qNode {
     /// personal network: steps 2–3 of Algorithm 1 after the score, for
     /// every path a peer arrives by. One scan of the view
     /// ([`ScoredView::upsert_with`]) inserts the peer or moves it to its new
-    /// rank, and its metadata is merged on the way:
+    /// rank, and its metadata and copy slot move with it:
     ///
     /// * The digest never regresses. An offer relayed through a third party
     ///   may carry an *older* digest than the recorded one, and accepting
@@ -314,102 +335,158 @@ impl P3qNode {
     ///   an offer still refreshes the score. An offer at the recorded
     ///   digest version carries the same digest bytes, so the recorded
     ///   handle is kept too.
-    /// * A cached copy carries over with its own `profile_version`. If the
-    ///   recorded digest is newer, the copy is **stale** and stops counting
-    ///   as fresh for query scoring ([`NeighbourInfo::has_fresh_profile`])
-    ///   until a newer profile is stored. It is deliberately kept: stale
-    ///   copies are what the refresh metrics (Table 2, AUR) measure, and
-    ///   they still feed lazy gossip.
+    /// * A cached copy carries over with its own version. If the recorded
+    ///   digest is newer, the copy is **stale** and stops counting as fresh
+    ///   for query scoring until a newer profile is stored. It is
+    ///   deliberately kept: stale copies are what the refresh metrics
+    ///   (Table 2, AUR) measure, and they still feed lazy gossip.
     /// * The offered profile is stored if the peer ranks within the storage
     ///   budget `c` and the offer improves on the copy: there is none, or
     ///   it is older. A copy at the same version as a stale cache is not
-    ///   re-fetched, since it would not make the cache any fresher. After a
-    ///   store the storage rule runs ([`Self::enforce_storage_budget`]).
+    ///   re-fetched, since it would not make the cache any fresher.
     /// * A peer that lands at rank `c` or lower keeps no copy. A relayed
     ///   older copy can score lower than the one stored and move its owner
     ///   down; that is the one way a copy crosses rank `c` without a store.
     ///
-    /// So after every admission at most `c` copies are held, all ranked
-    /// within `c`. The offer is read in place; its digest and copy are
-    /// cloned only where they are stored.
+    /// A landing rank below `c` inserts a slot into the copy column, and
+    /// the column is then cut back to the top `c` ranks
+    /// ([`Self::enforce_storage_budget`]), so after every admission at most
+    /// `c` copies are held, all ranked within `c`. The offer is read in
+    /// place; its digest and copy are cloned only where they are stored.
     pub(crate) fn admit<'a>(&mut self, offer: impl Into<Offer<'a>>, score: u64) -> Admission {
         let offer = offer.into();
         let c = self.storage_budget as usize;
-        let digest_version = compact_version(offer.digest_version);
+        let copies = &mut self.copies;
         let mut stored = false;
+        let score = compact_score(score);
         let rank = self
             .personal_network
             .upsert_with(offer.user, score, |old, rank| {
-                let mut meta = match old {
-                    Some(old) if old.digest_version >= digest_version => old,
-                    Some(old) => NeighbourInfo {
-                        digest: offer.digest.clone(),
-                        digest_version,
-                        ..old
-                    },
-                    None => NeighbourInfo::digest_only(offer.digest.clone(), offer.digest_version),
-                };
-                if rank >= c {
-                    meta.drop_profile();
-                } else if meta.profile.is_none() || u64::from(meta.profile_version) < offer.version
-                {
-                    meta.profile = Some(offer.profile.clone());
-                    meta.profile_version = compact_version(offer.version);
-                    stored = true;
+                let (old_rank, old) = old.unzip();
+                let copy = old_rank
+                    .filter(|&r| r < copies.len())
+                    .and_then(|r| copies.remove(r));
+                if rank < c {
+                    let copy = copy
+                        .filter(|copy| u64::from(copy.version) >= offer.version)
+                        .unwrap_or_else(|| {
+                            stored = true;
+                            StoredCopy {
+                                profile: offer.profile.clone(),
+                                version: compact_version(offer.version),
+                            }
+                        });
+                    // The slot at rank `c - 1`, if any, is pushed past `c`.
+                    copies.truncate(c - 1);
+                    reserve_copy_slot(copies, c);
+                    copies.insert(rank, Some(copy));
                 }
-                meta
+                match old {
+                    Some(old) if old.digest_version >= compact_version(offer.digest_version) => old,
+                    _ => NeighbourInfo::digest_only(offer.digest.clone(), offer.digest_version),
+                }
             });
-        let admission = match rank {
+        self.enforce_storage_budget();
+        self.check_network();
+        match rank {
             None => Admission::Rejected,
-            Some(_) if stored => {
-                self.enforce_storage_budget();
-                Admission::Stored
-            }
+            Some(_) if stored => Admission::Stored,
             Some(_) => Admission::Kept,
-        };
-        debug_assert!(
-            self.personal_network
-                .iter()
-                .skip(c)
-                .all(|e| e.meta.profile.is_none()),
-            "copies are held only in the top c ranks"
-        );
-        admission
+        }
     }
 
     /// Applies the storage rule: only the `c` most similar neighbours keep a
-    /// cached profile copy. The view is ordered by (score descending, peer
-    /// ascending), so those are its first `c` entries, and every entry from
-    /// rank `c` on drops its copy.
+    /// cached profile copy. The copy column is cut to one slot per rank
+    /// below `c`, so a copy pushed to rank `c` by an insertion goes; a
+    /// neighbour moved up into rank `c - 1` by a removal gets an empty slot.
     pub(crate) fn enforce_storage_budget(&mut self) {
         let c = self.storage_budget as usize;
-        self.personal_network
-            .meta_mut_from_rank(c)
-            .for_each(NeighbourInfo::drop_profile);
+        let slots = c.min(self.personal_network.len());
+        self.copies.truncate(slots);
+        while self.copies.len() < slots {
+            reserve_copy_slot(&mut self.copies, c);
+            self.copies.push(None);
+        }
     }
 
-    /// The entries that may hold a stored copy: the top `c` ranks, where
-    /// `admit` keeps every copy.
-    pub(crate) fn storage_ranks(
+    /// The personal-network invariants, checked after every change to the
+    /// network in debug builds: at most `s` entries, in (score descending,
+    /// peer ascending) order, no peer twice; one copy slot per rank below
+    /// `c`; and no column allocated past its bound.
+    fn check_network(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let view = &self.personal_network;
+        let c = self.storage_budget as usize;
+        assert!(
+            view.len() <= view.capacity(),
+            "personal network holds more than s entries"
+        );
+        assert!(
+            view.iter()
+                .zip(view.iter().skip(1))
+                .all(|(a, b)| a.score > b.score || (a.score == b.score && a.peer < b.peer)),
+            "personal network out of (score descending, peer ascending) order"
+        );
+        let mut peers: Vec<UserId> = view.peers().collect();
+        peers.sort_unstable();
+        assert!(
+            peers.windows(2).all(|w| w[0] != w[1]),
+            "personal network holds a peer twice"
+        );
+        assert_eq!(
+            self.copies.len(),
+            c.min(view.len()),
+            "the copy column holds one slot per rank below c"
+        );
+        assert!(
+            view.heap_bytes() <= view.capacity() * ScoredView::<UserId, NeighbourInfo>::ENTRY_BYTES,
+            "a personal-network column is allocated past s"
+        );
+        assert!(
+            self.copies.capacity() <= c,
+            "the copy column is allocated past c"
+        );
+    }
+
+    /// The neighbour at `rank` and its stored copy, if it holds one.
+    pub(crate) fn neighbour_at(
         &self,
-    ) -> impl Iterator<Item = &ScoredEntry<UserId, NeighbourInfo>> {
-        self.personal_network.iter().take(self.storage_budget())
+        rank: usize,
+    ) -> (ScoredEntry<UserId, &NeighbourInfo>, Option<&StoredCopy>) {
+        let copy = self.copies.get(rank).and_then(Option::as_ref);
+        (self.personal_network.entry(rank), copy)
+    }
+
+    /// The ranks that hold a stored copy, ascending.
+    pub(crate) fn copy_ranks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.copies
+            .iter()
+            .enumerate()
+            .filter_map(|(rank, copy)| copy.as_ref().map(|_| rank))
+    }
+
+    /// The stored copies with their owners, in rank order.
+    fn stored_copies(
+        &self,
+    ) -> impl Iterator<Item = (ScoredEntry<UserId, &NeighbourInfo>, &StoredCopy)> {
+        self.copy_ranks().map(|rank| {
+            let (entry, copy) = self.neighbour_at(rank);
+            (entry, copy.expect("a copy rank holds a copy"))
+        })
     }
 
     /// Iterates over `(peer, cached profile, cached version)` for every
     /// stored neighbour profile.
     pub fn stored_profiles(&self) -> impl Iterator<Item = (UserId, &Profile, u64)> {
-        self.storage_ranks().filter_map(|e| {
-            e.meta
-                .profile
-                .as_deref()
-                .map(|p| (e.peer, p, u64::from(e.meta.profile_version)))
-        })
+        self.stored_copies()
+            .map(|(e, copy)| (e.peer, &*copy.profile, u64::from(copy.version)))
     }
 
     /// Number of stored neighbour profiles.
     pub fn stored_profile_count(&self) -> usize {
-        self.stored_profiles().count()
+        self.copy_ranks().count()
     }
 
     /// Like [`Self::stored_profiles`], but yielding only **fresh** copies
@@ -418,24 +495,18 @@ impl P3qNode {
     pub(crate) fn shared_fresh_stored_profiles(
         &self,
     ) -> impl Iterator<Item = (UserId, &SharedProfile, u64)> {
-        self.storage_ranks().filter_map(|e| {
-            if !e.meta.has_fresh_profile() {
-                return None;
-            }
-            e.meta
-                .profile
-                .as_ref()
-                .map(|p| (e.peer, p, u64::from(e.meta.profile_version)))
-        })
+        self.stored_copies()
+            .filter(|(e, copy)| copy.is_fresh_for(e.meta))
+            .map(|(e, copy)| (e.peer, &copy.profile, u64::from(copy.version)))
     }
 
     /// Personal-network neighbours whose profiles are *not* stored locally —
     /// the initial remaining list of any query this node issues.
     pub fn unstored_network_peers(&self) -> Vec<UserId> {
-        self.personal_network
-            .iter()
-            .filter(|e| e.meta.profile.is_none())
-            .map(|e| e.peer)
+        (0..self.personal_network.len())
+            .map(|rank| self.neighbour_at(rank))
+            .filter(|(_, copy)| copy.is_none())
+            .map(|(e, _)| e.peer)
             .collect()
     }
 
@@ -445,10 +516,10 @@ impl P3qNode {
     /// issued after dynamics — a stale copy must be re-fetched, not silently
     /// scored.
     pub(crate) fn peers_missing_fresh_profile(&self) -> Vec<UserId> {
-        self.personal_network
-            .iter()
-            .filter(|e| !e.meta.has_fresh_profile())
-            .map(|e| e.peer)
+        (0..self.personal_network.len())
+            .map(|rank| self.neighbour_at(rank))
+            .filter(|(e, copy)| !copy.is_some_and(|copy| copy.is_fresh_for(e.meta)))
+            .map(|(e, _)| e.peer)
             .collect()
     }
 
@@ -468,17 +539,19 @@ impl P3qNode {
     /// lazy protocol's re-bootstrap step.
     pub fn crash_volatile(&mut self) {
         self.personal_network = ScoredView::new(self.personal_network.capacity());
+        self.copies = Vec::new();
         self.random_view = AgedView::new(self.random_view.capacity());
         self.querier_states = QueryBook::default();
         self.tasks = QueryBook::default();
         self.digest.take();
         self.probes.take();
+        self.check_network();
     }
 
     /// Resident bytes of this node's protocol state: the struct itself, the
-    /// materialized own digest and probe column, the personal-network /
-    /// random-view entries
-    /// and any allocated query books. Shared payloads behind `Arc` handles
+    /// materialized own digest and probe column, the slots the
+    /// personal-network columns, the copy column and the random view have
+    /// allocated, and any allocated query books. Shared payloads behind `Arc` handles
     /// (profiles, neighbour digests) are *not* counted — they are
     /// deduplicated across the whole simulation and accounted once at
     /// their owner.
@@ -496,10 +569,9 @@ impl P3qNode {
         std::mem::size_of::<Self>()
             + digest
             + probes
-            + self.personal_network.len()
-                * std::mem::size_of::<ScoredEntry<UserId, NeighbourInfo>>()
-            + self.random_view.len()
-                * std::mem::size_of::<p3q_gossip::AgedEntry<UserId, DigestInfo>>()
+            + self.personal_network.heap_bytes()
+            + self.copies.capacity() * std::mem::size_of::<Option<StoredCopy>>()
+            + self.random_view.heap_bytes()
             + self.querier_states.storage_bytes()
             + self.tasks.storage_bytes()
     }
@@ -528,14 +600,16 @@ impl Fingerprint for P3qNode {
         h.write_u64(self.storage_budget() as u64);
 
         h.write_u64(self.personal_network.len() as u64);
-        for entry in self.personal_network.iter() {
+        for rank in 0..self.personal_network.len() {
+            let (entry, copy) = self.neighbour_at(rank);
             h.write_u64(u64::from(entry.peer.0));
-            h.write_u64(entry.score);
+            h.write_u64(u64::from(entry.score));
             h.write_u64(u64::from(entry.staleness));
             h.write_u64(u64::from(entry.meta.digest_version));
-            h.write_u64(u64::from(entry.meta.profile_version));
-            match &entry.meta.profile {
-                Some(profile) => fold_profile(profile, h),
+            // An unstored entry folds version 0 and no profile.
+            h.write_u64(copy.map_or(0, |copy| u64::from(copy.version)));
+            match copy {
+                Some(copy) => fold_profile(&copy.profile, h),
                 None => h.write_u64(u64::MAX),
             }
         }
@@ -585,40 +659,24 @@ mod tests {
     use p3q_trace::TagId;
 
     impl P3qNode {
+        /// The stored copy of `peer`, if any.
+        fn stored_copy(&self, peer: &UserId) -> Option<&StoredCopy> {
+            let rank = self.personal_network.rank_of(peer)?;
+            self.neighbour_at(rank).1
+        }
+
         /// The cached profile of `peer`, if stored.
         pub(crate) fn stored_profile(&self, peer: &UserId) -> Option<&Profile> {
-            self.personal_network
-                .get(peer)
-                .and_then(|e| e.meta.profile.as_deref())
+            self.stored_copy(peer).map(|copy| &*copy.profile)
         }
 
         /// Returns `true` if a fresh (non-stale) profile copy of `peer` is
         /// stored locally.
         pub(crate) fn has_fresh_stored_profile(&self, peer: &UserId) -> bool {
-            self.personal_network
-                .get(peer)
-                .is_some_and(|e| e.meta.has_fresh_profile())
-        }
-
-        /// The storage rule as first written: collect the top `c` peers,
-        /// then drop every stored profile whose owner is not among them.
-        /// The oracle of [`P3qNode::enforce_storage_budget`].
-        fn enforce_storage_budget_reference(&mut self) {
-            let keep: Vec<UserId> = self
-                .personal_network
-                .top_peers(self.storage_budget as usize);
-            let drop_peers: Vec<UserId> = self
-                .personal_network
-                .iter()
-                .filter(|e| e.meta.profile.is_some() && !keep.contains(&e.peer))
-                .map(|e| e.peer)
-                .collect();
-            for peer in drop_peers {
-                if let Some(entry) = self.personal_network.get_mut(&peer) {
-                    entry.meta.profile = None;
-                    entry.meta.profile_version = 0;
-                }
-            }
+            self.personal_network.get(peer).is_some_and(|e| {
+                self.stored_copy(peer)
+                    .is_some_and(|copy| copy.is_fresh_for(e.meta))
+            })
         }
     }
 
@@ -735,8 +793,21 @@ mod tests {
         assert_eq!(n.personal_network.rank_of(&UserId(1)), Some(2));
         assert!(n.stored_profile(&UserId(1)).is_none());
         assert_eq!(n.stored_profile_count(), 1);
-        let entry = n.personal_network.get(&UserId(1)).unwrap();
-        assert_eq!(entry.meta.profile_version, 0);
+        assert!(n.neighbour_at(2).1.is_none(), "rank 2 holds no copy slot");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "one slot per rank below c")]
+    fn the_network_check_catches_a_copy_past_c() {
+        let mut n = node(2);
+        for (peer, score) in [(1u32, 10u64), (2, 20), (3, 30)] {
+            n.admit(&offer(peer, profile(&[(peer, peer)]), 1), score);
+        }
+        // The budget shrinks without the storage rule running: rank 1
+        // still holds its copy.
+        n.storage_budget = 1;
+        n.check_network();
     }
 
     #[test]
@@ -752,49 +823,79 @@ mod tests {
         assert!(n.stored_profile(&UserId(3)).is_some());
     }
 
+    /// A node as first written: every personal-network entry carried its
+    /// own copy, so a copy went wherever its entry went.
+    struct ReferenceNode {
+        network: ScoredView<UserId, NeighbourInfo>,
+        copies: Vec<(UserId, StoredCopy)>,
+        c: usize,
+    }
+
+    impl ReferenceNode {
+        fn copy(&self, peer: UserId) -> Option<&StoredCopy> {
+            self.copies.iter().find(|(p, _)| *p == peer).map(|(_, c)| c)
+        }
+
+        /// The stored copies in rank order, as [`P3qNode::stored_profiles`]
+        /// lists them.
+        fn stored(&self) -> Vec<(UserId, &Profile, u64)> {
+            self.network
+                .peers()
+                .filter_map(|peer| {
+                    self.copy(peer)
+                        .map(|c| (peer, &*c.profile, u64::from(c.version)))
+                })
+                .collect()
+        }
+    }
+
     /// The admission sequence as first written, the oracle of
     /// [`P3qNode::admit`]: record the neighbour (the digest never
     /// regresses and is kept at an equal version, a cached copy carries
-    /// over), look its rank up, and store
-    /// the offered profile under the reference storage rule if it ranks
-    /// within `c` and improves on the copy.
-    fn admit_reference(n: &mut P3qNode, offer: &ProfileOffer, score: u64) -> Admission {
+    /// over), look its rank up, and store the offered profile if it ranks
+    /// within `c` and improves on the copy; then collect the top `c` peers
+    /// and drop every copy whose owner is not among them.
+    fn admit_reference(n: &mut ReferenceNode, offer: &ProfileOffer, score: u64) -> Admission {
         let mut digest = offer.digest.clone();
         let mut digest_version = compact_version(offer.digest_version);
-        let (profile, profile_version) = match n.personal_network.get(&offer.user) {
-            Some(entry) => {
-                if entry.meta.digest_version >= digest_version {
-                    digest = entry.meta.digest.clone();
-                    digest_version = entry.meta.digest_version;
-                }
-                (entry.meta.profile.clone(), entry.meta.profile_version)
+        if let Some(entry) = n.network.get(&offer.user) {
+            if entry.meta.digest_version >= digest_version {
+                digest = entry.meta.digest.clone();
+                digest_version = entry.meta.digest_version;
             }
-            None => (None, 0),
-        };
+        }
         let meta = NeighbourInfo {
             digest,
             digest_version,
-            profile,
-            profile_version,
         };
-        if !n.personal_network.upsert(offer.user, score, meta) {
+        let kept = n.network.upsert(offer.user, compact_score(score), meta);
+        // An evicted entry took its copy with it.
+        let network = &n.network;
+        n.copies.retain(|(peer, _)| network.contains(peer));
+        if !kept {
             return Admission::Rejected;
         }
-        let rank = n.personal_network.rank_of(&offer.user).unwrap();
-        let c = n.storage_budget();
-        let meta = &mut n.personal_network.get_mut(&offer.user).unwrap().meta;
-        if rank >= c {
+        let rank = n.network.rank_of(&offer.user).unwrap();
+        if rank >= n.c {
             // The sink rule: a copy does not survive below rank `c`.
-            meta.profile = None;
-            meta.profile_version = 0;
+            n.copies.retain(|(peer, _)| *peer != offer.user);
             return Admission::Kept;
         }
-        if meta.profile.is_some() && u64::from(meta.profile_version) >= offer.version {
+        if n.copy(offer.user)
+            .is_some_and(|copy| u64::from(copy.version) >= offer.version)
+        {
             return Admission::Kept;
         }
-        meta.profile = Some(offer.profile.clone());
-        meta.profile_version = compact_version(offer.version);
-        n.enforce_storage_budget_reference();
+        n.copies.retain(|(peer, _)| *peer != offer.user);
+        n.copies.push((
+            offer.user,
+            StoredCopy {
+                profile: offer.profile.clone(),
+                version: compact_version(offer.version),
+            },
+        ));
+        let keep = n.network.top_peers(n.c);
+        n.copies.retain(|(peer, _)| keep.contains(peer));
         Admission::Stored
     }
 
@@ -813,7 +914,11 @@ mod tests {
             let s = rng.gen_range(1..=8usize);
             let c = rng.gen_range(1..=s + 1);
             let mut fast = P3qNode::new(UserId(0), profile(&[(1, 1)]), s, 3, c, 1024, 4);
-            let mut reference = fast.clone();
+            let mut reference = ReferenceNode {
+                network: ScoredView::new(s),
+                copies: Vec::new(),
+                c,
+            };
             for step in 0..40u32 {
                 let peer = rng.gen_range(1..=12u32);
                 let score = rng.gen_range(0..6u64);
@@ -831,7 +936,12 @@ mod tests {
                     "case {case}, step {step}"
                 );
                 assert_eq!(
-                    fast.personal_network, reference.personal_network,
+                    fast.personal_network, reference.network,
+                    "case {case} (s = {s}, c = {c}), step {step}"
+                );
+                assert_eq!(
+                    fast.stored_profiles().collect::<Vec<_>>(),
+                    reference.stored(),
                     "case {case} (s = {s}, c = {c}), step {step}"
                 );
             }
@@ -859,9 +969,9 @@ mod tests {
         let mut n = node(2);
         let p: SharedProfile = Arc::new(profile(&[(5, 5), (6, 6)]));
         n.admit(&offer(1, p.clone(), 1), 3);
-        let stored = n.personal_network.get(&UserId(1)).unwrap();
+        let stored = n.stored_copy(&UserId(1)).unwrap();
         assert!(
-            Arc::ptr_eq(stored.meta.profile.as_ref().unwrap(), &p),
+            Arc::ptr_eq(&stored.profile, &p),
             "storing a shared profile must not deep-copy it"
         );
     }

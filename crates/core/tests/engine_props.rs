@@ -326,15 +326,18 @@ proptest! {
     }
 }
 
-/// Stored profile copies held at rank `c` or lower, over every node.
+/// Stored profile copies held at rank `c` or lower, or of a peer not in
+/// the personal network, over every node.
 fn copies_past_the_budget(sim: &Simulator<P3qNode>) -> usize {
     sim.nodes()
         .iter()
         .map(|node| {
-            node.personal_network
-                .iter()
-                .skip(node.storage_budget())
-                .filter(|e| e.meta.profile.is_some())
+            node.stored_profiles()
+                .filter(|(peer, _, _)| {
+                    node.personal_network
+                        .rank_of(peer)
+                        .is_none_or(|rank| rank >= node.storage_budget())
+                })
                 .count()
         })
         .sum()

@@ -16,16 +16,18 @@
 
 use std::hash::Hash;
 
-/// An entry of a [`ScoredView`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An entry of a [`ScoredView`], read by value: [`ScoredView::iter`] and
+/// [`ScoredView::get`] yield `ScoredEntry<P, &M>`, assembled from the
+/// view's columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScoredEntry<P, M> {
     /// The peer.
     pub peer: P,
     /// Its similarity score with the view owner.
-    pub score: u64,
+    pub score: u32,
     /// Cycles since the owner last gossiped with this peer.
     pub staleness: u32,
-    /// Application metadata (digest, cached profile, …).
+    /// Application metadata (digest, …).
     pub meta: M,
 }
 
@@ -33,13 +35,37 @@ pub struct ScoredEntry<P, M> {
 ///
 /// Ties are broken by peer identifier (ascending) so that view contents are
 /// deterministic for a given input sequence.
+///
+/// The entries are held as rank-aligned columns: a dense peer column that
+/// lookups scan, score and staleness columns, and the metadata column. An
+/// entry costs `size_of::<P>() + 8 + size_of::<M>()` bytes
+/// ([`Self::ENTRY_BYTES`]), and no column grows past `capacity` slots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScoredView<P, M> {
     capacity: usize,
-    entries: Vec<ScoredEntry<P, M>>,
+    peers: Vec<P>,
+    scores: Vec<u32>,
+    staleness: Vec<u32>,
+    metas: Vec<M>,
+}
+
+/// Makes room for one more element in a column bounded to `capacity`: the
+/// buffer doubles as `Vec` would, but never past `capacity` slots.
+fn reserve_within<T>(column: &mut Vec<T>, capacity: usize) {
+    if column.len() == column.capacity() {
+        let target = (column.len() * 2)
+            .max(4)
+            .min(capacity)
+            .max(column.len() + 1);
+        column.reserve_exact(target - column.len());
+    }
 }
 
 impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
+    /// Bytes one entry occupies across the columns.
+    pub const ENTRY_BYTES: usize =
+        std::mem::size_of::<P>() + 2 * std::mem::size_of::<u32>() + std::mem::size_of::<M>();
+
     /// Creates an empty view bounded to `capacity` entries.
     ///
     /// # Panics
@@ -48,7 +74,10 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
         assert!(capacity > 0, "a view needs a positive capacity");
         Self {
             capacity,
-            entries: Vec::new(),
+            peers: Vec::new(),
+            scores: Vec::new(),
+            staleness: Vec::new(),
+            metas: Vec::new(),
         }
     }
 
@@ -59,68 +88,87 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.peers.len()
     }
 
     /// Returns `true` if the view holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.peers.is_empty()
+    }
+
+    /// Heap bytes the columns have allocated (their capacities, not their
+    /// lengths).
+    pub fn heap_bytes(&self) -> usize {
+        self.peers.capacity() * std::mem::size_of::<P>()
+            + (self.scores.capacity() + self.staleness.capacity()) * std::mem::size_of::<u32>()
+            + self.metas.capacity() * std::mem::size_of::<M>()
     }
 
     /// Returns `true` if `peer` is in the view.
     pub fn contains(&self, peer: &P) -> bool {
-        self.entries.iter().any(|e| e.peer == *peer)
+        self.peers.contains(peer)
+    }
+
+    /// The entry at `rank` (0 = highest score).
+    ///
+    /// # Panics
+    /// Panics if `rank` is not below [`Self::len`].
+    pub fn entry(&self, rank: usize) -> ScoredEntry<P, &M> {
+        ScoredEntry {
+            peer: self.peers[rank],
+            score: self.scores[rank],
+            staleness: self.staleness[rank],
+            meta: &self.metas[rank],
+        }
     }
 
     /// The entry for `peer`, if any.
-    pub fn get(&self, peer: &P) -> Option<&ScoredEntry<P, M>> {
-        self.entries.iter().find(|e| e.peer == *peer)
-    }
-
-    /// Mutable entry for `peer`, if any.
-    pub fn get_mut(&mut self, peer: &P) -> Option<&mut ScoredEntry<P, M>> {
-        self.entries.iter_mut().find(|e| e.peer == *peer)
+    pub fn get(&self, peer: &P) -> Option<ScoredEntry<P, &M>> {
+        self.rank_of(peer).map(|rank| self.entry(rank))
     }
 
     /// Iterates over entries in descending score order.
-    pub fn iter(&self) -> impl Iterator<Item = &ScoredEntry<P, M>> {
-        self.entries.iter()
+    pub fn iter(&self) -> impl Iterator<Item = ScoredEntry<P, &M>> + '_ {
+        (0..self.len()).map(|rank| self.entry(rank))
     }
 
     /// The peers in descending score order.
     pub fn peers(&self) -> impl Iterator<Item = P> + '_ {
-        self.entries.iter().map(|e| e.peer)
+        self.peers.iter().copied()
     }
 
     /// The `n` best peers (descending score).
     pub fn top_peers(&self, n: usize) -> Vec<P> {
-        self.entries.iter().take(n).map(|e| e.peer).collect()
-    }
-
-    /// Mutable metadata of every entry ranked `n` or lower (0 = highest
-    /// score), in rank order. Peers, scores and staleness stay read-only,
-    /// so the ordering cannot break.
-    pub fn meta_mut_from_rank(&mut self, n: usize) -> impl Iterator<Item = &mut M> {
-        self.entries.iter_mut().skip(n).map(|e| &mut e.meta)
+        self.peers.iter().take(n).copied().collect()
     }
 
     /// Rank of a peer in the view (0 = highest score), if present.
     pub fn rank_of(&self, peer: &P) -> Option<usize> {
-        self.entries.iter().position(|e| e.peer == *peer)
+        self.peers.iter().position(|p| p == peer)
     }
 
     /// Whether [`Self::upsert`] would find room for `peer`, absent from the
     /// view, at `score`: the test `upsert_with` makes before it changes
     /// anything, so `false` means an upsert would leave the view as it is.
-    pub fn would_admit(&self, peer: P, score: u64) -> bool {
+    pub fn would_admit(&self, peer: P, score: u32) -> bool {
         self.insertion_rank(peer, score) < self.capacity
     }
 
     /// Where an entry for `peer` at `score` belongs among the entries, in
     /// (score descending, peer ascending) order.
-    fn insertion_rank(&self, peer: P, score: u64) -> usize {
-        self.entries
-            .partition_point(|e| e.score > score || (e.score == score && e.peer < peer))
+    fn insertion_rank(&self, peer: P, score: u32) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let before =
+                self.scores[mid] > score || (self.scores[mid] == score && self.peers[mid] < peer);
+            if before {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Inserts or updates a peer.
@@ -131,31 +179,33 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
     ///   over capacity the lowest-scored entry is evicted.
     ///
     /// Returns `true` if the peer is in the view after the call.
-    pub fn upsert(&mut self, peer: P, score: u64, meta: M) -> bool {
+    pub fn upsert(&mut self, peer: P, score: u32, meta: M) -> bool {
         self.upsert_with(peer, score, |_, _| meta).is_some()
     }
 
     /// [`Self::upsert`] with the metadata computed from what it replaces, in
     /// one scan of the view.
     ///
-    /// `f` receives the peer's old metadata (`None` if it was absent) and
-    /// the rank the peer lands at, and returns the metadata to store. It is
-    /// not called when the peer is rejected, which only happens to an
-    /// absent peer: a present one always finds room, since its own slot is
-    /// free. The staleness of a present peer is preserved.
+    /// `f` receives the peer's old rank and metadata (`None` if it was
+    /// absent) and the rank the peer lands at, and returns the metadata to
+    /// store. It is not called when the peer is rejected, which only
+    /// happens to an absent peer: a present one always finds room, since
+    /// its own slot is free. The staleness of a present peer is preserved.
     ///
     /// Returns the rank of the peer after the call, or `None` if it was
     /// rejected.
     pub fn upsert_with(
         &mut self,
         peer: P,
-        score: u64,
-        f: impl FnOnce(Option<M>, usize) -> M,
+        score: u32,
+        f: impl FnOnce(Option<(usize, M)>, usize) -> M,
     ) -> Option<usize> {
         let (old, staleness) = match self.rank_of(&peer) {
             Some(rank) => {
-                let entry = self.entries.remove(rank);
-                (Some(entry.meta), entry.staleness)
+                self.peers.remove(rank);
+                self.scores.remove(rank);
+                let staleness = self.staleness.remove(rank);
+                (Some((rank, self.metas.remove(rank))), staleness)
             }
             None => (None, 0),
         };
@@ -163,27 +213,31 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
         if rank >= self.capacity {
             return None;
         }
-        // Evict before inserting: a full view never asks its buffer for one
+        // Evict before inserting: a full view never asks a column for one
         // slot more than `capacity`.
-        self.entries.truncate(self.capacity - 1);
+        let keep = self.capacity - 1;
+        self.peers.truncate(keep);
+        self.scores.truncate(keep);
+        self.staleness.truncate(keep);
+        self.metas.truncate(keep);
         let meta = f(old, rank);
-        self.entries.insert(
-            rank,
-            ScoredEntry {
-                peer,
-                score,
-                staleness,
-                meta,
-            },
-        );
+        let capacity = self.capacity;
+        reserve_within(&mut self.peers, capacity);
+        reserve_within(&mut self.scores, capacity);
+        reserve_within(&mut self.staleness, capacity);
+        reserve_within(&mut self.metas, capacity);
+        self.peers.insert(rank, peer);
+        self.scores.insert(rank, score);
+        self.staleness.insert(rank, staleness);
+        self.metas.insert(rank, meta);
         Some(rank)
     }
 
     /// Increments every entry's staleness by one — called once per gossip
     /// cycle ("other neighbours increment their timestamps by 1").
     pub fn tick(&mut self) {
-        for entry in &mut self.entries {
-            entry.staleness = entry.staleness.saturating_add(1);
+        for staleness in &mut self.staleness {
+            *staleness = staleness.saturating_add(1);
         }
     }
 
@@ -192,7 +246,7 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
     /// protocol step, where partner choice happens against immutable state
     /// and the staleness reset is deferred to the commit
     /// ([`Self::reset_staleness`]). Returns `None` if nothing matches.
-    pub fn oldest_matching(&self, pred: impl Fn(&ScoredEntry<P, M>) -> bool) -> Option<P> {
+    pub fn oldest_matching(&self, pred: impl Fn(ScoredEntry<P, &M>) -> bool) -> Option<P> {
         self.oldest_matching_with(pred, |e| e.staleness)
     }
 
@@ -204,13 +258,12 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
     /// then peer id (smaller first).
     pub fn oldest_matching_with(
         &self,
-        pred: impl Fn(&ScoredEntry<P, M>) -> bool,
-        staleness_of: impl Fn(&ScoredEntry<P, M>) -> u32,
+        pred: impl Fn(ScoredEntry<P, &M>) -> bool,
+        staleness_of: impl Fn(ScoredEntry<P, &M>) -> u32,
     ) -> Option<P> {
-        self.entries
-            .iter()
-            .filter(|e| pred(e))
-            .max_by(|a, b| {
+        self.iter()
+            .filter(|&e| pred(e))
+            .max_by(|&a, &b| {
                 staleness_of(a)
                     .cmp(&staleness_of(b))
                     .then(a.score.cmp(&b.score))
@@ -223,9 +276,9 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
     /// selection planned via [`Self::oldest_matching`]). Returns `true` if the peer
     /// was present.
     pub fn reset_staleness(&mut self, peer: &P) -> bool {
-        match self.get_mut(peer) {
-            Some(entry) => {
-                entry.staleness = 0;
+        match self.rank_of(peer) {
+            Some(rank) => {
+                self.staleness[rank] = 0;
                 true
             }
             None => false,
@@ -282,6 +335,11 @@ impl<P: Copy + Eq + Hash + Ord, M: Clone> AgedView<P, M> {
         self.entries.is_empty()
     }
 
+    /// Heap bytes the entry buffer has allocated.
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<AgedEntry<P, M>>()
+    }
+
     /// Returns `true` if `peer` is in the view.
     pub fn contains(&self, peer: &P) -> bool {
         self.entries.iter().any(|e| e.peer == *peer)
@@ -299,17 +357,26 @@ impl<P: Copy + Eq + Hash + Ord, M: Clone> AgedView<P, M> {
 
     /// Adds a peer (no-op if present), evicting the oldest entry when over
     /// capacity.
+    ///
+    /// The new entry is the youngest (age 0), and of equally old entries the
+    /// last one goes. So a full view whose entries are all of age 0 evicts
+    /// the newcomer: the insert changes nothing.
     pub fn insert(&mut self, peer: P, meta: M) {
         if self.contains(&peer) {
             return;
         }
-        self.entries.push(AgedEntry { peer, age: 0, meta });
-        if self.entries.len() > self.capacity {
-            // Evict the oldest entry.
-            if let Some((idx, _)) = self.entries.iter().enumerate().max_by_key(|(_, e)| e.age) {
-                self.entries.remove(idx);
+        if self.entries.len() >= self.capacity {
+            // Evict the oldest entry, before pushing: the buffer never
+            // holds more than `capacity` slots.
+            match self.entries.iter().enumerate().max_by_key(|(_, e)| e.age) {
+                Some((idx, e)) if e.age > 0 => {
+                    self.entries.remove(idx);
+                }
+                _ => return,
             }
         }
+        reserve_within(&mut self.entries, self.capacity);
+        self.entries.push(AgedEntry { peer, age: 0, meta });
     }
 
     /// Increments every entry's age.
@@ -331,7 +398,7 @@ mod tests {
     #[test]
     fn upsert_keeps_best_scores_up_to_capacity() {
         let mut v = V::new(3);
-        for (peer, score) in [(1u32, 10u64), (2, 30), (3, 20), (4, 5), (5, 40)] {
+        for (peer, score) in [(1u32, 10u32), (2, 30), (3, 20), (4, 5), (5, 40)] {
             v.upsert(peer, score, ());
         }
         assert_eq!(v.len(), 3);
@@ -361,36 +428,67 @@ mod tests {
         assert_eq!(v.rank_of(&1), Some(0));
     }
 
+    /// The most slots any column of `v` has allocated.
+    fn slots<M>(v: &ScoredView<u32, M>) -> usize {
+        [
+            v.peers.capacity(),
+            v.scores.capacity(),
+            v.staleness.capacity(),
+            v.metas.capacity(),
+        ]
+        .into_iter()
+        .max()
+        .unwrap()
+    }
+
     #[test]
     fn upsert_on_a_full_view_keeps_the_buffer_at_capacity() {
-        let mut full = V::new(4);
+        let mut full: ScoredView<u32, u64> = ScoredView::new(4);
         for peer in 0..4u32 {
-            full.upsert(peer, 10 + u64::from(peer), ());
+            full.upsert(peer, 10 + peer, 0);
         }
         // A clone allocates exactly `len` slots: the buffer has no slack.
         let mut v = full.clone();
-        assert_eq!(v.entries.capacity(), 4);
-        assert!(!v.upsert(9, 1, ()), "worse than the minimum");
-        assert!(!v.upsert(9, 10, ()), "ties with the minimum, larger id");
+        assert_eq!(slots(&v), 4);
+        assert!(!v.upsert(9, 1, 0), "worse than the minimum");
+        assert!(!v.upsert(9, 10, 0), "ties with the minimum, larger id");
         assert_eq!(v, full);
-        assert!(v.upsert(9, 12, ()), "evicts the minimum");
-        assert!(v.upsert(2, 50, ()), "moves a present peer");
+        assert!(v.upsert(9, 12, 0), "evicts the minimum");
+        assert!(v.upsert(2, 50, 0), "moves a present peer");
         assert_eq!(v.peers().collect::<Vec<_>>(), vec![2, 3, 9, 1]);
-        assert_eq!(v.entries.capacity(), 4);
+        assert_eq!(slots(&v), 4);
+    }
+
+    #[test]
+    fn columns_grow_to_the_capacity_and_no_further() {
+        // Doubling would reach 128 slots for 100 entries.
+        let mut v: ScoredView<u32, u64> = ScoredView::new(100);
+        for peer in 0..100u32 {
+            v.upsert(peer, 1000 - peer, u64::from(peer));
+            assert!(slots(&v) <= 100, "after {} entries", peer + 1);
+        }
+        assert_eq!(slots(&v), 100);
+        assert_eq!(v.heap_bytes(), 100 * ScoredView::<u32, u64>::ENTRY_BYTES);
+        // A capacity below the first doubling step allocates exactly it.
+        let mut small: ScoredView<u32, u64> = ScoredView::new(3);
+        for peer in 0..5u32 {
+            small.upsert(peer, peer, 0);
+        }
+        assert_eq!(slots(&small), 3);
     }
 
     #[test]
     fn upsert_matches_push_sort_pop() {
         // The definition upsert replaces: update or push, sort by (score
         // descending, peer ascending), drop what exceeds the capacity.
-        fn model(entries: &mut Vec<ScoredEntry<u32, u64>>, cap: usize, peer: u32, score: u64) {
+        fn model(entries: &mut Vec<ScoredEntry<u32, u64>>, cap: usize, peer: u32, score: u32) {
             match entries.iter_mut().find(|e| e.peer == peer) {
-                Some(e) => (e.score, e.meta) = (score, score),
+                Some(e) => (e.score, e.meta) = (score, u64::from(score)),
                 None => entries.push(ScoredEntry {
                     peer,
                     score,
                     staleness: 0,
-                    meta: score,
+                    meta: u64::from(score),
                 }),
             }
             entries.sort_by(|a, b| b.score.cmp(&a.score).then(a.peer.cmp(&b.peer)));
@@ -402,11 +500,11 @@ mod tests {
         for step in 0..2000 {
             // Few peers and few scores: updates, ties and rejections are
             // all common.
-            let (peer, score) = (rng.gen_range(0..12u32), rng.gen_range(0..6u64));
+            let (peer, score) = (rng.gen_range(0..12u32), rng.gen_range(0..6u32));
             model(&mut expected, 5, peer, score);
             let absent = !v.contains(&peer);
             let room = v.would_admit(peer, score);
-            let kept = v.upsert(peer, score, score);
+            let kept = v.upsert(peer, score, u64::from(score));
             assert_eq!(kept, expected.iter().any(|e| e.peer == peer), "step {step}");
             if absent {
                 assert_eq!(room, kept, "would_admit at step {step}");
@@ -415,7 +513,16 @@ mod tests {
                 v.tick();
                 expected.iter_mut().for_each(|e| e.staleness += 1);
             }
-            assert_eq!(v.entries, expected, "step {step}");
+            let entries: Vec<ScoredEntry<u32, u64>> = v
+                .iter()
+                .map(|e| ScoredEntry {
+                    peer: e.peer,
+                    score: e.score,
+                    staleness: e.staleness,
+                    meta: *e.meta,
+                })
+                .collect();
+            assert_eq!(entries, expected, "step {step}");
         }
     }
 
@@ -452,24 +559,10 @@ mod tests {
     }
 
     #[test]
-    fn meta_mut_from_rank_reaches_exactly_the_tail() {
-        let mut v: ScoredView<u32, u32> = ScoredView::new(4);
-        for (peer, score) in [(1, 10), (2, 30), (3, 20), (4, 20)] {
-            v.upsert(peer, score, 0);
-        }
-        for meta in v.meta_mut_from_rank(2) {
-            *meta = 1;
-        }
-        let marked: Vec<(u32, u32)> = v.iter().map(|e| (e.peer, e.meta)).collect();
-        assert_eq!(marked, [(2, 0), (3, 0), (4, 1), (1, 1)]);
-        assert_eq!(v.meta_mut_from_rank(4).count(), 0);
-    }
-
-    #[test]
     fn top_peers_truncates() {
         let mut v = V::new(5);
         for p in 0..5u32 {
-            v.upsert(p, p as u64, ());
+            v.upsert(p, p, ());
         }
         assert_eq!(v.top_peers(2), vec![4, 3]);
         assert_eq!(v.top_peers(10).len(), 5);
@@ -491,6 +584,24 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert!(!v.contains(&1));
         assert!(v.contains(&2) && v.contains(&3));
+    }
+
+    #[test]
+    fn aged_view_buffer_stays_within_capacity() {
+        let mut v: AgedView<u32, ()> = AgedView::new(10);
+        for peer in 0..10u32 {
+            v.insert(peer, ());
+        }
+        assert_eq!(v.entries.capacity(), 10, "doubling would reach 16");
+        v.tick();
+        v.insert(99, ());
+        assert_eq!((v.len(), v.entries.capacity()), (10, 10));
+        // A full view of age-0 entries turns the newcomer away.
+        let mut fresh: AgedView<u32, ()> = AgedView::new(2);
+        fresh.insert(1, ());
+        fresh.insert(2, ());
+        fresh.insert(3, ());
+        assert_eq!(fresh.peers().collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]

@@ -92,20 +92,148 @@ fn descriptors(entries: &[AgedEntry<u32, Tagged>]) -> Vec<(u32, u32, u64)> {
         .collect()
 }
 
+/// One entry of [`ArrayView`].
+#[derive(Debug, Clone, PartialEq)]
+struct ArrayEntry {
+    peer: u32,
+    score: u64,
+    staleness: u32,
+    meta: u64,
+}
+
+/// The scored view as an array of entries, as it was before the column
+/// layout replaced it, kept to pin the columns to: every operation below is
+/// the array version's code, with peer `u32` and metadata `u64`.
+#[derive(Debug, Clone)]
+struct ArrayView {
+    capacity: usize,
+    entries: Vec<ArrayEntry>,
+}
+
+impl ArrayView {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            entries: Vec::new(),
+        }
+    }
+
+    fn rank_of(&self, peer: &u32) -> Option<usize> {
+        self.entries.iter().position(|e| e.peer == *peer)
+    }
+
+    fn would_admit(&self, peer: u32, score: u64) -> bool {
+        self.insertion_rank(peer, score) < self.capacity
+    }
+
+    fn insertion_rank(&self, peer: u32, score: u64) -> usize {
+        self.entries
+            .partition_point(|e| e.score > score || (e.score == score && e.peer < peer))
+    }
+
+    fn upsert_with(
+        &mut self,
+        peer: u32,
+        score: u64,
+        f: impl FnOnce(Option<u64>, usize) -> u64,
+    ) -> Option<usize> {
+        let (old, staleness) = match self.rank_of(&peer) {
+            Some(rank) => {
+                let entry = self.entries.remove(rank);
+                (Some(entry.meta), entry.staleness)
+            }
+            None => (None, 0),
+        };
+        let rank = self.insertion_rank(peer, score);
+        if rank >= self.capacity {
+            return None;
+        }
+        self.entries.truncate(self.capacity - 1);
+        let meta = f(old, rank);
+        self.entries.insert(
+            rank,
+            ArrayEntry {
+                peer,
+                score,
+                staleness,
+                meta,
+            },
+        );
+        Some(rank)
+    }
+
+    fn tick(&mut self) {
+        for entry in &mut self.entries {
+            entry.staleness = entry.staleness.saturating_add(1);
+        }
+    }
+
+    fn oldest_matching_with(
+        &self,
+        pred: impl Fn(&ArrayEntry) -> bool,
+        staleness_of: impl Fn(&ArrayEntry) -> u32,
+    ) -> Option<u32> {
+        self.entries
+            .iter()
+            .filter(|e| pred(e))
+            .max_by(|a, b| {
+                staleness_of(a)
+                    .cmp(&staleness_of(b))
+                    .then(a.score.cmp(&b.score))
+                    .then(b.peer.cmp(&a.peer))
+            })
+            .map(|e| e.peer)
+    }
+
+    fn reset_staleness(&mut self, peer: &u32) -> bool {
+        match self.entries.iter_mut().find(|e| e.peer == *peer) {
+            Some(entry) => {
+                entry.staleness = 0;
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+/// One step of `prop_columns_match_the_array_of_entries`.
+#[derive(Debug, Clone)]
+enum ViewOp {
+    Upsert(u32, u32),
+    UpsertWith(u32, u32),
+    Tick,
+    Reset(u32),
+    WouldAdmit(u32, u32),
+    /// Peers with `peer % 3 != residue` match; those with `peer % 4 ==
+    /// residue` count as staleness 0.
+    Oldest(u32),
+}
+
+fn view_op() -> impl Strategy<Value = ViewOp> {
+    (0u32..6, 0u32..14, 0u32..6).prop_map(|(kind, peer, score)| match kind {
+        0 => ViewOp::Upsert(peer, score),
+        1 => ViewOp::UpsertWith(peer, score),
+        2 => ViewOp::Tick,
+        3 => ViewOp::Reset(peer),
+        4 => ViewOp::WouldAdmit(peer, score),
+        _ => ViewOp::Oldest(peer % 4),
+    })
+}
+
 proptest! {
     /// A scored view never exceeds its capacity and stays sorted by
     /// descending score, whatever the insertion/update sequence.
     #[test]
     fn prop_scored_view_bounded_and_sorted(
         capacity in 1usize..12,
-        inserts in prop::collection::vec((0u32..64, 0u64..1000), 0..100),
+        inserts in prop::collection::vec((0u32..64, 0u32..1000), 0..100),
     ) {
         let mut view: ScoredView<u32, ()> = ScoredView::new(capacity);
         for &(peer, score) in &inserts {
             view.upsert(peer, score, ());
         }
         prop_assert!(view.len() <= capacity);
-        let scores: Vec<u64> = view.iter().map(|e| e.score).collect();
+        let scores: Vec<u32> = view.iter().map(|e| e.score).collect();
         for pair in scores.windows(2) {
             prop_assert!(pair[0] >= pair[1]);
         }
@@ -117,7 +245,7 @@ proptest! {
     #[test]
     fn prop_scored_view_keeps_the_best_of_unique_inserts(
         capacity in 1usize..12,
-        inserts in prop::collection::hash_map(0u32..64, 1u64..1000, 0..40),
+        inserts in prop::collection::hash_map(0u32..64, 1u32..1000, 0..40),
     ) {
         let mut view: ScoredView<u32, ()> = ScoredView::new(capacity);
         for (&peer, &score) in &inserts {
@@ -135,14 +263,15 @@ proptest! {
         }
     }
 
-    /// `upsert_with` hands its closure the peer's old metadata and the rank
-    /// it lands at, returns that rank (the one `rank_of` then reports), keeps
-    /// a present peer's staleness, and leaves the view untouched when it
-    /// rejects a peer — which only happens to an absent one.
+    /// `upsert_with` hands its closure the peer's old rank and metadata and
+    /// the rank it lands at, returns that rank (the one `rank_of` then
+    /// reports), keeps a present peer's staleness, and leaves the view
+    /// untouched when it rejects a peer — which only happens to an absent
+    /// one.
     #[test]
     fn prop_upsert_with_reports_the_landing_rank(
         capacity in 1usize..8,
-        steps in prop::collection::vec((0u32..16, 0u64..6, any::<bool>()), 0..120),
+        steps in prop::collection::vec((0u32..16, 0u32..6, any::<bool>()), 0..120),
     ) {
         let mut view: ScoredView<u32, usize> = ScoredView::new(capacity);
         for (step, &(peer, score, tick)) in steps.iter().enumerate() {
@@ -150,7 +279,9 @@ proptest! {
                 view.tick();
             }
             let before = view.clone();
-            let old = view.get(&peer).map(|e| (e.meta, e.staleness));
+            let old = view
+                .rank_of(&peer)
+                .map(|rank| ((rank, *view.entry(rank).meta), view.entry(rank).staleness));
             let mut seen = None;
             let landed = view.upsert_with(peer, score, |meta, rank| {
                 seen = Some((meta, rank));
@@ -161,7 +292,7 @@ proptest! {
                 Some(rank) => {
                     prop_assert_eq!(seen, Some((old.map(|(meta, _)| meta), rank)));
                     let entry = view.get(&peer).unwrap();
-                    prop_assert_eq!((entry.score, entry.meta), (score, step));
+                    prop_assert_eq!((entry.score, *entry.meta), (score, step));
                     prop_assert_eq!(entry.staleness, old.map_or(0, |(_, staleness)| staleness));
                 }
                 None => {
@@ -295,6 +426,91 @@ proptest! {
                 .collect();
             prop_assert_eq!(&pulled, &must_pull, "side {}", id);
             prop_assert_eq!(got.pulled, must_pull.len());
+        }
+    }
+
+    /// The column layout behaves as the array of entries it replaced: the
+    /// same returns from every operation, the same landing ranks and old
+    /// metadata handed to `upsert_with`, and after every step the same
+    /// entries in the same `iter()` order with the same `rank_of` for every
+    /// peer. Few peers and scores make ties, moves, evictions and
+    /// rejections common.
+    #[test]
+    fn prop_columns_match_the_array_of_entries(
+        capacity in 1usize..9,
+        ops in prop::collection::vec(view_op(), 0..150),
+    ) {
+        let mut columns: ScoredView<u32, u64> = ScoredView::new(capacity);
+        let mut array = ArrayView::new(capacity);
+        for (step, op) in ops.iter().enumerate() {
+            let meta = step as u64;
+            match *op {
+                ViewOp::Upsert(peer, score) => {
+                    let kept = array.upsert_with(peer, u64::from(score), |_, _| meta).is_some();
+                    prop_assert_eq!(columns.upsert(peer, score, meta), kept, "step {}", step);
+                }
+                ViewOp::UpsertWith(peer, score) => {
+                    let old_rank = array.rank_of(&peer);
+                    let mut want = None;
+                    let landed = array.upsert_with(peer, u64::from(score), |old, rank| {
+                        want = Some((old_rank.zip(old), rank));
+                        meta
+                    });
+                    let mut got = None;
+                    let columns_landed = columns.upsert_with(peer, score, |old, rank| {
+                        got = Some((old, rank));
+                        meta
+                    });
+                    prop_assert_eq!(columns_landed, landed, "step {}", step);
+                    prop_assert_eq!(got, want, "step {}", step);
+                }
+                ViewOp::Tick => {
+                    array.tick();
+                    columns.tick();
+                }
+                ViewOp::Reset(peer) => {
+                    prop_assert_eq!(
+                        columns.reset_staleness(&peer),
+                        array.reset_staleness(&peer),
+                        "step {}", step
+                    );
+                }
+                ViewOp::WouldAdmit(peer, score) => {
+                    if array.rank_of(&peer).is_none() {
+                        prop_assert_eq!(
+                            columns.would_admit(peer, score),
+                            array.would_admit(peer, u64::from(score)),
+                            "step {}", step
+                        );
+                    }
+                }
+                ViewOp::Oldest(residue) => {
+                    let want = array.oldest_matching_with(
+                        |e| e.peer % 3 != residue,
+                        |e| if e.peer % 4 == residue { 0 } else { e.staleness },
+                    );
+                    let got = columns.oldest_matching_with(
+                        |e| e.peer % 3 != residue,
+                        |e| if e.peer % 4 == residue { 0 } else { e.staleness },
+                    );
+                    prop_assert_eq!(got, want, "step {}", step);
+                }
+            }
+            let entries: Vec<ArrayEntry> = columns
+                .iter()
+                .map(|e| ArrayEntry {
+                    peer: e.peer,
+                    score: u64::from(e.score),
+                    staleness: e.staleness,
+                    meta: *e.meta,
+                })
+                .collect();
+            prop_assert_eq!(&entries, &array.entries, "step {}", step);
+            for peer in 0..14u32 {
+                prop_assert_eq!(columns.rank_of(&peer), array.rank_of(&peer));
+                prop_assert_eq!(columns.contains(&peer), array.rank_of(&peer).is_some());
+            }
+            prop_assert!(columns.heap_bytes() <= capacity * ScoredView::<u32, u64>::ENTRY_BYTES);
         }
     }
 }

@@ -97,7 +97,7 @@ proptest! {
                     trace.dataset.profile(node.id),
                     trace.dataset.profile(entry.peer),
                 );
-                prop_assert_eq!(entry.score, expected);
+                prop_assert_eq!(u64::from(entry.score), expected);
                 prop_assert!(entry.score > 0, "zero-similarity neighbours must not be kept");
             }
         }

@@ -165,6 +165,14 @@ impl<N> Simulator<N> {
         &self.nodes
     }
 
+    /// Moves every node out and leaves the simulator holding zero nodes;
+    /// its membership, cycle, RNG position and bandwidth counters stay as
+    /// they were. How another runtime takes the population over without a
+    /// copy.
+    pub fn take_nodes(&mut self) -> Vec<N> {
+        std::mem::replace(&mut self.nodes, NodeStore::new(Vec::new())).into_nodes()
+    }
+
     /// Applies `f` to every node (as `f(index, &mut node)`), fanning
     /// contiguous chunks out to `threads` workers — the mutable fan-out for
     /// bespoke drivers and offline phases. Final state is independent of

@@ -198,6 +198,12 @@ impl<N> NodeStore<N> {
         self.nodes[idx] = node;
     }
 
+    /// Moves the nodes out (none may be on loan).
+    pub(crate) fn into_nodes(self) -> Vec<N> {
+        self.assert_none_on_loan();
+        self.nodes
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -395,35 +395,37 @@ pub struct TransportRuntime<N> {
 }
 
 impl<N: Send + Sync> TransportRuntime<N> {
-    /// Snapshots a simulator into a runtime over `num_actors` in-process
-    /// shard actors (clamped to `1..=num_nodes`; the contiguous equal-size
-    /// partition may round the actual actor count down — see
+    /// Moves a simulator's population into a runtime over `num_actors`
+    /// in-process shard actors (clamped to `1..=num_nodes`; the contiguous
+    /// equal-size partition may round the actual actor count down — see
     /// [`num_actors`](Self::num_actors)). There is one delivery order, so
     /// the [`DeliverySchedule`] marker carries nothing.
     ///
-    /// Takes `&mut` only to clone the simulator's RNG position; the
-    /// simulator is otherwise untouched and can keep running as the
-    /// reference for oracle-equality checks.
+    /// The nodes are moved, not copied: the simulator is left holding zero
+    /// nodes ([`Simulator::take_nodes`]), with its membership, cycle, RNG
+    /// position and bandwidth counters copied into the runtime. A caller
+    /// that still reads or drives the simulator afterwards — as the
+    /// reference of an oracle-equality check — hands in a clone.
     pub fn from_simulator(
         sim: &mut Simulator<N>,
         num_actors: usize,
         _schedule: DeliverySchedule,
-    ) -> Self
-    where
-        N: Clone,
-    {
+    ) -> Self {
         let n = sim.num_nodes();
         let actors = num_actors.clamp(1, n.max(1));
         let shard_size = n.div_ceil(actors).max(1);
-        let mut shards: Vec<Vec<N>> = sim.nodes().chunks(shard_size).map(<[N]>::to_vec).collect();
-        if shards.is_empty() {
-            shards.push(Vec::new());
-        }
         let run = RunState {
             membership: sim.membership().clone(),
             cycle: sim.cycle(),
             rng: sim.rng().clone(),
         };
+        let mut nodes = sim.take_nodes().into_iter();
+        let mut shards: Vec<Vec<N>> = (0..n.div_ceil(shard_size))
+            .map(|_| nodes.by_ref().take(shard_size).collect())
+            .collect();
+        if shards.is_empty() {
+            shards.push(Vec::new());
+        }
         Self {
             shards,
             shard_size,
@@ -787,9 +789,9 @@ mod tests {
 
     #[test]
     fn partitioning_covers_the_population() {
-        let mut sim = counters(10, 3);
+        let sim = counters(10, 3);
         let transport =
-            TransportRuntime::from_simulator(&mut sim, 4, DeliverySchedule::canonical());
+            TransportRuntime::from_simulator(&mut sim.clone(), 4, DeliverySchedule::canonical());
         assert_eq!(transport.num_nodes(), 10);
         // ceil(10/4) = 3 per shard → 4 shards: 3+3+3+1.
         assert_eq!(transport.num_actors(), 4);
@@ -801,19 +803,20 @@ mod tests {
 
     #[test]
     fn no_node_is_cloned_inside_a_drive() {
-        // Guests cross shards by move and the plan phase reads through a
-        // lease, so after `from_simulator` copied the population in, a
-        // drive — faulted or not — copies nothing.
+        // `from_simulator` moves the population in, guests cross shards by
+        // move and the plan phase reads through a lease, so neither the
+        // move nor a drive — faulted or not — copies a node.
         for num_actors in [1, 3, 8] {
             for faults in [None, Some(COMPOSITE)] {
                 let mut sim = counters(23, 7);
+                let clones = sim.node(0).clones.0.clone();
+                let before = clones.load(Relaxed);
                 let mut transport = TransportRuntime::from_simulator(
                     &mut sim,
                     num_actors,
                     DeliverySchedule::canonical(),
                 );
-                let clones = sim.node(0).clones.0.clone();
-                let before = clones.load(Relaxed);
+                assert_eq!(sim.num_nodes(), 0, "the simulator keeps no node");
                 let mut plan = faults.map(FaultPlan::new);
                 let opts = RunOptions::cycles(6);
                 let report = match plan.as_mut() {
