@@ -683,11 +683,9 @@ mod tests {
     /// of a random subset of its stored copies (all `s` ranks walked), then
     /// its own offer. The reference of [`OfferSelection`].
     fn collect_offers(node: &P3qNode, limit: usize, rng: &mut StdRng) -> Vec<ProfileOffer> {
-        let mut stored: Vec<ProfileOffer> = (0..node.personal_network.len())
-            .filter_map(|rank| match node.neighbour_at(rank) {
-                (entry, Some(copy)) => Some(Offer::stored(entry, copy).into()),
-                (_, None) => None,
-            })
+        let mut stored: Vec<ProfileOffer> = node
+            .neighbours()
+            .filter_map(|(entry, copy)| Some(Offer::stored(entry, copy?).into()))
             .collect();
         stored.shuffle(rng);
         stored.truncate(limit);

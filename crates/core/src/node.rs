@@ -16,7 +16,7 @@ use std::sync::{Arc, OnceLock};
 
 use p3q_bloom::{BloomFilter, ProbeSet, SharedFilter};
 use p3q_gossip::peer_sampling::Versioned;
-use p3q_gossip::{AgedView, ScoredEntry, ScoredView};
+use p3q_gossip::{reserve_within, AgedView, ScoredEntry, ScoredView};
 use p3q_sim::{Fingerprint, Fnv};
 use p3q_trace::{ItemId, Profile, SharedProfile, TaggingAction, UserId};
 
@@ -102,15 +102,6 @@ impl StoredCopy {
     /// its owner — i.e. safe to score queries against.
     fn is_fresh_for(&self, info: &NeighbourInfo) -> bool {
         self.version >= info.digest_version
-    }
-}
-
-/// Makes room for one more slot in the copy column without growing it past
-/// `c` slots: the buffer doubles as `Vec` would, up to `c`.
-fn reserve_copy_slot(copies: &mut Vec<Option<StoredCopy>>, c: usize) {
-    if copies.len() == copies.capacity() {
-        let target = (copies.len() * 2).max(4).min(c).max(copies.len() + 1);
-        copies.reserve_exact(target - copies.len());
     }
 }
 
@@ -378,7 +369,7 @@ impl P3qNode {
                         });
                     // The slot at rank `c - 1`, if any, is pushed past `c`.
                     copies.truncate(c - 1);
-                    reserve_copy_slot(copies, c);
+                    reserve_within(copies, c);
                     copies.insert(rank, Some(copy));
                 }
                 match old {
@@ -404,7 +395,7 @@ impl P3qNode {
         let slots = c.min(self.personal_network.len());
         self.copies.truncate(slots);
         while self.copies.len() < slots {
-            reserve_copy_slot(&mut self.copies, c);
+            reserve_within(&mut self.copies, c);
             self.copies.push(None);
         }
     }
@@ -459,6 +450,17 @@ impl P3qNode {
         (self.personal_network.entry(rank), copy)
     }
 
+    /// Every neighbour with its stored copy, if it holds one, in rank
+    /// order.
+    pub(crate) fn neighbours(
+        &self,
+    ) -> impl Iterator<Item = (ScoredEntry<UserId, &NeighbourInfo>, Option<&StoredCopy>)> {
+        let copies = self.copies.iter().map(Option::as_ref);
+        self.personal_network
+            .iter()
+            .zip(copies.chain(std::iter::repeat(None)))
+    }
+
     /// The ranks that hold a stored copy, ascending.
     pub(crate) fn copy_ranks(&self) -> impl Iterator<Item = usize> + '_ {
         self.copies
@@ -471,10 +473,9 @@ impl P3qNode {
     fn stored_copies(
         &self,
     ) -> impl Iterator<Item = (ScoredEntry<UserId, &NeighbourInfo>, &StoredCopy)> {
-        self.copy_ranks().map(|rank| {
-            let (entry, copy) = self.neighbour_at(rank);
-            (entry, copy.expect("a copy rank holds a copy"))
-        })
+        self.neighbours()
+            .take(self.copies.len())
+            .filter_map(|(entry, copy)| Some((entry, copy?)))
     }
 
     /// Iterates over `(peer, cached profile, cached version)` for every
@@ -503,8 +504,7 @@ impl P3qNode {
     /// Personal-network neighbours whose profiles are *not* stored locally —
     /// the initial remaining list of any query this node issues.
     pub fn unstored_network_peers(&self) -> Vec<UserId> {
-        (0..self.personal_network.len())
-            .map(|rank| self.neighbour_at(rank))
+        self.neighbours()
             .filter(|(_, copy)| copy.is_none())
             .map(|(e, _)| e.peer)
             .collect()
@@ -516,8 +516,7 @@ impl P3qNode {
     /// issued after dynamics — a stale copy must be re-fetched, not silently
     /// scored.
     pub(crate) fn peers_missing_fresh_profile(&self) -> Vec<UserId> {
-        (0..self.personal_network.len())
-            .map(|rank| self.neighbour_at(rank))
+        self.neighbours()
             .filter(|(e, copy)| !copy.is_some_and(|copy| copy.is_fresh_for(e.meta)))
             .map(|(e, _)| e.peer)
             .collect()
@@ -600,8 +599,7 @@ impl Fingerprint for P3qNode {
         h.write_u64(self.storage_budget() as u64);
 
         h.write_u64(self.personal_network.len() as u64);
-        for rank in 0..self.personal_network.len() {
-            let (entry, copy) = self.neighbour_at(rank);
+        for (entry, copy) in self.neighbours() {
             h.write_u64(u64::from(entry.peer.0));
             h.write_u64(u64::from(entry.score));
             h.write_u64(u64::from(entry.staleness));
@@ -946,6 +944,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_neighbour_takes_at_most_28_bytes() {
+        assert_eq!(ScoredView::<UserId, NeighbourInfo>::ENTRY_BYTES, 28);
+        // A copy slot, held by the top `c` ranks only.
+        assert_eq!(std::mem::size_of::<Option<StoredCopy>>(), 16);
+        let mut n = node(2);
+        for peer in 1..=5u32 {
+            n.admit(&offer(peer, profile(&[(peer, peer)]), 1), u64::from(peer));
+        }
+        // s = 5 in the fixture: a full network allocates s entries, no more.
+        assert_eq!(
+            n.personal_network.heap_bytes(),
+            5 * ScoredView::<UserId, NeighbourInfo>::ENTRY_BYTES
+        );
     }
 
     #[test]

@@ -17,4 +17,4 @@
 pub mod peer_sampling;
 mod view;
 
-pub use view::{AgedEntry, AgedView, ScoredEntry, ScoredView};
+pub use view::{reserve_within, AgedEntry, AgedView, ScoredEntry, ScoredView};

@@ -49,15 +49,25 @@ pub struct ScoredView<P, M> {
     metas: Vec<M>,
 }
 
-/// Makes room for one more element in a column bounded to `capacity`: the
-/// buffer doubles as `Vec` would, but never past `capacity` slots.
-fn reserve_within<T>(column: &mut Vec<T>, capacity: usize) {
+/// Makes room for one more element in a column bounded to `capacity`
+/// elements: the buffer doubles as `Vec` would, but never past `capacity`
+/// slots while the column holds fewer than `capacity`.
+pub fn reserve_within<T>(column: &mut Vec<T>, capacity: usize) {
     if column.len() == column.capacity() {
         let target = (column.len() * 2)
             .max(4)
             .min(capacity)
             .max(column.len() + 1);
         column.reserve_exact(target - column.len());
+    }
+}
+
+/// Moves the element at `from` to `to`, shifting those between by one.
+fn shift<T>(column: &mut [T], from: usize, to: usize) {
+    if to < from {
+        column[to..=from].rotate_right(1);
+    } else {
+        column[from..=to].rotate_left(1);
     }
 }
 
@@ -129,7 +139,15 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
 
     /// Iterates over entries in descending score order.
     pub fn iter(&self) -> impl Iterator<Item = ScoredEntry<P, &M>> + '_ {
-        (0..self.len()).map(|rank| self.entry(rank))
+        let ranked = self.peers.iter().zip(&self.scores).zip(&self.staleness);
+        ranked
+            .zip(&self.metas)
+            .map(|(((&peer, &score), &staleness), meta)| ScoredEntry {
+                peer,
+                score,
+                staleness,
+                meta,
+            })
     }
 
     /// The peers in descending score order.
@@ -200,35 +218,43 @@ impl<P: Copy + Eq + Hash + Ord, M> ScoredView<P, M> {
         score: u32,
         f: impl FnOnce(Option<(usize, M)>, usize) -> M,
     ) -> Option<usize> {
-        let (old, staleness) = match self.rank_of(&peer) {
-            Some(rank) => {
-                self.peers.remove(rank);
-                self.scores.remove(rank);
-                let staleness = self.staleness.remove(rank);
-                (Some((rank, self.metas.remove(rank))), staleness)
+        let (old, rank) = match self.rank_of(&peer) {
+            Some(old_rank) => {
+                // The peer's own entry sorts before the new key only if it
+                // scored higher; without it the key lands at `rank`. Peer,
+                // score and staleness shift by the distance moved, which is
+                // mostly zero: a refresh at an unchanged score.
+                let rank =
+                    self.insertion_rank(peer, score) - usize::from(self.scores[old_rank] > score);
+                shift(&mut self.peers, old_rank, rank);
+                shift(&mut self.scores, old_rank, rank);
+                shift(&mut self.staleness, old_rank, rank);
+                self.scores[rank] = score;
+                (Some((old_rank, self.metas.remove(old_rank))), rank)
             }
-            None => (None, 0),
+            None => {
+                let rank = self.insertion_rank(peer, score);
+                if rank >= self.capacity {
+                    return None;
+                }
+                // Evict before inserting: a full view never asks a column
+                // for one slot more than `capacity`.
+                let (keep, capacity) = (self.capacity - 1, self.capacity);
+                self.peers.truncate(keep);
+                self.scores.truncate(keep);
+                self.staleness.truncate(keep);
+                self.metas.truncate(keep);
+                reserve_within(&mut self.peers, capacity);
+                reserve_within(&mut self.scores, capacity);
+                reserve_within(&mut self.staleness, capacity);
+                self.peers.insert(rank, peer);
+                self.scores.insert(rank, score);
+                self.staleness.insert(rank, 0);
+                (None, rank)
+            }
         };
-        let rank = self.insertion_rank(peer, score);
-        if rank >= self.capacity {
-            return None;
-        }
-        // Evict before inserting: a full view never asks a column for one
-        // slot more than `capacity`.
-        let keep = self.capacity - 1;
-        self.peers.truncate(keep);
-        self.scores.truncate(keep);
-        self.staleness.truncate(keep);
-        self.metas.truncate(keep);
         let meta = f(old, rank);
-        let capacity = self.capacity;
-        reserve_within(&mut self.peers, capacity);
-        reserve_within(&mut self.scores, capacity);
-        reserve_within(&mut self.staleness, capacity);
-        reserve_within(&mut self.metas, capacity);
-        self.peers.insert(rank, peer);
-        self.scores.insert(rank, score);
-        self.staleness.insert(rank, staleness);
+        reserve_within(&mut self.metas, self.capacity);
         self.metas.insert(rank, meta);
         Some(rank)
     }
