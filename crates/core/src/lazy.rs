@@ -116,13 +116,13 @@ impl<'a> Offer<'a> {
     }
 
     /// A personal-network entry with the copy it stores.
-    fn stored(entry: ScoredEntry<UserId, &'a NeighbourInfo>, copy: &'a StoredCopy) -> Self {
+    fn stored(entry: ScoredEntry<UserId, &'a NeighbourInfo>, copy: StoredCopy<'a>) -> Self {
         Self {
             user: entry.peer,
             digest: &entry.meta.digest,
             digest_version: u64::from(entry.meta.digest_version),
             version: u64::from(copy.version),
-            profile: &copy.profile,
+            profile: copy.profile,
         }
     }
 }

@@ -82,7 +82,7 @@ impl NeighbourInfo {
 }
 
 /// A stored copy of a neighbour's full profile and the version it was
-/// taken at.
+/// taken at, as read from the copy column.
 ///
 /// The copy and the neighbour's digest may legitimately sit at different
 /// versions: gossip refreshes digests (cheap, every exchange) more often
@@ -91,17 +91,82 @@ impl NeighbourInfo {
 /// accounting (Table 2, the AUR metric) and as gossip payload, but query
 /// scoring must not silently treat it as current; `is_fresh_for` tells
 /// the two states apart.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StoredCopy {
-    pub(crate) profile: SharedProfile,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct StoredCopy<'a> {
+    pub(crate) profile: &'a SharedProfile,
     pub(crate) version: u32,
 }
 
-impl StoredCopy {
+impl StoredCopy<'_> {
     /// Whether the copy is at least as new as the freshest digest seen for
     /// its owner — i.e. safe to score queries against.
     fn is_fresh_for(&self, info: &NeighbourInfo) -> bool {
         self.version >= info.digest_version
+    }
+}
+
+/// The stored profile copies, aligned with the personal network's ranks:
+/// slot `i` belongs to the neighbour at rank `i`, and `P3qNode` keeps one
+/// slot per rank below `c` (the storage budget), so no copy is ever held
+/// past rank `c`. A slot is a copy and its version in two columns, 12
+/// bytes a slot.
+#[derive(Debug, Clone, Default)]
+struct CopyColumn {
+    profiles: Vec<Option<SharedProfile>>,
+    /// The version each copy was taken at; 0 in an empty slot.
+    versions: Vec<u32>,
+}
+
+impl CopyColumn {
+    fn len(&self) -> usize {
+        self.profiles.len()
+    }
+
+    fn get(&self, rank: usize) -> Option<StoredCopy<'_>> {
+        let profile = self.profiles.get(rank)?.as_ref()?;
+        let version = self.versions[rank];
+        Some(StoredCopy { profile, version })
+    }
+
+    /// Every slot in rank order.
+    fn iter(&self) -> impl Iterator<Item = Option<StoredCopy<'_>>> {
+        let slots = self.profiles.iter().zip(&self.versions);
+        slots.map(|(profile, &version)| {
+            profile
+                .as_ref()
+                .map(|profile| StoredCopy { profile, version })
+        })
+    }
+
+    /// Takes the slot at `rank` out; the slots below it move up a rank.
+    fn remove(&mut self, rank: usize) -> Option<(SharedProfile, u32)> {
+        let version = self.versions.remove(rank);
+        self.profiles.remove(rank).map(|profile| (profile, version))
+    }
+
+    /// Inserts a slot at `rank`, growing the columns within `c` slots.
+    fn insert(&mut self, rank: usize, slot: Option<(SharedProfile, u32)>, c: usize) {
+        let (profile, version) =
+            slot.map_or((None, 0), |(profile, version)| (Some(profile), version));
+        reserve_within(&mut self.profiles, c);
+        reserve_within(&mut self.versions, c);
+        self.profiles.insert(rank, profile);
+        self.versions.insert(rank, version);
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.profiles.truncate(len);
+        self.versions.truncate(len);
+    }
+
+    /// Slots the larger column has allocated.
+    fn allocated(&self) -> usize {
+        self.profiles.capacity().max(self.versions.capacity())
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.profiles.capacity() * std::mem::size_of::<Option<SharedProfile>>()
+            + self.versions.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -138,11 +203,9 @@ pub struct P3qNode {
     storage_budget: u32,
     /// The personal network: up to `s` most similar neighbours.
     pub personal_network: ScoredView<UserId, NeighbourInfo>,
-    /// The stored profile copies, aligned with the personal network's
-    /// ranks: slot `i` belongs to the neighbour at rank `i`, and there is
-    /// one slot per rank below `c` (the storage budget), so no copy is ever
-    /// held past rank `c`. Only `admit` and `crash_volatile` change it.
-    copies: Vec<Option<StoredCopy>>,
+    /// The stored profile copies, one slot per rank below `c`. Only
+    /// `admit` and `crash_volatile` change it.
+    copies: CopyColumn,
     /// The random view maintained by the peer-sampling layer.
     pub random_view: AgedView<UserId, DigestInfo>,
     /// Queries this node issued and is still collecting results for
@@ -169,7 +232,7 @@ impl Default for P3qNode {
             digest_hashes: 0,
             storage_budget: 1,
             personal_network: ScoredView::new(1),
-            copies: Vec::new(),
+            copies: CopyColumn::default(),
             random_view: AgedView::new(1),
             querier_states: QueryBook::default(),
             tasks: QueryBook::default(),
@@ -210,7 +273,7 @@ impl P3qNode {
             digest_hashes,
             storage_budget: u32::try_from(storage_budget.max(1)).expect("storage budget fits u32"),
             personal_network: ScoredView::new(personal_network_size.max(1)),
-            copies: Vec::new(),
+            copies: CopyColumn::default(),
             random_view: AgedView::new(random_view_size.max(1)),
             querier_states: QueryBook::default(),
             tasks: QueryBook::default(),
@@ -359,18 +422,14 @@ impl P3qNode {
                     .and_then(|r| copies.remove(r));
                 if rank < c {
                     let copy = copy
-                        .filter(|copy| u64::from(copy.version) >= offer.version)
+                        .filter(|&(_, version)| u64::from(version) >= offer.version)
                         .unwrap_or_else(|| {
                             stored = true;
-                            StoredCopy {
-                                profile: offer.profile.clone(),
-                                version: compact_version(offer.version),
-                            }
+                            (offer.profile.clone(), compact_version(offer.version))
                         });
                     // The slot at rank `c - 1`, if any, is pushed past `c`.
                     copies.truncate(c - 1);
-                    reserve_within(copies, c);
-                    copies.insert(rank, Some(copy));
+                    copies.insert(rank, Some(copy), c);
                 }
                 match old {
                     Some(old) if old.digest_version >= compact_version(offer.digest_version) => old,
@@ -395,8 +454,7 @@ impl P3qNode {
         let slots = c.min(self.personal_network.len());
         self.copies.truncate(slots);
         while self.copies.len() < slots {
-            reserve_within(&mut self.copies, c);
-            self.copies.push(None);
+            self.copies.insert(self.copies.len(), None, c);
         }
     }
 
@@ -436,7 +494,7 @@ impl P3qNode {
             "a personal-network column is allocated past s"
         );
         assert!(
-            self.copies.capacity() <= c,
+            self.copies.allocated() <= c,
             "the copy column is allocated past c"
         );
     }
@@ -445,20 +503,17 @@ impl P3qNode {
     pub(crate) fn neighbour_at(
         &self,
         rank: usize,
-    ) -> (ScoredEntry<UserId, &NeighbourInfo>, Option<&StoredCopy>) {
-        let copy = self.copies.get(rank).and_then(Option::as_ref);
-        (self.personal_network.entry(rank), copy)
+    ) -> (ScoredEntry<UserId, &NeighbourInfo>, Option<StoredCopy<'_>>) {
+        (self.personal_network.entry(rank), self.copies.get(rank))
     }
 
     /// Every neighbour with its stored copy, if it holds one, in rank
     /// order.
     pub(crate) fn neighbours(
         &self,
-    ) -> impl Iterator<Item = (ScoredEntry<UserId, &NeighbourInfo>, Option<&StoredCopy>)> {
-        let copies = self.copies.iter().map(Option::as_ref);
-        self.personal_network
-            .iter()
-            .zip(copies.chain(std::iter::repeat(None)))
+    ) -> impl Iterator<Item = (ScoredEntry<UserId, &NeighbourInfo>, Option<StoredCopy<'_>>)> {
+        let copies = self.copies.iter().chain(std::iter::repeat(None));
+        self.personal_network.iter().zip(copies)
     }
 
     /// The ranks that hold a stored copy, ascending.
@@ -466,13 +521,13 @@ impl P3qNode {
         self.copies
             .iter()
             .enumerate()
-            .filter_map(|(rank, copy)| copy.as_ref().map(|_| rank))
+            .filter_map(|(rank, copy)| copy.map(|_| rank))
     }
 
     /// The stored copies with their owners, in rank order.
     fn stored_copies(
         &self,
-    ) -> impl Iterator<Item = (ScoredEntry<UserId, &NeighbourInfo>, &StoredCopy)> {
+    ) -> impl Iterator<Item = (ScoredEntry<UserId, &NeighbourInfo>, StoredCopy<'_>)> {
         self.neighbours()
             .take(self.copies.len())
             .filter_map(|(entry, copy)| Some((entry, copy?)))
@@ -482,7 +537,7 @@ impl P3qNode {
     /// stored neighbour profile.
     pub fn stored_profiles(&self) -> impl Iterator<Item = (UserId, &Profile, u64)> {
         self.stored_copies()
-            .map(|(e, copy)| (e.peer, &*copy.profile, u64::from(copy.version)))
+            .map(|(e, copy)| (e.peer, &**copy.profile, u64::from(copy.version)))
     }
 
     /// Number of stored neighbour profiles.
@@ -498,7 +553,7 @@ impl P3qNode {
     ) -> impl Iterator<Item = (UserId, &SharedProfile, u64)> {
         self.stored_copies()
             .filter(|(e, copy)| copy.is_fresh_for(e.meta))
-            .map(|(e, copy)| (e.peer, &copy.profile, u64::from(copy.version)))
+            .map(|(e, copy)| (e.peer, copy.profile, u64::from(copy.version)))
     }
 
     /// Personal-network neighbours whose profiles are *not* stored locally —
@@ -538,7 +593,7 @@ impl P3qNode {
     /// lazy protocol's re-bootstrap step.
     pub fn crash_volatile(&mut self) {
         self.personal_network = ScoredView::new(self.personal_network.capacity());
-        self.copies = Vec::new();
+        self.copies = CopyColumn::default();
         self.random_view = AgedView::new(self.random_view.capacity());
         self.querier_states = QueryBook::default();
         self.tasks = QueryBook::default();
@@ -569,7 +624,7 @@ impl P3qNode {
             + digest
             + probes
             + self.personal_network.heap_bytes()
-            + self.copies.capacity() * std::mem::size_of::<Option<StoredCopy>>()
+            + self.copies.heap_bytes()
             + self.random_view.heap_bytes()
             + self.querier_states.storage_bytes()
             + self.tasks.storage_bytes()
@@ -607,7 +662,7 @@ impl Fingerprint for P3qNode {
             // An unstored entry folds version 0 and no profile.
             h.write_u64(copy.map_or(0, |copy| u64::from(copy.version)));
             match copy {
-                Some(copy) => fold_profile(&copy.profile, h),
+                Some(copy) => fold_profile(copy.profile, h),
                 None => h.write_u64(u64::MAX),
             }
         }
@@ -658,14 +713,14 @@ mod tests {
 
     impl P3qNode {
         /// The stored copy of `peer`, if any.
-        fn stored_copy(&self, peer: &UserId) -> Option<&StoredCopy> {
+        fn stored_copy(&self, peer: &UserId) -> Option<StoredCopy<'_>> {
             let rank = self.personal_network.rank_of(peer)?;
             self.neighbour_at(rank).1
         }
 
         /// The cached profile of `peer`, if stored.
         pub(crate) fn stored_profile(&self, peer: &UserId) -> Option<&Profile> {
-            self.stored_copy(peer).map(|copy| &*copy.profile)
+            self.stored_copy(peer).map(|copy| &**copy.profile)
         }
 
         /// Returns `true` if a fresh (non-stale) profile copy of `peer` is
@@ -825,13 +880,15 @@ mod tests {
     /// own copy, so a copy went wherever its entry went.
     struct ReferenceNode {
         network: ScoredView<UserId, NeighbourInfo>,
-        copies: Vec<(UserId, StoredCopy)>,
+        /// `(owner, copy, version)`.
+        copies: Vec<(UserId, SharedProfile, u32)>,
         c: usize,
     }
 
     impl ReferenceNode {
-        fn copy(&self, peer: UserId) -> Option<&StoredCopy> {
-            self.copies.iter().find(|(p, _)| *p == peer).map(|(_, c)| c)
+        fn copy(&self, peer: UserId) -> Option<(&Profile, u32)> {
+            let (_, profile, version) = self.copies.iter().find(|(p, _, _)| *p == peer)?;
+            Some((profile, *version))
         }
 
         /// The stored copies in rank order, as [`P3qNode::stored_profiles`]
@@ -841,7 +898,7 @@ mod tests {
                 .peers()
                 .filter_map(|peer| {
                     self.copy(peer)
-                        .map(|c| (peer, &*c.profile, u64::from(c.version)))
+                        .map(|(profile, version)| (peer, profile, u64::from(version)))
                 })
                 .collect()
         }
@@ -869,31 +926,29 @@ mod tests {
         let kept = n.network.upsert(offer.user, compact_score(score), meta);
         // An evicted entry took its copy with it.
         let network = &n.network;
-        n.copies.retain(|(peer, _)| network.contains(peer));
+        n.copies.retain(|(peer, _, _)| network.contains(peer));
         if !kept {
             return Admission::Rejected;
         }
         let rank = n.network.rank_of(&offer.user).unwrap();
         if rank >= n.c {
             // The sink rule: a copy does not survive below rank `c`.
-            n.copies.retain(|(peer, _)| *peer != offer.user);
+            n.copies.retain(|(peer, _, _)| *peer != offer.user);
             return Admission::Kept;
         }
         if n.copy(offer.user)
-            .is_some_and(|copy| u64::from(copy.version) >= offer.version)
+            .is_some_and(|(_, version)| u64::from(version) >= offer.version)
         {
             return Admission::Kept;
         }
-        n.copies.retain(|(peer, _)| *peer != offer.user);
+        n.copies.retain(|(peer, _, _)| *peer != offer.user);
         n.copies.push((
             offer.user,
-            StoredCopy {
-                profile: offer.profile.clone(),
-                version: compact_version(offer.version),
-            },
+            offer.profile.clone(),
+            compact_version(offer.version),
         ));
         let keep = n.network.top_peers(n.c);
-        n.copies.retain(|(peer, _)| keep.contains(peer));
+        n.copies.retain(|(peer, _, _)| keep.contains(peer));
         Admission::Stored
     }
 
@@ -949,17 +1004,23 @@ mod tests {
     #[test]
     fn a_neighbour_takes_at_most_28_bytes() {
         assert_eq!(ScoredView::<UserId, NeighbourInfo>::ENTRY_BYTES, 28);
-        // A copy slot, held by the top `c` ranks only.
-        assert_eq!(std::mem::size_of::<Option<StoredCopy>>(), 16);
+        // A copy slot, held by the top `c` ranks only: the copy and its
+        // version.
+        assert_eq!(
+            std::mem::size_of::<Option<SharedProfile>>() + std::mem::size_of::<u32>(),
+            12
+        );
         let mut n = node(2);
         for peer in 1..=5u32 {
             n.admit(&offer(peer, profile(&[(peer, peer)]), 1), u64::from(peer));
         }
-        // s = 5 in the fixture: a full network allocates s entries, no more.
+        // s = 5 in the fixture: a full network allocates s entries, no more,
+        // and the copy column c = 2 slots.
         assert_eq!(
             n.personal_network.heap_bytes(),
             5 * ScoredView::<UserId, NeighbourInfo>::ENTRY_BYTES
         );
+        assert_eq!(n.copies.heap_bytes(), 2 * 12);
     }
 
     #[test]
@@ -985,7 +1046,7 @@ mod tests {
         n.admit(&offer(1, p.clone(), 1), 3);
         let stored = n.stored_copy(&UserId(1)).unwrap();
         assert!(
-            Arc::ptr_eq(&stored.profile, &p),
+            Arc::ptr_eq(stored.profile, &p),
             "storing a shared profile must not deep-copy it"
         );
     }
